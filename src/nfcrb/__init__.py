@@ -9,19 +9,15 @@ oracles used to validate everything.
 
 __version__ = "0.1.0"
 
-from .approx import (ApproximationDomainError, CorrectionTerms, GainTerms,
-                     correction_terms, crb_location_approx, crb_rcs_approx,
-                     crb_velocity_approx, gain, gain_terms, relative_error,
-                     slow_time_sum)
+from .approx import (ApproximationDomainError, CorrectionTerms, correction_terms,
+                     crb_location_approx, crb_rcs_approx, crb_velocity_approx,
+                     gain, relative_error, slow_time_sum)
 from .crb import (CrbReport, SingularFimError, TargetBounds, closed_form_single,
                   conditional_crb, full_crb, schur_target_report)
-from .fim import FisherInfo, channel_matrix, d_channel, fim
+from .fim import FisherInfo, fim
 from .geometry import ArrayGeometry, from_positions, ula
 from .oracle import (OracleReport, brute_gain, fd_fim, fd_steering,
                      monte_carlo_isotropic)
-from .scene import (BLOCKS, DegenerateGeometryError, ParamVector, Scene, Target,
-                    dbm_to_watts, make_scene, pack, param_index, polar_of,
-                    target_indices, unpack)
-from .steering import (SteeringStack, d_steering_location, d_steering_velocity,
-                       doppler_shift, pathloss, phase, steering_stack,
-                       steering_vector)
+from .scene import (BLOCKS, DegenerateGeometryError, Scene, Target, dbm_to_watts,
+                    make_scene, polar_of, target_indices)
+from .steering import SteeringStack, doppler_shift, pathloss, steering_stack

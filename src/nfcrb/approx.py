@@ -28,17 +28,6 @@ class ApproximationDomainError(ValueError):
 
 
 @dataclass(frozen=True)
-class GainTerms:
-    """Element-sum gains g (1/m^2) and scaled gains G = lambda^2/(16 pi^2) g."""
-
-    g_tx: float
-    g_rx: float
-    big_g_tx: float
-    big_g_rx: float
-    variant: str
-
-
-@dataclass(frozen=True)
 class CorrectionTerms:
     """Every second-order correction factor entering the closed forms."""
 
@@ -99,16 +88,6 @@ def gain(geom, target, wavelength, variant="exact"):
         return n / r ** 2
     s2 = math.sin(theta) ** 2
     return n / r ** 2 + n * (n ** 2 - 1) * geom.spacing ** 2 * (4.0 * s2 - 1.0) / (12.0 * r ** 4)
-
-
-def gain_terms(scene, q, variant="exact"):
-    """Both sides' gains for target q, raw and with the lambda^2/16pi^2 scale."""
-    t = scene.targets[q]
-    g_tx = gain(scene.tx, t, scene.wavelength_m, variant)
-    g_rx = gain(scene.rx, t, scene.wavelength_m, variant)
-    scale = scene.wavelength_m ** 2 / (16.0 * math.pi ** 2)
-    return GainTerms(g_tx=g_tx, g_rx=g_rx, big_g_tx=scale * g_tx,
-                     big_g_rx=scale * g_rx, variant=variant)
 
 
 def _side_terms(geom, target):

@@ -15,19 +15,19 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .approx import (ApproximationDomainError, correction_terms,
+from .approx import (VARIANTS, ApproximationDomainError, correction_terms,
                      crb_location_approx, crb_rcs_approx, crb_velocity_approx,
                      gain, relative_error)
 from .crb import SingularFimError, closed_form_single, full_crb
 from .fim import fim
 from .geometry import ula
-from .oracle import (OracleReport, brute_gain, fd_fim, fd_steering, make_report,
-                     monte_carlo_isotropic)
+from .oracle import (OracleReport, brute_gain, fd_fim, fd_steering_rows,
+                     make_report, monte_carlo_isotropic)
 from .scene import (LIGHTSPEED, Target, dbm_to_watts, make_scene, polar_of)
-from .steering import d_steering_location, d_steering_velocity
+from .steering import steering_stack
 
 BOUNDS = ("rcs", "vx", "vy", "x", "y")
-VARIANTS = ("exact", "ff", "nf")
+REGION_FLAGS = ("in_reactive", "in_fresnel", "in_fraunhofer")
 SWEEP_VARS = ("range", "angle", "antennas", "snapshots", "power")
 
 _UNITS = {"range": "m", "angle": "deg", "antennas": "count",
@@ -230,6 +230,8 @@ def build_scene(cfg):
 def _fmt(value):
     if value is None:
         return ""
+    if isinstance(value, str):
+        return value
     if isinstance(value, bool):
         return "1" if value else "0"
     if isinstance(value, (int, np.integer)):
@@ -261,33 +263,45 @@ def _region_flags(scene, q):
     return inside_reactive, fresnel, beyond_fraunhofer
 
 
-def _bound_cells(scene, q, bounds, variants, closed=None):
-    """Per-bound exact/approx/relerr cells for one target, as a dict."""
-    if closed is None:
-        closed = closed_form_single(scene, q).targets[0]
-    cells = {}
+def _bound_cells(scene, q, bounds, variants):
+    """Cell table of one target: exact/approx/relerr cells and region flags.
+
+    Keys are the column names of cell_columns(bounds, variants); the eval
+    report, the eval CSV and every sweep row are rendered from this dict.
+    """
+    closed = closed_form_single(scene, q).targets[0]
+    cells = dict(zip(REGION_FLAGS, _region_flags(scene, q)))
     for bound in bounds:
         exact = closed.by_name(bound)
-        values = {}
         if "exact" in variants:
             cells[f"{bound}_exact"] = exact
         for variant in ("ff", "nf"):
             if variant not in variants:
                 continue
             try:
-                values[variant] = _approx_bound(scene, q, bound, variant)
+                value = _approx_bound(scene, q, bound, variant)
             except (ApproximationDomainError, ValueError):
-                values[variant] = None
-            cells[f"{bound}_{variant}"] = values[variant]
-        for variant in ("ff", "nf"):
-            if variant not in variants:
-                continue
-            approx_value = values.get(variant)
+                value = None
             rel = None
-            if approx_value is not None and math.isfinite(exact) and exact != 0.0:
-                rel = relative_error(approx_value, exact)
+            if value is not None and math.isfinite(exact) and exact != 0.0:
+                rel = relative_error(value, exact)
+            cells[f"{bound}_{variant}"] = value
             cells[f"relerr_{bound}_{variant}"] = rel
     return cells
+
+
+def cell_columns(bounds, variants):
+    """Column names of a cell table, in output order."""
+    cols = []
+    for bound in bounds:
+        cols += [f"{bound}_{variant}" for variant in variants]
+        cols += [f"relerr_{bound}_{variant}" for variant in ("ff", "nf")
+                 if variant in variants]
+    return cols + list(REGION_FLAGS)
+
+
+def _csv_row(cells, cols):
+    return ",".join(_fmt(cells.get(col)) for col in cols)
 
 
 # ---------------------------------------------------------------------------
@@ -301,6 +315,11 @@ def render_eval(scene):
     status=singular with the marginal cells left empty; the conditional and
     closed-form columns do not need the full inverse and are always rendered.
     """
+    return _eval_outputs(scene)[0]
+
+
+def _eval_outputs(scene):
+    """The eval text report and per-target CSV, both from one cell table."""
     info = fim(scene)
     try:
         _, report = full_crb(info)
@@ -312,13 +331,15 @@ def render_eval(scene):
              f"tx={scene.tx.count} rx={scene.rx.count}",
              f"# condition_number={_fmt(condition)}",
              f"# status={status}"]
+    cols = ["target"] + cell_columns(BOUNDS, VARIANTS)
+    csv = [f"# nfcrb eval v{__version__}", ",".join(cols)]
     for q in range(scene.q_count):
-        flags = _region_flags(scene, q)
-        region = "reactive" if flags[0] else ("fresnel" if flags[1] else "fraunhofer")
+        cells = _bound_cells(scene, q, BOUNDS, VARIANTS)
+        csv.append(_csv_row({"target": q, **cells}, cols))
+        region = ("reactive" if cells["in_reactive"]
+                  else "fresnel" if cells["in_fresnel"] else "fraunhofer")
         lines.append(f"target.{q}.region={region}")
-        closed = closed_form_single(scene, q).targets[0]
         marginal = report.targets[q] if report is not None else None
-        cells = _bound_cells(scene, q, BOUNDS, VARIANTS, closed=closed)
         for bound in BOUNDS:
             lines.append(f"target.{q}.{bound}.exact={_fmt(cells[f'{bound}_exact'])}")
             marg = marginal.by_name(bound) if marginal is not None else None
@@ -329,7 +350,7 @@ def render_eval(scene):
             for variant in ("ff", "nf"):
                 lines.append(f"target.{q}.{bound}.relerr_{variant}="
                              f"{_fmt(cells[f'relerr_{bound}_{variant}'])}")
-    return "\n".join(lines) + "\n"
+    return "\n".join(lines) + "\n", "\n".join(csv) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -369,16 +390,6 @@ class SweepSpec:
         object.__setattr__(self, "variants", tuple(self.variants))
 
 
-@dataclass(frozen=True)
-class SweepRow:
-    value: float
-    cells: dict
-    in_reactive: bool = False
-    in_fresnel: bool = False
-    in_fraunhofer: bool = False
-    error: str = ""
-
-
 def _default_target():
     return TargetConfig(range_m=100.0, angle_deg=20.0, vx=1.0, vy=4.0,
                         rcs_re=1.0, rcs_im=0.1)
@@ -410,26 +421,21 @@ def _config_for(spec, value):
 
 
 def _sweep_row(spec, value):
+    """Cells of one grid point, keyed by sweep_columns(spec)."""
+    integral = spec.variable in ("antennas", "snapshots")
+    row = {_VAR_COLUMN[spec.variable]: int(value) if integral else value}
     try:
         scene = build_scene(_config_for(spec, value))
-        cells = _bound_cells(scene, 0, spec.bounds, spec.variants)
-        flags = _region_flags(scene, 0)
-        return SweepRow(value=value, cells=cells, in_reactive=flags[0],
-                        in_fresnel=flags[1], in_fraunhofer=flags[2])
+        row.update(_bound_cells(scene, 0, spec.bounds, spec.variants), error="")
     except (ConfigError, ValueError, SingularFimError) as e:
-        return SweepRow(value=value, cells={}, error=str(e).replace(",", ";"))
+        # a failed point leaves its bound cells empty and its flags at 0
+        row.update(dict.fromkeys(REGION_FLAGS, False), error=str(e).replace(",", ";"))
+    return row
 
 
 def sweep_columns(spec):
-    cols = [_VAR_COLUMN[spec.variable]]
-    for bound in spec.bounds:
-        for variant in spec.variants:
-            cols.append(f"{bound}_{variant}")
-        for variant in ("ff", "nf"):
-            if variant in spec.variants:
-                cols.append(f"relerr_{bound}_{variant}")
-    cols += ["in_reactive", "in_fresnel", "in_fraunhofer", "error"]
-    return cols
+    return ([_VAR_COLUMN[spec.variable]] + cell_columns(spec.bounds, spec.variants)
+            + ["error"])
 
 
 def run_sweep(spec):
@@ -440,16 +446,7 @@ def run_sweep(spec):
              "# seed=none"]
     lines += [f"# cfg: {entry}" for entry in spec.config.raw]
     lines.append(",".join(cols))
-    integral = spec.variable in ("antennas", "snapshots")
-    for value in spec.grid:
-        row = _sweep_row(spec, value)
-        first = str(int(value)) if integral else repr(float(value))
-        out = [first]
-        for col in cols[1:-4]:
-            out.append(_fmt(row.cells.get(col)))
-        out += [_fmt(row.in_reactive), _fmt(row.in_fresnel),
-                _fmt(row.in_fraunhofer), row.error]
-        lines.append(",".join(out))
+    lines += [_csv_row(_sweep_row(spec, value), cols) for value in spec.grid]
     return "\n".join(lines) + "\n"
 
 
@@ -478,24 +475,29 @@ def _verify_steering(seed, battery, skew):
             targets=[Target(x=r * math.sin(th), y=r * math.cos(th), vx=vx, vy=vy,
                             rcs_re=float(rng.normal()), rcs_im=float(rng.normal()))],
             tx=ula(n, 0.01), rx=ula(n, 0.01), snapshots=m_total)
+        rows = [1, m_total]
+        # near broadside the x and vx derivatives are small against |a|, so
+        # the steps must sit well above the carrier-phase roundoff. A velocity
+        # step advances the phase of row m by up to k*m*T*step = 0.05 rad,
+        # where the fourth-order difference truncates at 0.05^4/30 = 2e-7;
+        # each row needs its own, while one location step serves both rows.
+        k = 2.0 * math.pi * scene.carrier_hz / scene.lightspeed
+        v_steps = [0.05 / (k * m * scene.t_sym_s) for m in rows]
+        checks = [(kind, [0, 1], 1e-4) for kind in ("x", "y")]
+        checks += [(kind, [row], v_steps[row])
+                   for kind in ("vx", "vy") for row in (0, 1)]
+        stacks = {side: steering_stack(scene, side, 0, m_values=rows)
+                  for side in ("tx", "rx")}
         worst = 0.0
-        # short CPIs make the velocity phase signal tiny against the carrier
-        # phase ulp noise, so the battery widens the velocity FD step; the
-        # derivative is linear in v so truncation stays ~(k*M*T*step)^2/6
-        steps = {"vx": 5e-3, "vy": 5e-3}
-        for side in ("tx", "rx"):
-            for m in (1, m_total):
-                for kind in ("x", "y", "vx", "vy"):
-                    if kind in ("x", "y"):
-                        ana = d_steering_location(scene, side, m, 0, kind)
-                    else:
-                        ana = d_steering_velocity(scene, side, m, 0, kind[1])
-                    ana = ana * (1.0 + skew)
-                    ref = fd_steering(scene, side, m, 0, kind, steps=steps)
-                    err = np.linalg.norm(ana - ref) / np.linalg.norm(ref)
-                    worst = max(worst, float(err))
+        for kind, picked, step in checks:
+            refs = fd_steering_rows(scene, 0, kind, [rows[row] for row in picked],
+                                    steps={kind: step})
+            for side, ref in refs.items():
+                ana = stacks[side].derivative(kind)[picked] * (1.0 + skew)
+                err = np.linalg.norm(ana - ref, axis=1) / np.linalg.norm(ref, axis=1)
+                worst = max(worst, float(err.max()))
         reports.append(_aggregate_report(f"steering-fd-{i:02d}", worst, 1e-5,
-                                         steps=(1e-6, steps["vx"])))
+                                         steps=(1e-4, *v_steps)))
     return reports
 
 
@@ -652,25 +654,10 @@ def _build_parser():
 
 def _cmd_eval(args):
     cfg = parse_config(Path(args.config).read_text(encoding="utf-8"))
-    scene = build_scene(cfg)
-    text = render_eval(scene)
+    text, csv = _eval_outputs(build_scene(cfg))
     sys.stdout.write(text)
     if args.out:
-        cols = ["target"]
-        spec_cols = []
-        for bound in BOUNDS:
-            for variant in VARIANTS:
-                spec_cols.append(f"{bound}_{variant}")
-            spec_cols += [f"relerr_{bound}_ff", f"relerr_{bound}_nf"]
-        cols += spec_cols + ["in_reactive", "in_fresnel", "in_fraunhofer"]
-        lines = [f"# nfcrb eval v{__version__}", ",".join(cols)]
-        for q in range(scene.q_count):
-            cells = _bound_cells(scene, q, BOUNDS, VARIANTS)
-            flags = _region_flags(scene, q)
-            row = [str(q)] + [_fmt(cells.get(c)) for c in spec_cols]
-            row += [_fmt(flags[0]), _fmt(flags[1]), _fmt(flags[2])]
-            lines.append(",".join(row))
-        Path(args.out).write_text("\n".join(lines) + "\n", encoding="utf-8")
+        Path(args.out).write_text(csv, encoding="utf-8")
     return 0
 
 

@@ -51,27 +51,6 @@ def _terms(kind, alpha):
     raise ValueError(f"unknown parameter kind {kind!r}")
 
 
-def channel_matrix(scene, m, q):
-    """Rank-1 channel of target q at snapshot m: rcs * a_rx a_tx^T, (N_r, N_t)."""
-    a_t = steering_stack(scene, "tx", q, m_values=[m]).a[0]
-    a_r = steering_stack(scene, "rx", q, m_values=[m]).a[0]
-    return scene.targets[q].rcs * np.outer(a_r, a_t)
-
-
-def d_channel(scene, m, q, kind):
-    """Derivative of the target-q channel w.r.t. one real parameter, (N_r, N_t)."""
-    tx = steering_stack(scene, "tx", q, m_values=[m])
-    rx = steering_stack(scene, "rx", q, m_values=[m])
-    stacks = {"tx": {"a": tx.a[0], "d_x": tx.d_x[0], "d_y": tx.d_y[0],
-                     "d_vx": tx.d_vx[0], "d_vy": tx.d_vy[0]},
-              "rx": {"a": rx.a[0], "d_x": rx.d_x[0], "d_y": rx.d_y[0],
-                     "d_vx": rx.d_vx[0], "d_vy": rx.d_vy[0]}}
-    out = np.zeros((scene.rx.count, scene.tx.count), dtype=complex)
-    for c, rkey, tkey in _terms(kind, scene.targets[q].rcs):
-        out += c * np.outer(stacks["rx"][rkey], stacks["tx"][tkey])
-    return out
-
-
 def _stack_table(scene):
     """Per-side, per-target steering stacks keyed by (side, q, vector kind)."""
     table = {}

@@ -67,16 +67,6 @@ class ArrayGeometry:
             return 0.0, 0.0
         return 0.62 * np.sqrt(d ** 3 / wavelength), 2.0 * d ** 2 / wavelength
 
-    def moment_sums(self):
-        """First and second moments of element x offsets about the centroid.
-
-        For a centered ULA with pitch d the closed forms are 0 and
-        N*(N^2-1)*d^2/12; both are evaluated by direct summation here.
-        """
-        cx = self.centroid_x if self.centroid_x is not None else self.centroid[0]
-        off = self.positions[:, 0] - cx
-        return float(off.sum()), float((off ** 2).sum())
-
 
 def ula(count, spacing, centroid_x=0.0):
     """Uniform linear array on the x-axis, centered at centroid_x.

@@ -15,7 +15,7 @@ import numpy as np
 
 from .fim import EXPLICIT, ISOTROPIC, FisherInfo, _assemble, _stack_table, fim
 from .scene import BLOCKS
-from .steering import steering_stack, steering_vector
+from .steering import steering_stack
 
 REL_ERR_FLOOR = 1e-30
 
@@ -65,13 +65,30 @@ def _perturbed(scene, q, kind, delta):
 
 
 def fd_steering(scene, side, m, q, kind, steps=None):
-    """Central finite difference of one steering vector w.r.t. one parameter."""
+    """Finite difference of one steering vector w.r.t. one parameter."""
+    return fd_steering_rows(scene, q, kind, [m], steps)[side][0]
+
+
+def fd_steering_rows(scene, q, kind, m_values, steps=None):
+    """Fourth-order finite differences of both sides' steering vectors.
+
+    Returns {'tx': (len(m_values), N_t), 'rx': (len(m_values), N_r)}, all
+    from one set of perturbed scenes. The Richardson combination
+    (4 D(h) - D(2h)) / 3 of the central differences D(h) and D(2h) cancels
+    their h^2 truncation term, so the step can sit far above the
+    carrier-phase roundoff.
+    """
     steps = {**DEFAULT_STEPS, **(steps or {})}
     h = steps[kind]
     _check_step(h, getattr(scene.targets[q], kind))
-    plus = steering_vector(_perturbed(scene, q, kind, +h), side, m, q)
-    minus = steering_vector(_perturbed(scene, q, kind, -h), side, m, q)
-    return (plus - minus) / (2.0 * h)
+    shifted = {d: _perturbed(scene, q, kind, d) for d in (h, -h, 2.0 * h, -2.0 * h)}
+    out = {}
+    for side in ("tx", "rx"):
+        a = {d: steering_stack(s, side, q, m_values=m_values).a for d, s in shifted.items()}
+        d_h = (a[h] - a[-h]) / (2.0 * h)
+        d_2h = (a[2.0 * h] - a[-2.0 * h]) / (4.0 * h)
+        out[side] = (4.0 * d_h - d_2h) / 3.0
+    return out
 
 
 def _channel_stack(scene):

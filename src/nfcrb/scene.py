@@ -1,4 +1,4 @@
-"""Scenario assembly: waveform constants, arrays, targets, and the parameter vector.
+"""Scenario assembly: waveform constants, arrays, targets, and the parameter order.
 
 The estimation parameter vector stacks the real unknowns of all Q targets
 block-wise as [x_1..x_Q, y_1..y_Q, vx_1..vx_Q, vy_1..vy_Q, aR_1..aR_Q,
@@ -40,14 +40,6 @@ class Target:
     @property
     def rcs(self):
         return complex(self.rcs_re, self.rcs_im)
-
-    @property
-    def position(self):
-        return np.array([self.x, self.y])
-
-    @property
-    def velocity(self):
-        return np.array([self.vx, self.vy])
 
 
 @dataclass(frozen=True)
@@ -132,48 +124,6 @@ def make_scene(targets=None, tx=None, rx=None, carrier_hz=15.0e9, wavelength_m=N
     return Scene(carrier_hz=carrier_hz, wavelength_m=wavelength_m, t_sym_s=t_sym_s,
                  snapshots=snapshots, power_w=power_w, noise_var_w=noise_var_w,
                  tx=tx, rx=rx, targets=tuple(targets), lightspeed=lightspeed)
-
-
-@dataclass(frozen=True)
-class ParamVector:
-    """Real parameter vector of length 6Q in the BLOCKS ordering."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=float).ravel()
-        if v.size == 0 or v.size % 6 != 0:
-            raise ValueError(f"parameter vector length must be a positive multiple of 6, got {v.size}")
-        object.__setattr__(self, "values", v)
-
-    @property
-    def q_count(self):
-        return self.values.size // 6
-
-
-def pack(targets):
-    """Stack target parameters into a ParamVector (block-wise ordering)."""
-    targets = list(targets)
-    cols = [[getattr(t, name) for t in targets] for name in BLOCKS]
-    return ParamVector(np.concatenate(cols))
-
-
-def unpack(params, q_count=None):
-    """Inverse of pack. Accepts a ParamVector or a raw value sequence."""
-    values = params.values if isinstance(params, ParamVector) else np.asarray(params, dtype=float)
-    if values.size % 6 != 0:
-        raise ValueError(f"parameter vector length must be a multiple of 6, got {values.size}")
-    q = values.size // 6
-    if q_count is not None and q_count != q:
-        raise ValueError(f"expected {q_count} targets, vector holds {q}")
-    blocks = values.reshape(6, q)
-    return tuple(Target(**{name: float(blocks[b, i]) for b, name in enumerate(BLOCKS)})
-                 for i in range(q))
-
-
-def param_index(block, q, q_count):
-    """Row index of one scalar parameter in the 6Q ordering."""
-    return BLOCKS.index(block) * q_count + q
 
 
 def target_indices(q, q_count):

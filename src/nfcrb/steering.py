@@ -111,36 +111,3 @@ def doppler_shift(target, tx_element_pos, rx_element_pos, carrier_hz, lightspeed
             raise DegenerateGeometryError("zero propagation distance")
         f += (target.vx * dx + target.vy * dy) / r
     return carrier_hz / lightspeed * f
-
-
-def phase(target, element_pos, m, scene):
-    """Complex exponent of one steering entry at snapshot m (purely imaginary)."""
-    dx = target.x - element_pos[0]
-    dy = target.y - element_pos[1]
-    r = np.hypot(dx, dy)
-    if r <= 0.0:
-        raise DegenerateGeometryError("zero propagation distance")
-    u = (target.vx * dx + target.vy * dy) / r
-    k = 2.0 * np.pi * scene.carrier_hz / scene.lightspeed
-    return 1j * k * (u * m * scene.t_sym_s - r)
-
-
-def steering_vector(scene, side, m, q):
-    """Steering vector of one side at snapshot m for target q, shape (N,)."""
-    return steering_stack(scene, side, q, m_values=[m]).a[0]
-
-
-def d_steering_velocity(scene, side, m, q, axis):
-    """Entry-wise derivative of the steering vector w.r.t. vx or vy."""
-    if axis not in ("x", "y"):
-        raise ValueError(f"axis must be 'x' or 'y', got {axis!r}")
-    stack = steering_stack(scene, side, q, m_values=[m])
-    return (stack.d_vx if axis == "x" else stack.d_vy)[0]
-
-
-def d_steering_location(scene, side, m, q, axis):
-    """Entry-wise derivative of the steering vector w.r.t. target x or y."""
-    if axis not in ("x", "y"):
-        raise ValueError(f"axis must be 'x' or 'y', got {axis!r}")
-    stack = steering_stack(scene, side, q, m_values=[m])
-    return (stack.d_x if axis == "x" else stack.d_y)[0]

@@ -7,9 +7,9 @@ import numpy as np
 import pytest
 
 from nfcrb import dbm_to_watts
-from nfcrb.cli import (Config, ConfigError, SweepSpec, build_scene, main,
-                       parse_config, render_eval, run_sweep, run_verify,
-                       sweep_columns)
+from nfcrb.cli import (Config, ConfigError, SweepSpec, _verify_steering,
+                       build_scene, main, parse_config, render_eval, run_sweep,
+                       run_verify, sweep_columns)
 
 from util import parse_csv, parse_kv_lines
 
@@ -169,12 +169,30 @@ def test_eval_out_csv(tmp_path, capsys):
                      "target.1.angle_deg = -45\n")
     out = tmp_path / "bounds.csv"
     assert main(["eval", path, "--out", str(out)]) == 0
-    capsys.readouterr()
+    stdout = capsys.readouterr().out
     meta, header, rows = parse_csv(out.read_text(encoding="utf-8"))
-    assert header[0] == "target"
-    assert "rcs_exact" in header and "relerr_x_nf" in header
+    # the sweep schema for all bounds and variants, keyed by target, no error
+    sweep = sweep_columns(SweepSpec(variable="range", grid=(100.0,), config=Config()))
+    assert header == ["target"] + sweep[1:-1]
     assert [r["target"] for r in rows] == ["0", "1"]
     assert "nan" not in out.read_text(encoding="utf-8").lower()
+    # every stdout cell the CSV also carries is the same text there
+    compared = 0
+    for line in stdout.splitlines():
+        key, _, text = line.partition("=")
+        parts = key.split(".")
+        if parts[0] != "target" or parts[-1] == "marginal":
+            continue
+        row = rows[int(parts[1])]
+        if parts[2] == "region":
+            assert row[f"in_{text}"] == "1"
+            continue
+        bound, field = parts[2], parts[3]
+        variant = field.removeprefix("relerr_")
+        col = f"{bound}_{variant}" if variant == field else f"relerr_{bound}_{variant}"
+        assert row[col] == text, key
+        compared += 1
+    assert compared == 2 * 5 * 5
 
 
 def test_eval_missing_file_exits_one(capsys):
@@ -346,6 +364,14 @@ def test_verify_seed_changes_battery_but_not_verdict():
     rb = run_verify(seed=1, battery=4, stream=b)
     assert a.getvalue() != b.getvalue()
     assert all(r.passed for r in ra) and all(r.passed for r in rb)
+
+
+@pytest.mark.parametrize("seed", [47, 62, 77, 82, 101])
+def test_verify_steering_passes_near_broadside_batteries(seed):
+    # each battery holds a scene whose x and vx derivatives are small against
+    # |a|; a second-order difference at a fixed step loses them to roundoff
+    reports = _verify_steering(seed, 20, 0.0)
+    assert [r.name for r in reports if not r.passed] == []
 
 
 def test_verify_derivative_skew_trips_fd_checks():

@@ -5,8 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from nfcrb import (Target, channel_matrix, d_channel, fd_fim, fim, gain_terms,
-                   make_scene, monte_carlo_isotropic, target_indices, ula)
+from nfcrb import (Target, fd_fim, fim, gain, make_scene, monte_carlo_isotropic,
+                   target_indices, ula)
 from nfcrb.fim import EXPLICIT, ISOTROPIC
 
 from util import canonical_scene, small_scene, target_at
@@ -121,8 +121,10 @@ def test_diagonal_blocks_equal_single_target_fims():
 def test_reflectivity_block_is_scaled_identity():
     s = small_scene(n=8, m=4)
     f = fim(s).matrix
-    g = gain_terms(s, 0)
-    expected = 2.0 * s.power_w * s.snapshots / s.noise_var_w * g.big_g_tx * g.big_g_rx
+    scale = s.wavelength_m ** 2 / (16.0 * math.pi ** 2)
+    big_g_tx = scale * gain(s.tx, s.targets[0], s.wavelength_m)
+    big_g_rx = scale * gain(s.rx, s.targets[0], s.wavelength_m)
+    expected = 2.0 * s.power_w * s.snapshots / s.noise_var_w * big_g_tx * big_g_rx
     i_re, i_im = 4, 5  # rcs_re and rcs_im rows of a single-target layout
     np.testing.assert_allclose(f[i_re, i_re], expected, rtol=1e-12)
     np.testing.assert_allclose(f[i_im, i_im], expected, rtol=1e-12)
@@ -162,19 +164,3 @@ def test_unknown_transmit_mode_rejected():
     with pytest.raises(ValueError, match="transmit mode"):
         fim(small_scene(), transmit_mode="beamformed")
 
-
-def test_channel_matrix_is_rank_one_outer_product():
-    s = small_scene(n=4, m=4)
-    h = channel_matrix(s, 2, 0)
-    assert h.shape == (4, 4)
-    assert np.linalg.matrix_rank(h) == 1
-    # reflectivity derivative channels reproduce the bare outer product
-    np.testing.assert_allclose(d_channel(s, 2, 0, "rcs_re") * s.targets[0].rcs, h,
-                               rtol=1e-15)
-    np.testing.assert_allclose(d_channel(s, 2, 0, "rcs_im"),
-                               1j * d_channel(s, 2, 0, "rcs_re"), rtol=1e-15)
-
-
-def test_d_channel_rejects_unknown_kind():
-    with pytest.raises(ValueError, match="unknown parameter"):
-        d_channel(small_scene(), 1, 0, "z")

@@ -49,25 +49,6 @@ def test_region_boundaries_rejects_bad_wavelength():
         ula(4, 0.01).region_boundaries(0.0)
 
 
-def test_moment_sums_match_closed_forms():
-    geom = ula(8, 0.01)
-    total, total_sq = geom.moment_sums()
-    assert total == pytest.approx(0.0, abs=1e-15)
-    # N (N^2 - 1) d^2 / 12
-    assert total_sq == pytest.approx(0.0042, rel=1e-12)
-
-
-@pytest.mark.parametrize("count", [2, 5, 16, 31])
-def test_moment_sums_against_brute_force(count):
-    geom = ula(count, 0.037, centroid_x=1.5)
-    offsets = geom.positions[:, 0] - 1.5
-    total, total_sq = geom.moment_sums()
-    assert total == pytest.approx(float(offsets.sum()), abs=1e-12)
-    assert total_sq == pytest.approx(float((offsets ** 2).sum()), rel=1e-12)
-    closed = count * (count ** 2 - 1) * 0.037 ** 2 / 12
-    assert total_sq == pytest.approx(closed, rel=1e-12)
-
-
 def test_from_positions_validates_shape():
     with pytest.raises(ValueError):
         from_positions([[0.0, 1.0, 2.0]])

@@ -4,9 +4,8 @@ import warnings
 import numpy as np
 import pytest
 
-from nfcrb import (BLOCKS, DegenerateGeometryError, ParamVector, Scene, Target,
-                   dbm_to_watts, make_scene, pack, param_index, polar_of,
-                   target_indices, ula, unpack)
+from nfcrb import (BLOCKS, DegenerateGeometryError, Target, dbm_to_watts,
+                   make_scene, polar_of, target_indices, ula)
 
 from util import target_at
 
@@ -79,35 +78,12 @@ def test_default_scene_does_not_warn():
 def test_param_vector_layout():
     assert BLOCKS == ("x", "y", "vx", "vy", "rcs_re", "rcs_im")
     targets = [target_at(100, 20), target_at(150, -45, v=(4, 3), alpha=(0.8, -0.2))]
-    params = pack(targets)
-    assert isinstance(params, ParamVector)
-    assert len(params.values) == 12
     # block-major layout: all x first, then all y, ...
-    np.testing.assert_allclose(params.values[:2], [targets[0].x, targets[1].x])
-    np.testing.assert_allclose(params.values[2:4], [targets[0].y, targets[1].y])
+    values = np.array([getattr(t, name) for name in BLOCKS for t in targets])
     for q, t in enumerate(targets):
         idx = target_indices(q, 2)
-        vals = params.values[idx]
         np.testing.assert_allclose(
-            vals, [t.x, t.y, t.vx, t.vy, t.rcs_re, t.rcs_im])
-    back = unpack(params)
-    assert back == tuple(targets)
-
-
-def test_param_index_consistency():
-    for q_count in (1, 3):
-        seen = set()
-        for b, block in enumerate(BLOCKS):
-            for q in range(q_count):
-                idx = param_index(block, q, q_count)
-                assert idx == b * q_count + q
-                seen.add(idx)
-        assert seen == set(range(6 * q_count))
-
-
-def test_unpack_rejects_ragged_vector():
-    with pytest.raises(ValueError):
-        unpack(ParamVector(values=np.zeros(7)))
+            values[idx], [t.x, t.y, t.vx, t.vy, t.rcs_re, t.rcs_im])
 
 
 def test_polar_of_uses_array_centroid():

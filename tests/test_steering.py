@@ -3,9 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from nfcrb import (Target, d_steering_location, d_steering_velocity,
-                   doppler_shift, fd_steering, make_scene, pathloss,
-                   steering_stack, steering_vector, ula)
+from nfcrb import (Target, doppler_shift, fd_steering, make_scene, pathloss,
+                   steering_stack, ula)
 
 from util import canonical_scene, small_scene, target_at
 
@@ -15,7 +14,7 @@ def test_single_element_entry_frozen_value():
     # the range is an integer number of wavelengths so the phase winds to ~0
     s = make_scene(targets=[Target(x=0.0, y=100.0)],
                    tx=ula(1, 0.01), rx=ula(1, 0.01), snapshots=1)
-    entry = steering_vector(s, "tx", 1, 0)[0]
+    entry = steering_stack(s, "tx", 0).a[0, 0]
     g = 1.5915494309189534e-05
     assert abs(entry) == pytest.approx(g, rel=1e-12)
     expected = g * np.exp(-1j * (2 * np.pi / 0.02) * 100.0)
@@ -56,17 +55,16 @@ def test_snapshot_phase_progression_matches_doppler():
 
 def test_velocity_derivative_linear_in_slow_time():
     s = small_scene(m=8, v=(0.0, 0.0))
-    base = d_steering_velocity(s, "rx", 1, 0, "x")
+    d_vx = steering_stack(s, "rx", 0).d_vx  # row m-1 is snapshot m
     for m in (2, 5, 8):
-        np.testing.assert_allclose(d_steering_velocity(s, "rx", m, 0, "x"),
-                                   m * base, rtol=1e-13)
+        np.testing.assert_allclose(d_vx[m - 1], m * d_vx[0], rtol=1e-13)
 
 
 def test_velocity_derivative_magnitude_factor():
     s = small_scene(n=4, m=4)
     m = 3
-    d = d_steering_velocity(s, "tx", m, 0, "x")
-    a = steering_vector(s, "tx", m, 0)
+    stack = steering_stack(s, "tx", 0)
+    d, a = stack.d_vx[m - 1], stack.a[m - 1]
     t = s.targets[0]
     dx = t.x - s.tx.positions[:, 0]
     dy = t.y - s.tx.positions[:, 1]
@@ -80,15 +78,16 @@ def test_broadside_element_kills_x_derivatives():
     # static target directly above the only element
     s = make_scene(targets=[Target(x=0.0, y=50.0)],
                    tx=ula(1, 0.01), rx=ula(1, 0.01), snapshots=2)
-    assert d_steering_velocity(s, "tx", 1, 0, "x")[0] == 0
-    assert d_steering_location(s, "tx", 1, 0, "x")[0] == 0
+    stack = steering_stack(s, "tx", 0)
+    assert stack.d_vx[0, 0] == 0
+    assert stack.d_x[0, 0] == 0
 
 
 def test_static_location_factor_reduces_to_two_terms():
     s = small_scene(n=4, m=4, v=(0.0, 0.0))
     m = 2
-    d = d_steering_location(s, "rx", m, 0, "x")
-    a = steering_vector(s, "rx", m, 0)
+    stack = steering_stack(s, "rx", 0)
+    d, a = stack.d_x[m - 1], stack.a[m - 1]
     t = s.targets[0]
     dx = t.x - s.rx.positions[:, 0]
     r = np.hypot(dx, t.y - s.rx.positions[:, 1])
@@ -97,24 +96,13 @@ def test_static_location_factor_reduces_to_two_terms():
     np.testing.assert_allclose(d, factor * a, rtol=1e-13)
 
 
-def test_stack_derivative_lookup_matches_functions():
-    s = small_scene(n=4, m=3)
-    stack = steering_stack(s, "tx", 0)
-    np.testing.assert_array_equal(stack.derivative("vx")[1],
-                                  d_steering_velocity(s, "tx", 2, 0, "x"))
-    np.testing.assert_array_equal(stack.derivative("y")[2],
-                                  d_steering_location(s, "tx", 3, 0, "y"))
-
-
 @pytest.mark.parametrize("kind", ["x", "y", "vx", "vy"])
 def test_derivatives_match_finite_differences(kind):
     s = canonical_scene()
     for side in ("tx", "rx"):
+        stack = steering_stack(s, side, 0)
         for m in (2, 8, 16):
-            if kind in ("x", "y"):
-                ana = d_steering_location(s, side, m, 0, kind)
-            else:
-                ana = d_steering_velocity(s, side, m, 0, kind[1])
+            ana = stack.derivative(kind)[m - 1]
             ref = fd_steering(s, side, m, 0, kind)
             err = np.linalg.norm(ana - ref) / np.linalg.norm(ref)
             assert err < 1e-6, (side, m, kind, err)
