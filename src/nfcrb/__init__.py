@@ -9,9 +9,9 @@ oracles used to validate everything.
 
 __version__ = "0.1.0"
 
-from .approx import (ApproximationDomainError, CorrectionTerms, correction_terms,
-                     crb_location_approx, crb_rcs_approx, crb_velocity_approx,
-                     gain, relative_error, slow_time_sum)
+from .approx import (ApproximationDomainError, CorrectionTerms, NotUlaError,
+                     correction_terms, crb_location_approx, crb_rcs_approx,
+                     crb_velocity_approx, gain, relative_error, slow_time_sum)
 from .crb import (CrbReport, SingularFimError, TargetBounds, closed_form_single,
                   conditional_crb, full_crb, schur_target_report)
 from .fim import FisherInfo, fim

@@ -27,6 +27,10 @@ class ApproximationDomainError(ValueError):
     """The aperture-over-range expansion is invalid this close to the array."""
 
 
+class NotUlaError(ValueError):
+    """A closed-form approximation was asked of an array that is not a ULA."""
+
+
 @dataclass(frozen=True)
 class CorrectionTerms:
     """Every second-order correction factor entering the closed forms."""
@@ -52,7 +56,7 @@ class CorrectionTerms:
 
 def _require_ula(geom):
     if geom.spacing is None or geom.centroid_x is None:
-        raise ValueError("closed-form approximations need a uniform linear array")
+        raise NotUlaError("closed-form approximations need a uniform linear array")
 
 
 def _check_variant(variant):

@@ -15,9 +15,9 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .approx import (VARIANTS, ApproximationDomainError, correction_terms,
-                     crb_location_approx, crb_rcs_approx, crb_velocity_approx,
-                     gain, relative_error)
+from .approx import (VARIANTS, ApproximationDomainError, NotUlaError,
+                     correction_terms, crb_location_approx, crb_rcs_approx,
+                     crb_velocity_approx, gain, relative_error)
 from .crb import SingularFimError, closed_form_single, full_crb
 from .fim import fim
 from .geometry import ula
@@ -280,7 +280,7 @@ def _bound_cells(scene, q, bounds, variants):
                 continue
             try:
                 value = _approx_bound(scene, q, bound, variant)
-            except (ApproximationDomainError, ValueError):
+            except (ApproximationDomainError, NotUlaError):
                 value = None
             rel = None
             if value is not None and math.isfinite(exact) and exact != 0.0:

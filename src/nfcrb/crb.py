@@ -10,8 +10,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .approx import slow_time_sum
 from .scene import BLOCKS, target_indices
-from .steering import steering_stack
 
 CONDITION_LIMIT = 1e12
 
@@ -115,40 +115,77 @@ def schur_target_report(info, q):
                      method=METHOD_SCHUR, condition_number=float(np.linalg.cond(sub)))
 
 
+def _side_moments(scene, geom, target):
+    """Element sums of one array side for one target.
+
+    Returns (G, moments) with G = sum_n g_n^2 and, per kinematic parameter p,
+    moments[p] = (A, B, C, P, Q), the sums over elements of g^2 |alpha|^2,
+    g^2 conj(alpha) beta, g^2 |beta|^2, g^2 alpha and g^2 beta, where
+    alpha + beta t is the derivative factor d a_n / a_n at slow time t = m T.
+    """
+    dx = target.x - geom.positions[:, 0]
+    dy = target.y - geom.positions[:, 1]
+    r = np.hypot(dx, dy)
+    g2 = (scene.wavelength_m / (4.0 * np.pi * r)) ** 2
+    jk = 2j * np.pi * scene.carrier_hz / scene.lightspeed
+    # a_n = g exp(j k (u t - r)), so alpha_p = d(ln g - j k r)/dp and
+    # beta_p = j k du/dp; du/dx = dy v_tan / r^2 and du/dy = -dx v_tan / r^2
+    # with v_tan the tangential speed seen from element n
+    v_tan = (target.vx * dy - target.vy * dx) / r
+    zero = np.zeros_like(r)
+    factors = {"x": (-jk * dx / r - dx / r ** 2, jk * dy * v_tan / r ** 2),
+               "y": (-jk * dy / r - dy / r ** 2, -jk * dx * v_tan / r ** 2),
+               "vx": (zero, jk * dx / r),
+               "vy": (zero, jk * dy / r)}
+    moments = {kind: ((g2 * abs(alpha) ** 2).sum(), (g2 * alpha.conj() * beta).sum(),
+                      (g2 * abs(beta) ** 2).sum(), (g2 * alpha).sum(), (g2 * beta).sum())
+               for kind, (alpha, beta) in factors.items()}
+    return g2.sum(), moments
+
+
 def closed_form_single(scene, q):
     """Single-target bounds with all other parameters of the target known.
 
-    Each bound is the reciprocal of one Fisher diagonal entry, evaluated from
-    exact steering norms and inner products:
+    Each bound is the reciprocal of one Fisher diagonal entry. Within one
+    target |a_n(m)|^2 = g_n^2 does not depend on the snapshot m, and each
+    derivative factor is linear in t = m T, so the entries follow from the
+    per-side element sums of _side_moments (G, A, B, C, P, Q) and the
+    slow-time sums S0 = M, S1 = T M(M+1)/2, S2 = T^2 sum_m m^2:
 
-        crb_alpha_r = crb_alpha_i
-                    = sigma^2 / (2 P sum_m ||a_rx||^2 ||a_tx||^2)
+        crb_alpha_r = crb_alpha_i = sigma^2 / (2 P S0 G_t G_r)
         crb_p       = sigma^2 / (2 |rcs|^2 P sum_m S_p(m))
 
-    with S_p(m) = ||da_rx||^2 ||a_tx||^2
-                + 2 Re{(da_rx^H a_rx)(a_tx^H da_tx)}
-                + ||a_rx||^2 ||da_tx||^2
-    for each kinematic parameter p. Zero information (rcs = 0) yields inf.
-    Inter-target coupling is ignored by construction.
-    """
-    tx = steering_stack(scene, "tx", q)
-    rx = steering_stack(scene, "rx", q)
-    half = 2.0 * scene.power_w / scene.noise_var_w
-    alpha2 = abs(scene.targets[q].rcs) ** 2
+        sum_m S_p = G_t (A_r S0 + 2 Re B_r S1 + C_r S2)
+                  + G_r (A_t S0 + 2 Re B_t S1 + C_t S2)
+                  + 2 Re{conj(P_r) P_t S0 + (conj(P_r) Q_t + conj(Q_r) P_t) S1
+                         + conj(Q_r) Q_t S2}
 
-    norm_at = np.einsum("mn,mn->m", tx.a.conj(), tx.a).real  # (M,)
-    norm_ar = np.einsum("mn,mn->m", rx.a.conj(), rx.a).real
-    f_alpha = half * (norm_ar * norm_at).sum()
+    for each kinematic parameter p. That is O(N) work and builds no M x N
+    steering stack. Zero information (rcs = 0) yields inf. Inter-target
+    coupling is ignored by construction.
+    """
+    t = scene.targets[q]
+    g_t, mom_t = _side_moments(scene, scene.tx, t)
+    g_r, mom_r = _side_moments(scene, scene.rx, t)
+    m = scene.snapshots
+    s0 = float(m)
+    s1 = scene.t_sym_s * (m * (m + 1) // 2)
+    s2 = scene.t_sym_s ** 2 * slow_time_sum(m)
+    half = 2.0 * scene.power_w / scene.noise_var_w
+    alpha2 = abs(t.rcs) ** 2
+
+    f_alpha = half * s0 * g_t * g_r
     crb_alpha_part = 1.0 / f_alpha if f_alpha > 0.0 else math.inf
 
     def kinematic(kind):
-        d_t = tx.derivative(kind)
-        d_r = rx.derivative(kind)
-        s = (np.einsum("mn,mn->m", d_r.conj(), d_r).real * norm_at
-             + 2.0 * (np.einsum("mn,mn->m", d_r.conj(), rx.a)
-                      * np.einsum("mn,mn->m", tx.a.conj(), d_t)).real
-             + norm_ar * np.einsum("mn,mn->m", d_t.conj(), d_t).real)
-        f = half * alpha2 * s.sum()
+        a_t, b_t, c_t, p_t, q_t = mom_t[kind]
+        a_r, b_r, c_r, p_r, q_r = mom_r[kind]
+        s = (g_t * (a_r * s0 + 2.0 * b_r.real * s1 + c_r * s2)
+             + g_r * (a_t * s0 + 2.0 * b_t.real * s1 + c_t * s2)
+             + 2.0 * (p_r.conjugate() * p_t * s0
+                      + (p_r.conjugate() * q_t + q_r.conjugate() * p_t) * s1
+                      + q_r.conjugate() * q_t * s2).real)
+        f = half * alpha2 * s
         return 1.0 / f if f > 0.0 else math.inf
 
     bounds = TargetBounds(crb_x=kinematic("x"), crb_y=kinematic("y"),

@@ -6,12 +6,13 @@ import math
 import numpy as np
 import pytest
 
-from nfcrb import dbm_to_watts
-from nfcrb.cli import (Config, ConfigError, SweepSpec, _verify_steering,
-                       build_scene, main, parse_config, render_eval, run_sweep,
-                       run_verify, sweep_columns)
+from nfcrb import dbm_to_watts, from_positions, make_scene, ula
+from nfcrb.approx import VARIANTS
+from nfcrb.cli import (BOUNDS, Config, ConfigError, SweepSpec, _bound_cells,
+                       _verify_steering, build_scene, main, parse_config,
+                       render_eval, run_sweep, run_verify, sweep_columns)
 
-from util import parse_csv, parse_kv_lines
+from util import parse_csv, parse_kv_lines, target_at
 
 DEFAULT_CFG = """\
 # reference setup
@@ -273,6 +274,28 @@ def test_sweep_dark_target_leaves_relerr_empty():
     assert row["relerr_x_ff"] == "" and row["relerr_x_nf"] == ""
     assert float(row["rcs_exact"]) > 0.0
     assert row["relerr_rcs_ff"] != ""
+
+
+def test_free_form_arrays_leave_approximation_cells_empty():
+    geom = from_positions(ula(16, 0.01).positions)
+    scene = make_scene(targets=[target_at(100.0, 20.0)], tx=geom, rx=geom, snapshots=8)
+    cells = _bound_cells(scene, 0, BOUNDS, VARIANTS)
+    for bound in BOUNDS:
+        assert math.isfinite(cells[f"{bound}_exact"])
+        for variant in ("ff", "nf"):
+            assert cells[f"{bound}_{variant}"] is None
+            assert cells[f"relerr_{bound}_{variant}"] is None
+
+
+def test_bound_cells_propagate_unexpected_value_errors(monkeypatch):
+    def broken(*args, **kwargs):
+        raise ValueError("broken approximation")
+
+    monkeypatch.setattr("nfcrb.cli.crb_rcs_approx", broken)
+    scene = make_scene(targets=[target_at(100.0, 20.0)],
+                       tx=ula(16, 0.01), rx=ula(16, 0.01), snapshots=8)
+    with pytest.raises(ValueError, match="broken approximation"):
+        _bound_cells(scene, 0, ("rcs",), VARIANTS)
 
 
 def test_sweep_error_rows_are_contained():

@@ -6,6 +6,7 @@ import math
 import numpy as np
 
 from nfcrb import Target, from_positions, make_scene, ula
+from nfcrb.steering import steering_stack
 
 
 def target_at(range_m, angle_deg, v=(1.0, 4.0), alpha=(1.0, 0.1)):
@@ -66,3 +67,34 @@ def parse_csv(text):
         elif line:
             rows.append(dict(zip(header, line.split(","))))
     return meta, header, rows
+
+
+def stack_closed_form(scene, q):
+    """Reciprocal Fisher diagonal of one target from full M x N steering stacks.
+
+    Per-snapshot norms and inner products reduced by einsum: an independent
+    reference for the element-moment form of closed_form_single. Returns
+    (crb_x, crb_y, crb_vx, crb_vy, crb_alpha_r, crb_alpha_i).
+    """
+    tx = steering_stack(scene, "tx", q)
+    rx = steering_stack(scene, "rx", q)
+    half = 2.0 * scene.power_w / scene.noise_var_w
+    alpha2 = abs(scene.targets[q].rcs) ** 2
+
+    norm_at = np.einsum("mn,mn->m", tx.a.conj(), tx.a).real  # (M,)
+    norm_ar = np.einsum("mn,mn->m", rx.a.conj(), rx.a).real
+    f_alpha = half * (norm_ar * norm_at).sum()
+    crb_alpha_part = 1.0 / f_alpha if f_alpha > 0.0 else math.inf
+
+    def kinematic(kind):
+        d_t = tx.derivative(kind)
+        d_r = rx.derivative(kind)
+        s = (np.einsum("mn,mn->m", d_r.conj(), d_r).real * norm_at
+             + 2.0 * (np.einsum("mn,mn->m", d_r.conj(), rx.a)
+                      * np.einsum("mn,mn->m", tx.a.conj(), d_t)).real
+             + norm_ar * np.einsum("mn,mn->m", d_t.conj(), d_t).real)
+        f = half * alpha2 * s.sum()
+        return 1.0 / f if f > 0.0 else math.inf
+
+    return (kinematic("x"), kinematic("y"), kinematic("vx"), kinematic("vy"),
+            crb_alpha_part, crb_alpha_part)
