@@ -16,8 +16,7 @@ from .crb import (CrbReport, SingularFimError, TargetBounds, closed_form_single,
                   conditional_crb, full_crb, schur_target_report)
 from .fim import FisherInfo, fim
 from .geometry import ArrayGeometry, from_positions, ula
-from .oracle import (OracleReport, brute_gain, fd_fim, fd_steering,
-                     monte_carlo_isotropic)
+from .oracle import OracleReport, brute_gain, fd_fim, monte_carlo_isotropic
 from .scene import (BLOCKS, DegenerateGeometryError, Scene, Target, dbm_to_watts,
                     make_scene, polar_of, target_indices)
 from .steering import SteeringStack, doppler_shift, pathloss, steering_stack

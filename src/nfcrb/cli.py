@@ -94,6 +94,8 @@ _TARGET_KEYS = {"x": "x", "y": "y", "vx": "vx", "vy": "vy", "rcs_re": "rcs_re",
 
 def _parse_number(value, kind):
     v = float(value)
+    if not math.isfinite(v):
+        raise ValueError(f"expected a finite number, got {value}")
     if kind is int:
         if v != int(v):
             raise ValueError(f"expected an integer, got {value}")
@@ -134,7 +136,7 @@ def _apply_key(cfg, key, value):
             raise ValueError(f"cartesian target.{idx} keys conflict with polar ones")
         if attr in ("range_m", "angle_deg") and (t.x is not None or t.y is not None):
             raise ValueError(f"polar target.{idx} keys conflict with cartesian ones")
-        setattr(t, attr, float(value))
+        setattr(t, attr, _parse_number(value, float))
         return
     raise ValueError(f"unknown key {key!r}")
 
@@ -663,7 +665,7 @@ def _cmd_eval(args):
 
 def _parse_grid(text):
     try:
-        return tuple(float(v) for v in text.split(",") if v.strip() != "")
+        return tuple(_parse_number(v, float) for v in text.split(",") if v.strip() != "")
     except ValueError:
         raise ConfigError(f"bad grid value in {text!r}") from None
 

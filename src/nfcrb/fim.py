@@ -1,6 +1,7 @@
 """Fisher information assembly for the 6Q real parameters of a scene.
 
-For a complex Gaussian observation whose covariance is parameter-free, the
+For a complex Gaussian observation whose covariance is parameter-free, sent
+with isotropic symbols (per-snapshot covariance power_w * I), the
 information reduces to Gram products of mean derivatives. Every derivative of
 the per-snapshot channel is a sum of rank-1 terms c * a_r a_t^T, so each FIM
 entry collapses to products of length-N inner products:
@@ -17,9 +18,6 @@ import numpy as np
 
 from .scene import BLOCKS
 from .steering import steering_stack
-
-ISOTROPIC = "isotropic-ideal"
-EXPLICIT = "explicit-symbols"
 
 
 @dataclass(frozen=True)
@@ -65,8 +63,19 @@ def _stack_table(scene):
     return table
 
 
-def _assemble(scene, table, transmit_mode, symbols):
-    """FIM entries from the stack table; see fim() for the two modes."""
+def fim(scene):
+    """Fisher information of all 6Q real parameters.
+
+    The per-snapshot symbol covariance is taken as power_w * I (isotropic
+    transmission), which resolves the expectation over the symbols
+    analytically through the trace identity.
+
+    Returns
+    -------
+    FisherInfo
+        Rows ordered [x_1..x_Q, y.., vx.., vy.., rcs_re.., rcs_im..].
+    """
+    table = _stack_table(scene)
     q_count = scene.q_count
     n_par = 6 * q_count
     # one rank-1 term list per parameter, in block order
@@ -89,22 +98,6 @@ def _assemble(scene, table, transmit_mode, symbols):
                     "mn,mn->m", table[side, q1, k1].conj(), table[side, q2, k2])
         return gram_cache[key]
 
-    if transmit_mode == EXPLICIT:
-        if symbols is None:
-            raise ValueError("explicit-symbols mode needs a symbols matrix")
-        x = np.asarray(symbols, dtype=complex)
-        if x.shape != (scene.tx.count, scene.snapshots):
-            raise ValueError(
-                f"symbols must have shape (N_t, M) = "
-                f"({scene.tx.count}, {scene.snapshots}), got {x.shape}")
-        proj_cache = {}
-
-        def proj(q, k):
-            # tx vector applied to the symbol of each snapshot, size (M,)
-            if (q, k) not in proj_cache:
-                proj_cache[q, k] = np.einsum("mn,nm->m", table["tx", q, k], x)
-            return proj_cache[q, k]
-
     f = np.zeros((n_par, n_par))
     for i in range(n_par):
         for j in range(i, n_par):
@@ -112,43 +105,11 @@ def _assemble(scene, table, transmit_mode, symbols):
             for ci, qi, rki, tki in params[i]:
                 for cj, qj, rkj, tkj in params[j]:
                     rx_ip = gram("rx", qi, rki, qj, rkj)
-                    if transmit_mode == EXPLICIT:
-                        tx_ip = proj(qi, tki).conj() * proj(qj, tkj)
-                    else:
-                        tx_ip = gram("tx", qi, tki, qj, tkj)
+                    tx_ip = gram("tx", qi, tki, qj, tkj)
                     acc += (np.conj(ci) * cj * (rx_ip * tx_ip).sum()).real
             f[i, j] = acc
             f[j, i] = acc
 
-    if transmit_mode == EXPLICIT:
-        f *= 2.0 / scene.noise_var_w
-    else:
-        f *= 2.0 * scene.power_w / scene.noise_var_w
-    return f
-
-
-def fim(scene, transmit_mode=ISOTROPIC, symbols=None):
-    """Fisher information of all 6Q real parameters.
-
-    Parameters
-    ----------
-    scene : Scene
-    transmit_mode : str
-        'isotropic-ideal' treats the per-snapshot symbol covariance as
-        power_w * I, which resolves the expectation analytically through the
-        trace identity. 'explicit-symbols' evaluates the information of one
-        concrete symbol matrix instead.
-    symbols : ndarray (N_t, M), optional
-        Required in explicit-symbols mode.
-
-    Returns
-    -------
-    FisherInfo
-        Rows ordered [x_1..x_Q, y.., vx.., vy.., rcs_re.., rcs_im..].
-    """
-    if transmit_mode not in (ISOTROPIC, EXPLICIT):
-        raise ValueError(f"unknown transmit mode {transmit_mode!r}")
-    table = _stack_table(scene)
-    f = _assemble(scene, table, transmit_mode, symbols)
+    f *= 2.0 * scene.power_w / scene.noise_var_w
     return FisherInfo(matrix=f, q_count=scene.q_count, power_w=scene.power_w,
                       noise_var_w=scene.noise_var_w, snapshots=scene.snapshots)

@@ -2,9 +2,11 @@
 
 Everything here recomputes quantities the other modules obtain analytically,
 by a deliberately different route: central finite differences for
-derivatives, brute-force element sums for gains, and Monte Carlo symbol
-averaging for the isotropic-transmission idealization. Intended for desk
-scale scenes; the finite-difference path materializes (M, N_r, N_t) stacks.
+derivatives, brute-force element sums for gains, and the sample covariance
+of random symbols for the isotropic-transmission idealization, contracted
+against full channel-derivative stacks instead of the Gram products `fim`
+uses. Intended for desk scale scenes; the finite-difference and Monte Carlo
+paths materialize (M, N_r, N_t) stacks.
 """
 
 import dataclasses
@@ -13,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fim import EXPLICIT, ISOTROPIC, FisherInfo, _assemble, _stack_table, fim
+from .fim import FisherInfo, fim
 from .scene import BLOCKS
 from .steering import steering_stack
 
@@ -64,11 +66,6 @@ def _perturbed(scene, q, kind, delta):
     return dataclasses.replace(scene, targets=tuple(targets))
 
 
-def fd_steering(scene, side, m, q, kind, steps=None):
-    """Finite difference of one steering vector w.r.t. one parameter."""
-    return fd_steering_rows(scene, q, kind, [m], steps)[side][0]
-
-
 def fd_steering_rows(scene, q, kind, m_values, steps=None):
     """Fourth-order finite differences of both sides' steering vectors.
 
@@ -101,12 +98,12 @@ def _channel_stack(scene):
     return out
 
 
-def fd_fim(scene, steps=None, transmit_mode=ISOTROPIC, symbols=None):
-    """Fisher information with mean derivatives from central finite differences.
+def fd_fim(scene, steps=None):
+    """Isotropic Fisher information with mean derivatives from central differences.
 
     Only the derivative source differs from the analytic path: each channel
-    derivative stack is (A(theta + h) - A(theta - h)) / 2h, and the same
-    trace (or symbol projection) reduction is applied afterwards.
+    derivative stack is (A(theta + h) - A(theta - h)) / 2h, and the full
+    trace 2 P / sigma^2 Re tr(D_i^H D_j) summed over snapshots follows.
     """
     steps = {**DEFAULT_STEPS, **(steps or {})}
     n_par = 6 * scene.q_count
@@ -119,27 +116,13 @@ def fd_fim(scene, steps=None, transmit_mode=ISOTROPIC, symbols=None):
             minus = _channel_stack(_perturbed(scene, q, kind, -h))
             derivs.append((plus - minus) / (2.0 * h))
 
-    if transmit_mode == EXPLICIT:
-        if symbols is None:
-            raise ValueError("explicit-symbols mode needs a symbols matrix")
-        x = np.asarray(symbols, dtype=complex)
-        # mean derivative per snapshot, (M, N_r)
-        mu = [np.einsum("mrt,tm->mr", d, x) for d in derivs]
-        f = np.zeros((n_par, n_par))
-        for i in range(n_par):
-            for j in range(i, n_par):
-                val = (2.0 / scene.noise_var_w
-                       * np.einsum("mr,mr->", mu[i].conj(), mu[j]).real)
-                f[i, j] = val
-                f[j, i] = val
-    else:
-        f = np.zeros((n_par, n_par))
-        for i in range(n_par):
-            for j in range(i, n_par):
-                val = (2.0 * scene.power_w / scene.noise_var_w
-                       * np.einsum("mrt,mrt->", derivs[i].conj(), derivs[j]).real)
-                f[i, j] = val
-                f[j, i] = val
+    f = np.zeros((n_par, n_par))
+    for i in range(n_par):
+        for j in range(i, n_par):
+            val = (2.0 * scene.power_w / scene.noise_var_w
+                   * np.einsum("mrt,mrt->", derivs[i].conj(), derivs[j]).real)
+            f[i, j] = val
+            f[j, i] = val
     return FisherInfo(matrix=f, q_count=scene.q_count, power_w=scene.power_w,
                       noise_var_w=scene.noise_var_w, snapshots=scene.snapshots)
 
@@ -168,25 +151,54 @@ def brute_gain(geom, target, kind):
     return float((off / r3).sum())
 
 
+def _channel_derivatives(scene):
+    """Analytic channel derivative stacks, (6Q, M, N_r, N_t), in BLOCKS order.
+
+    The channel of target q is rcs_q a_r a_t^T, so the product rule gives
+    rcs_q (d a_r a_t^T + a_r d a_t^T) for a kinematic parameter and a_r a_t^T
+    (times j for rcs_im) for the reflectivity.
+    """
+    def outer(r, t):
+        return np.einsum("mr,mt->mrt", r, t)
+
+    stacks = {(side, q): steering_stack(scene, side, q)
+              for q in range(scene.q_count) for side in ("tx", "rx")}
+    derivs = []
+    for kind in BLOCKS:
+        for q in range(scene.q_count):
+            tx, rx = stacks["tx", q], stacks["rx", q]
+            if kind == "rcs_re":
+                derivs.append(outer(rx.a, tx.a))
+            elif kind == "rcs_im":
+                derivs.append(1j * outer(rx.a, tx.a))
+            else:
+                derivs.append(scene.targets[q].rcs
+                              * (outer(rx.derivative(kind), tx.a)
+                                 + outer(rx.a, tx.derivative(kind))))
+    return np.stack(derivs)
+
+
 def monte_carlo_isotropic(scene, draws=1000, seed=0):
-    """Average explicit-symbol FIMs over random draws against the ideal FIM.
+    """Mean explicit-symbol FIM over random draws against the ideal FIM.
 
     Symbols are i.i.d. complex Gaussian with per-entry variance power_w, so
-    the per-snapshot covariance is power_w * I in expectation. The tolerance
-    is the usual 3 / sqrt(draws) Monte Carlo scale.
+    the per-snapshot covariance is power_w * I in expectation. The FIM of one
+    symbol matrix, 2 / sigma^2 Re sum_m x_m^H D_i^H D_j x_m, is linear in
+    x_m x_m^H, so its mean over the draws is the trace of D_i^H D_j against
+    the per-snapshot sample covariance R_m = mean_d x_dm x_dm^H. The
+    tolerance is the usual 3 / sqrt(draws) Monte Carlo scale.
     """
     if draws < 1000:
         raise ValueError("draws must be at least 1000 for a meaningful average")
     rng = np.random.default_rng(seed)
     reference = fim(scene).matrix
-    table = _stack_table(scene)
-    mean = np.zeros_like(reference)
-    shape = (scene.tx.count, scene.snapshots)
-    scale = math.sqrt(scene.power_w / 2.0)
-    for i in range(draws):
-        x = scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
-        mean += _assemble(scene, table, EXPLICIT, x)
-    mean /= draws
+    # per draw, the real then the imaginary parts of an (N_t, M) symbol matrix
+    z = rng.standard_normal((draws, 2, scene.tx.count, scene.snapshots))
+    x = math.sqrt(scene.power_w / 2.0) * (z[:, 0] + 1j * z[:, 1])
+    cov = np.einsum("dtm,dsm->mts", x, x.conj()) / draws
+    d = _channel_derivatives(scene)
+    mean = (2.0 / scene.noise_var_w
+            * np.einsum("imrt,jmrs,mst->ij", d.conj(), d, cov).real)
     err = (np.linalg.norm(mean - reference, "fro")
            / max(np.linalg.norm(reference, "fro"), REL_ERR_FLOOR))
     tol = 3.0 / math.sqrt(draws)

@@ -2,10 +2,15 @@
 
 import io
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import nfcrb
 from nfcrb import dbm_to_watts, from_positions, make_scene, ula
 from nfcrb.approx import VARIANTS
 from nfcrb.cli import (BOUNDS, Config, ConfigError, SweepSpec, _bound_cells,
@@ -206,6 +211,27 @@ def test_eval_config_error_exits_one(tmp_path, capsys):
     assert main(["eval", path]) == 1
     err = capsys.readouterr().err
     assert "nfcrb: config error: line 1" in err
+
+
+@pytest.mark.parametrize("text, argv", [
+    ("snapshots = inf\n", ["eval"]),
+    ("target.0.x = nan\ntarget.0.y = 100\n", ["eval"]),
+    ("power_w = nan\n", ["eval"]),
+    ("target.0.range = inf\ntarget.0.angle_deg = 20\n", ["eval"]),
+    (DEFAULT_CFG, ["sweep", "--var", "antennas", "--grid", "inf"]),
+    (DEFAULT_CFG, ["sweep", "--var", "range", "--grid", "nan"]),
+], ids=["snapshots-inf", "x-nan", "power-nan", "range-inf", "antennas-grid-inf",
+        "range-grid-nan"])
+def test_non_finite_values_are_config_errors(tmp_path, capsys, text, argv):
+    # an exception escaping main fails this test, so no traceback reaches stderr
+    path = write_cfg(tmp_path, text)
+    assert main([argv[0], path, *argv[1:]]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err
+    assert err.startswith("nfcrb: config error: ")
+    if argv[0] == "eval":
+        assert "line 1: expected a finite number" in err
 
 
 def test_version_flag(capsys):
@@ -411,3 +437,22 @@ def test_verify_cli_exit_codes(capsys):
     assert main(["verify", "--battery", "4", "--seed", "3"]) == 0
     out = capsys.readouterr().out
     assert "verify: all checks passed" in out
+
+
+def test_reports_identical_across_blas_thread_counts(tmp_path):
+    # the thread count is set on the child processes only; BLAS may split a
+    # product differently per thread, and the report bytes must not move
+    path = write_cfg(tmp_path, DEFAULT_CFG.replace("snapshots = 256", "snapshots = 16")
+                     + "tx.count = 16\nrx.count = 16\ntarget.1.range = 150\n"
+                     "target.1.angle_deg = -45\ntarget.1.vx = 4\ntarget.1.vy = 3\n")
+    src = str(Path(nfcrb.__file__).resolve().parents[1])
+    pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    for argv in (["eval", path], ["verify", "--seed", "0", "--battery", "4"]):
+        outputs = []
+        for threads in ("1", "2"):
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": pythonpath}
+            proc = subprocess.run([sys.executable, "-m", "nfcrb", *argv], env=env,
+                                  capture_output=True, timeout=120)
+            assert proc.returncode == 0, proc.stderr.decode()
+            outputs.append(proc.stdout)
+        assert outputs[0] == outputs[1], argv

@@ -5,11 +5,10 @@ import math
 import numpy as np
 import pytest
 
-from nfcrb import (Target, fd_fim, fim, gain, make_scene, monte_carlo_isotropic,
+from nfcrb import (fd_fim, fim, gain, make_scene, monte_carlo_isotropic,
                    target_indices, ula)
-from nfcrb.fim import EXPLICIT, ISOTROPIC
 
-from util import canonical_scene, small_scene, target_at
+from util import canonical_scene, explicit_fim, small_scene, target_at
 
 
 def two_target_scene(n=8, m=8):
@@ -51,16 +50,6 @@ def test_fim_matches_finite_differences(builder):
     assert rel_fro(analytic, numeric) < 1e-5
 
 
-def test_explicit_fim_matches_finite_differences():
-    s = canonical_scene()
-    rng = np.random.default_rng(3)
-    x = math.sqrt(s.power_w / 2.0) * (rng.standard_normal((s.tx.count, s.snapshots))
-                                      + 1j * rng.standard_normal((s.tx.count, s.snapshots)))
-    analytic = fim(s, transmit_mode=EXPLICIT, symbols=x).matrix
-    numeric = fd_fim(s, transmit_mode=EXPLICIT, symbols=x).matrix
-    assert rel_fro(analytic, numeric) < 1e-5
-
-
 def test_isotropic_equals_explicit_for_constant_modulus_single_tx():
     # with one transmit element, unit-modulus symbols make x_m x_m^H = P exactly
     s = make_scene(targets=[target_at(100.0, 20.0)],
@@ -69,7 +58,7 @@ def test_isotropic_equals_explicit_for_constant_modulus_single_tx():
     phases = rng.uniform(0.0, 2.0 * math.pi, size=(1, s.snapshots))
     x = math.sqrt(s.power_w) * np.exp(1j * phases)
     ideal = fim(s).matrix
-    concrete = fim(s, transmit_mode=EXPLICIT, symbols=x).matrix
+    concrete = explicit_fim(s, x)
     assert rel_fro(concrete, ideal) < 1e-12
 
 
@@ -82,6 +71,26 @@ def test_monte_carlo_average_converges_to_isotropic():
     # same seed, same draw sequence, same number
     again = monte_carlo_isotropic(s, draws=1000, seed=0)
     assert again.rel_err == report.rel_err
+
+
+@pytest.mark.parametrize("builder", [
+    lambda: make_scene(targets=None, tx=ula(4, 0.01), rx=ula(4, 0.01), snapshots=8),
+    lambda: two_target_scene(n=4, m=4),
+    lambda: make_scene(targets=[target_at(100.0, 20.0)],
+                       tx=ula(1, 0.01), rx=ula(4, 0.01), snapshots=8),
+], ids=["verify-scene", "q2", "single-tx"])
+def test_monte_carlo_oracle_is_mean_of_per_draw_fims(builder):
+    # the same seeded draws, one (N_t, M) matrix at a time, real part first
+    s = builder()
+    draws, seed = 1000, 7
+    rng = np.random.default_rng(seed)
+    shape = (s.tx.count, s.snapshots)
+    scale = math.sqrt(s.power_w / 2.0)
+    x = [scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+         for _ in range(draws)]
+    mean = explicit_fim(s, np.array(x)).mean(axis=0)
+    report = monte_carlo_isotropic(s, draws=draws, seed=seed)
+    assert report.oracle == pytest.approx(np.linalg.norm(mean, "fro"), rel=1e-12)
 
 
 def test_monte_carlo_rejects_small_sample():
@@ -150,17 +159,4 @@ def test_target_order_permutes_blocks():
     for q in (0, 1):
         perm[target_indices(q, 2)] = target_indices(1 - q, 2)
     np.testing.assert_array_equal(g, f[np.ix_(perm, perm)])
-
-
-def test_explicit_mode_validates_symbols():
-    s = small_scene(n=4, m=4)
-    with pytest.raises(ValueError, match="needs a symbols matrix"):
-        fim(s, transmit_mode=EXPLICIT)
-    with pytest.raises(ValueError, match="shape"):
-        fim(s, transmit_mode=EXPLICIT, symbols=np.ones((4, 3)))
-
-
-def test_unknown_transmit_mode_rejected():
-    with pytest.raises(ValueError, match="transmit mode"):
-        fim(small_scene(), transmit_mode="beamformed")
 

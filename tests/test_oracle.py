@@ -1,13 +1,11 @@
 """Independent numeric checks: finite differences, brute sums, report plumbing."""
 
-import math
-
 import numpy as np
 import pytest
 
-from nfcrb import (Target, brute_gain, fd_fim, fd_steering, fim, make_scene,
-                   steering_stack, ula)
-from nfcrb.oracle import DEFAULT_STEPS, make_report, relative_difference
+from nfcrb import Target, brute_gain, fd_fim, fim, steering_stack, ula
+from nfcrb.oracle import (DEFAULT_STEPS, fd_steering_rows, make_report,
+                          relative_difference)
 
 from util import canonical_scene, small_scene, target_at
 
@@ -37,7 +35,7 @@ def test_fd_steering_default_steps():
     a = steering_stack(s, "tx", 0)
     for kind in ("x", "y", "vx", "vy"):
         analytic = a.derivative(kind)[7]  # stack row 7 is snapshot m = 8
-        numeric = fd_steering(s, "tx", 8, 0, kind)
+        numeric = fd_steering_rows(s, 0, kind, [8])["tx"][0]
         err = np.abs(analytic - numeric).max() / np.abs(analytic).max()
         assert err < 1e-5
 
@@ -45,7 +43,7 @@ def test_fd_steering_default_steps():
 def test_fd_step_underflow_rejected():
     s = small_scene()
     with pytest.raises(ValueError, match="underflows"):
-        fd_steering(s, "tx", 1, 0, "x", steps={"x": 1e-18})
+        fd_steering_rows(s, 0, "x", [1], steps={"x": 1e-18})["tx"][0]
     with pytest.raises(ValueError, match="underflows"):
         fd_fim(s, steps={"x": 1e-18})
 
@@ -85,15 +83,3 @@ def test_brute_gain_rejects_on_element_target():
     with pytest.raises(ValueError, match="coincides"):
         brute_gain(ula(3, 1.0), t, "g")
 
-
-def test_fd_fim_respects_transmit_mode():
-    s = make_scene(targets=[target_at(100.0, 20.0)],
-                   tx=ula(4, 0.01), rx=ula(4, 0.01), snapshots=4)
-    rng = np.random.default_rng(0)
-    x = math.sqrt(s.power_w / 2.0) * (rng.standard_normal((4, 4))
-                                      + 1j * rng.standard_normal((4, 4)))
-    iso = fd_fim(s).matrix
-    explicit = fd_fim(s, transmit_mode="explicit-symbols", symbols=x).matrix
-    assert not np.allclose(iso, explicit, rtol=1e-3)
-    with pytest.raises(ValueError, match="symbols"):
-        fd_fim(s, transmit_mode="explicit-symbols")

@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 
-from nfcrb import Target, from_positions, make_scene, ula
+from nfcrb import BLOCKS, Target, from_positions, make_scene, ula
 from nfcrb.steering import steering_stack
 
 
@@ -98,3 +98,34 @@ def stack_closed_form(scene, q):
 
     return (kinematic("x"), kinematic("y"), kinematic("vx"), kinematic("vy"),
             crb_alpha_part, crb_alpha_part)
+
+
+def explicit_fim(scene, x):
+    """Fisher information of concrete (..., N_t, M) symbol matrices x.
+
+    Per snapshot, each channel derivative D_p is built as an N_r x N_t
+    matrix by the product rule on the steering stacks and applied to the
+    symbols, mu_p = D_p x_m; the FIM is 2 / sigma^2 Re sum_m mu_p^H mu_q,
+    one (6Q, 6Q) matrix per leading index of x. A per-draw reference for the
+    sample-covariance form of monte_carlo_isotropic.
+    """
+    stacks = {(side, q): steering_stack(scene, side, q)
+              for q in range(scene.q_count) for side in ("tx", "rx")}
+    n_par = 6 * scene.q_count
+    f = np.zeros(x.shape[:-2] + (n_par, n_par))
+    for m in range(scene.snapshots):
+        mu = []
+        for kind in BLOCKS:
+            for q in range(scene.q_count):
+                tx, rx = stacks["tx", q], stacks["rx", q]
+                if kind == "rcs_re":
+                    d = np.outer(rx.a[m], tx.a[m])
+                elif kind == "rcs_im":
+                    d = 1j * np.outer(rx.a[m], tx.a[m])
+                else:
+                    d = scene.targets[q].rcs * (np.outer(rx.derivative(kind)[m], tx.a[m])
+                                                + np.outer(rx.a[m], tx.derivative(kind)[m]))
+                mu.append(x[..., :, m] @ d.T)  # D_p x_m, (..., N_r)
+        mu = np.stack(mu, axis=-2)  # (..., 6Q, N_r)
+        f += (mu.conj() @ np.swapaxes(mu, -1, -2)).real
+    return 2.0 / scene.noise_var_w * f
