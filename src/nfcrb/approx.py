@@ -70,21 +70,17 @@ def slow_time_sum(snapshots):
     return m * (m + 1) * (2 * m + 1) // 6
 
 
-def gain(geom, target, wavelength, variant="exact"):
-    """Element-sum gain g = sum_n 1/r_n^2 of one array, or its expansion.
+def gain(geom, target, wavelength, variant):
+    """Expansion of the element-sum gain g = sum_n 1/r_n^2 of one array.
 
-    exact: brute-force sum over elements.
     ff:    N / r^2 about the centroid.
     nf:    N / r^2 + N (N^2 - 1) d^2 (4 sin^2 theta - 1) / (12 r^4).
+
+    The exact sum is oracle.brute_gain(geom, target, "g").
     """
     _check_variant(variant)
     if variant == "exact":
-        dx = target.x - geom.positions[:, 0]
-        dy = target.y - geom.positions[:, 1]
-        r2 = dx ** 2 + dy ** 2
-        if r2.min() <= 0.0:
-            raise ValueError("target coincides with an array element")
-        return float((1.0 / r2).sum())
+        raise ValueError("use oracle.brute_gain for the exact element sum")
     _require_ula(geom)
     r, theta = polar_of(target, geom)
     n = geom.count

@@ -6,7 +6,7 @@ the inputs (and the seed, for verification batteries).
 """
 
 import argparse
-import copy
+import dataclasses
 import math
 import sys
 from dataclasses import dataclass, field
@@ -18,7 +18,7 @@ from . import __version__
 from .approx import (VARIANTS, ApproximationDomainError, NotUlaError,
                      correction_terms, crb_location_approx, crb_rcs_approx,
                      crb_velocity_approx, gain, relative_error)
-from .crb import SingularFimError, closed_form_single, full_crb
+from .crb import SingularFimError, _side_moments, closed_form_single, full_crb
 from .fim import fim
 from .geometry import ula
 from .oracle import (OracleReport, brute_gain, fd_fim, fd_steering_rows,
@@ -37,10 +37,9 @@ _VAR_COLUMN = {"range": "range_m", "angle": "angle_deg", "antennas": "antennas",
 
 
 class ConfigError(ValueError):
-    """Malformed configuration text; carries the offending line number."""
+    """Malformed configuration text; the message names the offending line."""
 
     def __init__(self, message, line=None):
-        self.line = line
         super().__init__(message if line is None else f"line {line}: {message}")
 
 
@@ -48,48 +47,26 @@ class ConfigError(ValueError):
 # configuration
 
 
-@dataclass
-class SideConfig:
-    count: int = 256
-    spacing_m: float | None = None
-    spacing_over_lambda: float | None = None
-    centroid_x: float = 0.0
-
-
-@dataclass
-class TargetConfig:
-    x: float | None = None
-    y: float | None = None
-    range_m: float | None = None
-    angle_deg: float | None = None
-    vx: float | None = None
-    vy: float | None = None
-    rcs_re: float | None = None
-    rcs_im: float | None = None
-
-
-@dataclass
+@dataclass(frozen=True)
 class Config:
-    """Parsed configuration with canonical defaults for everything omitted."""
+    """The values a config text sets, as {key: number}, plus its non-blank lines.
 
-    carrier_hz: float = 15.0e9
-    t_sym_s: float = 1e-4
-    snapshots: int = 256
-    power_w: float = 0.1
-    noise_dbm: float | None = None
-    noise_w: float | None = None
-    tx: SideConfig = field(default_factory=SideConfig)
-    rx: SideConfig = field(default_factory=SideConfig)
-    targets: dict = field(default_factory=dict)
+    Target keys are stored as target.{int}.{name}, so target.00.x and
+    target.0.x name the same value; build_scene fills every default.
+    """
+
+    values: dict = field(default_factory=dict)
     raw: tuple = ()
 
 
-_SCALAR_KEYS = {"carrier_hz": float, "t_sym_s": float, "snapshots": int,
-                "power_w": float, "noise_dbm": float, "noise_w": float}
-_SIDE_KEYS = {"count": int, "spacing_over_lambda": float, "spacing_m": float,
-              "centroid_x": float}
-_TARGET_KEYS = {"x": "x", "y": "y", "vx": "vx", "vy": "vy", "rcs_re": "rcs_re",
-                "rcs_im": "rcs_im", "range": "range_m", "angle_deg": "angle_deg"}
+_INT_KEYS = {"snapshots", "tx.count", "rx.count"}
+_KEYS = {"carrier_hz", "t_sym_s", "snapshots", "power_w", "noise_dbm", "noise_w",
+         *(f"{side}.{name}" for side in ("tx", "rx")
+           for name in ("count", "spacing_over_lambda", "spacing_m", "centroid_x"))}
+_TARGET_FIELDS = ("x", "y", "vx", "vy", "rcs_re", "rcs_im", "range", "angle_deg")
+# keys that give the same quantity in other units; a config sets at most one
+_RIVALS = {"noise_dbm": "noise_w", "noise_w": "noise_dbm",
+           "spacing_m": "spacing_over_lambda", "spacing_over_lambda": "spacing_m"}
 
 
 def _parse_number(value, kind):
@@ -103,47 +80,36 @@ def _parse_number(value, kind):
     return v
 
 
-def _apply_key(cfg, key, value):
-    if key in _SCALAR_KEYS:
-        if key == "noise_dbm" and cfg.noise_w is not None:
-            raise ValueError("noise_dbm conflicts with noise_w")
-        if key == "noise_w" and cfg.noise_dbm is not None:
-            raise ValueError("noise_w conflicts with noise_dbm")
-        setattr(cfg, key, _parse_number(value, _SCALAR_KEYS[key]))
-        return
-    if key.startswith(("tx.", "rx.")):
-        side = cfg.tx if key.startswith("tx.") else cfg.rx
-        sub = key[3:]
-        if sub not in _SIDE_KEYS:
-            raise ValueError(f"unknown key {key!r}")
-        if sub == "spacing_m" and side.spacing_over_lambda is not None:
-            raise ValueError("spacing_m conflicts with spacing_over_lambda")
-        if sub == "spacing_over_lambda" and side.spacing_m is not None:
-            raise ValueError("spacing_over_lambda conflicts with spacing_m")
-        setattr(side, sub, _parse_number(value, _SIDE_KEYS[sub]))
-        return
+def _read_pair(values, key, value):
+    """The canonical key and number of one key=value pair, checked against values."""
     if key.startswith("target."):
         parts = key.split(".")
-        if len(parts) != 3 or parts[2] not in _TARGET_KEYS:
+        if len(parts) != 3 or parts[2] not in _TARGET_FIELDS:
             raise ValueError(f"unknown key {key!r}")
         try:
             idx = int(parts[1])
         except ValueError:
             raise ValueError(f"target index must be an integer in {key!r}") from None
-        t = cfg.targets.setdefault(idx, TargetConfig())
-        attr = _TARGET_KEYS[parts[2]]
-        if attr in ("x", "y") and (t.range_m is not None or t.angle_deg is not None):
+        key = f"target.{idx}.{parts[2]}"
+        if parts[2] in ("x", "y") and (f"target.{idx}.range" in values
+                                       or f"target.{idx}.angle_deg" in values):
             raise ValueError(f"cartesian target.{idx} keys conflict with polar ones")
-        if attr in ("range_m", "angle_deg") and (t.x is not None or t.y is not None):
+        if parts[2] in ("range", "angle_deg") and (f"target.{idx}.x" in values
+                                                   or f"target.{idx}.y" in values):
             raise ValueError(f"polar target.{idx} keys conflict with cartesian ones")
-        setattr(t, attr, _parse_number(value, float))
-        return
-    raise ValueError(f"unknown key {key!r}")
+        return key, _parse_number(value, float)
+    if key not in _KEYS:
+        raise ValueError(f"unknown key {key!r}")
+    prefix, _, name = key.rpartition(".")
+    rival = _RIVALS.get(name)
+    if rival and (f"{prefix}.{rival}" if prefix else rival) in values:
+        raise ValueError(f"{name} conflicts with {rival}")
+    return key, _parse_number(value, int if key in _INT_KEYS else float)
 
 
 def parse_config(text):
     """Parse key=value configuration text into a Config."""
-    cfg = Config()
+    values = {}
     seen = set()
     raw = []
     target_lines = {}
@@ -160,68 +126,59 @@ def parse_config(text):
             raise ConfigError(f"duplicate key {key!r}", lineno)
         seen.add(key)
         try:
-            _apply_key(cfg, key, value)
-        except ConfigError:
-            raise
+            key, number = _read_pair(values, key, value)
         except ValueError as e:
             raise ConfigError(str(e), lineno) from None
+        values[key] = number
         if key.startswith("target."):
             target_lines.setdefault(int(key.split(".")[1]), lineno)
-    for idx, t in sorted(cfg.targets.items()):
+    for idx in sorted(target_lines):
         try:
-            _resolve_position(idx, t)
+            _position(values, idx)
         except ConfigError as e:
             raise ConfigError(str(e), target_lines[idx]) from None
-    cfg.raw = tuple(raw)
-    return cfg
+    return Config(values=values, raw=tuple(raw))
 
 
-def _resolve_position(idx, t):
-    if t.x is not None or t.y is not None:
-        if t.x is None or t.y is None:
+def _position(values, idx):
+    x, y, r, angle = (values.get(f"target.{idx}.{name}")
+                      for name in ("x", "y", "range", "angle_deg"))
+    if x is not None or y is not None:
+        if x is None or y is None:
             raise ConfigError(f"target.{idx} needs both x and y")
-        return t.x, t.y
-    if t.range_m is not None or t.angle_deg is not None:
-        if t.range_m is None or t.angle_deg is None:
+        return x, y
+    if r is not None or angle is not None:
+        if r is None or angle is None:
             raise ConfigError(f"target.{idx} needs both range and angle_deg")
-        th = math.radians(t.angle_deg)
-        return t.range_m * math.sin(th), t.range_m * math.cos(th)
+        th = math.radians(angle)
+        return r * math.sin(th), r * math.cos(th)
     raise ConfigError(f"target.{idx} needs a position (x/y or range/angle_deg)")
 
 
 def build_scene(cfg):
     """Materialize the Scene a Config describes (defaults filled)."""
-    lam = LIGHTSPEED / cfg.carrier_hz
+    v = cfg.values
+    carrier = v.get("carrier_hz", 15.0e9)
+    if carrier <= 0:
+        raise ConfigError(f"carrier_hz must be positive, got {carrier!r}")
+    lam = LIGHTSPEED / carrier
 
-    def side(sc):
-        if sc.spacing_m is not None:
-            d = sc.spacing_m
-        else:
-            over = sc.spacing_over_lambda if sc.spacing_over_lambda is not None else 0.5
-            d = over * lam
-        return ula(sc.count, d, sc.centroid_x)
+    def side(name):
+        spacing = v.get(f"{name}.spacing_m",
+                        v.get(f"{name}.spacing_over_lambda", 0.5) * lam)
+        return ula(v.get(f"{name}.count", 256), spacing, v.get(f"{name}.centroid_x", 0.0))
 
-    if cfg.noise_w is not None:
-        noise = cfg.noise_w
-    else:
-        noise = dbm_to_watts(cfg.noise_dbm if cfg.noise_dbm is not None else -114.0)
-
-    targets = None
-    if cfg.targets:
-        targets = []
-        for idx in sorted(cfg.targets):
-            t = cfg.targets[idx]
-            x, y = _resolve_position(idx, t)
-            targets.append(Target(
-                x=x, y=y,
-                vx=t.vx if t.vx is not None else 0.0,
-                vy=t.vy if t.vy is not None else 0.0,
-                rcs_re=t.rcs_re if t.rcs_re is not None else 1.0,
-                rcs_im=t.rcs_im if t.rcs_im is not None else 0.0))
-
-    return make_scene(targets=targets, tx=side(cfg.tx), rx=side(cfg.rx),
-                      carrier_hz=cfg.carrier_hz, t_sym_s=cfg.t_sym_s,
-                      snapshots=cfg.snapshots, power_w=cfg.power_w,
+    noise = v["noise_w"] if "noise_w" in v else dbm_to_watts(v.get("noise_dbm", -114.0))
+    targets = []
+    for idx in sorted({int(key.split(".")[1]) for key in v if key.startswith("target.")}):
+        x, y = _position(v, idx)
+        targets.append(Target(x=x, y=y, vx=v.get(f"target.{idx}.vx", 0.0),
+                              vy=v.get(f"target.{idx}.vy", 0.0),
+                              rcs_re=v.get(f"target.{idx}.rcs_re", 1.0),
+                              rcs_im=v.get(f"target.{idx}.rcs_im", 0.0)))
+    return make_scene(targets=targets or None, tx=side("tx"), rx=side("rx"),
+                      carrier_hz=carrier, t_sym_s=v.get("t_sym_s", 1e-4),
+                      snapshots=v.get("snapshots", 256), power_w=v.get("power_w", 0.1),
                       noise_var_w=noise)
 
 
@@ -311,17 +268,12 @@ def _csv_row(cells, cols):
 
 
 def render_eval(scene):
-    """Deterministic text report for one scene: exact bounds plus closed forms.
+    """The eval text report and per-target CSV of one scene, from one cell table.
 
     A FIM that cannot be inverted at working precision is reported as
     status=singular with the marginal cells left empty; the conditional and
     closed-form columns do not need the full inverse and are always rendered.
     """
-    return _eval_outputs(scene)[0]
-
-
-def _eval_outputs(scene):
-    """The eval text report and per-target CSV, both from one cell table."""
     info = fim(scene)
     try:
         _, report = full_crb(info)
@@ -375,6 +327,8 @@ class SweepSpec:
         grid = tuple(float(v) for v in self.grid)
         if not grid:
             raise ValueError("sweep grid is empty")
+        if not all(math.isfinite(v) for v in grid):
+            raise ValueError("sweep grid values must be finite")
         diffs = [b - a for a, b in zip(grid, grid[1:])]
         if diffs and not (all(d > 0 for d in diffs) or all(d < 0 for d in diffs)):
             raise ValueError("sweep grid must be strictly monotone")
@@ -392,44 +346,37 @@ class SweepSpec:
         object.__setattr__(self, "variants", tuple(self.variants))
 
 
-def _default_target():
-    return TargetConfig(range_m=100.0, angle_deg=20.0, vx=1.0, vy=4.0,
-                        rcs_re=1.0, rcs_im=0.1)
+def _point_scene(spec, base, value):
+    """The base scene with the swept quantity set to one grid value.
 
-
-def _config_for(spec, value):
-    cfg = copy.deepcopy(spec.config)
-    if not cfg.targets:
-        cfg.targets[0] = _default_target()
+    range and angle move the first target about the origin.
+    """
     if spec.variable == "antennas":
-        cfg.tx.count = int(value)
-        cfg.rx.count = int(value)
-    elif spec.variable == "snapshots":
-        cfg.snapshots = int(value)
-    elif spec.variable == "power":
-        cfg.power_w = float(value)
+        return dataclasses.replace(
+            base, tx=ula(int(value), base.tx.spacing, base.tx.centroid_x),
+            rx=ula(int(value), base.rx.spacing, base.rx.centroid_x))
+    if spec.variable == "snapshots":
+        return dataclasses.replace(base, snapshots=int(value))
+    if spec.variable == "power":
+        return dataclasses.replace(base, power_w=value)
+    t = base.targets[0]
+    r, th = math.hypot(t.x, t.y), math.atan2(t.x, t.y)
+    if spec.variable == "range":
+        r = value
     else:
-        idx = min(cfg.targets)
-        t = cfg.targets[idx]
-        x, y = _resolve_position(idx, t)
-        r, th = math.hypot(x, y), math.atan2(x, y)
-        if spec.variable == "range":
-            r = float(value)
-        else:
-            th = math.radians(float(value))
-        t.x, t.y = r * math.sin(th), r * math.cos(th)
-        t.range_m = t.angle_deg = None
-    return cfg
+        th = math.radians(value)
+    moved = dataclasses.replace(t, x=r * math.sin(th), y=r * math.cos(th))
+    return dataclasses.replace(base, targets=(moved, *base.targets[1:]))
 
 
-def _sweep_row(spec, value):
+def _sweep_row(spec, base, value):
     """Cells of one grid point, keyed by sweep_columns(spec)."""
     integral = spec.variable in ("antennas", "snapshots")
     row = {_VAR_COLUMN[spec.variable]: int(value) if integral else value}
     try:
-        scene = build_scene(_config_for(spec, value))
+        scene = _point_scene(spec, base, value)
         row.update(_bound_cells(scene, 0, spec.bounds, spec.variants), error="")
-    except (ConfigError, ValueError, SingularFimError) as e:
+    except (ValueError, SingularFimError) as e:
         # a failed point leaves its bound cells empty and its flags at 0
         row.update(dict.fromkeys(REGION_FLAGS, False), error=str(e).replace(",", ";"))
     return row
@@ -441,14 +388,18 @@ def sweep_columns(spec):
 
 
 def run_sweep(spec):
-    """Evaluate a sweep and render it as CSV text (header comments included)."""
+    """Evaluate a sweep and render it as CSV text (header comments included).
+
+    The base config must itself be a valid scene; its errors propagate.
+    """
+    base = build_scene(spec.config)
     cols = sweep_columns(spec)
     lines = [f"# nfcrb sweep v{__version__}",
              f"# variable={spec.variable} unit={_UNITS[spec.variable]}",
              "# seed=none"]
     lines += [f"# cfg: {entry}" for entry in spec.config.raw]
     lines.append(",".join(cols))
-    lines += [_csv_row(_sweep_row(spec, value), cols) for value in spec.grid]
+    lines += [_csv_row(_sweep_row(spec, base, value), cols) for value in spec.grid]
     return "\n".join(lines) + "\n"
 
 
@@ -515,18 +466,11 @@ def _two_target_scene(n=8, m=8):
     return make_scene(targets=[t0, t1], tx=ula(n, 0.01), rx=ula(n, 0.01), snapshots=m)
 
 
-def _verify_fim(skew=0.0):
+def _verify_fim():
     reports = []
     for name, scene in (("fim-fd-q1", _canonical_scene()),
                         ("fim-fd-q2", _two_target_scene())):
-        info = fim(scene)
-        analytic = info.matrix
-        if skew:
-            # scaling the x-derivative stack by (1+skew) scales the x rows and
-            # columns of the bilinear FIM by the same factor
-            s = np.ones(analytic.shape[0])
-            s[:info.q_count] = 1.0 + skew
-            analytic = analytic * np.outer(s, s)
+        analytic = fim(scene).matrix
         reference = fd_fim(scene).matrix
         err = np.linalg.norm(analytic - reference, "fro") / np.linalg.norm(reference, "fro")
         reports.append(_aggregate_report(name, float(err), 1e-5))
@@ -552,14 +496,13 @@ def _verify_consistency():
         worst = max(worst, abs(closed.by_name(name) * diag[i] - 1.0))
     reports.append(_aggregate_report("closed-form-diagonal", worst, 1e-10))
 
+    # the per-side gain G of the closed form against the brute-force element sum
     t = scene.targets[0]
-    ranges = np.hypot(t.x - scene.tx.positions[:, 0], t.y - scene.tx.positions[:, 1])
-    a_sq = float(np.sum((scene.wavelength_m / (4.0 * math.pi * ranges)) ** 2))
+    g_side, _ = _side_moments(scene, scene.tx, t)
     g_ref = (scene.wavelength_m ** 2 / (16 * math.pi ** 2)) * brute_gain(scene.tx, t, "g")
-    reports.append(make_report("gain-identity", a_sq, g_ref, 1e-12))
+    reports.append(make_report("gain-identity", g_side, g_ref, 1e-12))
 
-    double = make_scene(tx=scene.tx, rx=scene.rx, snapshots=scene.snapshots,
-                        power_w=2 * scene.power_w)
+    double = dataclasses.replace(scene, power_w=2 * scene.power_w)
     ratio = (closed_form_single(double, 0).targets[0].crb_alpha
              / closed_form_single(scene, 0).targets[0].crb_alpha)
     reports.append(make_report("power-scaling", ratio, 0.5, 1e-12))
@@ -596,12 +539,12 @@ def _verify_expansions():
     return reports
 
 
-def run_verify(seed=0, battery=20, stream=None, derivative_skew=0.0):
+def run_verify(seed=0, battery=20, stream=None):
     """Run the oracle batteries; returns the report list (all-pass = success)."""
     stream = stream if stream is not None else sys.stdout
     reports = []
-    reports += _verify_steering(seed, battery, derivative_skew)
-    reports += _verify_fim(skew=derivative_skew)
+    reports += _verify_steering(seed, battery, 0.0)
+    reports += _verify_fim()
     reports += _verify_consistency()
     reports += _verify_expansions()
     small = make_scene(targets=None, tx=ula(4, 0.01), rx=ula(4, 0.01), snapshots=8)
@@ -656,7 +599,7 @@ def _build_parser():
 
 def _cmd_eval(args):
     cfg = parse_config(Path(args.config).read_text(encoding="utf-8"))
-    text, csv = _eval_outputs(build_scene(cfg))
+    text, csv = render_eval(build_scene(cfg))
     sys.stdout.write(text)
     if args.out:
         Path(args.out).write_text(csv, encoding="utf-8")

@@ -63,6 +63,13 @@ class Scene:
 
     def __post_init__(self):
         object.__setattr__(self, "targets", tuple(self.targets))
+        scalars = (self.carrier_hz, self.wavelength_m, self.t_sym_s, self.snapshots,
+                   self.power_w, self.noise_var_w, self.lightspeed)
+        if not all(math.isfinite(v) for v in scalars):
+            raise ValueError("scene scalars must be finite")
+        for q, t in enumerate(self.targets):
+            if not all(math.isfinite(getattr(t, name)) for name in BLOCKS):
+                raise ValueError(f"target {q} has a non-finite field")
         if self.carrier_hz <= 0 or self.t_sym_s <= 0:
             raise ValueError("carrier_hz and t_sym_s must be positive")
         if self.snapshots < 1 or int(self.snapshots) != self.snapshots:

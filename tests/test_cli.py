@@ -1,5 +1,6 @@
 """Config parsing, eval/sweep rendering, verify battery, and exit codes."""
 
+import dataclasses
 import io
 import math
 import os
@@ -11,11 +12,12 @@ import numpy as np
 import pytest
 
 import nfcrb
-from nfcrb import dbm_to_watts, from_positions, make_scene, ula
+from nfcrb import Target, dbm_to_watts, from_positions, make_scene, ula
 from nfcrb.approx import VARIANTS
 from nfcrb.cli import (BOUNDS, Config, ConfigError, SweepSpec, _bound_cells,
                        _verify_steering, build_scene, main, parse_config,
                        render_eval, run_sweep, run_verify, sweep_columns)
+from nfcrb.steering import steering_stack
 
 from util import parse_csv, parse_kv_lines, target_at
 
@@ -45,18 +47,18 @@ def write_cfg(tmp_path, text, name="scene.cfg"):
 def test_parse_config_reads_all_key_families():
     cfg = parse_config(DEFAULT_CFG + "tx.count = 64\nrx.spacing_m = 0.02\n"
                        "tx.centroid_x = -2\nnoise_dbm = -110\n")
-    assert cfg.carrier_hz == 15e9
-    assert cfg.snapshots == 256
-    assert cfg.tx.count == 64 and cfg.rx.count == 256
-    assert cfg.rx.spacing_m == 0.02
-    assert cfg.tx.centroid_x == -2.0
-    assert cfg.noise_dbm == -110.0
-    assert cfg.targets[0].range_m == 100.0
+    assert cfg.values["carrier_hz"] == 15e9
+    assert cfg.values["snapshots"] == 256
+    assert cfg.values["tx.count"] == 64 and "rx.count" not in cfg.values
+    assert cfg.values["rx.spacing_m"] == 0.02
+    assert cfg.values["tx.centroid_x"] == -2.0
+    assert cfg.values["noise_dbm"] == -110.0
+    assert cfg.values["target.0.range"] == 100.0
 
 
 def test_parse_config_strips_comments_and_blanks():
     cfg = parse_config("\n  # full line comment\npower_w = 0.2  # trailing\n\n")
-    assert cfg.power_w == 0.2
+    assert cfg.values == {"power_w": 0.2}
     assert cfg.raw == ("power_w = 0.2",)
 
 
@@ -135,6 +137,24 @@ def test_build_scene_fills_target_defaults():
     t = s.targets[0]
     assert (t.vx, t.vy) == (0.0, 0.0)
     assert t.rcs == 1.0 + 0.0j
+
+
+def test_target_index_is_read_as_an_integer():
+    padded = build_scene(parse_config("target.00.x = 30\ntarget.0.y = 40\n"))
+    plain = build_scene(parse_config("target.0.x = 30\ntarget.0.y = 40\n"))
+    assert padded.targets == plain.targets == (Target(x=30.0, y=40.0),)
+
+
+@pytest.mark.parametrize("argv", [["eval"], ["sweep", "--var", "range", "--grid", "50,100"]],
+                         ids=["eval", "sweep"])
+@pytest.mark.parametrize("carrier", ["0", "-1"])
+def test_non_positive_carrier_is_a_config_error(tmp_path, capsys, argv, carrier):
+    path = write_cfg(tmp_path, f"carrier_hz = {carrier}\n")
+    assert main([argv[0], path, *argv[1:]]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("nfcrb: config error: carrier_hz must be positive, "
+                            f"got {float(carrier)!r}\n")
 
 
 def test_build_scene_spacing_and_noise_overrides():
@@ -269,7 +289,7 @@ def test_sweep_single_point_matches_eval():
     cfg = parse_config(DEFAULT_CFG)
     text = run_sweep(SweepSpec(variable="range", grid=(100.0,), config=cfg))
     _, _, rows = parse_csv(text)
-    report = parse_kv_lines(render_eval(build_scene(cfg)))
+    report = parse_kv_lines(render_eval(build_scene(cfg))[0])
     for bound in ("rcs", "vx", "x"):
         assert float(rows[0][f"{bound}_exact"]) == report[f"target.0.{bound}.exact"]
         assert float(rows[0][f"{bound}_nf"]) == report[f"target.0.{bound}.nf"]
@@ -335,6 +355,27 @@ def test_sweep_error_rows_are_contained():
     # the failed row still has the full column count
     assert len(text.splitlines()[-1].split(",")) == len(header)
     assert rows[2]["rcs_exact"] == ""
+
+
+@pytest.mark.parametrize("text, var, grid", [("power_w = 0\n", "power", "0.1,0.2"),
+                                              ("tx.count = 0\n", "antennas", "16,32")],
+                         ids=["power", "antennas"])
+def test_sweep_over_invalid_base_config_exits_with_eval_error(tmp_path, capsys, text,
+                                                              var, grid):
+    # the grid would replace the bad value, but the base must be a valid scene
+    path = write_cfg(tmp_path, text)
+    assert main(["eval", path]) == 1
+    eval_err = capsys.readouterr().err
+    assert main(["sweep", path, "--var", var, "--grid", grid]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == eval_err
+    assert eval_err.startswith("nfcrb: error: ")
+
+
+def test_sweep_spec_rejects_non_finite_grid_values():
+    with pytest.raises(ValueError, match="finite"):
+        SweepSpec(variable="range", grid=(50.0, math.nan), config=Config())
 
 
 def test_sweep_grid_must_be_monotone(tmp_path, capsys):
@@ -423,11 +464,17 @@ def test_verify_steering_passes_near_broadside_batteries(seed):
     assert [r.name for r in reports if not r.passed] == []
 
 
-def test_verify_derivative_skew_trips_fd_checks():
-    # a multiplicative error on the analytic derivative stacks must be caught
+def test_verify_derivative_skew_trips_fd_checks(monkeypatch):
+    # a multiplicative error on the analytic x-derivative stacks must be caught
     # by both the steering-level and the matrix-level finite differences
-    reports = run_verify(seed=0, battery=4, stream=io.StringIO(),
-                         derivative_skew=1e-3)
+    def skewed(*args, **kwargs):
+        stack = steering_stack(*args, **kwargs)
+        return dataclasses.replace(stack, d_x=stack.d_x * (1.0 + 1e-3))
+
+    # the package re-exports fim(), which shadows the nfcrb.fim module name
+    for module in ("nfcrb.fim", "nfcrb.cli"):
+        monkeypatch.setattr(sys.modules[module], "steering_stack", skewed)
+    reports = run_verify(seed=0, battery=4, stream=io.StringIO())
     failed = {r.name for r in reports if not r.passed}
     assert any(name.startswith("steering-fd") for name in failed)
     assert any(name.startswith("fim-fd") for name in failed)

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from nfcrb import (fd_fim, fim, gain, make_scene, monte_carlo_isotropic,
+from nfcrb import (brute_gain, fd_fim, fim, make_scene, monte_carlo_isotropic,
                    target_indices, ula)
 
 from util import canonical_scene, explicit_fim, small_scene, target_at
@@ -131,8 +131,8 @@ def test_reflectivity_block_is_scaled_identity():
     s = small_scene(n=8, m=4)
     f = fim(s).matrix
     scale = s.wavelength_m ** 2 / (16.0 * math.pi ** 2)
-    big_g_tx = scale * gain(s.tx, s.targets[0], s.wavelength_m)
-    big_g_rx = scale * gain(s.rx, s.targets[0], s.wavelength_m)
+    big_g_tx = scale * brute_gain(s.tx, s.targets[0], "g")
+    big_g_rx = scale * brute_gain(s.rx, s.targets[0], "g")
     expected = 2.0 * s.power_w * s.snapshots / s.noise_var_w * big_g_tx * big_g_rx
     i_re, i_im = 4, 5  # rcs_re and rcs_im rows of a single-target layout
     np.testing.assert_allclose(f[i_re, i_re], expected, rtol=1e-12)

@@ -50,6 +50,24 @@ def test_scene_rejects_nonpositive_scalars(kwargs):
         make_scene(**kwargs)
 
 
+@pytest.mark.parametrize("kwargs", [
+    {"power_w": math.nan},
+    {"noise_var_w": math.inf},
+    {"snapshots": math.inf},
+    {"t_sym_s": math.nan},
+], ids=["power-nan", "noise-inf", "snapshots-inf", "tsym-nan"])
+def test_scene_rejects_non_finite_scalars(kwargs):
+    with pytest.raises(ValueError, match="finite"):
+        make_scene(**kwargs)
+
+
+@pytest.mark.parametrize("name", BLOCKS)
+def test_scene_rejects_non_finite_target_fields(name):
+    fields = {"x": 30.0, "y": 100.0, name: math.nan}
+    with pytest.raises(ValueError, match="target 0 has a non-finite field"):
+        make_scene(targets=[Target(**fields)], tx=ula(4, 0.01), rx=ula(4, 0.01))
+
+
 def test_snapshots_must_be_integral():
     with pytest.raises(ValueError):
         make_scene(snapshots=2.5)
