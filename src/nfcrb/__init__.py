@@ -13,7 +13,7 @@ from .approx import (ApproximationDomainError, CorrectionTerms, NotUlaError,
                      correction_terms, crb_location_approx, crb_rcs_approx,
                      crb_velocity_approx, gain, relative_error, slow_time_sum)
 from .crb import (CrbReport, SingularFimError, TargetBounds, closed_form_single,
-                  conditional_crb, full_crb, schur_target_report)
+                  full_crb, schur_target_report)
 from .fim import FisherInfo, fim
 from .geometry import ArrayGeometry, from_positions, ula
 from .oracle import OracleReport, brute_gain, fd_fim, monte_carlo_isotropic

@@ -76,7 +76,8 @@ def gain(geom, target, wavelength, variant):
     ff:    N / r^2 about the centroid.
     nf:    N / r^2 + N (N^2 - 1) d^2 (4 sin^2 theta - 1) / (12 r^4).
 
-    The exact sum is oracle.brute_gain(geom, target, "g").
+    The exact sum is oracle.brute_gain(geom, target, "g"). wavelength is
+    not read: the expansions depend only on N, d, r and theta.
     """
     _check_variant(variant)
     if variant == "exact":

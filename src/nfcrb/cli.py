@@ -91,6 +91,8 @@ def _read_pair(values, key, value):
         except ValueError:
             raise ValueError(f"target index must be an integer in {key!r}") from None
         key = f"target.{idx}.{parts[2]}"
+        if key in values:
+            raise ValueError(f"duplicate key {key!r}")
         if parts[2] in ("x", "y") and (f"target.{idx}.range" in values
                                        or f"target.{idx}.angle_deg" in values):
             raise ValueError(f"cartesian target.{idx} keys conflict with polar ones")
@@ -100,6 +102,8 @@ def _read_pair(values, key, value):
         return key, _parse_number(value, float)
     if key not in _KEYS:
         raise ValueError(f"unknown key {key!r}")
+    if key in values:
+        raise ValueError(f"duplicate key {key!r}")
     prefix, _, name = key.rpartition(".")
     rival = _RIVALS.get(name)
     if rival and (f"{prefix}.{rival}" if prefix else rival) in values:
@@ -110,7 +114,6 @@ def _read_pair(values, key, value):
 def parse_config(text):
     """Parse key=value configuration text into a Config."""
     values = {}
-    seen = set()
     raw = []
     target_lines = {}
     for lineno, line in enumerate(text.splitlines(), 1):
@@ -122,9 +125,6 @@ def parse_config(text):
         key, value = key.strip(), value.strip()
         if not sep or not key or not value:
             raise ConfigError("expected key=value", lineno)
-        if key in seen:
-            raise ConfigError(f"duplicate key {key!r}", lineno)
-        seen.add(key)
         try:
             key, number = _read_pair(values, key, value)
         except ValueError as e:
@@ -168,7 +168,10 @@ def build_scene(cfg):
                         v.get(f"{name}.spacing_over_lambda", 0.5) * lam)
         return ula(v.get(f"{name}.count", 256), spacing, v.get(f"{name}.centroid_x", 0.0))
 
-    noise = v["noise_w"] if "noise_w" in v else dbm_to_watts(v.get("noise_dbm", -114.0))
+    try:
+        noise = v["noise_w"] if "noise_w" in v else dbm_to_watts(v.get("noise_dbm", -114.0))
+    except OverflowError:
+        raise ConfigError(f"noise_dbm is too large, got {v['noise_dbm']!r}") from None
     targets = []
     for idx in sorted({int(key.split(".")[1]) for key in v if key.startswith("target.")}):
         x, y = _position(v, idx)
@@ -271,8 +274,8 @@ def render_eval(scene):
     """The eval text report and per-target CSV of one scene, from one cell table.
 
     A FIM that cannot be inverted at working precision is reported as
-    status=singular with the marginal cells left empty; the conditional and
-    closed-form columns do not need the full inverse and are always rendered.
+    status=singular with the marginal cells left empty; the closed-form
+    exact, ff and nf columns do not need the full inverse and are always rendered.
     """
     info = fim(scene)
     try:

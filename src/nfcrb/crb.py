@@ -11,13 +11,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .approx import slow_time_sum
-from .scene import BLOCKS, target_indices
+from .scene import target_indices
 
 CONDITION_LIMIT = 1e12
-
-METHOD_FULL = "exact-full"
-METHOD_SCHUR = "exact-schur"
-METHOD_CLOSED = "closed-form"
 
 
 class SingularFimError(np.linalg.LinAlgError):
@@ -49,16 +45,13 @@ class TargetBounds:
 @dataclass(frozen=True)
 class CrbReport:
     targets: tuple
-    method: str
     condition_number: float | None = None
     status: str = "ok"
 
 
 def _bounds_from_diag(diag, q, q_count):
-    idx = {kind: BLOCKS.index(kind) * q_count + q for kind in BLOCKS}
-    return TargetBounds(crb_x=diag[idx["x"]], crb_y=diag[idx["y"]],
-                        crb_vx=diag[idx["vx"]], crb_vy=diag[idx["vy"]],
-                        crb_alpha_r=diag[idx["rcs_re"]], crb_alpha_i=diag[idx["rcs_im"]])
+    # TargetBounds fields follow BLOCKS order, as target_indices does
+    return TargetBounds(*(diag[i] for i in target_indices(q, q_count)))
 
 
 def full_crb(info):
@@ -78,41 +71,30 @@ def full_crb(info):
     crb = (v / w) @ v.T
     diag = np.diag(crb)
     targets = tuple(_bounds_from_diag(diag, q, info.q_count) for q in range(info.q_count))
-    return crb, CrbReport(targets=targets, method=METHOD_FULL,
-                          condition_number=cond, status=status)
-
-
-def conditional_crb(info, indices):
-    """Bound matrix for a parameter subset with the rest treated as nuisance.
-
-    Computes (F_ss - F_sn F_nn^-1 F_ns)^-1, which equals the corresponding
-    sub-block of the full inverse; doing it this way stays cheap when only a
-    few parameters are of interest.
-    """
-    f = info.matrix
-    sel = np.asarray(indices, dtype=int)
-    nui = np.setdiff1d(np.arange(f.shape[0]), sel)
-    f_ss = f[np.ix_(sel, sel)]
-    if nui.size == 0:
-        schur = f_ss
-    else:
-        f_sn = f[np.ix_(sel, nui)]
-        f_nn = f[np.ix_(nui, nui)]
-        try:
-            schur = f_ss - f_sn @ np.linalg.solve(f_nn, f_sn.T)
-        except np.linalg.LinAlgError as e:
-            raise SingularFimError("nuisance block is singular") from e
-    try:
-        return np.linalg.inv(schur)
-    except np.linalg.LinAlgError as e:
-        raise SingularFimError("conditioned information block is singular") from e
+    return crb, CrbReport(targets=targets, condition_number=cond, status=status)
 
 
 def schur_target_report(info, q):
-    """Per-target bounds with every other parameter treated as nuisance."""
-    sub = conditional_crb(info, target_indices(q, info.q_count))
-    return CrbReport(targets=(_bounds_from_diag(np.diag(sub), 0, 1),),
-                     method=METHOD_SCHUR, condition_number=float(np.linalg.cond(sub)))
+    """Bounds of target q with every other parameter treated as nuisance.
+
+    Inverts the Schur complement F_ss - F_sn F_nn^-1 F_ns over the target's
+    six rows s, which equals that target's 6x6 block of the full inverse.
+    """
+    f = info.matrix
+    sel = np.asarray(target_indices(q, info.q_count))
+    nui = np.setdiff1d(np.arange(f.shape[0]), sel)
+    schur = f[np.ix_(sel, sel)]
+    if nui.size:
+        f_sn = f[np.ix_(sel, nui)]
+        try:
+            schur = schur - f_sn @ np.linalg.solve(f[np.ix_(nui, nui)], f_sn.T)
+        except np.linalg.LinAlgError as e:
+            raise SingularFimError("nuisance block is singular") from e
+    try:
+        sub = np.linalg.inv(schur)
+    except np.linalg.LinAlgError as e:
+        raise SingularFimError("conditioned information block is singular") from e
+    return CrbReport(targets=(_bounds_from_diag(np.diag(sub), 0, 1),))
 
 
 def _side_moments(scene, geom, target):
@@ -191,4 +173,4 @@ def closed_form_single(scene, q):
     bounds = TargetBounds(crb_x=kinematic("x"), crb_y=kinematic("y"),
                           crb_vx=kinematic("vx"), crb_vy=kinematic("vy"),
                           crb_alpha_r=crb_alpha_part, crb_alpha_i=crb_alpha_part)
-    return CrbReport(targets=(bounds,), method=METHOD_CLOSED)
+    return CrbReport(targets=(bounds,))

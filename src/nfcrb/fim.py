@@ -22,45 +22,30 @@ from .steering import steering_stack
 
 @dataclass(frozen=True)
 class FisherInfo:
-    """Real symmetric 6Q x 6Q information matrix plus its scale context."""
+    """Real symmetric 6Q x 6Q information matrix."""
 
     matrix: np.ndarray
-    q_count: int
-    power_w: float
-    noise_var_w: float
-    snapshots: int
+
+    @property
+    def q_count(self):
+        return self.matrix.shape[0] // 6
 
 
 def _terms(kind, alpha):
     """Rank-1 decomposition of one derivative channel matrix.
 
-    Each term (c, rx_key, tx_key) contributes c * rx[rx_key] tx[tx_key]^T,
-    with keys into a SteeringStack. The reflectivity derivatives are the bare
-    steering outer product (times j for the imaginary part); the kinematic
-    derivatives follow the product rule over both sides.
+    Each term (c, rx_key, tx_key) contributes c * rx.rx_key tx.tx_key^T, with
+    the keys naming SteeringStack fields and kind one of BLOCKS. The
+    reflectivity derivatives are the bare steering outer product (times j
+    for the imaginary part); the kinematic derivatives follow the product
+    rule over both sides.
     """
     if kind == "rcs_re":
         return ((1.0 + 0.0j, "a", "a"),)
     if kind == "rcs_im":
         return ((1.0j, "a", "a"),)
-    if kind in ("x", "y", "vx", "vy"):
-        key = "d_" + kind
-        return ((alpha, key, "a"), (alpha, "a", key))
-    raise ValueError(f"unknown parameter kind {kind!r}")
-
-
-def _stack_table(scene):
-    """Per-side, per-target steering stacks keyed by (side, q, vector kind)."""
-    table = {}
-    for q in range(scene.q_count):
-        for side in ("tx", "rx"):
-            s = steering_stack(scene, side, q)
-            table[side, q, "a"] = s.a
-            table[side, q, "d_x"] = s.d_x
-            table[side, q, "d_y"] = s.d_y
-            table[side, q, "d_vx"] = s.d_vx
-            table[side, q, "d_vy"] = s.d_vy
-    return table
+    key = "d_" + kind
+    return ((alpha, key, "a"), (alpha, "a", key))
 
 
 def fim(scene):
@@ -75,7 +60,8 @@ def fim(scene):
     FisherInfo
         Rows ordered [x_1..x_Q, y.., vx.., vy.., rcs_re.., rcs_im..].
     """
-    table = _stack_table(scene)
+    stacks = {(side, q): steering_stack(scene, side, q)
+              for q in range(scene.q_count) for side in ("tx", "rx")}
     q_count = scene.q_count
     n_par = 6 * q_count
     # one rank-1 term list per parameter, in block order
@@ -95,7 +81,8 @@ def fim(scene):
                 gram_cache[key] = gram_cache[swap].conj()
             else:
                 gram_cache[key] = np.einsum(
-                    "mn,mn->m", table[side, q1, k1].conj(), table[side, q2, k2])
+                    "mn,mn->m", getattr(stacks[side, q1], k1).conj(),
+                    getattr(stacks[side, q2], k2))
         return gram_cache[key]
 
     f = np.zeros((n_par, n_par))
@@ -111,5 +98,4 @@ def fim(scene):
             f[j, i] = acc
 
     f *= 2.0 * scene.power_w / scene.noise_var_w
-    return FisherInfo(matrix=f, q_count=scene.q_count, power_w=scene.power_w,
-                      noise_var_w=scene.noise_var_w, snapshots=scene.snapshots)
+    return FisherInfo(matrix=f)

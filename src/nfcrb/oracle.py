@@ -123,8 +123,7 @@ def fd_fim(scene, steps=None):
                    * np.einsum("mrt,mrt->", derivs[i].conj(), derivs[j]).real)
             f[i, j] = val
             f[j, i] = val
-    return FisherInfo(matrix=f, q_count=scene.q_count, power_w=scene.power_w,
-                      noise_var_w=scene.noise_var_w, snapshots=scene.snapshots)
+    return FisherInfo(matrix=f)
 
 
 def brute_gain(geom, target, kind):

@@ -51,7 +51,6 @@ class Scene:
     """
 
     carrier_hz: float
-    wavelength_m: float
     t_sym_s: float
     snapshots: int
     power_w: float
@@ -63,8 +62,8 @@ class Scene:
 
     def __post_init__(self):
         object.__setattr__(self, "targets", tuple(self.targets))
-        scalars = (self.carrier_hz, self.wavelength_m, self.t_sym_s, self.snapshots,
-                   self.power_w, self.noise_var_w, self.lightspeed)
+        scalars = (self.carrier_hz, self.t_sym_s, self.snapshots, self.power_w,
+                   self.noise_var_w, self.lightspeed)
         if not all(math.isfinite(v) for v in scalars):
             raise ValueError("scene scalars must be finite")
         for q, t in enumerate(self.targets):
@@ -72,14 +71,16 @@ class Scene:
                 raise ValueError(f"target {q} has a non-finite field")
         if self.carrier_hz <= 0 or self.t_sym_s <= 0:
             raise ValueError("carrier_hz and t_sym_s must be positive")
+        if self.lightspeed <= 0:
+            raise ValueError(f"lightspeed must be positive, got {self.lightspeed!r}")
+        if not math.isfinite(self.wavelength_m):  # a subnormal carrier overflows it
+            raise ValueError("scene scalars must be finite")
         if self.snapshots < 1 or int(self.snapshots) != self.snapshots:
             raise ValueError(f"snapshots must be a positive integer, got {self.snapshots!r}")
         if self.power_w <= 0 or self.noise_var_w <= 0:
             raise ValueError("power_w and noise_var_w must be positive")
         if len(self.targets) < 1:
             raise ValueError("scene needs at least one target")
-        if abs(self.wavelength_m * self.carrier_hz - self.lightspeed) > 1e-12 * self.lightspeed:
-            raise ValueError("wavelength_m * carrier_hz must equal the configured lightspeed")
 
         min_range = math.inf
         for q, t in enumerate(self.targets):
@@ -102,13 +103,17 @@ class Scene:
                 )
 
     @property
+    def wavelength_m(self):
+        """Carrier wavelength, derived so it always follows carrier_hz and lightspeed."""
+        return self.lightspeed / self.carrier_hz
+
+    @property
     def q_count(self):
         return len(self.targets)
 
 
-def make_scene(targets=None, tx=None, rx=None, carrier_hz=15.0e9, wavelength_m=None,
-               t_sym_s=1e-4, snapshots=256, power_w=0.1, noise_var_w=None,
-               lightspeed=LIGHTSPEED):
+def make_scene(targets=None, tx=None, rx=None, carrier_hz=15.0e9, t_sym_s=1e-4,
+               snapshots=256, power_w=0.1, noise_var_w=None, lightspeed=LIGHTSPEED):
     """Build a validated Scene, filling canonical defaults for omitted pieces.
 
     Defaults follow the reference configuration: 15 GHz carrier, 256
@@ -116,21 +121,19 @@ def make_scene(targets=None, tx=None, rx=None, carrier_hz=15.0e9, wavelength_m=N
     power, -114 dBm noise, and a single target at 100 m range, 20 deg from
     broadside, velocity (1, 4) m/s, reflectivity 1 + 0.1j.
     """
-    if wavelength_m is None:
-        wavelength_m = lightspeed / carrier_hz
     if noise_var_w is None:
         noise_var_w = dbm_to_watts(-114.0)
     if tx is None:
-        tx = ula(256, wavelength_m / 2.0)
+        tx = ula(256, lightspeed / carrier_hz / 2.0)
     if rx is None:
-        rx = ula(256, wavelength_m / 2.0)
+        rx = ula(256, lightspeed / carrier_hz / 2.0)
     if targets is None:
         r, theta = 100.0, math.radians(20.0)
         targets = [Target(x=r * math.sin(theta), y=r * math.cos(theta),
                           vx=1.0, vy=4.0, rcs_re=1.0, rcs_im=0.1)]
-    return Scene(carrier_hz=carrier_hz, wavelength_m=wavelength_m, t_sym_s=t_sym_s,
-                 snapshots=snapshots, power_w=power_w, noise_var_w=noise_var_w,
-                 tx=tx, rx=rx, targets=tuple(targets), lightspeed=lightspeed)
+    return Scene(carrier_hz=carrier_hz, t_sym_s=t_sym_s, snapshots=snapshots,
+                 power_w=power_w, noise_var_w=noise_var_w, tx=tx, rx=rx,
+                 targets=tuple(targets), lightspeed=lightspeed)
 
 
 def target_indices(q, q_count):

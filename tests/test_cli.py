@@ -65,6 +65,9 @@ def test_parse_config_strips_comments_and_blanks():
 def test_parse_config_duplicate_key_line_number():
     with pytest.raises(ConfigError, match="line 3: duplicate key 'power_w'"):
         parse_config("power_w = 0.1\nsnapshots = 8\npower_w = 0.2\n")
+    # target indices are compared as integers
+    with pytest.raises(ConfigError, match="line 2: duplicate key 'target.0.x'"):
+        parse_config("target.0.x = 30\ntarget.00.x = 20\ntarget.0.y = 40\n")
 
 
 def test_parse_config_unknown_key_line_number():
@@ -231,6 +234,15 @@ def test_eval_config_error_exits_one(tmp_path, capsys):
     assert main(["eval", path]) == 1
     err = capsys.readouterr().err
     assert "nfcrb: config error: line 1" in err
+
+
+def test_overflowing_noise_dbm_is_a_config_error(tmp_path, capsys):
+    # an exception escaping main fails this test, so no traceback reaches stderr
+    path = write_cfg(tmp_path, "noise_dbm = 1e6\n")
+    assert main(["eval", path]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "nfcrb: config error: noise_dbm is too large, got 1000000.0\n"
 
 
 @pytest.mark.parametrize("text, argv", [

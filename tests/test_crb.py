@@ -9,12 +9,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nfcrb import (FisherInfo, SingularFimError, Target, closed_form_single,
-                   conditional_crb, fim, from_positions, full_crb, make_scene,
-                   schur_target_report, target_indices, ula)
+from nfcrb import (FisherInfo, SingularFimError, Target, closed_form_single, fim,
+                   from_positions, full_crb, make_scene, schur_target_report,
+                   target_indices, ula)
 from nfcrb.approx import VARIANTS
 from nfcrb.cli import BOUNDS, _bound_cells
-from nfcrb.crb import METHOD_CLOSED, METHOD_FULL, METHOD_SCHUR
 
 from util import canonical_scene, stack_closed_form, target_at
 
@@ -30,17 +29,19 @@ def synthetic_info(q_count=2, seed=5, spread=4.0):
     n = 6 * q_count
     basis, _ = np.linalg.qr(rng.standard_normal((n, n)))
     w = 10.0 ** rng.uniform(0.0, spread, size=n)
-    return FisherInfo(matrix=(basis * w) @ basis.T, q_count=q_count,
-                      power_w=0.1, noise_var_w=1.0, snapshots=4)
+    return FisherInfo(matrix=(basis * w) @ basis.T)
+
+
+def schur_diag(info, q):
+    b = schur_target_report(info, q).targets[0]
+    return np.array([b.crb_x, b.crb_y, b.crb_vx, b.crb_vy, b.crb_alpha_r, b.crb_alpha_i])
 
 
 def test_diagonal_fim_inverts_to_reciprocals():
     d = np.array([4.0, 2.0, 0.5, 8.0, 10.0, 0.25])
-    info = FisherInfo(matrix=np.diag(d), q_count=1, power_w=0.1,
-                      noise_var_w=1.0, snapshots=1)
+    info = FisherInfo(matrix=np.diag(d))
     crb, report = full_crb(info)
     np.testing.assert_allclose(crb, np.diag(1.0 / d), rtol=1e-15)
-    assert report.method == METHOD_FULL
     assert report.status == "ok"
     assert report.condition_number == pytest.approx(d.max() / d.min())
     b = report.targets[0]
@@ -70,9 +71,9 @@ def test_by_name_and_alpha_sum():
 def test_conditional_equals_full_inverse_subblock_synthetic():
     info = synthetic_info()
     crb, _ = full_crb(info)
-    idx = target_indices(0, 2)
-    sub = conditional_crb(info, idx)
-    np.testing.assert_allclose(sub, crb[np.ix_(idx, idx)], rtol=1e-10)
+    for q in range(2):
+        np.testing.assert_allclose(schur_diag(info, q), np.diag(crb)[target_indices(q, 2)],
+                                   rtol=1e-10)
 
 
 def test_conditional_equals_full_inverse_subblock_physical():
@@ -80,42 +81,27 @@ def test_conditional_equals_full_inverse_subblock_physical():
     # slow time, so agreement here is limited by the physical conditioning
     info = fim(near_scene())
     crb, _ = full_crb(info)
-    idx = target_indices(0, 1)
-    sub = conditional_crb(info, idx)
-    assert np.abs((np.diag(sub) - np.diag(crb)) / np.diag(crb)).max() < 1e-6
+    assert np.abs((schur_diag(info, 0) - np.diag(crb)) / np.diag(crb)).max() < 1e-6
 
 
 def test_conditional_block_diagonal_shortcut():
+    # the two targets' blocks do not couple, so target 0's Schur complement
+    # is its own 6x6 block; the alternating layout puts that block on the
+    # even rows and columns
     f = np.zeros((12, 12))
-    f[:6, :6] = np.diag([2.0, 4.0, 8.0, 16.0, 32.0, 64.0])
-    f[6:, 6:] = np.eye(6) * 3.0
-    f[0, 1] = f[1, 0] = 1.0
-    info = FisherInfo(matrix=f, q_count=2, power_w=0.1, noise_var_w=1.0, snapshots=1)
-    sub = conditional_crb(info, list(range(6)))
-    np.testing.assert_allclose(sub, np.linalg.inv(f[:6, :6]), rtol=1e-14)
-
-
-def test_conditional_with_all_indices_matches_full():
-    info = synthetic_info()
-    crb, _ = full_crb(info)
-    np.testing.assert_allclose(conditional_crb(info, np.arange(12)), crb, rtol=1e-10)
+    own = np.diag([2.0, 4.0, 8.0, 16.0, 32.0, 64.0])
+    own[0, 1] = own[1, 0] = 1.0
+    f[0::2, 0::2] = own
+    f[1::2, 1::2] = np.eye(6) * 3.0
+    info = FisherInfo(matrix=f)
+    np.testing.assert_allclose(schur_diag(info, 0), np.diag(np.linalg.inv(own)),
+                               rtol=1e-14)
 
 
 def test_marginal_never_below_reciprocal_diagonal():
     info = fim(near_scene())
     crb, _ = full_crb(info)
     assert np.all(np.diag(crb) * np.diag(info.matrix) >= 1.0 - 1e-9)
-
-
-def test_schur_target_report_matches_conditional():
-    info = fim(near_scene())
-    report = schur_target_report(info, 0)
-    assert report.method == METHOD_SCHUR
-    sub = conditional_crb(info, target_indices(0, 1))
-    b = report.targets[0]
-    np.testing.assert_allclose(
-        [b.crb_x, b.crb_y, b.crb_vx, b.crb_vy, b.crb_alpha_r, b.crb_alpha_i],
-        np.diag(sub), rtol=1e-12)
 
 
 def test_coincident_targets_are_singular():
@@ -131,8 +117,8 @@ def test_singular_nuisance_block_raises():
                             target_at(150.0, -40.0, alpha=(0.0, 0.0))],
                    tx=ula(16, 0.01), rx=ula(16, 0.01), snapshots=8)
     info = fim(s)
-    with pytest.raises(SingularFimError):
-        conditional_crb(info, target_indices(0, 2))
+    with pytest.raises(SingularFimError, match="nuisance block is singular"):
+        schur_target_report(info, 0)
 
 
 def test_default_scene_flags_ill_conditioning():
@@ -144,9 +130,7 @@ def test_default_scene_flags_ill_conditioning():
 def test_closed_form_matches_fisher_diagonal():
     s = canonical_scene()
     info = fim(s)
-    report = closed_form_single(s, 0)
-    assert report.method == METHOD_CLOSED
-    b = report.targets[0]
+    b = closed_form_single(s, 0).targets[0]
     for i, name in enumerate(("x", "y", "vx", "vy", "alpha_r", "alpha_i")):
         assert b.by_name(name) * info.matrix[i, i] == pytest.approx(1.0, rel=1e-10)
 

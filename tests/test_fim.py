@@ -26,9 +26,6 @@ def test_fim_shape_and_metadata():
     info = fim(s)
     assert info.matrix.shape == (12, 12)
     assert info.q_count == 2
-    assert info.power_w == s.power_w
-    assert info.noise_var_w == s.noise_var_w
-    assert info.snapshots == s.snapshots
 
 
 def test_fim_symmetric():

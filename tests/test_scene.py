@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 
@@ -32,9 +33,21 @@ def test_dbm_conversion():
     assert dbm_to_watts(-114.0) == pytest.approx(3.9810717055349695e-15, rel=1e-12)
 
 
-def test_scene_rejects_inconsistent_wavelength():
-    with pytest.raises(ValueError):
-        make_scene(carrier_hz=15e9, wavelength_m=0.03)
+def test_wavelength_follows_carrier_and_lightspeed():
+    s = make_scene(tx=ula(4, 0.01), rx=ula(4, 0.01))
+    assert s.wavelength_m == s.lightspeed / s.carrier_hz
+    retuned = dataclasses.replace(s, carrier_hz=30e9)
+    assert retuned.wavelength_m == pytest.approx(0.01, rel=1e-12)
+    slowed = dataclasses.replace(s, lightspeed=1.5e8)
+    assert slowed.wavelength_m == pytest.approx(0.01, rel=1e-12)
+
+
+@pytest.mark.parametrize("lightspeed", [0.0, -3e8])
+def test_scene_rejects_non_positive_lightspeed(lightspeed):
+    with pytest.raises(ValueError, match="lightspeed must be positive"):
+        make_scene(tx=ula(4, 0.01), rx=ula(4, 0.01), lightspeed=lightspeed)
+    with pytest.raises(ValueError, match="lightspeed must be positive"):
+        dataclasses.replace(make_scene(), lightspeed=lightspeed)
 
 
 @pytest.mark.parametrize("kwargs", [
@@ -55,7 +68,8 @@ def test_scene_rejects_nonpositive_scalars(kwargs):
     {"noise_var_w": math.inf},
     {"snapshots": math.inf},
     {"t_sym_s": math.nan},
-], ids=["power-nan", "noise-inf", "snapshots-inf", "tsym-nan"])
+    {"carrier_hz": 1e-320, "tx": ula(4, 0.01), "rx": ula(4, 0.01)},
+], ids=["power-nan", "noise-inf", "snapshots-inf", "tsym-nan", "wavelength-inf"])
 def test_scene_rejects_non_finite_scalars(kwargs):
     with pytest.raises(ValueError, match="finite"):
         make_scene(**kwargs)
