@@ -12,6 +12,7 @@ import numpy as np
 
 from .approx import slow_time_sum
 from .scene import target_indices
+from .steering import element_factors
 
 CONDITION_LIMIT = 1e12
 
@@ -103,22 +104,11 @@ def _side_moments(scene, geom, target):
     Returns (G, moments) with G = sum_n g_n^2 and, per kinematic parameter p,
     moments[p] = (A, B, C, P, Q), the sums over elements of g^2 |alpha|^2,
     g^2 conj(alpha) beta, g^2 |beta|^2, g^2 alpha and g^2 beta, where
-    alpha + beta t is the derivative factor d a_n / a_n at slow time t = m T.
+    alpha + beta t is the derivative factor d a_n / a_n at slow time t = m T
+    from steering.element_factors.
     """
-    dx = target.x - geom.positions[:, 0]
-    dy = target.y - geom.positions[:, 1]
-    r = np.hypot(dx, dy)
-    g2 = (scene.wavelength_m / (4.0 * np.pi * r)) ** 2
-    jk = 2j * np.pi * scene.carrier_hz / scene.lightspeed
-    # a_n = g exp(j k (u t - r)), so alpha_p = d(ln g - j k r)/dp and
-    # beta_p = j k du/dp; du/dx = dy v_tan / r^2 and du/dy = -dx v_tan / r^2
-    # with v_tan the tangential speed seen from element n
-    v_tan = (target.vx * dy - target.vy * dx) / r
-    zero = np.zeros_like(r)
-    factors = {"x": (-jk * dx / r - dx / r ** 2, jk * dy * v_tan / r ** 2),
-               "y": (-jk * dy / r - dy / r ** 2, -jk * dx * v_tan / r ** 2),
-               "vx": (zero, jk * dx / r),
-               "vy": (zero, jk * dy / r)}
+    g, _, _, factors = element_factors(scene, geom, target)
+    g2 = g ** 2
     moments = {kind: ((g2 * abs(alpha) ** 2).sum(), (g2 * alpha.conj() * beta).sum(),
                       (g2 * abs(beta) ** 2).sum(), (g2 * alpha).sum(), (g2 * beta).sum())
                for kind, (alpha, beta) in factors.items()}

@@ -31,7 +31,7 @@ class FisherInfo:
         return self.matrix.shape[0] // 6
 
 
-def _terms(kind, alpha):
+def derivative_terms(kind, alpha):
     """Rank-1 decomposition of one derivative channel matrix.
 
     Each term (c, rx_key, tx_key) contributes c * rx.rx_key tx.tx_key^T, with
@@ -68,7 +68,8 @@ def fim(scene):
     params = []
     for kind in BLOCKS:
         for q in range(q_count):
-            params.append([(c, q, rk, tk) for c, rk, tk in _terms(kind, scene.targets[q].rcs)])
+            terms = derivative_terms(kind, scene.targets[q].rcs)
+            params.append([(c, q, rk, tk) for c, rk, tk in terms])
 
     gram_cache = {}
 

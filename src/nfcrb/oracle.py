@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fim import FisherInfo, fim
+from .fim import FisherInfo, derivative_terms, fim
 from .scene import BLOCKS
 from .steering import steering_stack
 
@@ -153,27 +153,18 @@ def brute_gain(geom, target, kind):
 def _channel_derivatives(scene):
     """Analytic channel derivative stacks, (6Q, M, N_r, N_t), in BLOCKS order.
 
-    The channel of target q is rcs_q a_r a_t^T, so the product rule gives
-    rcs_q (d a_r a_t^T + a_r d a_t^T) for a kinematic parameter and a_r a_t^T
-    (times j for rcs_im) for the reflectivity.
+    Each stack is the sum of c * a_r a_t^T over the rank-1 terms of
+    fim.derivative_terms, materialized here instead of reduced to Gram
+    products.
     """
-    def outer(r, t):
-        return np.einsum("mr,mt->mrt", r, t)
-
     stacks = {(side, q): steering_stack(scene, side, q)
               for q in range(scene.q_count) for side in ("tx", "rx")}
     derivs = []
     for kind in BLOCKS:
         for q in range(scene.q_count):
             tx, rx = stacks["tx", q], stacks["rx", q]
-            if kind == "rcs_re":
-                derivs.append(outer(rx.a, tx.a))
-            elif kind == "rcs_im":
-                derivs.append(1j * outer(rx.a, tx.a))
-            else:
-                derivs.append(scene.targets[q].rcs
-                              * (outer(rx.derivative(kind), tx.a)
-                                 + outer(rx.a, tx.derivative(kind))))
+            derivs.append(sum(c * np.einsum("mr,mt->mrt", getattr(rx, rk), getattr(tx, tk))
+                              for c, rk, tk in derivative_terms(kind, scene.targets[q].rcs)))
     return np.stack(derivs)
 
 

@@ -79,6 +79,10 @@ class Scene:
             raise ValueError(f"snapshots must be a positive integer, got {self.snapshots!r}")
         if self.power_w <= 0 or self.noise_var_w <= 0:
             raise ValueError("power_w and noise_var_w must be positive")
+        # every FIM entry is scaled by this ratio: inf gives NaN entries, 0 a zero FIM
+        snr = 2.0 * self.power_w / self.noise_var_w
+        if not 0.0 < snr < math.inf:
+            raise ValueError(f"2*power_w/noise_var_w must be finite and nonzero, got {snr!r}")
         if len(self.targets) < 1:
             raise ValueError("scene needs at least one target")
 

@@ -1,13 +1,13 @@
-"""Near-field steering vectors and their analytic parameter derivatives.
+"""Near-field steering vectors and the one table of their derivative factors.
 
 Entries follow the spherical-wavefront model: element n of one array sees the
 target at its own range r_n, so the phase carries the exact per-element
 propagation delay and the per-path Doppler progression over slow time, and
 the magnitude carries the per-element free-space pathloss lambda/(4 pi r_n).
 
-All derivative factors below were checked against central finite differences;
-the location factor keeps the pathloss-gradient term even though pathloss is
-treated as snapshot-invariant elsewhere.
+element_factors alone writes down d a_n / dp = (alpha_p + beta_p t) a_n at
+slow time t = m T, pathloss gradient included: steering_stack multiplies the
+factors into derivative stacks and crb sums them into element moments.
 """
 
 from dataclasses import dataclass
@@ -43,53 +43,48 @@ def _side_geometry(scene, side):
     raise ValueError(f"side must be 'tx' or 'rx', got {side!r}")
 
 
-def _offsets(scene, side, q):
-    """Per-element target offsets dx, dy (m), ranges r (m), radial speed u (m/s)."""
-    geom = _side_geometry(scene, side)
-    t = scene.targets[q]
-    dx = t.x - geom.positions[:, 0]
-    dy = t.y - geom.positions[:, 1]
+def element_factors(scene, geom, target):
+    """Per-element gain, range, radial speed and derivative factors of one side.
+
+    Returns (g, r, u, factors) with g = lambda/(4 pi r) and, per kinematic
+    parameter p, factors[p] = (alpha, beta), so that the entry
+    a_n = g exp(j k (u t - r)) has d a_n / dp = (alpha + beta t) a_n.
+    """
+    dx = target.x - geom.positions[:, 0]
+    dy = target.y - geom.positions[:, 1]
     r = np.hypot(dx, dy)
     if r.min() <= 0.0:
         raise DegenerateGeometryError("target coincides with an array element")
-    u = (t.vx * dx + t.vy * dy) / r
-    return dx, dy, r, u
+    u = (target.vx * dx + target.vy * dy) / r
+    g = scene.wavelength_m / (4.0 * np.pi * r)
+    jk = 2j * np.pi * scene.carrier_hz / scene.lightspeed
+    # alpha_p = d(ln g - j k r)/dp and beta_p = j k du/dp; du/dx = dy v_tan / r^2
+    # and du/dy = -dx v_tan / r^2 with v_tan the tangential speed seen from
+    # element n
+    v_tan = (target.vx * dy - target.vy * dx) / r
+    zero = np.zeros_like(r)
+    factors = {"x": (-jk * dx / r - dx / r ** 2, jk * dy * v_tan / r ** 2),
+               "y": (-jk * dy / r - dy / r ** 2, -jk * dx * v_tan / r ** 2),
+               "vx": (zero, jk * dx / r),
+               "vy": (zero, jk * dy / r)}
+    return g, r, u, factors
 
 
 def steering_stack(scene, side, q, m_values=None):
-    """Steering vectors and all four derivatives for snapshots m_values.
+    """Steering vectors and all four derivatives of target q on one side.
 
-    Parameters
-    ----------
-    scene : Scene
-    side : {'tx', 'rx'}
-    q : int
-        Target index.
-    m_values : array_like of int, optional
-        Slow-time indices, defaults to 1..M.
-
-    Returns
-    -------
-    SteeringStack with (len(m_values), N) entries.
+    side is 'tx' or 'rx'; m_values are slow-time indices, 1..M by default.
+    Returns a SteeringStack of (len(m_values), N) complex arrays.
     """
-    t = scene.targets[q]
-    dx, dy, r, u = _offsets(scene, side, q)
-    g = scene.wavelength_m / (4.0 * np.pi * r)
+    g, r, u, factors = element_factors(scene, _side_geometry(scene, side), scene.targets[q])
     k = 2.0 * np.pi * scene.carrier_hz / scene.lightspeed
     if m_values is None:
         m_values = np.arange(1, scene.snapshots + 1)
     mt = np.asarray(m_values, dtype=float)[:, None] * scene.t_sym_s  # (M, 1)
 
     a = g * np.exp(1j * k * (u * mt - r))  # (M, N)
-    d_vx = (1j * k * mt * dx / r) * a
-    d_vy = (1j * k * mt * dy / r) * a
-    # d/dx of g*exp(j*k*(u*m*T - r)): phase advance, pathloss gradient, and
-    # the Doppler curvature of u, grouped as printed in the derivation
-    f_x = (1j * k * (t.vx * mt - dx) / r - dx / r ** 2
-           - 1j * k * mt * (t.vx * dx ** 2 + t.vy * dx * dy) / r ** 3)
-    f_y = (1j * k * (t.vy * mt - dy) / r - dy / r ** 2
-           - 1j * k * mt * (t.vy * dy ** 2 + t.vx * dx * dy) / r ** 3)
-    return SteeringStack(a=a, d_x=f_x * a, d_y=f_y * a, d_vx=d_vx, d_vy=d_vy)
+    return SteeringStack(a=a, **{f"d_{kind}": (alpha + beta * mt) * a
+                                 for kind, (alpha, beta) in factors.items()})
 
 
 def pathloss(target_pos, element_pos, wavelength):

@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -243,6 +244,27 @@ def test_overflowing_noise_dbm_is_a_config_error(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "nfcrb: config error: noise_dbm is too large, got 1000000.0\n"
+
+
+def test_unrepresentable_power_over_noise_is_an_error_without_warnings(tmp_path, capsys):
+    path = write_cfg(tmp_path, "tx.count = 4\nrx.count = 4\nnoise_w = 1e-320\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["eval", path]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("nfcrb: error: 2*power_w/noise_var_w must be finite and "
+                            "nonzero, got inf\n")
+
+
+def test_sweep_row_with_unrepresentable_power_over_noise_is_an_error_row(tmp_path, capsys):
+    path = write_cfg(tmp_path, DEFAULT_CFG + "noise_w = 1e-10\n")
+    assert main(["sweep", path, "--var", "power", "--grid", "1,1e300"]) == 0
+    _, header, rows = parse_csv(capsys.readouterr().out)
+    assert rows[0]["error"] == "" and rows[0]["rcs_exact"] != ""
+    assert "power_w/noise_var_w must be finite" in rows[1]["error"]
+    bound_cols = [c for c in header if c.startswith(BOUNDS) or c.startswith("relerr_")]
+    assert bound_cols and all(rows[1][c] == "" for c in bound_cols)
 
 
 @pytest.mark.parametrize("text, argv", [

@@ -209,6 +209,27 @@ def test_closed_form_moments_match_stack_form(scene):
             assert got == pytest.approx(want, rel=1e-12)
 
 
+def test_closed_form_and_stacks_read_one_factor_table(monkeypatch):
+    # a perturbed location factor must move the moment form and the stack
+    # form alike: neither may keep its own copy of the derivative factors
+    original = sys.modules["nfcrb.steering"].element_factors
+
+    def scaled(scene, geom, target):
+        g, r, u, factors = original(scene, geom, target)
+        alpha, beta = factors["x"]
+        return g, r, u, {**factors, "x": (alpha * (1.0 + 1e-3), beta * (1.0 + 1e-3))}
+
+    scene = canonical_scene()
+    before = closed_form_single(scene, 0).targets[0].crb_x
+    for name in ("nfcrb.steering", "nfcrb.crb"):
+        monkeypatch.setattr(sys.modules[name], "element_factors", scaled)
+    b = closed_form_single(scene, 0).targets[0]
+    moments = (b.crb_x, b.crb_y, b.crb_vx, b.crb_vy, b.crb_alpha_r, b.crb_alpha_i)
+    for got, want in zip(moments, stack_closed_form(scene, 0)):
+        assert got == pytest.approx(want, rel=1e-12)
+    assert abs(b.crb_x / before - 1.0) > 1e-6
+
+
 def test_closed_form_builds_no_steering_stack(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("steering_stack called")

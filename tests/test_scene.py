@@ -75,6 +75,18 @@ def test_scene_rejects_non_finite_scalars(kwargs):
         make_scene(**kwargs)
 
 
+@pytest.mark.parametrize("power_w, noise_var_w", [
+    (0.1, 1e-320),
+    (1e300, 1e-10),
+    (1e-300, 1e300),
+], ids=["noise-subnormal", "ratio-overflows", "ratio-underflows"])
+def test_scene_rejects_unrepresentable_power_over_noise(power_w, noise_var_w):
+    # 2 * power_w / noise_var_w scales every FIM entry, so inf or 0 is no bound
+    with pytest.raises(ValueError, match="2\\*power_w/noise_var_w must be finite and nonzero"):
+        make_scene(tx=ula(4, 0.01), rx=ula(4, 0.01), power_w=power_w,
+                   noise_var_w=noise_var_w)
+
+
 @pytest.mark.parametrize("name", BLOCKS)
 def test_scene_rejects_non_finite_target_fields(name):
     fields = {"x": 30.0, "y": 100.0, name: math.nan}
