@@ -1,14 +1,23 @@
 """Fisher information assembly: structure, oracles, and scaling laws."""
 
+import hashlib
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import nfcrb
 from nfcrb import (brute_gain, fd_fim, fim, make_scene, monte_carlo_isotropic,
                    target_indices, ula)
+from nfcrb.oracle import _channel_derivatives
 
-from util import canonical_scene, explicit_fim, small_scene, target_at
+from util import canonical_scene, explicit_fim, many_target_scene, small_scene, target_at
 
 
 def two_target_scene(n=8, m=8):
@@ -157,3 +166,79 @@ def test_target_order_permutes_blocks():
         perm[target_indices(q, 2)] = target_indices(1 - q, 2)
     np.testing.assert_array_equal(g, f[np.ix_(perm, perm)])
 
+
+def permuted(scene, order):
+    """The scene with targets reordered, and the FIM row permutation that follows."""
+    q_count = scene.q_count
+    perm = np.empty(6 * q_count, dtype=int)
+    for new, old in enumerate(order):
+        perm[target_indices(new, q_count)] = target_indices(old, q_count)
+    return make_scene(targets=[scene.targets[q] for q in order], tx=scene.tx, rx=scene.rx,
+                      snapshots=scene.snapshots, power_w=scene.power_w,
+                      noise_var_w=scene.noise_var_w), perm
+
+
+def test_cyclic_target_order_permutes_full_size_fim_bit_for_bit():
+    # at N = M = 128 the Grams run through BLAS kernels that tiny scenes never reach
+    s = many_target_scene(q=3)
+    moved, perm = permuted(s, (1, 2, 0))
+    f = fim(s).matrix
+    np.testing.assert_array_equal(fim(moved).matrix, f[np.ix_(perm, perm)])
+
+
+def test_full_size_multi_target_fim_symmetric():
+    f = fim(many_target_scene()).matrix
+    np.testing.assert_array_equal(f, f.T)
+
+
+def test_fim_bits_identical_across_blas_thread_counts():
+    # the thread count is set on the child processes only
+    here = Path(__file__).resolve().parent
+    src = str(Path(nfcrb.__file__).resolve().parents[1])
+    pythonpath = os.pathsep.join(filter(None, [src, str(here), os.environ.get("PYTHONPATH")]))
+    child = ("import hashlib, util, nfcrb; print(hashlib.sha256("
+             "nfcrb.fim(util.many_target_scene()).matrix.tobytes()).hexdigest())")
+    digests = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": pythonpath}
+        proc = subprocess.run([sys.executable, "-c", child], env=env, capture_output=True,
+                              timeout=120)
+        assert proc.returncode == 0, proc.stderr.decode()
+        digests.append(proc.stdout)
+    assert digests[0] == digests[1]
+    here_digest = hashlib.sha256(fim(many_target_scene()).matrix.tobytes()).hexdigest()
+    assert digests[0].decode().strip() == here_digest
+
+
+@st.composite
+def multi_target_scenes(draw):
+    """Two to four targets on small monostatic or bistatic arrays."""
+    q_count = draw(st.integers(2, 4))
+    offset = draw(st.sampled_from([0.0, 2.0]))
+    # symmetric bistatic arrays at broadside cancel the x and vx information
+    # to zero, which both forms return as rounding residue of different size
+    def angle():
+        if offset:
+            return draw(st.floats(5.0, 80.0)) * draw(st.sampled_from([-1.0, 1.0]))
+        return draw(st.floats(-80.0, 80.0))
+
+    speed, rcs = st.floats(-5.0, 5.0), st.floats(-2.0, 2.0)
+    targets = [target_at(draw(st.floats(5.0, 400.0)), angle(),
+                         v=(draw(speed), draw(speed)), alpha=(draw(rcs), draw(rcs)))
+               for _ in range(q_count)]
+    return make_scene(targets=targets, tx=ula(draw(st.integers(1, 16)), 0.01, -offset),
+                      rx=ula(draw(st.integers(1, 16)), 0.01, offset),
+                      snapshots=draw(st.integers(1, 16)))
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(multi_target_scenes())
+def test_multi_target_fim_matches_full_trace_contraction(scene):
+    # 2 P / sigma^2 Re sum_m tr(D_i^H D_j) over materialized derivative stacks
+    d = _channel_derivatives(scene)
+    reference = (2.0 * scene.power_w / scene.noise_var_w
+                 * np.einsum("imrt,jmrt->ij", d.conj(), d).real)
+    diag = np.sqrt(np.diag(reference))
+    diag[diag == 0.0] = 1.0
+    scaled_err = np.abs(fim(scene).matrix - reference) / np.outer(diag, diag)
+    assert scaled_err.max() <= 1e-12

@@ -26,6 +26,19 @@ def canonical_scene():
     return make_scene(tx=ula(32, 0.01), rx=ula(32, 0.01), snapshots=16)
 
 
+def many_target_scene(q=8, n=128, m=128, seed=0):
+    """Seeded q-target scene at 60-400 m and +-60 deg, N_t = N_r = n, M = m.
+
+    The defaults match the size of the eval_multi benchmark scenes.
+    """
+    rng = np.random.default_rng(seed)
+    targets = [target_at(rng.uniform(60.0, 400.0), rng.uniform(-60.0, 60.0),
+                         v=tuple(rng.uniform(-5.0, 5.0, 2)),
+                         alpha=tuple(rng.normal(0.0, 0.5 ** 0.5, 2)))
+               for _ in range(q)]
+    return make_scene(targets=targets, tx=ula(n, 0.01), rx=ula(n, 0.01), snapshots=m)
+
+
 def rotate_scene(scene, deg):
     """Rigidly rotate arrays, positions, and velocities about the origin."""
     th = math.radians(deg)
