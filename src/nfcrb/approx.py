@@ -1,10 +1,11 @@
 """Far-field and near-field closed-form bound approximations for one target.
 
-The far-field forms keep only the zeroth-order aperture terms; the near-field
-forms add the second-order (aperture over range)^2 corrections obtained from
-Taylor-expanding the per-element ranges about each array centroid. All angle
-and range inputs are taken per side, so bistatic layouts with offset
-centroids flow through the same expressions.
+Both variants are one expansion of the per-element ranges about each array
+centroid in eps = (N^2 - 1) d^2 / (12 r^2), the second aperture moment over
+range squared, written once in _side_terms: the near-field forms keep the
+eps terms, the far-field forms are the zeroth order eps = 0. All angle and
+range inputs are taken per side, so bistatic layouts with offset centroids
+flow through the same expressions.
 
 Divergent denominators (broadside angle factors, zero reflectivity) return
 float('inf'); a correction factor driven negative means the target is far too
@@ -13,6 +14,7 @@ negative variance.
 """
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 
 from .scene import polar_of
@@ -59,9 +61,20 @@ def _require_ula(geom):
         raise NotUlaError("closed-form approximations need a uniform linear array")
 
 
-def _check_variant(variant):
+def _check_variant(variant, exact_hint):
     if variant not in VARIANTS:
         raise ValueError(f"variant must be one of {VARIANTS}, got {variant!r}")
+    if variant == "exact":
+        raise ValueError(exact_hint)
+
+
+def _positive(a):
+    """The gain factor a = 1 + delta, which the expansion needs positive."""
+    if a <= 0.0:
+        raise ApproximationDomainError(
+            "second-order gain correction is non-positive; the target is "
+            "inside the expansion's validity range")
+    return a
 
 
 def slow_time_sum(snapshots):
@@ -70,127 +83,107 @@ def slow_time_sum(snapshots):
     return m * (m + 1) * (2 * m + 1) // 6
 
 
-def gain(geom, target, wavelength, variant):
-    """Expansion of the element-sum gain g = sum_n 1/r_n^2 of one array.
+# one side's expansion factors, in CorrectionTerms' order from delta on
+_Side = namedtuple("_Side", "r sin cos delta a b_x b_y d_nf_x d_nf_y")
 
-    ff:    N / r^2 about the centroid.
-    nf:    N / r^2 + N (N^2 - 1) d^2 (4 sin^2 theta - 1) / (12 r^4).
 
-    The exact sum is oracle.brute_gain(geom, target, "g"). wavelength is
-    not read: the expansions depend only on N, d, r and theta.
+def _side_terms(geom, target, variant):
+    """One side's expansion factors, to first order in eps for nf, zeroth for ff.
+
+    At eps = 0, delta = 0, a = 1, b_x = sin^2, b_y = cos^2 and the delta_nf
+    terms vanish.
     """
-    _check_variant(variant)
-    if variant == "exact":
-        raise ValueError("use oracle.brute_gain for the exact element sum")
     _require_ula(geom)
     r, theta = polar_of(target, geom)
-    n = geom.count
-    if variant == "ff":
-        return n / r ** 2
-    s2 = math.sin(theta) ** 2
-    return n / r ** 2 + n * (n ** 2 - 1) * geom.spacing ** 2 * (4.0 * s2 - 1.0) / (12.0 * r ** 4)
-
-
-def _side_terms(geom, target):
-    """Second-order factors of one side: delta, a, b_x, b_y, delta_nf_x, delta_nf_y."""
-    _require_ula(geom)
-    r, theta = polar_of(target, geom)
-    s2 = math.sin(theta) ** 2
-    c2 = math.cos(theta) ** 2
-    eps = (geom.count ** 2 - 1) * geom.spacing ** 2 / (12.0 * r ** 2)
+    s, c = math.sin(theta), math.cos(theta)
+    s2 = s ** 2
+    c2 = c ** 2
+    eps = 0.0 if variant == "ff" else (geom.count ** 2 - 1) * geom.spacing ** 2 / (12.0 * r ** 2)
     delta = eps * (4.0 * s2 - 1.0)
     b_x = s2 + eps * (12.0 * s2 ** 2 - 10.0 * s2 + 1.0)
     b_y = c2 + eps * c2 * (12.0 * s2 - 2.0)
     # the 1/8 r^2 terms share the same aperture moment, hence 12/8 = 3/2
     d_nf_x = 1.5 * eps * (-3.0 + 5.0 * s2)
     d_nf_y = 1.5 * eps * (-1.0 + 5.0 * s2)
-    return delta, 1.0 + delta, b_x, b_y, d_nf_x, d_nf_y, theta
+    return _Side(r, s, c, delta, 1.0 + delta, b_x, b_y, d_nf_x, d_nf_y)
+
+
+def _angle_factor(tx, rx, axis):
+    """phi of the x or y bound; at eps = 0 it is (sin_tx + sin_rx)^2, resp. cos."""
+    if axis == "x":
+        return (tx.a * rx.b_x + rx.a * tx.b_x
+                + 2.0 * tx.sin * rx.sin * (1.0 + tx.d_nf_x + rx.d_nf_x))
+    return (tx.a * rx.b_y + rx.a * tx.b_y
+            + 2.0 * tx.cos * rx.cos * (1.0 + tx.d_nf_y + rx.d_nf_y))
+
+
+def gain(geom, target, wavelength, variant):
+    """Expansion of the element-sum gain g = sum_n 1/r_n^2 of one array.
+
+    N / r^2 * (1 + delta) about the centroid, with delta = 0 for ff and
+    (N^2 - 1) d^2 (4 sin^2 theta - 1) / (12 r^2) for nf. A non-positive
+    1 + delta raises ApproximationDomainError.
+
+    The exact sum is oracle.brute_gain(geom, target, "g"). wavelength is
+    not read: the expansions depend only on N, d, r and theta.
+    """
+    _check_variant(variant, "use oracle.brute_gain for the exact element sum")
+    side = _side_terms(geom, target, variant)
+    return geom.count / side.r ** 2 * _positive(side.a)
 
 
 def correction_terms(scene, q):
     """All second-order correction factors for target q.
 
-    psi_x and psi_y are set to inf when their angle-factor denominator
-    vanishes (the x factor does at broadside in a monostatic layout).
+    psi_x and psi_y are the ratio of the nf angle factor phi to the ff one.
+    They are set to inf when the ff factor vanishes (the x factor does at
+    broadside in a monostatic layout).
     """
     t = scene.targets[q]
-    d_tx, a_tx, bx_tx, by_tx, dnx_tx, dny_tx, th_tx = _side_terms(scene.tx, t)
-    d_rx, a_rx, bx_rx, by_rx, dnx_rx, dny_rx, th_rx = _side_terms(scene.rx, t)
-
-    phi_x = (a_tx * bx_rx + a_rx * bx_tx
-             + 2.0 * math.sin(th_tx) * math.sin(th_rx) * (1.0 + dnx_tx + dnx_rx))
-    phi_y = (a_tx * by_rx + a_rx * by_tx
-             + 2.0 * math.cos(th_tx) * math.cos(th_rx) * (1.0 + dny_tx + dny_rx))
-    den_x = (math.sin(th_tx) + math.sin(th_rx)) ** 2
-    den_y = (math.cos(th_tx) + math.cos(th_rx)) ** 2
-    psi_x = phi_x / den_x if den_x >= DENOM_FLOOR else math.inf
-    psi_y = phi_y / den_y if den_y >= DENOM_FLOOR else math.inf
-
-    return CorrectionTerms(delta_tx=d_tx, delta_rx=d_rx, a_tx=a_tx, a_rx=a_rx,
-                           b_tx_x=bx_tx, b_rx_x=bx_rx, b_tx_y=by_tx, b_rx_y=by_rx,
-                           delta_nf_x_tx=dnx_tx, delta_nf_x_rx=dnx_rx,
-                           delta_nf_y_tx=dny_tx, delta_nf_y_rx=dny_rx,
-                           phi_x=phi_x, phi_y=phi_y, psi_x=psi_x, psi_y=psi_y,
-                           c_m=float(slow_time_sum(scene.snapshots)))
+    tx, rx = _side_terms(scene.tx, t, "nf"), _side_terms(scene.rx, t, "nf")
+    tx0, rx0 = _side_terms(scene.tx, t, "ff"), _side_terms(scene.rx, t, "ff")
+    phi = [_angle_factor(tx, rx, axis) for axis in "xy"]
+    den = [_angle_factor(tx0, rx0, axis) for axis in "xy"]
+    psi = [p / d if d >= DENOM_FLOOR else math.inf for p, d in zip(phi, den)]
+    per_side = [v for pair in zip(tx[3:], rx[3:]) for v in pair]  # delta_tx, delta_rx, ...
+    return CorrectionTerms(*per_side, *phi, *psi, c_m=float(slow_time_sum(scene.snapshots)))
 
 
 def crb_rcs_approx(scene, q, variant):
     """Closed-form summed reflectivity bound (real plus imaginary part).
 
-    ff: 256 sigma^2 pi^4 (r_tx r_rx)^2 / (P M N_t N_r lambda^4)
-    nf: the same divided by (1 + delta_tx)(1 + delta_rx)
+    256 sigma^2 pi^4 (r_tx r_rx)^2 / (P M N_t N_r lambda^4), divided by the
+    gain factors (1 + delta_tx)(1 + delta_rx), which are 1 for ff.
     """
-    _check_variant(variant)
-    if variant == "exact":
-        raise ValueError("use the crb module for exact bounds")
+    _check_variant(variant, "use the crb module for exact bounds")
     t = scene.targets[q]
-    r_tx, _ = polar_of(t, scene.tx)
-    r_rx, _ = polar_of(t, scene.rx)
-    ff = (256.0 * scene.noise_var_w * math.pi ** 4 * (r_tx * r_rx) ** 2
-          / (scene.power_w * scene.snapshots * scene.tx.count * scene.rx.count
-             * scene.wavelength_m ** 4))
-    if variant == "ff":
-        _require_ula(scene.tx)
-        _require_ula(scene.rx)
-        return ff
-    c = correction_terms(scene, q)
-    for factor in (c.a_tx, c.a_rx):
-        if factor <= 0.0:
-            raise ApproximationDomainError(
-                "second-order gain correction is non-positive; the target is "
-                "inside the expansion's validity range")
-    return ff / (c.a_tx * c.a_rx)
+    tx, rx = _side_terms(scene.tx, t, variant), _side_terms(scene.rx, t, variant)
+    base = (256.0 * scene.noise_var_w * math.pi ** 4 * (tx.r * rx.r) ** 2
+            / (scene.power_w * scene.snapshots * scene.tx.count * scene.rx.count
+               * scene.wavelength_m ** 4))
+    return base / (_positive(tx.a) * _positive(rx.a))
 
 
 def _kinematic_approx(scene, q, axis, variant, slow_factor):
-    """Shared core of the velocity and location closed forms.
+    """Shared core of the velocity and location closed forms: base / phi.
 
-    The near-field value is computed directly from the phi numerator instead
-    of ff / psi, so a broadside far-field divergence (zero angle factor) does
-    not poison a finite near-field value with inf * 0.
+    phi is the angle factor at the variant's order. The bound divides by phi
+    itself, not by the ff factor times psi, so a broadside far-field
+    divergence (zero ff factor) does not poison a finite near-field value
+    with inf * 0.
     """
-    _check_variant(variant)
-    if variant == "exact":
-        raise ValueError("use the crb module for exact bounds")
+    _check_variant(variant, "use the crb module for exact bounds")
     if axis not in ("x", "y"):
         raise ValueError(f"axis must be 'x' or 'y', got {axis!r}")
     t = scene.targets[q]
     alpha2 = abs(t.rcs) ** 2
     if alpha2 == 0.0:
         return math.inf
-    r_tx, th_tx = polar_of(t, scene.tx)
-    r_rx, th_rx = polar_of(t, scene.rx)
-    base = (32.0 * math.pi ** 2 * scene.noise_var_w * (r_tx * r_rx) ** 2
+    tx, rx = _side_terms(scene.tx, t, variant), _side_terms(scene.rx, t, variant)
+    base = (32.0 * math.pi ** 2 * scene.noise_var_w * (tx.r * rx.r) ** 2
             / (alpha2 * scene.power_w * scene.tx.count * scene.rx.count
                * slow_factor * scene.wavelength_m ** 2))
-    if variant == "ff":
-        _require_ula(scene.tx)
-        _require_ula(scene.rx)
-        trig = math.sin if axis == "x" else math.cos
-        den = (trig(th_tx) + trig(th_rx)) ** 2
-        return base / den if den >= DENOM_FLOOR else math.inf
-    c = correction_terms(scene, q)
-    phi = c.phi_x if axis == "x" else c.phi_y
+    phi = _angle_factor(tx, rx, axis)
     if abs(phi) < DENOM_FLOOR:
         return math.inf
     if phi < 0.0:

@@ -26,9 +26,6 @@ REL_ERR_FLOOR = 1e-30
 DEFAULT_STEPS = {"x": 1e-6, "y": 1e-6, "vx": 1e-4, "vy": 1e-4,
                  "rcs_re": 1e-6, "rcs_im": 1e-6}
 
-BRUTE_KINDS = ("g", "gdot_x", "gdot_y", "cross_x", "cross_y")
-
-
 @dataclass(frozen=True)
 class OracleReport:
     """One analytic-versus-oracle comparison with its verdict."""
@@ -127,27 +124,13 @@ def fd_fim(scene, steps=None):
 
 
 def brute_gain(geom, target, kind):
-    """Exact element sums behind the gain expansions.
-
-    g:       sum 1/r^2          gdot_x:  sum (x_q - x_n)^2 / r^4
-    cross_x: sum (x_q - x_n) / r^3       (y kinds likewise)
-    """
-    if kind not in BRUTE_KINDS:
-        raise ValueError(f"kind must be one of {BRUTE_KINDS}, got {kind!r}")
-    dx = target.x - geom.positions[:, 0]
-    dy = target.y - geom.positions[:, 1]
-    r2 = dx ** 2 + dy ** 2
+    """Exact element sum g = sum 1/r_n^2 behind the gain expansion; kind must be "g"."""
+    if kind != "g":
+        raise ValueError(f"kind must be 'g', got {kind!r}")
+    r2 = (target.x - geom.positions[:, 0]) ** 2 + (target.y - geom.positions[:, 1]) ** 2
     if r2.min() <= 0.0:
         raise ValueError("target coincides with an array element")
-    if kind == "g":
-        return float((1.0 / r2).sum())
-    if kind == "gdot_x":
-        return float((dx ** 2 / r2 ** 2).sum())
-    if kind == "gdot_y":
-        return float((dy ** 2 / r2 ** 2).sum())
-    r3 = r2 ** 1.5
-    off = dx if kind == "cross_x" else dy
-    return float((off / r3).sum())
+    return float((1.0 / r2).sum())
 
 
 def _channel_derivatives(scene):

@@ -4,13 +4,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from nfcrb import (ApproximationDomainError, brute_gain, closed_form_single,
-                   correction_terms, crb_location_approx, crb_rcs_approx,
-                   crb_velocity_approx, gain, make_scene,
-                   relative_error, slow_time_sum, ula)
+from nfcrb import (ApproximationDomainError, DegenerateGeometryError, Target,
+                   brute_gain, closed_form_single, correction_terms,
+                   crb_location_approx, crb_rcs_approx, crb_velocity_approx, gain,
+                   make_scene, polar_of, relative_error, slow_time_sum, ula)
 
-from util import target_at
+from util import plane_wave_angle_factor, plane_wave_bound, target_at
 
 
 RANGE_GRID = (50.0, 100.0, 200.0, 400.0, 800.0, 1600.0)
@@ -61,6 +63,16 @@ def test_gain_expansion_orders():
     assert np.all(np.array(nf_err) < np.array(ff_err))
     slope = np.polyfit(np.log(RANGE_GRID), np.log(nf_err), 1)[0]
     assert slope == pytest.approx(-4.0, abs=0.3)
+
+
+def test_gain_rejects_non_positive_gain_factor():
+    # 25.6 m aperture at 5 m: 1 + delta = -1.18 would give a negative gain,
+    # while the true element sum is positive
+    geom, t = ula(256, 0.1), target_at(5.0, 0.0)
+    assert brute_gain(geom, t, "g") == pytest.approx(4.79, rel=1e-3)
+    with pytest.raises(ApproximationDomainError):
+        gain(geom, t, 0.02, "nf")
+    assert gain(geom, t, 0.02, "ff") == 256 / 25.0
 
 
 def test_gain_expansions_need_ula():
@@ -213,6 +225,65 @@ def test_range_trend_errors_decay_monotonically():
             err["x", v].append(relative_error(crb_location_approx(static, 0, "x", v), bs.crb_x))
     for series in err.values():
         assert np.all(np.diff(series) < 0.0)
+
+
+@st.composite
+def plane_wave_scenes(draw):
+    """One target, anywhere from the reactive region out, seen by monostatic
+    or bistatic ULAs with offset centroids."""
+    spacing = draw(st.sampled_from([0.005, 0.01, 0.1]))
+    tx = ula(draw(st.integers(1, 512)), spacing, draw(st.floats(-10.0, 10.0)))
+    rx = tx if draw(st.booleans()) else ula(draw(st.integers(1, 512)), spacing,
+                                            draw(st.floats(-10.0, 10.0)))
+    th = math.radians(draw(st.floats(-85.0, 85.0)))
+    r = draw(st.floats(0.5, 2000.0))
+    rcs = st.sampled_from([0.0, 0.3, -1.0])
+    # static, so no draw strains the small-displacement model
+    target = Target(x=r * math.sin(th), y=r * math.cos(th), vx=0.0, vy=0.0,
+                    rcs_re=draw(rcs), rcs_im=draw(rcs))
+    try:
+        return make_scene(targets=[target], tx=tx, rx=rx, snapshots=draw(st.integers(1, 300)))
+    except DegenerateGeometryError:
+        assume(False)
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        return type(exc)
+
+
+def _assert_same(got, want, rtol):
+    if isinstance(want, type):
+        assert got is want
+    elif math.isinf(want):
+        assert got == want
+    else:
+        assert got == pytest.approx(want, rel=rtol, abs=0.0)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(plane_wave_scenes())
+def test_ff_is_the_plane_wave_formula(scene):
+    t = scene.targets[0]
+    th_tx, th_rx = polar_of(t, scene.tx)[1], polar_of(t, scene.rx)[1]
+    c = correction_terms(scene, 0)
+    _assert_same(_outcome(crb_rcs_approx, scene, 0, "ff"),
+                 _outcome(plane_wave_bound, scene, 0, "rcs"), 1e-14)
+    for axis, f in (("x", math.sin), ("y", math.cos)):
+        # rounding in the angle factor grows with the cancellation in its sum
+        # when the target sits between offset centroids
+        cond = (abs(f(th_tx)) + abs(f(th_rx))) ** 2 / max((f(th_tx) + f(th_rx)) ** 2, 1e-300)
+        rtol = 1e-14 * cond
+        _assert_same(_outcome(crb_location_approx, scene, 0, axis, "ff"),
+                     _outcome(plane_wave_bound, scene, 0, axis), rtol)
+        _assert_same(_outcome(crb_velocity_approx, scene, 0, axis, "ff"),
+                     _outcome(plane_wave_bound, scene, 0, "v" + axis), rtol)
+        den = plane_wave_angle_factor(scene, 0, axis)
+        phi = getattr(c, "phi_" + axis)
+        _assert_same(getattr(c, "psi_" + axis), phi / den if den >= 1e-12 else math.inf, rtol)
+    assert gain(scene.tx, t, 0.02, "ff") == scene.tx.count / polar_of(t, scene.tx)[0] ** 2
 
 
 def test_relative_error_semantics():

@@ -64,18 +64,12 @@ def test_brute_gain_hand_sums():
     geom = ula(3, 1.0)  # elements at x = -1, 0, 1
     t = Target(x=0.0, y=10.0, vx=0.0, vy=0.0, rcs_re=1.0, rcs_im=0.0)
     assert brute_gain(geom, t, "g") == pytest.approx(2.0 / 101.0 + 1.0 / 100.0, rel=1e-15)
-    assert brute_gain(geom, t, "gdot_x") == pytest.approx(2.0 / 101.0 ** 2, rel=1e-15)
-    assert brute_gain(geom, t, "gdot_y") == pytest.approx(
-        2.0 * 100.0 / 101.0 ** 2 + 1.0 / 100.0, rel=1e-15)
-    # the two x offsets are opposite and cancel exactly
-    assert brute_gain(geom, t, "cross_x") == 0.0
-    assert brute_gain(geom, t, "cross_y") == pytest.approx(
-        2.0 * 10.0 / 101.0 ** 1.5 + 10.0 / 1000.0, rel=1e-15)
 
 
 def test_brute_gain_rejects_unknown_kind():
-    with pytest.raises(ValueError, match="kind"):
-        brute_gain(ula(3, 1.0), target_at(10.0, 0.0), "gdot_z")
+    for kind in ("gdot_z", "gdot_x", "cross_y"):
+        with pytest.raises(ValueError, match="kind"):
+            brute_gain(ula(3, 1.0), target_at(10.0, 0.0), kind)
 
 
 def test_brute_gain_rejects_on_element_target():

@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 
-from nfcrb import BLOCKS, Target, from_positions, make_scene, ula
+from nfcrb import BLOCKS, Target, from_positions, make_scene, polar_of, slow_time_sum, ula
 from nfcrb.steering import steering_stack
 
 
@@ -142,3 +142,40 @@ def explicit_fim(scene, x):
         mu = np.stack(mu, axis=-2)  # (..., 6Q, N_r)
         f += (mu.conj() @ np.swapaxes(mu, -1, -2)).real
     return 2.0 / scene.noise_var_w * f
+
+
+def plane_wave_angle_factor(scene, q, axis):
+    """(sin th_tx + sin th_rx)^2 for axis x, the cosines for y: the ff angle factor."""
+    trig = math.sin if axis == "x" else math.cos
+    th_tx = polar_of(scene.targets[q], scene.tx)[1]
+    th_rx = polar_of(scene.targets[q], scene.rx)[1]
+    return (trig(th_tx) + trig(th_rx)) ** 2
+
+
+def plane_wave_bound(scene, q, bound):
+    """Far-field closed form of one bound ("rcs", "x", "y", "vx", "vy") for ULAs.
+
+    The explicit plane-wave formulas, an independent reference for the zeroth
+    aperture order of approx:
+      rcs:  256 sigma^2 pi^4 (r_tx r_rx)^2 / (P M N_t N_r lambda^4)
+      x, y: 32 pi^2 sigma^2 (r_tx r_rx)^2 / (|alpha|^2 P N_t N_r S lambda^2 den)
+    with den the plane_wave_angle_factor of the axis, S = M for location
+    and T_sym^2 sum_m m^2 for velocity; inf for a dark target or a den below
+    1e-12.
+    """
+    t = scene.targets[q]
+    r_tx, r_rx = polar_of(t, scene.tx)[0], polar_of(t, scene.rx)[0]
+    if bound == "rcs":
+        return (256.0 * scene.noise_var_w * math.pi ** 4 * (r_tx * r_rx) ** 2
+                / (scene.power_w * scene.snapshots * scene.tx.count * scene.rx.count
+                   * scene.wavelength_m ** 4))
+    alpha2 = abs(t.rcs) ** 2
+    if alpha2 == 0.0:
+        return math.inf
+    slow = (scene.t_sym_s ** 2 * slow_time_sum(scene.snapshots) if bound.startswith("v")
+            else float(scene.snapshots))
+    base = (32.0 * math.pi ** 2 * scene.noise_var_w * (r_tx * r_rx) ** 2
+            / (alpha2 * scene.power_w * scene.tx.count * scene.rx.count
+               * slow * scene.wavelength_m ** 2))
+    den = plane_wave_angle_factor(scene, q, bound[-1])
+    return base / den if den >= 1e-12 else math.inf
