@@ -109,12 +109,14 @@ def _side_terms(geom, target, variant):
 
 
 def _angle_factor(tx, rx, axis):
-    """phi of the x or y bound; at eps = 0 it is (sin_tx + sin_rx)^2, resp. cos."""
-    if axis == "x":
-        return (tx.a * rx.b_x + rx.a * tx.b_x
-                + 2.0 * tx.sin * rx.sin * (1.0 + tx.d_nf_x + rx.d_nf_x))
-    return (tx.a * rx.b_y + rx.a * tx.b_y
-            + 2.0 * tx.cos * rx.cos * (1.0 + tx.d_nf_y + rx.d_nf_y))
+    """phi of the x or y bound: (u_tx + u_rx)^2, u = sin resp. cos, plus eps terms.
+
+    Each eps term is exactly 0 at eps = 0, so ff is the plane-wave factor bitwise.
+    """
+    (u_t, b_t, d_t), (u_r, b_r, d_r) = ((s.sin, s.b_x, s.d_nf_x) if axis == "x"
+                                        else (s.cos, s.b_y, s.d_nf_y) for s in (tx, rx))
+    return ((u_t + u_r) ** 2 + tx.delta * b_r + rx.delta * b_t + (b_t - u_t ** 2)
+            + (b_r - u_r ** 2) + 2.0 * u_t * u_r * (d_t + d_r))
 
 
 def gain(geom, target, wavelength, variant):

@@ -27,13 +27,12 @@ from .scene import (LIGHTSPEED, Target, dbm_to_watts, make_scene, polar_of)
 from .steering import steering_stack
 
 BOUNDS = ("rcs", "vx", "vy", "x", "y")
-REGION_FLAGS = ("in_reactive", "in_fresnel", "in_fraunhofer")
-SWEEP_VARS = ("range", "angle", "antennas", "snapshots", "power")
-
-_UNITS = {"range": "m", "angle": "deg", "antennas": "count",
-          "snapshots": "count", "power": "W"}
-_VAR_COLUMN = {"range": "range_m", "angle": "angle_deg", "antennas": "antennas",
-               "snapshots": "snapshots", "power": "power_w"}
+REGIONS = ("reactive", "fresnel", "fraunhofer")
+REGION_FLAGS = tuple(f"in_{region}" for region in REGIONS)
+# each swept variable's CSV column and unit; a count unit means an integer grid
+SWEEP_VARS = {"range": ("range_m", "m"), "angle": ("angle_deg", "deg"),
+              "antennas": ("antennas", "count"), "snapshots": ("snapshots", "count"),
+              "power": ("power_w", "W")}
 
 
 class ConfigError(ValueError):
@@ -211,59 +210,60 @@ def _approx_bound(scene, q, bound, variant):
     raise ValueError(f"unknown bound {bound!r}")
 
 
-def _region_flags(scene, q):
-    inside_reactive = False
-    beyond_fraunhofer = True
+def _region(scene, q):
+    """The nearest of REGIONS that target q lies in over both arrays.
+
+    Below about 0.1 lambda of aperture the reactive boundary lies beyond the
+    Fraunhofer one; the target is then reactive, not also fraunhofer.
+    """
+    nearest = len(REGIONS) - 1
     for geom in (scene.tx, scene.rx):
         r, _ = polar_of(scene.targets[q], geom)
         reactive, fraunhofer = geom.region_boundaries(scene.wavelength_m)
-        if r < reactive:
-            inside_reactive = True
-        if r < fraunhofer:
-            beyond_fraunhofer = False
-    fresnel = not inside_reactive and not beyond_fraunhofer
-    return inside_reactive, fresnel, beyond_fraunhofer
+        nearest = min(nearest, 0 if r < reactive else 1 if r < fraunhofer else 2)
+    return REGIONS[nearest]
 
 
 def _bound_cells(scene, q, bounds, variants):
-    """Cell table of one target: exact/approx/relerr cells and region flags.
+    """The cell record of one target, keyed by cell_columns(bounds, variants) and "region".
 
-    Keys are the column names of cell_columns(bounds, variants); the eval
-    report, the eval CSV and every sweep row are rendered from this dict.
+    The eval report, the eval CSV and every sweep row lay out this dict.
     """
     closed = closed_form_single(scene, q).targets[0]
-    cells = dict(zip(REGION_FLAGS, _region_flags(scene, q)))
+    region = _region(scene, q)
+    cells = {"region": region, **{f"in_{r}": r == region for r in REGIONS}}
     for bound in bounds:
         exact = closed.by_name(bound)
         if "exact" in variants:
             cells[f"{bound}_exact"] = exact
-        for variant in ("ff", "nf"):
-            if variant not in variants:
-                continue
+        for variant in (v for v in variants if v != "exact"):
             try:
                 value = _approx_bound(scene, q, bound, variant)
             except (ApproximationDomainError, NotUlaError):
                 value = None
-            rel = None
-            if value is not None and math.isfinite(exact) and exact != 0.0:
-                rel = relative_error(value, exact)
+            usable = value is not None and math.isfinite(exact) and exact != 0.0
             cells[f"{bound}_{variant}"] = value
-            cells[f"relerr_{bound}_{variant}"] = rel
+            cells[f"relerr_{bound}_{variant}"] = relative_error(value, exact) if usable else None
     return cells
+
+
+def _column(bound, field):
+    """Cell key of one field of a bound: rcs_exact, rcs_ff, relerr_rcs_ff, ..."""
+    kind, _, variant = field.rpartition("_")
+    return f"{kind}_{bound}_{variant}" if kind else f"{bound}_{field}"
 
 
 def cell_columns(bounds, variants):
     """Column names of a cell table, in output order."""
-    cols = []
-    for bound in bounds:
-        cols += [f"{bound}_{variant}" for variant in variants]
-        cols += [f"relerr_{bound}_{variant}" for variant in ("ff", "nf")
-                 if variant in variants]
-    return cols + list(REGION_FLAGS)
+    fields = [*variants, *(f"relerr_{v}" for v in ("ff", "nf") if v in variants)]
+    return [_column(bound, f) for bound in bounds for f in fields] + list(REGION_FLAGS)
 
 
-def _csv_row(cells, cols):
-    return ",".join(_fmt(cells.get(col)) for col in cols)
+def _csv(meta, cols, rows):
+    """CSV text: the '#' metadata lines, the header, then one line per cell dict."""
+    lines = [*meta, ",".join(cols)]
+    lines += [",".join(_fmt(row.get(col)) for col in cols) for row in rows]
+    return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -288,26 +288,18 @@ def render_eval(scene):
              f"tx={scene.tx.count} rx={scene.rx.count}",
              f"# condition_number={_fmt(condition)}",
              f"# status={status}"]
-    cols = ["target"] + cell_columns(BOUNDS, VARIANTS)
-    csv = [f"# nfcrb eval v{__version__}", ",".join(cols)]
+    fields = ("exact", "marginal", "ff", "nf", "relerr_ff", "relerr_nf")
+    rows = []
     for q in range(scene.q_count):
-        cells = _bound_cells(scene, q, BOUNDS, VARIANTS)
-        csv.append(_csv_row({"target": q, **cells}, cols))
-        region = ("reactive" if cells["in_reactive"]
-                  else "fresnel" if cells["in_fresnel"] else "fraunhofer")
-        lines.append(f"target.{q}.region={region}")
-        marginal = report.targets[q] if report is not None else None
-        for bound in BOUNDS:
-            lines.append(f"target.{q}.{bound}.exact={_fmt(cells[f'{bound}_exact'])}")
-            marg = marginal.by_name(bound) if marginal is not None else None
-            lines.append(f"target.{q}.{bound}.marginal={_fmt(marg)}")
-            for variant in ("ff", "nf"):
-                lines.append(f"target.{q}.{bound}.{variant}="
-                             f"{_fmt(cells[f'{bound}_{variant}'])}")
-            for variant in ("ff", "nf"):
-                lines.append(f"target.{q}.{bound}.relerr_{variant}="
-                             f"{_fmt(cells[f'relerr_{bound}_{variant}'])}")
-    return "\n".join(lines) + "\n", "\n".join(csv) + "\n"
+        cells = {"target": q, **_bound_cells(scene, q, BOUNDS, VARIANTS)}
+        if report is not None:
+            cells.update((f"{b}_marginal", report.targets[q].by_name(b)) for b in BOUNDS)
+        rows.append(cells)
+        lines.append(f"target.{q}.region={cells['region']}")
+        lines += [f"target.{q}.{bound}.{f}={_fmt(cells.get(_column(bound, f)))}"
+                  for bound in BOUNDS for f in fields]
+    return "\n".join(lines) + "\n", _csv([f"# nfcrb eval v{__version__}"],
+                                        ["target"] + cell_columns(BOUNDS, VARIANTS), rows)
 
 
 # ---------------------------------------------------------------------------
@@ -326,7 +318,7 @@ class SweepSpec:
 
     def __post_init__(self):
         if self.variable not in SWEEP_VARS:
-            raise ValueError(f"variable must be one of {SWEEP_VARS}")
+            raise ValueError(f"variable must be one of {tuple(SWEEP_VARS)}")
         grid = tuple(float(v) for v in self.grid)
         if not grid:
             raise ValueError("sweep grid is empty")
@@ -335,9 +327,10 @@ class SweepSpec:
         diffs = [b - a for a, b in zip(grid, grid[1:])]
         if diffs and not (all(d > 0 for d in diffs) or all(d < 0 for d in diffs)):
             raise ValueError("sweep grid must be strictly monotone")
-        if self.variable in ("antennas", "snapshots"):
-            if any(v != int(v) or v < 1 for v in grid):
-                raise ValueError(f"{self.variable} grid must be positive integers")
+        if SWEEP_VARS[self.variable][1] == "count" and any(v != int(v) or v < 1 for v in grid):
+            raise ValueError(f"{self.variable} grid must be positive integers")
+        if self.variable == "range" and min(grid) <= 0:
+            raise ValueError("range grid must be positive")
         unknown = set(self.bounds) - set(BOUNDS)
         if unknown:
             raise ValueError(f"unknown bounds {sorted(unknown)}")
@@ -374,19 +367,19 @@ def _point_scene(spec, base, value):
 
 def _sweep_row(spec, base, value):
     """Cells of one grid point, keyed by sweep_columns(spec)."""
-    integral = spec.variable in ("antennas", "snapshots")
-    row = {_VAR_COLUMN[spec.variable]: int(value) if integral else value}
+    column, unit = SWEEP_VARS[spec.variable]
+    row = {column: int(value) if unit == "count" else value}
     try:
         scene = _point_scene(spec, base, value)
         row.update(_bound_cells(scene, 0, spec.bounds, spec.variants), error="")
-    except (ValueError, SingularFimError) as e:
+    except ValueError as e:
         # a failed point leaves its bound cells empty and its flags at 0
         row.update(dict.fromkeys(REGION_FLAGS, False), error=str(e).replace(",", ";"))
     return row
 
 
 def sweep_columns(spec):
-    return ([_VAR_COLUMN[spec.variable]] + cell_columns(spec.bounds, spec.variants)
+    return ([SWEEP_VARS[spec.variable][0]] + cell_columns(spec.bounds, spec.variants)
             + ["error"])
 
 
@@ -396,14 +389,10 @@ def run_sweep(spec):
     The base config must itself be a valid scene; its errors propagate.
     """
     base = build_scene(spec.config)
-    cols = sweep_columns(spec)
-    lines = [f"# nfcrb sweep v{__version__}",
-             f"# variable={spec.variable} unit={_UNITS[spec.variable]}",
-             "# seed=none"]
-    lines += [f"# cfg: {entry}" for entry in spec.config.raw]
-    lines.append(",".join(cols))
-    lines += [_csv_row(_sweep_row(spec, base, value), cols) for value in spec.grid]
-    return "\n".join(lines) + "\n"
+    meta = [f"# nfcrb sweep v{__version__}",
+            f"# variable={spec.variable} unit={SWEEP_VARS[spec.variable][1]}",
+            "# seed=none", *(f"# cfg: {entry}" for entry in spec.config.raw)]
+    return _csv(meta, sweep_columns(spec), [_sweep_row(spec, base, v) for v in spec.grid])
 
 
 # ---------------------------------------------------------------------------
@@ -652,6 +641,6 @@ def main(argv=None):
     except ConfigError as e:
         sys.stderr.write(f"nfcrb: config error: {e}\n")
         return 1
-    except (OSError, ValueError, SingularFimError) as e:
+    except (OSError, ValueError) as e:
         sys.stderr.write(f"nfcrb: error: {e}\n")
         return 1

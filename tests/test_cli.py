@@ -225,6 +225,21 @@ def test_eval_out_csv(tmp_path, capsys):
     assert compared == 2 * 5 * 5
 
 
+def test_region_flags_agree_with_the_region_line(tmp_path, capsys):
+    # a 0.05-wavelength aperture puts the reactive boundary (1.39e-4 m) beyond
+    # the Fraunhofer one (1.0e-4 m); a target between them is reactive only
+    path = write_cfg(tmp_path, "tx.count = 2\nrx.count = 2\ntx.spacing_over_lambda = 0.05\n"
+                     "rx.spacing_over_lambda = 0.05\ntarget.0.x = 0\ntarget.0.y = 0.00012\n")
+    out = tmp_path / "bounds.csv"
+    assert main(["eval", path, "--out", str(out)]) == 0
+    region = parse_kv_lines(capsys.readouterr().out)["target.0.region"]
+    assert region == "reactive"
+    _, _, rows = parse_csv(out.read_text(encoding="utf-8"))
+    regions = ("reactive", "fresnel", "fraunhofer")
+    assert [rows[0][f"in_{r}"] for r in regions] == ["1" if r == region else "0"
+                                                    for r in regions]
+
+
 def test_eval_missing_file_exits_one(capsys):
     assert main(["eval", "/nonexistent/scene.cfg"]) == 1
     assert "nfcrb: error" in capsys.readouterr().err
@@ -410,6 +425,21 @@ def test_sweep_over_invalid_base_config_exits_with_eval_error(tmp_path, capsys, 
 def test_sweep_spec_rejects_non_finite_grid_values():
     with pytest.raises(ValueError, match="finite"):
         SweepSpec(variable="range", grid=(50.0, math.nan), config=Config())
+
+
+@pytest.mark.parametrize("grid", [(-100.0, 100.0), (0.0, 50.0)])
+def test_sweep_spec_rejects_non_positive_range_grid(grid):
+    # a negative range would mirror the target behind the array
+    with pytest.raises(ValueError, match="range grid must be positive"):
+        SweepSpec(variable="range", grid=grid, config=Config())
+
+
+def test_negative_range_grid_is_a_config_error(tmp_path, capsys):
+    path = write_cfg(tmp_path, DEFAULT_CFG)
+    assert main(["sweep", path, "--var", "range", "--grid=-100,100"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "nfcrb: config error: range grid must be positive\n"
 
 
 def test_sweep_grid_must_be_monotone(tmp_path, capsys):
