@@ -8,6 +8,7 @@ the inputs (and the seed, for verification batteries).
 import argparse
 import dataclasses
 import math
+import re
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -626,10 +627,25 @@ def _cmd_verify(args):
     return 0 if all(r.passed for r in reports) else 2
 
 
+def _attach_grid(argv):
+    """Join `--grid -60,-30,0` into `--grid=-60,-30,0`.
+
+    argparse reads a separate word that starts with a minus sign as an
+    option unless it is one plain number, so a negative grid would be left
+    without its value.
+    """
+    argv = list(argv)
+    for i, word in enumerate(argv[:-1]):
+        if word == "--grid" and re.match(r"-\.?\d", argv[i + 1]):
+            argv[i:i + 2] = [f"--grid={argv[i + 1]}"]
+            break
+    return argv
+
+
 def main(argv=None):
     parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_attach_grid(sys.argv[1:] if argv is None else argv))
     except SystemExit as e:
         return int(e.code) if e.code else 0
     try:

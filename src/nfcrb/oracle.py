@@ -5,8 +5,11 @@ by a deliberately different route: central finite differences for
 derivatives, brute-force element sums for gains, and the sample covariance
 of random symbols for the isotropic-transmission idealization, contracted
 against full channel-derivative stacks instead of the Gram products `fim`
-uses. Intended for desk scale scenes; the finite-difference and Monte Carlo
-paths materialize (M, N_r, N_t) stacks.
+uses. The finite differences read steering values alone
+(`steering.steering_values`), never the analytic derivative factors: the
+shifted copies of one target go into one validated Scene, evaluated in one
+broadcast call per array side. Intended for desk scale scenes; the
+finite-difference and Monte Carlo paths materialize (M, N_r, N_t) stacks.
 """
 
 import dataclasses
@@ -17,7 +20,7 @@ import numpy as np
 
 from .fim import FisherInfo, derivative_terms, fim
 from .scene import BLOCKS
-from .steering import steering_stack
+from .steering import steering_stack, steering_values
 
 REL_ERR_FLOOR = 1e-30
 
@@ -55,19 +58,23 @@ def _check_step(step, value):
         raise ValueError(f"finite-difference step {step} underflows at value {value}")
 
 
-def _perturbed(scene, q, kind, delta):
+def _shifted_copies(scene, q, kind, offsets):
+    """A scene whose targets are copies of target q with kind moved by each offset.
+
+    Scene validates every shifted copy as it would a target of its own.
+    """
     target = scene.targets[q]
-    shifted = dataclasses.replace(target, **{kind: getattr(target, kind) + delta})
-    targets = list(scene.targets)
-    targets[q] = shifted
-    return dataclasses.replace(scene, targets=tuple(targets))
+    value = getattr(target, kind)
+    return dataclasses.replace(scene, targets=tuple(
+        dataclasses.replace(target, **{kind: value + d}) for d in offsets))
 
 
 def fd_steering_rows(scene, q, kind, m_values, steps=None):
     """Fourth-order finite differences of both sides' steering vectors.
 
     Returns {'tx': (len(m_values), N_t), 'rx': (len(m_values), N_r)}, all
-    from one set of perturbed scenes. The Richardson combination
+    from one scene holding the four shifted copies of target q, evaluated in
+    one steering_values call per side. The Richardson combination
     (4 D(h) - D(2h)) / 3 of the central differences D(h) and D(2h) cancels
     their h^2 truncation term, so the step can sit far above the
     carrier-phase roundoff.
@@ -75,24 +82,42 @@ def fd_steering_rows(scene, q, kind, m_values, steps=None):
     steps = {**DEFAULT_STEPS, **(steps or {})}
     h = steps[kind]
     _check_step(h, getattr(scene.targets[q], kind))
-    shifted = {d: _perturbed(scene, q, kind, d) for d in (h, -h, 2.0 * h, -2.0 * h)}
+    shifted = _shifted_copies(scene, q, kind, (h, -h, 2.0 * h, -2.0 * h))
     out = {}
     for side in ("tx", "rx"):
-        a = {d: steering_stack(s, side, q, m_values=m_values).a for d, s in shifted.items()}
-        d_h = (a[h] - a[-h]) / (2.0 * h)
-        d_2h = (a[2.0 * h] - a[-2.0 * h]) / (4.0 * h)
+        a_h, a_mh, a_2h, a_m2h = steering_values(shifted, side, m_values)
+        d_h = (a_h - a_mh) / (2.0 * h)
+        d_2h = (a_2h - a_m2h) / (4.0 * h)
         out[side] = (4.0 * d_h - d_2h) / 3.0
     return out
 
 
-def _channel_stack(scene):
-    """Full multi-target channel for every snapshot, (M, N_r, N_t)."""
-    out = np.zeros((scene.snapshots, scene.rx.count, scene.tx.count), dtype=complex)
-    for q in range(scene.q_count):
-        a_t = steering_stack(scene, "tx", q).a
-        a_r = steering_stack(scene, "rx", q).a
-        out += scene.targets[q].rcs * np.einsum("mr,mt->mrt", a_r, a_t)
+def _target_channels(scene):
+    """Yield each target's channel rcs_q a_r a_t^T for every snapshot, (M, N_r, N_t)."""
+    a_t = steering_values(scene, "tx")
+    a_r = steering_values(scene, "rx")
+    for q, t in enumerate(scene.targets):
+        yield t.rcs * np.einsum("mr,mt->mrt", a_r[q], a_t[q])
+
+
+def _channel_stack(channels):
+    """Full multi-target channel, the target channels summed in target order."""
+    out = np.zeros_like(channels[0])
+    for channel in channels:
+        out += channel
     return out
+
+
+def _channel_derivative(scene, base, q, kind, h):
+    """(A(theta + h) - A(theta - h)) / 2h for one parameter of target q.
+
+    Each shifted channel replaces target q's channel in base, the unshifted
+    target channels, and is summed before the next one is formed, so one
+    shifted channel is held at a time.
+    """
+    plus, minus = (_channel_stack(base[:q] + [moved] + base[q + 1:])
+                   for moved in _target_channels(_shifted_copies(scene, q, kind, (h, -h))))
+    return (plus - minus) / (2.0 * h)
 
 
 def fd_fim(scene, steps=None):
@@ -100,24 +125,26 @@ def fd_fim(scene, steps=None):
 
     Only the derivative source differs from the analytic path: each channel
     derivative stack is (A(theta + h) - A(theta - h)) / 2h, and the full
-    trace 2 P / sigma^2 Re tr(D_i^H D_j) summed over snapshots follows.
+    trace 2 P / sigma^2 Re tr(D_i^H D_j) summed over snapshots follows. A
+    shifted channel replaces the one target channel that moves and reuses
+    the others.
     """
     steps = {**DEFAULT_STEPS, **(steps or {})}
     n_par = 6 * scene.q_count
+    base = list(_target_channels(scene))
     derivs = []
     for kind in BLOCKS:
         for q in range(scene.q_count):
             h = steps[kind]
             _check_step(h, getattr(scene.targets[q], kind))
-            plus = _channel_stack(_perturbed(scene, q, kind, +h))
-            minus = _channel_stack(_perturbed(scene, q, kind, -h))
-            derivs.append((plus - minus) / (2.0 * h))
+            derivs.append(_channel_derivative(scene, base, q, kind, h))
 
     f = np.zeros((n_par, n_par))
     for i in range(n_par):
+        conj_i = derivs[i].conj()
         for j in range(i, n_par):
             val = (2.0 * scene.power_w / scene.noise_var_w
-                   * np.einsum("mrt,mrt->", derivs[i].conj(), derivs[j]).real)
+                   * np.einsum("mrt,mrt->", conj_i, derivs[j]).real)
             f[i, j] = val
             f[j, i] = val
     return FisherInfo(matrix=f)

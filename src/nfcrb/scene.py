@@ -94,6 +94,9 @@ class Scene:
                     raise DegenerateGeometryError(
                         f"target {q} is within {MIN_ELEMENT_CLEARANCE} m of an array element"
                     )
+                # ranges and angles are measured from the centroid, which an
+                # even-count array leaves free of elements: polar_of raises there
+                polar_of(t, geom)
                 min_range = min(min_range, float(d.min()))
         # constant-velocity small-displacement assumption: the CPI-long travel
         # must stay far below the closest range or the static-phase model drifts

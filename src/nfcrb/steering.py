@@ -8,6 +8,9 @@ the magnitude carries the per-element free-space pathloss lambda/(4 pi r_n).
 element_factors alone writes down d a_n / dp = (alpha_p + beta_p t) a_n at
 slow time t = m T, pathloss gradient included: steering_stack multiplies the
 factors into derivative stacks and crb sums them into element moments.
+steering_values evaluates the entries alone, for every target of a scene in
+one broadcast; both read the element paths from _paths and the entries from
+_entries, so the model is written once.
 """
 
 from dataclasses import dataclass
@@ -43,6 +46,34 @@ def _side_geometry(scene, side):
     raise ValueError(f"side must be 'tx' or 'rx', got {side!r}")
 
 
+def _paths(scene, geom, x, y, vx, vy):
+    """Offsets dx, dy, range r, radial speed u and gain g of every element path.
+
+    The target state x, y, vx, vy is scalar or an array broadcast against the
+    element axis, which is last.
+    """
+    dx = x - geom.positions[:, 0]
+    dy = y - geom.positions[:, 1]
+    r = np.hypot(dx, dy)
+    if r.min() <= 0.0:
+        raise DegenerateGeometryError("target coincides with an array element")
+    u = (vx * dx + vy * dy) / r
+    g = scene.wavelength_m / (4.0 * np.pi * r)
+    return dx, dy, r, u, g
+
+
+def _entries(scene, g, r, u, m_values):
+    """Steering entries a = g exp(j k (u t - r)) and their slow times t = m T.
+
+    m_values are slow-time indices, 1..M by default; t has shape (M, 1).
+    """
+    if m_values is None:
+        m_values = np.arange(1, scene.snapshots + 1)
+    mt = np.asarray(m_values, dtype=float)[:, None] * scene.t_sym_s
+    k = 2.0 * np.pi * scene.carrier_hz / scene.lightspeed
+    return g * np.exp(1j * k * (u * mt - r)), mt
+
+
 def element_factors(scene, geom, target):
     """Per-element gain, range, radial speed and derivative factors of one side.
 
@@ -50,13 +81,7 @@ def element_factors(scene, geom, target):
     parameter p, factors[p] = (alpha, beta), so that the entry
     a_n = g exp(j k (u t - r)) has d a_n / dp = (alpha + beta t) a_n.
     """
-    dx = target.x - geom.positions[:, 0]
-    dy = target.y - geom.positions[:, 1]
-    r = np.hypot(dx, dy)
-    if r.min() <= 0.0:
-        raise DegenerateGeometryError("target coincides with an array element")
-    u = (target.vx * dx + target.vy * dy) / r
-    g = scene.wavelength_m / (4.0 * np.pi * r)
+    dx, dy, r, u, g = _paths(scene, geom, target.x, target.y, target.vx, target.vy)
     jk = 2j * np.pi * scene.carrier_hz / scene.lightspeed
     # alpha_p = d(ln g - j k r)/dp and beta_p = j k du/dp; du/dx = dy v_tan / r^2
     # and du/dy = -dx v_tan / r^2 with v_tan the tangential speed seen from
@@ -77,14 +102,22 @@ def steering_stack(scene, side, q, m_values=None):
     Returns a SteeringStack of (len(m_values), N) complex arrays.
     """
     g, r, u, factors = element_factors(scene, _side_geometry(scene, side), scene.targets[q])
-    k = 2.0 * np.pi * scene.carrier_hz / scene.lightspeed
-    if m_values is None:
-        m_values = np.arange(1, scene.snapshots + 1)
-    mt = np.asarray(m_values, dtype=float)[:, None] * scene.t_sym_s  # (M, 1)
-
-    a = g * np.exp(1j * k * (u * mt - r))  # (M, N)
+    a, mt = _entries(scene, g, r, u, m_values)  # (M, N), (M, 1)
     return SteeringStack(a=a, **{f"d_{kind}": (alpha + beta * mt) * a
                                  for kind, (alpha, beta) in factors.items()})
+
+
+def steering_values(scene, side, m_values=None):
+    """Steering vectors alone of every target on one side, in one broadcast.
+
+    Returns a (Q, len(m_values), N) complex array whose slice q equals
+    steering_stack(scene, side, q, m_values).a bit for bit; no derivative is
+    formed.
+    """
+    # each target field as a (Q, 1, 1) column against the (M, N) snapshot grid
+    x, y, vx, vy = np.array([(t.x, t.y, t.vx, t.vy) for t in scene.targets]).T[:, :, None, None]
+    _, _, r, u, g = _paths(scene, _side_geometry(scene, side), x, y, vx, vy)
+    return _entries(scene, g, r, u, m_values)[0]
 
 
 def pathloss(target_pos, element_pos, wavelength):

@@ -442,6 +442,19 @@ def test_negative_range_grid_is_a_config_error(tmp_path, capsys):
     assert captured.err == "nfcrb: config error: range grid must be positive\n"
 
 
+def test_negative_grid_reads_alike_attached_or_separate(tmp_path, capsys):
+    # argparse takes a separate word that starts with a minus sign for an option
+    path = write_cfg(tmp_path, DEFAULT_CFG + "tx.count = 16\nrx.count = 16\n")
+    outputs = []
+    for grid in (["--grid=-60,-30,0"], ["--grid", "-60,-30,0"]):
+        assert main(["sweep", path, "--var", "angle", *grid]) == 0
+        outputs.append(capsys.readouterr())
+    assert outputs[0] == outputs[1]
+    assert outputs[0].err == ""
+    _, header, rows = parse_csv(outputs[0].out)
+    assert [float(row[header[0]]) for row in rows] == [-60.0, -30.0, 0.0]
+
+
 def test_sweep_grid_must_be_monotone(tmp_path, capsys):
     path = write_cfg(tmp_path, DEFAULT_CFG)
     assert main(["sweep", path, "--var", "range", "--grid", "100,50,200"]) == 1

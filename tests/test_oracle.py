@@ -1,13 +1,19 @@
 """Independent numeric checks: finite differences, brute sums, report plumbing."""
 
+import dataclasses
+import sys
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from nfcrb import Target, brute_gain, fd_fim, fim, steering_stack, ula
+from nfcrb import BLOCKS, Target, brute_gain, fd_fim, fim, make_scene, steering_stack, ula
+from nfcrb.cli import _verify_steering
 from nfcrb.oracle import (DEFAULT_STEPS, fd_steering_rows, make_report,
                           relative_difference)
 
-from util import canonical_scene, small_scene, target_at
+from util import canonical_scene, many_target_scene, small_scene, target_at
 
 
 def test_relative_difference_plain_quotient():
@@ -46,6 +52,117 @@ def test_fd_step_underflow_rejected():
         fd_steering_rows(s, 0, "x", [1], steps={"x": 1e-18})["tx"][0]
     with pytest.raises(ValueError, match="underflows"):
         fd_fim(s, steps={"x": 1e-18})
+
+
+# the finite-difference route before steering_values: one perturbed scene per
+# step, each side read from a full steering stack
+
+
+def _perturbed(scene, q, kind, delta):
+    target = scene.targets[q]
+    targets = list(scene.targets)
+    targets[q] = dataclasses.replace(target, **{kind: getattr(target, kind) + delta})
+    return dataclasses.replace(scene, targets=tuple(targets))
+
+
+def _stack_fd_steering_rows(scene, q, kind, m_values):
+    h = DEFAULT_STEPS[kind]
+    shifted = {d: _perturbed(scene, q, kind, d) for d in (h, -h, 2.0 * h, -2.0 * h)}
+    out = {}
+    for side in ("tx", "rx"):
+        a = {d: steering_stack(s, side, q, m_values=m_values).a for d, s in shifted.items()}
+        d_h = (a[h] - a[-h]) / (2.0 * h)
+        d_2h = (a[2.0 * h] - a[-2.0 * h]) / (4.0 * h)
+        out[side] = (4.0 * d_h - d_2h) / 3.0
+    return out
+
+
+def _stack_channel(scene):
+    out = np.zeros((scene.snapshots, scene.rx.count, scene.tx.count), dtype=complex)
+    for q in range(scene.q_count):
+        a_t = steering_stack(scene, "tx", q).a
+        a_r = steering_stack(scene, "rx", q).a
+        out += scene.targets[q].rcs * np.einsum("mr,mt->mrt", a_r, a_t)
+    return out
+
+
+def _stack_fd_fim(scene):
+    derivs = []
+    for kind in BLOCKS:
+        for q in range(scene.q_count):
+            h = DEFAULT_STEPS[kind]
+            plus = _stack_channel(_perturbed(scene, q, kind, +h))
+            minus = _stack_channel(_perturbed(scene, q, kind, -h))
+            derivs.append((plus - minus) / (2.0 * h))
+    n_par = len(derivs)
+    f = np.zeros((n_par, n_par))
+    for i in range(n_par):
+        for j in range(i, n_par):
+            f[i, j] = f[j, i] = (2.0 * scene.power_w / scene.noise_var_w
+                                 * np.einsum("mrt,mrt->", derivs[i].conj(), derivs[j]).real)
+    return f
+
+
+@st.composite
+def fd_cases(draw):
+    """One- and two-target scenes on small arrays, a target index and snapshot rows."""
+    q_count = draw(st.integers(1, 2))
+    offset = draw(st.sampled_from([0.0, 2.0]))
+    speed, rcs = st.floats(-20.0, 20.0), st.floats(-2.0, 2.0)
+    targets = [target_at(draw(st.floats(5.0, 400.0)), draw(st.floats(-80.0, 80.0)),
+                         v=(draw(speed), draw(speed)), alpha=(draw(rcs), draw(rcs)))
+               for _ in range(q_count)]
+    scene = make_scene(targets=targets, tx=ula(draw(st.integers(1, 8)), 0.01, -offset),
+                       rx=ula(draw(st.integers(1, 8)), 0.01, offset),
+                       snapshots=draw(st.integers(1, 16)))
+    q = draw(st.integers(0, q_count - 1))
+    m_values = draw(st.lists(st.integers(1, scene.snapshots), min_size=1, max_size=3))
+    return scene, q, m_values
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(fd_cases())
+def test_batched_fd_equals_the_per_step_stack_route_bit_for_bit(case):
+    scene, q, m_values = case
+    for kind in ("x", "y", "vx", "vy"):
+        got = fd_steering_rows(scene, q, kind, m_values)
+        want = _stack_fd_steering_rows(scene, q, kind, m_values)
+        for side in ("tx", "rx"):
+            assert got[side].shape == want[side].shape
+            assert (got[side] == want[side]).all()
+    assert (fd_fim(scene).matrix == _stack_fd_fim(scene)).all()
+
+
+def test_three_target_fd_fim_keeps_the_target_addition_order():
+    # with two targets the channel sum is exact in either order; three show it
+    s = many_target_scene(q=3, n=4, m=4)
+    assert (fd_fim(s).matrix == _stack_fd_fim(s)).all()
+
+
+def test_fd_oracles_build_no_steering_stack(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("steering_stack called")
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("nfcrb") and hasattr(module, "steering_stack"):
+            monkeypatch.setattr(module, "steering_stack", refuse)
+    s = small_scene()
+    fd_steering_rows(s, 0, "x", [1, 4])
+    fd_fim(s)
+
+
+def test_verify_steering_catches_a_wrong_derivative_factor(monkeypatch):
+    # a wrong x factor moves the analytic derivative but not the differences
+    assert all(r.passed for r in _verify_steering(0, 1, 0.0))
+    original = sys.modules["nfcrb.steering"].element_factors
+
+    def scaled(scene, geom, target):
+        g, r, u, factors = original(scene, geom, target)
+        alpha, beta = factors["x"]
+        return g, r, u, {**factors, "x": (alpha * (1.0 + 1e-3), beta * (1.0 + 1e-3))}
+
+    monkeypatch.setattr(sys.modules["nfcrb.steering"], "element_factors", scaled)
+    assert not any(r.passed for r in _verify_steering(0, 1, 0.0))
 
 
 def test_fd_fim_error_is_second_order_in_step():

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from nfcrb import (BLOCKS, DegenerateGeometryError, Target, dbm_to_watts,
-                   make_scene, polar_of, target_indices, ula)
+                   from_positions, make_scene, polar_of, target_indices, ula)
 
 from util import target_at
 
@@ -104,6 +104,24 @@ def test_target_on_element_is_degenerate():
     on_top = Target(x=float(geom.positions[0, 0]), y=0.0)
     with pytest.raises(DegenerateGeometryError):
         make_scene(targets=[on_top], tx=geom, rx=geom)
+
+
+@pytest.mark.parametrize("side", ["tx", "rx"])
+def test_target_at_even_array_centroid_is_degenerate(side):
+    # the nearest element of an even-count array is half a pitch away, so
+    # the element clearance passes this target; polar_of would fail on it
+    near = Target(x=0.0, y=5e-7)
+    arrays = {"tx": ula(4, 0.01, centroid_x=3.0), "rx": ula(4, 0.01, centroid_x=3.0)}
+    arrays[side] = ula(32, 0.01)
+    with pytest.raises(DegenerateGeometryError, match="array centroid"):
+        make_scene(targets=[near], **arrays)
+    free = from_positions(ula(32, 0.01).positions + [0.0, 1.0])  # centroid (0, 1)
+    with pytest.raises(DegenerateGeometryError, match="array centroid"):
+        make_scene(targets=[Target(x=0.0, y=1.0 + 5e-7)], **{**arrays, side: free})
+    # just beyond the clearance the scene builds and polar_of answers
+    clear = Target(x=0.0, y=2e-6)
+    s = make_scene(targets=[clear], **arrays)
+    assert polar_of(clear, getattr(s, side))[0] == pytest.approx(2e-6)
 
 
 def test_fast_target_warns_but_builds():
