@@ -108,6 +108,12 @@ def _side_terms(geom, target, variant):
     return _Side(r, s, c, delta, 1.0 + delta, b_x, b_y, d_nf_x, d_nf_y)
 
 
+def _sides(scene, target, variant):
+    """The Tx and Rx expansion factors; a monostatic scene expands one side for both."""
+    tx = _side_terms(scene.tx, target, variant)
+    return tx, (tx if scene.monostatic else _side_terms(scene.rx, target, variant))
+
+
 def _angle_factor(tx, rx, axis):
     """phi of the x or y bound: (u_tx + u_rx)^2, u = sin resp. cos, plus eps terms.
 
@@ -142,8 +148,8 @@ def correction_terms(scene, q):
     broadside in a monostatic layout).
     """
     t = scene.targets[q]
-    tx, rx = _side_terms(scene.tx, t, "nf"), _side_terms(scene.rx, t, "nf")
-    tx0, rx0 = _side_terms(scene.tx, t, "ff"), _side_terms(scene.rx, t, "ff")
+    tx, rx = _sides(scene, t, "nf")
+    tx0, rx0 = _sides(scene, t, "ff")
     phi = [_angle_factor(tx, rx, axis) for axis in "xy"]
     den = [_angle_factor(tx0, rx0, axis) for axis in "xy"]
     psi = [p / d if d >= DENOM_FLOOR else math.inf for p, d in zip(phi, den)]
@@ -158,8 +164,7 @@ def crb_rcs_approx(scene, q, variant):
     gain factors (1 + delta_tx)(1 + delta_rx), which are 1 for ff.
     """
     _check_variant(variant, "use the crb module for exact bounds")
-    t = scene.targets[q]
-    tx, rx = _side_terms(scene.tx, t, variant), _side_terms(scene.rx, t, variant)
+    tx, rx = _sides(scene, scene.targets[q], variant)
     base = (256.0 * scene.noise_var_w * math.pi ** 4 * (tx.r * rx.r) ** 2
             / (scene.power_w * scene.snapshots * scene.tx.count * scene.rx.count
                * scene.wavelength_m ** 4))
@@ -181,7 +186,7 @@ def _kinematic_approx(scene, q, axis, variant, slow_factor):
     alpha2 = abs(t.rcs) ** 2
     if alpha2 == 0.0:
         return math.inf
-    tx, rx = _side_terms(scene.tx, t, variant), _side_terms(scene.rx, t, variant)
+    tx, rx = _sides(scene, t, variant)
     base = (32.0 * math.pi ** 2 * scene.noise_var_w * (tx.r * rx.r) ** 2
             / (alpha2 * scene.power_w * scene.tx.count * scene.rx.count
                * slow_factor * scene.wavelength_m ** 2))

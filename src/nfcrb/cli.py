@@ -218,7 +218,7 @@ def _region(scene, q):
     Fraunhofer one; the target is then reactive, not also fraunhofer.
     """
     nearest = len(REGIONS) - 1
-    for geom in (scene.tx, scene.rx):
+    for geom in (scene.tx,) if scene.monostatic else (scene.tx, scene.rx):
         r, _ = polar_of(scene.targets[q], geom)
         reactive, fraunhofer = geom.region_boundaries(scene.wavelength_m)
         nearest = min(nearest, 0 if r < reactive else 1 if r < fraunhofer else 2)
@@ -623,6 +623,10 @@ def _cmd_sweep(args):
 
 
 def _cmd_verify(args):
+    for option in ("seed", "battery"):
+        if getattr(args, option) < 0:
+            raise ConfigError(f"--{option} must be a non-negative integer, "
+                              f"got {getattr(args, option)}")
     reports = run_verify(seed=args.seed, battery=args.battery)
     return 0 if all(r.passed for r in reports) else 2
 

@@ -133,12 +133,13 @@ def closed_form_single(scene, q):
                          + conj(Q_r) Q_t S2}
 
     for each kinematic parameter p. That is O(N) work and builds no M x N
-    steering stack. Zero information (rcs = 0) yields inf. Inter-target
-    coupling is ignored by construction.
+    steering stack; a monostatic scene sums one side for both. Zero
+    information (rcs = 0) yields inf. Inter-target coupling is ignored by
+    construction.
     """
     t = scene.targets[q]
     g_t, mom_t = _side_moments(scene, scene.tx, t)
-    g_r, mom_r = _side_moments(scene, scene.rx, t)
+    g_r, mom_r = (g_t, mom_t) if scene.monostatic else _side_moments(scene, scene.rx, t)
     m = scene.snapshots
     s0 = float(m)
     s1 = scene.t_sym_s * (m * (m + 1) // 2)

@@ -14,6 +14,8 @@ single-target FIM, bit for bit. Cross-target blocks come from one batched BLAS
 Gram per side over every target's steering fields, in real and imaginary halves
 and a canonical target order (sorted by fields); each pair block is computed
 once in that order and mirrored, so permuting the targets permutes the matrix.
+A monostatic scene (Scene.monostatic) builds one side's stacks and Grams and
+reads them for both sides.
 """
 
 import dataclasses
@@ -114,7 +116,7 @@ def fim(scene):
                for c, rk, tk in derivative_terms(kind, scene.targets[q].rcs)]
               for kind in BLOCKS] for q in order]
     own_rx, gram_rx = _side_grams(scene, "rx", order)
-    own_tx, gram_tx = _side_grams(scene, "tx", order)
+    own_tx, gram_tx = (own_rx, gram_rx) if scene.monostatic else _side_grams(scene, "tx", order)
 
     f = np.zeros((b, q_count, b, q_count))
     for p, q in enumerate(order):
@@ -122,6 +124,8 @@ def fim(scene):
     if q_count > 1:
         # pair blocks p1 < p2: w[pair, (r1, r2), (t1, t2)] = sum_m rx[r1, r2] tx[t1, t2]
         p1, p2 = np.triu_indices(q_count, 1)
+        # gathered per side even from one shared Gram: numpy multiplies a
+        # buffer by its own transpose through BLAS syrk, which rounds unlike gemm
         (rx_re, rx_im), (tx_re, tx_im) = (
             [g.reshape(m, q_count, k, q_count, k)[:, p1, :, p2, :].reshape(len(p1), m, k * k)
              for g in parts] for parts in (gram_rx, gram_tx))

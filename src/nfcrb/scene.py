@@ -118,6 +118,20 @@ class Scene:
     def q_count(self):
         return len(self.targets)
 
+    @property
+    def monostatic(self):
+        """Whether Tx and Rx are one array layout, so each per-side value is computed once.
+
+        True for one ArrayGeometry object on both sides, or for two with equal
+        spacing and centroid_x and bit-identical positions (-0.0 and 0.0
+        differ). Every per-side quantity is a deterministic function of these,
+        so sharing the Tx result with Rx leaves every bit unchanged.
+        """
+        tx, rx = self.tx, self.rx
+        return tx is rx or (tx.spacing == rx.spacing and tx.centroid_x == rx.centroid_x
+                            and tx.positions.shape == rx.positions.shape
+                            and tx.positions.tobytes() == rx.positions.tobytes())
+
 
 def make_scene(targets=None, tx=None, rx=None, carrier_hz=15.0e9, t_sym_s=1e-4,
                snapshots=256, power_w=0.1, noise_var_w=None, lightspeed=LIGHTSPEED):

@@ -12,7 +12,8 @@ from nfcrb import (ApproximationDomainError, DegenerateGeometryError, Target,
                    crb_location_approx, crb_rcs_approx, crb_velocity_approx, gain,
                    make_scene, polar_of, relative_error, slow_time_sum, ula)
 
-from util import plane_wave_angle_factor, plane_wave_bound, target_at
+from util import (plane_wave_angle_factor, plane_wave_bound, shared_and_unshared,
+                  sharing_scenes, target_at)
 
 
 RANGE_GRID = (50.0, 100.0, 200.0, 400.0, 800.0, 1600.0)
@@ -292,3 +293,12 @@ def test_relative_error_semantics():
         relative_error(1.0, math.inf)
     with pytest.raises(ValueError):
         relative_error(1.0, None)
+
+
+@pytest.mark.parametrize("key", [k for k in sharing_scenes() if "free-form" not in k])
+def test_correction_terms_equal_their_per_side_evaluation_bit_for_bit(monkeypatch, key):
+    # a monostatic scene expands one side for both; free-form arrays have no expansion
+    scene = sharing_scenes()[key]
+    shared, unshared = shared_and_unshared(
+        monkeypatch, lambda s: [correction_terms(s, q) for q in range(s.q_count)], scene)
+    assert repr(shared) == repr(unshared)

@@ -20,7 +20,8 @@ from nfcrb.cli import (BOUNDS, Config, ConfigError, SweepSpec, _bound_cells,
                        render_eval, run_sweep, run_verify, sweep_columns)
 from nfcrb.steering import steering_stack
 
-from util import parse_csv, parse_kv_lines, target_at
+from util import (parse_csv, parse_kv_lines, shared_and_unshared, sharing_scenes,
+                  target_at)
 
 DEFAULT_CFG = """\
 # reference setup
@@ -382,6 +383,17 @@ def test_free_form_arrays_leave_approximation_cells_empty():
             assert cells[f"relerr_{bound}_{variant}"] is None
 
 
+@pytest.mark.parametrize("key", list(sharing_scenes()))
+def test_bound_cells_equal_their_per_side_evaluation_bit_for_bit(monkeypatch, key):
+    # closed forms, approximations and the region of a monostatic scene read one side
+    scene = sharing_scenes()[key]
+    assert scene.monostatic == key.startswith("monostatic")
+    shared, unshared = shared_and_unshared(
+        monkeypatch, lambda s: [_bound_cells(s, q, BOUNDS, VARIANTS) for q in range(s.q_count)],
+        scene)
+    assert repr(shared) == repr(unshared)
+
+
 def test_bound_cells_propagate_unexpected_value_errors(monkeypatch):
     def broken(*args, **kwargs):
         raise ValueError("broken approximation")
@@ -563,15 +575,32 @@ def test_verify_cli_exit_codes(capsys):
     assert "verify: all checks passed" in out
 
 
+@pytest.mark.parametrize("option", ["seed", "battery"])
+def test_verify_rejects_a_negative_count(capsys, option):
+    assert main(["verify", f"--{option}", "-3"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"nfcrb: config error: --{option} must be a non-negative integer" in captured.err
+
+
+def test_verify_runs_an_empty_steering_battery(capsys):
+    assert main(["verify", "--battery", "0"]) == 0
+    out = capsys.readouterr().out
+    assert "steering-fd" not in out and "verify: all checks passed" in out
+
+
 def test_reports_identical_across_blas_thread_counts(tmp_path):
     # the thread count is set on the child processes only; BLAS may split a
     # product differently per thread, and the report bytes must not move
     path = write_cfg(tmp_path, DEFAULT_CFG.replace("snapshots = 256", "snapshots = 16")
                      + "tx.count = 16\nrx.count = 16\ntarget.1.range = 150\n"
                      "target.1.angle_deg = -45\ntarget.1.vx = 4\ntarget.1.vy = 3\n")
+    # the bistatic copy runs the Tx Gram a monostatic scene shares with Rx
+    text = Path(path).read_text(encoding="utf-8")
+    bistatic = write_cfg(tmp_path, text + "rx.centroid_x = 0.5\n", "bistatic.cfg")
     src = str(Path(nfcrb.__file__).resolve().parents[1])
     pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    for argv in (["eval", path], ["verify", "--seed", "0", "--battery", "4"]):
+    for argv in (["eval", path], ["eval", bistatic], ["verify", "--seed", "0", "--battery", "4"]):
         outputs = []
         for threads in ("1", "2"):
             env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": pythonpath}

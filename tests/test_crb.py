@@ -15,7 +15,8 @@ from nfcrb import (FisherInfo, SingularFimError, Target, closed_form_single, fim
 from nfcrb.approx import VARIANTS
 from nfcrb.cli import BOUNDS, _bound_cells
 
-from util import canonical_scene, stack_closed_form, target_at
+from util import (canonical_scene, shared_and_unshared, sharing_scenes, stack_closed_form,
+                  target_at)
 
 
 def near_scene(v=(3.0, -2.0)):
@@ -249,3 +250,13 @@ def test_closed_form_builds_no_steering_stack(monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak < 2 * 2 ** 20
+
+
+@pytest.mark.parametrize("key", list(sharing_scenes()))
+def test_closed_form_equals_its_per_side_evaluation_bit_for_bit(monkeypatch, key):
+    # a monostatic scene sums one side's element moments for both
+    scene = sharing_scenes()[key]
+    assert scene.monostatic == key.startswith("monostatic")
+    shared, unshared = shared_and_unshared(
+        monkeypatch, lambda s: [closed_form_single(s, q) for q in range(s.q_count)], scene)
+    assert repr(shared) == repr(unshared)

@@ -16,8 +16,10 @@ import nfcrb
 from nfcrb import (brute_gain, fd_fim, fim, make_scene, monte_carlo_isotropic,
                    target_indices, ula)
 from nfcrb.oracle import _channel_derivatives
+from nfcrb.steering import steering_stack
 
-from util import canonical_scene, explicit_fim, many_target_scene, small_scene, target_at
+from util import (canonical_scene, explicit_fim, many_target_scene, shared_and_unshared,
+                  sharing_scenes, small_scene, target_at)
 
 
 def two_target_scene(n=8, m=8):
@@ -208,6 +210,34 @@ def test_fim_bits_identical_across_blas_thread_counts():
     assert digests[0] == digests[1]
     here_digest = hashlib.sha256(fim(many_target_scene()).matrix.tobytes()).hexdigest()
     assert digests[0].decode().strip() == here_digest
+
+
+@pytest.mark.parametrize("key", list(sharing_scenes()))
+def test_fim_equals_its_per_side_evaluation_bit_for_bit(monkeypatch, key):
+    # a monostatic scene builds one side's Grams for both; near twins build two
+    scene = sharing_scenes()[key]
+    assert scene.monostatic == key.startswith("monostatic")
+    shared, unshared = shared_and_unshared(monkeypatch, lambda s: fim(s).matrix, scene)
+    assert shared.tobytes() == unshared.tobytes()
+
+
+@pytest.mark.parametrize("rx_centroid, stacks", [(0.0, 3), (0.5, 6)],
+                         ids=["monostatic", "bistatic"])
+def test_fim_builds_one_stack_per_target_and_distinct_side(monkeypatch, rx_centroid, stacks):
+    module = sys.modules["nfcrb.fim"]  # the package's fim() shadows the module name
+    built = []
+
+    def counted(scene, side, q, *args, **kwargs):
+        built.append((side, q))
+        return steering_stack(scene, side, q, *args, **kwargs)
+
+    monkeypatch.setattr(module, "steering_stack", counted)
+    scene = make_scene(targets=[target_at(100.0, 20.0), target_at(150.0, -45.0),
+                                target_at(80.0, 5.0)],
+                       tx=ula(8, 0.01), rx=ula(8, 0.01, rx_centroid), snapshots=4)
+    fim(scene)
+    assert len(built) == stacks
+    assert sorted({q for _, q in built}) == [0, 1, 2]
 
 
 @st.composite

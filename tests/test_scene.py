@@ -159,6 +159,21 @@ def test_polar_of_uses_array_centroid():
     assert th2 == pytest.approx(0.0, abs=1e-15)
 
 
+def test_monostatic_needs_one_layout_on_both_sides():
+    positions = ula(8, 0.01).positions
+    assert make_scene().monostatic  # two ULAs built alike
+    one = ula(8, 0.01)
+    assert make_scene(tx=one, rx=one).monostatic
+    assert make_scene(tx=from_positions(positions), rx=from_positions(positions.copy())).monostatic
+    assert not make_scene(tx=ula(8, 0.01), rx=ula(9, 0.01)).monostatic
+    assert not make_scene(tx=ula(8, 0.01), rx=ula(8, 0.01, 0.5)).monostatic
+    assert not make_scene(tx=one, rx=dataclasses.replace(one, centroid_x=0.5)).monostatic
+    assert not make_scene(tx=one, rx=from_positions(positions)).monostatic
+    # bit-identical positions, not equal ones: -0.0 and 0.0 differ
+    assert not make_scene(tx=from_positions(positions),
+                          rx=from_positions(positions * [1.0, -1.0])).monostatic
+
+
 def test_scene_is_immutable():
     s = make_scene()
     with pytest.raises(Exception):

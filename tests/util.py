@@ -5,7 +5,8 @@ import math
 
 import numpy as np
 
-from nfcrb import BLOCKS, Target, from_positions, make_scene, polar_of, slow_time_sum, ula
+from nfcrb import (BLOCKS, Scene, Target, from_positions, make_scene, polar_of,
+                   slow_time_sum, ula)
 from nfcrb.steering import steering_stack
 
 
@@ -37,6 +38,39 @@ def many_target_scene(q=8, n=128, m=128, seed=0):
                          alpha=tuple(rng.normal(0.0, 0.5 ** 0.5, 2)))
                for _ in range(q)]
     return make_scene(targets=targets, tx=ula(n, 0.01), rx=ula(n, 0.01), snapshots=m)
+
+
+def sharing_scenes():
+    """Scenes to check the monostatic sharing of per-side values on, keyed by a test id.
+
+    Ids starting with "monostatic" have equal Tx and Rx layouts: the reference
+    scene, an eval-size Q=8 scene, and two equal free-form arrays built
+    separately. The "near-twin" ones differ in one respect only: the pitch,
+    the centroid_x of otherwise equal ULAs, or a ULA against a free-form
+    array of the same positions.
+    """
+    tx = ula(16, 0.01)
+    targets = [target_at(30.0, 20.0), target_at(45.0, -35.0, v=(4.0, 3.0), alpha=(0.8, -0.2))]
+    pairs = {"monostatic-free-form": (from_positions(tx.positions),
+                                      from_positions(tx.positions.copy())),
+             "near-twin-spacing": (tx, ula(16, 0.011)),
+             "near-twin-centroid": (tx, dataclasses.replace(tx, centroid_x=0.5)),
+             "near-twin-free-form": (tx, from_positions(tx.positions))}
+    return {"monostatic-reference": make_scene(), "monostatic-q8": many_target_scene(q=8),
+            **{key: make_scene(targets=targets, tx=a, rx=b, snapshots=8)
+               for key, (a, b) in pairs.items()}}
+
+
+def shared_and_unshared(monkeypatch, func, scene):
+    """func(scene) as computed, and again with every scene read as bistatic.
+
+    With Scene.monostatic patched to False each array side is computed on its
+    own, which is the reference the shared evaluation must equal bit for bit.
+    """
+    shared = func(scene)
+    with monkeypatch.context() as patch:
+        patch.setattr(Scene, "monostatic", property(lambda self: False))
+        return shared, func(scene)
 
 
 def rotate_scene(scene, deg):
