@@ -429,19 +429,20 @@ def _verify_steering(seed, battery, skew):
         # each row needs its own, while one location step serves both rows.
         k = 2.0 * math.pi * scene.carrier_hz / scene.lightspeed
         v_steps = [0.05 / (k * m * scene.t_sym_s) for m in rows]
-        checks = [(kind, [0, 1], 1e-4) for kind in ("x", "y")]
-        checks += [(kind, [row], v_steps[row])
-                   for kind in ("vx", "vy") for row in (0, 1)]
-        stacks = {side: steering_stack(scene, side, 0, m_values=rows)
-                  for side in ("tx", "rx")}
-        worst = 0.0
-        for kind, picked, step in checks:
-            refs = fd_steering_rows(scene, 0, kind, [rows[row] for row in picked],
-                                    steps={kind: step})
-            for side, ref in refs.items():
-                ana = stacks[side].derivative(kind)[picked] * (1.0 + skew)
-                err = np.linalg.norm(ana - ref, axis=1) / np.linalg.norm(ref, axis=1)
-                worst = max(worst, float(err.max()))
+        checks = [(kind, 1e-4) for kind in ("x", "y")]
+        checks += [(kind, step) for kind in ("vx", "vy") for step in v_steps]
+        # every check differentiates both rows; x and y are compared on both,
+        # each velocity check on the row its step is sized for
+        picked = np.array([[True, True]] * 2 + [[True, False], [False, True]] * 2)
+        refs = fd_steering_rows(scene, 0, checks, rows)
+        errs = []
+        for side in ("tx", "rx"):
+            stack = steering_stack(scene, side, 0, m_values=rows)
+            ana = np.stack([stack.derivative(kind) for kind, _ in checks]) * (1.0 + skew)
+            ref = np.stack([r[side] for r in refs])  # (check, row, N)
+            errs.append((np.linalg.norm(ana - ref, axis=-1)
+                         / np.linalg.norm(ref, axis=-1))[picked])
+        worst = float(np.max(errs))
         reports.append(_aggregate_report(f"steering-fd-{i:02d}", worst, 1e-5,
                                          steps=(1e-4, *v_steps)))
     return reports

@@ -7,9 +7,10 @@ of random symbols for the isotropic-transmission idealization, contracted
 against full channel-derivative stacks instead of the Gram products `fim`
 uses. The finite differences read steering values alone
 (`steering.steering_values`), never the analytic derivative factors: the
-shifted copies of one target go into one validated Scene, evaluated in one
-broadcast call per array side. Intended for desk scale scenes; the
-finite-difference and Monte Carlo paths materialize (M, N_r, N_t) stacks.
+shifted copies of one target, for every check of a call, go into one
+validated Scene, evaluated in one broadcast call per array side. Intended
+for desk scale scenes; the finite-difference and Monte Carlo paths
+materialize (M, N_r, N_t) stacks.
 """
 
 import dataclasses
@@ -58,37 +59,43 @@ def _check_step(step, value):
         raise ValueError(f"finite-difference step {step} underflows at value {value}")
 
 
-def _shifted_copies(scene, q, kind, offsets):
-    """A scene whose targets are copies of target q with kind moved by each offset.
+def _shifted_copies(scene, q, moves):
+    """A scene whose targets are copies of target q, one per (kind, offset) move.
 
     Scene validates every shifted copy as it would a target of its own.
     """
     target = scene.targets[q]
-    value = getattr(target, kind)
     return dataclasses.replace(scene, targets=tuple(
-        dataclasses.replace(target, **{kind: value + d}) for d in offsets))
+        dataclasses.replace(target, **{kind: getattr(target, kind) + d}) for kind, d in moves))
 
 
-def fd_steering_rows(scene, q, kind, m_values, steps=None):
+def fd_steering_rows(scene, q, checks, m_values):
     """Fourth-order finite differences of both sides' steering vectors.
 
-    Returns {'tx': (len(m_values), N_t), 'rx': (len(m_values), N_r)}, all
-    from one scene holding the four shifted copies of target q, evaluated in
-    one steering_values call per side. The Richardson combination
+    checks is a sequence of (kind, step) pairs; a step of None means
+    DEFAULT_STEPS[kind]. Returns one {'tx': (len(m_values), N_t), 'rx':
+    (len(m_values), N_r)} dict per check, all from one scene holding the four
+    shifted copies of target q of every check, evaluated in one
+    steering_values call per side. The Richardson combination
     (4 D(h) - D(2h)) / 3 of the central differences D(h) and D(2h) cancels
     their h^2 truncation term, so the step can sit far above the
     carrier-phase roundoff.
     """
-    steps = {**DEFAULT_STEPS, **(steps or {})}
-    h = steps[kind]
-    _check_step(h, getattr(scene.targets[q], kind))
-    shifted = _shifted_copies(scene, q, kind, (h, -h, 2.0 * h, -2.0 * h))
-    out = {}
-    for side in ("tx", "rx"):
-        a_h, a_mh, a_2h, a_m2h = steering_values(shifted, side, m_values)
-        d_h = (a_h - a_mh) / (2.0 * h)
-        d_2h = (a_2h - a_m2h) / (4.0 * h)
-        out[side] = (4.0 * d_h - d_2h) / 3.0
+    checks = [(kind, DEFAULT_STEPS[kind] if step is None else step) for kind, step in checks]
+    for kind, h in checks:
+        _check_step(h, getattr(scene.targets[q], kind))
+    shifted = _shifted_copies(scene, q, [(kind, d) for kind, h in checks
+                                         for d in (h, -h, 2.0 * h, -2.0 * h)])
+    values = {side: steering_values(shifted, side, m_values) for side in ("tx", "rx")}
+    out = []
+    for i, (_, h) in enumerate(checks):
+        rows = {}
+        for side, a in values.items():
+            a_h, a_mh, a_2h, a_m2h = a[4 * i:4 * i + 4]
+            d_h = (a_h - a_mh) / (2.0 * h)
+            d_2h = (a_2h - a_m2h) / (4.0 * h)
+            rows[side] = (4.0 * d_h - d_2h) / 3.0
+        out.append(rows)
     return out
 
 
@@ -115,8 +122,9 @@ def _channel_derivative(scene, base, q, kind, h):
     target channels, and is summed before the next one is formed, so one
     shifted channel is held at a time.
     """
+    shifted = _shifted_copies(scene, q, ((kind, h), (kind, -h)))
     plus, minus = (_channel_stack(base[:q] + [moved] + base[q + 1:])
-                   for moved in _target_channels(_shifted_copies(scene, q, kind, (h, -h))))
+                   for moved in _target_channels(shifted))
     return (plus - minus) / (2.0 * h)
 
 

@@ -5,6 +5,7 @@ block-wise as [x_1..x_Q, y_1..y_Q, vx_1..vx_Q, vy_1..vy_Q, aR_1..aR_Q,
 aI_1..aI_Q], i.e. six blocks of length Q.
 """
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -64,11 +65,13 @@ class Scene:
         object.__setattr__(self, "targets", tuple(self.targets))
         scalars = (self.carrier_hz, self.t_sym_s, self.snapshots, self.power_w,
                    self.noise_var_w, self.lightspeed)
-        if not all(math.isfinite(v) for v in scalars):
+        if not all(map(math.isfinite, scalars)):
             raise ValueError("scene scalars must be finite")
-        for q, t in enumerate(self.targets):
-            if not all(math.isfinite(getattr(t, name)) for name in BLOCKS):
-                raise ValueError(f"target {q} has a non-finite field")
+        fields = [getattr(t, name) for t in self.targets for name in BLOCKS]
+        if not all(map(math.isfinite, fields)):
+            q = next(q for q, t in enumerate(self.targets)
+                     if not all(math.isfinite(getattr(t, name)) for name in BLOCKS))
+            raise ValueError(f"target {q} has a non-finite field")
         if self.carrier_hz <= 0 or self.t_sym_s <= 0:
             raise ValueError("carrier_hz and t_sym_s must be positive")
         if self.lightspeed <= 0:
@@ -86,18 +89,36 @@ class Scene:
         if len(self.targets) < 1:
             raise ValueError("scene needs at least one target")
 
-        min_range = math.inf
-        for q, t in enumerate(self.targets):
-            for geom in (self.tx, self.rx):
-                d = np.hypot(t.x - geom.positions[:, 0], t.y - geom.positions[:, 1])
-                if d.min() <= MIN_ELEMENT_CLEARANCE:
+        # every target against the elements and the centroid of each side at
+        # once; an equal Rx layout gives the same ranges as Tx
+        xy = np.array([(t.x, t.y) for t in self.targets])
+        x, y = xy[:, :1], xy[:, 1:]
+        sides = (self.tx,) if self.monostatic else (self.tx, self.rx)
+        ranges = []  # per side, (Q, N) element ranges, then (Q, 1) centroid ranges
+        for geom in sides:
+            cx, cy = (geom.centroid_x, 0.0) if geom.centroid_x is not None else geom.centroid
+            ranges += [np.hypot(x - geom.positions[:, 0], y - geom.positions[:, 1]),
+                       np.hypot(x - cx, y - cy)]
+        # a NaN element position gives its side NaN minima, which pass every
+        # test below, as they did target by target
+        closest = [float(r.min()) for r in ranges]
+        # polar_of's math.hypot may round a centroid range one ulp off np.hypot,
+        # so a margin beyond the clearance is flagged and the exact tests decide
+        flagged = MIN_ELEMENT_CLEARANCE * (1.0 + 1e-9)
+        if any(c <= flagged for c in closest):
+            near = np.array([r.min(axis=1) for r in ranges]).T  # (Q, 2 per side)
+            # row-major order over (target, side, element or centroid) is the
+            # precedence of the messages
+            for q, col in zip(*np.nonzero(near <= flagged)):
+                if col % 2:
+                    # ranges and angles are measured from the centroid, which an
+                    # even-count array leaves free of elements: polar_of raises there
+                    polar_of(self.targets[q], sides[col // 2])
+                elif near[q, col] <= MIN_ELEMENT_CLEARANCE:
                     raise DegenerateGeometryError(
                         f"target {q} is within {MIN_ELEMENT_CLEARANCE} m of an array element"
                     )
-                # ranges and angles are measured from the centroid, which an
-                # even-count array leaves free of elements: polar_of raises there
-                polar_of(t, geom)
-                min_range = min(min_range, float(d.min()))
+        min_range = min([math.inf, *closest[::2]])
         # constant-velocity small-displacement assumption: the CPI-long travel
         # must stay far below the closest range or the static-phase model drifts
         for q, t in enumerate(self.targets):
@@ -118,7 +139,7 @@ class Scene:
     def q_count(self):
         return len(self.targets)
 
-    @property
+    @functools.cached_property
     def monostatic(self):
         """Whether Tx and Rx are one array layout, so each per-side value is computed once.
 

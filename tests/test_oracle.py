@@ -1,6 +1,7 @@
 """Independent numeric checks: finite differences, brute sums, report plumbing."""
 
 import dataclasses
+import math
 import sys
 
 import numpy as np
@@ -9,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nfcrb import BLOCKS, Target, brute_gain, fd_fim, fim, make_scene, steering_stack, ula
-from nfcrb.cli import _verify_steering
+from nfcrb.cli import _aggregate_report, _verify_steering
 from nfcrb.oracle import (DEFAULT_STEPS, fd_steering_rows, make_report,
                           relative_difference)
 
@@ -41,7 +42,7 @@ def test_fd_steering_default_steps():
     a = steering_stack(s, "tx", 0)
     for kind in ("x", "y", "vx", "vy"):
         analytic = a.derivative(kind)[7]  # stack row 7 is snapshot m = 8
-        numeric = fd_steering_rows(s, 0, kind, [8])["tx"][0]
+        numeric = fd_steering_rows(s, 0, [(kind, None)], [8])[0]["tx"][0]
         err = np.abs(analytic - numeric).max() / np.abs(analytic).max()
         assert err < 1e-5
 
@@ -49,7 +50,7 @@ def test_fd_steering_default_steps():
 def test_fd_step_underflow_rejected():
     s = small_scene()
     with pytest.raises(ValueError, match="underflows"):
-        fd_steering_rows(s, 0, "x", [1], steps={"x": 1e-18})["tx"][0]
+        fd_steering_rows(s, 0, [("x", 1e-18)], [1])[0]["tx"][0]
     with pytest.raises(ValueError, match="underflows"):
         fd_fim(s, steps={"x": 1e-18})
 
@@ -124,13 +125,68 @@ def fd_cases(draw):
 @given(fd_cases())
 def test_batched_fd_equals_the_per_step_stack_route_bit_for_bit(case):
     scene, q, m_values = case
-    for kind in ("x", "y", "vx", "vy"):
-        got = fd_steering_rows(scene, q, kind, m_values)
+    kinds = ("x", "y", "vx", "vy")
+    # all checks in one call, a kind repeated at its own step among them
+    checks = [(kind, None) for kind in kinds] + [("vx", 3e-4)]
+    batched = fd_steering_rows(scene, q, checks, m_values)
+    assert len(batched) == len(checks)
+    for check, got_all in zip(checks, batched):
+        got = fd_steering_rows(scene, q, [check], m_values)[0]
+        for side in ("tx", "rx"):
+            assert (got_all[side] == got[side]).all()
+    for kind, got in zip(kinds, batched):
         want = _stack_fd_steering_rows(scene, q, kind, m_values)
         for side in ("tx", "rx"):
             assert got[side].shape == want[side].shape
             assert (got[side] == want[side]).all()
     assert (fd_fim(scene).matrix == _stack_fd_fim(scene)).all()
+
+
+def _per_check_verify_steering(seed, battery, skew):
+    """The steering battery before one call per scene: a call and a norm per check and side."""
+    reports = []
+    for i in range(battery):
+        rng = np.random.default_rng(100003 * (seed + 1) + i)
+        n = int(rng.choice([4, 32]))
+        m_total = int(rng.choice([4, 16]))
+        r = float(rng.uniform(10.0, 500.0))
+        th = math.radians(float(rng.uniform(-60.0, 60.0)))
+        vx, vy = (float(v) for v in rng.uniform(-20.0, 20.0, 2))
+        scene = make_scene(
+            targets=[Target(x=r * math.sin(th), y=r * math.cos(th), vx=vx, vy=vy,
+                            rcs_re=float(rng.normal()), rcs_im=float(rng.normal()))],
+            tx=ula(n, 0.01), rx=ula(n, 0.01), snapshots=m_total)
+        rows = [1, m_total]
+        k = 2.0 * math.pi * scene.carrier_hz / scene.lightspeed
+        v_steps = [0.05 / (k * m * scene.t_sym_s) for m in rows]
+        checks = [(kind, [0, 1], 1e-4) for kind in ("x", "y")]
+        checks += [(kind, [row], v_steps[row]) for kind in ("vx", "vy") for row in (0, 1)]
+        stacks = {side: steering_stack(scene, side, 0, m_values=rows) for side in ("tx", "rx")}
+        worst = 0.0
+        for kind, picked, step in checks:
+            refs = fd_steering_rows(scene, 0, [(kind, step)], [rows[row] for row in picked])[0]
+            for side, ref in refs.items():
+                ana = stacks[side].derivative(kind)[picked] * (1.0 + skew)
+                err = np.linalg.norm(ana - ref, axis=1) / np.linalg.norm(ref, axis=1)
+                worst = max(worst, float(err.max()))
+        reports.append(_aggregate_report(f"steering-fd-{i:02d}", worst, 1e-5,
+                                         steps=(1e-4, *v_steps)))
+    return reports
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_one_call_steering_battery_equals_the_per_check_route_bit_for_bit(seed):
+    got = _verify_steering(seed, 3, 0.0)
+    want = _per_check_verify_steering(seed, 3, 0.0)
+    assert [repr(r) for r in got] == [repr(r) for r in want]
+    assert got == want
+
+
+@pytest.mark.parametrize("seed", [47, 62, 77, 82, 101, 300495, 808278])
+def test_steering_battery_passes_at_formerly_failing_seeds(seed):
+    # seeds that failed steering-fd-* under an earlier finite-difference step
+    # choice (the first at 47); a step change must not bring them back
+    assert all(r.passed for r in _verify_steering(seed, 20, 0.0))
 
 
 def test_three_target_fd_fim_keeps_the_target_addition_order():
@@ -147,7 +203,7 @@ def test_fd_oracles_build_no_steering_stack(monkeypatch):
         if name.startswith("nfcrb") and hasattr(module, "steering_stack"):
             monkeypatch.setattr(module, "steering_stack", refuse)
     s = small_scene()
-    fd_steering_rows(s, 0, "x", [1, 4])
+    fd_steering_rows(s, 0, [("x", None)], [1, 4])
     fd_fim(s)
 
 

@@ -4,9 +4,12 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from nfcrb import (BLOCKS, DegenerateGeometryError, Target, dbm_to_watts,
+from nfcrb import (BLOCKS, DegenerateGeometryError, Scene, Target, dbm_to_watts,
                    from_positions, make_scene, polar_of, target_indices, ula)
+from nfcrb.scene import MIN_ELEMENT_CLEARANCE
 
 from util import target_at
 
@@ -172,6 +175,110 @@ def test_monostatic_needs_one_layout_on_both_sides():
     # bit-identical positions, not equal ones: -0.0 and 0.0 differ
     assert not make_scene(tx=from_positions(positions),
                           rx=from_positions(positions * [1.0, -1.0])).monostatic
+
+
+def test_monostatic_is_computed_once_and_patchable(monkeypatch):
+    s = make_scene(tx=ula(8, 0.01), rx=ula(8, 0.01))
+    assert s.monostatic and s.__dict__["monostatic"] is True
+    # a property patched onto the class wins over the cached value
+    monkeypatch.setattr(Scene, "monostatic", property(lambda self: False))
+    assert s.monostatic is False
+
+
+# the per-target validation loop Scene ran before it checked all targets at once
+
+
+def _loop_validation(targets, tx, rx, snapshots, t_sym_s):
+    for q, t in enumerate(targets):
+        if not all(math.isfinite(getattr(t, name)) for name in BLOCKS):
+            raise ValueError(f"target {q} has a non-finite field")
+    min_range = math.inf
+    for q, t in enumerate(targets):
+        for geom in (tx, rx):
+            d = np.hypot(t.x - geom.positions[:, 0], t.y - geom.positions[:, 1])
+            if d.min() <= MIN_ELEMENT_CLEARANCE:
+                raise DegenerateGeometryError(
+                    f"target {q} is within {MIN_ELEMENT_CLEARANCE} m of an array element"
+                )
+            polar_of(t, geom)
+            min_range = min(min_range, float(d.min()))
+    for q, t in enumerate(targets):
+        travel = math.hypot(t.vx, t.vy) * snapshots * t_sym_s
+        if travel / min_range > 1e-2:
+            warnings.warn(
+                f"target {q} moves {travel:.3g} m over the CPI at minimum range "
+                f"{min_range:.3g} m; the small-displacement model is strained"
+            )
+
+
+def _outcome(build):
+    """(exception type and message or None, [(category, message, filename)]) of build()."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            build()
+            error = None
+        except ValueError as e:
+            error = (type(e), str(e))
+    return error, [(w.category, str(w.message), w.filename) for w in caught]
+
+
+@st.composite
+def validation_cases(draw):
+    """1-5 targets on, near and a few ulps around the elements and centroids of their arrays."""
+    def array():
+        geom = ula(draw(st.integers(1, 6)), draw(st.sampled_from([0.01, 0.3])),
+                   draw(st.sampled_from([0.0, 0.25])))
+        if draw(st.booleans()):
+            geom = from_positions(geom.positions + [0.0, draw(st.sampled_from([0.0, 0.5]))])
+        return geom
+
+    tx = array()
+    rx = draw(st.sampled_from([tx, dataclasses.replace(tx), array()]))
+    targets = []
+    for _ in range(draw(st.integers(1, 5))):
+        geom = draw(st.sampled_from([tx, rx]))
+        spot = draw(st.sampled_from(["free", "element", "centroid"]))
+        if spot == "free":
+            cx, cy = draw(st.floats(-3.0, 3.0)), draw(st.floats(0.5, 5.0))
+        elif spot == "element":
+            cx, cy = geom.positions[draw(st.integers(0, geom.count - 1))]
+        else:
+            cx, cy = (geom.centroid_x, 0.0) if geom.centroid_x is not None else geom.centroid
+        dist = draw(st.sampled_from([0.0, 5e-7, 2e-6, MIN_ELEMENT_CLEARANCE]))
+        if dist == MIN_ELEMENT_CLEARANCE:
+            dist += draw(st.integers(-3, 3)) * math.ulp(MIN_ELEMENT_CLEARANCE)
+        angle = draw(st.sampled_from([0.0, 0.6, math.pi / 2, 2.0]))
+        fields = {"x": float(cx + dist * math.sin(angle)), "y": float(cy + dist * math.cos(angle)),
+                  "vx": draw(st.sampled_from([0.0, 1.0, 50.0, 1e4])), "vy": 1.0}
+        if draw(st.integers(0, 9)) == 0:
+            fields[draw(st.sampled_from(BLOCKS))] = math.nan
+        targets.append(Target(**fields))
+    return tuple(targets), tx, rx
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(validation_cases())
+def test_validation_of_all_targets_at_once_matches_the_per_target_loop(case):
+    targets, tx, rx = case
+    error, warned = _outcome(lambda: Scene(carrier_hz=15e9, t_sym_s=1e-4, snapshots=8,
+                                           power_w=0.1, noise_var_w=1e-15, tx=tx, rx=rx,
+                                           targets=targets))
+    want_error, want_warned = _outcome(lambda: _loop_validation(targets, tx, rx, 8, 1e-4))
+    assert error == want_error
+    assert [w[:2] for w in warned] == [w[:2] for w in want_warned]
+    # stacklevel points each warning at the code that built the scene
+    assert all(w[2] == __file__ for w in warned)
+
+
+def test_first_target_in_order_names_the_failure():
+    # target 1 sits at the centroid of an even array, target 2 on an element
+    geom = ula(4, 0.01)
+    targets = [target_at(30.0, 10.0), Target(x=0.0, y=5e-7), Target(x=0.005, y=0.0)]
+    with pytest.raises(DegenerateGeometryError, match="array centroid"):
+        make_scene(targets=targets, tx=geom, rx=geom)
+    with pytest.raises(DegenerateGeometryError, match="target 0 is within"):
+        make_scene(targets=targets[::-1], tx=geom, rx=geom)
 
 
 def test_scene_is_immutable():

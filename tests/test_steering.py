@@ -103,7 +103,7 @@ def test_derivatives_match_finite_differences(kind):
         stack = steering_stack(s, side, 0)
         for m in (2, 8, 16):
             ana = stack.derivative(kind)[m - 1]
-            ref = fd_steering_rows(s, 0, kind, [m])[side][0]
+            ref = fd_steering_rows(s, 0, [(kind, None)], [m])[0][side][0]
             err = np.linalg.norm(ana - ref) / np.linalg.norm(ref)
             assert err < 1e-6, (side, m, kind, err)
 
@@ -111,4 +111,4 @@ def test_derivatives_match_finite_differences(kind):
 def test_fd_rejects_underflowing_step():
     s = small_scene()
     with pytest.raises(ValueError):
-        fd_steering_rows(s, 0, "x", [1], steps={"x": 1e-22})["tx"][0]
+        fd_steering_rows(s, 0, [("x", 1e-22)], [1])[0]["tx"][0]
