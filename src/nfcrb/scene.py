@@ -91,7 +91,7 @@ class Scene:
 
         # every target against the elements and the centroid of each side at
         # once; an equal Rx layout gives the same ranges as Tx
-        xy = np.array([(t.x, t.y) for t in self.targets])
+        xy = np.array([(t.x, t.y) for t in self.targets], dtype=float)
         x, y = xy[:, :1], xy[:, 1:]
         sides = (self.tx,) if self.monostatic else (self.tx, self.rx)
         ranges = []  # per side, (Q, N) element ranges, then (Q, 1) centroid ranges
