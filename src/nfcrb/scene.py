@@ -89,36 +89,37 @@ class Scene:
         if len(self.targets) < 1:
             raise ValueError("scene needs at least one target")
 
-        # every target against the elements and the centroid of each side at
-        # once; an equal Rx layout gives the same ranges as Tx
-        xy = np.array([(t.x, t.y) for t in self.targets], dtype=float)
-        x, y = xy[:, :1], xy[:, 1:]
+        # every target against the elements and the centroid of each side in
+        # one broadcast; an equal Rx layout gives the same ranges as Tx
+        xy = np.array(fields, dtype=float).reshape(-1, len(BLOCKS))
         sides = (self.tx,) if self.monostatic else (self.tx, self.rx)
-        ranges = []  # per side, (Q, N) element ranges, then (Q, 1) centroid ranges
+        points, starts, n = [], [], 0  # per side, the elements, then the centroid
         for geom in sides:
-            cx, cy = (geom.centroid_x, 0.0) if geom.centroid_x is not None else geom.centroid
-            ranges += [np.hypot(x - geom.positions[:, 0], y - geom.positions[:, 1]),
-                       np.hypot(x - cx, y - cy)]
-        # a NaN element position gives its side NaN minima, which pass every
-        # test below, as they did target by target
-        closest = [float(r.min()) for r in ranges]
+            centroid = (geom.centroid_x, 0.0) if geom.centroid_x is not None else geom.centroid
+            points += [geom.positions, [centroid]]
+            starts += [n, n + geom.count]
+            n += geom.count + 1
+        points = np.concatenate(points)
+        ranges = np.hypot(xy[:, :1] - points[:, 0], xy[:, 1:2] - points[:, 1])
+        # near[q] is, per side, target q's closest element range and then its
+        # centroid range: the order in which the checks below report. A NaN
+        # element position makes its side's ranges NaN, which pass every check
+        near = np.minimum.reduceat(ranges, starts, axis=1).tolist()
         # polar_of's math.hypot may round a centroid range one ulp off np.hypot,
         # so a margin beyond the clearance is flagged and the exact tests decide
         flagged = MIN_ELEMENT_CLEARANCE * (1.0 + 1e-9)
-        if any(c <= flagged for c in closest):
-            near = np.array([r.min(axis=1) for r in ranges]).T  # (Q, 2 per side)
-            # row-major order over (target, side, element or centroid) is the
-            # precedence of the messages
-            for q, col in zip(*np.nonzero(near <= flagged)):
-                if col % 2:
-                    # ranges and angles are measured from the centroid, which an
-                    # even-count array leaves free of elements: polar_of raises there
-                    polar_of(self.targets[q], sides[col // 2])
-                elif near[q, col] <= MIN_ELEMENT_CLEARANCE:
-                    raise DegenerateGeometryError(
-                        f"target {q} is within {MIN_ELEMENT_CLEARANCE} m of an array element"
-                    )
-        min_range = min([math.inf, *closest[::2]])
+        if any(r <= flagged for row in near for r in row):
+            for q, row in enumerate(near):
+                for col, r in enumerate(row):
+                    if col % 2 == 0 and r <= MIN_ELEMENT_CLEARANCE:
+                        raise DegenerateGeometryError(
+                            f"target {q} is within {MIN_ELEMENT_CLEARANCE} m of an array element"
+                        )
+                    if col % 2 and r <= flagged:
+                        # ranges and angles are measured from the centroid, which an
+                        # even-count array leaves free of elements: polar_of raises there
+                        polar_of(self.targets[q], sides[col // 2])
+        min_range = min([math.inf, *(r for row in near for r in row[::2])])
         # constant-velocity small-displacement assumption: the CPI-long travel
         # must stay far below the closest range or the static-phase model drifts
         for q, t in enumerate(self.targets):
