@@ -221,6 +221,21 @@ def test_verify_steering_catches_a_wrong_derivative_factor(monkeypatch):
     assert not any(r.passed for r in _verify_steering(0, 1, 0.0))
 
 
+def test_verify_steering_fails_on_a_nan_derivative(monkeypatch):
+    # a NaN error must fail its scene, not drop out of the worst-case maximum
+    original = sys.modules["nfcrb.steering"].element_factors
+
+    def nan_x(scene, geom, target):
+        g, r, u, factors = original(scene, geom, target)
+        alpha, beta = factors["x"]
+        return g, r, u, {**factors, "x": (alpha * np.nan, beta)}
+
+    monkeypatch.setattr(sys.modules["nfcrb.steering"], "element_factors", nan_x)
+    with np.errstate(invalid="ignore"):
+        reports = _verify_steering(0, 2, 0.0)
+    assert not any(r.passed for r in reports)
+
+
 def test_fd_fim_error_is_second_order_in_step():
     # halving the step should cut the central-difference error by about 4
     s = canonical_scene()
