@@ -7,6 +7,7 @@ the inputs (and the seed, for verification batteries).
 
 import argparse
 import dataclasses
+import functools
 import math
 import re
 import sys
@@ -409,7 +410,9 @@ def _aggregate_report(name, worst, tol, steps=()):
 
 
 def _verify_steering(seed, battery, skew):
-    reports = []
+    # scene i is drawn from its own generator; scenes of one (N, M) shape share
+    # their arrays and rows, so each shape group is one scene of its targets
+    groups = {}
     for i in range(battery):
         rng = np.random.default_rng(100003 * (seed + 1) + i)
         n = int(rng.choice([4, 32]))
@@ -417,10 +420,13 @@ def _verify_steering(seed, battery, skew):
         r = float(rng.uniform(10.0, 500.0))
         th = math.radians(float(rng.uniform(-60.0, 60.0)))
         vx, vy = (float(v) for v in rng.uniform(-20.0, 20.0, 2))
-        scene = make_scene(
-            targets=[Target(x=r * math.sin(th), y=r * math.cos(th), vx=vx, vy=vy,
-                            rcs_re=float(rng.normal()), rcs_im=float(rng.normal()))],
-            tx=ula(n, 0.01), rx=ula(n, 0.01), snapshots=m_total)
+        target = Target(x=r * math.sin(th), y=r * math.cos(th), vx=vx, vy=vy,
+                        rcs_re=float(rng.normal()), rcs_im=float(rng.normal()))
+        groups.setdefault((n, m_total), []).append((i, target))
+    reports = [None] * battery
+    for (n, m_total), members in groups.items():
+        scene = make_scene(targets=[t for _, t in members], tx=ula(n, 0.01), rx=ula(n, 0.01),
+                           snapshots=m_total)
         rows = [1, m_total]
         # near broadside the x and vx derivatives are small against |a|, so
         # the steps must sit well above the carrier-phase roundoff. A velocity
@@ -434,17 +440,19 @@ def _verify_steering(seed, battery, skew):
         # every check differentiates both rows; x and y are compared on both,
         # each velocity check on the row its step is sized for
         picked = np.array([[True, True]] * 2 + [[True, False], [False, True]] * 2)
-        refs = fd_steering_rows(scene, 0, checks, rows)
+        qs = list(range(len(members)))
+        refs = fd_steering_rows(scene, qs, checks, rows)  # side: (target, check, row, N)
         errs = []
         for side in ("tx", "rx"):
-            stack = steering_stack(scene, side, 0, m_values=rows)
-            ana = np.stack([stack.derivative(kind) for kind, _ in checks]) * (1.0 + skew)
-            ref = np.stack([r[side] for r in refs])  # (check, row, N)
+            stack = steering_stack(scene, side, qs, m_values=rows)
+            ana = np.stack([stack.derivative(kind) for kind, _ in checks], axis=1) * (1.0 + skew)
+            ref = refs[side]
             errs.append((np.linalg.norm(ana - ref, axis=-1)
-                         / np.linalg.norm(ref, axis=-1))[picked])
-        worst = float(np.max(errs))
-        reports.append(_aggregate_report(f"steering-fd-{i:02d}", worst, 1e-5,
-                                         steps=(1e-4, *v_steps)))
+                         / np.linalg.norm(ref, axis=-1))[:, picked])
+        worst = np.max(errs, axis=(0, 2))  # per target, over both sides
+        for (i, _), w in zip(members, worst.tolist()):
+            reports[i] = _aggregate_report(f"steering-fd-{i:02d}", w, 1e-5,
+                                           steps=(1e-4, *v_steps))
     return reports
 
 
@@ -564,7 +572,9 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+@functools.cache
 def _build_parser():
+    # parsing leaves the parser unchanged, so one instance serves every main() call
     parser = _Parser(prog="nfcrb", description=__doc__)
     parser.add_argument("--version", action="version", version=f"nfcrb {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)

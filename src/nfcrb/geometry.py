@@ -31,6 +31,8 @@ class ArrayGeometry:
             raise ValueError(f"positions must have shape (N, 2), got {pos.shape}")
         if pos.shape[0] < 1:
             raise ValueError("array needs at least one element")
+        if not np.isfinite(pos).all():
+            raise ValueError("element positions must be finite")
         object.__setattr__(self, "positions", pos)
 
     @property
@@ -80,7 +82,9 @@ def ula(count, spacing, centroid_x=0.0):
         raise ValueError(f"spacing must be positive, got {spacing!r}")
     count = int(count)
     n = np.arange(1, count + 1)
-    x = centroid_x + (n - (count + 1) / 2.0) * spacing
+    # an overflowing layout is rejected by ArrayGeometry, not announced by numpy
+    with np.errstate(over="ignore", invalid="ignore"):
+        x = centroid_x + (n - (count + 1) / 2.0) * spacing
     pos = np.column_stack([x, np.zeros(count)])
     return ArrayGeometry(pos, spacing=float(spacing), centroid_x=float(centroid_x))
 

@@ -7,8 +7,8 @@ of random symbols for the isotropic-transmission idealization, contracted
 against full channel-derivative stacks instead of the Gram products `fim`
 uses. The finite differences read steering values alone
 (`steering.steering_values`), never the analytic derivative factors: the
-shifted copies of one target, for every check of a call, go into one
-validated Scene, evaluated in one broadcast call per array side. Intended
+shifted copies of every listed target, for every check of a call, go into
+one validated Scene, evaluated in one broadcast call per array side. Intended
 for desk scale scenes; the finite-difference and Monte Carlo paths
 materialize (M, N_r, N_t) stacks.
 """
@@ -59,44 +59,52 @@ def _check_step(step, value):
         raise ValueError(f"finite-difference step {step} underflows at value {value}")
 
 
-def _shifted_copies(scene, q, moves):
-    """A scene whose targets are copies of target q, one per (kind, offset) move.
+def _shifted_copies(scene, qs, moves):
+    """A scene of copies of the targets qs, one per target and (kind, offset) move.
 
-    Scene validates every shifted copy as it would a target of its own.
+    The copies run target by target, each target's moves in order. Scene
+    validates every shifted copy as it would a target of its own.
     """
-    target = scene.targets[q]
     return dataclasses.replace(scene, targets=tuple(
-        dataclasses.replace(target, **{kind: getattr(target, kind) + d}) for kind, d in moves))
+        dataclasses.replace(t, **{kind: getattr(t, kind) + d})
+        for t in (scene.targets[q] for q in qs) for kind, d in moves))
 
 
 def fd_steering_rows(scene, q, checks, m_values):
     """Fourth-order finite differences of both sides' steering vectors.
 
     checks is a sequence of (kind, step) pairs; a step of None means
-    DEFAULT_STEPS[kind]. Returns one {'tx': (len(m_values), N_t), 'rx':
-    (len(m_values), N_r)} dict per check, all from one scene holding the four
-    shifted copies of target q of every check, evaluated in one
-    steering_values call per side. The Richardson combination
-    (4 D(h) - D(2h)) / 3 of the central differences D(h) and D(2h) cancels
-    their h^2 truncation term, so the step can sit far above the
-    carrier-phase roundoff.
+    DEFAULT_STEPS[kind]. For one target index q, returns one
+    {'tx': (len(m_values), N_t), 'rx': (len(m_values), N_r)} dict per check.
+    q may also be a list or tuple of target indices: the return is then one
+    {'tx', 'rx'} dict of (len(q), len(checks), len(m_values), N) arrays whose
+    slice [j, c] equals the int-q call's check c of target q[j] bit for bit.
+    Either way one scene holds the four shifted copies of every listed target
+    and check, evaluated in one steering_values call per side. The Richardson
+    combination (4 D(h) - D(2h)) / 3 of the central differences D(h) and
+    D(2h) cancels their h^2 truncation term, so the step can sit far above
+    the carrier-phase roundoff.
     """
+    many = isinstance(q, (list, tuple))
+    qs = list(q) if many else [q]
     checks = [(kind, DEFAULT_STEPS[kind] if step is None else step) for kind, step in checks]
-    for kind, h in checks:
-        _check_step(h, getattr(scene.targets[q], kind))
-    shifted = _shifted_copies(scene, q, [(kind, d) for kind, h in checks
-                                         for d in (h, -h, 2.0 * h, -2.0 * h)])
-    values = {side: steering_values(shifted, side, m_values) for side in ("tx", "rx")}
-    out = []
-    for i, (_, h) in enumerate(checks):
-        rows = {}
-        for side, a in values.items():
-            a_h, a_mh, a_2h, a_m2h = a[4 * i:4 * i + 4]
-            d_h = (a_h - a_mh) / (2.0 * h)
-            d_2h = (a_2h - a_m2h) / (4.0 * h)
-            rows[side] = (4.0 * d_h - d_2h) / 3.0
-        out.append(rows)
-    return out
+    for j in qs:
+        for kind, h in checks:
+            _check_step(h, getattr(scene.targets[j], kind))
+    shifted = _shifted_copies(scene, qs, [(kind, d) for kind, h in checks
+                                          for d in (h, -h, 2.0 * h, -2.0 * h)])
+    steps = np.array([h for _, h in checks])[:, None, None]  # (check, 1, 1)
+    rows = {}
+    for side in ("tx", "rx"):
+        a = steering_values(shifted, side, m_values)
+        # (target, check, shift, row, N): the shifts are +h, -h, +2h, -2h
+        a = a.reshape(len(qs), len(checks), 4, *a.shape[1:])
+        d_h = (a[:, :, 0] - a[:, :, 1]) / (2.0 * steps)
+        d_2h = (a[:, :, 2] - a[:, :, 3]) / (4.0 * steps)
+        rows[side] = (4.0 * d_h - d_2h) / 3.0
+    if many:
+        return rows
+    return [{side: v[0, c] for side, v in rows.items()} for c in range(len(checks))]
 
 
 def _target_channels(scene):
@@ -122,7 +130,7 @@ def _channel_derivative(scene, base, q, kind, h):
     target channels, and is summed before the next one is formed, so one
     shifted channel is held at a time.
     """
-    shifted = _shifted_copies(scene, q, ((kind, h), (kind, -h)))
+    shifted = _shifted_copies(scene, [q], ((kind, h), (kind, -h)))
     plus, minus = (_channel_stack(base[:q] + [moved] + base[q + 1:])
                    for moved in _target_channels(shifted))
     return (plus - minus) / (2.0 * h)

@@ -102,8 +102,8 @@ class Scene:
         points = np.concatenate(points)
         ranges = np.hypot(xy[:, :1] - points[:, 0], xy[:, 1:2] - points[:, 1])
         # near[q] is, per side, target q's closest element range and then its
-        # centroid range: the order in which the checks below report. A NaN
-        # element position makes its side's ranges NaN, which pass every check
+        # centroid range: the order in which the checks below report. Element
+        # positions are finite (ArrayGeometry rejects others), so no range is NaN
         near = np.minimum.reduceat(ranges, starts, axis=1).tolist()
         # polar_of's math.hypot may round a centroid range one ulp off np.hypot,
         # so a margin beyond the clearance is flagged and the exact tests decide

@@ -9,10 +9,13 @@ element_factors alone writes down d a_n / dp = (alpha_p + beta_p t) a_n at
 slow time t = m T, pathloss gradient included: steering_stack multiplies the
 factors into derivative stacks and crb sums them into element moments.
 steering_values evaluates the entries alone, for every target of a scene in
-one broadcast; both read the element paths from _paths and the entries from
-_entries, so the model is written once.
+one broadcast, and steering_stack takes a list of targets the same way: each
+target field enters as a (Q, 1, 1) column against the (M, N) snapshot grid.
+Both read the element paths from _paths and the entries from _entries, so the
+model is written once.
 """
 
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,6 +26,8 @@ from .scene import DegenerateGeometryError
 @dataclass(frozen=True)
 class SteeringStack:
     """One array side, one target, all snapshots: (M, N) complex arrays.
+
+    A stack of several targets puts a leading target axis on every field.
 
     a is the steering vector; d_* are its derivatives with respect to the
     target parameters (location x/y, velocity vx/vy).
@@ -36,6 +41,15 @@ class SteeringStack:
 
     def derivative(self, kind):
         return {"x": self.d_x, "y": self.d_y, "vx": self.d_vx, "vy": self.d_vy}[kind]
+
+
+# target states as (Q, 1, 1) columns; element_factors reads them like a Target
+_Columns = namedtuple("_Columns", "x y vx vy")
+
+
+def _columns(targets):
+    """Each target field of targets as a (Q, 1, 1) column against the (M, N) snapshot grid."""
+    return _Columns(*np.array([(t.x, t.y, t.vx, t.vy) for t in targets]).T[:, :, None, None])
 
 
 def _side_geometry(scene, side):
@@ -99,10 +113,17 @@ def steering_stack(scene, side, q, m_values=None):
     """Steering vectors and all four derivatives of target q on one side.
 
     side is 'tx' or 'rx'; m_values are slow-time indices, 1..M by default.
-    Returns a SteeringStack of (len(m_values), N) complex arrays.
+    Returns a SteeringStack of (len(m_values), N) complex arrays. q may also
+    be a list or tuple of target indices, never a slice: every field then
+    has a leading target axis, (len(q), len(m_values), N), and slice j
+    equals steering_stack(scene, side, q[j], m_values) bit for bit.
     """
-    g, r, u, factors = element_factors(scene, _side_geometry(scene, side), scene.targets[q])
-    a, mt = _entries(scene, g, r, u, m_values)  # (M, N), (M, 1)
+    if isinstance(q, (list, tuple)):
+        target = _columns([scene.targets[j] for j in q])
+    else:
+        target = scene.targets[q]
+    g, r, u, factors = element_factors(scene, _side_geometry(scene, side), target)
+    a, mt = _entries(scene, g, r, u, m_values)  # ([Q,] M, N), (M, 1)
     return SteeringStack(a=a, **{f"d_{kind}": (alpha + beta * mt) * a
                                  for kind, (alpha, beta) in factors.items()})
 
@@ -114,9 +135,7 @@ def steering_values(scene, side, m_values=None):
     steering_stack(scene, side, q, m_values).a bit for bit; no derivative is
     formed.
     """
-    # each target field as a (Q, 1, 1) column against the (M, N) snapshot grid
-    x, y, vx, vy = np.array([(t.x, t.y, t.vx, t.vy) for t in scene.targets]).T[:, :, None, None]
-    _, _, r, u, g = _paths(scene, _side_geometry(scene, side), x, y, vx, vy)
+    _, _, r, u, g = _paths(scene, _side_geometry(scene, side), *_columns(scene.targets))
     return _entries(scene, g, r, u, m_values)[0]
 
 

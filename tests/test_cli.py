@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 import nfcrb
+from nfcrb import cli
 from nfcrb import Target, dbm_to_watts, from_positions, make_scene, ula
 from nfcrb.approx import VARIANTS
 from nfcrb.cli import (BOUNDS, Config, ConfigError, SweepSpec, _bound_cells,
@@ -273,6 +274,16 @@ def test_unrepresentable_power_over_noise_is_an_error_without_warnings(tmp_path,
                             "nonzero, got inf\n")
 
 
+def test_overflowing_element_spacing_is_an_error_without_warnings(tmp_path, capsys):
+    path = write_cfg(tmp_path, "tx.spacing_m = 1e307\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["eval", path]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "nfcrb: error: element positions must be finite\n"
+
+
 def test_sweep_row_with_unrepresentable_power_over_noise_is_an_error_row(tmp_path, capsys):
     path = write_cfg(tmp_path, DEFAULT_CFG + "noise_w = 1e-10\n")
     assert main(["sweep", path, "--var", "power", "--grid", "1,1e300"]) == 0
@@ -307,6 +318,29 @@ def test_non_finite_values_are_config_errors(tmp_path, capsys, text, argv):
 def test_version_flag(capsys):
     assert main(["--version"]) == 0
     assert capsys.readouterr().out.startswith("nfcrb ")
+
+
+def test_one_parser_serves_every_call_alike(tmp_path, capsys, monkeypatch):
+    # main() reuses one parser; a fresh parser per call must give the same
+    # bytes and exit codes, error exits included
+    assert cli._build_parser() is cli._build_parser()
+    path = write_cfg(tmp_path, DEFAULT_CFG.replace("snapshots = 256", "snapshots = 8")
+                     + "tx.count = 8\nrx.count = 8\n")
+    argvs = (["eval", path], ["verify", "--seed", "-1"],
+             ["sweep", path, "--var", "range", "--grid", "50,100"], ["--version"],
+             ["eval", path])
+
+    def run_all():
+        runs = []
+        for argv in argvs:
+            code = main(argv)
+            runs.append((code, capsys.readouterr()))
+        return runs
+
+    cached = run_all()
+    monkeypatch.setattr(cli, "_build_parser", cli._build_parser.__wrapped__)
+    assert run_all() == cached
+    assert [code for code, _ in cached] == [0, 1, 0, 0, 0]
 
 
 # sweep

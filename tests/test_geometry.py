@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -24,6 +25,20 @@ def test_ula_single_element_sits_at_centroid():
 def test_ula_rejects_bad_arguments(count, spacing):
     with pytest.raises(ValueError):
         ula(count, spacing)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: from_positions([[0.0, 0.0], [math.nan, 0.0], [0.02, 0.0]]),
+    lambda: ula(4, 0.01, centroid_x=math.inf),
+    lambda: ula(128, 1e307),
+], ids=["nan-position", "inf-centroid", "overflowing-spacing"])
+def test_non_finite_element_positions_rejected(build):
+    # a non-finite element makes every range of its side NaN or inf; the
+    # overflowing layout must fail on the message alone, no numpy warning first
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="element positions must be finite"):
+            build()
 
 
 def test_aperture_is_span_of_elements():

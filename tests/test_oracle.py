@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -53,6 +54,15 @@ def test_fd_step_underflow_rejected():
         fd_steering_rows(s, 0, [("x", 1e-18)], [1])[0]["tx"][0]
     with pytest.raises(ValueError, match="underflows"):
         fd_fim(s, steps={"x": 1e-18})
+
+
+def test_fd_step_underflow_rejected_at_every_listed_target():
+    # the step suits target 0 but underflows at target 1's x = 1e5
+    s = make_scene(targets=[target_at(100.0, 20.0), Target(x=1e5, y=100.0)],
+                   tx=ula(4, 0.01), rx=ula(4, 0.01), snapshots=4)
+    fd_steering_rows(s, [0], [("x", 1e-10)], [1])
+    with pytest.raises(ValueError, match="underflows at value 100000.0"):
+        fd_steering_rows(s, [0, 1], [("x", 1e-10)], [1])
 
 
 # the finite-difference route before steering_values: one perturbed scene per
@@ -176,10 +186,37 @@ def _per_check_verify_steering(seed, battery, skew):
 
 @pytest.mark.parametrize("seed", range(5))
 def test_one_call_steering_battery_equals_the_per_check_route_bit_for_bit(seed):
-    got = _verify_steering(seed, 3, 0.0)
-    want = _per_check_verify_steering(seed, 3, 0.0)
-    assert [repr(r) for r in got] == [repr(r) for r in want]
-    assert got == want
+    # at 20 scenes every (N, M) shape group of the battery has several members
+    for battery in (3, 20):
+        got = _verify_steering(seed, battery, 0.0)
+        want = _per_check_verify_steering(seed, battery, 0.0)
+        assert [repr(r) for r in got] == [repr(r) for r in want]
+        assert got == want
+
+
+def test_steering_battery_raises_no_warning():
+    # a shape group's scene takes the small-displacement warning over all of
+    # its targets; no battery draw comes near it, nor may a numpy warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for seed in range(40):
+            assert len(_verify_steering(seed, 20, 0.0)) == 20
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(fd_cases(), st.lists(st.integers(0, 1), min_size=1, max_size=3),
+       st.sampled_from([list, tuple]))
+def test_fd_rows_of_a_target_list_equal_one_call_per_target_bit_for_bit(case, picks, kind_of):
+    scene, _, m_values = case
+    qs = kind_of(p % scene.q_count for p in picks)
+    checks = [(kind, None) for kind in ("x", "y", "vx", "vy")] + [("vx", 3e-4)]
+    many = fd_steering_rows(scene, qs, checks, m_values)
+    assert set(many) == {"tx", "rx"}
+    for j, q in enumerate(qs):
+        for c, one in enumerate(fd_steering_rows(scene, q, checks, m_values)):
+            for side in ("tx", "rx"):
+                assert many[side][j, c].shape == one[side].shape
+                assert (many[side][j, c] == one[side]).all()
 
 
 @pytest.mark.parametrize("seed", [47, 62, 77, 82, 101, 300495, 808278])

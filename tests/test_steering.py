@@ -2,8 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from nfcrb import Target, doppler_shift, make_scene, pathloss, steering_stack, ula
+from nfcrb import (Target, doppler_shift, from_positions, make_scene, pathloss,
+                   steering_stack, ula)
 from nfcrb.oracle import fd_steering_rows
 
 from util import canonical_scene, small_scene, target_at
@@ -112,3 +115,40 @@ def test_fd_rejects_underflowing_step():
     s = small_scene()
     with pytest.raises(ValueError):
         fd_steering_rows(s, 0, [("x", 1e-22)], [1])[0]["tx"][0]
+
+
+@st.composite
+def stack_cases(draw):
+    """1-4 target indices into a scene on ULA or free-form arrays, one side or two."""
+    def array():
+        geom = ula(draw(st.integers(1, 8)), draw(st.sampled_from([0.01, 0.3])),
+                   draw(st.sampled_from([0.0, 0.5])))
+        if draw(st.booleans()):
+            geom = from_positions(geom.positions + [0.0, draw(st.sampled_from([0.0, -0.2]))])
+        return geom
+
+    tx = array()
+    rx = tx if draw(st.booleans()) else array()
+    speed = st.floats(-20.0, 20.0)
+    targets = [target_at(draw(st.floats(10.0, 400.0)), draw(st.floats(-80.0, 80.0)),
+                         v=(draw(speed), draw(speed)))
+               for _ in range(draw(st.integers(1, 4)))]
+    scene = make_scene(targets=targets, tx=tx, rx=rx, snapshots=draw(st.integers(1, 16)))
+    qs = draw(st.lists(st.integers(0, len(targets) - 1), min_size=1, max_size=4))
+    m_values = draw(st.one_of(st.none(),
+                              st.lists(st.integers(1, scene.snapshots), min_size=1, max_size=3)))
+    return scene, draw(st.sampled_from([list, tuple]))(qs), m_values
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(stack_cases())
+def test_stack_of_a_target_list_equals_one_stack_per_target_bit_for_bit(case):
+    scene, qs, m_values = case
+    for side in ("tx", "rx"):
+        many = steering_stack(scene, side, qs, m_values)
+        for j, q in enumerate(qs):
+            one = steering_stack(scene, side, q, m_values)
+            for field in ("a", "d_x", "d_y", "d_vx", "d_vy"):
+                got, want = getattr(many, field)[j], getattr(one, field)
+                assert got.shape == want.shape
+                assert (got == want).all()
