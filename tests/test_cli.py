@@ -13,8 +13,7 @@ import numpy as np
 import pytest
 
 import nfcrb
-from nfcrb import cli
-from nfcrb import Target, dbm_to_watts, from_positions, make_scene, ula
+from nfcrb import Target, cli, dbm_to_watts, from_positions, make_scene, ula
 from nfcrb.approx import VARIANTS
 from nfcrb.cli import (BOUNDS, Config, ConfigError, SweepSpec, _bound_cells,
                        _verify_steering, build_scene, main, parse_config,
