@@ -468,21 +468,20 @@ def _two_target_scene(n=8, m=8):
     return make_scene(targets=[t0, t1], tx=ula(n, 0.01), rx=ula(n, 0.01), snapshots=m)
 
 
-def _verify_fim():
+def _verify_fim(canonical, info):
+    # info is fim(canonical), which _verify_consistency reads as well
     reports = []
-    for name, scene in (("fim-fd-q1", _canonical_scene()),
-                        ("fim-fd-q2", _two_target_scene())):
-        analytic = fim(scene).matrix
+    two = _two_target_scene()
+    for name, scene, analytic in (("fim-fd-q1", canonical, info.matrix),
+                                  ("fim-fd-q2", two, fim(two).matrix)):
         reference = fd_fim(scene).matrix
         err = np.linalg.norm(analytic - reference, "fro") / np.linalg.norm(reference, "fro")
         reports.append(_aggregate_report(name, float(err), 1e-5))
     return reports
 
 
-def _verify_consistency():
+def _verify_consistency(scene, info):
     reports = []
-    scene = _canonical_scene()
-    info = fim(scene)
     f = info.matrix
 
     sym = np.linalg.norm(f - f.T, "fro") / np.linalg.norm(f, "fro")
@@ -546,8 +545,10 @@ def run_verify(seed=0, battery=20, stream=None):
     stream = stream if stream is not None else sys.stdout
     reports = []
     reports += _verify_steering(seed, battery, 0.0)
-    reports += _verify_fim()
-    reports += _verify_consistency()
+    canonical = _canonical_scene()
+    info = fim(canonical)
+    reports += _verify_fim(canonical, info)
+    reports += _verify_consistency(canonical, info)
     reports += _verify_expansions()
     small = make_scene(targets=None, tx=ula(4, 0.01), rx=ula(4, 0.01), snapshots=8)
     reports.append(monte_carlo_isotropic(small, draws=1000, seed=seed))

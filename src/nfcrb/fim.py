@@ -14,8 +14,12 @@ single-target FIM, bit for bit. Cross-target blocks come from one batched BLAS
 Gram per side over every target's steering fields, in real and imaginary halves
 and a canonical target order (sorted by fields); each pair block is computed
 once in that order and mirrored, so permuting the targets permutes the matrix.
-A monostatic scene (Scene.monostatic) builds one side's stacks and Grams and
-reads them for both sides.
+Per-snapshot Grams are independent, so each side's are formed CHUNK_BYTES of
+halves at a time and only their pair blocks are kept: memory grows with
+Q^2 M, not with M Q N, and the bits do not depend on the chunk size. The
+contraction over snapshots stays one product over all of them. A monostatic
+scene (Scene.monostatic) builds one side's stacks and Grams and reads them
+for both sides.
 """
 
 import dataclasses
@@ -23,10 +27,13 @@ import dataclasses
 import numpy as np
 
 from .scene import BLOCKS
-from .steering import SteeringStack, steering_stack
+from .steering import SteeringStack, steering_chunks
 
 # stacked steering fields: index 0 is a, 1..4 the derivatives
 KEYS = tuple(f.name for f in dataclasses.fields(SteeringStack))
+# bytes of real/imaginary halves of one side's steering fields formed at a
+# time; a snapshot row larger than this is one chunk of its own
+CHUNK_BYTES = 1 << 20
 
 
 @dataclasses.dataclass(frozen=True)
@@ -70,31 +77,51 @@ def _own_block(terms, g_rx, g_tx):
     return block
 
 
-def _side_grams(scene, side, order):
-    """Per-target (5, 5, M) Grams and, for Q > 1, the (M, 5Q, 5Q) Gram as (real, imag)."""
-    n, k = (scene.tx if side == "tx" else scene.rx).count, len(KEYS)
-    halves = np.empty((scene.snapshots, k * len(order), 2 * n)) if len(order) > 1 else None
-    own = []
-    for p, q in enumerate(order):
-        stack = steering_stack(scene, side, q)
-        fields = [getattr(stack, key) for key in KEYS]
+def _chunk_rows(scene, side, q_count):
+    """Snapshot rows per chunk of one side and the float64 length of their halves."""
+    row = 2 * len(KEYS) * q_count * (scene.tx if side == "tx" else scene.rx).count
+    rows = min(scene.snapshots, max(1, CHUNK_BYTES // (8 * row)))
+    return rows, rows * row
+
+
+def _side_grams(scene, side, order, p1, p2, pairs, scratch):
+    """Own-target Grams of one side, and its pair blocks p1 < p2 of the cross-target Gram.
+
+    Returns the (Q, 5, 5, M) complex Grams of each target in canonical order.
+    For Q > 1 the real and imaginary parts of the pair blocks go into pairs,
+    (2, pairs, M, 25), and the real/imaginary halves of each chunk into the
+    float64 scratch. Snapshot Grams are independent, so they are formed one
+    chunk of snapshots at a time and the (M, 5Q, 5Q) Gram is never held whole.
+    """
+    q_count, k = len(order), len(KEYS)
+    n = (scene.tx if side == "tx" else scene.rx).count
+    own = np.empty((q_count, k, k, scene.snapshots), dtype=complex)
+    rows, _ = _chunk_rows(scene, side, q_count)
+    for s, stack in steering_chunks(scene, side, order.tolist(), rows):
+        fields = [getattr(stack, key) for key in KEYS]  # (Q, rows, N) each
         # upper triangle, mirrored: conj(u^H v) is v^H u bit for bit
-        g = np.empty((k, k, scene.snapshots), dtype=complex)
         for i, u in enumerate(fields):
             u_h = u.conj()
             for j in range(i, k):
-                g[i, j] = np.einsum("mn,mn->m", u_h, fields[j])
-                g[j, i] = g[i, j].conj()
-        own.append(g)
-        if halves is not None:
+                own[:, i, j, s] = np.einsum("qmn,qmn->qm", u_h, fields[j])
+                own[:, j, i, s] = own[:, i, j, s].conj()
+        if pairs is not None:
+            c = s.stop - s.start
+            halves = scratch[:c * k * q_count * 2 * n].reshape(c, k * q_count, 2 * n)
+            by_field = halves.reshape(c, q_count, k, 2 * n)
             for i, u in enumerate(fields):
-                halves[:, k * p + i, :n], halves[:, k * p + i, n:] = u.real, u.imag
-        del stack, fields, u, u_h  # alive into the next target's stack, they raise peak RSS
-    if halves is None:
-        return own, None
-    # u^H v = (re.re + im.im) + j (re.im - im.re) for every row pair
-    mixed = halves[..., :n] @ halves[..., n:].transpose(0, 2, 1)
-    return own, (halves @ halves.transpose(0, 2, 1), mixed - mixed.transpose(0, 2, 1))
+                by_field[:, :, i, :n], by_field[:, :, i, n:] = (
+                    u.real.transpose(1, 0, 2), u.imag.transpose(1, 0, 2))
+            # u^H v = (re.re + im.im) + j (re.im - im.re) for every row pair
+            gram, mixed = (g.reshape(c, q_count, k, q_count, k) for g in (
+                halves @ halves.transpose(0, 2, 1),
+                halves[..., :n] @ halves[..., n:].transpose(0, 2, 1)))
+            pairs[0, :, s] = gram[:, p1, :, p2, :].reshape(len(p1), c, k * k)
+            pairs[1, :, s] = (mixed[:, p1, :, p2, :]
+                              - mixed[:, p2, :, p1, :].transpose(0, 1, 3, 2)
+                              ).reshape(len(p1), c, k * k)
+        del stack, fields, u, u_h  # alive into the next chunk's stack, they raise peak memory
+    return own
 
 
 def fim(scene):
@@ -109,27 +136,39 @@ def fim(scene):
     FisherInfo
         Rows ordered [x_1..x_Q, y.., vx.., vy.., rcs_re.., rcs_im..].
     """
-    q_count, m, k, b = scene.q_count, scene.snapshots, len(KEYS), len(BLOCKS)
+    q_count, k, b = scene.q_count, len(KEYS), len(BLOCKS)
     order = np.array(sorted(range(q_count), key=lambda q: dataclasses.astuple(scene.targets[q])))
     # per target in canonical order, per kind: (c, rx key index, tx key index)
     terms = [[[(c, KEYS.index(rk), KEYS.index(tk))
                for c, rk, tk in derivative_terms(kind, scene.targets[q].rcs)]
               for kind in BLOCKS] for q in order]
-    own_rx, gram_rx = _side_grams(scene, "rx", order)
-    own_tx, gram_tx = (own_rx, gram_rx) if scene.monostatic else _side_grams(scene, "tx", order)
+    p1, p2 = np.triu_indices(q_count, 1)
+    pairs_rx = pairs_tx = scratch = None
+    if q_count > 1:
+        # both sides' pair blocks and one chunk's halves in one allocation: as
+        # the largest block of the call it lifts glibc's heap trim threshold
+        # above the call's other memory, so the heap is not handed back and
+        # faulted in again on every call
+        size = 4 * len(p1) * scene.snapshots * k * k
+        work = np.empty(size + max(_chunk_rows(scene, side, q_count)[1] for side in ("tx", "rx")))
+        pairs_rx, pairs_tx = work[:size].reshape(2, 2, len(p1), scene.snapshots, k * k)
+        scratch = work[size:]
+    own_rx = _side_grams(scene, "rx", order, p1, p2, pairs_rx, scratch)
+    if scene.monostatic:
+        own_tx = own_rx
+        if pairs_tx is not None:
+            # Tx gets its own copy: numpy multiplies a buffer by its own
+            # transpose through BLAS syrk, which rounds unlike gemm
+            pairs_tx[...] = pairs_rx
+    else:
+        own_tx = _side_grams(scene, "tx", order, p1, p2, pairs_tx, scratch)
 
     f = np.zeros((b, q_count, b, q_count))
     for p, q in enumerate(order):
         f[:, q, :, q] = _own_block(terms[p], own_rx[p], own_tx[p])
     if q_count > 1:
         # pair blocks p1 < p2: w[pair, (r1, r2), (t1, t2)] = sum_m rx[r1, r2] tx[t1, t2]
-        p1, p2 = np.triu_indices(q_count, 1)
-        # gathered per side even from one shared Gram: numpy multiplies a
-        # buffer by its own transpose through BLAS syrk, which rounds unlike gemm
-        (rx_re, rx_im), (tx_re, tx_im) = (
-            [g.reshape(m, q_count, k, q_count, k)[:, p1, :, p2, :].reshape(len(p1), m, k * k)
-             for g in parts] for parts in (gram_rx, gram_tx))
-        rx_re, rx_im = rx_re.transpose(0, 2, 1), rx_im.transpose(0, 2, 1)
+        (rx_re, rx_im), (tx_re, tx_im) = pairs_rx.transpose(0, 1, 3, 2), pairs_tx
         w = (rx_re @ tx_re - rx_im @ tx_im) + 1j * (rx_re @ tx_im + rx_im @ tx_re)
         # the term table as arrays, one-term kinds padded with a zero term
         coef = np.zeros((q_count, b, 2), dtype=complex)

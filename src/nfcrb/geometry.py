@@ -76,7 +76,11 @@ def ula(count, spacing, centroid_x=0.0):
     Element n sits at centroid_x + (n - (count+1)/2)*spacing for n = 1..count,
     so element offsets are symmetric about the phase center.
     """
-    if int(count) != count or count < 1:
+    try:
+        whole = int(count) == count
+    except (OverflowError, ValueError):  # int() of inf and nan
+        whole = False
+    if not whole or count < 1:
         raise ValueError(f"count must be a positive integer, got {count!r}")
     if spacing <= 0:
         raise ValueError(f"spacing must be positive, got {spacing!r}")

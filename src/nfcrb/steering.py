@@ -11,8 +11,9 @@ factors into derivative stacks and crb sums them into element moments.
 steering_values evaluates the entries alone, for every target of a scene in
 one broadcast, and steering_stack takes a list of targets the same way: each
 target field enters as a (Q, 1, 1) column against the (M, N) snapshot grid.
-Both read the element paths from _paths and the entries from _entries, so the
-model is written once.
+steering_chunks yields such a stack a few snapshot rows at a time. All of them
+read the element paths from _paths and the entries from _entries, and the
+stacks come from the one _stack expression, so the model is written once.
 """
 
 from collections import namedtuple
@@ -122,7 +123,26 @@ def steering_stack(scene, side, q, m_values=None):
         target = _columns([scene.targets[j] for j in q])
     else:
         target = scene.targets[q]
-    g, r, u, factors = element_factors(scene, _side_geometry(scene, side), target)
+    return _stack(scene, *element_factors(scene, _side_geometry(scene, side), target), m_values)
+
+
+def steering_chunks(scene, side, q, rows):
+    """steering_stack(scene, side, q) of a list of targets q, rows snapshots at a time.
+
+    Yields (s, stack) per chunk of snapshots, s the slice of rows the stack
+    holds; the element factors are computed once, for every chunk. Joined
+    along the snapshot axis, the stacks equal steering_stack(scene, side, q)
+    bit for bit.
+    """
+    factors = element_factors(scene, _side_geometry(scene, side),
+                              _columns([scene.targets[j] for j in q]))
+    for start in range(0, scene.snapshots, rows):
+        s = slice(start, min(start + rows, scene.snapshots))
+        yield s, _stack(scene, *factors, np.arange(s.start + 1, s.stop + 1))
+
+
+def _stack(scene, g, r, u, factors, m_values):
+    """SteeringStack of the entries and their derivatives (alpha + beta t) a."""
     a, mt = _entries(scene, g, r, u, m_values)  # ([Q,] M, N), (M, 1)
     return SteeringStack(a=a, **{f"d_{kind}": (alpha + beta * mt) * a
                                  for kind, (alpha, beta) in factors.items()})

@@ -18,7 +18,7 @@ from nfcrb.approx import VARIANTS
 from nfcrb.cli import (BOUNDS, Config, ConfigError, SweepSpec, _bound_cells,
                        _verify_steering, build_scene, main, parse_config,
                        render_eval, run_sweep, run_verify, sweep_columns)
-from nfcrb.steering import steering_stack
+from nfcrb.steering import steering_chunks, steering_stack
 
 from util import (parse_csv, parse_kv_lines, shared_and_unshared, sharing_scenes,
                   target_at)
@@ -589,13 +589,19 @@ def test_verify_steering_passes_near_broadside_batteries(seed):
 def test_verify_derivative_skew_trips_fd_checks(monkeypatch):
     # a multiplicative error on the analytic x-derivative stacks must be caught
     # by both the steering-level and the matrix-level finite differences
-    def skewed(*args, **kwargs):
-        stack = steering_stack(*args, **kwargs)
+    def skew(stack):
         return dataclasses.replace(stack, d_x=stack.d_x * (1.0 + 1e-3))
 
+    def skewed(*args, **kwargs):
+        return skew(steering_stack(*args, **kwargs))
+
+    def skewed_chunks(*args, **kwargs):
+        for s, stack in steering_chunks(*args, **kwargs):
+            yield s, skew(stack)
+
+    monkeypatch.setattr(sys.modules["nfcrb.cli"], "steering_stack", skewed)
     # the package re-exports fim(), which shadows the nfcrb.fim module name
-    for module in ("nfcrb.fim", "nfcrb.cli"):
-        monkeypatch.setattr(sys.modules[module], "steering_stack", skewed)
+    monkeypatch.setattr(sys.modules["nfcrb.fim"], "steering_chunks", skewed_chunks)
     reports = run_verify(seed=0, battery=4, stream=io.StringIO())
     failed = {r.name for r in reports if not r.passed}
     assert any(name.startswith("steering-fd") for name in failed)

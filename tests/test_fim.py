@@ -1,10 +1,13 @@
 """Fisher information assembly: structure, oracles, and scaling laws."""
 
+import dataclasses
 import hashlib
 import math
 import os
 import subprocess
 import sys
+import tracemalloc
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -15,8 +18,9 @@ from hypothesis import strategies as st
 import nfcrb
 from nfcrb import (brute_gain, fd_fim, fim, make_scene, monte_carlo_isotropic,
                    target_indices, ula)
+from nfcrb.fim import KEYS
 from nfcrb.oracle import _channel_derivatives
-from nfcrb.steering import steering_stack
+from nfcrb.steering import steering_chunks
 
 from util import (canonical_scene, explicit_fim, many_target_scene, shared_and_unshared,
                   sharing_scenes, small_scene, target_at)
@@ -221,23 +225,64 @@ def test_fim_equals_its_per_side_evaluation_bit_for_bit(monkeypatch, key):
     assert shared.tobytes() == unshared.tobytes()
 
 
-@pytest.mark.parametrize("rx_centroid, stacks", [(0.0, 3), (0.5, 6)],
+@pytest.mark.parametrize("rx_centroid, sides", [(0.0, ("rx",)), (0.5, ("rx", "tx"))],
                          ids=["monostatic", "bistatic"])
-def test_fim_builds_one_stack_per_target_and_distinct_side(monkeypatch, rx_centroid, stacks):
+def test_fim_builds_one_stack_per_target_and_distinct_side(monkeypatch, rx_centroid, sides):
     module = sys.modules["nfcrb.fim"]  # the package's fim() shadows the module name
-    built = []
+    built = Counter()
 
-    def counted(scene, side, q, *args, **kwargs):
-        built.append((side, q))
-        return steering_stack(scene, side, q, *args, **kwargs)
+    def counted(scene, side, q, rows):
+        for s, stack in steering_chunks(scene, side, q, rows):
+            assert stack.a.shape[:2] == (len(q), s.stop - s.start)
+            built.update((side, t, m) for t in q for m in range(s.start, s.stop))
+            yield s, stack
 
-    monkeypatch.setattr(module, "steering_stack", counted)
+    monkeypatch.setattr(module, "steering_chunks", counted)
+    # three snapshot rows per chunk: chunks of 3 and 1 rows
+    monkeypatch.setattr(module, "CHUNK_BYTES", 3 * 8 * len(KEYS) * 3 * 2 * 8)
     scene = make_scene(targets=[target_at(100.0, 20.0), target_at(150.0, -45.0),
                                 target_at(80.0, 5.0)],
                        tx=ula(8, 0.01), rx=ula(8, 0.01, rx_centroid), snapshots=4)
     fim(scene)
-    assert len(built) == stacks
-    assert sorted({q for _, q in built}) == [0, 1, 2]
+    assert built == Counter([(side, q, m) for side in sides for q in range(3) for m in range(4)])
+
+
+def fim_bytes(scene, chunk_bytes):
+    """fim(scene).matrix bytes with CHUNK_BYTES set to chunk_bytes."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(sys.modules["nfcrb.fim"], "CHUNK_BYTES", chunk_bytes)
+        return fim(scene).matrix.tobytes()
+
+
+def assert_chunking_keeps_bits(scene):
+    # one snapshot row per chunk, the default chunks, and all rows in one chunk
+    one_chunk = fim_bytes(scene, 1 << 62)
+    assert fim_bytes(scene, 1) == one_chunk
+    assert fim(scene).matrix.tobytes() == one_chunk
+
+
+@pytest.mark.parametrize("rx_centroid", [0.0, 0.5], ids=["monostatic", "bistatic"])
+def test_eval_size_fim_is_bit_identical_for_every_chunk_size(rx_centroid):
+    # one chunk of all 8 targets holds (8, 128, 128) complex temporaries, above
+    # numpy's 256 KiB threshold for reusing a temporary in place; one-row
+    # chunks hold 16 KiB ones. Elision swaps the operands of a commutative
+    # ufunc, which changes the rounding of a complex product, so the steering
+    # expressions must not depend on it
+    scene = many_target_scene()
+    assert_chunking_keeps_bits(dataclasses.replace(scene, rx=ula(128, 0.01, rx_centroid)))
+
+
+def test_fim_memory_does_not_grow_with_the_antenna_count():
+    # the unchunked assembly held the (M, 5Q, 2N) halves, 80 MiB here, and
+    # peaked at 189 MiB
+    scene = many_target_scene(q=8, n=1024, m=256)
+    tracemalloc.start()
+    try:
+        fim(scene)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2 ** 20
 
 
 @st.composite
@@ -259,6 +304,12 @@ def multi_target_scenes(draw):
     return make_scene(targets=targets, tx=ula(draw(st.integers(1, 16)), 0.01, -offset),
                       rx=ula(draw(st.integers(1, 16)), 0.01, offset),
                       snapshots=draw(st.integers(1, 16)))
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(multi_target_scenes())
+def test_multi_target_fim_is_bit_identical_for_every_chunk_size(scene):
+    assert_chunking_keeps_bits(scene)
 
 
 @settings(derandomize=True, max_examples=40, deadline=None)

@@ -27,6 +27,12 @@ def test_ula_rejects_bad_arguments(count, spacing):
         ula(count, spacing)
 
 
+@pytest.mark.parametrize("count", [math.inf, -math.inf, math.nan])
+def test_ula_rejects_a_non_finite_count(count):
+    with pytest.raises(ValueError, match="count must be a positive integer"):
+        ula(count, 0.01)
+
+
 @pytest.mark.parametrize("build", [
     lambda: from_positions([[0.0, 0.0], [math.nan, 0.0], [0.02, 0.0]]),
     lambda: ula(4, 0.01, centroid_x=math.inf),

@@ -8,8 +8,9 @@ from hypothesis import strategies as st
 from nfcrb import (Target, doppler_shift, from_positions, make_scene, pathloss,
                    steering_stack, ula)
 from nfcrb.oracle import fd_steering_rows
+from nfcrb.steering import steering_chunks
 
-from util import canonical_scene, small_scene, target_at
+from util import canonical_scene, many_target_scene, small_scene, target_at
 
 
 def test_single_element_entry_frozen_value():
@@ -152,3 +153,29 @@ def test_stack_of_a_target_list_equals_one_stack_per_target_bit_for_bit(case):
                 got, want = getattr(many, field)[j], getattr(one, field)
                 assert got.shape == want.shape
                 assert (got == want).all()
+
+
+def assert_chunks_join_into_the_stack(scene, qs, rows):
+    for side in ("tx", "rx"):
+        whole = steering_stack(scene, side, qs)
+        chunks = list(steering_chunks(scene, side, qs, rows))
+        assert [s.start for s, _ in chunks] == list(range(0, scene.snapshots, rows))
+        for field in ("a", "d_x", "d_y", "d_vx", "d_vy"):
+            joined = np.concatenate([getattr(stack, field) for _, stack in chunks], axis=1)
+            assert joined.shape == getattr(whole, field).shape
+            assert (joined == getattr(whole, field)).all()
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(stack_cases(), st.integers(1, 16))
+def test_snapshot_chunks_join_into_the_stack_bit_for_bit(case, rows):
+    scene, qs, _ = case
+    assert_chunks_join_into_the_stack(scene, list(qs), rows)
+
+
+@pytest.mark.parametrize("rows", [1, 13])
+def test_eval_size_chunks_join_into_the_stack_bit_for_bit(rows):
+    # the whole stack's (8, 128, 128) complex temporaries lie above numpy's
+    # 256 KiB threshold for reusing a temporary in place, the chunks' below it
+    scene = many_target_scene()
+    assert_chunks_join_into_the_stack(scene, list(range(scene.q_count)), rows)
