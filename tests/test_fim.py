@@ -272,9 +272,8 @@ def test_eval_size_fim_is_bit_identical_for_every_chunk_size(rx_centroid):
     assert_chunking_keeps_bits(dataclasses.replace(scene, rx=ula(128, 0.01, rx_centroid)))
 
 
-def test_fim_memory_does_not_grow_with_the_antenna_count():
-    # the unchunked assembly held the (M, 5Q, 2N) halves, 80 MiB here, and
-    # peaked at 189 MiB
+def test_fim_peak_memory_is_bounded():
+    # the whole (M, 5Q, 2N) halves of one side would take 80 MiB here
     scene = many_target_scene(q=8, n=1024, m=256)
     tracemalloc.start()
     try:
