@@ -15,7 +15,7 @@ from .approx import (ApproximationDomainError, CorrectionTerms, NotUlaError,
 from .crb import (CrbReport, SingularFimError, TargetBounds, closed_form_single,
                   full_crb, schur_target_report)
 from .fim import FisherInfo, fim
-from .geometry import ArrayGeometry, from_positions, ula
+from .geometry import ArrayGeometry, ula
 from .oracle import OracleReport, brute_gain, fd_fim, monte_carlo_isotropic
 from .scene import (BLOCKS, DegenerateGeometryError, Scene, Target, dbm_to_watts,
                     make_scene, polar_of, target_indices)

@@ -18,15 +18,13 @@ import numpy as np
 
 from . import __version__
 from .approx import (VARIANTS, ApproximationDomainError, NotUlaError,
-                     correction_terms, crb_location_approx, crb_rcs_approx,
-                     crb_velocity_approx, gain, relative_error)
-from .crb import SingularFimError, _side_moments, closed_form_single, full_crb
+                     crb_location_approx, crb_rcs_approx, crb_velocity_approx,
+                     relative_error)
+from .crb import SingularFimError, closed_form_single, full_crb
 from .fim import fim
 from .geometry import ula
-from .oracle import (OracleReport, brute_gain, fd_fim, fd_steering_rows,
-                     make_report, monte_carlo_isotropic)
-from .scene import (LIGHTSPEED, Target, dbm_to_watts, make_scene, polar_of)
-from .steering import steering_stack
+from .oracle import run_battery
+from .scene import LIGHTSPEED, Target, dbm_to_watts, make_scene, polar_of
 
 BOUNDS = ("rcs", "vx", "vy", "x", "y")
 REGIONS = ("reactive", "fresnel", "fraunhofer")
@@ -401,157 +399,10 @@ def run_sweep(spec):
 # verify
 
 
-def _aggregate_report(name, worst, tol, steps=()):
-    # batteries aggregate many comparisons; the worst deviation lands in both
-    # the analytic slot and rel_err, with oracle pinned at 0
-    return OracleReport(name=name, analytic=float(worst), oracle=0.0,
-                        rel_err=float(worst), steps=tuple(steps), tol=float(tol),
-                        passed=bool(worst <= tol))
-
-
-def _verify_steering(seed, battery, skew):
-    # scene i is drawn from its own generator; scenes of one (N, M) shape share
-    # their arrays and rows, so each shape group is one scene of its targets
-    groups = {}
-    for i in range(battery):
-        rng = np.random.default_rng(100003 * (seed + 1) + i)
-        n = int(rng.choice([4, 32]))
-        m_total = int(rng.choice([4, 16]))
-        r = float(rng.uniform(10.0, 500.0))
-        th = math.radians(float(rng.uniform(-60.0, 60.0)))
-        vx, vy = (float(v) for v in rng.uniform(-20.0, 20.0, 2))
-        target = Target(x=r * math.sin(th), y=r * math.cos(th), vx=vx, vy=vy,
-                        rcs_re=float(rng.normal()), rcs_im=float(rng.normal()))
-        groups.setdefault((n, m_total), []).append((i, target))
-    reports = [None] * battery
-    for (n, m_total), members in groups.items():
-        scene = make_scene(targets=[t for _, t in members], tx=ula(n, 0.01), rx=ula(n, 0.01),
-                           snapshots=m_total)
-        rows = [1, m_total]
-        # near broadside the x and vx derivatives are small against |a|, so
-        # the steps must sit well above the carrier-phase roundoff. A velocity
-        # step advances the phase of row m by up to k*m*T*step = 0.05 rad,
-        # where the fourth-order difference truncates at 0.05^4/30 = 2e-7;
-        # each row needs its own, while one location step serves both rows.
-        k = 2.0 * math.pi * scene.carrier_hz / scene.lightspeed
-        v_steps = [0.05 / (k * m * scene.t_sym_s) for m in rows]
-        checks = [(kind, 1e-4) for kind in ("x", "y")]
-        checks += [(kind, step) for kind in ("vx", "vy") for step in v_steps]
-        # every check differentiates both rows; x and y are compared on both,
-        # each velocity check on the row its step is sized for
-        picked = np.array([[True, True]] * 2 + [[True, False], [False, True]] * 2)
-        qs = list(range(len(members)))
-        refs = fd_steering_rows(scene, qs, checks, rows)  # side: (target, check, row, N)
-        errs = []
-        for side in ("tx", "rx"):
-            stack = steering_stack(scene, side, qs, m_values=rows)
-            ana = np.stack([stack.derivative(kind) for kind, _ in checks], axis=1) * (1.0 + skew)
-            ref = refs[side]
-            errs.append((np.linalg.norm(ana - ref, axis=-1)
-                         / np.linalg.norm(ref, axis=-1))[:, picked])
-        worst = np.max(errs, axis=(0, 2))  # per target, over both sides
-        for (i, _), w in zip(members, worst.tolist()):
-            reports[i] = _aggregate_report(f"steering-fd-{i:02d}", w, 1e-5,
-                                           steps=(1e-4, *v_steps))
-    return reports
-
-
-def _canonical_scene(n=32, m=16):
-    return make_scene(tx=ula(n, 0.01), rx=ula(n, 0.01), snapshots=m)
-
-
-def _two_target_scene(n=8, m=8):
-    t0 = Target(x=100 * math.sin(math.radians(20)), y=100 * math.cos(math.radians(20)),
-                vx=1.0, vy=4.0, rcs_re=1.0, rcs_im=0.1)
-    t1 = Target(x=150 * math.sin(math.radians(-45)), y=150 * math.cos(math.radians(-45)),
-                vx=4.0, vy=3.0, rcs_re=0.8, rcs_im=-0.2)
-    return make_scene(targets=[t0, t1], tx=ula(n, 0.01), rx=ula(n, 0.01), snapshots=m)
-
-
-def _verify_fim(canonical, info):
-    # info is fim(canonical), which _verify_consistency reads as well
-    reports = []
-    two = _two_target_scene()
-    for name, scene, analytic in (("fim-fd-q1", canonical, info.matrix),
-                                  ("fim-fd-q2", two, fim(two).matrix)):
-        reference = fd_fim(scene).matrix
-        err = np.linalg.norm(analytic - reference, "fro") / np.linalg.norm(reference, "fro")
-        reports.append(_aggregate_report(name, float(err), 1e-5))
-    return reports
-
-
-def _verify_consistency(scene, info):
-    reports = []
-    f = info.matrix
-
-    sym = np.linalg.norm(f - f.T, "fro") / np.linalg.norm(f, "fro")
-    reports.append(_aggregate_report("fim-symmetry", float(sym), 1e-10))
-    w = np.linalg.eigvalsh(f)
-    negativity = max(0.0, float(-(w.min()) / np.linalg.norm(f, 2)))
-    reports.append(_aggregate_report("fim-psd", negativity, 1e-8))
-
-    closed = closed_form_single(scene, 0).targets[0]
-    diag = np.diag(f)
-    worst = 0.0
-    for i, name in ((0, "x"), (1, "y"), (2, "vx"), (3, "vy"), (4, "alpha_r"), (5, "alpha_i")):
-        worst = max(worst, abs(closed.by_name(name) * diag[i] - 1.0))
-    reports.append(_aggregate_report("closed-form-diagonal", worst, 1e-10))
-
-    # the per-side gain G of the closed form against the brute-force element sum
-    t = scene.targets[0]
-    g_side, _ = _side_moments(scene, scene.tx, t)
-    g_ref = (scene.wavelength_m ** 2 / (16 * math.pi ** 2)) * brute_gain(scene.tx, t, "g")
-    reports.append(make_report("gain-identity", g_side, g_ref, 1e-12))
-
-    double = dataclasses.replace(scene, power_w=2 * scene.power_w)
-    ratio = (closed_form_single(double, 0).targets[0].crb_alpha
-             / closed_form_single(scene, 0).targets[0].crb_alpha)
-    reports.append(make_report("power-scaling", ratio, 0.5, 1e-12))
-    return reports
-
-
-def _verify_expansions():
-    reports = []
-    lam = 0.02
-    geom = ula(256, lam / 2)
-    grid = [50.0, 100.0, 200.0, 400.0, 800.0, 1600.0]
-    th = math.radians(20.0)
-    residual = []
-    for r in grid:
-        t = Target(x=r * math.sin(th), y=r * math.cos(th))
-        exact = brute_gain(geom, t, "g")
-        nf = gain(geom, t, lam, "nf")
-        residual.append(abs(nf - exact) / exact)
-    slope = np.polyfit(np.log(grid), np.log(residual), 1)[0]
-    reports.append(make_report("gain-expansion-order", float(slope), -4.0, 0.075))
-
-    scene = make_scene()
-    _, fraunhofer = scene.tx.region_boundaries(scene.wavelength_m)
-    worst = 0.0
-    for deg in (-60, -40, -20, 20, 40, 60):
-        th = math.radians(deg)
-        r = 10.0 * fraunhofer
-        t = Target(x=r * math.sin(th), y=r * math.cos(th), vx=1.0, vy=4.0,
-                   rcs_re=1.0, rcs_im=0.1)
-        far = make_scene(targets=[t])
-        c = correction_terms(far, 0)
-        worst = max(worst, abs(c.psi_x - 1.0), abs(c.psi_y - 1.0))
-    reports.append(_aggregate_report("psi-limit", worst, 1e-3))
-    return reports
-
-
 def run_verify(seed=0, battery=20, stream=None):
     """Run the oracle batteries; returns the report list (all-pass = success)."""
     stream = stream if stream is not None else sys.stdout
-    reports = []
-    reports += _verify_steering(seed, battery, 0.0)
-    canonical = _canonical_scene()
-    info = fim(canonical)
-    reports += _verify_fim(canonical, info)
-    reports += _verify_consistency(canonical, info)
-    reports += _verify_expansions()
-    small = make_scene(targets=None, tx=ula(4, 0.01), rx=ula(4, 0.01), snapshots=8)
-    reports.append(monte_carlo_isotropic(small, draws=1000, seed=seed))
+    reports = run_battery(seed, battery)
     for rep in reports:
         status = "PASS" if rep.passed else "FAIL"
         stream.write(f"{rep.name:<24} analytic={rep.analytic!r} oracle={rep.oracle!r} "

@@ -1,6 +1,6 @@
 """Antenna array geometry: centered uniform linear arrays and field-region boundaries."""
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -92,11 +92,3 @@ def ula(count, spacing, centroid_x=0.0):
     pos = np.column_stack([x, np.zeros(count)])
     return ArrayGeometry(pos, spacing=float(spacing), centroid_x=float(centroid_x))
 
-
-def from_positions(positions):
-    """Free-form planar array from explicit (x, y) element coordinates.
-
-    Intended for testing (rotated scenes and irregular layouts); the ULA
-    constructor is the canonical path.
-    """
-    return ArrayGeometry(np.asarray(positions, dtype=float))

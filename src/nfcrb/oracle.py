@@ -1,4 +1,4 @@
-"""Independent numeric ground truth for the analytic machinery.
+"""Independent numeric ground truth for the analytic machinery, and its battery.
 
 Everything here recomputes quantities the other modules obtain analytically,
 by a deliberately different route: central finite differences for
@@ -10,7 +10,8 @@ uses. The finite differences read steering values alone
 shifted copies of every listed target, for every check of a call, go into
 one validated Scene, evaluated in one broadcast call per array side. Intended
 for desk scale scenes; the finite-difference and Monte Carlo paths
-materialize (M, N_r, N_t) stacks.
+materialize (M, N_r, N_t) stacks. `run_battery` is the list of checks that
+`nfcrb verify` prints, one `make_report` per check.
 """
 
 import dataclasses
@@ -19,8 +20,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .approx import correction_terms, gain
+from .crb import _side_moments, closed_form_single
 from .fim import FisherInfo, derivative_terms, fim
-from .scene import BLOCKS
+from .geometry import ula
+from .scene import BLOCKS, Target, make_scene
 from .steering import steering_stack, steering_values
 
 REL_ERR_FLOOR = 1e-30
@@ -47,8 +51,10 @@ def relative_difference(analytic, oracle, floor=REL_ERR_FLOOR):
     return abs(analytic - oracle) / max(abs(oracle), floor)
 
 
-def make_report(name, analytic, oracle, tol, steps=()):
-    err = relative_difference(analytic, oracle)
+def make_report(name, analytic, oracle, tol, steps=(), rel_err=None):
+    # a battery that aggregates many comparisons passes its worst deviation as
+    # both analytic and rel_err, with oracle 0; a NaN rel_err fails
+    err = relative_difference(analytic, oracle) if rel_err is None else rel_err
     return OracleReport(name=name, analytic=float(analytic), oracle=float(oracle),
                         rel_err=float(err), steps=tuple(steps), tol=float(tol),
                         passed=bool(err <= tol))
@@ -70,23 +76,18 @@ def _shifted_copies(scene, qs, moves):
         for t in (scene.targets[q] for q in qs) for kind, d in moves))
 
 
-def fd_steering_rows(scene, q, checks, m_values):
+def fd_steering_rows(scene, qs, checks, m_values):
     """Fourth-order finite differences of both sides' steering vectors.
 
-    checks is a sequence of (kind, step) pairs; a step of None means
-    DEFAULT_STEPS[kind]. For one target index q, returns one
-    {'tx': (len(m_values), N_t), 'rx': (len(m_values), N_r)} dict per check.
-    q may also be a list or tuple of target indices: the return is then one
-    {'tx', 'rx'} dict of (len(q), len(checks), len(m_values), N) arrays whose
-    slice [j, c] equals the int-q call's check c of target q[j] bit for bit.
-    Either way one scene holds the four shifted copies of every listed target
-    and check, evaluated in one steering_values call per side. The Richardson
-    combination (4 D(h) - D(2h)) / 3 of the central differences D(h) and
-    D(2h) cancels their h^2 truncation term, so the step can sit far above
-    the carrier-phase roundoff.
+    qs is a list of target indices and checks a sequence of (kind, step)
+    pairs; a step of None means DEFAULT_STEPS[kind]. Returns one {'tx', 'rx'}
+    dict of (len(qs), len(checks), len(m_values), N) arrays. One scene holds
+    the four shifted copies of every listed target and check, evaluated in
+    one steering_values call per side. The Richardson combination
+    (4 D(h) - D(2h)) / 3 of the central differences D(h) and D(2h) cancels
+    their h^2 truncation term, so the step can sit far above the
+    carrier-phase roundoff.
     """
-    many = isinstance(q, (list, tuple))
-    qs = list(q) if many else [q]
     checks = [(kind, DEFAULT_STEPS[kind] if step is None else step) for kind, step in checks]
     for j in qs:
         for kind, h in checks:
@@ -102,9 +103,7 @@ def fd_steering_rows(scene, q, checks, m_values):
         d_h = (a[:, :, 0] - a[:, :, 1]) / (2.0 * steps)
         d_2h = (a[:, :, 2] - a[:, :, 3]) / (4.0 * steps)
         rows[side] = (4.0 * d_h - d_2h) / 3.0
-    if many:
-        return rows
-    return [{side: v[0, c] for side, v in rows.items()} for c in range(len(checks))]
+    return rows
 
 
 def _target_channels(scene):
@@ -115,23 +114,16 @@ def _target_channels(scene):
         yield t.rcs * np.einsum("mr,mt->mrt", a_r[q], a_t[q])
 
 
-def _channel_stack(channels):
-    """Full multi-target channel, the target channels summed in target order."""
-    out = np.zeros_like(channels[0])
-    for channel in channels:
-        out += channel
-    return out
-
-
 def _channel_derivative(scene, base, q, kind, h):
     """(A(theta + h) - A(theta - h)) / 2h for one parameter of target q.
 
     Each shifted channel replaces target q's channel in base, the unshifted
     target channels, and is summed before the next one is formed, so one
-    shifted channel is held at a time.
+    shifted channel is held at a time. The target channels are summed in
+    target order.
     """
     shifted = _shifted_copies(scene, [q], ((kind, h), (kind, -h)))
-    plus, minus = (_channel_stack(base[:q] + [moved] + base[q + 1:])
+    plus, minus = (sum(base[:q] + [moved] + base[q + 1:])
                    for moved in _target_channels(shifted))
     return (plus - minus) / (2.0 * h)
 
@@ -217,7 +209,150 @@ def monte_carlo_isotropic(scene, draws=1000, seed=0):
             * np.einsum("imrt,jmrs,mst->ij", d.conj(), d, cov).real)
     err = (np.linalg.norm(mean - reference, "fro")
            / max(np.linalg.norm(reference, "fro"), REL_ERR_FLOOR))
-    tol = 3.0 / math.sqrt(draws)
-    return OracleReport(name="monte-carlo-isotropic", analytic=float(np.linalg.norm(reference, "fro")),
-                        oracle=float(np.linalg.norm(mean, "fro")), rel_err=float(err),
-                        steps=(draws, seed), tol=tol, passed=bool(err <= tol))
+    return make_report("monte-carlo-isotropic", np.linalg.norm(reference, "fro"),
+                       np.linalg.norm(mean, "fro"), 3.0 / math.sqrt(draws),
+                       steps=(draws, seed), rel_err=err)
+
+
+def _verify_steering(seed, battery, skew):
+    # scene i is drawn from its own generator; scenes of one (N, M) shape share
+    # their arrays and rows, so each shape group is one scene of its targets
+    groups = {}
+    for i in range(battery):
+        rng = np.random.default_rng(100003 * (seed + 1) + i)
+        n = int(rng.choice([4, 32]))
+        m_total = int(rng.choice([4, 16]))
+        r = float(rng.uniform(10.0, 500.0))
+        th = math.radians(float(rng.uniform(-60.0, 60.0)))
+        vx, vy = (float(v) for v in rng.uniform(-20.0, 20.0, 2))
+        target = Target(x=r * math.sin(th), y=r * math.cos(th), vx=vx, vy=vy,
+                        rcs_re=float(rng.normal()), rcs_im=float(rng.normal()))
+        groups.setdefault((n, m_total), []).append((i, target))
+    reports = [None] * battery
+    for (n, m_total), members in groups.items():
+        scene = make_scene(targets=[t for _, t in members], tx=ula(n, 0.01), rx=ula(n, 0.01),
+                           snapshots=m_total)
+        rows = [1, m_total]
+        # near broadside the x and vx derivatives are small against |a|, so
+        # the steps must sit well above the carrier-phase roundoff. A velocity
+        # step advances the phase of row m by up to k*m*T*step = 0.05 rad,
+        # where the fourth-order difference truncates at 0.05^4/30 = 2e-7;
+        # each row needs its own, while one location step serves both rows.
+        k = 2.0 * math.pi * scene.carrier_hz / scene.lightspeed
+        v_steps = [0.05 / (k * m * scene.t_sym_s) for m in rows]
+        checks = [(kind, 1e-4) for kind in ("x", "y")]
+        checks += [(kind, step) for kind in ("vx", "vy") for step in v_steps]
+        # every check differentiates both rows; x and y are compared on both,
+        # each velocity check on the row its step is sized for
+        picked = np.array([[True, True]] * 2 + [[True, False], [False, True]] * 2)
+        qs = list(range(len(members)))
+        refs = fd_steering_rows(scene, qs, checks, rows)  # side: (target, check, row, N)
+        errs = []
+        for side in ("tx", "rx"):
+            stack = steering_stack(scene, side, qs, m_values=rows)
+            ana = np.stack([stack.derivative(kind) for kind, _ in checks], axis=1) * (1.0 + skew)
+            ref = refs[side]
+            errs.append((np.linalg.norm(ana - ref, axis=-1)
+                         / np.linalg.norm(ref, axis=-1))[:, picked])
+        worst = np.max(errs, axis=(0, 2))  # per target, over both sides
+        for (i, _), w in zip(members, worst.tolist()):
+            reports[i] = make_report(f"steering-fd-{i:02d}", w, 0.0, 1e-5,
+                                     steps=(1e-4, *v_steps), rel_err=w)
+    return reports
+
+
+def _canonical_scene(n=32, m=16):
+    return make_scene(tx=ula(n, 0.01), rx=ula(n, 0.01), snapshots=m)
+
+
+def _two_target_scene(n=8, m=8):
+    t0 = Target(x=100 * math.sin(math.radians(20)), y=100 * math.cos(math.radians(20)),
+                vx=1.0, vy=4.0, rcs_re=1.0, rcs_im=0.1)
+    t1 = Target(x=150 * math.sin(math.radians(-45)), y=150 * math.cos(math.radians(-45)),
+                vx=4.0, vy=3.0, rcs_re=0.8, rcs_im=-0.2)
+    return make_scene(targets=[t0, t1], tx=ula(n, 0.01), rx=ula(n, 0.01), snapshots=m)
+
+
+def _verify_fim(canonical, info):
+    # info is fim(canonical), which _verify_consistency reads as well
+    reports = []
+    two = _two_target_scene()
+    for name, scene, analytic in (("fim-fd-q1", canonical, info.matrix),
+                                  ("fim-fd-q2", two, fim(two).matrix)):
+        reference = fd_fim(scene).matrix
+        err = np.linalg.norm(analytic - reference, "fro") / np.linalg.norm(reference, "fro")
+        reports.append(make_report(name, err, 0.0, 1e-5, rel_err=err))
+    return reports
+
+
+def _verify_consistency(scene, info):
+    reports = []
+    f = info.matrix
+
+    sym = np.linalg.norm(f - f.T, "fro") / np.linalg.norm(f, "fro")
+    reports.append(make_report("fim-symmetry", sym, 0.0, 1e-10, rel_err=sym))
+    w = np.linalg.eigvalsh(f)
+    negativity = max(0.0, float(-(w.min()) / np.linalg.norm(f, 2)))
+    reports.append(make_report("fim-psd", negativity, 0.0, 1e-8, rel_err=negativity))
+
+    closed = closed_form_single(scene, 0).targets[0]
+    diag = np.diag(f)
+    worst = 0.0
+    for i, name in ((0, "x"), (1, "y"), (2, "vx"), (3, "vy"), (4, "alpha_r"), (5, "alpha_i")):
+        worst = max(worst, abs(closed.by_name(name) * diag[i] - 1.0))
+    reports.append(make_report("closed-form-diagonal", worst, 0.0, 1e-10, rel_err=worst))
+
+    # the per-side gain G of the closed form against the brute-force element sum
+    t = scene.targets[0]
+    g_side, _ = _side_moments(scene, scene.tx, t)
+    g_ref = (scene.wavelength_m ** 2 / (16 * math.pi ** 2)) * brute_gain(scene.tx, t, "g")
+    reports.append(make_report("gain-identity", g_side, g_ref, 1e-12))
+
+    double = dataclasses.replace(scene, power_w=2 * scene.power_w)
+    ratio = (closed_form_single(double, 0).targets[0].crb_alpha
+             / closed_form_single(scene, 0).targets[0].crb_alpha)
+    reports.append(make_report("power-scaling", ratio, 0.5, 1e-12))
+    return reports
+
+
+def _verify_expansions():
+    reports = []
+    lam = 0.02
+    geom = ula(256, lam / 2)
+    grid = [50.0, 100.0, 200.0, 400.0, 800.0, 1600.0]
+    th = math.radians(20.0)
+    residual = []
+    for r in grid:
+        t = Target(x=r * math.sin(th), y=r * math.cos(th))
+        exact = brute_gain(geom, t, "g")
+        nf = gain(geom, t, lam, "nf")
+        residual.append(abs(nf - exact) / exact)
+    slope = np.polyfit(np.log(grid), np.log(residual), 1)[0]
+    reports.append(make_report("gain-expansion-order", float(slope), -4.0, 0.075))
+
+    scene = make_scene()
+    _, fraunhofer = scene.tx.region_boundaries(scene.wavelength_m)
+    worst = 0.0
+    for deg in (-60, -40, -20, 20, 40, 60):
+        th = math.radians(deg)
+        r = 10.0 * fraunhofer
+        t = Target(x=r * math.sin(th), y=r * math.cos(th), vx=1.0, vy=4.0,
+                   rcs_re=1.0, rcs_im=0.1)
+        far = make_scene(targets=[t])
+        c = correction_terms(far, 0)
+        worst = max(worst, abs(c.psi_x - 1.0), abs(c.psi_y - 1.0))
+    reports.append(make_report("psi-limit", worst, 0.0, 1e-3, rel_err=worst))
+    return reports
+
+
+def run_battery(seed, battery):
+    """Every check of `nfcrb verify`, in report order; battery randomized steering scenes."""
+    reports = _verify_steering(seed, battery, 0.0)
+    canonical = _canonical_scene()
+    info = fim(canonical)
+    reports += _verify_fim(canonical, info)
+    reports += _verify_consistency(canonical, info)
+    reports += _verify_expansions()
+    small = make_scene(targets=None, tx=ula(4, 0.01), rx=ula(4, 0.01), snapshots=8)
+    reports.append(monte_carlo_isotropic(small, draws=1000, seed=seed))
+    return reports

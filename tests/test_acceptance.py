@@ -15,7 +15,7 @@ from nfcrb import (Target, closed_form_single, correction_terms,
                    crb_location_approx, crb_rcs_approx, crb_velocity_approx,
                    fim, full_crb, gain, make_scene, relative_error,
                    schur_target_report, slow_time_sum, ula)
-from nfcrb.cli import _canonical_scene, _two_target_scene, _verify_steering
+from nfcrb.oracle import _canonical_scene, _two_target_scene, _verify_steering
 from nfcrb.oracle import brute_gain, fd_fim
 
 from util import rotate_scene, target_at

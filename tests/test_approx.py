@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from nfcrb import (ApproximationDomainError, DegenerateGeometryError, Target,
+from nfcrb import (ApproximationDomainError, ArrayGeometry, DegenerateGeometryError, Target,
                    brute_gain, closed_form_single, correction_terms,
                    crb_location_approx, crb_rcs_approx, crb_velocity_approx, gain,
                    make_scene, polar_of, relative_error, slow_time_sum, ula)
@@ -77,8 +77,7 @@ def test_gain_rejects_non_positive_gain_factor():
 
 
 def test_gain_expansions_need_ula():
-    from nfcrb import from_positions
-    geom = from_positions([[0.0, 0.0], [0.3, 0.4], [1.0, 0.0]])
+    geom = ArrayGeometry([[0.0, 0.0], [0.3, 0.4], [1.0, 0.0]])
     t = target_at(100.0, 20.0)
     assert brute_gain(geom, t, "g") > 0.0
     with pytest.raises(ValueError, match="uniform linear"):

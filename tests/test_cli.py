@@ -13,11 +13,11 @@ import numpy as np
 import pytest
 
 import nfcrb
-from nfcrb import Target, cli, dbm_to_watts, from_positions, make_scene, ula
+from nfcrb import ArrayGeometry, Target, cli, dbm_to_watts, make_scene, ula
 from nfcrb.approx import VARIANTS
-from nfcrb.cli import (BOUNDS, Config, ConfigError, SweepSpec, _bound_cells,
-                       _verify_steering, build_scene, main, parse_config,
-                       render_eval, run_sweep, run_verify, sweep_columns)
+from nfcrb.cli import (BOUNDS, Config, ConfigError, SweepSpec, _bound_cells, build_scene,
+                       main, parse_config, render_eval, run_sweep, run_verify, sweep_columns)
+from nfcrb.oracle import _verify_steering
 from nfcrb.steering import steering_chunks, steering_stack
 
 from util import (parse_csv, parse_kv_lines, shared_and_unshared, sharing_scenes,
@@ -406,7 +406,7 @@ def test_sweep_dark_target_leaves_relerr_empty():
 
 
 def test_free_form_arrays_leave_approximation_cells_empty():
-    geom = from_positions(ula(16, 0.01).positions)
+    geom = ArrayGeometry(ula(16, 0.01).positions)
     scene = make_scene(targets=[target_at(100.0, 20.0)], tx=geom, rx=geom, snapshots=8)
     cells = _bound_cells(scene, 0, BOUNDS, VARIANTS)
     for bound in BOUNDS:
@@ -599,7 +599,7 @@ def test_verify_derivative_skew_trips_fd_checks(monkeypatch):
         for s, stack in steering_chunks(*args, **kwargs):
             yield s, skew(stack)
 
-    monkeypatch.setattr(sys.modules["nfcrb.cli"], "steering_stack", skewed)
+    monkeypatch.setattr(sys.modules["nfcrb.oracle"], "steering_stack", skewed)
     # the package re-exports fim(), which shadows the nfcrb.fim module name
     monkeypatch.setattr(sys.modules["nfcrb.fim"], "steering_chunks", skewed_chunks)
     reports = run_verify(seed=0, battery=4, stream=io.StringIO())

@@ -9,8 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nfcrb import (FisherInfo, SingularFimError, Target, closed_form_single, fim,
-                   from_positions, full_crb, make_scene, schur_target_report,
+from nfcrb import (ArrayGeometry, FisherInfo, SingularFimError, Target,
+                   closed_form_single, fim, full_crb, make_scene, schur_target_report,
                    target_indices, ula)
 from nfcrb.approx import VARIANTS
 from nfcrb.cli import BOUNDS, _bound_cells
@@ -186,7 +186,7 @@ def closed_form_scenes(draw):
         tx = rx = ula(n, spacing)
         if layout == "free-form":
             k = np.arange(n)
-            tx = rx = from_positions(np.column_stack(
+            tx = rx = ArrayGeometry(np.column_stack(
                 [spacing * (k - (n - 1) / 2.0), 0.3 * spacing * np.sin(1.7 * k)]))
     speed = st.floats(-5.0, 5.0)
     v = draw(st.one_of(st.just((0.0, 0.0)), st.tuples(speed, speed)))

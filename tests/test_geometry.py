@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from nfcrb import ArrayGeometry, from_positions, ula
+from nfcrb import ArrayGeometry, ula
 
 
 def test_ula_positions_centered_on_centroid():
@@ -34,7 +34,7 @@ def test_ula_rejects_a_non_finite_count(count):
 
 
 @pytest.mark.parametrize("build", [
-    lambda: from_positions([[0.0, 0.0], [math.nan, 0.0], [0.02, 0.0]]),
+    lambda: ArrayGeometry([[0.0, 0.0], [math.nan, 0.0], [0.02, 0.0]]),
     lambda: ula(4, 0.01, centroid_x=math.inf),
     lambda: ula(128, 1e307),
 ], ids=["nan-position", "inf-centroid", "overflowing-spacing"])
@@ -49,7 +49,7 @@ def test_non_finite_element_positions_rejected(build):
 
 def test_aperture_is_span_of_elements():
     assert ula(256, 0.01).aperture() == pytest.approx(2.55)
-    free = from_positions([[0.0, 0.0], [3.0, 4.0], [1.0, 0.0]])
+    free = ArrayGeometry([[0.0, 0.0], [3.0, 4.0], [1.0, 0.0]])
     assert free.aperture() == pytest.approx(5.0)
 
 
@@ -70,13 +70,13 @@ def test_region_boundaries_rejects_bad_wavelength():
         ula(4, 0.01).region_boundaries(0.0)
 
 
-def test_from_positions_validates_shape():
+def test_array_geometry_validates_shape():
     with pytest.raises(ValueError):
-        from_positions([[0.0, 1.0, 2.0]])
+        ArrayGeometry([[0.0, 1.0, 2.0]])
     with pytest.raises(ValueError):
         ArrayGeometry(positions=np.zeros((0, 2)), spacing=None, centroid_x=None)
 
 
 def test_free_form_centroid_is_mean():
-    geom = from_positions([[0.0, 0.0], [2.0, 2.0]])
+    geom = ArrayGeometry([[0.0, 0.0], [2.0, 2.0]])
     np.testing.assert_allclose(geom.centroid, [1.0, 1.0])

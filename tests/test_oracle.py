@@ -11,8 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nfcrb import BLOCKS, Target, brute_gain, fd_fim, fim, make_scene, steering_stack, ula
-from nfcrb.cli import _aggregate_report, _verify_steering
-from nfcrb.oracle import (DEFAULT_STEPS, fd_steering_rows, make_report,
+from nfcrb.oracle import (DEFAULT_STEPS, _verify_steering, fd_steering_rows, make_report,
                           relative_difference)
 
 from util import canonical_scene, many_target_scene, small_scene, target_at
@@ -36,6 +35,14 @@ def test_make_report_verdicts():
     assert not bad.passed
     assert bad.steps == (1e-4,)
     assert bad.name == "check"
+    # a given rel_err decides the verdict, whatever analytic and oracle say
+    worst = make_report("battery", np.float64(2e-6), 0.0, tol=1e-6, rel_err=np.float64(2e-6))
+    assert not worst.passed and worst.rel_err == 2e-6
+    assert make_report("battery", 1.1, 1.0, tol=1e-6, rel_err=1e-7).passed
+    assert not make_report("battery", 1.0, 1.0, tol=1e-6, rel_err=0.5).passed
+    assert not make_report("battery", math.nan, 0.0, tol=1e-6, rel_err=math.nan).passed
+    for report in (good, worst):
+        assert all(type(v) is float for v in (report.analytic, report.oracle, report.rel_err))
 
 
 def test_fd_steering_default_steps():
@@ -43,7 +50,7 @@ def test_fd_steering_default_steps():
     a = steering_stack(s, "tx", 0)
     for kind in ("x", "y", "vx", "vy"):
         analytic = a.derivative(kind)[7]  # stack row 7 is snapshot m = 8
-        numeric = fd_steering_rows(s, 0, [(kind, None)], [8])[0]["tx"][0]
+        numeric = fd_steering_rows(s, [0], [(kind, None)], [8])["tx"][0, 0][0]
         err = np.abs(analytic - numeric).max() / np.abs(analytic).max()
         assert err < 1e-5
 
@@ -51,7 +58,7 @@ def test_fd_steering_default_steps():
 def test_fd_step_underflow_rejected():
     s = small_scene()
     with pytest.raises(ValueError, match="underflows"):
-        fd_steering_rows(s, 0, [("x", 1e-18)], [1])[0]["tx"][0]
+        fd_steering_rows(s, [0], [("x", 1e-18)], [1])["tx"][0, 0][0]
     with pytest.raises(ValueError, match="underflows"):
         fd_fim(s, steps={"x": 1e-18})
 
@@ -138,17 +145,17 @@ def test_batched_fd_equals_the_per_step_stack_route_bit_for_bit(case):
     kinds = ("x", "y", "vx", "vy")
     # all checks in one call, a kind repeated at its own step among them
     checks = [(kind, None) for kind in kinds] + [("vx", 3e-4)]
-    batched = fd_steering_rows(scene, q, checks, m_values)
-    assert len(batched) == len(checks)
-    for check, got_all in zip(checks, batched):
-        got = fd_steering_rows(scene, q, [check], m_values)[0]
+    batched = fd_steering_rows(scene, [q], checks, m_values)
+    assert batched["tx"].shape[1] == batched["rx"].shape[1] == len(checks)
+    for c, check in enumerate(checks):
+        got = fd_steering_rows(scene, [q], [check], m_values)
         for side in ("tx", "rx"):
-            assert (got_all[side] == got[side]).all()
-    for kind, got in zip(kinds, batched):
+            assert (batched[side][0, c] == got[side][0, 0]).all()
+    for c, kind in enumerate(kinds):
         want = _stack_fd_steering_rows(scene, q, kind, m_values)
         for side in ("tx", "rx"):
-            assert got[side].shape == want[side].shape
-            assert (got[side] == want[side]).all()
+            assert batched[side][0, c].shape == want[side].shape
+            assert (batched[side][0, c] == want[side]).all()
     assert (fd_fim(scene).matrix == _stack_fd_fim(scene)).all()
 
 
@@ -174,13 +181,13 @@ def _per_check_verify_steering(seed, battery, skew):
         stacks = {side: steering_stack(scene, side, 0, m_values=rows) for side in ("tx", "rx")}
         worst = 0.0
         for kind, picked, step in checks:
-            refs = fd_steering_rows(scene, 0, [(kind, step)], [rows[row] for row in picked])[0]
+            refs = fd_steering_rows(scene, [0], [(kind, step)], [rows[row] for row in picked])
             for side, ref in refs.items():
                 ana = stacks[side].derivative(kind)[picked] * (1.0 + skew)
-                err = np.linalg.norm(ana - ref, axis=1) / np.linalg.norm(ref, axis=1)
+                err = np.linalg.norm(ana - ref[0, 0], axis=1) / np.linalg.norm(ref[0, 0], axis=1)
                 worst = max(worst, float(err.max()))
-        reports.append(_aggregate_report(f"steering-fd-{i:02d}", worst, 1e-5,
-                                         steps=(1e-4, *v_steps)))
+        reports.append(make_report(f"steering-fd-{i:02d}", worst, 0.0, 1e-5,
+                                   steps=(1e-4, *v_steps), rel_err=worst))
     return reports
 
 
@@ -213,10 +220,11 @@ def test_fd_rows_of_a_target_list_equal_one_call_per_target_bit_for_bit(case, pi
     many = fd_steering_rows(scene, qs, checks, m_values)
     assert set(many) == {"tx", "rx"}
     for j, q in enumerate(qs):
-        for c, one in enumerate(fd_steering_rows(scene, q, checks, m_values)):
+        one = fd_steering_rows(scene, [q], checks, m_values)
+        for c in range(len(checks)):
             for side in ("tx", "rx"):
-                assert many[side][j, c].shape == one[side].shape
-                assert (many[side][j, c] == one[side]).all()
+                assert many[side][j, c].shape == one[side][0, c].shape
+                assert (many[side][j, c] == one[side][0, c]).all()
 
 
 @pytest.mark.parametrize("seed", [47, 62, 77, 82, 101, 300495, 808278])
@@ -240,7 +248,7 @@ def test_fd_oracles_build_no_steering_stack(monkeypatch):
         if name.startswith("nfcrb") and hasattr(module, "steering_stack"):
             monkeypatch.setattr(module, "steering_stack", refuse)
     s = small_scene()
-    fd_steering_rows(s, 0, [("x", None)], [1, 4])
+    fd_steering_rows(s, [0], [("x", None)], [1, 4])
     fd_fim(s)
 
 

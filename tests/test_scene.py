@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nfcrb import (BLOCKS, DegenerateGeometryError, Scene, Target, dbm_to_watts,
-                   from_positions, make_scene, polar_of, target_indices, ula)
+from nfcrb import (BLOCKS, ArrayGeometry, DegenerateGeometryError, Scene, Target,
+                   dbm_to_watts, make_scene, polar_of, target_indices, ula)
 from nfcrb.scene import MIN_ELEMENT_CLEARANCE
 
 from util import target_at
@@ -118,7 +118,7 @@ def test_target_at_even_array_centroid_is_degenerate(side):
     arrays[side] = ula(32, 0.01)
     with pytest.raises(DegenerateGeometryError, match="array centroid"):
         make_scene(targets=[near], **arrays)
-    free = from_positions(ula(32, 0.01).positions + [0.0, 1.0])  # centroid (0, 1)
+    free = ArrayGeometry(ula(32, 0.01).positions + [0.0, 1.0])  # centroid (0, 1)
     with pytest.raises(DegenerateGeometryError, match="array centroid"):
         make_scene(targets=[Target(x=0.0, y=1.0 + 5e-7)], **{**arrays, side: free})
     # just beyond the clearance the scene builds and polar_of answers
@@ -167,14 +167,14 @@ def test_monostatic_needs_one_layout_on_both_sides():
     assert make_scene().monostatic  # two ULAs built alike
     one = ula(8, 0.01)
     assert make_scene(tx=one, rx=one).monostatic
-    assert make_scene(tx=from_positions(positions), rx=from_positions(positions.copy())).monostatic
+    assert make_scene(tx=ArrayGeometry(positions), rx=ArrayGeometry(positions.copy())).monostatic
     assert not make_scene(tx=ula(8, 0.01), rx=ula(9, 0.01)).monostatic
     assert not make_scene(tx=ula(8, 0.01), rx=ula(8, 0.01, 0.5)).monostatic
     assert not make_scene(tx=one, rx=dataclasses.replace(one, centroid_x=0.5)).monostatic
-    assert not make_scene(tx=one, rx=from_positions(positions)).monostatic
+    assert not make_scene(tx=one, rx=ArrayGeometry(positions)).monostatic
     # bit-identical positions, not equal ones: -0.0 and 0.0 differ
-    assert not make_scene(tx=from_positions(positions),
-                          rx=from_positions(positions * [1.0, -1.0])).monostatic
+    assert not make_scene(tx=ArrayGeometry(positions),
+                          rx=ArrayGeometry(positions * [1.0, -1.0])).monostatic
 
 
 def test_monostatic_is_computed_once_and_patchable(monkeypatch):
@@ -230,7 +230,7 @@ def validation_cases(draw):
         geom = ula(draw(st.integers(1, 6)), draw(st.sampled_from([0.01, 0.3])),
                    draw(st.sampled_from([0.0, 0.25])))
         if draw(st.booleans()):
-            geom = from_positions(geom.positions + [0.0, draw(st.sampled_from([0.0, 0.5]))])
+            geom = ArrayGeometry(geom.positions + [0.0, draw(st.sampled_from([0.0, 0.5]))])
         return geom
 
     tx = array()

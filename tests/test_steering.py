@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nfcrb import (Target, doppler_shift, from_positions, make_scene, pathloss,
+from nfcrb import (ArrayGeometry, Target, doppler_shift, make_scene, pathloss,
                    steering_stack, ula)
 from nfcrb.oracle import fd_steering_rows
 from nfcrb.steering import steering_chunks
@@ -107,7 +107,7 @@ def test_derivatives_match_finite_differences(kind):
         stack = steering_stack(s, side, 0)
         for m in (2, 8, 16):
             ana = stack.derivative(kind)[m - 1]
-            ref = fd_steering_rows(s, 0, [(kind, None)], [m])[0][side][0]
+            ref = fd_steering_rows(s, [0], [(kind, None)], [m])[side][0, 0][0]
             err = np.linalg.norm(ana - ref) / np.linalg.norm(ref)
             assert err < 1e-6, (side, m, kind, err)
 
@@ -115,7 +115,7 @@ def test_derivatives_match_finite_differences(kind):
 def test_fd_rejects_underflowing_step():
     s = small_scene()
     with pytest.raises(ValueError):
-        fd_steering_rows(s, 0, [("x", 1e-22)], [1])[0]["tx"][0]
+        fd_steering_rows(s, [0], [("x", 1e-22)], [1])["tx"][0, 0][0]
 
 
 @st.composite
@@ -125,7 +125,7 @@ def stack_cases(draw):
         geom = ula(draw(st.integers(1, 8)), draw(st.sampled_from([0.01, 0.3])),
                    draw(st.sampled_from([0.0, 0.5])))
         if draw(st.booleans()):
-            geom = from_positions(geom.positions + [0.0, draw(st.sampled_from([0.0, -0.2]))])
+            geom = ArrayGeometry(geom.positions + [0.0, draw(st.sampled_from([0.0, -0.2]))])
         return geom
 
     tx = array()

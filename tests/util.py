@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 
-from nfcrb import (BLOCKS, Scene, Target, from_positions, make_scene, polar_of,
+from nfcrb import (BLOCKS, ArrayGeometry, Scene, Target, make_scene, polar_of,
                    slow_time_sum, ula)
 from nfcrb.steering import steering_stack
 
@@ -51,11 +51,11 @@ def sharing_scenes():
     """
     tx = ula(16, 0.01)
     targets = [target_at(30.0, 20.0), target_at(45.0, -35.0, v=(4.0, 3.0), alpha=(0.8, -0.2))]
-    pairs = {"monostatic-free-form": (from_positions(tx.positions),
-                                      from_positions(tx.positions.copy())),
+    pairs = {"monostatic-free-form": (ArrayGeometry(tx.positions),
+                                      ArrayGeometry(tx.positions.copy())),
              "near-twin-spacing": (tx, ula(16, 0.011)),
              "near-twin-centroid": (tx, dataclasses.replace(tx, centroid_x=0.5)),
-             "near-twin-free-form": (tx, from_positions(tx.positions))}
+             "near-twin-free-form": (tx, ArrayGeometry(tx.positions))}
     return {"monostatic-reference": make_scene(), "monostatic-q8": many_target_scene(q=8),
             **{key: make_scene(targets=targets, tx=a, rx=b, snapshots=8)
                for key, (a, b) in pairs.items()}}
@@ -85,8 +85,8 @@ def rotate_scene(scene, deg):
         targets.append(Target(x=p[0], y=p[1], vx=v[0], vy=v[1],
                               rcs_re=t.rcs_re, rcs_im=t.rcs_im))
     return dataclasses.replace(
-        scene, tx=from_positions(scene.tx.positions @ rot.T),
-        rx=from_positions(scene.rx.positions @ rot.T), targets=tuple(targets))
+        scene, tx=ArrayGeometry(scene.tx.positions @ rot.T),
+        rx=ArrayGeometry(scene.rx.positions @ rot.T), targets=tuple(targets))
 
 
 def parse_kv_lines(text):
