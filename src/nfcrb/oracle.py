@@ -107,11 +107,15 @@ def fd_steering_rows(scene, qs, checks, m_values):
 
 
 def _target_channels(scene):
-    """Yield each target's channel rcs_q a_r a_t^T for every snapshot, (M, N_r, N_t)."""
+    """Yield each target's channel rcs_q a_r a_t^T for every snapshot, (M, N_r, N_t).
+
+    The reflectivity is the right operand: numpy reuses a large temporary in
+    place as the left one, and a complex product rounds by operand order.
+    """
     a_t = steering_values(scene, "tx")
     a_r = steering_values(scene, "rx")
     for q, t in enumerate(scene.targets):
-        yield t.rcs * np.einsum("mr,mt->mrt", a_r[q], a_t[q])
+        yield np.einsum("mr,mt->mrt", a_r[q], a_t[q]) * t.rcs
 
 
 def _channel_derivative(scene, base, q, kind, h):

@@ -11,9 +11,10 @@ factors into derivative stacks and crb sums them into element moments.
 steering_values evaluates the entries alone, for every target of a scene in
 one broadcast, and steering_stack takes a list of targets the same way: each
 target field enters as a (Q, 1, 1) column against the (M, N) snapshot grid.
-steering_chunks yields such a stack a few snapshot rows at a time. All of them
-read the element paths from _paths and the entries from _entries, and the
-stacks come from the one _stack expression, so the model is written once.
+steering_chunks yields the same fields a few snapshot rows at a time, as one
+complex (5, Q, rows, N) array. All of them read the element paths from _paths
+and the entries from _entries, and the fields come from the one _stack array,
+so the model is written once.
 """
 
 from collections import namedtuple
@@ -123,29 +124,43 @@ def steering_stack(scene, side, q, m_values=None):
         target = _columns([scene.targets[j] for j in q])
     else:
         target = scene.targets[q]
-    return _stack(scene, *element_factors(scene, _side_geometry(scene, side), target), m_values)
+    return SteeringStack(*_stack(scene, *_factors(scene, side, target), m_values))
 
 
 def steering_chunks(scene, side, q, rows):
-    """steering_stack(scene, side, q) of a list of targets q, rows snapshots at a time.
+    """Steering fields of a list of targets q on one side, rows snapshots at a time.
 
-    Yields (s, stack) per chunk of snapshots, s the slice of rows the stack
-    holds; the element factors are computed once, for every chunk. Joined
-    along the snapshot axis, the stacks equal steering_stack(scene, side, q)
-    bit for bit.
+    Yields (s, fields) per chunk of snapshots: s is the slice of rows, and
+    fields one complex (5, len(q), rows, N) array holding a and the four
+    derivatives in SteeringStack field order. The element factors are
+    computed once, for every chunk. Joined along the snapshot axis, fields[i]
+    equals field i of steering_stack(scene, side, q) bit for bit.
     """
-    factors = element_factors(scene, _side_geometry(scene, side),
-                              _columns([scene.targets[j] for j in q]))
+    factors = _factors(scene, side, _columns([scene.targets[j] for j in q]))
     for start in range(0, scene.snapshots, rows):
         s = slice(start, min(start + rows, scene.snapshots))
         yield s, _stack(scene, *factors, np.arange(s.start + 1, s.stop + 1))
 
 
+def _factors(scene, side, target):
+    """element_factors of one side as (g, r, u, [(alpha, beta) per parameter]), alpha complex."""
+    g, r, u, factors = element_factors(scene, _side_geometry(scene, side), target)
+    return g, r, u, [(np.asarray(alpha, dtype=complex), beta) for alpha, beta in factors.values()]
+
+
 def _stack(scene, g, r, u, factors, m_values):
-    """SteeringStack of the entries and their derivatives (alpha + beta t) a."""
+    """One complex (5, [Q,] M, N) array of the entries a and their derivatives (alpha + beta t) a.
+
+    The slow times enter as complex t, so every product runs numpy's plain
+    complex loop, not a cast of t per product; the values and bits are the same.
+    """
     a, mt = _entries(scene, g, r, u, m_values)  # ([Q,] M, N), (M, 1)
-    return SteeringStack(a=a, **{f"d_{kind}": (alpha + beta * mt) * a
-                                 for kind, (alpha, beta) in factors.items()})
+    fields = np.empty((1 + len(factors),) + a.shape, dtype=complex)
+    fields[0] = a
+    t = mt.astype(complex)
+    for field, (alpha, beta) in zip(fields[1:], factors):
+        np.multiply(alpha + beta * t, a, out=field)
+    return fields
 
 
 def steering_values(scene, side, m_values=None):

@@ -589,15 +589,14 @@ def test_verify_steering_passes_near_broadside_batteries(seed):
 def test_verify_derivative_skew_trips_fd_checks(monkeypatch):
     # a multiplicative error on the analytic x-derivative stacks must be caught
     # by both the steering-level and the matrix-level finite differences
-    def skew(stack):
+    def skewed(*args, **kwargs):
+        stack = steering_stack(*args, **kwargs)
         return dataclasses.replace(stack, d_x=stack.d_x * (1.0 + 1e-3))
 
-    def skewed(*args, **kwargs):
-        return skew(steering_stack(*args, **kwargs))
-
     def skewed_chunks(*args, **kwargs):
-        for s, stack in steering_chunks(*args, **kwargs):
-            yield s, skew(stack)
+        for s, fields in steering_chunks(*args, **kwargs):
+            fields[1] *= 1.0 + 1e-3  # d_x, in SteeringStack field order
+            yield s, fields
 
     monkeypatch.setattr(sys.modules["nfcrb.oracle"], "steering_stack", skewed)
     # the package re-exports fim(), which shadows the nfcrb.fim module name

@@ -4,6 +4,8 @@ import dataclasses
 import hashlib
 import math
 import os
+import platform
+import resource
 import subprocess
 import sys
 import tracemalloc
@@ -16,14 +18,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import nfcrb
-from nfcrb import (brute_gain, fd_fim, fim, make_scene, monte_carlo_isotropic,
+from nfcrb import (BLOCKS, brute_gain, fd_fim, fim, make_scene, monte_carlo_isotropic,
                    target_indices, ula)
-from nfcrb.fim import KEYS
+from nfcrb.fim import KEYS, derivative_terms
 from nfcrb.oracle import _channel_derivatives
-from nfcrb.steering import steering_chunks
+from nfcrb.steering import steering_chunks, steering_stack
 
-from util import (canonical_scene, explicit_fim, many_target_scene, shared_and_unshared,
-                  sharing_scenes, small_scene, target_at)
+from util import (canonical_scene, explicit_fim, many_target_scene, rotate_scene,
+                  shared_and_unshared, sharing_scenes, small_scene, target_at)
 
 
 def two_target_scene(n=8, m=8):
@@ -161,6 +163,55 @@ def test_zero_reflectivity_kills_kinematic_information():
     assert f[4, 4] > 0.0 and f[5, 5] > 0.0
 
 
+def reference_own_block(scene, q):
+    """6x6 own block of target q the way a single-target FIM sums it, scaled.
+
+    Per-target einsum Grams of the whole steering stack, the upper triangle
+    mirrored, then the derivative_terms products added one by one as numpy
+    scalars. fim's own blocks must keep these bits: criterion 11's rotation
+    check passes on today's raw inverse by a margin that rounding can eat.
+    """
+    grams = []
+    for side in ("rx", "tx"):
+        fields = [getattr(steering_stack(scene, side, [q]), key) for key in KEYS]
+        gram = np.empty((len(KEYS), len(KEYS), scene.snapshots), dtype=complex)
+        for i, u in enumerate(fields):
+            for j in range(i, len(KEYS)):
+                gram[i, j] = np.einsum("qmn,qmn->qm", u.conj(), fields[j])[0]
+                gram[j, i] = gram[i, j].conj()
+        grams.append(gram)
+    g_rx, g_tx = grams
+    terms = [[(c, KEYS.index(rk), KEYS.index(tk))
+              for c, rk, tk in derivative_terms(kind, scene.targets[q].rcs)] for kind in BLOCKS]
+    block = np.empty((6, 6))
+    for i in range(6):
+        for j in range(i, 6):
+            acc = 0.0
+            for ci, rki, tki in terms[i]:
+                for cj, rkj, tkj in terms[j]:
+                    acc += (np.conj(ci) * cj
+                            * (g_rx[rki, rkj] * g_tx[tki, tkj]).sum()).real
+            block[i, j] = block[j, i] = acc
+    return block * (2.0 * scene.power_w / scene.noise_var_w)
+
+
+def criterion_11_base():
+    return make_scene(targets=[target_at(20.0, 30.0, v=(8.0, -5.0))],
+                      tx=ula(128, 0.01), rx=ula(128, 0.01))
+
+
+@pytest.mark.filterwarnings("ignore:target 0 moves")  # criterion 11's 20 m scene
+@pytest.mark.parametrize("build", [criterion_11_base,
+                                   lambda: rotate_scene(criterion_11_base(), 30.0),
+                                   many_target_scene], ids=["base", "rotated", "q8"])
+def test_own_blocks_equal_the_single_target_reference_bit_for_bit(build):
+    scene = build()
+    f = fim(scene).matrix
+    for q in range(scene.q_count):
+        assert f[q::scene.q_count, q::scene.q_count].tobytes() == \
+            reference_own_block(scene, q).tobytes()
+
+
 def test_target_order_permutes_blocks():
     s = two_target_scene()
     swapped = make_scene(targets=[s.targets[1], s.targets[0]], tx=s.tx, rx=s.rx,
@@ -232,10 +283,10 @@ def test_fim_builds_one_stack_per_target_and_distinct_side(monkeypatch, rx_centr
     built = Counter()
 
     def counted(scene, side, q, rows):
-        for s, stack in steering_chunks(scene, side, q, rows):
-            assert stack.a.shape[:2] == (len(q), s.stop - s.start)
+        for s, fields in steering_chunks(scene, side, q, rows):
+            assert fields.shape[1:3] == (len(q), s.stop - s.start)
             built.update((side, t, m) for t in q for m in range(s.start, s.stop))
-            yield s, stack
+            yield s, fields
 
     monkeypatch.setattr(module, "steering_chunks", counted)
     # three snapshot rows per chunk: chunks of 3 and 1 rows
@@ -273,7 +324,7 @@ def test_eval_size_fim_is_bit_identical_for_every_chunk_size(rx_centroid):
 
 
 def test_fim_peak_memory_is_bounded():
-    # the whole (M, 5Q, 2N) halves of one side would take 80 MiB here
+    # the whole (5, Q, M, N) complex fields of one side would take 160 MiB here
     scene = many_target_scene(q=8, n=1024, m=256)
     tracemalloc.start()
     try:
@@ -282,6 +333,23 @@ def test_fim_peak_memory_is_bounded():
     finally:
         tracemalloc.stop()
     assert peak < 32 * 2 ** 20
+
+
+@pytest.mark.skipif(sys.platform != "linux" or platform.libc_ver()[0] != "glibc",
+                    reason="counts page faults under glibc's heap trimming")
+def test_fim_does_not_refault_its_heap_on_every_call():
+    # fim's one workspace is its largest allocation, which lifts glibc's trim
+    # threshold: with separate blocks the heap is handed back and faulted in
+    # again on every call, about 1,500-2,000 minor faults here
+    scene = many_target_scene()
+    for _ in range(2):
+        fim(scene)
+    faults = []
+    for _ in range(5):
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        fim(scene)
+        faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+    assert max(faults) < 256, faults
 
 
 @st.composite

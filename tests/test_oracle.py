@@ -11,8 +11,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nfcrb import BLOCKS, Target, brute_gain, fd_fim, fim, make_scene, steering_stack, ula
-from nfcrb.oracle import (DEFAULT_STEPS, _verify_steering, fd_steering_rows, make_report,
-                          relative_difference)
+from nfcrb.oracle import (DEFAULT_STEPS, _target_channels, _verify_steering, fd_steering_rows,
+                          make_report, relative_difference)
+from nfcrb.steering import steering_values
 
 from util import canonical_scene, many_target_scene, small_scene, target_at
 
@@ -100,7 +101,7 @@ def _stack_channel(scene):
     for q in range(scene.q_count):
         a_t = steering_stack(scene, "tx", q).a
         a_r = steering_stack(scene, "rx", q).a
-        out += scene.targets[q].rcs * np.einsum("mr,mt->mrt", a_r, a_t)
+        out += np.einsum("mr,mt->mrt", a_r, a_t) * scene.targets[q].rcs
     return out
 
 
@@ -238,6 +239,19 @@ def test_three_target_fd_fim_keeps_the_target_addition_order():
     # with two targets the channel sum is exact in either order; three show it
     s = many_target_scene(q=3, n=4, m=4)
     assert (fd_fim(s).matrix == _stack_fd_fim(s)).all()
+
+
+@pytest.mark.parametrize("scene, large", [(small_scene(), False), (canonical_scene(), True)],
+                         ids=["4KiB", "256KiB"])
+def test_target_channels_multiply_by_the_reflectivity_in_one_operand_order(scene, large):
+    # numpy reuses a temporary of 256 KiB or more in place as the left operand,
+    # and a complex product rounds by operand order: below and above that size
+    # the channel must be the same product e * rcs
+    a_t, a_r = steering_values(scene, "tx"), steering_values(scene, "rx")
+    for q, channel in enumerate(_target_channels(scene)):
+        e = np.einsum("mr,mt->mrt", a_r[q], a_t[q])
+        assert (e.nbytes >= 256 * 1024) == large
+        assert channel.tobytes() == np.multiply(e, scene.targets[q].rcs).tobytes()
 
 
 def test_fd_oracles_build_no_steering_stack(monkeypatch):

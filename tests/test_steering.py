@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from nfcrb import (ArrayGeometry, Target, doppler_shift, make_scene, pathloss,
                    steering_stack, ula)
+from nfcrb.fim import KEYS
 from nfcrb.oracle import fd_steering_rows
 from nfcrb.steering import steering_chunks
 
@@ -161,7 +162,7 @@ def assert_chunks_join_into_the_stack(scene, qs, rows):
         chunks = list(steering_chunks(scene, side, qs, rows))
         assert [s.start for s, _ in chunks] == list(range(0, scene.snapshots, rows))
         for field in ("a", "d_x", "d_y", "d_vx", "d_vy"):
-            joined = np.concatenate([getattr(stack, field) for _, stack in chunks], axis=1)
+            joined = np.concatenate([fields[KEYS.index(field)] for _, fields in chunks], axis=1)
             assert joined.shape == getattr(whole, field).shape
             assert (joined == getattr(whole, field)).all()
 
