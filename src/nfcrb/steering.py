@@ -124,7 +124,8 @@ def steering_stack(scene, side, q, m_values=None):
         target = _columns([scene.targets[j] for j in q])
     else:
         target = scene.targets[q]
-    return SteeringStack(*_stack(scene, *_factors(scene, side, target), m_values))
+    factors = element_factors(scene, _side_geometry(scene, side), target)
+    return SteeringStack(*_stack(scene, *factors, m_values))
 
 
 def steering_chunks(scene, side, q, rows):
@@ -136,30 +137,25 @@ def steering_chunks(scene, side, q, rows):
     computed once, for every chunk. Joined along the snapshot axis, fields[i]
     equals field i of steering_stack(scene, side, q) bit for bit.
     """
-    factors = _factors(scene, side, _columns([scene.targets[j] for j in q]))
+    factors = element_factors(scene, _side_geometry(scene, side),
+                              _columns([scene.targets[j] for j in q]))
     for start in range(0, scene.snapshots, rows):
         s = slice(start, min(start + rows, scene.snapshots))
         yield s, _stack(scene, *factors, np.arange(s.start + 1, s.stop + 1))
 
 
-def _factors(scene, side, target):
-    """element_factors of one side as (g, r, u, [(alpha, beta) per parameter]), alpha complex."""
-    g, r, u, factors = element_factors(scene, _side_geometry(scene, side), target)
-    return g, r, u, [(np.asarray(alpha, dtype=complex), beta) for alpha, beta in factors.values()]
-
-
 def _stack(scene, g, r, u, factors, m_values):
     """One complex (5, [Q,] M, N) array of the entries a and their derivatives (alpha + beta t) a.
 
-    The slow times enter as complex t, so every product runs numpy's plain
-    complex loop, not a cast of t per product; the values and bits are the same.
+    t and alpha enter as complex, so every product runs numpy's plain complex
+    loop, not a buffered cast per product; the values and bits are the same.
     """
     a, mt = _entries(scene, g, r, u, m_values)  # ([Q,] M, N), (M, 1)
     fields = np.empty((1 + len(factors),) + a.shape, dtype=complex)
     fields[0] = a
     t = mt.astype(complex)
-    for field, (alpha, beta) in zip(fields[1:], factors):
-        np.multiply(alpha + beta * t, a, out=field)
+    for field, (alpha, beta) in zip(fields[1:], factors.values()):
+        np.multiply(alpha.astype(complex) + beta * t, a, out=field)
     return fields
 
 
