@@ -64,28 +64,58 @@ def derivative_terms(kind, alpha):
     return ((alpha, key, "a"), (alpha, "a", key))
 
 
-def _own_blocks(coef, keys, n_terms, g_rx, g_tx):
-    """(Q, 6, 6) own-target blocks from the (Q, 5, 5, M) Grams, term by term over all targets.
+def _term_tables():
+    """Static tables of the derivative_terms products.
 
-    Each block is summed in the term order of a single-target FIM. conj(ci) cj
+    Returns the rx and tx key indices of every term, (side, kind, term), with
+    one-term kinds padded by term 0; the distinct own-Gram products (rx key
+    pair, tx key pair) that an own block reads; and, for each upper entry
+    (i, j) of a 6x6 block, its term pairs (i, ti, j, tj, product) in the order
+    of a single-target FIM, padded to four slots by product 0. Its Gram sum is
+    0, and adding a zero term leaves a sum that starts at +0.0 bit for bit.
+    """
+    terms = [derivative_terms(kind, 1.0) for kind in BLOCKS]
+    keys = np.zeros((2, len(BLOCKS), 2), dtype=int)
+    for kind, kind_terms in enumerate(terms):
+        for t, (_, rk, tk) in enumerate(kind_terms):
+            keys[:, kind, t] = KEYS.index(rk), KEYS.index(tk)
+    products, slots = [None], []
+    for i, j in zip(*np.triu_indices(len(BLOCKS))):
+        entry = []
+        for ti in range(len(terms[i])):
+            for tj in range(len(terms[j])):
+                product = (keys[0, i, ti], keys[0, j, tj], keys[1, i, ti], keys[1, j, tj])
+                if product not in products:
+                    products.append(product)
+                entry.append((i, ti, j, tj, products.index(product)))
+        slots.append(entry + [(0, 0, 0, 0, 0)] * (4 - len(entry)))
+    return keys, products[1:], np.array(slots).transpose(2, 1, 0)
+
+
+_TERM_KEYS, _OWN_PRODUCTS, _OWN_SLOTS = _term_tables()
+
+
+def _own_blocks(coef, g_rx, g_tx):
+    """(Q, 6, 6) own-target blocks from the (Q, 5, 5, M) Grams, for all targets at once.
+
+    Each entry adds its terms in the order of a single-target FIM. conj(ci) cj
     and its product with the Gram sum are written out in real arithmetic, the
     way numpy's scalar complex product rounds them; its array loop fuses
     multiply-adds and would not.
     """
-    q_count, b = coef.shape[:2]
-    block = np.empty((q_count, b, b))
-    for i in range(b):
-        for j in range(i, b):
-            acc = np.zeros(q_count)
-            for ti in range(n_terms[i]):
-                for tj in range(n_terms[j]):
-                    ci, cj = coef[:, i, ti].conj(), coef[:, j, tj]
-                    c_re = ci.real * cj.real - ci.imag * cj.imag
-                    c_im = ci.real * cj.imag + ci.imag * cj.real
-                    gram = (g_rx[:, keys[0, i, ti], keys[0, j, tj]]
-                            * g_tx[:, keys[1, i, ti], keys[1, j, tj]]).sum(axis=-1)
-                    acc += c_re * gram.real - c_im * gram.imag
-            block[:, i, j] = block[:, j, i] = acc
+    sums = np.zeros((len(coef), 1 + len(_OWN_PRODUCTS)), dtype=complex)
+    for u, (r1, r2, t1, t2) in enumerate(_OWN_PRODUCTS, 1):
+        sums[:, u] = (g_rx[:, r1, r2] * g_tx[:, t1, t2]).sum(axis=-1)
+    i, ti, j, tj, u = _OWN_SLOTS  # (4 slots, 21 entries) each
+    ci, cj, gram = coef[:, i, ti].conj(), coef[:, j, tj], sums[:, u]
+    c_re = ci.real * cj.real - ci.imag * cj.imag
+    c_im = ci.real * cj.imag + ci.imag * cj.real
+    terms = c_re * gram.real - c_im * gram.imag
+    acc = np.zeros((len(coef), i.shape[1]))
+    for slot in range(len(i)):  # one term pair at a time, as the scalar sum adds them
+        acc += terms[:, slot]
+    block = np.empty((len(coef), len(BLOCKS), len(BLOCKS)))
+    block[:, i[0], j[0]] = block[:, j[0], i[0]] = acc
     return block
 
 
@@ -141,18 +171,13 @@ def fim(scene):
     """
     q_count, k, b = scene.q_count, len(KEYS), len(BLOCKS)
     order = np.array(sorted(range(q_count), key=lambda q: dataclasses.astuple(scene.targets[q])))
-    # the term table per target in canonical order: coefficients (Q, kind,
-    # term), rx and tx key indices (side, kind, term); one-term kinds are
-    # padded with a zero term
+    # the coefficients of derivative_terms per target in canonical order,
+    # (Q, kind, term), in the slots of _TERM_KEYS
     rcs = np.array([scene.targets[q].rcs for q in order])
     coef = np.zeros((q_count, b, 2), dtype=complex)
-    keys = np.zeros((2, b, 2), dtype=int)
-    n_terms = []
     for kind_index, kind in enumerate(BLOCKS):
-        terms = derivative_terms(kind, rcs)
-        n_terms.append(len(terms))
-        for t, (c, rk, tk) in enumerate(terms):
-            coef[:, kind_index, t], keys[:, kind_index, t] = c, (KEYS.index(rk), KEYS.index(tk))
+        for t, (c, _, _) in enumerate(derivative_terms(kind, rcs)):
+            coef[:, kind_index, t] = c
     p1, p2 = np.triu_indices(q_count, 1)
     # both sides' pair blocks and one chunk's conjugate fields in one
     # allocation: as the largest block of the call it lifts glibc's heap trim
@@ -173,11 +198,11 @@ def fim(scene):
         own_tx = _side_grams(scene, "tx", order, p1, p2, pairs_tx, conj)
 
     f = np.zeros((b, q_count, b, q_count))
-    f[:, order, :, order] = _own_blocks(coef, keys, n_terms, own_rx, own_tx)
+    f[:, order, :, order] = _own_blocks(coef, own_rx, own_tx)
     if q_count > 1:
         # pair blocks p1 < p2: w[pair, (r1, r2), (t1, t2)] = sum_m rx[r1, r2] tx[t1, t2]
         w = pairs_rx.transpose(0, 2, 1) @ pairs_tx
-        rx_idx, tx_idx = (k * key[:, :, None, None] + key for key in keys)
+        rx_idx, tx_idx = (k * key[:, :, None, None] + key for key in _TERM_KEYS)
         blocks = np.einsum("pit,pitju,pju->pij", coef[p1].conj(), w[:, rx_idx, tx_idx],
                            coef[p2]).real
         f[:, order[p1], :, order[p2]] = blocks
