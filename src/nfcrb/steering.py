@@ -124,8 +124,7 @@ def steering_stack(scene, side, q, m_values=None):
         target = _columns([scene.targets[j] for j in q])
     else:
         target = scene.targets[q]
-    factors = element_factors(scene, _side_geometry(scene, side), target)
-    return SteeringStack(*_stack(scene, *factors, m_values))
+    return SteeringStack(*_stack(scene, *_factors(scene, side, target), m_values))
 
 
 def steering_chunks(scene, side, q, rows):
@@ -137,11 +136,16 @@ def steering_chunks(scene, side, q, rows):
     computed once, for every chunk. Joined along the snapshot axis, fields[i]
     equals field i of steering_stack(scene, side, q) bit for bit.
     """
-    factors = element_factors(scene, _side_geometry(scene, side),
-                              _columns([scene.targets[j] for j in q]))
+    factors = _factors(scene, side, _columns([scene.targets[j] for j in q]))
     for start in range(0, scene.snapshots, rows):
         s = slice(start, min(start + rows, scene.snapshots))
         yield s, _stack(scene, *factors, np.arange(s.start + 1, s.stop + 1))
+
+
+def _factors(scene, side, target):
+    """element_factors of one side, each alpha cast to complex once for _stack's products."""
+    g, r, u, factors = element_factors(scene, _side_geometry(scene, side), target)
+    return g, r, u, [(np.asarray(alpha, dtype=complex), beta) for alpha, beta in factors.values()]
 
 
 def _stack(scene, g, r, u, factors, m_values):
@@ -154,8 +158,8 @@ def _stack(scene, g, r, u, factors, m_values):
     fields = np.empty((1 + len(factors),) + a.shape, dtype=complex)
     fields[0] = a
     t = mt.astype(complex)
-    for field, (alpha, beta) in zip(fields[1:], factors.values()):
-        np.multiply(alpha.astype(complex) + beta * t, a, out=field)
+    for field, (alpha, beta) in zip(fields[1:], factors):
+        np.multiply(alpha + beta * t, a, out=field)
     return fields
 
 
