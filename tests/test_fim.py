@@ -340,7 +340,7 @@ def test_fim_peak_memory_is_bounded():
 def test_fim_does_not_refault_its_heap_on_every_call():
     # fim's one workspace is its largest allocation, which lifts glibc's trim
     # threshold: with separate blocks the heap is handed back and faulted in
-    # again on every call, about 1,500-2,000 minor faults here
+    # again on every call, over a thousand minor faults here
     scene = many_target_scene()
     for _ in range(2):
         fim(scene)
