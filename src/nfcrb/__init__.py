@@ -19,4 +19,4 @@ from .geometry import ArrayGeometry, ula
 from .oracle import OracleReport, brute_gain, fd_fim, monte_carlo_isotropic
 from .scene import (BLOCKS, DegenerateGeometryError, Scene, Target, dbm_to_watts,
                     make_scene, polar_of, target_indices)
-from .steering import SteeringStack, doppler_shift, pathloss, steering_stack
+from .steering import doppler_shift, pathloss, steering_stack

@@ -12,14 +12,14 @@ and no N_r x N_t matrix is ever materialized during assembly. Own-target 6x6
 blocks keep the per-snapshot einsum inner products and the term order of a
 single-target FIM, bit for bit, summed for all targets at once. Cross-target
 blocks come from one complex Gram per snapshot and side over every target's
-steering fields, rows field-major in a canonical target order (sorted by
-fields); each pair block is computed once in that order and mirrored, so
-permuting the targets permutes the matrix. Per-snapshot Grams are independent,
-so each side's are formed CHUNK_BYTES of complex fields at a time and only
-their pair blocks are kept: memory grows with Q^2 M, not with M Q N, and the
-bits do not depend on the chunk size. The contraction over snapshots stays one
-complex product over all of them. A monostatic scene (Scene.monostatic) builds
-one side's fields and Grams and reads them for both sides.
+field array in steering.KEYS order, rows field-major in a canonical target
+order (sorted by fields); each pair block is computed once in that order and
+mirrored, so permuting the targets permutes the matrix. Per-snapshot Grams are
+independent, so each side's are formed CHUNK_BYTES of fields at a time and
+only their pair blocks are kept: memory grows with Q^2 M, not with M Q N, and
+the bits do not depend on the chunk size. The contraction over snapshots stays
+one complex product over all of them. A monostatic scene (Scene.monostatic)
+builds one side's fields and Grams and reads them for both sides.
 """
 
 import dataclasses
@@ -27,10 +27,8 @@ import dataclasses
 import numpy as np
 
 from .scene import BLOCKS
-from .steering import SteeringStack, steering_chunks
+from .steering import KEYS, steering_chunks
 
-# stacked steering fields: index 0 is a, 1..4 the derivatives
-KEYS = tuple(f.name for f in dataclasses.fields(SteeringStack))
 # bytes of one side's complex steering fields formed at a time; a snapshot
 # row larger than this is one chunk of its own
 CHUNK_BYTES = 1 << 20
@@ -51,7 +49,7 @@ def derivative_terms(kind, alpha):
     """Rank-1 decomposition of one derivative channel matrix.
 
     Each term (c, rx_key, tx_key) contributes c * rx.rx_key tx.tx_key^T, with
-    the keys naming SteeringStack fields and kind one of BLOCKS. The
+    the keys naming steering.KEYS fields and kind one of BLOCKS. The
     reflectivity derivatives are the bare steering outer product (times j
     for the imaginary part); the kinematic derivatives follow the product
     rule over both sides.

@@ -25,7 +25,7 @@ from .crb import _side_moments, closed_form_single
 from .fim import FisherInfo, derivative_terms, fim
 from .geometry import ula
 from .scene import BLOCKS, Target, make_scene
-from .steering import steering_stack, steering_values
+from .steering import KEYS, steering_stack, steering_values
 
 REL_ERR_FLOOR = 1e-30
 
@@ -177,7 +177,8 @@ def _channel_derivatives(scene):
 
     Each stack is the sum of c * a_r a_t^T over the rank-1 terms of
     fim.derivative_terms, materialized here instead of reduced to Gram
-    products.
+    products. c is the left operand: numpy reuses a large temporary in place
+    as the left one, and a complex product rounds by operand order.
     """
     stacks = {(side, q): steering_stack(scene, side, q)
               for q in range(scene.q_count) for side in ("tx", "rx")}
@@ -185,7 +186,8 @@ def _channel_derivatives(scene):
     for kind in BLOCKS:
         for q in range(scene.q_count):
             tx, rx = stacks["tx", q], stacks["rx", q]
-            derivs.append(sum(c * np.einsum("mr,mt->mrt", getattr(rx, rk), getattr(tx, tk))
+            derivs.append(sum(np.multiply(c, np.einsum("mr,mt->mrt", rx[KEYS.index(rk)],
+                                                       tx[KEYS.index(tk)]))
                               for c, rk, tk in derivative_terms(kind, scene.targets[q].rcs)))
     return np.stack(derivs)
 
@@ -254,7 +256,8 @@ def _verify_steering(seed, battery, skew):
         errs = []
         for side in ("tx", "rx"):
             stack = steering_stack(scene, side, qs, m_values=rows)
-            ana = np.stack([stack.derivative(kind) for kind, _ in checks], axis=1) * (1.0 + skew)
+            ana = np.stack([stack[KEYS.index("d_" + kind)] for kind, _ in checks],
+                           axis=1) * (1.0 + skew)
             ref = refs[side]
             errs.append((np.linalg.norm(ana - ref, axis=-1)
                          / np.linalg.norm(ref, axis=-1))[:, picked])

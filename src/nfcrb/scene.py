@@ -80,6 +80,7 @@ class Scene:
             raise ValueError("scene scalars must be finite")
         if self.snapshots < 1 or int(self.snapshots) != self.snapshots:
             raise ValueError(f"snapshots must be a positive integer, got {self.snapshots!r}")
+        object.__setattr__(self, "snapshots", int(self.snapshots))  # numpy sizes arrays by it
         if self.power_w <= 0 or self.noise_var_w <= 0:
             raise ValueError("power_w and noise_var_w must be positive")
         # every FIM entry is scaled by this ratio: inf gives NaN entries, 0 a zero FIM
@@ -119,11 +120,11 @@ class Scene:
                         # ranges and angles are measured from the centroid, which an
                         # even-count array leaves free of elements: polar_of raises there
                         polar_of(self.targets[q], sides[col // 2])
-        min_range = min([math.inf, *(r for row in near for r in row[::2])])
-        # constant-velocity small-displacement assumption: the CPI-long travel
-        # must stay far below the closest range or the static-phase model drifts
-        for q, t in enumerate(self.targets):
+        # small-displacement assumption: each target's CPI-long travel must stay
+        # far below its own closest element range or the static-phase model drifts
+        for q, (t, row) in enumerate(zip(self.targets, near)):
             travel = math.hypot(t.vx, t.vy) * self.snapshots * self.t_sym_s
+            min_range = min(row[::2])
             if travel / min_range > 1e-2:
                 warnings.warn(
                     f"target {q} moves {travel:.3g} m over the CPI at minimum range "

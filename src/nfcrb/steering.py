@@ -6,44 +6,28 @@ propagation delay and the per-path Doppler progression over slow time, and
 the magnitude carries the per-element free-space pathloss lambda/(4 pi r_n).
 
 element_factors alone writes down d a_n / dp = (alpha_p + beta_p t) a_n at
-slow time t = m T, pathloss gradient included: steering_stack multiplies the
-factors into derivative stacks and crb sums them into element moments.
-steering_values evaluates the entries alone, for every target of a scene in
-one broadcast, and steering_stack takes a list of targets the same way: each
-target field enters as a (Q, 1, 1) column against the (M, N) snapshot grid.
-steering_chunks yields the same fields a few snapshot rows at a time, as one
-complex (5, Q, rows, N) array. All of them read the element paths from _paths
-and the entries from _entries, and the fields come from the one _stack array,
-so the model is written once.
+slow time t = m T, pathloss gradient included: _stack multiplies the factors
+into derivative fields and crb sums them into element moments. The steering
+vector and its four derivatives are one complex (5, [Q,] M, N) field array in
+KEYS order, the only statement of that order. steering_stack returns it for
+one target or, with a leading target axis, for a list of targets in one
+broadcast: each target field enters as a (Q, 1, 1) column against the (M, N)
+snapshot grid. steering_chunks yields the same array a few snapshot rows at a
+time, so a stack is the one-chunk case. steering_values evaluates the entries
+alone, for every target of a scene in one broadcast. All of them read the
+element paths from _paths and the entries from _entries, so the model is
+written once.
 """
 
 from collections import namedtuple
-from dataclasses import dataclass
 
 import numpy as np
 
 from .scene import DegenerateGeometryError
 
-
-@dataclass(frozen=True)
-class SteeringStack:
-    """One array side, one target, all snapshots: (M, N) complex arrays.
-
-    A stack of several targets puts a leading target axis on every field.
-
-    a is the steering vector; d_* are its derivatives with respect to the
-    target parameters (location x/y, velocity vx/vy).
-    """
-
-    a: np.ndarray
-    d_x: np.ndarray
-    d_y: np.ndarray
-    d_vx: np.ndarray
-    d_vy: np.ndarray
-
-    def derivative(self, kind):
-        return {"x": self.d_x, "y": self.d_y, "vx": self.d_vx, "vy": self.d_vy}[kind]
-
+# the fields of a steering field array: the steering vector a, then its
+# derivatives with respect to the target location x/y and velocity vx/vy
+KEYS = ("a", "d_x", "d_y", "d_vx", "d_vy")
 
 # target states as (Q, 1, 1) columns; element_factors reads them like a Target
 _Columns = namedtuple("_Columns", "x y vx vy")
@@ -112,29 +96,28 @@ def element_factors(scene, geom, target):
 
 
 def steering_stack(scene, side, q, m_values=None):
-    """Steering vectors and all four derivatives of target q on one side.
+    """Steering vector and all four derivatives of target q on one side.
 
     side is 'tx' or 'rx'; m_values are slow-time indices, 1..M by default.
-    Returns a SteeringStack of (len(m_values), N) complex arrays. q may also
-    be a list or tuple of target indices, never a slice: every field then
-    has a leading target axis, (len(q), len(m_values), N), and slice j
-    equals steering_stack(scene, side, q[j], m_values) bit for bit.
+    Returns one complex (5, len(m_values), N) array of the fields in KEYS
+    order. q may also be a list or tuple of target indices, never a slice:
+    the array then has a target axis, (5, len(q), len(m_values), N), and
+    [:, j] equals steering_stack(scene, side, q[j], m_values) bit for bit.
     """
     if isinstance(q, (list, tuple)):
         target = _columns([scene.targets[j] for j in q])
     else:
         target = scene.targets[q]
-    return SteeringStack(*_stack(scene, *_factors(scene, side, target), m_values))
+    return _stack(scene, *_factors(scene, side, target), m_values)
 
 
 def steering_chunks(scene, side, q, rows):
-    """Steering fields of a list of targets q on one side, rows snapshots at a time.
+    """steering_stack of a list of targets q on one side, rows snapshots at a time.
 
     Yields (s, fields) per chunk of snapshots: s is the slice of rows, and
-    fields one complex (5, len(q), rows, N) array holding a and the four
-    derivatives in SteeringStack field order. The element factors are
-    computed once, for every chunk. Joined along the snapshot axis, fields[i]
-    equals field i of steering_stack(scene, side, q) bit for bit.
+    fields the complex (5, len(q), rows, N) array of those rows. The element
+    factors are computed once, for every chunk. Joined along the snapshot
+    axis, the chunks equal steering_stack(scene, side, q) bit for bit.
     """
     factors = _factors(scene, side, _columns([scene.targets[j] for j in q]))
     for start in range(0, scene.snapshots, rows):
@@ -143,9 +126,10 @@ def steering_chunks(scene, side, q, rows):
 
 
 def _factors(scene, side, target):
-    """element_factors of one side, each alpha cast to complex once for _stack's products."""
+    """element_factors of one side, in KEYS order, each alpha cast to complex once for _stack."""
     g, r, u, factors = element_factors(scene, _side_geometry(scene, side), target)
-    return g, r, u, [(np.asarray(alpha, dtype=complex), beta) for alpha, beta in factors.values()]
+    picked = (factors[key.removeprefix("d_")] for key in KEYS[1:])
+    return g, r, u, [(np.asarray(alpha, dtype=complex), beta) for alpha, beta in picked]
 
 
 def _stack(scene, g, r, u, factors, m_values):
@@ -167,7 +151,7 @@ def steering_values(scene, side, m_values=None):
     """Steering vectors alone of every target on one side, in one broadcast.
 
     Returns a (Q, len(m_values), N) complex array whose slice q equals
-    steering_stack(scene, side, q, m_values).a bit for bit; no derivative is
+    steering_stack(scene, side, q, m_values)[0] bit for bit; no derivative is
     formed.
     """
     _, _, r, u, g = _paths(scene, _side_geometry(scene, side), *_columns(scene.targets))

@@ -1,6 +1,5 @@
 """Config parsing, eval/sweep rendering, verify battery, and exit codes."""
 
-import dataclasses
 import io
 import math
 import os
@@ -18,7 +17,7 @@ from nfcrb.approx import VARIANTS
 from nfcrb.cli import (BOUNDS, Config, ConfigError, SweepSpec, _bound_cells, build_scene,
                        main, parse_config, render_eval, run_sweep, run_verify, sweep_columns)
 from nfcrb.oracle import _verify_steering
-from nfcrb.steering import steering_chunks, steering_stack
+from nfcrb.steering import KEYS, steering_chunks, steering_stack
 
 from util import (parse_csv, parse_kv_lines, shared_and_unshared, sharing_scenes,
                   target_at)
@@ -591,11 +590,12 @@ def test_verify_derivative_skew_trips_fd_checks(monkeypatch):
     # by both the steering-level and the matrix-level finite differences
     def skewed(*args, **kwargs):
         stack = steering_stack(*args, **kwargs)
-        return dataclasses.replace(stack, d_x=stack.d_x * (1.0 + 1e-3))
+        stack[KEYS.index("d_x")] *= 1.0 + 1e-3
+        return stack
 
     def skewed_chunks(*args, **kwargs):
         for s, fields in steering_chunks(*args, **kwargs):
-            fields[1] *= 1.0 + 1e-3  # d_x, in SteeringStack field order
+            fields[KEYS.index("d_x")] *= 1.0 + 1e-3
             yield s, fields
 
     monkeypatch.setattr(sys.modules["nfcrb.oracle"], "steering_stack", skewed)

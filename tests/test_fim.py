@@ -20,9 +20,9 @@ from hypothesis import strategies as st
 import nfcrb
 from nfcrb import (BLOCKS, brute_gain, fd_fim, fim, make_scene, monte_carlo_isotropic,
                    target_indices, ula)
-from nfcrb.fim import KEYS, derivative_terms
+from nfcrb.fim import derivative_terms
 from nfcrb.oracle import _channel_derivatives
-from nfcrb.steering import steering_chunks, steering_stack
+from nfcrb.steering import KEYS, steering_chunks, steering_stack
 
 from util import (canonical_scene, explicit_fim, many_target_scene, rotate_scene,
                   shared_and_unshared, sharing_scenes, small_scene, target_at)
@@ -173,7 +173,7 @@ def reference_own_block(scene, q):
     """
     grams = []
     for side in ("rx", "tx"):
-        fields = [getattr(steering_stack(scene, side, [q]), key) for key in KEYS]
+        fields = steering_stack(scene, side, [q])
         gram = np.empty((len(KEYS), len(KEYS), scene.snapshots), dtype=complex)
         for i, u in enumerate(fields):
             for j in range(i, len(KEYS)):

@@ -11,9 +11,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nfcrb import BLOCKS, Target, brute_gain, fd_fim, fim, make_scene, steering_stack, ula
-from nfcrb.oracle import (DEFAULT_STEPS, _target_channels, _verify_steering, fd_steering_rows,
-                          make_report, relative_difference)
-from nfcrb.steering import steering_values
+from nfcrb.fim import derivative_terms
+from nfcrb.oracle import (DEFAULT_STEPS, _channel_derivatives, _target_channels,
+                          _verify_steering, fd_steering_rows, make_report, relative_difference)
+from nfcrb.steering import KEYS, steering_values
 
 from util import canonical_scene, many_target_scene, small_scene, target_at
 
@@ -50,7 +51,7 @@ def test_fd_steering_default_steps():
     s = canonical_scene()
     a = steering_stack(s, "tx", 0)
     for kind in ("x", "y", "vx", "vy"):
-        analytic = a.derivative(kind)[7]  # stack row 7 is snapshot m = 8
+        analytic = a[KEYS.index("d_" + kind)][7]  # stack row 7 is snapshot m = 8
         numeric = fd_steering_rows(s, [0], [(kind, None)], [8])["tx"][0, 0][0]
         err = np.abs(analytic - numeric).max() / np.abs(analytic).max()
         assert err < 1e-5
@@ -89,7 +90,7 @@ def _stack_fd_steering_rows(scene, q, kind, m_values):
     shifted = {d: _perturbed(scene, q, kind, d) for d in (h, -h, 2.0 * h, -2.0 * h)}
     out = {}
     for side in ("tx", "rx"):
-        a = {d: steering_stack(s, side, q, m_values=m_values).a for d, s in shifted.items()}
+        a = {d: steering_stack(s, side, q, m_values=m_values)[0] for d, s in shifted.items()}
         d_h = (a[h] - a[-h]) / (2.0 * h)
         d_2h = (a[2.0 * h] - a[-2.0 * h]) / (4.0 * h)
         out[side] = (4.0 * d_h - d_2h) / 3.0
@@ -99,8 +100,8 @@ def _stack_fd_steering_rows(scene, q, kind, m_values):
 def _stack_channel(scene):
     out = np.zeros((scene.snapshots, scene.rx.count, scene.tx.count), dtype=complex)
     for q in range(scene.q_count):
-        a_t = steering_stack(scene, "tx", q).a
-        a_r = steering_stack(scene, "rx", q).a
+        a_t = steering_stack(scene, "tx", q)[0]
+        a_r = steering_stack(scene, "rx", q)[0]
         out += np.einsum("mr,mt->mrt", a_r, a_t) * scene.targets[q].rcs
     return out
 
@@ -184,7 +185,7 @@ def _per_check_verify_steering(seed, battery, skew):
         for kind, picked, step in checks:
             refs = fd_steering_rows(scene, [0], [(kind, step)], [rows[row] for row in picked])
             for side, ref in refs.items():
-                ana = stacks[side].derivative(kind)[picked] * (1.0 + skew)
+                ana = stacks[side][KEYS.index("d_" + kind)][picked] * (1.0 + skew)
                 err = np.linalg.norm(ana - ref[0, 0], axis=1) / np.linalg.norm(ref[0, 0], axis=1)
                 worst = max(worst, float(err.max()))
         reports.append(make_report(f"steering-fd-{i:02d}", worst, 0.0, 1e-5,
@@ -203,8 +204,9 @@ def test_one_call_steering_battery_equals_the_per_check_route_bit_for_bit(seed):
 
 
 def test_steering_battery_raises_no_warning():
-    # a shape group's scene takes the small-displacement warning over all of
-    # its targets; no battery draw comes near it, nor may a numpy warning
+    # a shape group's scene holds each target to the small-displacement
+    # warning at its own range, as a scene of its own would; no battery draw
+    # comes near it, nor may a numpy warning
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for seed in range(40):
@@ -252,6 +254,23 @@ def test_target_channels_multiply_by_the_reflectivity_in_one_operand_order(scene
         e = np.einsum("mr,mt->mrt", a_r[q], a_t[q])
         assert (e.nbytes >= 256 * 1024) == large
         assert channel.tobytes() == np.multiply(e, scene.targets[q].rcs).tobytes()
+
+
+@pytest.mark.parametrize("scene, large", [(small_scene(), False), (canonical_scene(), True)],
+                         ids=["4KiB", "256KiB"])
+def test_channel_derivatives_multiply_by_the_coefficient_in_one_operand_order(scene, large):
+    # as for the target channels: below and above numpy's 256 KiB threshold
+    # every rank-1 term must be the same product c * e
+    tx, rx = steering_stack(scene, "tx", 0), steering_stack(scene, "rx", 0)
+    want = []
+    for kind in BLOCKS:
+        terms = []
+        for c, rk, tk in derivative_terms(kind, scene.targets[0].rcs):
+            e = np.einsum("mr,mt->mrt", rx[KEYS.index(rk)], tx[KEYS.index(tk)])
+            assert (e.nbytes >= 256 * 1024) == large
+            terms.append(np.multiply(c, e))
+        want.append(sum(terms))
+    assert _channel_derivatives(scene).tobytes() == np.stack(want).tobytes()
 
 
 def test_fd_oracles_build_no_steering_stack(monkeypatch):

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nfcrb import (BLOCKS, ArrayGeometry, DegenerateGeometryError, Scene, Target,
-                   dbm_to_watts, make_scene, polar_of, target_indices, ula)
+                   dbm_to_watts, fim, make_scene, polar_of, target_indices, ula)
 from nfcrb.scene import MIN_ELEMENT_CLEARANCE
 
 from util import target_at
@@ -102,6 +102,14 @@ def test_snapshots_must_be_integral():
         make_scene(snapshots=2.5)
 
 
+def test_integral_float_snapshots_are_stored_as_an_int():
+    # fim sizes its arrays by snapshots, which numpy refuses as a float
+    arrays = {"tx": ula(4, 0.01), "rx": ula(4, 0.01)}
+    s = make_scene(snapshots=8.0, **arrays)
+    assert type(s.snapshots) is int
+    assert fim(s).matrix.tobytes() == fim(make_scene(snapshots=8, **arrays)).matrix.tobytes()
+
+
 def test_target_on_element_is_degenerate():
     geom = ula(4, 0.01)
     on_top = Target(x=float(geom.positions[0, 0]), y=0.0)
@@ -132,6 +140,22 @@ def test_fast_target_warns_but_builds():
     with pytest.warns(UserWarning):
         s = make_scene(targets=[quick], tx=ula(4, 0.01), rx=ula(4, 0.01))
     assert s.q_count == 1
+
+
+def test_small_displacement_warning_reads_each_targets_own_range():
+    arrays = {"tx": ula(4, 0.01), "rx": ula(4, 0.01)}
+    # 0.5 m of travel over the 25.6 ms CPI is 0.1% of 500 m but 5% of 10 m
+    far = target_at(500.0, 0.0, v=(0.5 / 0.0256, 0.0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        make_scene(targets=[target_at(10.0, 0.0, v=(0.0, 0.0)), far], **arrays)
+    near = target_at(10.0, 0.0, v=(0.5 / 0.0256, 0.0))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        make_scene(targets=[far, near], **arrays)
+    assert [str(w.message) for w in caught] == [
+        "target 1 moves 0.5 m over the CPI at minimum range 10 m; "
+        "the small-displacement model is strained"]
 
 
 def test_default_scene_does_not_warn():
@@ -192,8 +216,9 @@ def _loop_validation(targets, tx, rx, snapshots, t_sym_s):
     for q, t in enumerate(targets):
         if not all(math.isfinite(getattr(t, name)) for name in BLOCKS):
             raise ValueError(f"target {q} has a non-finite field")
-    min_range = math.inf
+    min_ranges = []  # per target, its closest element range over both sides
     for q, t in enumerate(targets):
+        min_ranges.append(math.inf)
         for geom in (tx, rx):
             d = np.hypot(t.x - geom.positions[:, 0], t.y - geom.positions[:, 1])
             if d.min() <= MIN_ELEMENT_CLEARANCE:
@@ -201,13 +226,13 @@ def _loop_validation(targets, tx, rx, snapshots, t_sym_s):
                     f"target {q} is within {MIN_ELEMENT_CLEARANCE} m of an array element"
                 )
             polar_of(t, geom)
-            min_range = min(min_range, float(d.min()))
+            min_ranges[q] = min(min_ranges[q], float(d.min()))
     for q, t in enumerate(targets):
         travel = math.hypot(t.vx, t.vy) * snapshots * t_sym_s
-        if travel / min_range > 1e-2:
+        if travel / min_ranges[q] > 1e-2:
             warnings.warn(
                 f"target {q} moves {travel:.3g} m over the CPI at minimum range "
-                f"{min_range:.3g} m; the small-displacement model is strained"
+                f"{min_ranges[q]:.3g} m; the small-displacement model is strained"
             )
 
 

@@ -7,9 +7,8 @@ from hypothesis import strategies as st
 
 from nfcrb import (ArrayGeometry, Target, doppler_shift, make_scene, pathloss,
                    steering_stack, ula)
-from nfcrb.fim import KEYS
 from nfcrb.oracle import fd_steering_rows
-from nfcrb.steering import steering_chunks
+from nfcrb.steering import KEYS, steering_chunks, steering_values
 
 from util import canonical_scene, many_target_scene, small_scene, target_at
 
@@ -19,7 +18,7 @@ def test_single_element_entry_frozen_value():
     # the range is an integer number of wavelengths so the phase winds to ~0
     s = make_scene(targets=[Target(x=0.0, y=100.0)],
                    tx=ula(1, 0.01), rx=ula(1, 0.01), snapshots=1)
-    entry = steering_stack(s, "tx", 0).a[0, 0]
+    entry = steering_stack(s, "tx", 0)[0][0, 0]
     g = 1.5915494309189534e-05
     assert abs(entry) == pytest.approx(g, rel=1e-12)
     expected = g * np.exp(-1j * (2 * np.pi / 0.02) * 100.0)
@@ -34,22 +33,22 @@ def test_entry_magnitude_equals_pathloss_everywhere():
         stack = steering_stack(s, side, 0)
         per_element = np.array([pathloss((t.x, t.y), pos, s.wavelength_m)
                                 for pos in geom.positions])
-        np.testing.assert_allclose(np.abs(stack.a),
-                                   np.broadcast_to(per_element, stack.a.shape),
+        np.testing.assert_allclose(np.abs(stack[0]),
+                                   np.broadcast_to(per_element, stack[0].shape),
                                    rtol=1e-13)
 
 
 def test_static_target_steering_identical_across_snapshots():
     s = small_scene(v=(0.0, 0.0))
     stack = steering_stack(s, "rx", 0)
-    np.testing.assert_array_equal(stack.a, np.broadcast_to(stack.a[0], stack.a.shape))
+    np.testing.assert_array_equal(stack[0], np.broadcast_to(stack[0][0], stack[0].shape))
 
 
 def test_snapshot_phase_progression_matches_doppler():
     s = small_scene(n=4, m=3)
     t = s.targets[0]
     stack = steering_stack(s, "tx", 0)
-    ratio = stack.a[1:] / stack.a[:-1]
+    ratio = stack[0][1:] / stack[0][:-1]
     # one-way shift of each element path = half the monostatic two-way shift
     shift = np.array([doppler_shift(t, pos, pos, s.carrier_hz, s.lightspeed) / 2
                       for pos in s.tx.positions])
@@ -60,7 +59,7 @@ def test_snapshot_phase_progression_matches_doppler():
 
 def test_velocity_derivative_linear_in_slow_time():
     s = small_scene(m=8, v=(0.0, 0.0))
-    d_vx = steering_stack(s, "rx", 0).d_vx  # row m-1 is snapshot m
+    d_vx = steering_stack(s, "rx", 0)[KEYS.index("d_vx")]  # row m-1 is snapshot m
     for m in (2, 5, 8):
         np.testing.assert_allclose(d_vx[m - 1], m * d_vx[0], rtol=1e-13)
 
@@ -69,7 +68,7 @@ def test_velocity_derivative_magnitude_factor():
     s = small_scene(n=4, m=4)
     m = 3
     stack = steering_stack(s, "tx", 0)
-    d, a = stack.d_vx[m - 1], stack.a[m - 1]
+    d, a = stack[KEYS.index("d_vx"), m - 1], stack[0, m - 1]
     t = s.targets[0]
     dx = t.x - s.tx.positions[:, 0]
     dy = t.y - s.tx.positions[:, 1]
@@ -84,15 +83,15 @@ def test_broadside_element_kills_x_derivatives():
     s = make_scene(targets=[Target(x=0.0, y=50.0)],
                    tx=ula(1, 0.01), rx=ula(1, 0.01), snapshots=2)
     stack = steering_stack(s, "tx", 0)
-    assert stack.d_vx[0, 0] == 0
-    assert stack.d_x[0, 0] == 0
+    assert stack[KEYS.index("d_vx"), 0, 0] == 0
+    assert stack[KEYS.index("d_x"), 0, 0] == 0
 
 
 def test_static_location_factor_reduces_to_two_terms():
     s = small_scene(n=4, m=4, v=(0.0, 0.0))
     m = 2
     stack = steering_stack(s, "rx", 0)
-    d, a = stack.d_x[m - 1], stack.a[m - 1]
+    d, a = stack[KEYS.index("d_x"), m - 1], stack[0, m - 1]
     t = s.targets[0]
     dx = t.x - s.rx.positions[:, 0]
     r = np.hypot(dx, t.y - s.rx.positions[:, 1])
@@ -107,7 +106,7 @@ def test_derivatives_match_finite_differences(kind):
     for side in ("tx", "rx"):
         stack = steering_stack(s, side, 0)
         for m in (2, 8, 16):
-            ana = stack.derivative(kind)[m - 1]
+            ana = stack[KEYS.index("d_" + kind)][m - 1]
             ref = fd_steering_rows(s, [0], [(kind, None)], [m])[side][0, 0][0]
             err = np.linalg.norm(ana - ref) / np.linalg.norm(ref)
             assert err < 1e-6, (side, m, kind, err)
@@ -148,12 +147,16 @@ def test_stack_of_a_target_list_equals_one_stack_per_target_bit_for_bit(case):
     scene, qs, m_values = case
     for side in ("tx", "rx"):
         many = steering_stack(scene, side, qs, m_values)
+        values = steering_values(scene, side, m_values)
         for j, q in enumerate(qs):
             one = steering_stack(scene, side, q, m_values)
-            for field in ("a", "d_x", "d_y", "d_vx", "d_vy"):
-                got, want = getattr(many, field)[j], getattr(one, field)
+            for field in range(len(KEYS)):
+                got, want = many[field, j], one[field]
                 assert got.shape == want.shape
                 assert (got == want).all()
+            # steering_values' slice q is the stack's first field, a
+            assert values[q].shape == one[0].shape
+            assert (values[q] == one[0]).all()
 
 
 def assert_chunks_join_into_the_stack(scene, qs, rows):
@@ -161,10 +164,9 @@ def assert_chunks_join_into_the_stack(scene, qs, rows):
         whole = steering_stack(scene, side, qs)
         chunks = list(steering_chunks(scene, side, qs, rows))
         assert [s.start for s, _ in chunks] == list(range(0, scene.snapshots, rows))
-        for field in ("a", "d_x", "d_y", "d_vx", "d_vy"):
-            joined = np.concatenate([fields[KEYS.index(field)] for _, fields in chunks], axis=1)
-            assert joined.shape == getattr(whole, field).shape
-            assert (joined == getattr(whole, field)).all()
+        joined = np.concatenate([fields for _, fields in chunks], axis=2)
+        assert joined.shape == whole.shape
+        assert (joined == whole).all()
 
 
 @settings(derandomize=True, max_examples=40, deadline=None)

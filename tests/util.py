@@ -7,7 +7,7 @@ import numpy as np
 
 from nfcrb import (BLOCKS, ArrayGeometry, Scene, Target, make_scene, polar_of,
                    slow_time_sum, ula)
-from nfcrb.steering import steering_stack
+from nfcrb.steering import KEYS, steering_stack
 
 
 def target_at(range_m, angle_deg, v=(1.0, 4.0), alpha=(1.0, 0.1)):
@@ -128,17 +128,17 @@ def stack_closed_form(scene, q):
     half = 2.0 * scene.power_w / scene.noise_var_w
     alpha2 = abs(scene.targets[q].rcs) ** 2
 
-    norm_at = np.einsum("mn,mn->m", tx.a.conj(), tx.a).real  # (M,)
-    norm_ar = np.einsum("mn,mn->m", rx.a.conj(), rx.a).real
+    norm_at = np.einsum("mn,mn->m", tx[0].conj(), tx[0]).real  # (M,)
+    norm_ar = np.einsum("mn,mn->m", rx[0].conj(), rx[0]).real
     f_alpha = half * (norm_ar * norm_at).sum()
     crb_alpha_part = 1.0 / f_alpha if f_alpha > 0.0 else math.inf
 
     def kinematic(kind):
-        d_t = tx.derivative(kind)
-        d_r = rx.derivative(kind)
+        d_t = tx[KEYS.index("d_" + kind)]
+        d_r = rx[KEYS.index("d_" + kind)]
         s = (np.einsum("mn,mn->m", d_r.conj(), d_r).real * norm_at
-             + 2.0 * (np.einsum("mn,mn->m", d_r.conj(), rx.a)
-                      * np.einsum("mn,mn->m", tx.a.conj(), d_t)).real
+             + 2.0 * (np.einsum("mn,mn->m", d_r.conj(), rx[0])
+                      * np.einsum("mn,mn->m", tx[0].conj(), d_t)).real
              + norm_ar * np.einsum("mn,mn->m", d_t.conj(), d_t).real)
         f = half * alpha2 * s.sum()
         return 1.0 / f if f > 0.0 else math.inf
@@ -166,12 +166,13 @@ def explicit_fim(scene, x):
             for q in range(scene.q_count):
                 tx, rx = stacks["tx", q], stacks["rx", q]
                 if kind == "rcs_re":
-                    d = np.outer(rx.a[m], tx.a[m])
+                    d = np.outer(rx[0][m], tx[0][m])
                 elif kind == "rcs_im":
-                    d = 1j * np.outer(rx.a[m], tx.a[m])
+                    d = 1j * np.outer(rx[0][m], tx[0][m])
                 else:
-                    d = scene.targets[q].rcs * (np.outer(rx.derivative(kind)[m], tx.a[m])
-                                                + np.outer(rx.a[m], tx.derivative(kind)[m]))
+                    key = KEYS.index("d_" + kind)
+                    d = scene.targets[q].rcs * (np.outer(rx[key][m], tx[0][m])
+                                                + np.outer(rx[0][m], tx[key][m]))
                 mu.append(x[..., :, m] @ d.T)  # D_p x_m, (..., N_r)
         mu = np.stack(mu, axis=-2)  # (..., 6Q, N_r)
         f += (mu.conj() @ np.swapaxes(mu, -1, -2)).real
