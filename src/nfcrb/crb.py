@@ -101,18 +101,16 @@ def schur_target_report(info, q):
 def _side_moments(scene, geom, target):
     """Element sums of one array side for one target.
 
-    Returns (G, moments) with G = sum_n g_n^2 and, per kinematic parameter p,
-    moments[p] = (A, B, C, P, Q), the sums over elements of g^2 |alpha|^2,
+    Returns (G, (A, B, C, P, Q)) with G = sum_n g_n^2 and each moment an
+    array with one entry per kinematic parameter p, in the row order of
+    steering.element_factors: the sums over elements of g^2 |alpha|^2,
     g^2 conj(alpha) beta, g^2 |beta|^2, g^2 alpha and g^2 beta, where
-    alpha + beta t is the derivative factor d a_n / a_n at slow time t = m T
-    from steering.element_factors.
+    alpha + beta t is the derivative factor d a_n / a_n at slow time t = m T.
     """
-    g, _, _, factors = element_factors(scene, geom, target)
+    g, _, _, alpha, beta = element_factors(scene, geom, target)
     g2 = g ** 2
-    moments = {kind: ((g2 * abs(alpha) ** 2).sum(), (g2 * alpha.conj() * beta).sum(),
-                      (g2 * abs(beta) ** 2).sum(), (g2 * alpha).sum(), (g2 * beta).sum())
-               for kind, (alpha, beta) in factors.items()}
-    return g2.sum(), moments
+    return g2.sum(), ((g2 * abs(alpha) ** 2).sum(-1), (g2 * alpha.conj() * beta).sum(-1),
+                      (g2 * abs(beta) ** 2).sum(-1), (g2 * alpha).sum(-1), (g2 * beta).sum(-1))
 
 
 def closed_form_single(scene, q):
@@ -150,9 +148,9 @@ def closed_form_single(scene, q):
     f_alpha = half * s0 * g_t * g_r
     crb_alpha_part = 1.0 / f_alpha if f_alpha > 0.0 else math.inf
 
-    def kinematic(kind):
-        a_t, b_t, c_t, p_t, q_t = mom_t[kind]
-        a_r, b_r, c_r, p_r, q_r = mom_r[kind]
+    def kinematic(p):
+        a_t, b_t, c_t, p_t, q_t = (moment[p] for moment in mom_t)
+        a_r, b_r, c_r, p_r, q_r = (moment[p] for moment in mom_r)
         s = (g_t * (a_r * s0 + 2.0 * b_r.real * s1 + c_r * s2)
              + g_r * (a_t * s0 + 2.0 * b_t.real * s1 + c_t * s2)
              + 2.0 * (p_r.conjugate() * p_t * s0
@@ -161,7 +159,6 @@ def closed_form_single(scene, q):
         f = half * alpha2 * s
         return 1.0 / f if f > 0.0 else math.inf
 
-    bounds = TargetBounds(crb_x=kinematic("x"), crb_y=kinematic("y"),
-                          crb_vx=kinematic("vx"), crb_vy=kinematic("vy"),
-                          crb_alpha_r=crb_alpha_part, crb_alpha_i=crb_alpha_part)
+    # scalar arithmetic per p: an array product may fuse multiply-adds, moving bits
+    bounds = TargetBounds(*map(kinematic, range(4)), crb_alpha_part, crb_alpha_part)
     return CrbReport(targets=(bounds,))

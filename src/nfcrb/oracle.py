@@ -24,7 +24,7 @@ from .approx import correction_terms, gain
 from .crb import _side_moments, closed_form_single
 from .fim import FisherInfo, derivative_terms, fim
 from .geometry import ula
-from .scene import BLOCKS, Target, make_scene
+from .scene import BLOCKS, Target, make_scene, target_indices
 from .steering import KEYS, steering_stack, steering_values
 
 REL_ERR_FLOOR = 1e-30
@@ -142,14 +142,15 @@ def fd_fim(scene, steps=None):
     the others.
     """
     steps = {**DEFAULT_STEPS, **(steps or {})}
-    n_par = 6 * scene.q_count
     base = list(_target_channels(scene))
-    derivs = []
-    for kind in BLOCKS:
-        for q in range(scene.q_count):
-            h = steps[kind]
-            _check_step(h, getattr(scene.targets[q], kind))
-            derivs.append(_channel_derivative(scene, base, q, kind, h))
+    # one array, not a list of stacks, so glibc does not trim and re-fault the heap
+    derivs = np.empty((6 * scene.q_count, scene.snapshots, scene.rx.count, scene.tx.count),
+                      dtype=complex)
+    n_par = len(derivs)
+    for q in range(scene.q_count):
+        for i, kind in zip(target_indices(q, scene.q_count), BLOCKS):
+            _check_step(steps[kind], getattr(scene.targets[q], kind))
+            derivs[i] = _channel_derivative(scene, base, q, kind, steps[kind])
 
     f = np.zeros((n_par, n_par))
     for i in range(n_par):
@@ -173,23 +174,22 @@ def brute_gain(geom, target, kind):
 
 
 def _channel_derivatives(scene):
-    """Analytic channel derivative stacks, (6Q, M, N_r, N_t), in BLOCKS order.
+    """Analytic channel derivative stacks, one (6Q, M, N_r, N_t) array in BLOCKS order.
 
     Each stack is the sum of c * a_r a_t^T over the rank-1 terms of
     fim.derivative_terms, materialized here instead of reduced to Gram
     products. c is the left operand: numpy reuses a large temporary in place
     as the left one, and a complex product rounds by operand order.
     """
-    stacks = {(side, q): steering_stack(scene, side, q)
-              for q in range(scene.q_count) for side in ("tx", "rx")}
-    derivs = []
-    for kind in BLOCKS:
-        for q in range(scene.q_count):
-            tx, rx = stacks["tx", q], stacks["rx", q]
-            derivs.append(sum(np.multiply(c, np.einsum("mr,mt->mrt", rx[KEYS.index(rk)],
-                                                       tx[KEYS.index(tk)]))
-                              for c, rk, tk in derivative_terms(kind, scene.targets[q].rcs)))
-    return np.stack(derivs)
+    derivs = np.empty((6 * scene.q_count, scene.snapshots, scene.rx.count, scene.tx.count),
+                      dtype=complex)
+    for q in range(scene.q_count):
+        tx, rx = steering_stack(scene, "tx", q), steering_stack(scene, "rx", q)
+        for i, kind in zip(target_indices(q, scene.q_count), BLOCKS):
+            derivs[i] = sum(np.multiply(c, np.einsum("mr,mt->mrt", rx[KEYS.index(rk)],
+                                                     tx[KEYS.index(tk)]))
+                            for c, rk, tk in derivative_terms(kind, scene.targets[q].rcs))
+    return derivs
 
 
 def monte_carlo_isotropic(scene, draws=1000, seed=0):
@@ -302,11 +302,9 @@ def _verify_consistency(scene, info):
     negativity = max(0.0, float(-(w.min()) / np.linalg.norm(f, 2)))
     reports.append(make_report("fim-psd", negativity, 0.0, 1e-8, rel_err=negativity))
 
-    closed = closed_form_single(scene, 0).targets[0]
-    diag = np.diag(f)
-    worst = 0.0
-    for i, name in ((0, "x"), (1, "y"), (2, "vx"), (3, "vy"), (4, "alpha_r"), (5, "alpha_i")):
-        worst = max(worst, abs(closed.by_name(name) * diag[i] - 1.0))
+    # np.max, not Python's max, so a NaN bound reaches make_report and fails
+    closed = dataclasses.astuple(closed_form_single(scene, 0).targets[0])
+    worst = np.max([abs(b * d - 1.0) for b, d in zip(closed, np.diag(f))])
     reports.append(make_report("closed-form-diagonal", worst, 0.0, 1e-10, rel_err=worst))
 
     # the per-side gain G of the closed form against the brute-force element sum
@@ -339,15 +337,15 @@ def _verify_expansions():
 
     scene = make_scene()
     _, fraunhofer = scene.tx.region_boundaries(scene.wavelength_m)
-    worst = 0.0
+    deviations = []
     for deg in (-60, -40, -20, 20, 40, 60):
         th = math.radians(deg)
         r = 10.0 * fraunhofer
         t = Target(x=r * math.sin(th), y=r * math.cos(th), vx=1.0, vy=4.0,
                    rcs_re=1.0, rcs_im=0.1)
-        far = make_scene(targets=[t])
-        c = correction_terms(far, 0)
-        worst = max(worst, abs(c.psi_x - 1.0), abs(c.psi_y - 1.0))
+        c = correction_terms(make_scene(targets=[t]), 0)
+        deviations += [abs(c.psi_x - 1.0), abs(c.psi_y - 1.0)]
+    worst = np.max(deviations)
     reports.append(make_report("psi-limit", worst, 0.0, 1e-3, rel_err=worst))
     return reports
 

@@ -6,8 +6,9 @@ propagation delay and the per-path Doppler progression over slow time, and
 the magnitude carries the per-element free-space pathloss lambda/(4 pi r_n).
 
 element_factors alone writes down d a_n / dp = (alpha_p + beta_p t) a_n at
-slow time t = m T, pathloss gradient included: _stack multiplies the factors
-into derivative fields and crb sums them into element moments. The steering
+slow time t = m T, pathloss gradient included, with one row p of the complex
+arrays alpha and beta per field of KEYS[1:]: _stack multiplies the rows into
+derivative fields and crb sums them into element moments. The steering
 vector and its four derivatives are one complex (5, [Q,] M, N) field array in
 KEYS order, the only statement of that order. steering_stack returns it for
 one target or, with a leading target axis, for a list of targets in one
@@ -77,22 +78,26 @@ def _entries(scene, g, r, u, m_values):
 def element_factors(scene, geom, target):
     """Per-element gain, range, radial speed and derivative factors of one side.
 
-    Returns (g, r, u, factors) with g = lambda/(4 pi r) and, per kinematic
-    parameter p, factors[p] = (alpha, beta), so that the entry
-    a_n = g exp(j k (u t - r)) has d a_n / dp = (alpha + beta t) a_n.
+    Returns (g, r, u, alpha, beta) with g = lambda/(4 pi r) and complex
+    alpha, beta of shape (4, [Q, 1,] N), one row per kinematic parameter p in
+    KEYS[1:] order, so that the entry a_n = g exp(j k (u t - r)) has
+    d a_n / dp = (alpha[p] + beta[p] t) a_n.
     """
     dx, dy, r, u, g = _paths(scene, geom, target.x, target.y, target.vx, target.vy)
     jk = 2j * np.pi * scene.carrier_hz / scene.lightspeed
     # alpha_p = d(ln g - j k r)/dp and beta_p = j k du/dp; du/dx = dy v_tan / r^2
     # and du/dy = -dx v_tan / r^2 with v_tan the tangential speed seen from
-    # element n
+    # element n, while du/dvx = dx / r and du/dvy = dy / r
     v_tan = (target.vx * dy - target.vy * dx) / r
-    zero = np.zeros_like(r)
-    factors = {"x": (-jk * dx / r - dx / r ** 2, jk * dy * v_tan / r ** 2),
-               "y": (-jk * dy / r - dy / r ** 2, -jk * dx * v_tan / r ** 2),
-               "vx": (zero, jk * dx / r),
-               "vy": (zero, jk * dy / r)}
-    return g, r, u, factors
+
+    def factors(key):  # the (alpha_p, beta_p) row pair of field key
+        along, across, turn = (dx, dy, jk) if key.endswith("x") else (dy, dx, -jk)
+        if key.startswith("d_v"):
+            return np.zeros_like(r), jk * along / r
+        return -jk * along / r - along / r ** 2, turn * across * v_tan / r ** 2
+
+    alpha, beta = (np.array(rows, dtype=complex) for rows in zip(*map(factors, KEYS[1:])))
+    return g, r, u, alpha, beta
 
 
 def steering_stack(scene, side, q, m_values=None):
@@ -104,11 +109,9 @@ def steering_stack(scene, side, q, m_values=None):
     the array then has a target axis, (5, len(q), len(m_values), N), and
     [:, j] equals steering_stack(scene, side, q[j], m_values) bit for bit.
     """
-    if isinstance(q, (list, tuple)):
-        target = _columns([scene.targets[j] for j in q])
-    else:
-        target = scene.targets[q]
-    return _stack(scene, *_factors(scene, side, target), m_values)
+    target = (_columns([scene.targets[j] for j in q]) if isinstance(q, (list, tuple))
+              else scene.targets[q])
+    return _stack(scene, *element_factors(scene, _side_geometry(scene, side), target), m_values)
 
 
 def steering_chunks(scene, side, q, rows):
@@ -119,31 +122,25 @@ def steering_chunks(scene, side, q, rows):
     factors are computed once, for every chunk. Joined along the snapshot
     axis, the chunks equal steering_stack(scene, side, q) bit for bit.
     """
-    factors = _factors(scene, side, _columns([scene.targets[j] for j in q]))
+    factors = element_factors(scene, _side_geometry(scene, side),
+                              _columns([scene.targets[j] for j in q]))
     for start in range(0, scene.snapshots, rows):
         s = slice(start, min(start + rows, scene.snapshots))
         yield s, _stack(scene, *factors, np.arange(s.start + 1, s.stop + 1))
 
 
-def _factors(scene, side, target):
-    """element_factors of one side, in KEYS order, each alpha cast to complex once for _stack."""
-    g, r, u, factors = element_factors(scene, _side_geometry(scene, side), target)
-    picked = (factors[key.removeprefix("d_")] for key in KEYS[1:])
-    return g, r, u, [(np.asarray(alpha, dtype=complex), beta) for alpha, beta in picked]
-
-
-def _stack(scene, g, r, u, factors, m_values):
+def _stack(scene, g, r, u, alpha, beta, m_values):
     """One complex (5, [Q,] M, N) array of the entries a and their derivatives (alpha + beta t) a.
 
     t and alpha enter as complex, so every product runs numpy's plain complex
     loop, not a buffered cast per product; the values and bits are the same.
     """
     a, mt = _entries(scene, g, r, u, m_values)  # ([Q,] M, N), (M, 1)
-    fields = np.empty((1 + len(factors),) + a.shape, dtype=complex)
+    fields = np.empty((1 + len(alpha),) + a.shape, dtype=complex)
     fields[0] = a
     t = mt.astype(complex)
-    for field, (alpha, beta) in zip(fields[1:], factors):
-        np.multiply(alpha + beta * t, a, out=field)
+    for field, alpha_p, beta_p in zip(fields[1:], alpha, beta):
+        np.multiply(alpha_p + beta_p * t, a, out=field)
     return fields
 
 

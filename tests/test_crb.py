@@ -216,9 +216,10 @@ def test_closed_form_and_stacks_read_one_factor_table(monkeypatch):
     original = sys.modules["nfcrb.steering"].element_factors
 
     def scaled(scene, geom, target):
-        g, r, u, factors = original(scene, geom, target)
-        alpha, beta = factors["x"]
-        return g, r, u, {**factors, "x": (alpha * (1.0 + 1e-3), beta * (1.0 + 1e-3))}
+        g, r, u, alpha, beta = original(scene, geom, target)
+        alpha[0] *= 1.0 + 1e-3
+        beta[0] *= 1.0 + 1e-3
+        return g, r, u, alpha, beta
 
     scene = canonical_scene()
     before = closed_form_single(scene, 0).targets[0].crb_x

@@ -2,6 +2,8 @@
 
 import dataclasses
 import math
+import platform
+import resource
 import sys
 import warnings
 
@@ -13,7 +15,8 @@ from hypothesis import strategies as st
 from nfcrb import BLOCKS, Target, brute_gain, fd_fim, fim, make_scene, steering_stack, ula
 from nfcrb.fim import derivative_terms
 from nfcrb.oracle import (DEFAULT_STEPS, _channel_derivatives, _target_channels,
-                          _verify_steering, fd_steering_rows, make_report, relative_difference)
+                          _verify_consistency, _verify_expansions, _verify_steering,
+                          fd_steering_rows, make_report, relative_difference, run_battery)
 from nfcrb.steering import KEYS, steering_values
 
 from util import canonical_scene, many_target_scene, small_scene, target_at
@@ -291,9 +294,10 @@ def test_verify_steering_catches_a_wrong_derivative_factor(monkeypatch):
     original = sys.modules["nfcrb.steering"].element_factors
 
     def scaled(scene, geom, target):
-        g, r, u, factors = original(scene, geom, target)
-        alpha, beta = factors["x"]
-        return g, r, u, {**factors, "x": (alpha * (1.0 + 1e-3), beta * (1.0 + 1e-3))}
+        g, r, u, alpha, beta = original(scene, geom, target)
+        alpha[0] *= 1.0 + 1e-3
+        beta[0] *= 1.0 + 1e-3
+        return g, r, u, alpha, beta
 
     monkeypatch.setattr(sys.modules["nfcrb.steering"], "element_factors", scaled)
     assert not any(r.passed for r in _verify_steering(0, 1, 0.0))
@@ -304,14 +308,66 @@ def test_verify_steering_fails_on_a_nan_derivative(monkeypatch):
     original = sys.modules["nfcrb.steering"].element_factors
 
     def nan_x(scene, geom, target):
-        g, r, u, factors = original(scene, geom, target)
-        alpha, beta = factors["x"]
-        return g, r, u, {**factors, "x": (alpha * np.nan, beta)}
+        g, r, u, alpha, beta = original(scene, geom, target)
+        alpha[0] *= np.nan
+        return g, r, u, alpha, beta
 
     monkeypatch.setattr(sys.modules["nfcrb.steering"], "element_factors", nan_x)
     with np.errstate(invalid="ignore"):
         reports = _verify_steering(0, 2, 0.0)
     assert not any(r.passed for r in reports)
+
+
+def test_closed_form_diagonal_check_fails_on_a_nan_bound(monkeypatch):
+    # a NaN closed-form bound must fail the check, not drop out of its maximum
+    oracle = sys.modules["nfcrb.oracle"]
+    original = oracle.closed_form_single
+
+    def nan_vy(scene, q):
+        report = original(scene, q)
+        bounds = dataclasses.replace(report.targets[0], crb_vy=math.nan)
+        return dataclasses.replace(report, targets=(bounds,))
+
+    monkeypatch.setattr(oracle, "closed_form_single", nan_vy)
+    scene = canonical_scene()
+    reports = {r.name: r for r in _verify_consistency(scene, fim(scene))}
+    assert math.isnan(reports["closed-form-diagonal"].rel_err)
+    assert not reports["closed-form-diagonal"].passed
+
+
+def test_psi_limit_check_fails_on_a_nan_factor(monkeypatch):
+    # a NaN psi factor in one far scene must fail the check, not drop out of
+    # its maximum
+    oracle = sys.modules["nfcrb.oracle"]
+    original = oracle.correction_terms
+    calls = []
+
+    def nan_psi_y(scene, q):
+        calls.append(q)
+        terms = original(scene, q)
+        return dataclasses.replace(terms, psi_y=math.nan) if len(calls) == 3 else terms
+
+    monkeypatch.setattr(oracle, "correction_terms", nan_psi_y)
+    reports = {r.name: r for r in _verify_expansions()}
+    assert len(calls) == 6
+    assert math.isnan(reports["psi-limit"].rel_err)
+    assert not reports["psi-limit"].passed
+
+
+@pytest.mark.skipif(sys.platform != "linux" or platform.libc_ver()[0] != "glibc",
+                    reason="counts page faults under glibc's heap trimming")
+def test_verify_does_not_refault_its_heap_on_every_item():
+    # the oracles' derivative stacks are one array each: as a list of separate
+    # stacks the heap is handed back and faulted in again on every item, over
+    # 800 minor faults here
+    for _ in range(2):
+        run_battery(0, 20)
+    faults = []
+    for _ in range(3):
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        run_battery(0, 20)
+        faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+    assert max(faults) < 64, faults
 
 
 def test_fd_fim_error_is_second_order_in_step():
