@@ -348,9 +348,9 @@ def _point_scene(spec, base, value):
     range and angle move the first target about the origin.
     """
     if spec.variable == "antennas":
-        return dataclasses.replace(
-            base, tx=ula(int(value), base.tx.spacing, base.tx.centroid_x),
-            rx=ula(int(value), base.rx.spacing, base.rx.centroid_x))
+        tx = ula(int(value), base.tx.spacing, base.tx.centroid_x)
+        rx = tx if base.monostatic else ula(int(value), base.rx.spacing, base.rx.centroid_x)
+        return dataclasses.replace(base, tx=tx, rx=rx)
     if spec.variable == "snapshots":
         return dataclasses.replace(base, snapshots=int(value))
     if spec.variable == "power":

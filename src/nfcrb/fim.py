@@ -20,9 +20,23 @@ only their pair blocks are kept: memory grows with Q^2 M, not with M Q N, and
 the bits do not depend on the chunk size. The contraction over snapshots stays
 one complex product over all of them. A monostatic scene (Scene.monostatic)
 builds one side's fields and Grams and reads them for both sides.
+
+A side of more than one chunk, in a process that may run on more than one
+CPU, forms its fields on one worker thread: while the calling thread forms
+chunk k's Grams, the worker forms chunk k+1's fields (the entries' complex
+exp and the four derivative fields, in numpy kernels that release the
+interpreter lock). The two chunks alive at a time live in two field slots of
+fim's one workspace. Every chunk runs the same operations on the same operands
+either way, so the bits do not depend on it; a one-chunk side, and every side
+of a process bound to one CPU, runs on the calling thread alone.
 """
 
+import contextlib
+import contextvars
 import dataclasses
+import os
+import threading
+from collections import deque
 
 import numpy as np
 
@@ -118,40 +132,92 @@ def _own_blocks(coef, g_rx, g_tx):
 
 
 def _chunk_rows(scene, side, q_count):
-    """Snapshot rows per chunk of one side and the complex length of their fields."""
-    row = len(KEYS) * q_count * (scene.tx if side == "tx" else scene.rx).count
-    rows = min(scene.snapshots, max(1, CHUNK_BYTES // (16 * row)))
-    return rows, rows * row
+    """Snapshot rows per chunk of one side and the complex length of one field of them."""
+    field_row = q_count * (scene.tx if side == "tx" else scene.rx).count
+    rows = min(scene.snapshots, max(1, CHUNK_BYTES // (16 * len(KEYS) * field_row)))
+    return rows, rows * field_row
 
 
-def _side_grams(scene, side, order, p1, p2, pairs, conj):
+def _cpu_count():
+    """CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _ahead(chunks, depth):
+    """The items of the iterator chunks, formed on one worker thread.
+
+    The worker forms item i + 1 while the caller works on item i, and starts
+    item i + depth only once the caller asks for item i + 1: with depth field
+    slots, no slot is rewritten while the caller reads it. The worker runs in
+    a copy of the caller's context, where numpy 2 keeps its errstate. An
+    exception of the worker re-raises here, and the thread is joined on every
+    exit, once this generator is exhausted or closed.
+    """
+    free, ready, done = threading.Semaphore(depth), threading.Semaphore(0), deque()
+    stop = threading.Event()
+
+    def work():
+        try:
+            while free.acquire() and not stop.is_set():
+                item = next(chunks, None)
+                done.append(item)
+                ready.release()
+                if item is None:
+                    return
+        except BaseException as error:  # re-raised on the calling thread
+            done.append(error)
+            ready.release()
+
+    thread = threading.Thread(target=contextvars.copy_context().run, args=(work,))
+    thread.start()
+    try:
+        while ready.acquire() and (item := done.popleft()) is not None:
+            if isinstance(item, BaseException):
+                raise item
+            yield item
+            free.release()
+    finally:
+        stop.set()
+        free.release()
+        thread.join()
+
+
+def _side_grams(scene, side, order, p1, p2, pairs, conj, slots):
     """Own-target Grams of one side, and its pair blocks p1 < p2 of the cross-target Gram.
 
     Returns the (Q, 5, 5, M) complex Grams of each target in canonical order.
-    Each chunk's fields are conjugated once into the complex workspace conj,
-    and the pair blocks go into pairs, (pairs, M, 25). Snapshot Grams
-    are independent, so they are formed one chunk of snapshots at a time and
-    the (M, 5Q, 5Q) Gram is never held whole.
+    Each chunk's fields are formed in one of the flat complex slots,
+    conjugated once into the complex workspace conj, and the pair blocks go
+    into pairs, (pairs, M, 25). Snapshot Grams are independent, so they are
+    formed one chunk of snapshots at a time and the (M, 5Q, 5Q) Gram is never
+    held whole. With more than one chunk and slot, a worker thread forms the
+    next chunk's fields while this one's Grams are formed; each chunk runs the
+    same operations either way, so the bits do not depend on it.
     """
     q_count, k = len(order), len(KEYS)
     own = np.empty((q_count, k, k, scene.snapshots), dtype=complex)
     rows, _ = _chunk_rows(scene, side, q_count)
-    for s, fields in steering_chunks(scene, side, order.tolist(), rows):
-        c, n = fields.shape[2:]
-        fields_h = np.conjugate(fields, out=conj[:fields.size].reshape(fields.shape))
-        # upper triangle, mirrored: conj(u^H v) is v^H u bit for bit
-        for i in range(k):
-            for j in range(i, k):
-                own[:, i, j, s] = np.einsum("qmn,qmn->qm", fields_h[i], fields[j])
-                own[:, j, i, s] = own[:, i, j, s].conj()
-        if len(p1):
-            # one complex product per snapshot over field-major (k, Q) rows, on views
-            gram = (fields_h.transpose(2, 0, 1, 3).reshape(c, k * q_count, n)
-                    @ fields.transpose(2, 3, 0, 1).reshape(c, n, k * q_count))
-            pairs[:, s] = gram.reshape(c, k, q_count, k, q_count)[:, :, p1, :, p2].reshape(
-                len(p1), c, k * k)
-            del gram
-        del fields  # alive into the next chunk's fields, it raises peak memory
+    chunks = steering_chunks(scene, side, order.tolist(), rows, out=slots)
+    if rows < scene.snapshots and len(slots) > 1:
+        chunks = _ahead(chunks, len(slots))
+    with contextlib.closing(chunks):
+        for s, fields in chunks:
+            c, n = fields.shape[2:]
+            fields_h = np.conjugate(fields, out=conj[:fields.size].reshape(fields.shape))
+            # upper triangle, mirrored: conj(u^H v) is v^H u bit for bit
+            for i in range(k):
+                for j in range(i, k):
+                    own[:, i, j, s] = np.einsum("qmn,qmn->qm", fields_h[i], fields[j])
+                    own[:, j, i, s] = own[:, i, j, s].conj()
+            if len(p1):
+                # one complex product per snapshot over field-major (k, Q) rows, on views
+                gram = (fields_h.transpose(2, 0, 1, 3).reshape(c, k * q_count, n)
+                        @ fields.transpose(2, 3, 0, 1).reshape(c, n, k * q_count))
+                pairs[:, s] = gram.reshape(c, k, q_count, k, q_count)[:, :, p1, :, p2].reshape(
+                    len(p1), c, k * k)
+                del gram
     return own
 
 
@@ -177,23 +243,33 @@ def fim(scene):
         for t, (c, _, _) in enumerate(derivative_terms(kind, rcs)):
             coef[:, kind_index, t] = c
     p1, p2 = np.triu_indices(q_count, 1)
-    # both sides' pair blocks and one chunk's conjugate fields in one
-    # allocation: as the largest block of the call it lifts glibc's heap trim
-    # threshold above the call's other memory, so the heap is not handed back
-    # and faulted in again on every call
-    size = 2 * len(p1) * scene.snapshots * k * k
-    work = np.empty(size + max(_chunk_rows(scene, side, q_count)[1] for side in ("tx", "rx")),
+    chunking = [_chunk_rows(scene, side, q_count) for side in ("tx", "rx")]
+    field = max(length for _, length in chunking)
+    # a second field slot, for a worker thread to form one chunk's fields in
+    # while the Grams of the chunk before are formed
+    overlap = any(rows < scene.snapshots for rows, _ in chunking) and _cpu_count() > 1
+    slot_count = 2 if overlap else 1
+    # the pair blocks of both sides and the chunk buffers (conjugate fields,
+    # field slots) in one allocation: as the largest block of the call it
+    # lifts glibc's heap trim threshold above the call's other memory, so the
+    # heap is not handed back and faulted in again on every call. In a
+    # monostatic scene, Tx's copy of the pair blocks is made after the loop,
+    # over the chunk buffers
+    size, chunk = len(p1) * scene.snapshots * k * k, (k + slot_count * (k + 1)) * field
+    work = np.empty(size + max(size, chunk) if scene.monostatic else 2 * size + chunk,
                     dtype=complex)
-    pairs_rx, pairs_tx = work[:size].reshape(2, len(p1), scene.snapshots, k * k)
-    conj = work[size:]
-    own_rx = _side_grams(scene, "rx", order, p1, p2, pairs_rx, conj)
+    pairs_rx, pairs_tx = (work[i * size:(i + 1) * size].reshape(len(p1), scene.snapshots, k * k)
+                          for i in (0, 1))
+    buffers = work[len(work) - chunk:]
+    conj, slots = buffers[:k * field], buffers[k * field:].reshape(slot_count, (k + 1) * field)
+    own_rx = _side_grams(scene, "rx", order, p1, p2, pairs_rx, conj, slots)
     if scene.monostatic:
         own_tx = own_rx
         # Tx gets its own copy: numpy multiplies a buffer by its own
         # transpose through BLAS syrk, which rounds unlike gemm
         pairs_tx[...] = pairs_rx
     else:
-        own_tx = _side_grams(scene, "tx", order, p1, p2, pairs_tx, conj)
+        own_tx = _side_grams(scene, "tx", order, p1, p2, pairs_tx, conj, slots)
 
     f = np.zeros((b, q_count, b, q_count))
     f[:, order, :, order] = _own_blocks(coef, own_rx, own_tx)

@@ -114,33 +114,47 @@ def steering_stack(scene, side, q, m_values=None):
     return _stack(scene, *element_factors(scene, _side_geometry(scene, side), target), m_values)
 
 
-def steering_chunks(scene, side, q, rows):
+def steering_chunks(scene, side, q, rows, out=()):
     """steering_stack of a list of targets q on one side, rows snapshots at a time.
 
     Yields (s, fields) per chunk of snapshots: s is the slice of rows, and
     fields the complex (5, len(q), rows, N) array of those rows. The element
     factors are computed once, for every chunk. Joined along the snapshot
-    axis, the chunks equal steering_stack(scene, side, q) bit for bit.
+    axis, the chunks equal steering_stack(scene, side, q) bit for bit. out,
+    if given, is a sequence of flat complex slots of at least
+    6 len(q) rows N entries: chunk i is written into out[i % len(out)], its
+    fields and then one field of scratch, in place of new arrays.
     """
     factors = element_factors(scene, _side_geometry(scene, side),
                               _columns([scene.targets[j] for j in q]))
-    for start in range(0, scene.snapshots, rows):
+    for i, start in enumerate(range(0, scene.snapshots, rows)):
         s = slice(start, min(start + rows, scene.snapshots))
-        yield s, _stack(scene, *factors, np.arange(s.start + 1, s.stop + 1))
+        yield s, _stack(scene, *factors, np.arange(s.start + 1, s.stop + 1),
+                        out[i % len(out)] if len(out) else None)
 
 
-def _stack(scene, g, r, u, alpha, beta, m_values):
+def _stack(scene, g, r, u, alpha, beta, m_values, out=None):
     """One complex (5, [Q,] M, N) array of the entries a and their derivatives (alpha + beta t) a.
 
     t and alpha enter as complex, so every product runs numpy's plain complex
     loop, not a buffered cast per product; the values and bits are the same.
+    alpha + beta t is formed in a scratch field, so each product writes apart
+    from its inputs, as into a new array, and keeps that array's loop and
+    bits. out, if given, is a flat complex buffer that takes the fields and
+    then the scratch.
     """
     a, mt = _entries(scene, g, r, u, m_values)  # ([Q,] M, N), (M, 1)
-    fields = np.empty((1 + len(alpha),) + a.shape, dtype=complex)
+    shape = (1 + len(alpha),) + a.shape
+    if out is None:
+        fields, scratch = np.empty(shape, dtype=complex), np.empty(a.shape, dtype=complex)
+    else:
+        fields = out[:shape[0] * a.size].reshape(shape)
+        scratch = out[shape[0] * a.size:(shape[0] + 1) * a.size].reshape(a.shape)
     fields[0] = a
     t = mt.astype(complex)
     for field, alpha_p, beta_p in zip(fields[1:], alpha, beta):
-        np.multiply(alpha_p + beta_p * t, a, out=field)
+        np.add(alpha_p, np.multiply(beta_p, t, out=scratch), out=scratch)
+        np.multiply(scratch, a, out=field)
     return fields
 
 

@@ -8,6 +8,7 @@ import platform
 import resource
 import subprocess
 import sys
+import threading
 import tracemalloc
 from collections import Counter
 from pathlib import Path
@@ -282,8 +283,8 @@ def test_fim_builds_one_stack_per_target_and_distinct_side(monkeypatch, rx_centr
     module = sys.modules["nfcrb.fim"]  # the package's fim() shadows the module name
     built = Counter()
 
-    def counted(scene, side, q, rows):
-        for s, fields in steering_chunks(scene, side, q, rows):
+    def counted(scene, side, q, rows, out=()):
+        for s, fields in steering_chunks(scene, side, q, rows, out=out):
             assert fields.shape[1:3] == (len(q), s.stop - s.start)
             built.update((side, t, m) for t in q for m in range(s.start, s.stop))
             yield s, fields
@@ -321,6 +322,99 @@ def test_eval_size_fim_is_bit_identical_for_every_chunk_size(rx_centroid):
     # expressions must not depend on it
     scene = many_target_scene()
     assert_chunking_keeps_bits(dataclasses.replace(scene, rx=ula(128, 0.01, rx_centroid)))
+
+
+def recorded_fim(monkeypatch, scene, cpus):
+    """fim(scene).matrix bytes with cpus CPUs to run on, and per chunk whether
+    its fields were formed on the calling thread."""
+    monkeypatch.setattr(sys.modules["nfcrb.fim"], "_cpu_count", lambda: cpus)
+    steering = sys.modules["nfcrb.steering"]
+    stack, on_caller = steering._stack, []
+
+    def recorded(*args):
+        on_caller.append(threading.current_thread() is threading.main_thread())
+        return stack(*args)
+
+    monkeypatch.setattr(steering, "_stack", recorded)
+    return fim(scene).matrix.tobytes(), on_caller
+
+
+@pytest.mark.parametrize("rx_centroid, chunk_bytes", [(0.0, None), (0.5, None), (0.0, 1)],
+                         ids=["monostatic", "bistatic", "one-row-chunks"])
+def test_worker_thread_keeps_the_inline_bits(monkeypatch, rx_centroid, chunk_bytes):
+    scene = dataclasses.replace(many_target_scene(), rx=ula(128, 0.01, rx_centroid))
+    if chunk_bytes is not None:
+        monkeypatch.setattr(sys.modules["nfcrb.fim"], "CHUNK_BYTES", chunk_bytes)
+    inline, on_caller = recorded_fim(monkeypatch, scene, 1)
+    assert all(on_caller)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # hand the interpreter lock over as often as it can
+    try:
+        overlapped, on_caller = recorded_fim(monkeypatch, scene, 2)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(on_caller)
+    assert overlapped == inline
+
+
+@pytest.mark.parametrize("where", ["worker", "caller"])
+def test_an_error_on_either_thread_leaves_no_thread_behind(monkeypatch, where):
+    module, steering = sys.modules["nfcrb.fim"], sys.modules["nfcrb.steering"]
+    monkeypatch.setattr(module, "_cpu_count", lambda: 2)
+    stack, calls = steering._stack, []
+
+    def third_fails(*args):  # runs on the worker
+        calls.append(None)
+        if len(calls) == 3:
+            raise RuntimeError("third chunk")
+        return stack(*args)
+
+    def third_flat(*args, **kwargs):  # the caller cannot unpack a chunk without its N axis
+        for s, fields in steering_chunks(*args, **kwargs):
+            yield s, fields[..., 0] if s.start else fields
+
+    if where == "worker":
+        monkeypatch.setattr(steering, "_stack", third_fails)
+    else:
+        monkeypatch.setattr(module, "steering_chunks", third_flat)
+    before = threading.active_count()
+    with pytest.raises(RuntimeError if where == "worker" else ValueError):
+        fim(many_target_scene())
+    assert threading.active_count() == before
+
+
+def test_worker_thread_runs_under_the_callers_errstate(monkeypatch):
+    steering = sys.modules["nfcrb.steering"]
+    stack, seen = steering._stack, []
+
+    def recorded(*args):
+        seen.append((threading.current_thread() is threading.main_thread(),
+                     np.geterr()["invalid"]))
+        return stack(*args)
+
+    monkeypatch.setattr(sys.modules["nfcrb.fim"], "_cpu_count", lambda: 2)
+    monkeypatch.setattr(steering, "_stack", recorded)
+    with np.errstate(invalid="raise"):
+        fim(many_target_scene())
+    assert seen and all(not on_caller and invalid == "raise" for on_caller, invalid in seen)
+
+
+@pytest.mark.parametrize("rx, threads", [(ula(8, 0.01), 0), (ula(8, 0.01, 0.5), 0),
+                                         (ula(2048, 0.01, 0.5), 1)],
+                         ids=["monostatic", "bistatic", "bistatic-one-chunk-tx"])
+def test_one_chunk_sides_start_no_thread(monkeypatch, rx, threads):
+    # 8 snapshots of two targets are one chunk on 8 elements, three on 2048
+    started = []
+
+    class Counted(threading.Thread):
+        def start(self):
+            started.append(self)
+            super().start()
+
+    monkeypatch.setattr(sys.modules["nfcrb.fim"], "_cpu_count", lambda: 2)
+    monkeypatch.setattr(threading, "Thread", Counted)
+    fim(dataclasses.replace(two_target_scene(), rx=rx))
+    assert len(started) == threads
 
 
 def test_fim_peak_memory_is_bounded():

@@ -176,6 +176,19 @@ def test_snapshot_chunks_join_into_the_stack_bit_for_bit(case, rows):
     assert_chunks_join_into_the_stack(scene, list(qs), rows)
 
 
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(stack_cases(), st.integers(1, 16))
+def test_snapshot_chunks_written_into_slots_join_into_the_stack_bit_for_bit(case, rows):
+    scene, qs, _ = case
+    for side, geom in (("tx", scene.tx), ("rx", scene.rx)):
+        slots = np.full((2, (len(KEYS) + 1) * len(qs) * rows * geom.count), np.nan, dtype=complex)
+        chunks = []
+        for i, (_, fields) in enumerate(steering_chunks(scene, side, list(qs), rows, out=slots)):
+            assert np.shares_memory(fields, slots[i % 2])
+            chunks.append(fields.copy())
+        assert (np.concatenate(chunks, axis=2) == steering_stack(scene, side, list(qs))).all()
+
+
 @pytest.mark.parametrize("rows", [1, 13])
 def test_eval_size_chunks_join_into_the_stack_bit_for_bit(rows):
     # the whole stack's (8, 128, 128) complex temporaries lie above numpy's
