@@ -22,21 +22,18 @@ one complex product over all of them. A monostatic scene (Scene.monostatic)
 builds one side's fields and Grams and reads them for both sides.
 
 A side of more than one chunk, in a process that may run on more than one
-CPU, forms its fields on one worker thread: while the calling thread forms
-chunk k's Grams, the worker forms chunk k+1's fields (the entries' complex
-exp and the four derivative fields, in numpy kernels that release the
-interpreter lock). The two chunks alive at a time live in two field slots of
-fim's one workspace. Every chunk runs the same operations on the same operands
-either way, so the bits do not depend on it; a one-chunk side, and every side
-of a process bound to one CPU, runs on the calling thread alone.
+CPU, runs in two lanes: the calling thread forms chunks 0, 2, 4, ... and one
+worker thread chunks 1, 3, 5, ..., each whole (fields, conjugate, Grams, pair
+blocks) in its own buffers of fim's one workspace and into its own snapshot
+columns; numpy's kernels release the interpreter lock. Every chunk runs the
+same operations on the same operands either way, so the bits do not depend on
+it; a one-chunk side, and every side of a process bound to one CPU, runs on
+the calling thread alone.
 """
 
-import contextlib
-import contextvars
 import dataclasses
 import os
 import threading
-from collections import deque
 
 import numpy as np
 
@@ -145,79 +142,74 @@ def _cpu_count():
     return os.cpu_count() or 1
 
 
-def _ahead(chunks, depth):
-    """The items of the iterator chunks, formed on one worker thread.
-
-    The worker forms item i + 1 while the caller works on item i, and starts
-    item i + depth only once the caller asks for item i + 1: with depth field
-    slots, no slot is rewritten while the caller reads it. The worker runs in
-    a copy of the caller's context, where numpy 2 keeps its errstate. An
-    exception of the worker re-raises here, and the thread is joined on every
-    exit, once this generator is exhausted or closed.
-    """
-    free, ready, done = threading.Semaphore(depth), threading.Semaphore(0), deque()
-    stop = threading.Event()
-
-    def work():
-        try:
-            while free.acquire() and not stop.is_set():
-                item = next(chunks, None)
-                done.append(item)
-                ready.release()
-                if item is None:
-                    return
-        except BaseException as error:  # re-raised on the calling thread
-            done.append(error)
-            ready.release()
-
-    thread = threading.Thread(target=contextvars.copy_context().run, args=(work,))
-    thread.start()
-    try:
-        while ready.acquire() and (item := done.popleft()) is not None:
-            if isinstance(item, BaseException):
-                raise item
-            yield item
-            free.release()
-    finally:
-        stop.set()
-        free.release()
-        thread.join()
-
-
-def _side_grams(scene, side, order, p1, p2, pairs, conj, slots):
+def _side_grams(scene, side, order, p1, p2, pairs, lanes):
     """Own-target Grams of one side, and its pair blocks p1 < p2 of the cross-target Gram.
 
-    Returns the (Q, 5, 5, M) complex Grams of each target in canonical order.
-    Each chunk's fields are formed in one of the flat complex slots,
-    conjugated once into the complex workspace conj, and the pair blocks go
-    into pairs, (pairs, M, 25). Snapshot Grams are independent, so they are
-    formed one chunk of snapshots at a time and the (M, 5Q, 5Q) Gram is never
-    held whole. With more than one chunk and slot, a worker thread forms the
-    next chunk's fields while this one's Grams are formed; each chunk runs the
-    same operations either way, so the bits do not depend on it.
+    Returns the (Q, 5, 5, M) complex Grams of each target in canonical order;
+    the pair blocks go into pairs, (pairs, M, 25). Snapshot Grams are
+    independent, so they are formed one chunk of snapshots at a time and the
+    (M, 5Q, 5Q) Gram is never held whole. lanes holds one (slot, conj, gram)
+    triple of flat complex buffers per lane: a chunk's fields are formed in
+    slot, conjugated once into conj and multiplied into gram. With more than
+    one chunk and lane, the calling thread forms chunks 0, 2, 4, ... and a
+    worker thread chunks 1, 3, 5, ..., each whole and into its own snapshot
+    columns; each chunk runs the same operations either way, so the bits do
+    not depend on it. An error on either lane stops the other before its next
+    chunk and re-raises here, once the worker is joined.
     """
     q_count, k = len(order), len(KEYS)
     own = np.empty((q_count, k, k, scene.snapshots), dtype=complex)
     rows, _ = _chunk_rows(scene, side, q_count)
-    chunks = steering_chunks(scene, side, order.tolist(), rows, out=slots)
-    if rows < scene.snapshots and len(slots) > 1:
-        chunks = _ahead(chunks, len(slots))
-    with contextlib.closing(chunks):
-        for s, fields in chunks:
+    count = 1 if rows == scene.snapshots else len(lanes)
+    # each lane's generator is made here, on the calling thread
+    lanes = [(steering_chunks(scene, side, order.tolist(), rows, out=slot,
+                              lane=slice(i, None, count)), conj, gram)
+             for i, (slot, conj, gram) in enumerate(lanes[:count])]
+    stop = threading.Event()
+
+    def run(chunks, conj, gram):
+        while not stop.is_set() and (chunk := next(chunks, None)) is not None:
+            s, fields = chunk
             c, n = fields.shape[2:]
             fields_h = np.conjugate(fields, out=conj[:fields.size].reshape(fields.shape))
-            # upper triangle, mirrored: conj(u^H v) is v^H u bit for bit
             for i in range(k):
                 for j in range(i, k):
                     own[:, i, j, s] = np.einsum("qmn,qmn->qm", fields_h[i], fields[j])
-                    own[:, j, i, s] = own[:, i, j, s].conj()
             if len(p1):
                 # one complex product per snapshot over field-major (k, Q) rows, on views
-                gram = (fields_h.transpose(2, 0, 1, 3).reshape(c, k * q_count, n)
-                        @ fields.transpose(2, 3, 0, 1).reshape(c, n, k * q_count))
-                pairs[:, s] = gram.reshape(c, k, q_count, k, q_count)[:, :, p1, :, p2].reshape(
+                g = np.matmul(fields_h.transpose(2, 0, 1, 3).reshape(c, k * q_count, n),
+                              fields.transpose(2, 3, 0, 1).reshape(c, n, k * q_count),
+                              out=gram[:c * (k * q_count) ** 2].reshape(c, k * q_count, -1))
+                pairs[:, s] = g.reshape(c, k, q_count, k, q_count)[:, :, p1, :, p2].reshape(
                     len(p1), c, k * k)
-                del gram
+
+    if count == 1:
+        run(*lanes[0])
+    else:
+        err, failed = np.geterr(), []
+
+        def work():  # under the caller's errstate, which numpy 1 keeps per thread
+            try:
+                with np.errstate(**err):
+                    run(*lanes[1])
+            except BaseException as error:  # re-raised on the calling thread
+                failed.append(error)
+                stop.set()
+
+        thread = threading.Thread(target=work)
+        thread.start()
+        try:
+            run(*lanes[0])
+        except BaseException:
+            stop.set()
+            raise
+        finally:
+            thread.join()
+        if failed:
+            raise failed[0]
+    # upper triangle, mirrored: conj(u^H v) is v^H u bit for bit
+    i, j = np.triu_indices(k, 1)
+    own[:, j, i] = own[:, i, j].conj()
     return own
 
 
@@ -245,31 +237,34 @@ def fim(scene):
     p1, p2 = np.triu_indices(q_count, 1)
     chunking = [_chunk_rows(scene, side, q_count) for side in ("tx", "rx")]
     field = max(length for _, length in chunking)
-    # a second field slot, for a worker thread to form one chunk's fields in
-    # while the Grams of the chunk before are formed
-    overlap = any(rows < scene.snapshots for rows, _ in chunking) and _cpu_count() > 1
-    slot_count = 2 if overlap else 1
-    # the pair blocks of both sides and the chunk buffers (conjugate fields,
-    # field slots) in one allocation: as the largest block of the call it
-    # lifts glibc's heap trim threshold above the call's other memory, so the
-    # heap is not handed back and faulted in again on every call. In a
-    # monostatic scene, Tx's copy of the pair blocks is made after the loop,
-    # over the chunk buffers
-    size, chunk = len(p1) * scene.snapshots * k * k, (k + slot_count * (k + 1)) * field
+    gram = max(rows for rows, _ in chunking) * (k * q_count) ** 2 if q_count > 1 else 0
+    # a second lane, for a worker thread to form every other chunk on
+    lanes = any(rows < scene.snapshots for rows, _ in chunking) and _cpu_count() > 1
+    lane_count = 2 if lanes else 1
+    # the pair blocks of both sides and each lane's chunk buffers (fields,
+    # conjugate fields, Gram) in one allocation: as the largest block of the
+    # call it lifts glibc's heap trim threshold above the call's other
+    # memory, so the heap is not handed back and faulted in again on every
+    # call, and the worker makes no chunk array in a heap arena of its own.
+    # In a monostatic scene, Tx's copy of the pair blocks is made after the
+    # loop, over the chunk buffers
+    size, chunk = len(p1) * scene.snapshots * k * k, lane_count * (2 * k * field + gram)
     work = np.empty(size + max(size, chunk) if scene.monostatic else 2 * size + chunk,
                     dtype=complex)
     pairs_rx, pairs_tx = (work[i * size:(i + 1) * size].reshape(len(p1), scene.snapshots, k * k)
                           for i in (0, 1))
-    buffers = work[len(work) - chunk:]
-    conj, slots = buffers[:k * field], buffers[k * field:].reshape(slot_count, (k + 1) * field)
-    own_rx = _side_grams(scene, "rx", order, p1, p2, pairs_rx, conj, slots)
+    # _stack's scratch field lies over the conjugate fields, which are
+    # written only once the fields are formed
+    lanes = [(buf[:(k + 1) * field], buf[k * field:2 * k * field], buf[2 * k * field:])
+             for buf in work[len(work) - chunk:].reshape(lane_count, -1)]
+    own_rx = _side_grams(scene, "rx", order, p1, p2, pairs_rx, lanes)
     if scene.monostatic:
         own_tx = own_rx
         # Tx gets its own copy: numpy multiplies a buffer by its own
         # transpose through BLAS syrk, which rounds unlike gemm
         pairs_tx[...] = pairs_rx
     else:
-        own_tx = _side_grams(scene, "tx", order, p1, p2, pairs_tx, conj, slots)
+        own_tx = _side_grams(scene, "tx", order, p1, p2, pairs_tx, lanes)
 
     f = np.zeros((b, q_count, b, q_count))
     f[:, order, :, order] = _own_blocks(coef, own_rx, own_tx)

@@ -114,23 +114,23 @@ def steering_stack(scene, side, q, m_values=None):
     return _stack(scene, *element_factors(scene, _side_geometry(scene, side), target), m_values)
 
 
-def steering_chunks(scene, side, q, rows, out=()):
+def steering_chunks(scene, side, q, rows, out=None, lane=slice(None)):
     """steering_stack of a list of targets q on one side, rows snapshots at a time.
 
     Yields (s, fields) per chunk of snapshots: s is the slice of rows, and
     fields the complex (5, len(q), rows, N) array of those rows. The element
     factors are computed once, for every chunk. Joined along the snapshot
-    axis, the chunks equal steering_stack(scene, side, q) bit for bit. out,
-    if given, is a sequence of flat complex slots of at least
-    6 len(q) rows N entries: chunk i is written into out[i % len(out)], its
-    fields and then one field of scratch, in place of new arrays.
+    axis, the chunks equal steering_stack(scene, side, q) bit for bit. lane,
+    a slice of the chunk indices, picks the chunks formed: slice(1, None, 2)
+    forms chunks 1, 3, 5, ... out, if given, is one flat complex slot of at
+    least 6 len(q) rows N entries: every chunk is written into it, its fields
+    and then one field of scratch, in place of new arrays.
     """
     factors = element_factors(scene, _side_geometry(scene, side),
                               _columns([scene.targets[j] for j in q]))
-    for i, start in enumerate(range(0, scene.snapshots, rows)):
+    for start in range(0, scene.snapshots, rows)[lane]:
         s = slice(start, min(start + rows, scene.snapshots))
-        yield s, _stack(scene, *factors, np.arange(s.start + 1, s.stop + 1),
-                        out[i % len(out)] if len(out) else None)
+        yield s, _stack(scene, *factors, np.arange(s.start + 1, s.stop + 1), out)
 
 
 def _stack(scene, g, r, u, alpha, beta, m_values, out=None):

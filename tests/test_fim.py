@@ -283,8 +283,8 @@ def test_fim_builds_one_stack_per_target_and_distinct_side(monkeypatch, rx_centr
     module = sys.modules["nfcrb.fim"]  # the package's fim() shadows the module name
     built = Counter()
 
-    def counted(scene, side, q, rows, out=()):
-        for s, fields in steering_chunks(scene, side, q, rows, out=out):
+    def counted(scene, side, q, rows, **kwargs):
+        for s, fields in steering_chunks(scene, side, q, rows, **kwargs):
             assert fields.shape[1:3] == (len(q), s.stop - s.start)
             built.update((side, t, m) for t in q for m in range(s.start, s.stop))
             yield s, fields
@@ -339,21 +339,40 @@ def recorded_fim(monkeypatch, scene, cpus):
     return fim(scene).matrix.tobytes(), on_caller
 
 
+def lanes_fim(monkeypatch, scene):
+    """recorded_fim on one CPU and on two, the second with the interpreter
+    lock handed over as often as it can be."""
+    inline, on_caller = recorded_fim(monkeypatch, scene, 1)
+    assert all(on_caller)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        return inline, recorded_fim(monkeypatch, scene, 2)
+    finally:
+        sys.setswitchinterval(interval)
+
+
 @pytest.mark.parametrize("rx_centroid, chunk_bytes", [(0.0, None), (0.5, None), (0.0, 1)],
                          ids=["monostatic", "bistatic", "one-row-chunks"])
 def test_worker_thread_keeps_the_inline_bits(monkeypatch, rx_centroid, chunk_bytes):
     scene = dataclasses.replace(many_target_scene(), rx=ula(128, 0.01, rx_centroid))
     if chunk_bytes is not None:
         monkeypatch.setattr(sys.modules["nfcrb.fim"], "CHUNK_BYTES", chunk_bytes)
-    inline, on_caller = recorded_fim(monkeypatch, scene, 1)
-    assert all(on_caller)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)  # hand the interpreter lock over as often as it can
-    try:
-        overlapped, on_caller = recorded_fim(monkeypatch, scene, 2)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(on_caller)
+    inline, (overlapped, on_caller) = lanes_fim(monkeypatch, scene)
+    # both lanes form chunks
+    assert any(on_caller) and not all(on_caller)
+    assert overlapped == inline
+
+
+@pytest.mark.parametrize("rx_centroid, sides", [(0.0, 1), (0.5, 2)],
+                         ids=["monostatic", "bistatic"])
+def test_an_odd_chunk_count_keeps_the_inline_bits(monkeypatch, rx_centroid, sides):
+    # 43 of the 128 snapshot rows per chunk: chunks of 43, 43 and 42 rows, two
+    # formed on the calling thread and one on the worker
+    scene = dataclasses.replace(many_target_scene(), rx=ula(128, 0.01, rx_centroid))
+    monkeypatch.setattr(sys.modules["nfcrb.fim"], "CHUNK_BYTES", 43 * 16 * len(KEYS) * 8 * 128)
+    inline, (overlapped, on_caller) = lanes_fim(monkeypatch, scene)
+    assert sorted(on_caller) == [False] * sides + [True] * 2 * sides
     assert overlapped == inline
 
 
@@ -383,6 +402,31 @@ def test_an_error_on_either_thread_leaves_no_thread_behind(monkeypatch, where):
     assert threading.active_count() == before
 
 
+def test_an_error_on_the_calling_thread_stops_the_worker(monkeypatch):
+    module, steering = sys.modules["nfcrb.fim"], sys.modules["nfcrb.steering"]
+    monkeypatch.setattr(module, "_cpu_count", lambda: 2)
+    monkeypatch.setattr(module, "CHUNK_BYTES", 1)  # one snapshot row per chunk: 128 a side
+    stack, on_caller, on_worker, raised = steering._stack, [], [], []
+
+    def second_fails(*args):
+        if threading.current_thread() is not threading.main_thread():
+            on_worker.append(None)
+            return stack(*args)
+        on_caller.append(None)
+        if len(on_caller) == 2:
+            raised.append(len(on_worker))
+            raise RuntimeError("the caller's second chunk")
+        return stack(*args)
+
+    monkeypatch.setattr(steering, "_stack", second_fails)
+    before = threading.active_count()
+    with pytest.raises(RuntimeError):
+        fim(many_target_scene())
+    # the worker starts at most the chunk it had begun and one more
+    assert raised and len(on_worker) - raised[0] <= 2
+    assert threading.active_count() == before
+
+
 def test_worker_thread_runs_under_the_callers_errstate(monkeypatch):
     steering = sys.modules["nfcrb.steering"]
     stack, seen = steering._stack, []
@@ -396,7 +440,8 @@ def test_worker_thread_runs_under_the_callers_errstate(monkeypatch):
     monkeypatch.setattr(steering, "_stack", recorded)
     with np.errstate(invalid="raise"):
         fim(many_target_scene())
-    assert seen and all(not on_caller and invalid == "raise" for on_caller, invalid in seen)
+    on_worker = [invalid for on_caller, invalid in seen if not on_caller]
+    assert on_worker and all(invalid == "raise" for invalid in on_worker)
 
 
 @pytest.mark.parametrize("rx, threads", [(ula(8, 0.01), 0), (ula(8, 0.01, 0.5), 0),

@@ -179,13 +179,19 @@ def test_snapshot_chunks_join_into_the_stack_bit_for_bit(case, rows):
 @settings(derandomize=True, max_examples=40, deadline=None)
 @given(stack_cases(), st.integers(1, 16))
 def test_snapshot_chunks_written_into_slots_join_into_the_stack_bit_for_bit(case, rows):
+    # two lanes, chunks 0, 2, 4, ... and 1, 3, 5, ..., each written into its own slot
     scene, qs, _ = case
     for side, geom in (("tx", scene.tx), ("rx", scene.rx)):
         slots = np.full((2, (len(KEYS) + 1) * len(qs) * rows * geom.count), np.nan, dtype=complex)
+        lanes = [steering_chunks(scene, side, list(qs), rows, out=slot, lane=slice(i, None, 2))
+                 for i, slot in enumerate(slots)]
         chunks = []
-        for i, (_, fields) in enumerate(steering_chunks(scene, side, list(qs), rows, out=slots)):
+        for i, start in enumerate(range(0, scene.snapshots, rows)):
+            s, fields = next(lanes[i % 2])
+            assert s.start == start
             assert np.shares_memory(fields, slots[i % 2])
             chunks.append(fields.copy())
+        assert [next(lane, None) for lane in lanes] == [None, None]
         assert (np.concatenate(chunks, axis=2) == steering_stack(scene, side, list(qs))).all()
 
 
