@@ -20,6 +20,7 @@ element paths from _paths and the entries from _entries, so the model is
 written once.
 """
 
+import math
 from collections import namedtuple
 
 import numpy as np
@@ -63,16 +64,23 @@ def _paths(scene, geom, x, y, vx, vy):
     return dx, dy, r, u, g
 
 
-def _entries(scene, g, r, u, m_values):
+def _entries(scene, g, r, u, m_values, out=None, work=(None, None)):
     """Steering entries a = g exp(j k (u t - r)) and their slow times t = m T.
 
-    m_values are slow-time indices, 1..M by default; t has shape (M, 1).
+    m_values are slow-time indices, 1..M by default; t has shape (M, 1). out,
+    if given, takes a, and work, two contiguous complex arrays of a's shape,
+    the exponent and its exp; the path u t - r is formed in the second, seen
+    as float. Each step but the path's writes apart from its inputs.
     """
     if m_values is None:
         m_values = np.arange(1, scene.snapshots + 1)
     mt = np.asarray(m_values, dtype=float)[:, None] * scene.t_sym_s
     k = 2.0 * np.pi * scene.carrier_hz / scene.lightspeed
-    return g * np.exp(1j * k * (u * mt - r)), mt
+    exponent, e = work
+    path = None if e is None else e.reshape(-1).view(float)[:e.size].reshape(e.shape)
+    path = np.subtract(np.multiply(u, mt, out=path), r, out=path)
+    e = np.exp(np.multiply(1j * k, path, out=exponent), out=e)
+    return np.multiply(g, e, out=out), mt
 
 
 def element_factors(scene, geom, target):
@@ -143,14 +151,15 @@ def _stack(scene, g, r, u, alpha, beta, m_values, out=None):
     bits. out, if given, is a flat complex buffer that takes the fields and
     then the scratch.
     """
-    a, mt = _entries(scene, g, r, u, m_values)  # ([Q,] M, N), (M, 1)
-    shape = (1 + len(alpha),) + a.shape
+    m_count = scene.snapshots if m_values is None else len(m_values)
+    shape = np.broadcast_shapes(r.shape, (m_count, 1))  # ([Q,] M, N)
+    size, count = math.prod(shape), 1 + len(alpha)
     if out is None:
-        fields, scratch = np.empty(shape, dtype=complex), np.empty(a.shape, dtype=complex)
-    else:
-        fields = out[:shape[0] * a.size].reshape(shape)
-        scratch = out[shape[0] * a.size:(shape[0] + 1) * a.size].reshape(a.shape)
-    fields[0] = a
+        out = np.empty((count + 1) * size, dtype=complex)
+    fields = out[:count * size].reshape((count,) + shape)
+    scratch = out[count * size:(count + 1) * size].reshape(shape)
+    # the entries' intermediates go into derivative fields not yet formed
+    a, mt = _entries(scene, g, r, u, m_values, out=fields[0], work=fields[1:3])
     t = mt.astype(complex)
     for field, alpha_p, beta_p in zip(fields[1:], alpha, beta):
         np.add(alpha_p, np.multiply(beta_p, t, out=scratch), out=scratch)
