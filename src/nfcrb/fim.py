@@ -165,10 +165,10 @@ def _side_grams(scene, side, order, p1, p2, pairs, lanes):
     lanes = [(steering_chunks(scene, side, order.tolist(), rows, out=slot,
                               lane=slice(i, None, count)), conj, gram)
              for i, (slot, conj, gram) in enumerate(lanes[:count])]
-    stop = threading.Event()
+    failed = []  # an error of either lane; the other stops before its next chunk
 
     def run(chunks, conj, gram):
-        while not stop.is_set() and (chunk := next(chunks, None)) is not None:
+        while not failed and (chunk := next(chunks, None)) is not None:
             s, fields = chunk
             c, n = fields.shape[2:]
             fields_h = np.conjugate(fields, out=conj[:fields.size].reshape(fields.shape))
@@ -186,7 +186,7 @@ def _side_grams(scene, side, order, p1, p2, pairs, lanes):
     if count == 1:
         run(*lanes[0])
     else:
-        err, failed = np.geterr(), []
+        err = np.geterr()
 
         def work():  # under the caller's errstate, which numpy 1 keeps per thread
             try:
@@ -194,22 +194,21 @@ def _side_grams(scene, side, order, p1, p2, pairs, lanes):
                     run(*lanes[1])
             except BaseException as error:  # re-raised on the calling thread
                 failed.append(error)
-                stop.set()
 
         thread = threading.Thread(target=work)
         thread.start()
         try:
             run(*lanes[0])
-        except BaseException:
-            stop.set()
+        except BaseException as error:
+            failed.append(error)
             raise
         finally:
             thread.join()
         if failed:
             raise failed[0]
     # upper triangle, mirrored: conj(u^H v) is v^H u bit for bit
-    i, j = np.triu_indices(k, 1)
-    own[:, j, i] = own[:, i, j].conj()
+    for i in range(1, k):
+        own[:, i, :i] = own[:, :i, i].conj()
     return own
 
 

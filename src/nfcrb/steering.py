@@ -20,7 +20,6 @@ element paths from _paths and the entries from _entries, so the model is
 written once.
 """
 
-import math
 from collections import namedtuple
 
 import numpy as np
@@ -152,8 +151,8 @@ def _stack(scene, g, r, u, alpha, beta, m_values, out=None):
     then the scratch.
     """
     m_count = scene.snapshots if m_values is None else len(m_values)
-    shape = np.broadcast_shapes(r.shape, (m_count, 1))  # ([Q,] M, N)
-    size, count = math.prod(shape), 1 + len(alpha)
+    shape = r.shape[:-2] + (m_count, r.shape[-1])  # ([Q,] M, N) from r's ([Q, 1,] N)
+    size, count = m_count * r.size, 1 + len(alpha)
     if out is None:
         out = np.empty((count + 1) * size, dtype=complex)
     fields = out[:count * size].reshape((count,) + shape)
