@@ -38,7 +38,7 @@ import threading
 import numpy as np
 
 from .scene import BLOCKS
-from .steering import KEYS, steering_chunks
+from .steering import KEYS, side_factors, steering_chunks
 
 # bytes of one side's complex steering fields formed at a time; a snapshot
 # row larger than this is one chunk of its own
@@ -161,9 +161,12 @@ def _side_grams(scene, side, order, p1, p2, pairs, lanes):
     own = np.empty((q_count, k, k, scene.snapshots), dtype=complex)
     rows, _ = _chunk_rows(scene, side, q_count)
     count = 1 if rows == scene.snapshots else len(lanes)
-    # each lane's generator is made here, on the calling thread
-    lanes = [(steering_chunks(scene, side, order.tolist(), rows, out=slot,
-                              lane=slice(i, None, count)), conj, gram)
+    # each lane's generator is made here, on the calling thread, over one
+    # set of element factors
+    q = order.tolist()
+    factors = side_factors(scene, side, q)
+    lanes = [(steering_chunks(scene, side, q, rows, out=slot, lane=slice(i, None, count),
+                              factors=factors), conj, gram)
              for i, (slot, conj, gram) in enumerate(lanes[:count])]
     failed = []  # an error of either lane; the other stops before its next chunk
 

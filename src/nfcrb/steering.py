@@ -107,6 +107,17 @@ def element_factors(scene, geom, target):
     return g, r, u, alpha, beta
 
 
+def side_factors(scene, side, q):
+    """element_factors of target q on one side.
+
+    q may also be a list or tuple of target indices: each target field then
+    enters as a (Q, 1, 1) column, which gives every factor a target axis.
+    """
+    target = (_columns([scene.targets[j] for j in q]) if isinstance(q, (list, tuple))
+              else scene.targets[q])
+    return element_factors(scene, _side_geometry(scene, side), target)
+
+
 def steering_stack(scene, side, q, m_values=None):
     """Steering vector and all four derivatives of target q on one side.
 
@@ -116,25 +127,24 @@ def steering_stack(scene, side, q, m_values=None):
     the array then has a target axis, (5, len(q), len(m_values), N), and
     [:, j] equals steering_stack(scene, side, q[j], m_values) bit for bit.
     """
-    target = (_columns([scene.targets[j] for j in q]) if isinstance(q, (list, tuple))
-              else scene.targets[q])
-    return _stack(scene, *element_factors(scene, _side_geometry(scene, side), target), m_values)
+    return _stack(scene, *side_factors(scene, side, q), m_values)
 
 
-def steering_chunks(scene, side, q, rows, out=None, lane=slice(None)):
+def steering_chunks(scene, side, q, rows, out=None, lane=slice(None), factors=None):
     """steering_stack of a list of targets q on one side, rows snapshots at a time.
 
     Yields (s, fields) per chunk of snapshots: s is the slice of rows, and
     fields the complex (5, len(q), rows, N) array of those rows. The element
-    factors are computed once, for every chunk. Joined along the snapshot
-    axis, the chunks equal steering_stack(scene, side, q) bit for bit. lane,
-    a slice of the chunk indices, picks the chunks formed: slice(1, None, 2)
-    forms chunks 1, 3, 5, ... out, if given, is one flat complex slot of at
-    least 6 len(q) rows N entries: every chunk is written into it, its fields
-    and then one field of scratch, in place of new arrays.
+    factors, side_factors(scene, side, q) unless given, are computed once,
+    for every chunk. Joined along the snapshot axis, the chunks equal
+    steering_stack(scene, side, q) bit for bit. lane, a slice of the chunk
+    indices, picks the chunks formed: slice(1, None, 2) forms chunks 1, 3,
+    5, ... out, if given, is one flat complex slot of at least
+    6 len(q) rows N entries: every chunk is written into it, its fields and
+    then one field of scratch, in place of new arrays.
     """
-    factors = element_factors(scene, _side_geometry(scene, side),
-                              _columns([scene.targets[j] for j in q]))
+    if factors is None:
+        factors = side_factors(scene, side, q)
     for start in range(0, scene.snapshots, rows)[lane]:
         s = slice(start, min(start + rows, scene.snapshots))
         yield s, _stack(scene, *factors, np.arange(s.start + 1, s.stop + 1), out)

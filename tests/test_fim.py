@@ -376,6 +376,25 @@ def test_an_odd_chunk_count_keeps_the_inline_bits(monkeypatch, rx_centroid, side
     assert overlapped == inline
 
 
+@pytest.mark.parametrize("rx_centroid, sides", [(0.0, 1), (0.5, 2)],
+                         ids=["monostatic", "bistatic"])
+def test_both_lanes_read_one_set_of_element_factors(monkeypatch, rx_centroid, sides):
+    steering = sys.modules["nfcrb.steering"]
+    factors, calls = steering.element_factors, []
+
+    def counted(*args):
+        calls.append(threading.current_thread() is threading.main_thread())
+        return factors(*args)
+
+    monkeypatch.setattr(steering, "element_factors", counted)
+    inline, (overlapped, on_caller) = lanes_fim(
+        monkeypatch, dataclasses.replace(many_target_scene(), rx=ula(128, 0.01, rx_centroid)))
+    assert not all(on_caller)
+    # one call per side on one CPU, and one per side on the calling thread on two
+    assert calls == [True] * 2 * sides
+    assert overlapped == inline
+
+
 @pytest.mark.parametrize("where", ["worker", "caller"])
 def test_an_error_on_either_thread_leaves_no_thread_behind(monkeypatch, where):
     module, steering = sys.modules["nfcrb.fim"], sys.modules["nfcrb.steering"]
