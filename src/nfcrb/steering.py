@@ -14,7 +14,8 @@ KEYS order, the only statement of that order. steering_stack returns it for
 one target or, with a leading target axis, for a list of targets in one
 broadcast: each target field enters as a (Q, 1, 1) column against the (M, N)
 snapshot grid. steering_chunks yields the same array a few snapshot rows at a
-time, so a stack is the one-chunk case. steering_values evaluates the entries
+time, so a stack is the one-chunk case; the generators of several lanes may
+share one set of side_factors. steering_values evaluates the entries
 alone, for every target of a scene in one broadcast. All of them read the
 element paths from _paths and the entries from _entries, so the model is
 written once.
@@ -108,11 +109,7 @@ def element_factors(scene, geom, target):
 
 
 def side_factors(scene, side, q):
-    """element_factors of target q on one side.
-
-    q may also be a list or tuple of target indices: each target field then
-    enters as a (Q, 1, 1) column, which gives every factor a target axis.
-    """
+    """element_factors of target q on one side, with a target axis if q is a list or tuple."""
     target = (_columns([scene.targets[j] for j in q]) if isinstance(q, (list, tuple))
               else scene.targets[q])
     return element_factors(scene, _side_geometry(scene, side), target)
