@@ -241,8 +241,8 @@ def fim(scene):
     field = max(length for _, length in chunking)
     gram = max(rows for rows, _ in chunking) * (k * q_count) ** 2 if q_count > 1 else 0
     # a second lane, for a worker thread to form every other chunk on
-    lanes = any(rows < scene.snapshots for rows, _ in chunking) and _cpu_count() > 1
-    lane_count = 2 if lanes else 1
+    multi = any(rows < scene.snapshots for rows, _ in chunking)
+    lane_count = 2 if multi and _cpu_count() > 1 else 1
     # the pair blocks of both sides and each lane's chunk buffers (fields,
     # conjugate fields, Gram) in one allocation: as the largest block of the
     # call it lifts glibc's heap trim threshold above the call's other
