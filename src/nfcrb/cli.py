@@ -85,10 +85,9 @@ def _read_pair(values, key, value):
         parts = key.split(".")
         if len(parts) != 3 or parts[2] not in _TARGET_FIELDS:
             raise ValueError(f"unknown key {key!r}")
-        try:
-            idx = int(parts[1])
-        except ValueError:
-            raise ValueError(f"target index must be an integer in {key!r}") from None
+        if not (parts[1].isascii() and parts[1].isdigit()):
+            raise ValueError(f"target index must be plain digits in {key!r}")
+        idx = int(parts[1])
         key = f"target.{idx}.{parts[2]}"
         if key in values:
             raise ValueError(f"duplicate key {key!r}")
@@ -131,7 +130,10 @@ def parse_config(text):
         values[key] = number
         if key.startswith("target."):
             target_lines.setdefault(int(key.split(".")[1]), lineno)
-    for idx in sorted(target_lines):
+    for q, idx in enumerate(sorted(target_lines)):
+        if idx != q:
+            raise ConfigError(f"target.{idx} without target.{q}: target indices run "
+                              "0..Q-1", target_lines[idx])
         try:
             _position(values, idx)
         except ConfigError as e:

@@ -15,11 +15,12 @@ blocks come from one complex Gram per snapshot and side over every target's
 field array in steering.KEYS order, rows field-major in a canonical target
 order (sorted by fields); each pair block is computed once in that order and
 mirrored, so permuting the targets permutes the matrix. Per-snapshot Grams are
-independent, so each side's are formed CHUNK_BYTES of fields at a time and
-only their pair blocks are kept: memory grows with Q^2 M, not with M Q N, and
-the bits do not depend on the chunk size. The contraction over snapshots stays
-one complex product over all of them. A monostatic scene (Scene.monostatic)
-builds one side's fields and Grams and reads them for both sides.
+independent, so each side's are formed CHUNK_BYTES of fields at a time, each
+chunk by steering._stack from one set of element factors, and only their pair
+blocks are kept: memory grows with Q^2 M, not with M Q N, and the bits do not
+depend on the chunk size. The contraction over snapshots stays one complex
+product over all of them. A monostatic scene (Scene.monostatic) builds one
+side's fields and Grams and reads them for both sides.
 
 A side of more than one chunk, in a process that may run on more than one
 CPU, runs in two lanes: the calling thread forms chunks 0, 2, 4, ... and one
@@ -37,8 +38,9 @@ import threading
 
 import numpy as np
 
+from . import steering
 from .scene import BLOCKS
-from .steering import KEYS, side_factors, steering_chunks
+from .steering import KEYS, side_factors
 
 # bytes of one side's complex steering fields formed at a time; a snapshot
 # row larger than this is one chunk of its own
@@ -142,37 +144,35 @@ def _cpu_count():
     return os.cpu_count() or 1
 
 
-def _side_grams(scene, side, order, p1, p2, pairs, lanes):
+def _side_grams(scene, side, order, rows, p1, p2, pairs, lanes):
     """Own-target Grams of one side, and its pair blocks p1 < p2 of the cross-target Gram.
 
     Returns the (Q, 5, 5, M) complex Grams of each target in canonical order;
     the pair blocks go into pairs, (pairs, M, 25). Snapshot Grams are
-    independent, so they are formed one chunk of snapshots at a time and the
-    (M, 5Q, 5Q) Gram is never held whole. lanes holds one (slot, conj, gram)
-    triple of flat complex buffers per lane: a chunk's fields are formed in
-    slot, conjugated once into conj and multiplied into gram. With more than
-    one chunk and lane, the calling thread forms chunks 0, 2, 4, ... and a
-    worker thread chunks 1, 3, 5, ..., each whole and into its own snapshot
-    columns; each chunk runs the same operations either way, so the bits do
-    not depend on it. An error on either lane stops the other before its next
-    chunk and re-raises here, once the worker is joined.
+    independent, so they are formed rows snapshots at a time, by _stack from
+    one set of side_factors, and the (M, 5Q, 5Q) Gram is never held whole.
+    lanes holds one (slot, conj, gram) triple of flat complex buffers per
+    lane: a chunk's fields are formed in slot, conjugated once into conj and
+    multiplied into gram. With more than one chunk and lane, the calling
+    thread forms chunks 0, 2, 4, ... and a worker thread chunks 1, 3, 5, ...,
+    each whole and into its own snapshot columns; each chunk runs the same
+    operations either way, so the bits do not depend on it. An error on
+    either lane stops the other before its next chunk and re-raises here,
+    once the worker is joined.
     """
     q_count, k = len(order), len(KEYS)
     own = np.empty((q_count, k, k, scene.snapshots), dtype=complex)
-    rows, _ = _chunk_rows(scene, side, q_count)
-    count = 1 if rows == scene.snapshots else len(lanes)
-    # each lane's generator is made here, on the calling thread, over one
-    # set of element factors
-    q = order.tolist()
-    factors = side_factors(scene, side, q)
-    lanes = [(steering_chunks(scene, side, q, rows, out=slot, lane=slice(i, None, count),
-                              factors=factors), conj, gram)
-             for i, (slot, conj, gram) in enumerate(lanes[:count])]
+    starts = range(0, scene.snapshots, rows)
+    count = min(len(lanes), len(starts))
+    factors = side_factors(scene, side, order.tolist())
     failed = []  # an error of either lane; the other stops before its next chunk
 
-    def run(chunks, conj, gram):
-        while not failed and (chunk := next(chunks, None)) is not None:
-            s, fields = chunk
+    def run(lane, slot, conj, gram):
+        for start in starts[lane::count]:
+            if failed:
+                return
+            s = slice(start, min(start + rows, scene.snapshots))
+            fields = steering._stack(scene, *factors, np.arange(start + 1, s.stop + 1), slot)
             c, n = fields.shape[2:]
             fields_h = np.conjugate(fields, out=conj[:fields.size].reshape(fields.shape))
             for i in range(k):
@@ -187,21 +187,21 @@ def _side_grams(scene, side, order, p1, p2, pairs, lanes):
                     len(p1), c, k * k)
 
     if count == 1:
-        run(*lanes[0])
+        run(0, *lanes[0])
     else:
         err = np.geterr()
 
         def work():  # under the caller's errstate, which numpy 1 keeps per thread
             try:
                 with np.errstate(**err):
-                    run(*lanes[1])
+                    run(1, *lanes[1])
             except BaseException as error:  # re-raised on the calling thread
                 failed.append(error)
 
         thread = threading.Thread(target=work)
         thread.start()
         try:
-            run(*lanes[0])
+            run(0, *lanes[0])
         except BaseException as error:
             failed.append(error)
             raise
@@ -237,12 +237,12 @@ def fim(scene):
         for t, (c, _, _) in enumerate(derivative_terms(kind, rcs)):
             coef[:, kind_index, t] = c
     p1, p2 = np.triu_indices(q_count, 1)
-    chunking = [_chunk_rows(scene, side, q_count) for side in ("tx", "rx")]
-    field = max(length for _, length in chunking)
-    gram = max(rows for rows, _ in chunking) * (k * q_count) ** 2 if q_count > 1 else 0
+    (rows_tx, field_tx), (rows_rx, field_rx) = (_chunk_rows(scene, side, q_count)
+                                                for side in ("tx", "rx"))
+    field = max(field_tx, field_rx)
+    gram = max(rows_tx, rows_rx) * (k * q_count) ** 2 if q_count > 1 else 0
     # a second lane, for a worker thread to form every other chunk on
-    multi = any(rows < scene.snapshots for rows, _ in chunking)
-    lane_count = 2 if multi and _cpu_count() > 1 else 1
+    lane_count = 2 if min(rows_tx, rows_rx) < scene.snapshots and _cpu_count() > 1 else 1
     # the pair blocks of both sides and each lane's chunk buffers (fields,
     # conjugate fields, Gram) in one allocation: as the largest block of the
     # call it lifts glibc's heap trim threshold above the call's other
@@ -259,14 +259,14 @@ def fim(scene):
     # written only once the fields are formed
     lanes = [(buf[:(k + 1) * field], buf[k * field:2 * k * field], buf[2 * k * field:])
              for buf in work[len(work) - chunk:].reshape(lane_count, -1)]
-    own_rx = _side_grams(scene, "rx", order, p1, p2, pairs_rx, lanes)
+    own_rx = _side_grams(scene, "rx", order, rows_rx, p1, p2, pairs_rx, lanes)
     if scene.monostatic:
         own_tx = own_rx
         # Tx gets its own copy: numpy multiplies a buffer by its own
         # transpose through BLAS syrk, which rounds unlike gemm
         pairs_tx[...] = pairs_rx
     else:
-        own_tx = _side_grams(scene, "tx", order, p1, p2, pairs_tx, lanes)
+        own_tx = _side_grams(scene, "tx", order, rows_tx, p1, p2, pairs_tx, lanes)
 
     f = np.zeros((b, q_count, b, q_count))
     f[:, order, :, order] = _own_blocks(coef, own_rx, own_tx)

@@ -47,8 +47,8 @@ class OracleReport:
     passed: bool
 
 
-def relative_difference(analytic, oracle, floor=REL_ERR_FLOOR):
-    return abs(analytic - oracle) / max(abs(oracle), floor)
+def relative_difference(analytic, oracle):
+    return abs(analytic - oracle) / max(abs(oracle), REL_ERR_FLOOR)
 
 
 def make_report(name, analytic, oracle, tol, steps=(), rel_err=None):
@@ -268,16 +268,16 @@ def _verify_steering(seed, battery, skew):
     return reports
 
 
-def _canonical_scene(n=32, m=16):
-    return make_scene(tx=ula(n, 0.01), rx=ula(n, 0.01), snapshots=m)
+def _canonical_scene():
+    return make_scene(tx=ula(32, 0.01), rx=ula(32, 0.01), snapshots=16)
 
 
-def _two_target_scene(n=8, m=8):
+def _two_target_scene():
     t0 = Target(x=100 * math.sin(math.radians(20)), y=100 * math.cos(math.radians(20)),
                 vx=1.0, vy=4.0, rcs_re=1.0, rcs_im=0.1)
     t1 = Target(x=150 * math.sin(math.radians(-45)), y=150 * math.cos(math.radians(-45)),
                 vx=4.0, vy=3.0, rcs_re=0.8, rcs_im=-0.2)
-    return make_scene(targets=[t0, t1], tx=ula(n, 0.01), rx=ula(n, 0.01), snapshots=m)
+    return make_scene(targets=[t0, t1], tx=ula(8, 0.01), rx=ula(8, 0.01), snapshots=8)
 
 
 def _verify_fim(canonical, info):

@@ -13,12 +13,10 @@ vector and its four derivatives are one complex (5, [Q,] M, N) field array in
 KEYS order, the only statement of that order. steering_stack returns it for
 one target or, with a leading target axis, for a list of targets in one
 broadcast: each target field enters as a (Q, 1, 1) column against the (M, N)
-snapshot grid. steering_chunks yields the same array a few snapshot rows at a
-time, so a stack is the one-chunk case; the generators of several lanes may
-share one set of side_factors. steering_values evaluates the entries
-alone, for every target of a scene in one broadcast. All of them read the
-element paths from _paths and the entries from _entries, so the model is
-written once.
+snapshot grid; fim forms it a few snapshot rows at a time by _stack, from
+one set of side_factors. steering_values evaluates the entries alone, for
+every target of a scene in one broadcast. All of them read the element paths
+from _paths and the entries from _entries, so the model is written once.
 """
 
 from collections import namedtuple
@@ -125,26 +123,6 @@ def steering_stack(scene, side, q, m_values=None):
     [:, j] equals steering_stack(scene, side, q[j], m_values) bit for bit.
     """
     return _stack(scene, *side_factors(scene, side, q), m_values)
-
-
-def steering_chunks(scene, side, q, rows, out=None, lane=slice(None), factors=None):
-    """steering_stack of a list of targets q on one side, rows snapshots at a time.
-
-    Yields (s, fields) per chunk of snapshots: s is the slice of rows, and
-    fields the complex (5, len(q), rows, N) array of those rows. The element
-    factors, side_factors(scene, side, q) unless given, are computed once,
-    for every chunk. Joined along the snapshot axis, the chunks equal
-    steering_stack(scene, side, q) bit for bit. lane, a slice of the chunk
-    indices, picks the chunks formed: slice(1, None, 2) forms chunks 1, 3,
-    5, ... out, if given, is one flat complex slot of at least
-    6 len(q) rows N entries: every chunk is written into it, its fields and
-    then one field of scratch, in place of new arrays.
-    """
-    if factors is None:
-        factors = side_factors(scene, side, q)
-    for start in range(0, scene.snapshots, rows)[lane]:
-        s = slice(start, min(start + rows, scene.snapshots))
-        yield s, _stack(scene, *factors, np.arange(s.start + 1, s.stop + 1), out)
 
 
 def _stack(scene, g, r, u, alpha, beta, m_values, out=None):

@@ -3,6 +3,7 @@
 import io
 import math
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -17,7 +18,7 @@ from nfcrb.approx import VARIANTS
 from nfcrb.cli import (BOUNDS, Config, ConfigError, SweepSpec, _bound_cells, build_scene,
                        main, parse_config, render_eval, run_sweep, run_verify, sweep_columns)
 from nfcrb.oracle import _verify_steering
-from nfcrb.steering import KEYS, steering_chunks, steering_stack
+from nfcrb.steering import KEYS
 
 from util import (parse_csv, parse_kv_lines, shared_and_unshared, sharing_scenes,
                   target_at)
@@ -114,6 +115,43 @@ def test_parse_config_rejects_fractional_integers():
 def test_parse_config_rejects_non_numeric_target_index():
     with pytest.raises(ConfigError, match="target index"):
         parse_config("target.first.x = 1\n")
+
+
+@pytest.mark.parametrize("index", ["-1", "+1", "1_0", " 1", "\u0661"])
+def test_parse_config_rejects_target_indices_that_are_not_plain_digits(index):
+    # int() reads each of these, 1_0 as 10
+    text = f"target.0.x = 30\ntarget.0.y = 40\ntarget.{index}.x = 1\n"
+    with pytest.raises(ConfigError, match=f"line 3: target index must be plain digits in "
+                                          f"'target.{re.escape(index)}.x'"):
+        parse_config(text)
+
+
+@pytest.mark.parametrize("text, line, message", [
+    ("target.0.x = 1\ntarget.0.y = 2\ntarget.2.x = 1\ntarget.2.y = 2\n", 3,
+     "target.2 without target.1"),
+    ("power_w = 0.1\ntarget.1.x = 1\ntarget.1.y = 2\n", 2, "target.1 without target.0"),
+    ("target.3.x = 1\ntarget.3.y = 2\ntarget.7.x = 1\ntarget.7.y = 2\n", 1,
+     "target.3 without target.0"),
+], ids=["gap", "no-zero", "sparse"])
+def test_parse_config_rejects_target_indices_that_skip_one(text, line, message):
+    with pytest.raises(ConfigError, match=f"line {line}: {message}: target indices run 0..Q-1"):
+        parse_config(text)
+
+
+def test_eval_rejects_gapped_and_malformed_target_indices(tmp_path, capsys):
+    # read by position, the first config's targets would be reported as
+    # target.0..3, its target.3 being the config's target.1_0
+    def targets(*indices):
+        return "".join(f"target.{idx}.range = {50 + i}\ntarget.{idx}.angle_deg = 0\n"
+                       for i, idx in enumerate(indices))
+
+    for text, error in ((targets("3", "7", "-2", "1_0"),
+                         "line 5: target index must be plain digits in 'target.-2.range'"),
+                        (targets("0", "2"), "line 3: target.2 without target.1")):
+        assert main(["eval", write_cfg(tmp_path, text)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"nfcrb: config error: {error}")
 
 
 # scene construction
@@ -587,20 +625,17 @@ def test_verify_steering_passes_near_broadside_batteries(seed):
 
 def test_verify_derivative_skew_trips_fd_checks(monkeypatch):
     # a multiplicative error on the analytic x-derivative stacks must be caught
-    # by both the steering-level and the matrix-level finite differences
-    def skewed(*args, **kwargs):
-        stack = steering_stack(*args, **kwargs)
-        stack[KEYS.index("d_x")] *= 1.0 + 1e-3
-        return stack
+    # by both the steering-level and the matrix-level finite differences;
+    # steering_stack and fim's snapshot chunks both form their fields in _stack
+    steering = sys.modules["nfcrb.steering"]
+    stack = steering._stack
 
-    def skewed_chunks(*args, **kwargs):
-        for s, fields in steering_chunks(*args, **kwargs):
-            fields[KEYS.index("d_x")] *= 1.0 + 1e-3
-            yield s, fields
+    def skewed(*args):
+        fields = stack(*args)
+        fields[KEYS.index("d_x")] *= 1.0 + 1e-3
+        return fields
 
-    monkeypatch.setattr(sys.modules["nfcrb.oracle"], "steering_stack", skewed)
-    # the package re-exports fim(), which shadows the nfcrb.fim module name
-    monkeypatch.setattr(sys.modules["nfcrb.fim"], "steering_chunks", skewed_chunks)
+    monkeypatch.setattr(steering, "_stack", skewed)
     reports = run_verify(seed=0, battery=4, stream=io.StringIO())
     failed = {r.name for r in reports if not r.passed}
     assert any(name.startswith("steering-fd") for name in failed)

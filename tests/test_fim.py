@@ -23,7 +23,7 @@ from nfcrb import (BLOCKS, brute_gain, fd_fim, fim, make_scene, monte_carlo_isot
                    target_indices, ula)
 from nfcrb.fim import derivative_terms
 from nfcrb.oracle import _channel_derivatives
-from nfcrb.steering import KEYS, steering_chunks, steering_stack
+from nfcrb.steering import KEYS, steering_stack
 
 from util import (canonical_scene, explicit_fim, many_target_scene, rotate_scene,
                   shared_and_unshared, sharing_scenes, small_scene, target_at)
@@ -281,22 +281,31 @@ def test_fim_equals_its_per_side_evaluation_bit_for_bit(monkeypatch, key):
                          ids=["monostatic", "bistatic"])
 def test_fim_builds_one_stack_per_target_and_distinct_side(monkeypatch, rx_centroid, sides):
     module = sys.modules["nfcrb.fim"]  # the package's fim() shadows the module name
-    built = Counter()
+    steering = sys.modules["nfcrb.steering"]
+    factors, stack, made, built = module.side_factors, steering._stack, [], []
 
-    def counted(scene, side, q, rows, **kwargs):
-        for s, fields in steering_chunks(scene, side, q, rows, **kwargs):
-            assert fields.shape[1:3] == (len(q), s.stop - s.start)
-            built.update((side, t, m) for t in q for m in range(s.start, s.stop))
-            yield s, fields
+    def recorded(scene, side, q):
+        made.append((side, q, factors(scene, side, q)))
+        return made[-1][2]
 
-    monkeypatch.setattr(module, "steering_chunks", counted)
+    def counted(scene, g, r, u, alpha, beta, m_values, out=None):
+        # the side and targets whose element factors the chunk is formed from
+        side, q = next((side, q) for side, q, of in made if of[1] is r)
+        fields = stack(scene, g, r, u, alpha, beta, m_values, out)
+        assert fields.shape[1:3] == (len(q), len(m_values))
+        built.extend([(side, t, m - 1) for t in q for m in m_values])
+        return fields
+
+    monkeypatch.setattr(module, "side_factors", recorded)
+    monkeypatch.setattr(steering, "_stack", counted)
     # three snapshot rows per chunk: chunks of 3 and 1 rows
     monkeypatch.setattr(module, "CHUNK_BYTES", 3 * 8 * len(KEYS) * 3 * 2 * 8)
     scene = make_scene(targets=[target_at(100.0, 20.0), target_at(150.0, -45.0),
                                 target_at(80.0, 5.0)],
                        tx=ula(8, 0.01), rx=ula(8, 0.01, rx_centroid), snapshots=4)
     fim(scene)
-    assert built == Counter([(side, q, m) for side in sides for q in range(3) for m in range(4)])
+    assert Counter(built) == Counter([(side, q, m) for side in sides for q in range(3)
+                                      for m in range(4)])
 
 
 def fim_bytes(scene, chunk_bytes):
@@ -352,10 +361,13 @@ def lanes_fim(monkeypatch, scene):
         sys.setswitchinterval(interval)
 
 
-@pytest.mark.parametrize("rx_centroid, chunk_bytes", [(0.0, None), (0.5, None), (0.0, 1)],
-                         ids=["monostatic", "bistatic", "one-row-chunks"])
-def test_worker_thread_keeps_the_inline_bits(monkeypatch, rx_centroid, chunk_bytes):
-    scene = dataclasses.replace(many_target_scene(), rx=ula(128, 0.01, rx_centroid))
+@pytest.mark.parametrize("rx, chunk_bytes", [(ula(128, 0.01), None), (ula(128, 0.01, 0.5), None),
+                                              (ula(96, 0.01, 0.5), None), (ula(128, 0.01), 1)],
+                         ids=["monostatic", "bistatic", "bistatic-unequal-counts",
+                              "one-row-chunks"])
+def test_worker_thread_keeps_the_inline_bits(monkeypatch, rx, chunk_bytes):
+    # with 96 Rx elements the Tx side forms 12-row chunks and the Rx side 17-row ones
+    scene = dataclasses.replace(many_target_scene(), rx=rx)
     if chunk_bytes is not None:
         monkeypatch.setattr(sys.modules["nfcrb.fim"], "CHUNK_BYTES", chunk_bytes)
     inline, (overlapped, on_caller) = lanes_fim(monkeypatch, scene)
@@ -407,14 +419,12 @@ def test_an_error_on_either_thread_leaves_no_thread_behind(monkeypatch, where):
             raise RuntimeError("third chunk")
         return stack(*args)
 
-    def third_flat(*args, **kwargs):  # the caller cannot unpack a chunk without its N axis
-        for s, fields in steering_chunks(*args, **kwargs):
-            yield s, fields[..., 0] if s.start else fields
+    def third_flat(scene, g, r, u, alpha, beta, m_values, out=None):
+        # the caller cannot unpack a chunk without its N axis
+        fields = stack(scene, g, r, u, alpha, beta, m_values, out)
+        return fields[..., 0] if m_values[0] > 1 else fields
 
-    if where == "worker":
-        monkeypatch.setattr(steering, "_stack", third_fails)
-    else:
-        monkeypatch.setattr(module, "steering_chunks", third_flat)
+    monkeypatch.setattr(steering, "_stack", third_fails if where == "worker" else third_flat)
     before = threading.active_count()
     with pytest.raises(RuntimeError if where == "worker" else ValueError):
         fim(many_target_scene())

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from nfcrb import (ArrayGeometry, Target, doppler_shift, make_scene, pathloss,
                    steering_stack, ula)
 from nfcrb.oracle import fd_steering_rows
-from nfcrb.steering import KEYS, steering_chunks, steering_values
+from nfcrb.steering import KEYS, _stack, side_factors, steering_values
 
 from util import canonical_scene, many_target_scene, small_scene, target_at
 
@@ -159,12 +159,21 @@ def test_stack_of_a_target_list_equals_one_stack_per_target_bit_for_bit(case):
             assert (values[q] == one[0]).all()
 
 
+def chunk_fields(scene, factors, start, rows, out=None):
+    """_stack of snapshot rows start.. start + rows, cut at M, from one set of side_factors."""
+    stop = min(start + rows, scene.snapshots)
+    return _stack(scene, *factors, np.arange(start + 1, stop + 1), out)
+
+
 def assert_chunks_join_into_the_stack(scene, qs, rows):
     for side in ("tx", "rx"):
         whole = steering_stack(scene, side, qs)
-        chunks = list(steering_chunks(scene, side, qs, rows))
-        assert [s.start for s, _ in chunks] == list(range(0, scene.snapshots, rows))
-        joined = np.concatenate([fields for _, fields in chunks], axis=2)
+        factors = side_factors(scene, side, qs)
+        starts = range(0, scene.snapshots, rows)
+        chunks = [chunk_fields(scene, factors, start, rows) for start in starts]
+        assert [fields.shape[2] for fields in chunks] == [min(rows, scene.snapshots - start)
+                                                          for start in starts]
+        joined = np.concatenate(chunks, axis=2)
         assert joined.shape == whole.shape
         assert (joined == whole).all()
 
@@ -179,16 +188,18 @@ def test_snapshot_chunks_join_into_the_stack_bit_for_bit(case, rows):
 @settings(derandomize=True, max_examples=40, deadline=None)
 @given(stack_cases(), st.integers(1, 16))
 def test_snapshot_chunks_written_into_slots_join_into_the_stack_bit_for_bit(case, rows):
-    # two lanes, chunks 0, 2, 4, ... and 1, 3, 5, ..., each written into its own slot
+    # two lanes, chunks 0, 2, 4, ... and 1, 3, 5, ..., each written into its own
+    # slot from one set of element factors, as fim forms them
     scene, qs, _ = case
     for side, geom in (("tx", scene.tx), ("rx", scene.rx)):
         slots = np.full((2, (len(KEYS) + 1) * len(qs) * rows * geom.count), np.nan, dtype=complex)
-        lanes = [steering_chunks(scene, side, list(qs), rows, out=slot, lane=slice(i, None, 2))
-                 for i, slot in enumerate(slots)]
+        factors = side_factors(scene, side, list(qs))
+        starts = range(0, scene.snapshots, rows)
+        lanes = [iter(starts[i::2]) for i in range(len(slots))]
         chunks = []
-        for i, start in enumerate(range(0, scene.snapshots, rows)):
-            s, fields = next(lanes[i % 2])
-            assert s.start == start
+        for i, start in enumerate(starts):
+            assert next(lanes[i % 2]) == start
+            fields = chunk_fields(scene, factors, start, rows, slots[i % 2])
             assert np.shares_memory(fields, slots[i % 2])
             chunks.append(fields.copy())
         assert [next(lane, None) for lane in lanes] == [None, None]
