@@ -125,15 +125,14 @@ def _angle_factor(tx, rx, axis):
             + (b_r - u_r ** 2) + 2.0 * u_t * u_r * (d_t + d_r))
 
 
-def gain(geom, target, wavelength, variant):
+def gain(geom, target, variant):
     """Expansion of the element-sum gain g = sum_n 1/r_n^2 of one array.
 
     N / r^2 * (1 + delta) about the centroid, with delta = 0 for ff and
     (N^2 - 1) d^2 (4 sin^2 theta - 1) / (12 r^2) for nf. A non-positive
     1 + delta raises ApproximationDomainError.
 
-    The exact sum is oracle.brute_gain(geom, target, "g"). wavelength is
-    not read: the expansions depend only on N, d, r and theta.
+    The exact sum is oracle.brute_gain(geom, target, "g").
     """
     _check_variant(variant, "use oracle.brute_gain for the exact element sum")
     side = _side_terms(geom, target, variant)

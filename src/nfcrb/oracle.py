@@ -21,11 +21,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .approx import correction_terms, gain
-from .crb import _side_moments, closed_form_single
+from .crb import _element_moments, closed_form_single
 from .fim import FisherInfo, derivative_terms, fim
 from .geometry import ula
 from .scene import BLOCKS, Target, make_scene, target_indices
-from .steering import KEYS, steering_stack, steering_values
+from .steering import KEYS, element_factors, steering_stack, steering_values
 
 REL_ERR_FLOOR = 1e-30
 
@@ -302,14 +302,17 @@ def _verify_consistency(scene, info):
     negativity = max(0.0, float(-(w.min()) / np.linalg.norm(f, 2)))
     reports.append(make_report("fim-psd", negativity, 0.0, 1e-8, rel_err=negativity))
 
-    # np.max, not Python's max, so a NaN bound reaches make_report and fails
+    # the closed form against the full-trace diagonal of materialized derivative
+    # stacks; np.max, not Python's max, so a NaN bound reaches make_report
+    stacks = _channel_derivatives(scene).reshape(len(BLOCKS), -1).view(float)
+    trace = 2.0 * scene.power_w / scene.noise_var_w * np.einsum("ij,ij->i", stacks, stacks)
     closed = dataclasses.astuple(closed_form_single(scene, 0).targets[0])
-    worst = np.max([abs(b * d - 1.0) for b, d in zip(closed, np.diag(f))])
+    worst = np.max([abs(b * d - 1.0) for b, d in zip(closed, trace)])
     reports.append(make_report("closed-form-diagonal", worst, 0.0, 1e-10, rel_err=worst))
 
     # the per-side gain G of the closed form against the brute-force element sum
     t = scene.targets[0]
-    g_side, _ = _side_moments(scene, scene.tx, t)
+    g_side = _element_moments(element_factors(scene, scene.tx, t), 0.0)[0]
     g_ref = (scene.wavelength_m ** 2 / (16 * math.pi ** 2)) * brute_gain(scene.tx, t, "g")
     reports.append(make_report("gain-identity", g_side, g_ref, 1e-12))
 
@@ -330,7 +333,7 @@ def _verify_expansions():
     for r in grid:
         t = Target(x=r * math.sin(th), y=r * math.cos(th))
         exact = brute_gain(geom, t, "g")
-        nf = gain(geom, t, lam, "nf")
+        nf = gain(geom, t, "nf")
         residual.append(abs(nf - exact) / exact)
     slope = np.polyfit(np.log(grid), np.log(residual), 1)[0]
     reports.append(make_report("gain-expansion-order", float(slope), -4.0, 0.075))

@@ -8,13 +8,14 @@ the magnitude carries the per-element free-space pathloss lambda/(4 pi r_n).
 element_factors alone writes down d a_n / dp = (alpha_p + beta_p t) a_n at
 slow time t = m T, pathloss gradient included, with one row p of the complex
 arrays alpha and beta per field of KEYS[1:]: _stack multiplies the rows into
-derivative fields and crb sums them into element moments. The steering
-vector and its four derivatives are one complex (5, [Q,] M, N) field array in
-KEYS order, the only statement of that order. steering_stack returns it for
-one target or, with a leading target axis, for a list of targets in one
-broadcast: each target field enters as a (Q, 1, 1) column against the (M, N)
-snapshot grid; fim forms it a few snapshot rows at a time by _stack, from
-one set of side_factors. steering_values evaluates the entries alone, for
+derivative fields, and crb sums them into the element moments of every own
+Fisher block. The steering vector and its four derivatives are one complex
+(5, [Q,] M, N) field array in KEYS order, the only statement of that order.
+steering_stack returns it for one target or, with a leading target axis, for
+a list of targets in one broadcast: each target field enters as a (Q, 1, 1)
+column against the (M, N) snapshot grid; fim forms it a few snapshot rows at
+a time by _stack, from side_factors shifted to centre each target, for its
+cross-target blocks. steering_values evaluates the entries alone, for
 every target of a scene in one broadcast. All of them read the element paths
 from _paths and the entries from _entries, so the model is written once.
 """

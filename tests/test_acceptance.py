@@ -85,8 +85,8 @@ def test_criterion_05_gain_expansion_error_decays_fourth_order():
     for r in RANGE_GRID:
         t = target_at(r, 20.0)
         truth = brute_gain(geom, t, "g")
-        err_ff = abs(gain(geom, t, lam, "ff") - truth) / truth
-        err_nf = abs(gain(geom, t, lam, "nf") - truth) / truth
+        err_ff = abs(gain(geom, t, "ff") - truth) / truth
+        err_nf = abs(gain(geom, t, "nf") - truth) / truth
         assert err_nf < err_ff
         residuals.append(err_nf)
     slope = float(np.polyfit(np.log(RANGE_GRID), np.log(residuals), 1)[0])

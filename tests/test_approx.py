@@ -32,7 +32,7 @@ def test_gain_point_array_all_variants_equal():
     geom = ula(1, 0.01)
     assert brute_gain(geom, t, "g") == pytest.approx(1e-4, rel=1e-14)
     for variant in ("ff", "nf"):
-        assert gain(geom, t, 0.02, variant) == pytest.approx(1e-4, rel=1e-14)
+        assert gain(geom, t, variant) == pytest.approx(1e-4, rel=1e-14)
 
 
 def test_gain_three_element_hand_sum():
@@ -41,16 +41,16 @@ def test_gain_three_element_hand_sum():
     # elements at x = -1, 0, 1; ranges squared 101, 100, 101
     assert brute_gain(geom, t, "g") == pytest.approx(2.0 / 101.0 + 1.0 / 100.0,
                                                      rel=1e-15)
-    assert gain(geom, t, 0.02, "ff") == pytest.approx(0.03, rel=1e-15)
+    assert gain(geom, t, "ff") == pytest.approx(0.03, rel=1e-15)
     expected_nf = 3.0 / 100.0 + 3.0 * 8.0 * (-1.0) / (12.0 * 1e4)
-    assert gain(geom, t, 0.02, "nf") == pytest.approx(expected_nf, rel=1e-15)
+    assert gain(geom, t, "nf") == pytest.approx(expected_nf, rel=1e-15)
 
 
 def test_gain_nf_equals_ff_where_correction_root_sits():
     # 4 sin^2(30 deg) - 1 = 0 kills the second-order term
     geom = ula(64, 0.01)
     t = target_at(100.0, 30.0)
-    assert gain(geom, t, 0.02, "nf") == gain(geom, t, 0.02, "ff")
+    assert gain(geom, t, "nf") == gain(geom, t, "ff")
 
 
 def test_gain_expansion_orders():
@@ -59,8 +59,8 @@ def test_gain_expansion_orders():
     for r in RANGE_GRID:
         t = target_at(r, 20.0)
         truth = brute_gain(geom, t, "g")
-        ff_err.append(abs(gain(geom, t, 0.02, "ff") - truth) / truth)
-        nf_err.append(abs(gain(geom, t, 0.02, "nf") - truth) / truth)
+        ff_err.append(abs(gain(geom, t, "ff") - truth) / truth)
+        nf_err.append(abs(gain(geom, t, "nf") - truth) / truth)
     assert np.all(np.array(nf_err) < np.array(ff_err))
     slope = np.polyfit(np.log(RANGE_GRID), np.log(nf_err), 1)[0]
     assert slope == pytest.approx(-4.0, abs=0.3)
@@ -72,8 +72,8 @@ def test_gain_rejects_non_positive_gain_factor():
     geom, t = ula(256, 0.1), target_at(5.0, 0.0)
     assert brute_gain(geom, t, "g") == pytest.approx(4.79, rel=1e-3)
     with pytest.raises(ApproximationDomainError):
-        gain(geom, t, 0.02, "nf")
-    assert gain(geom, t, 0.02, "ff") == 256 / 25.0
+        gain(geom, t, "nf")
+    assert gain(geom, t, "ff") == 256 / 25.0
 
 
 def test_gain_expansions_need_ula():
@@ -81,14 +81,14 @@ def test_gain_expansions_need_ula():
     t = target_at(100.0, 20.0)
     assert brute_gain(geom, t, "g") > 0.0
     with pytest.raises(ValueError, match="uniform linear"):
-        gain(geom, t, 0.02, "nf")
+        gain(geom, t, "nf")
 
 
 def test_gain_unknown_variant_rejected():
     with pytest.raises(ValueError, match="variant"):
-        gain(ula(3, 0.01), target_at(100.0, 20.0), 0.02, "mid-field")
+        gain(ula(3, 0.01), target_at(100.0, 20.0), "mid-field")
     with pytest.raises(ValueError, match="brute_gain"):
-        gain(ula(3, 0.01), target_at(100.0, 20.0), 0.02, "exact")
+        gain(ula(3, 0.01), target_at(100.0, 20.0), "exact")
 
 
 # correction terms
@@ -278,7 +278,7 @@ def test_ff_is_the_plane_wave_formula(scene):
         den = plane_wave_angle_factor(scene, 0, axis)
         phi = getattr(c, "phi_" + axis)
         _assert_same(getattr(c, "psi_" + axis), phi / den if den >= 1e-12 else math.inf, 1e-14)
-    assert gain(scene.tx, t, 0.02, "ff") == scene.tx.count / polar_of(t, scene.tx)[0] ** 2
+    assert gain(scene.tx, t, "ff") == scene.tx.count / polar_of(t, scene.tx)[0] ** 2
 
 
 def test_relative_error_semantics():

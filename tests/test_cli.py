@@ -581,10 +581,11 @@ def test_sweep_empty_grid_rejected(tmp_path, capsys):
 
 
 def test_eval_renders_every_target_when_marginal_unavailable(tmp_path, capsys):
-    # a 12-parameter information matrix at full aperture exhausts double
-    # precision; the report must still carry the per-target closed forms
-    path = write_cfg(tmp_path, DEFAULT_CFG + "target.1.range = 150\n"
-                     "target.1.angle_deg = -45\ntarget.1.vx = 4\ntarget.1.vy = 3\n")
+    # coincident targets cannot be told apart, so their information matrix
+    # is singular; the report must still carry the per-target closed forms
+    path = write_cfg(tmp_path, DEFAULT_CFG + "target.1.range = 100\n"
+                     "target.1.angle_deg = 20\ntarget.1.vx = 1\ntarget.1.vy = 4\n"
+                     "target.1.rcs_re = 1\ntarget.1.rcs_im = 0.1\n")
     assert main(["eval", path]) == 0
     out = capsys.readouterr().out
     assert "# status=singular" in out
@@ -593,6 +594,17 @@ def test_eval_renders_every_target_when_marginal_unavailable(tmp_path, capsys):
     assert kv["target.1.rcs.exact"] > 0.0
     assert kv["target.1.rcs.marginal"] is None
     assert kv["target.1.region"] == "fresnel"
+
+    # two distinct targets at full aperture invert, scaled condition number 4.7e5
+    path = write_cfg(tmp_path, DEFAULT_CFG + "target.1.range = 150\n"
+                     "target.1.angle_deg = -45\ntarget.1.vx = 4\ntarget.1.vy = 3\n", "two.cfg")
+    assert main(["eval", path]) == 0
+    out = capsys.readouterr().out
+    assert "# status=ok" in out
+    kv = parse_kv_lines(out)
+    for q in (0, 1):
+        for bound in BOUNDS:
+            assert kv[f"target.{q}.{bound}.marginal"] >= kv[f"target.{q}.{bound}.exact"]
 
 
 # verify
@@ -624,18 +636,20 @@ def test_verify_steering_passes_near_broadside_batteries(seed):
 
 
 def test_verify_derivative_skew_trips_fd_checks(monkeypatch):
-    # a multiplicative error on the analytic x-derivative stacks must be caught
-    # by both the steering-level and the matrix-level finite differences;
-    # steering_stack and fim's snapshot chunks both form their fields in _stack
+    # a multiplicative error on the analytic x-derivative must be caught by
+    # both the steering-level and the matrix-level finite differences; the
+    # steering stacks and fim's element moments both read element_factors
     steering = sys.modules["nfcrb.steering"]
-    stack = steering._stack
+    factors = steering.element_factors
 
     def skewed(*args):
-        fields = stack(*args)
-        fields[KEYS.index("d_x")] *= 1.0 + 1e-3
-        return fields
+        g, r, u, alpha, beta = factors(*args)
+        x = KEYS.index("d_x") - 1  # the factor rows start at the first derivative
+        alpha[x] *= 1.0 + 1e-3
+        beta[x] *= 1.0 + 1e-3
+        return g, r, u, alpha, beta
 
-    monkeypatch.setattr(steering, "_stack", skewed)
+    monkeypatch.setattr(steering, "element_factors", skewed)
     reports = run_verify(seed=0, battery=4, stream=io.StringIO())
     failed = {r.name for r in reports if not r.passed}
     assert any(name.startswith("steering-fd") for name in failed)

@@ -15,8 +15,8 @@ from nfcrb import (ArrayGeometry, FisherInfo, SingularFimError, Target,
 from nfcrb.approx import VARIANTS
 from nfcrb.cli import BOUNDS, _bound_cells
 
-from util import (canonical_scene, shared_and_unshared, sharing_scenes, stack_closed_form,
-                  target_at)
+from util import (canonical_scene, many_target_scene, shared_and_unshared, sharing_scenes,
+                  stack_closed_form, target_at)
 
 
 def near_scene(v=(3.0, -2.0)):
@@ -44,7 +44,8 @@ def test_diagonal_fim_inverts_to_reciprocals():
     crb, report = full_crb(info)
     np.testing.assert_allclose(crb, np.diag(1.0 / d), rtol=1e-15)
     assert report.status == "ok"
-    assert report.condition_number == pytest.approx(d.max() / d.min())
+    # the condition number is taken after Jacobi scaling to a unit diagonal
+    assert report.condition_number == pytest.approx(1.0)
     b = report.targets[0]
     assert (b.crb_x, b.crb_y, b.crb_vx, b.crb_vy, b.crb_alpha_r, b.crb_alpha_i) \
         == pytest.approx((0.25, 0.5, 2.0, 0.125, 0.1, 4.0))
@@ -122,10 +123,54 @@ def test_singular_nuisance_block_raises():
         schur_target_report(info, 0)
 
 
-def test_default_scene_flags_ill_conditioning():
+def test_dark_target_is_singular():
+    s = make_scene(targets=[target_at(100.0, 20.0), target_at(150.0, -40.0, alpha=(0.0, 0.0))],
+                   tx=ula(16, 0.01), rx=ula(16, 0.01), snapshots=8)
+    with pytest.raises(SingularFimError, match="information matrix is singular"):
+        full_crb(fim(s))
+
+
+def test_default_scene_is_well_conditioned():
+    # the raw matrix's condition number is 1.7e15 in metres and 2.1e10 in
+    # millimetres; the centred, Jacobi-scaled one is 4.4e4 in either
     _, report = full_crb(fim(make_scene()))
+    assert report.status == "ok"
+    assert report.condition_number == pytest.approx(4.351e4, rel=1e-3)
+
+
+def test_ill_conditioned_status_on_a_synthetic_fim():
+    # two parameters whose scaled information differs from collinear by 1e-13
+    f = np.eye(6)
+    f[0, 1] = f[1, 0] = 1.0 - 1e-13
+    crb, report = full_crb(FisherInfo(matrix=f))
     assert report.status == "ill-conditioned"
-    assert report.condition_number > 1e12
+    assert 1e12 < report.condition_number < 1e14
+    assert np.all(np.isfinite(crb))
+
+
+def test_status_and_bounds_do_not_depend_on_units():
+    # the reference scene in millimetres: lengths and speeds times 1e3
+    metres = make_scene()
+    t = metres.targets[0]
+    millimetres = make_scene(
+        targets=[Target(x=t.x * 1e3, y=t.y * 1e3, vx=t.vx * 1e3, vy=t.vy * 1e3,
+                        rcs_re=t.rcs_re, rcs_im=t.rcs_im)],
+        tx=ula(256, 10.0), rx=ula(256, 10.0), lightspeed=3e11)
+    (_, in_m), (_, in_mm) = (full_crb(fim(s)) for s in (metres, millimetres))
+    assert in_mm.status == in_m.status == "ok"
+    assert in_mm.condition_number == pytest.approx(in_m.condition_number, rel=1e-9)
+    assert in_mm.targets[0].crb_x / 1e6 == pytest.approx(in_m.targets[0].crb_x, rel=1e-9)
+    assert in_m.targets[0].crb_x == pytest.approx(23.285443523, rel=1e-9)
+
+
+def test_eval_size_scene_inverts_with_marginals_above_exact():
+    scene = many_target_scene()
+    crb, report = full_crb(fim(scene))
+    assert report.status == "ok"
+    for q in range(scene.q_count):
+        exact = closed_form_single(scene, q).targets[0]
+        for name in ("x", "y", "vx", "vy", "alpha_r", "alpha_i"):
+            assert report.targets[q].by_name(name) >= exact.by_name(name)
 
 
 def test_closed_form_matches_fisher_diagonal():
