@@ -15,8 +15,8 @@ each target's reflectivity absorbs its weighted-mean derivative factor
 (crb.own_information), and the raw matrix T^T F' T. Own 6x6 blocks come from
 O(N) element moments. Cross-target blocks come from one complex Gram per
 snapshot and side over every target's derivative fields, formed by
-steering._stack from side_factors shifted to centre each target, rows
-field-major in a canonical target order (sorted by fields); each pair block
+steering._stack from side_factors shifted to centre each target and from
+the side's one phasor table (steering._phasors), rows field-major in a canonical target order (sorted by fields); each pair block
 is computed once in that order and mirrored, so permuting the targets
 permutes the matrix. Each side's Grams are formed CHUNK_BYTES of fields at a
 time and only their pair blocks are kept: memory grows with Q^2 M, not with
@@ -38,7 +38,7 @@ import numpy as np
 from . import steering
 from .crb import congruence, own_information
 from .scene import BLOCKS
-from .steering import KEYS, side_factors
+from .steering import KEYS, LOW_ROWS, side_factors
 
 # bytes of one side's complex steering fields formed at a time; a snapshot
 # row larger than this is one chunk of its own
@@ -99,13 +99,15 @@ def _cpu_count():
     return os.cpu_count() or 1
 
 
-def _side_grams(scene, factors, rows, p1, p2, pairs, lanes):
+def _side_grams(scene, factors, rows, p1, p2, pairs, table, lanes):
     """Pair blocks p1 < p2 of one side's cross-target Gram, into pairs, (pairs, M, 25).
 
     factors are the side's (g, r, u, alpha, beta) for every target in
     canonical order. Snapshot Grams are independent, so they are formed rows
-    snapshots at a time, by _stack from factors, and the (M, 5Q, 5Q) Gram is
-    never held whole. lanes holds one (slot, conj, gram) triple of flat
+    snapshots at a time, by _stack from factors and the side's phasor table,
+    which the calling thread forms in the flat complex buffer table before
+    any chunk; the (M, 5Q, 5Q) Gram is never held whole, and a chunk's
+    entries take no exp. lanes holds one (slot, conj, gram) triple of flat
     complex buffers per lane: a chunk's fields are formed in slot,
     conjugated once into conj and multiplied into gram. With more than one
     chunk and lane, the calling thread forms chunks 0, 2, 4, ... and a
@@ -118,13 +120,14 @@ def _side_grams(scene, factors, rows, p1, p2, pairs, lanes):
     starts = range(0, scene.snapshots, rows)
     count = min(len(lanes), len(starts))
     failed = []  # an error of either lane; the other stops before its next chunk
+    phasors = steering._phasors(scene, *factors[:3], out=table)
 
     def run(lane, slot, conj, gram):
         for start in starts[lane::count]:
             if failed:
                 return
             s = slice(start, min(start + rows, scene.snapshots))
-            fields = steering._stack(scene, *factors, np.arange(start + 1, s.stop + 1), slot)
+            fields = steering._stack(scene, *factors, range(start + 1, s.stop + 1), slot, phasors)
             c, n = fields.shape[2:]
             fields_h = np.conjugate(fields, out=conj[:fields.size].reshape(fields.shape))
             # one complex product per snapshot over field-major (k, Q) rows, on views
@@ -183,18 +186,24 @@ def fim(scene):
         gram = max(rows_tx, rows_rx) * (k * q_count) ** 2
         # a second lane, for a worker thread to form every other chunk on
         lane_count = 2 if min(rows_tx, rows_rx) < scene.snapshots and _cpu_count() > 1 else 1
-        # the pair blocks of both sides and each lane's chunk buffers (fields,
-        # conjugate fields, Gram) in one allocation, the call's first: as its
-        # largest block it lifts glibc's heap trim threshold, so the heap is
-        # not faulted in again on every call, the worker makes no chunk array
-        # in an arena of its own, and later small blocks do not split the
-        # region the next call reuses. Tx's copy of a monostatic scene's pair
-        # blocks is made after the loop, over the chunk buffers
+        # the phasor table of one side at a time (steering._phasors), at
+        # most M / LOW_ROWS + 1 high rows and LOW_ROWS z^l rows
+        table = (q_count * max(scene.tx.count, scene.rx.count)
+                 * (scene.snapshots // LOW_ROWS + 1 + LOW_ROWS))
+        # the pair blocks of both sides, the tables and each lane's chunk
+        # buffers (fields, conjugate fields, Gram) in one allocation, the
+        # call's first: as its largest block it lifts glibc's heap trim
+        # threshold, so the heap is not faulted in again on every call, the
+        # worker makes no chunk array in an arena of its own, and later small
+        # blocks do not split the region the next call reuses. Tx's copy of a
+        # monostatic scene's pair blocks is made after the loop, over the
+        # tables and chunk buffers
         size, chunk = len(p1) * scene.snapshots * k * k, lane_count * (2 * k * field + gram)
-        work = np.empty(size + max(size, chunk) if scene.monostatic else 2 * size + chunk,
-                        dtype=complex)
+        work = np.empty(size + max(size, table + chunk) if scene.monostatic
+                        else 2 * size + table + chunk, dtype=complex)
         pairs_rx, pairs_tx = (work[i * size:(i + 1) * size].reshape(len(p1), scene.snapshots, -1)
                               for i in (0, 1))
+        table = work[len(work) - chunk - table:len(work) - chunk]
         # _stack's scratch field lies over the conjugate fields, which are
         # written only once the fields are formed
         lanes = [(buf[:(k + 1) * field], buf[k * field:2 * k * field], buf[2 * k * field:])
@@ -214,13 +223,13 @@ def fim(scene):
         # each side's factors, shifted to centre every target
         tx, rx = ((g, r, u, alpha - da[..., None, None], beta - db[..., None, None])
                   for (g, r, u, alpha, beta), (da, db) in zip((tx, rx), shifts))
-        _side_grams(scene, rx, rows_rx, p1, p2, pairs_rx, lanes)
+        _side_grams(scene, rx, rows_rx, p1, p2, pairs_rx, table, lanes)
         if scene.monostatic:
             # Tx gets its own copy: numpy multiplies a buffer by its own
             # transpose through BLAS syrk, which rounds unlike gemm
             pairs_tx[...] = pairs_rx
         else:
-            _side_grams(scene, tx, rows_tx, p1, p2, pairs_tx, lanes)
+            _side_grams(scene, tx, rows_tx, p1, p2, pairs_tx, table, lanes)
         # the coefficients of derivative_terms per target in canonical order,
         # (Q, kind, term), in the slots of _TERM_KEYS
         coef = np.zeros((q_count, b, 2), dtype=complex)

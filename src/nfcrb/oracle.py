@@ -118,17 +118,15 @@ def _target_channels(scene):
         yield np.einsum("mr,mt->mrt", a_r[q], a_t[q]) * t.rcs
 
 
-def _channel_derivative(scene, base, q, kind, h):
+def _channel_derivative(base, q, moved, h):
     """(A(theta + h) - A(theta - h)) / 2h for one parameter of target q.
 
-    Each shifted channel replaces target q's channel in base, the unshifted
-    target channels, and is summed before the next one is formed, so one
-    shifted channel is held at a time. The target channels are summed in
-    target order.
+    moved yields target q's shifted channels at theta + h, then theta - h.
+    Each replaces target q's channel in base, the unshifted target channels,
+    and is summed before the next one is formed, so one shifted channel is
+    held at a time. The target channels are summed in target order.
     """
-    shifted = _shifted_copies(scene, [q], ((kind, h), (kind, -h)))
-    plus, minus = (sum(base[:q] + [moved] + base[q + 1:])
-                   for moved in _target_channels(shifted))
+    plus, minus = (sum(base[:q] + [next(moved)] + base[q + 1:]) for _ in range(2))
     return (plus - minus) / (2.0 * h)
 
 
@@ -137,20 +135,26 @@ def fd_fim(scene, steps=None):
 
     Only the derivative source differs from the analytic path: each channel
     derivative stack is (A(theta + h) - A(theta - h)) / 2h, and the full
-    trace 2 P / sigma^2 Re tr(D_i^H D_j) summed over snapshots follows. A
-    shifted channel replaces the one target channel that moves and reuses
-    the others.
+    trace 2 P / sigma^2 Re tr(D_i^H D_j) summed over snapshots follows. The
+    shifted copies of every target and parameter are one Scene, evaluated in
+    one steering_values call per side. A shifted channel replaces the one
+    target channel that moves and reuses the others.
     """
     steps = {**DEFAULT_STEPS, **(steps or {})}
+    for t in scene.targets:
+        for kind in BLOCKS:
+            _check_step(steps[kind], getattr(t, kind))
     base = list(_target_channels(scene))
+    moved = _target_channels(_shifted_copies(
+        scene, range(scene.q_count), [(kind, d) for kind in BLOCKS
+                                      for d in (steps[kind], -steps[kind])]))
     # one array, not a list of stacks, so glibc does not trim and re-fault the heap
     derivs = np.empty((6 * scene.q_count, scene.snapshots, scene.rx.count, scene.tx.count),
                       dtype=complex)
     n_par = len(derivs)
     for q in range(scene.q_count):
         for i, kind in zip(target_indices(q, scene.q_count), BLOCKS):
-            _check_step(steps[kind], getattr(scene.targets[q], kind))
-            derivs[i] = _channel_derivative(scene, base, q, kind, steps[kind])
+            derivs[i] = _channel_derivative(base, q, moved, steps[kind])
 
     f = np.zeros((n_par, n_par))
     for i in range(n_par):

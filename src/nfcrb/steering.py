@@ -18,13 +18,20 @@ a time by _stack, from side_factors shifted to centre each target, for its
 cross-target blocks. steering_values evaluates the entries alone, for
 every target of a scene in one broadcast. All of them read the element paths
 from _paths and the entries from _entries, so the model is written once.
+_entries forms each entry as the product of two rows of the phasor table of
+_phasors, a few exp calls per element path instead of one per snapshot; fim
+forms each side's table once and reads it for every chunk.
 """
 
+import math
 from collections import namedtuple
 
 import numpy as np
 
 from .scene import DegenerateGeometryError
+
+# snapshots per high row of the phasor table (_phasors): snapshot m = LOW_ROWS h + l
+LOW_ROWS = 16
 
 # the fields of a steering field array: the steering vector a, then its
 # derivatives with respect to the target location x/y and velocity vx/vy
@@ -63,23 +70,79 @@ def _paths(scene, geom, x, y, vx, vy):
     return dx, dy, r, u, g
 
 
-def _entries(scene, g, r, u, m_values, out=None, work=(None, None)):
-    """Steering entries a = g exp(j k (u t - r)) and their slow times t = m T.
+def _phasors(scene, g, r, u, m_values=None, out=None):
+    """The phasor table of the entries at slow-time indices m_values, 1..M by default.
 
-    m_values are slow-time indices, 1..M by default; t has shape (M, 1). out,
-    if given, takes a, and work, two contiguous complex arrays of a's shape,
-    the exponent and its exp; the path u t - r is formed in the second, seen
-    as float. Each step but the path's writes apart from its inputs.
+    Snapshot m = LOW_ROWS h + l, with l in 1..LOW_ROWS, has the entry
+    g exp(j k (u LOW_ROWS h T - r)) z^l, z = exp(j k u T): the entry at slow
+    time LOW_ROWS h T, a high row, advanced by l snapshots. The high rows
+    and z take one exp; then z^l = z^(l - b) z^b, b the largest power of two
+    below l, is one product over the rows of every l in (b, 2b]. So each row
+    is one fixed chain of products, with the same bits whichever other rows
+    a call needs, and a side costs 2 + M / LOW_ROWS exp calls per element
+    path. m_values are ints. Returns the (rows, Q or 1, N) table, high rows
+    first, and dicts of the row of each h and of each z^l, for the h and l of
+    m_values and the l their chains pass through. out, if given, is a flat
+    complex buffer that takes the table.
     """
-    if m_values is None:
-        m_values = np.arange(1, scene.snapshots + 1)
-    mt = np.asarray(m_values, dtype=float)[:, None] * scene.t_sym_s
-    k = 2.0 * np.pi * scene.carrier_hz / scene.lightspeed
-    exponent, e = work
-    path = None if e is None else e.reshape(-1).view(float)[:e.size].reshape(e.shape)
-    path = np.subtract(np.multiply(u, mt, out=path), r, out=path)
-    e = np.exp(np.multiply(1j * k, path, out=exponent), out=e)
-    return np.multiply(g, e, out=out), mt
+    ms = range(1, scene.snapshots + 1) if m_values is None else m_values
+    hs = sorted({(m - 1) // LOW_ROWS for m in ms})
+    need = {(m - 1) % LOW_ROWS + 1 for m in ms}
+    powers = [1 << i for i in range((max(need, default=1) - 1).bit_length())]
+    ls = {1, *powers}
+    for v in need:
+        while v not in ls:
+            ls.add(v)
+            v -= 1 << ((v - 1).bit_length() - 1)
+    ls = sorted(ls)
+    h_row, l_row = ({v: i for i, v in enumerate(keys, start)}
+                    for keys, start in ((hs, 0), (ls, len(hs))))
+    # every path of the side in one (Q or 1, N) row
+    g, r, u = (x.reshape(-1, x.shape[-1]) for x in (g, r, u))
+    shape = (len(hs) + len(ls),) + r.shape
+    table = (np.empty(shape, dtype=complex) if out is None
+             else out[:math.prod(shape)].reshape(shape))
+    # the high rows' paths u t - r, then z's u T
+    t = scene.t_sym_s
+    path = np.multiply(u, np.array([LOW_ROWS * h * t for h in hs] + [t])[:, None, None])
+    np.subtract(path[:-1], r, out=path[:-1])
+    e = table[:len(hs) + 1]
+    np.exp(np.multiply(2j * np.pi * scene.carrier_hz / scene.lightspeed, path, out=e), out=e)
+    np.multiply(g, table[:len(hs)], out=table[:len(hs)])
+    for b in powers:
+        first, last = l_row[b] + 1, l_row.get(2 * b, len(table) - 1)
+        prefix = [l_row[v - b] for v in ls[first - len(hs):last + 1 - len(hs)]]
+        x = (table[prefix[0]:prefix[-1] + 1] if prefix[-1] - prefix[0] == last - first
+             else table[prefix])
+        # z^b as a (1, Q or 1, N) block: numpy multiplies size-one operands
+        # broadcast from fewer axes in a loop that rounds unlike its vector one
+        np.multiply(x, table[l_row[b], None], out=table[first:last + 1])
+    return table, h_row, l_row
+
+
+def _entries(scene, g, r, u, m_values, out=None, phasors=None):
+    """Steering entries a = g exp(j k (u m T - r)) at slow-time indices m_values, 1..M by default.
+
+    Entry m is the product of its high row and its z^l row of _phasors'
+    table, which phasors holds if given, with rows for every m of m_values.
+    Each run of consecutive m in one high row is one product, into out if
+    given, seen snapshot-major.
+    """
+    ms = range(1, scene.snapshots + 1) if m_values is None else np.asarray(m_values).tolist()
+    table, h_row, l_row = phasors or _phasors(scene, g, r, u, ms)
+    if out is None:
+        out = np.empty(r.shape[:-2] + (len(ms), r.shape[-1]), dtype=complex)
+    a = out.reshape((-1,) + out.shape[-2:]).swapaxes(0, 1)  # (M, Q or 1, N)
+    start = 0
+    for i, m in enumerate(ms):
+        # a run ends before a gap or at the last snapshot of a high row
+        if i + 1 == len(ms) or ms[i + 1] != m + 1 or m % LOW_ROWS == 0:
+            h, l = divmod(ms[start] - 1, LOW_ROWS)
+            low = l_row[l + 1]
+            np.multiply(table[h_row[h], None], table[low:low + i + 1 - start],
+                        out=a[start:i + 1])
+            start = i + 1
+    return out
 
 
 def element_factors(scene, geom, target):
@@ -126,7 +189,7 @@ def steering_stack(scene, side, q, m_values=None):
     return _stack(scene, *side_factors(scene, side, q), m_values)
 
 
-def _stack(scene, g, r, u, alpha, beta, m_values, out=None):
+def _stack(scene, g, r, u, alpha, beta, m_values, out=None, phasors=None):
     """One complex (5, [Q,] M, N) array of the entries a and their derivatives (alpha + beta t) a.
 
     t and alpha enter as complex, so every product runs numpy's plain complex
@@ -134,18 +197,19 @@ def _stack(scene, g, r, u, alpha, beta, m_values, out=None):
     alpha + beta t is formed in a scratch field, so each product writes apart
     from its inputs, as into a new array, and keeps that array's loop and
     bits. out, if given, is a flat complex buffer that takes the fields and
-    then the scratch.
+    then the scratch; phasors, if given, are _phasors' table and rows for
+    every m of m_values.
     """
-    m_count = scene.snapshots if m_values is None else len(m_values)
-    shape = r.shape[:-2] + (m_count, r.shape[-1])  # ([Q,] M, N) from r's ([Q, 1,] N)
-    size, count = m_count * r.size, 1 + len(alpha)
+    if m_values is None:
+        m_values = np.arange(1, scene.snapshots + 1)
+    shape = r.shape[:-2] + (len(m_values), r.shape[-1])  # ([Q,] M, N) from r's ([Q, 1,] N)
+    size, count = len(m_values) * r.size, 1 + len(alpha)
     if out is None:
         out = np.empty((count + 1) * size, dtype=complex)
     fields = out[:count * size].reshape((count,) + shape)
     scratch = out[count * size:(count + 1) * size].reshape(shape)
-    # the entries' intermediates go into derivative fields not yet formed
-    a, mt = _entries(scene, g, r, u, m_values, out=fields[0], work=fields[1:3])
-    t = mt.astype(complex)
+    a = _entries(scene, g, r, u, m_values, out=fields[0], phasors=phasors)
+    t = (np.asarray(m_values, dtype=float)[:, None] * scene.t_sym_s).astype(complex)
     for field, alpha_p, beta_p in zip(fields[1:], alpha, beta):
         np.add(alpha_p, np.multiply(beta_p, t, out=scratch), out=scratch)
         np.multiply(scratch, a, out=field)
@@ -160,7 +224,7 @@ def steering_values(scene, side, m_values=None):
     formed.
     """
     _, _, r, u, g = _paths(scene, _side_geometry(scene, side), *_columns(scene.targets))
-    return _entries(scene, g, r, u, m_values)[0]
+    return _entries(scene, g, r, u, m_values)
 
 
 def pathloss(target_pos, element_pos, wavelength):

@@ -23,7 +23,7 @@ from nfcrb import (BLOCKS, brute_gain, fd_fim, fim, make_scene, monte_carlo_isot
                    target_indices, ula)
 from nfcrb.fim import derivative_terms
 from nfcrb.oracle import _channel_derivatives
-from nfcrb.steering import KEYS, steering_stack
+from nfcrb.steering import KEYS, LOW_ROWS, steering_stack
 
 from util import (canonical_scene, explicit_fim, many_target_scene, rotate_scene,
                   shared_and_unshared, sharing_scenes, small_scene, target_at)
@@ -300,10 +300,10 @@ def test_fim_builds_one_stack_per_target_and_distinct_side(monkeypatch, rx_centr
         made.append((side, q, factors(scene, side, q)))
         return made[-1][2]
 
-    def counted(scene, g, r, u, alpha, beta, m_values, out=None):
+    def counted(scene, g, r, u, alpha, beta, m_values, out=None, phasors=None):
         # the side and targets whose element factors the chunk is formed from
         side, q = next((side, q) for side, q, of in made if of[1] is r)
-        fields = stack(scene, g, r, u, alpha, beta, m_values, out)
+        fields = stack(scene, g, r, u, alpha, beta, m_values, out, phasors)
         assert fields.shape[1:3] == (len(q), len(m_values))
         built.extend([(side, t, m - 1) for t in q for m in m_values])
         return fields
@@ -431,9 +431,9 @@ def test_an_error_on_either_thread_leaves_no_thread_behind(monkeypatch, where):
             raise RuntimeError("third chunk")
         return stack(*args)
 
-    def third_flat(scene, g, r, u, alpha, beta, m_values, out=None):
+    def third_flat(scene, g, r, u, alpha, beta, m_values, out=None, phasors=None):
         # the caller cannot unpack a chunk without its N axis
-        fields = stack(scene, g, r, u, alpha, beta, m_values, out)
+        fields = stack(scene, g, r, u, alpha, beta, m_values, out, phasors)
         return fields[..., 0] if m_values[0] > 1 else fields
 
     monkeypatch.setattr(steering, "_stack", third_fails if where == "worker" else third_flat)
@@ -570,3 +570,17 @@ def test_multi_target_fim_matches_full_trace_contraction(scene):
     diag[diag == 0.0] = 1.0
     scaled_err = np.abs(fim(scene).matrix - reference) / np.outer(diag, diag)
     assert scaled_err.max() <= 1e-12
+
+
+@pytest.mark.parametrize("m", [LOW_ROWS - 1, LOW_ROWS, LOW_ROWS + 1, 2 * LOW_ROWS + 5])
+@pytest.mark.parametrize("rx_centroid", [0.0, 0.5], ids=["monostatic", "bistatic"])
+def test_fim_across_phasor_rows_is_bit_identical_for_every_chunk_size(m, rx_centroid):
+    # chunks of every row count from 1 to m, so that chunks start and end
+    # inside and at the edges of the phasor table's high rows
+    scene = make_scene(targets=[target_at(100.0, 20.0), target_at(150.0, -45.0, v=(4.0, 3.0)),
+                                target_at(60.0, 70.0, v=(-9.0, 2.0), alpha=(0.3, 0.7))],
+                       tx=ula(4, 0.01), rx=ula(4, 0.01, rx_centroid), snapshots=m)
+    whole = fim_bytes(scene, 1 << 62)
+    row_bytes = 16 * len(KEYS) * scene.q_count * scene.tx.count
+    for rows in range(1, m):
+        assert fim_bytes(scene, rows * row_bytes) == whole, rows

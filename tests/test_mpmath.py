@@ -1,9 +1,9 @@
 """Bounds against high-precision references that share none of nfcrb's algebra.
 
 Each reference is written out here in 40-digit mpmath from the model alone:
-the per-element derivative factors of ln a_n, the raw (uncentred) element
-moments of one target, or a brute sum over (n_r, n_t, m) for several
-targets; the matrix is inverted in mpmath. These checks stay out of
+the steering entries, the per-element derivative factors of ln a_n, the
+raw (uncentred) element moments of one target, or a brute sum over
+(n_r, n_t, m) for several targets; the matrix is inverted in mpmath. These checks stay out of
 `nfcrb verify`, whose battery items would each pay tens of ms for them.
 """
 
@@ -13,6 +13,7 @@ import pytest
 
 from nfcrb import BLOCKS, fim, full_crb, make_scene, ula
 from nfcrb.oracle import _canonical_scene, _two_target_scene
+from nfcrb.steering import steering_values
 
 from util import target_at
 
@@ -184,3 +185,25 @@ def test_two_target_fim_and_marginals_match_a_40_digit_brute_sum():
     # 1e-13 of the element factors' rounding: the marginals read 3.4e-8 off
     # at worst (an exact inverse of the raw double matrix is 2.8 off)
     _assert_marginals_match(scene, reference, 1e-6)
+
+
+def test_steering_entries_match_40_digit_references():
+    # a k (u m T - r) phase of about 1e5 rad rounds by eps k r in double, a
+    # few 1e-11 relative; the phasor table's products must add nothing near that
+    mpmath.mp.dps = DIGITS
+    scene = make_scene(targets=[target_at(300.0, 20.0, v=(9.0, -4.0)),
+                                target_at(450.0, -35.0, v=(-6.0, 12.0))],
+                       tx=ula(2048, 0.01), rx=ula(2048, 0.01), snapshots=256)
+    assert scene.carrier_hz == 15e9
+    values = steering_values(scene, "tx")
+    k = 2 * mpmath.pi * mpmath.mpf(scene.carrier_hz) / mpmath.mpf(scene.lightspeed)
+    worst = 0.0
+    for q, t in enumerate(scene.targets):
+        elements = _mp_elements(scene, scene.tx, t)
+        for n in (0, 1023, 2047):
+            g, r, u = elements[n][:3]
+            for m in (1, 2, 15, 16, 17, 31, 32, 100, 129, 255, 256):
+                want = g * mpmath.expj(k * (u * mpmath.mpf(scene.t_sym_s) * m - r))
+                err = abs(mpmath.mpc(values[q, m - 1, n]) - want) / abs(want)
+                worst = max(worst, float(err))
+    assert worst <= 1e-10

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from nfcrb import (ArrayGeometry, Target, doppler_shift, make_scene, pathloss,
                    steering_stack, ula)
 from nfcrb.oracle import fd_steering_rows
-from nfcrb.steering import KEYS, _stack, side_factors, steering_values
+from nfcrb.steering import KEYS, LOW_ROWS, _stack, side_factors, steering_values
 
 from util import canonical_scene, many_target_scene, small_scene, target_at
 
@@ -212,3 +212,28 @@ def test_eval_size_chunks_join_into_the_stack_bit_for_bit(rows):
     # 256 KiB threshold for reusing a temporary in place, the chunks' below it
     scene = many_target_scene()
     assert_chunks_join_into_the_stack(scene, list(range(scene.q_count)), rows)
+
+
+def block_scene(m):
+    """Three targets on 5 Tx and 3 Rx elements over m snapshots."""
+    targets = [target_at(120.0, 25.0, v=(7.0, -3.0)), target_at(340.0, -50.0, v=(-12.0, 9.0)),
+               target_at(35.0, 5.0, v=(0.5, 19.0))]
+    return make_scene(targets=targets, tx=ula(5, 0.01), rx=ula(3, 0.3, 0.5), snapshots=m)
+
+
+@pytest.mark.parametrize("m", [LOW_ROWS - 1, LOW_ROWS, LOW_ROWS + 1, 2 * LOW_ROWS + 5])
+def test_stacks_across_phasor_rows_are_bit_identical(m):
+    # the hypothesis scenes above stay within one high row of the phasor table
+    scene, qs = block_scene(m), [2, 0, 1, 0]
+    for rows in range(1, m + 1):
+        assert_chunks_join_into_the_stack(scene, qs, rows)
+    rng = np.random.default_rng(m)
+    subsets = [[m], [1, m], list(range(m, 0, -1)), rng.integers(1, m + 1, 7).tolist(),
+               sorted(rng.choice(np.arange(1, m + 1), min(m, 9), replace=False).tolist())]
+    for side in ("tx", "rx"):
+        whole = steering_stack(scene, side, qs)
+        for m_values in subsets:
+            rows = np.array(m_values) - 1
+            assert (steering_stack(scene, side, qs, m_values) == whole[:, :, rows]).all()
+            values = steering_values(scene, side, m_values)
+            assert (values[qs] == whole[0][:, rows]).all()
