@@ -13,6 +13,7 @@ close to the array for the expansion, which raises instead of returning a
 negative variance.
 """
 
+import functools
 import math
 from collections import namedtuple
 from dataclasses import dataclass
@@ -156,40 +157,34 @@ def correction_terms(scene, q):
     return CorrectionTerms(*per_side, *phi, *psi, c_m=float(slow_time_sum(scene.snapshots)))
 
 
-def crb_rcs_approx(scene, q, variant):
-    """Closed-form summed reflectivity bound (real plus imaginary part).
-
-    256 sigma^2 pi^4 (r_tx r_rx)^2 / (P M N_t N_r lambda^4), divided by the
-    gain factors (1 + delta_tx)(1 + delta_rx), which are 1 for ff.
-    """
+def _expansion(scene, q, variant):
+    """_sides of target q at one variant, as a call that expands on its first success."""
     _check_variant(variant, "use the crb module for exact bounds")
-    tx, rx = _sides(scene, scene.targets[q], variant)
-    base = (256.0 * scene.noise_var_w * math.pi ** 4 * (tx.r * rx.r) ** 2
-            / (scene.power_w * scene.snapshots * scene.tx.count * scene.rx.count
-               * scene.wavelength_m ** 4))
-    return base / (_positive(tx.a) * _positive(rx.a))
+    return functools.cache(lambda: _sides(scene, scene.targets[q], variant))
 
 
-def _kinematic_approx(scene, q, axis, variant, slow_factor):
-    """Shared core of the velocity and location closed forms: base / phi.
+def _closed_form(scene, q, sides, bound):
+    """Closed form of bound "rcs", "x", "y", "vx" or "vy" of target q; sides is an _expansion.
 
-    phi is the angle factor at the variant's order. The bound divides by phi
-    itself, not by the ff factor times psi, so a broadside far-field
-    divergence (zero ff factor) does not poison a finite near-field value
-    with inf * 0.
+    A kinematic bound is base / phi (inf, unexpanded, for a dark target), phi
+    the angle factor itself, not the ff factor times psi, so a broadside
+    far-field divergence does not poison a finite nf value with inf * 0.
     """
-    _check_variant(variant, "use the crb module for exact bounds")
-    if axis not in ("x", "y"):
-        raise ValueError(f"axis must be 'x' or 'y', got {axis!r}")
-    t = scene.targets[q]
-    alpha2 = abs(t.rcs) ** 2
-    if alpha2 == 0.0:
+    alpha2 = abs(scene.targets[q].rcs) ** 2
+    if alpha2 == 0.0 and bound != "rcs":
         return math.inf
-    tx, rx = _sides(scene, t, variant)
+    tx, rx = sides()
+    if bound == "rcs":
+        base = (256.0 * scene.noise_var_w * math.pi ** 4 * (tx.r * rx.r) ** 2
+                / (scene.power_w * scene.snapshots * scene.tx.count * scene.rx.count
+                   * scene.wavelength_m ** 4))
+        return base / (_positive(tx.a) * _positive(rx.a))
+    slow_factor = (scene.t_sym_s ** 2 * slow_time_sum(scene.snapshots) if bound[0] == "v"
+                   else float(scene.snapshots))
     base = (32.0 * math.pi ** 2 * scene.noise_var_w * (tx.r * rx.r) ** 2
             / (alpha2 * scene.power_w * scene.tx.count * scene.rx.count
                * slow_factor * scene.wavelength_m ** 2))
-    phi = _angle_factor(tx, rx, axis)
+    phi = _angle_factor(tx, rx, _axis(bound[-1]))
     if abs(phi) < DENOM_FLOOR:
         return math.inf
     if phi < 0.0:
@@ -199,13 +194,27 @@ def _kinematic_approx(scene, q, axis, variant, slow_factor):
     return base / phi
 
 
+def _axis(axis):
+    if axis not in ("x", "y"):
+        raise ValueError(f"axis must be 'x' or 'y', got {axis!r}")
+    return axis
+
+
+def crb_rcs_approx(scene, q, variant):
+    """Closed-form summed reflectivity bound (real plus imaginary part).
+
+    256 sigma^2 pi^4 (r_tx r_rx)^2 / (P M N_t N_r lambda^4), divided by the
+    gain factors (1 + delta_tx)(1 + delta_rx), which are 1 for ff.
+    """
+    return _closed_form(scene, q, _expansion(scene, q, variant), "rcs")
+
+
 def crb_velocity_approx(scene, q, axis, variant):
     """Closed-form velocity bound along one axis, (m/s)^2.
 
     The slow-time accumulation contributes T_sym^2 * sum_m m^2.
     """
-    slow = scene.t_sym_s ** 2 * slow_time_sum(scene.snapshots)
-    return _kinematic_approx(scene, q, axis, variant, slow)
+    return _closed_form(scene, q, _expansion(scene, q, variant), "v" + _axis(axis))
 
 
 def crb_location_approx(scene, q, axis, variant):
@@ -214,7 +223,21 @@ def crb_location_approx(scene, q, axis, variant):
     Identical to the velocity form except the slow-time accumulation is
     sum_m 1 = M (location derivatives carry no slow-time factor).
     """
-    return _kinematic_approx(scene, q, axis, variant, float(scene.snapshots))
+    return _closed_form(scene, q, _expansion(scene, q, variant), _axis(axis))
+
+
+def approx_bounds(scene, q, variant, bounds):
+    """{bound: closed form} of target q at one variant, from one expansion of both sides.
+
+    A bound the expansion cannot give (too near the array, no ULA) is None.
+    """
+    sides, values = _expansion(scene, q, variant), {}
+    for bound in bounds:
+        try:
+            values[bound] = _closed_form(scene, q, sides, bound)
+        except (ApproximationDomainError, NotUlaError):
+            values[bound] = None
+    return values
 
 
 def relative_error(approx, truth):

@@ -17,10 +17,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .approx import (VARIANTS, ApproximationDomainError, NotUlaError,
-                     crb_location_approx, crb_rcs_approx, crb_velocity_approx,
-                     relative_error)
-from .crb import SingularFimError, closed_form_single, full_crb
+from .approx import VARIANTS, approx_bounds, relative_error
+from .crb import SingularFimError, closed_form_single, full_crb, own_bounds
 from .fim import fim
 from .geometry import ula
 from .oracle import run_battery
@@ -202,16 +200,6 @@ def _fmt(value):
     return repr(float(value))
 
 
-def _approx_bound(scene, q, bound, variant):
-    if bound == "rcs":
-        return crb_rcs_approx(scene, q, variant)
-    if bound in ("vx", "vy"):
-        return crb_velocity_approx(scene, q, bound[1], variant)
-    if bound in ("x", "y"):
-        return crb_location_approx(scene, q, bound, variant)
-    raise ValueError(f"unknown bound {bound!r}")
-
-
 def _region(scene, q):
     """The nearest of REGIONS that target q lies in over both arrays.
 
@@ -226,23 +214,21 @@ def _region(scene, q):
     return REGIONS[nearest]
 
 
-def _bound_cells(scene, q, bounds, variants):
+def _bound_cells(scene, q, bounds, variants, closed):
     """The cell record of one target, keyed by cell_columns(bounds, variants) and "region".
 
-    The eval report, the eval CSV and every sweep row lay out this dict.
+    closed, the target's TargetBounds, gives its exact cells. The eval report,
+    the eval CSV and every sweep row lay out this dict.
     """
-    closed = closed_form_single(scene, q).targets[0]
     region = _region(scene, q)
     cells = {"region": region, **{f"in_{r}": r == region for r in REGIONS}}
+    approx = {v: approx_bounds(scene, q, v, bounds) for v in variants if v != "exact"}
     for bound in bounds:
         exact = closed.by_name(bound)
         if "exact" in variants:
             cells[f"{bound}_exact"] = exact
-        for variant in (v for v in variants if v != "exact"):
-            try:
-                value = _approx_bound(scene, q, bound, variant)
-            except (ApproximationDomainError, NotUlaError):
-                value = None
+        for variant, values in approx.items():
+            value = values[bound]
             usable = value is not None and math.isfinite(exact) and exact != 0.0
             cells[f"{bound}_{variant}"] = value
             cells[f"relerr_{bound}_{variant}"] = relative_error(value, exact) if usable else None
@@ -277,7 +263,7 @@ def render_eval(scene):
 
     A FIM that cannot be inverted at working precision is reported as
     status=singular with the marginal cells left empty; the closed-form
-    exact, ff and nf columns do not need the full inverse and are always rendered.
+    exact (crb.own_bounds of the FIM's own blocks), ff and nf columns are always rendered.
     """
     info = fim(scene)
     try:
@@ -293,7 +279,8 @@ def render_eval(scene):
     fields = ("exact", "marginal", "ff", "nf", "relerr_ff", "relerr_nf")
     rows = []
     for q in range(scene.q_count):
-        cells = {"target": q, **_bound_cells(scene, q, BOUNDS, VARIANTS)}
+        closed = own_bounds(scene, info.own[q], info.shift[q])
+        cells = {"target": q, **_bound_cells(scene, q, BOUNDS, VARIANTS, closed)}
         if report is not None:
             cells.update((f"{b}_marginal", report.targets[q].by_name(b)) for b in BOUNDS)
         rows.append(cells)
@@ -373,7 +360,8 @@ def _sweep_row(spec, base, value):
     row = {column: int(value) if unit == "count" else value}
     try:
         scene = _point_scene(spec, base, value)
-        row.update(_bound_cells(scene, 0, spec.bounds, spec.variants), error="")
+        closed = closed_form_single(scene, 0).targets[0]
+        row.update(_bound_cells(scene, 0, spec.bounds, spec.variants, closed), error="")
     except ValueError as e:
         # a failed point leaves its bound cells empty and its flags at 0
         row.update(dict.fromkeys(REGION_FLAGS, False), error=str(e).replace(",", ";"))

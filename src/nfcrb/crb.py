@@ -55,42 +55,47 @@ def _bounds_from_diag(diag, q, q_count):
 
 
 def _element_moments(factors, t_bar):
-    """g^2-weighted element moments of one side's (g, r, u, alpha, beta) factors of one target.
+    """g^2-weighted element moments of one side's side_factors (g, r, u, alpha, beta), per target.
 
-    Returns (G, alpha_mean, beta_mean, c_u, c_beta): G = sum_n g_n^2, the
-    row means of alpha and beta under the weights w = g^2 / G, and the real
-    parts of the 4x4 covariances c[p, p'] = sum_n w_n conj(x_p) x_p' of the
-    centred rows of u = alpha + beta t_bar and of beta; raw moments would
-    cancel digits.
+    Returns (G, alpha_mean, beta_mean, c_u, c_beta) per target: G = sum_n
+    g_n^2, the row means of alpha and beta under the weights w = g^2 / G,
+    and the real parts of the 4x4 covariances c[p, p'] = sum_n w_n conj(x_p)
+    x_p' of the centred rows of u = alpha + beta t_bar and of beta; raw
+    moments would cancel digits.
     """
-    g, _, _, alpha, beta = factors
-    big_g = (g ** 2).sum()
-    root_w = g / np.sqrt(big_g)
-    a_mean, b_mean = (x @ (root_w ** 2).astype(complex) for x in (alpha, beta))
-    b_c = beta - b_mean[:, None]
-    u_c = b_c * t_bar
-    u_c += alpha - a_mean[:, None]
+    g, _, _, alpha, beta = (x[..., 0, :] for x in factors)  # g (Q, N), alpha, beta (4, Q, N)
+    big_g = (g ** 2).sum(-1)
+    root_w = g / np.sqrt(big_g)[:, None]
+    w = (root_w ** 2).astype(complex)[..., None]  # (Q, N, 1): one gemv per target
+    a_mean, b_mean = (np.matmul(x.transpose(1, 0, 2), w)[..., 0] for x in (alpha, beta))
+    # a broadcast complex difference takes a numpy buffer of its size: both
+    # are formed before b_c t_bar, and u_c + b_c t_bar rounds either way alike
+    u_c = alpha - a_mean.T[..., None]
+    b_c = beta - b_mean.T[..., None]
+    u_c += b_c * t_bar
     u_c *= root_w
     b_c *= root_w
     # Re(conj(x_p) x_p') from the real and imaginary parts, against a copy:
     # numpy multiplies a buffer by its own transpose in the slower BLAS syrk
-    u_c, b_c = u_c.view(float), b_c.view(float)
-    return big_g, a_mean, b_mean, u_c @ u_c.copy().T, b_c @ b_c.copy().T
+    rows = (x.view(float).transpose(1, 0, 2) for x in (u_c, b_c))
+    return (big_g, a_mean, b_mean, *(x @ x.copy().transpose(0, 2, 1) for x in rows))
 
 
 def own_information(scene, tx, rx, rcs):
-    """Own 6x6 block of the centred information F' and C_q of one target, in O(N).
+    """Own 6x6 blocks of the centred information F' and C_q of every target, in O(N) each.
 
-    tx and rx are its element factors per side (rx is tx when monostatic).
-    The channel derivative rcs h_p a_r a_t^T has h_p = alpha_t + alpha_r +
-    (beta_t + beta_r) t, whose g_t^2 g_r^2-weighted mean is hbar_p = ubar_t +
-    ubar_r, u = alpha + beta tbar. Re-centring the reflectivity on it, alpha' =
-    alpha + rcs sum_p hbar_p theta_p (C_q = [Re, Im](rcs hbar) in T), leaves
-    the kinematic block |rcs|^2 G_t G_r (S0 (c_u,t + c_u,r) + V (c_beta,t +
-    c_beta,r + Re conj(b) b^T)), b = betabar_t + betabar_r, S0 = M, V = sum_m
-    (t_m - tbar)^2, the reflectivity block S0 G_t G_r I_2 and zeros between.
-    Returns own (6, 6), c (2, 4), both without 2 P / sigma^2, and per side the
-    shifts (alpha_mean + b tbar / 2, beta_mean - b / 2) that centre h_p.
+    tx and rx are the targets' side_factors (rx is tx when monostatic), rcs
+    their reflectivities. The channel derivative rcs h_p a_r a_t^T has h_p =
+    alpha_t + alpha_r + (beta_t + beta_r) t, whose g_t^2 g_r^2-weighted mean
+    is hbar_p = ubar_t + ubar_r, u = alpha + beta tbar. Re-centring the
+    reflectivity on it, alpha' = alpha + rcs sum_p hbar_p theta_p (C_q =
+    [Re, Im](rcs hbar) in T), leaves the kinematic block |rcs|^2 G_t G_r (S0
+    (c_u,t + c_u,r) + V (c_beta,t + c_beta,r + Re conj(b) b^T)), b = betabar_t
+    + betabar_r, S0 = M, V = sum_m (t_m - tbar)^2, the reflectivity block S0
+    G_t G_r I_2 and zeros between. Returns own (Q, 6, 6) and c (Q, 2, 4),
+    both without 2 P / sigma^2, and per side the (Q, 4) shifts (alpha_mean +
+    b tbar / 2, beta_mean - b / 2) that centre h_p, each target's bit for bit
+    as in its own one-target call.
     """
     m = scene.snapshots
     t_bar = scene.t_sym_s * (m + 1) / 2.0
@@ -99,13 +104,16 @@ def own_information(scene, tx, rx, rcs):
     (g_t, a_t, b_t, cu_t, cb_t), (g_r, a_r, b_r, cu_r, cb_r) = (
         moments, moments if rx is tx else _element_moments(rx, t_bar))
     b = b_t + b_r
-    kin = m * (cu_t + cu_r) + var * (cb_t + cb_r + (b.conj()[:, None] * b).real)
-    own = np.zeros((len(BLOCKS),) * 2)
-    own[:4, :4] = (kin + kin.T) * (0.5 * abs(rcs) ** 2 * g_t * g_r)
-    own[4, 4] = own[5, 5] = m * g_t * g_r
-    c = rcs * (a_t + a_r + b * t_bar)
-    return own, np.array([c.real, c.imag]), [(a + b * (t_bar / 2.0), b_s - b / 2.0)
-                                             for a, b_s in ((a_t, b_t), (a_r, b_r))]
+    kin = m * (cu_t + cu_r) + var * (cb_t + cb_r + (b.conj()[:, :, None] * b[:, None]).real)
+    # |rcs|^2 by Python's float power, which may round unlike numpy's square
+    weight = np.array([0.5 * abs(z) ** 2 for z in rcs]) * g_t * g_r
+    own = np.zeros((len(weight),) + (len(BLOCKS),) * 2)
+    own[:, :4, :4] = (kin + kin.transpose(0, 2, 1)) * weight[:, None, None]
+    own[:, 4, 4] = own[:, 5, 5] = m * g_t * g_r
+    # each rcs a size-one operand against its target's row, as a scalar is
+    c = np.array(rcs, dtype=complex)[:, None] * (a_t + a_r + b * t_bar)
+    return own, np.array([c.real, c.imag]).swapaxes(0, 1), [
+        (a + b * (t_bar / 2.0), b_s - b / 2.0) for a, b_s in ((a_t, b_t), (a_r, b_r))]
 
 
 def congruence(f, shift, back=False):
@@ -183,21 +191,24 @@ def schur_target_report(info, q):
     return CrbReport(targets=(_bounds_from_diag(np.diag(sub), 0, 1),))
 
 
+def own_bounds(scene, own, c):
+    """1 / diag(T^T F' T) of one target's own_information block and C_q; inf where it is 0."""
+    # the own block has no kinematic-reflectivity part
+    scale, refl = 2.0 * scene.power_w / scene.noise_var_w, own[4, 4]
+    diag = [*(scale * (own.diagonal()[:4] + refl * (c * c).sum(0))).tolist(), scale * refl]
+    return TargetBounds(*(1.0 / d if d > 0.0 else math.inf for d in diag + diag[-1:]))
+
+
 def closed_form_single(scene, q):
     """Single-target bounds with all other parameters of the target known.
 
-    Each bound is the reciprocal of one raw Fisher diagonal entry, read from
-    the target's own block T^T F' T of own_information, O(N) element
-    moments and slow-time sums, with no M x N steering stack built; a
-    monostatic scene sums one side for both. Zero information (rcs = 0)
-    yields inf. Inter-target coupling is ignored by construction.
+    own_bounds of target q's own_information, its element factors given a
+    one-target axis, with the bits of fim's own blocks: O(N) element moments
+    and no steering stack; a monostatic scene sums one side for both.
     """
     t = scene.targets[q]
-    tx = element_factors(scene, scene.tx, t)
-    rx = tx if scene.monostatic else element_factors(scene, scene.rx, t)
-    own, c, _ = own_information(scene, tx, rx, t.rcs)
-    # the diagonal of T^T F' T, whose own block has no kinematic-reflectivity part
-    scale, refl = 2.0 * scene.power_w / scene.noise_var_w, own[4, 4]
-    diag = [*(scale * (own.diagonal()[:4] + refl * (c * c).sum(0))).tolist(), scale * refl]
-    bounds = TargetBounds(*(1.0 / d if d > 0.0 else math.inf for d in diag + diag[-1:]))
-    return CrbReport(targets=(bounds,))
+    tx = [x[..., None, None, :] for x in element_factors(scene, scene.tx, t)]
+    rx = tx if scene.monostatic else [x[..., None, None, :]
+                                      for x in element_factors(scene, scene.rx, t)]
+    own, c, _ = own_information(scene, tx, rx, [t.rcs])
+    return CrbReport(targets=(own_bounds(scene, own[0], c[0]),))

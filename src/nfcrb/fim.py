@@ -47,14 +47,17 @@ CHUNK_BYTES = 1 << 20
 
 @dataclasses.dataclass(frozen=True)
 class FisherInfo:
-    """Real symmetric 6Q x 6Q information matrix, with fim's centred F' and (Q, 2, 4) C_q.
+    """Real symmetric 6Q x 6Q information matrix, with fim's centred F', C_q and own blocks.
 
-    matrix = T^T centred T; a FisherInfo built from a matrix alone has T = I.
+    matrix = T^T centred T. shift holds the (Q, 2, 4) C_q and own the (Q,
+    6, 6) own blocks of crb.own_information, which crb.own_bounds reads, in
+    scene order and without 2 P / sigma^2. From a matrix alone: T = I, no own.
     """
 
     matrix: np.ndarray
     centred: np.ndarray | None = None
     shift: np.ndarray | None = None
+    own: np.ndarray | None = None
 
     @property
     def q_count(self):
@@ -176,7 +179,7 @@ def fim(scene):
         matrix, the centred F' and the C_q of each target.
     """
     q_count, k, b = scene.q_count, len(KEYS), len(BLOCKS)
-    order = np.array(sorted(range(q_count), key=lambda q: dataclasses.astuple(scene.targets[q])))
+    order = np.array(sorted(range(q_count), key=lambda q: [*vars(scene.targets[q]).values()]))
     rcs = np.array([scene.targets[q].rcs for q in order])
     p1, p2 = np.triu_indices(q_count, 1)
     if q_count > 1:
@@ -210,18 +213,13 @@ def fim(scene):
                  for buf in work[len(work) - chunk:].reshape(lane_count, -1)]
     rx = side_factors(scene, "rx", order.tolist())
     tx = rx if scene.monostatic else side_factors(scene, "tx", order.tolist())
-    # each target's own block, C_q and per-side shifts, in canonical order
-    own, c = np.empty((q_count, b, b)), np.empty((q_count, 2, 4))
-    shifts = np.empty((2, 2, 4, q_count), dtype=complex)
-    for q in range(q_count):
-        tx_q = [factor[..., q, 0, :] for factor in tx]
-        rx_q = tx_q if rx is tx else [factor[..., q, 0, :] for factor in rx]
-        own[q], c[q], shifts[..., q] = own_information(scene, tx_q, rx_q, rcs[q])
+    # every target's own block, C_q and per-side shifts, in canonical order
+    own, c, shifts = own_information(scene, tx, rx, rcs)
     f = np.zeros((b, q_count, b, q_count))
     f[:, order, :, order] = own
     if q_count > 1:
         # each side's factors, shifted to centre every target
-        tx, rx = ((g, r, u, alpha - da[..., None, None], beta - db[..., None, None])
+        tx, rx = ((g, r, u, alpha - da.T[..., None, None], beta - db.T[..., None, None])
                   for (g, r, u, alpha, beta), (da, db) in zip((tx, rx), shifts))
         _side_grams(scene, rx, rows_rx, p1, p2, pairs_rx, table, lanes)
         if scene.monostatic:
@@ -244,5 +242,5 @@ def fim(scene):
         f[:, order[p1], :, order[p2]] = blocks
         f[:, order[p2], :, order[p1]] = blocks.transpose(0, 2, 1)
     f = f.reshape(b * q_count, -1) * (2.0 * scene.power_w / scene.noise_var_w)
-    shift = c[np.argsort(order)]  # C_q in the scene's target order
-    return FisherInfo(matrix=congruence(f, shift), centred=f, shift=shift)
+    own, shift = (x[np.argsort(order)] for x in (own, c))  # in the scene's target order
+    return FisherInfo(matrix=congruence(f, shift), centred=f, shift=shift, own=own)

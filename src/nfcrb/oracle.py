@@ -25,7 +25,7 @@ from .crb import _element_moments, closed_form_single
 from .fim import FisherInfo, derivative_terms, fim
 from .geometry import ula
 from .scene import BLOCKS, Target, make_scene, target_indices
-from .steering import KEYS, element_factors, steering_stack, steering_values
+from .steering import KEYS, side_factors, steering_stack, steering_values
 
 REL_ERR_FLOOR = 1e-30
 
@@ -72,7 +72,7 @@ def _shifted_copies(scene, qs, moves):
     validates every shifted copy as it would a target of its own.
     """
     return dataclasses.replace(scene, targets=tuple(
-        dataclasses.replace(t, **{kind: getattr(t, kind) + d})
+        Target(**{**vars(t), kind: getattr(t, kind) + d})
         for t in (scene.targets[q] for q in qs) for kind, d in moves))
 
 
@@ -316,7 +316,7 @@ def _verify_consistency(scene, info):
 
     # the per-side gain G of the closed form against the brute-force element sum
     t = scene.targets[0]
-    g_side = _element_moments(element_factors(scene, scene.tx, t), 0.0)[0]
+    g_side = _element_moments(side_factors(scene, "tx", [0]), 0.0)[0][0]
     g_ref = (scene.wavelength_m ** 2 / (16 * math.pi ** 2)) * brute_gain(scene.tx, t, "g")
     reports.append(make_report("gain-identity", g_side, g_ref, 1e-12))
 

@@ -13,15 +13,15 @@ import numpy as np
 import pytest
 
 import nfcrb
-from nfcrb import ArrayGeometry, Target, cli, dbm_to_watts, make_scene, ula
+from nfcrb import ArrayGeometry, Target, cli, closed_form_single, dbm_to_watts, make_scene, ula
 from nfcrb.approx import VARIANTS
 from nfcrb.cli import (BOUNDS, Config, ConfigError, SweepSpec, _bound_cells, build_scene,
                        main, parse_config, render_eval, run_sweep, run_verify, sweep_columns)
 from nfcrb.oracle import _verify_steering
 from nfcrb.steering import KEYS
 
-from util import (parse_csv, parse_kv_lines, shared_and_unshared, sharing_scenes,
-                  target_at)
+from util import (many_target_scene, parse_csv, parse_kv_lines, shared_and_unshared,
+                  sharing_scenes, target_at)
 
 DEFAULT_CFG = """\
 # reference setup
@@ -415,6 +415,55 @@ def test_sweep_single_point_matches_eval():
         assert float(rows[0][f"{bound}_nf"]) == report[f"target.0.{bound}.nf"]
 
 
+def exact_cell_scenes():
+    """The eval-size Q=8 scene, and a 3-target bistatic scene of unequal counts."""
+    bistatic = make_scene(targets=[target_at(100.0, 20.0), target_at(150.0, -45.0, v=(4.0, 3.0),
+                                                                      alpha=(0.8, -0.2)),
+                                   target_at(80.0, 5.0, v=(-2.0, 1.0), alpha=(-0.3, 0.9))],
+                          tx=ula(24, 0.01), rx=ula(17, 0.01, 0.5), snapshots=8)
+    return {"monostatic-q8": many_target_scene(q=8), "bistatic-unequal": bistatic}
+
+
+@pytest.mark.parametrize("key", list(exact_cell_scenes()))
+def test_eval_exact_cells_equal_closed_form_single_bit_for_bit(key):
+    # eval reads every target's own block from fim, sweep from closed_form_single
+    scene = exact_cell_scenes()[key]
+    lines = dict(line.split("=", 1) for line in render_eval(scene)[0].splitlines()
+                 if not line.startswith("#"))
+    for q in range(scene.q_count):
+        closed = closed_form_single(scene, q).targets[0]
+        for bound in BOUNDS:
+            assert lines[f"target.{q}.{bound}.exact"] == repr(float(closed.by_name(bound)))
+
+
+@pytest.mark.parametrize("key", list(exact_cell_scenes()))
+def test_eval_forms_each_targets_own_information_once(monkeypatch, key):
+    # one own_information call for all targets, element factors once per
+    # distinct side, and no closed_form_single
+    scene = exact_cell_scenes()[key]
+    crb, steering = sys.modules["nfcrb.crb"], sys.modules["nfcrb.steering"]
+    own_information, element_factors = crb.own_information, steering.element_factors
+    calls = {"own_information": 0, "element_factors": 0}
+
+    def counted(name, func):
+        def wrapper(*args):
+            calls[name] += 1
+            return func(*args)
+        return wrapper
+
+    def refuse(*args):
+        raise AssertionError("closed_form_single called")
+
+    for module in (crb, sys.modules["nfcrb.fim"]):
+        monkeypatch.setattr(module, "own_information",
+                            counted("own_information", own_information))
+    monkeypatch.setattr(steering, "element_factors", counted("element_factors", element_factors))
+    for module in (crb, cli):
+        monkeypatch.setattr(module, "closed_form_single", refuse)
+    render_eval(scene)
+    assert calls == {"own_information": 1, "element_factors": 1 if scene.monostatic else 2}
+
+
 def test_sweep_broadside_reports_divergence_not_failure():
     spec = SweepSpec(variable="angle", grid=(-10.0, 0.0, 10.0),
                      config=parse_config(DEFAULT_CFG), bounds=("x", "vx"))
@@ -445,7 +494,7 @@ def test_sweep_dark_target_leaves_relerr_empty():
 def test_free_form_arrays_leave_approximation_cells_empty():
     geom = ArrayGeometry(ula(16, 0.01).positions)
     scene = make_scene(targets=[target_at(100.0, 20.0)], tx=geom, rx=geom, snapshots=8)
-    cells = _bound_cells(scene, 0, BOUNDS, VARIANTS)
+    cells = _bound_cells(scene, 0, BOUNDS, VARIANTS, closed_form_single(scene, 0).targets[0])
     for bound in BOUNDS:
         assert math.isfinite(cells[f"{bound}_exact"])
         for variant in ("ff", "nf"):
@@ -459,8 +508,9 @@ def test_bound_cells_equal_their_per_side_evaluation_bit_for_bit(monkeypatch, ke
     scene = sharing_scenes()[key]
     assert scene.monostatic == key.startswith("monostatic")
     shared, unshared = shared_and_unshared(
-        monkeypatch, lambda s: [_bound_cells(s, q, BOUNDS, VARIANTS) for q in range(s.q_count)],
-        scene)
+        monkeypatch, lambda s: [_bound_cells(s, q, BOUNDS, VARIANTS,
+                                             closed_form_single(s, q).targets[0])
+                                for q in range(s.q_count)], scene)
     assert repr(shared) == repr(unshared)
 
 
@@ -468,11 +518,11 @@ def test_bound_cells_propagate_unexpected_value_errors(monkeypatch):
     def broken(*args, **kwargs):
         raise ValueError("broken approximation")
 
-    monkeypatch.setattr("nfcrb.cli.crb_rcs_approx", broken)
+    monkeypatch.setattr("nfcrb.approx._closed_form", broken)
     scene = make_scene(targets=[target_at(100.0, 20.0)],
                        tx=ula(16, 0.01), rx=ula(16, 0.01), snapshots=8)
     with pytest.raises(ValueError, match="broken approximation"):
-        _bound_cells(scene, 0, ("rcs",), VARIANTS)
+        _bound_cells(scene, 0, ("rcs",), VARIANTS, closed_form_single(scene, 0).targets[0])
 
 
 def test_sweep_error_rows_are_contained():

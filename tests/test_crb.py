@@ -14,6 +14,8 @@ from nfcrb import (ArrayGeometry, FisherInfo, SingularFimError, Target,
                    target_indices, ula)
 from nfcrb.approx import VARIANTS
 from nfcrb.cli import BOUNDS, _bound_cells
+from nfcrb.crb import own_bounds, own_information
+from nfcrb.steering import side_factors
 
 from util import (canonical_scene, many_target_scene, shared_and_unshared, sharing_scenes,
                   stack_closed_form, target_at)
@@ -286,7 +288,7 @@ def test_closed_form_builds_no_steering_stack(monkeypatch):
             monkeypatch.setattr(module, "steering_stack", refuse)
     reference = make_scene()
     closed_form_single(reference, 0)
-    _bound_cells(reference, 0, BOUNDS, VARIANTS)
+    _bound_cells(reference, 0, BOUNDS, VARIANTS, closed_form_single(reference, 0).targets[0])
 
     large = make_scene(tx=ula(2048, 0.01), rx=ula(2048, 0.01), snapshots=256)
     tracemalloc.start()
@@ -296,6 +298,48 @@ def test_closed_form_builds_no_steering_stack(monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak < 2 * 2 ** 20
+
+
+@pytest.mark.parametrize("rx", [ula(24, 0.01), ula(17, 0.01, 0.5)], ids=["monostatic", "bistatic"])
+def test_own_information_over_targets_equals_its_one_target_calls_bit_for_bit(rx):
+    # fim calls it once for every target, closed_form_single for one target;
+    # a dark target's kinematic bounds are inf
+    scene = make_scene(targets=[target_at(100.0, 20.0), target_at(80.0, 5.0, alpha=(0.0, 0.0)),
+                                target_at(150.0, -45.0, v=(4.0, 3.0), alpha=(0.8, -0.2))],
+                       tx=ula(24, 0.01), rx=rx, snapshots=8)
+
+    def factors(qs):
+        tx = side_factors(scene, "tx", qs)
+        return tx, tx if scene.monostatic else side_factors(scene, "rx", qs)
+
+    qs = list(range(scene.q_count))
+    own, c, shifts = own_information(scene, *factors(qs), [t.rcs for t in scene.targets])
+    for q in qs:
+        own_q, c_q, shifts_q = own_information(scene, *factors([q]), [scene.targets[q].rcs])
+        assert own[q].tobytes() == own_q[0].tobytes()
+        assert c[q].tobytes() == c_q[0].tobytes()
+        for side, side_q in zip(shifts, shifts_q):
+            assert [x[q].tobytes() for x in side] == [x[0].tobytes() for x in side_q]
+        assert repr(own_bounds(scene, own[q], c[q])) == repr(closed_form_single(scene, q).targets[0])
+    dark = own_bounds(scene, own[1], c[1])
+    assert [dark.crb_x, dark.crb_y, dark.crb_vx, dark.crb_vy] == [math.inf] * 4
+    assert math.isfinite(dark.crb_alpha)
+
+
+@pytest.mark.parametrize("rx_centroid, limit_kib", [(0.0, 835), (0.5, 1140)],
+                         ids=["monostatic", "bistatic"])
+def test_closed_form_peak_memory_at_2048_elements(rx_centroid, limit_kib):
+    # one target's O(N) element moments; each broadcast complex difference
+    # holds a numpy buffer as large as its result
+    scene = make_scene(tx=ula(2048, 0.01), rx=ula(2048, 0.01, rx_centroid), snapshots=256)
+    closed_form_single(scene, 0)
+    tracemalloc.start()
+    try:
+        closed_form_single(scene, 0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= limit_kib * 1024
 
 
 @pytest.mark.parametrize("key", list(sharing_scenes()))
