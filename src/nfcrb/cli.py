@@ -248,9 +248,9 @@ def cell_columns(bounds, variants):
 
 
 def _csv(meta, cols, rows):
-    """CSV text: the '#' metadata lines, the header, then one line per cell dict."""
+    """CSV text: '#' meta lines, the header, a line per dict of cell strings ("" if absent)."""
     lines = [*meta, ",".join(cols)]
-    lines += [",".join(_fmt(row.get(col)) for col in cols) for row in rows]
+    lines += [",".join(row.get(col, "") for col in cols) for row in rows]
     return "\n".join(lines) + "\n"
 
 
@@ -283,9 +283,10 @@ def render_eval(scene):
         cells = {"target": q, **_bound_cells(scene, q, BOUNDS, VARIANTS, closed)}
         if report is not None:
             cells.update((f"{b}_marginal", report.targets[q].by_name(b)) for b in BOUNDS)
+        cells = {key: _fmt(cell) for key, cell in cells.items()}
         rows.append(cells)
         lines.append(f"target.{q}.region={cells['region']}")
-        lines += [f"target.{q}.{bound}.{f}={_fmt(cells.get(_column(bound, f)))}"
+        lines += [f"target.{q}.{bound}.{f}={cells.get(_column(bound, f), '')}"
                   for bound in BOUNDS for f in fields]
     return "\n".join(lines) + "\n", _csv([f"# nfcrb eval v{__version__}"],
                                         ["target"] + cell_columns(BOUNDS, VARIANTS), rows)
@@ -320,12 +321,13 @@ class SweepSpec:
             raise ValueError(f"{self.variable} grid must be positive integers")
         if self.variable == "range" and min(grid) <= 0:
             raise ValueError("range grid must be positive")
-        unknown = set(self.bounds) - set(BOUNDS)
-        if unknown:
-            raise ValueError(f"unknown bounds {sorted(unknown)}")
-        unknown = set(self.variants) - set(VARIANTS)
-        if unknown:
-            raise ValueError(f"unknown variants {sorted(unknown)}")
+        for name, values, known in (("bounds", self.bounds, BOUNDS),
+                                    ("variants", self.variants, VARIANTS)):
+            unknown = set(values) - set(known)
+            if unknown:
+                raise ValueError(f"unknown {name} {sorted(unknown)}")
+            if not values or len(set(values)) < len(values):
+                raise ValueError(f"{name} must be a non-empty list without repeats")
         object.__setattr__(self, "grid", grid)
         object.__setattr__(self, "bounds", tuple(self.bounds))
         object.__setattr__(self, "variants", tuple(self.variants))
@@ -355,7 +357,7 @@ def _point_scene(spec, base, value):
 
 
 def _sweep_row(spec, base, value):
-    """Cells of one grid point, keyed by sweep_columns(spec)."""
+    """Formatted cells of one grid point, keyed by sweep_columns(spec)."""
     column, unit = SWEEP_VARS[spec.variable]
     row = {column: int(value) if unit == "count" else value}
     try:
@@ -365,7 +367,7 @@ def _sweep_row(spec, base, value):
     except ValueError as e:
         # a failed point leaves its bound cells empty and its flags at 0
         row.update(dict.fromkeys(REGION_FLAGS, False), error=str(e).replace(",", ";"))
-    return row
+    return {key: _fmt(cell) for key, cell in row.items()}
 
 
 def sweep_columns(spec):

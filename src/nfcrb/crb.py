@@ -165,8 +165,7 @@ def full_crb(info):
     reported as status 'ill-conditioned' with the entries left in place but
     unreliable.
     """
-    f = info.matrix if info.centred is None else info.centred
-    crb, cond = _inverse(f, info.shift, "information matrix")
+    crb, cond = _inverse(info.centred, info.shift, "information matrix")
     status = "ok" if cond <= CONDITION_LIMIT else "ill-conditioned"
     targets = tuple(_bounds_from_diag(np.diag(crb), q, info.q_count) for q in range(info.q_count))
     return crb, CrbReport(targets=targets, condition_number=cond, status=status)
@@ -179,7 +178,7 @@ def schur_target_report(info, q):
     matrix over the target's six rows s, which equals that target's 6x6
     block of the full inverse; both inverses are _inverse's.
     """
-    f = info.matrix if info.centred is None else info.centred
+    f = info.centred
     sel = np.asarray(target_indices(q, info.q_count))
     nui = np.setdiff1d(np.arange(f.shape[0]), sel)
     schur = f[np.ix_(sel, sel)]

@@ -12,7 +12,7 @@ and no N_r x N_t matrix is ever materialized during assembly.
 
 fim assembles F', the information of a centred parametrisation in which
 each target's reflectivity absorbs its weighted-mean derivative factor
-(crb.own_information), and the raw matrix T^T F' T. Own 6x6 blocks come from
+(crb.own_information); FisherInfo.matrix is T^T F' T. Own 6x6 blocks come from
 O(N) element moments. Cross-target blocks come from one complex Gram per
 snapshot and side over every target's derivative fields, formed by
 steering._stack from side_factors shifted to centre each target and from
@@ -47,21 +47,25 @@ CHUNK_BYTES = 1 << 20
 
 @dataclasses.dataclass(frozen=True)
 class FisherInfo:
-    """Real symmetric 6Q x 6Q information matrix, with fim's centred F', C_q and own blocks.
+    """Real symmetric 6Q x 6Q centred information F', with fim's C_q and own blocks.
 
-    matrix = T^T centred T. shift holds the (Q, 2, 4) C_q and own the (Q,
-    6, 6) own blocks of crb.own_information, which crb.own_bounds reads, in
-    scene order and without 2 P / sigma^2. From a matrix alone: T = I, no own.
+    shift holds the (Q, 2, 4) C_q, None for T = I, and own the (Q, 6, 6)
+    own blocks of crb.own_information, which crb.own_bounds reads, in scene
+    order and without 2 P / sigma^2. The bounds read these alone.
     """
 
-    matrix: np.ndarray
-    centred: np.ndarray | None = None
+    centred: np.ndarray
     shift: np.ndarray | None = None
     own: np.ndarray | None = None
 
     @property
+    def matrix(self):
+        """The raw matrix T^T centred T, formed on every read."""
+        return self.centred if self.shift is None else congruence(self.centred, self.shift)
+
+    @property
     def q_count(self):
-        return self.matrix.shape[0] // 6
+        return self.centred.shape[0] // 6
 
 
 def derivative_terms(kind, alpha):
@@ -175,8 +179,8 @@ def fim(scene):
     Returns
     -------
     FisherInfo
-        Rows ordered [x_1..x_Q, y.., vx.., vy.., rcs_re.., rcs_im..]: the raw
-        matrix, the centred F' and the C_q of each target.
+        Rows ordered [x_1..x_Q, y.., vx.., vy.., rcs_re.., rcs_im..]: the
+        centred F', the C_q and the own blocks of each target.
     """
     q_count, k, b = scene.q_count, len(KEYS), len(BLOCKS)
     order = np.array(sorted(range(q_count), key=lambda q: [*vars(scene.targets[q]).values()]))
@@ -243,4 +247,4 @@ def fim(scene):
         f[:, order[p2], :, order[p1]] = blocks.transpose(0, 2, 1)
     f = f.reshape(b * q_count, -1) * (2.0 * scene.power_w / scene.noise_var_w)
     own, shift = (x[np.argsort(order)] for x in (own, c))  # in the scene's target order
-    return FisherInfo(matrix=congruence(f, shift), centred=f, shift=shift, own=own)
+    return FisherInfo(centred=f, shift=shift, own=own)

@@ -164,7 +164,7 @@ def fd_fim(scene, steps=None):
                    * np.einsum("mrt,mrt->", conj_i, derivs[j]).real)
             f[i, j] = val
             f[j, i] = val
-    return FisherInfo(matrix=f)
+    return FisherInfo(centred=f)
 
 
 def brute_gain(geom, target, kind):

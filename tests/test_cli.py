@@ -1,5 +1,6 @@
 """Config parsing, eval/sweep rendering, verify battery, and exit codes."""
 
+import dataclasses
 import io
 import math
 import os
@@ -11,13 +12,15 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import nfcrb
 from nfcrb import ArrayGeometry, Target, cli, closed_form_single, dbm_to_watts, make_scene, ula
 from nfcrb.approx import VARIANTS
 from nfcrb.cli import (BOUNDS, Config, ConfigError, SweepSpec, _bound_cells, build_scene,
                        main, parse_config, render_eval, run_sweep, run_verify, sweep_columns)
-from nfcrb.oracle import _verify_steering
+from nfcrb.oracle import _verify_steering, fd_fim
 from nfcrb.steering import KEYS
 
 from util import (many_target_scene, parse_csv, parse_kv_lines, shared_and_unshared,
@@ -439,11 +442,14 @@ def test_eval_exact_cells_equal_closed_form_single_bit_for_bit(key):
 @pytest.mark.parametrize("key", list(exact_cell_scenes()))
 def test_eval_forms_each_targets_own_information_once(monkeypatch, key):
     # one own_information call for all targets, element factors once per
-    # distinct side, and no closed_form_single
+    # distinct side, no closed_form_single, no raw matrix T^T F' T (forward
+    # congruence) and one _fmt call per cell of each target's record
     scene = exact_cell_scenes()[key]
     crb, steering = sys.modules["nfcrb.crb"], sys.modules["nfcrb.steering"]
+    fim_module = sys.modules["nfcrb.fim"]  # nfcrb.fim is the function
     own_information, element_factors = crb.own_information, steering.element_factors
-    calls = {"own_information": 0, "element_factors": 0}
+    congruence, fmt = crb.congruence, cli._fmt
+    calls = {"own_information": 0, "element_factors": 0, "forward congruence": 0, "_fmt": 0}
 
     def counted(name, func):
         def wrapper(*args):
@@ -454,14 +460,86 @@ def test_eval_forms_each_targets_own_information_once(monkeypatch, key):
     def refuse(*args):
         raise AssertionError("closed_form_single called")
 
-    for module in (crb, sys.modules["nfcrb.fim"]):
+    def counted_congruence(f, shift, back=False):
+        calls["forward congruence"] += not back
+        return congruence(f, shift, back)
+
+    for module in (crb, fim_module):
         monkeypatch.setattr(module, "own_information",
                             counted("own_information", own_information))
+        monkeypatch.setattr(module, "congruence", counted_congruence)
     monkeypatch.setattr(steering, "element_factors", counted("element_factors", element_factors))
+    monkeypatch.setattr(cli, "_fmt", counted("_fmt", fmt))
     for module in (crb, cli):
         monkeypatch.setattr(module, "closed_form_single", refuse)
-    render_eval(scene)
-    assert calls == {"own_information": 1, "element_factors": 1 if scene.monostatic else 2}
+    text, csv = render_eval(scene)
+    assert "# status=ok\n" in text  # so every record has its marginal cells
+    # a record: the CSV row's cells, the region and a marginal cell per bound,
+    # plus the report's one condition number
+    cells = len(parse_csv(csv)[1]) + 1 + len(BOUNDS)
+    assert calls == {"own_information": 1, "element_factors": 1 if scene.monostatic else 2,
+                     "forward congruence": 0, "_fmt": scene.q_count * cells + 1}
+    monkeypatch.undo()
+    info = fim_module.fim(scene)
+    assert info.matrix.tobytes() == congruence(info.centred, info.shift).tobytes()
+    info = fd_fim(exact_cell_scenes()["bistatic-unequal"])  # T = I
+    assert info.matrix is info.centred
+
+
+@st.composite
+def scaling_scenes(draw):
+    """Q = 1-3 targets at 5-400 m, some dark, seen by N = 1-32 elements a side over M = 1-40."""
+    def reflectivity():
+        magnitude, phase = draw(st.floats(0.1, 1.0)), draw(st.floats(-math.pi, math.pi))
+        return draw(st.sampled_from([(0.0, 0.0), (magnitude * math.cos(phase),
+                                                  magnitude * math.sin(phase))]))
+
+    targets = [target_at(draw(st.floats(5.0, 400.0)), draw(st.floats(-60.0, 60.0)),
+                         v=(draw(st.floats(-5.0, 5.0)), draw(st.floats(-5.0, 5.0))),
+                         alpha=reflectivity())
+               for _ in range(draw(st.integers(1, 3)))]
+    tx = ula(draw(st.integers(1, 32)), 0.01)
+    rx = tx if draw(st.booleans()) else ula(draw(st.integers(1, 32)), 0.01, 0.5)
+    return make_scene(targets=targets, tx=tx, rx=rx, snapshots=draw(st.integers(1, 40)))
+
+
+# each change of the SNR 2 P / sigma^2 and the factor it scales every bound by
+SNR_CHANGES = {"power x2": ("power_w", 2.0, 0.5), "power x0.25": ("power_w", 0.25, 4.0),
+               "noise x2": ("noise_var_w", 2.0, 2.0)}
+
+
+@settings(derandomize=True, max_examples=50, deadline=None)
+@given(scaling_scenes(), st.sampled_from(sorted(SNR_CHANGES)))
+def test_eval_bound_cells_scale_exactly_with_power_and_noise(scene, change):
+    # a power-of-two change of the SNR scales every bound by its inverse bit
+    # for bit; relative errors, regions, the condition number, the status and
+    # every empty or inf cell keep their bytes
+    name, ratio, factor = SNR_CHANGES[change]
+    scaled = dataclasses.replace(scene, **{name: ratio * getattr(scene, name)})
+    base_lines, scaled_lines = (render_eval(s)[0].splitlines() for s in (scene, scaled))
+    assert len(base_lines) == len(scaled_lines)
+    for line, scaled_line in zip(base_lines, scaled_lines):
+        key, _, value = line.partition("=")
+        if re.fullmatch(r"target\.\d+\.\w+\.(exact|marginal|ff|nf)", key) and value not in (
+                "", "inf"):
+            assert scaled_line == f"{key}={float(value) * factor!r}"
+        else:
+            assert scaled_line == line
+
+
+@pytest.mark.parametrize("extra", ["", "rx.centroid_x = 0.5\nrx.count = 48\n"],
+                         ids=["monostatic", "bistatic"])
+def test_power_sweep_halves_bound_cells_per_doubling(extra):
+    text = run_sweep(SweepSpec(variable="power", grid=(0.05, 0.1, 0.2, 0.4),
+                               config=parse_config(DEFAULT_CFG + extra)))
+    _, header, rows = parse_csv(text)
+    bound_cols = [c for c in header if c.split("_")[0] in BOUNDS]
+    assert len(bound_cols) == len(BOUNDS) * len(VARIANTS)
+    for row, doubled in zip(rows, rows[1:]):
+        assert [doubled[c] for c in header if c not in bound_cols + ["power_w"]] == [
+            row[c] for c in header if c not in bound_cols + ["power_w"]]
+        assert [doubled[c] for c in bound_cols] == [repr(float(row[c]) * 0.5)
+                                                    for c in bound_cols]
 
 
 def test_sweep_broadside_reports_divergence_not_failure():
@@ -599,10 +677,23 @@ def test_sweep_antennas_grid_must_be_integral(tmp_path, capsys):
     assert "integer" in capsys.readouterr().err
 
 
-def test_sweep_unknown_bound_rejected():
-    with pytest.raises(ValueError, match="unknown bounds"):
-        SweepSpec(variable="range", grid=(100.0,), config=Config(),
-                  bounds=("rcs", "doppler"))
+@pytest.mark.parametrize("option, value, message", [
+    ("bounds", "rcs,doppler", "unknown bounds"),
+    ("bounds", "rcs,rcs", "bounds must be a non-empty list without repeats"),
+    ("variants", "ff,ff", "variants must be a non-empty list without repeats"),
+    ("bounds", "", "bounds must be a non-empty list without repeats"),
+    ("variants", "", "variants must be a non-empty list without repeats"),
+], ids=["unknown-bound", "repeated-bounds", "repeated-variants", "empty-bounds",
+        "empty-variants"])
+def test_sweep_unknown_bound_rejected(tmp_path, capsys, option, value, message):
+    # a repeated or empty list would write duplicate or no bound columns
+    values = tuple(v for v in value.split(",") if v)
+    with pytest.raises(ValueError, match=message):
+        SweepSpec(variable="range", grid=(100.0,), config=Config(), **{option: values})
+    path = write_cfg(tmp_path, DEFAULT_CFG)
+    assert main(["sweep", path, "--var", "range", "--grid", "10", f"--{option}", value]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and f"config error: {message}" in err
 
 
 def test_sweep_unknown_variable_rejected(tmp_path, capsys):

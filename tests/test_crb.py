@@ -32,7 +32,7 @@ def synthetic_info(q_count=2, seed=5, spread=4.0):
     n = 6 * q_count
     basis, _ = np.linalg.qr(rng.standard_normal((n, n)))
     w = 10.0 ** rng.uniform(0.0, spread, size=n)
-    return FisherInfo(matrix=(basis * w) @ basis.T)
+    return FisherInfo(centred=(basis * w) @ basis.T)
 
 
 def schur_diag(info, q):
@@ -42,7 +42,7 @@ def schur_diag(info, q):
 
 def test_diagonal_fim_inverts_to_reciprocals():
     d = np.array([4.0, 2.0, 0.5, 8.0, 10.0, 0.25])
-    info = FisherInfo(matrix=np.diag(d))
+    info = FisherInfo(centred=np.diag(d))
     crb, report = full_crb(info)
     np.testing.assert_allclose(crb, np.diag(1.0 / d), rtol=1e-15)
     assert report.status == "ok"
@@ -97,7 +97,7 @@ def test_conditional_block_diagonal_shortcut():
     own[0, 1] = own[1, 0] = 1.0
     f[0::2, 0::2] = own
     f[1::2, 1::2] = np.eye(6) * 3.0
-    info = FisherInfo(matrix=f)
+    info = FisherInfo(centred=f)
     np.testing.assert_allclose(schur_diag(info, 0), np.diag(np.linalg.inv(own)),
                                rtol=1e-14)
 
@@ -144,7 +144,7 @@ def test_ill_conditioned_status_on_a_synthetic_fim():
     # two parameters whose scaled information differs from collinear by 1e-13
     f = np.eye(6)
     f[0, 1] = f[1, 0] = 1.0 - 1e-13
-    crb, report = full_crb(FisherInfo(matrix=f))
+    crb, report = full_crb(FisherInfo(centred=f))
     assert report.status == "ill-conditioned"
     assert 1e12 < report.condition_number < 1e14
     assert np.all(np.isfinite(crb))
