@@ -8,10 +8,16 @@ against full channel-derivative stacks instead of the Gram products `fim`
 uses. The finite differences read steering values alone
 (`steering.steering_values`), never the analytic derivative factors: the
 shifted copies of every listed target, for every check of a call, go into
-one validated Scene, evaluated in one broadcast call per array side. Intended
-for desk scale scenes; the finite-difference and Monte Carlo paths
-materialize (M, N_r, N_t) stacks. `run_battery` is the list of checks that
-`nfcrb verify` prints, one `make_report` per check.
+one validated Scene, evaluated in one broadcast call per array side.
+`fd_steering_rows` evaluates one side when the scene's rx is its tx array
+object, as in each scene of verify's steering battery. Every other oracle
+evaluates both sides, and no oracle reads Scene.monostatic, the equality test
+on which the analytic path shares. So the fim-fd-*, closed-form-diagonal and
+Monte Carlo scenes, which hold two equal array objects, compare that shared
+path with two unshared evaluations. Intended for desk scale scenes; the
+finite-difference and Monte Carlo paths materialize (M, N_r, N_t) stacks.
+`run_battery` is the list of checks that `nfcrb verify` prints, one
+`make_report` per check.
 """
 
 import dataclasses
@@ -28,6 +34,8 @@ from .scene import BLOCKS, Target, make_scene, target_indices
 from .steering import KEYS, side_factors, steering_stack, steering_values
 
 REL_ERR_FLOOR = 1e-30
+
+EPS = float(np.finfo(float).eps)
 
 # central-difference steps sized against the carrier wavelength (phase varies
 # at that scale, so position steps must sit far below it)
@@ -61,7 +69,7 @@ def make_report(name, analytic, oracle, tol, steps=(), rel_err=None):
 
 
 def _check_step(step, value):
-    if step < 10.0 * np.finfo(float).eps * max(1.0, abs(value)):
+    if step < 10.0 * EPS * max(1.0, abs(value)):
         raise ValueError(f"finite-difference step {step} underflows at value {value}")
 
 
@@ -83,7 +91,9 @@ def fd_steering_rows(scene, qs, checks, m_values):
     pairs; a step of None means DEFAULT_STEPS[kind]. Returns one {'tx', 'rx'}
     dict of (len(qs), len(checks), len(m_values), N) arrays. One scene holds
     the four shifted copies of every listed target and check, evaluated in
-    one steering_values call per side. The Richardson combination
+    one steering_values call per side. The scene's rx array may be its tx
+    array object: that side is then evaluated once, and 'rx' is the 'tx'
+    array. The Richardson combination
     (4 D(h) - D(2h)) / 3 of the central differences D(h) and D(2h) cancels
     their h^2 truncation term, so the step can sit far above the
     carrier-phase roundoff.
@@ -96,13 +106,14 @@ def fd_steering_rows(scene, qs, checks, m_values):
                                           for d in (h, -h, 2.0 * h, -2.0 * h)])
     steps = np.array([h for _, h in checks])[:, None, None]  # (check, 1, 1)
     rows = {}
-    for side in ("tx", "rx"):
+    for side in ("tx",) if scene.rx is scene.tx else ("tx", "rx"):
         a = steering_values(shifted, side, m_values)
         # (target, check, shift, row, N): the shifts are +h, -h, +2h, -2h
         a = a.reshape(len(qs), len(checks), 4, *a.shape[1:])
         d_h = (a[:, :, 0] - a[:, :, 1]) / (2.0 * steps)
         d_2h = (a[:, :, 2] - a[:, :, 3]) / (4.0 * steps)
         rows[side] = (4.0 * d_h - d_2h) / 3.0
+    rows.setdefault("rx", rows["tx"])
     return rows
 
 
@@ -240,7 +251,8 @@ def _verify_steering(seed, battery, skew):
         groups.setdefault((n, m_total), []).append((i, target))
     reports = [None] * battery
     for (n, m_total), members in groups.items():
-        scene = make_scene(targets=[t for _, t in members], tx=ula(n, 0.01), rx=ula(n, 0.01),
+        geom = ula(n, 0.01)  # one array object serves both sides
+        scene = make_scene(targets=[t for _, t in members], tx=geom, rx=geom,
                            snapshots=m_total)
         rows = [1, m_total]
         # near broadside the x and vx derivatives are small against |a|, so
@@ -256,16 +268,13 @@ def _verify_steering(seed, battery, skew):
         # each velocity check on the row its step is sized for
         picked = np.array([[True, True]] * 2 + [[True, False], [False, True]] * 2)
         qs = list(range(len(members)))
-        refs = fd_steering_rows(scene, qs, checks, rows)  # side: (target, check, row, N)
-        errs = []
-        for side in ("tx", "rx"):
-            stack = steering_stack(scene, side, qs, m_values=rows)
-            ana = np.stack([stack[KEYS.index("d_" + kind)] for kind, _ in checks],
-                           axis=1) * (1.0 + skew)
-            ref = refs[side]
-            errs.append((np.linalg.norm(ana - ref, axis=-1)
-                         / np.linalg.norm(ref, axis=-1))[:, picked])
-        worst = np.max(errs, axis=(0, 2))  # per target, over both sides
+        # one array serves both sides, so the Tx rows stand for both
+        ref = fd_steering_rows(scene, qs, checks, rows)["tx"]  # (target, check, row, N)
+        stack = steering_stack(scene, "tx", qs, m_values=rows)
+        ana = np.stack([stack[KEYS.index("d_" + kind)] for kind, _ in checks],
+                       axis=1) * (1.0 + skew)
+        errs = (np.linalg.norm(ana - ref, axis=-1) / np.linalg.norm(ref, axis=-1))[:, picked]
+        worst = np.max(errs, axis=1)  # per target
         for (i, _), w in zip(members, worst.tolist()):
             reports[i] = make_report(f"steering-fd-{i:02d}", w, 0.0, 1e-5,
                                      steps=(1e-4, *v_steps), rel_err=w)
@@ -310,8 +319,8 @@ def _verify_consistency(scene, info):
     # stacks; np.max, not Python's max, so a NaN bound reaches make_report
     stacks = _channel_derivatives(scene).reshape(len(BLOCKS), -1).view(float)
     trace = 2.0 * scene.power_w / scene.noise_var_w * np.einsum("ij,ij->i", stacks, stacks)
-    closed = dataclasses.astuple(closed_form_single(scene, 0).targets[0])
-    worst = np.max([abs(b * d - 1.0) for b, d in zip(closed, trace)])
+    closed = closed_form_single(scene, 0).targets[0]
+    worst = np.max([abs(b * d - 1.0) for b, d in zip(dataclasses.astuple(closed), trace)])
     reports.append(make_report("closed-form-diagonal", worst, 0.0, 1e-10, rel_err=worst))
 
     # the per-side gain G of the closed form against the brute-force element sum
@@ -321,8 +330,7 @@ def _verify_consistency(scene, info):
     reports.append(make_report("gain-identity", g_side, g_ref, 1e-12))
 
     double = dataclasses.replace(scene, power_w=2 * scene.power_w)
-    ratio = (closed_form_single(double, 0).targets[0].crb_alpha
-             / closed_form_single(scene, 0).targets[0].crb_alpha)
+    ratio = closed_form_single(double, 0).targets[0].crb_alpha / closed.crb_alpha
     reports.append(make_report("power-scaling", ratio, 0.5, 1e-12))
     return reports
 
@@ -350,7 +358,7 @@ def _verify_expansions():
         r = 10.0 * fraunhofer
         t = Target(x=r * math.sin(th), y=r * math.cos(th), vx=1.0, vy=4.0,
                    rcs_re=1.0, rcs_im=0.1)
-        c = correction_terms(make_scene(targets=[t]), 0)
+        c = correction_terms(dataclasses.replace(scene, targets=[t]), 0)
         deviations += [abs(c.psi_x - 1.0), abs(c.psi_y - 1.0)]
     worst = np.max(deviations)
     reports.append(make_report("psi-limit", worst, 0.0, 1e-3, rel_err=worst))

@@ -527,6 +527,55 @@ def test_eval_bound_cells_scale_exactly_with_power_and_noise(scene, change):
             assert scaled_line == line
 
 
+def permutation_configs():
+    """20 fixed Q=8 configs on 128-element arrays with 128 snapshots, and a target order each.
+
+    Targets sit at 60-400 m and +-60 deg with speeds up to 5 m/s per axis and
+    complex Gaussian reflectivities, each value rounded to six decimals.
+    """
+    cases = []
+    for seed in range(20):
+        rng = np.random.default_rng(2700 + seed)
+        targets = [[round(float(v), 6) for v in (rng.uniform(60.0, 400.0), rng.uniform(-60.0, 60.0),
+                                                 *rng.uniform(-5.0, 5.0, 2),
+                                                 *rng.normal(0.0, 0.5 ** 0.5, 2))]
+                   for _ in range(8)]
+        cases.append((targets, rng.permutation(8).tolist()))
+    return cases
+
+
+def _permutation_cfg(targets):
+    lines = ["tx.count = 128", "rx.count = 128", "snapshots = 128"]
+    for q, values in enumerate(targets):
+        lines += [f"target.{q}.{key} = {v!r}" for key, v in
+                  zip(("range", "angle_deg", "vx", "vy", "rcs_re", "rcs_im"), values)]
+    return "\n".join(lines) + "\n"
+
+
+def test_eval_cells_move_with_their_targets_under_permutation():
+    # region, exact, ff, nf and relerr cells and the status keep their bits;
+    # the marginal cells and the condition number come from an inverse of the
+    # permuted matrix and agree to 1e-7 (the worst reads 8.9e-9 and 7.6e-9)
+    for targets, order in permutation_configs():
+        base, moved = (dict(line.split("=", 1) for line in
+                            render_eval(build_scene(parse_config(_permutation_cfg(ts))))[0]
+                            .splitlines() if "=" in line and not line.startswith("# targets"))
+                       for ts in (targets, [targets[p] for p in order]))
+        assert base["# status"] == moved["# status"] == "ok"
+        assert math.isclose(float(moved["# condition_number"]), float(base["# condition_number"]),
+                            rel_tol=1e-7)
+        cells = [key for key in base if key.startswith("target.0.")]
+        assert len(cells) == 1 + 6 * len(BOUNDS)
+        for j, q in enumerate(order):
+            for key in cells:
+                name = key.split(".", 2)[2]
+                want, got = base[f"target.{q}.{name}"], moved[f"target.{j}.{name}"]
+                if name.endswith(".marginal"):
+                    assert math.isclose(float(got), float(want), rel_tol=1e-7), (key, q)
+                else:
+                    assert got == want, (key, q)
+
+
 @pytest.mark.parametrize("extra", ["", "rx.centroid_x = 0.5\nrx.count = 48\n"],
                          ids=["monostatic", "bistatic"])
 def test_power_sweep_halves_bound_cells_per_doubling(extra):
@@ -766,6 +815,30 @@ def test_verify_seed_changes_battery_but_not_verdict():
     rb = run_verify(seed=1, battery=4, stream=b)
     assert a.getvalue() != b.getvalue()
     assert all(r.passed for r in ra) and all(r.passed for r in rb)
+
+
+@pytest.mark.parametrize("seed", [0, 5])
+def test_verify_report_does_not_depend_on_array_sharing(monkeypatch, seed):
+    # a scene built with rx is tx has each side evaluated once by the oracles;
+    # an equal but distinct Rx array evaluates both, with the same bytes
+    shared = io.StringIO()
+    run_verify(seed=seed, battery=20, stream=shared)
+    oracle = sys.modules["nfcrb.oracle"]
+    original = oracle.make_scene
+    split = []
+
+    def unshared(*args, **kwargs):
+        tx = kwargs.get("tx")
+        if tx is not None and kwargs.get("rx") is tx:
+            kwargs["rx"] = ArrayGeometry(tx.positions.copy(), tx.spacing, tx.centroid_x)
+            split.append(tx.count)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(oracle, "make_scene", unshared)
+    apart = io.StringIO()
+    run_verify(seed=seed, battery=20, stream=apart)
+    assert len(split) == 4  # one steering scene per (N, M) shape group
+    assert apart.getvalue() == shared.getvalue()
 
 
 @pytest.mark.parametrize("seed", [47, 62, 77, 82, 101])

@@ -12,7 +12,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nfcrb import BLOCKS, Target, brute_gain, fd_fim, fim, make_scene, steering_stack, ula
+from nfcrb import (BLOCKS, ArrayGeometry, Scene, Target, brute_gain, fd_fim, fim, make_scene,
+                   steering_stack, ula)
 from nfcrb.fim import derivative_terms
 from nfcrb.oracle import (DEFAULT_STEPS, _channel_derivatives, _target_channels,
                           _verify_consistency, _verify_expansions, _verify_steering,
@@ -286,6 +287,123 @@ def test_fd_oracles_build_no_steering_stack(monkeypatch):
     s = small_scene()
     fd_steering_rows(s, [0], [("x", None)], [1, 4])
     fd_fim(s)
+
+
+def _route_scenes():
+    """One two-target scene per route, all on one Tx array object and the same targets.
+
+    "shared" has rx is tx, "equal" an equal but distinct Rx ArrayGeometry
+    (built apart, bit-identical positions) and "bistatic" an Rx moved to
+    centroid x = 0.5.
+    """
+    tx = ula(4, 0.01)
+    targets = [target_at(60.0, 20.0, v=(3.0, -2.0), alpha=(0.8, 0.3)),
+               target_at(90.0, -35.0, v=(-1.0, 4.0), alpha=(1.0, -0.2))]
+    rxs = {"shared": tx, "equal": ArrayGeometry(tx.positions.copy(), 0.01, 0.0),
+           "bistatic": ula(4, 0.01, 0.5)}
+    return {route: make_scene(targets=targets, tx=tx, rx=rx, snapshots=4)
+            for route, rx in rxs.items()}
+
+
+def _per_side_channel_derivatives(scene):
+    """_channel_derivatives' stacks from two steering_stack calls per target, one per side."""
+    derivs = []
+    for kind in BLOCKS:
+        for q in range(scene.q_count):
+            tx, rx = steering_stack(scene, "tx", q), steering_stack(scene, "rx", q)
+            derivs.append(sum(np.multiply(c, np.einsum("mr,mt->mrt", rx[KEYS.index(rk)],
+                                                       tx[KEYS.index(tk)]))
+                              for c, rk, tk in derivative_terms(kind, scene.targets[q].rcs)))
+    return np.stack(derivs)
+
+
+FD_CHECKS = [(kind, None) for kind in ("x", "y", "vx", "vy")] + [("vx", 3e-4)]
+
+
+def test_oracles_equal_their_unshared_routes_bit_for_bit():
+    # each route's output equals the route that evaluates every side on its
+    # own, and a side's bytes do not depend on the route that evaluated it
+    scenes = _route_scenes()
+    assert scenes["shared"].rx is scenes["shared"].tx
+    assert scenes["equal"].rx is not scenes["equal"].tx and scenes["equal"].monostatic
+    assert not scenes["bistatic"].monostatic
+    out = {}
+    for route, s in scenes.items():
+        rows = fd_steering_rows(s, [0, 1], FD_CHECKS, [1, 4])
+        for j in (0, 1):
+            for c, kind in enumerate(("x", "y", "vx", "vy")):
+                want = _stack_fd_steering_rows(s, j, kind, [1, 4])
+                for side in ("tx", "rx"):
+                    assert rows[side][j, c].tobytes() == want[side].tobytes()
+        a_t, a_r = steering_values(s, "tx"), steering_values(s, "rx")
+        channels = list(_target_channels(s))
+        for q, channel in enumerate(channels):
+            want = np.multiply(np.einsum("mr,mt->mrt", a_r[q], a_t[q]), s.targets[q].rcs)
+            assert channel.tobytes() == want.tobytes()
+        derivs = _channel_derivatives(s)
+        assert derivs.tobytes() == _per_side_channel_derivatives(s).tobytes()
+        info = fd_fim(s)
+        assert (info.matrix == _stack_fd_fim(s)).all()
+        out[route] = [rows["tx"], rows["rx"], *channels, derivs, info.matrix]
+    assert (out["shared"][1] is out["shared"][0]) and (out["equal"][1] is not out["equal"][0])
+    assert out["bistatic"][0].tobytes() == out["shared"][0].tobytes()
+    assert [a.tobytes() for a in out["shared"]] == [a.tobytes() for a in out["equal"]]
+
+
+@pytest.mark.parametrize("route", ["shared", "equal", "bistatic"])
+def test_fd_steering_rows_evaluates_one_side_only_for_one_array_object(monkeypatch, route):
+    # one steering_values call when rx is tx, two when the Rx array is
+    # another object, equal to Tx or not
+    oracle = sys.modules["nfcrb.oracle"]
+    calls = []
+
+    def counted(scene, side, *args, _original=oracle.steering_values, **kwargs):
+        calls.append(side)
+        return _original(scene, side, *args, **kwargs)
+
+    monkeypatch.setattr(oracle, "steering_values", counted)
+    fd_steering_rows(_route_scenes()[route], [0, 1], FD_CHECKS, [1, 4])
+    assert calls == (["tx"] if route == "shared" else ["tx", "rx"])
+
+
+def test_steering_battery_evaluates_one_side_per_shape_group(monkeypatch):
+    # every shape group's scene holds one array object: one fd_steering_rows
+    # steering_values call and one steering_stack call on each group's scene
+    oracle = sys.modules["nfcrb.oracle"]
+    calls = []
+    for name in ("steering_values", "steering_stack"):
+        def counted(scene, side, *args, _original=getattr(oracle, name), _name=name, **kwargs):
+            calls.append((_name, side, scene.rx is scene.tx, len(scene.targets)))
+            return _original(scene, side, *args, **kwargs)
+        monkeypatch.setattr(oracle, name, counted)
+    assert all(r.passed for r in _verify_steering(0, 20, 0.0))
+    stacks = [c for c in calls if c[0] == "steering_stack"]
+    values = [c for c in calls if c[0] == "steering_values"]
+    assert len(stacks) == len(values) == len(calls) // 2 >= 2
+    assert {c[1:3] for c in calls} == {("tx", True)}
+    assert sum(c[3] for c in stacks) == 20
+
+
+def test_no_oracle_reads_scene_monostatic(monkeypatch):
+    # the oracles share a side by array identity alone: Scene.monostatic
+    # raises for every reader but Scene's own validation, which still reads it
+    validate = Scene.__post_init__.__code__
+    original = Scene.__dict__["monostatic"].func
+
+    def refuse(self):
+        caller = sys._getframe(1).f_code
+        if caller is not validate:
+            raise AssertionError(f"Scene.monostatic read by {caller.co_name}")
+        return original(self)
+
+    monkeypatch.setattr(Scene, "monostatic", property(refuse))
+    for scene in _route_scenes().values():
+        with pytest.raises(AssertionError, match="read by"):
+            scene.monostatic
+        fd_steering_rows(scene, [0, 1], FD_CHECKS, [1, 4])
+        fd_fim(scene)
+        _channel_derivatives(scene)
+    assert all(r.passed for r in _verify_steering(0, 20, 0.0))
 
 
 def test_verify_steering_catches_a_wrong_derivative_factor(monkeypatch):
