@@ -7,10 +7,10 @@ eps terms, the far-field forms are the zeroth order eps = 0. All angle and
 range inputs are taken per side, so bistatic layouts with offset centroids
 flow through the same expressions.
 
-Divergent denominators (broadside angle factors, zero reflectivity) return
-float('inf'); a correction factor driven negative means the target is far too
-close to the array for the expansion, which raises instead of returning a
-negative variance.
+Divergent denominators (broadside angle factors, zero reflectivity) and
+bounds past the float range return float('inf'); a correction factor driven
+negative means the target is far too close to the array for the expansion,
+which raises instead of returning a negative variance.
 """
 
 import functools
@@ -99,7 +99,11 @@ def _side_terms(geom, target, variant):
     s, c = math.sin(theta), math.cos(theta)
     s2 = s ** 2
     c2 = c ** 2
-    eps = 0.0 if variant == "ff" else (geom.count ** 2 - 1) * geom.spacing ** 2 / (12.0 * r ** 2)
+    try:
+        eps = 0.0 if variant == "ff" else ((geom.count ** 2 - 1) * geom.spacing ** 2
+                                           / (12.0 * r ** 2))
+    except OverflowError:  # d^2 or r^2 beyond the float range: their ratio first
+        eps = (geom.count ** 2 - 1) * (geom.spacing / r) ** 2 / 12.0
     delta = eps * (4.0 * s2 - 1.0)
     b_x = s2 + eps * (12.0 * s2 ** 2 - 10.0 * s2 + 1.0)
     b_y = c2 + eps * c2 * (12.0 * s2 - 2.0)
@@ -174,16 +178,22 @@ def _closed_form(scene, q, sides, bound):
     if alpha2 == 0.0 and bound != "rcs":
         return math.inf
     tx, rx = sides()
+    try:
+        if bound == "rcs":
+            base = (256.0 * scene.noise_var_w * math.pi ** 4 * (tx.r * rx.r) ** 2
+                    / (scene.power_w * scene.snapshots * scene.tx.count * scene.rx.count
+                       * scene.wavelength_m ** 4))
+        else:
+            slow_factor = (scene.t_sym_s ** 2 * slow_time_sum(scene.snapshots)
+                           if bound[0] == "v" else float(scene.snapshots))
+            base = (32.0 * math.pi ** 2 * scene.noise_var_w * (tx.r * rx.r) ** 2
+                    / (alpha2 * scene.power_w * scene.tx.count * scene.rx.count
+                       * slow_factor * scene.wavelength_m ** 2))
+    except (OverflowError, ZeroDivisionError):
+        # (r_tx r_rx)^2 overflows, or the denominator underflows to 0: past the float range
+        base = math.inf
     if bound == "rcs":
-        base = (256.0 * scene.noise_var_w * math.pi ** 4 * (tx.r * rx.r) ** 2
-                / (scene.power_w * scene.snapshots * scene.tx.count * scene.rx.count
-                   * scene.wavelength_m ** 4))
         return base / (_positive(tx.a) * _positive(rx.a))
-    slow_factor = (scene.t_sym_s ** 2 * slow_time_sum(scene.snapshots) if bound[0] == "v"
-                   else float(scene.snapshots))
-    base = (32.0 * math.pi ** 2 * scene.noise_var_w * (tx.r * rx.r) ** 2
-            / (alpha2 * scene.power_w * scene.tx.count * scene.rx.count
-               * slow_factor * scene.wavelength_m ** 2))
     phi = _angle_factor(tx, rx, _axis(bound[-1]))
     if abs(phi) < DENOM_FLOOR:
         return math.inf

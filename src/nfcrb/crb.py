@@ -5,6 +5,7 @@ divergence of the far-field model) are reported as float('inf'), never raised;
 divergence is a result, not a failure.
 """
 
+import dataclasses
 import math
 from dataclasses import dataclass
 
@@ -17,7 +18,7 @@ CONDITION_LIMIT = 1e12
 
 
 class SingularFimError(np.linalg.LinAlgError):
-    """The information matrix (or a nuisance block of it) is not invertible."""
+    """The information matrix is not invertible."""
 
 
 @dataclass(frozen=True)
@@ -136,36 +137,28 @@ def congruence(f, shift, back=False):
     return (out + out.T) * 0.5
 
 
-def _inverse(f, shift, what):
-    """Inverse of a centred information f, mapped back through T^-1, and its condition number.
+def full_crb(info):
+    """Invert the full FIM through its centred form: T^-1 F'^-1 T^-T.
 
-    f is Jacobi-scaled to a unit diagonal before its eigendecomposition, so
+    F' is Jacobi-scaled to a unit diagonal before its eigendecomposition, so
     neither the condition number nor the singularity test (a zero diagonal
     entry, or an eigenvalue at most eps times the largest) depends on units.
-    shift holds the C_q of f's targets, or None for T = I.
-    """
-    d = np.diag(f)
-    if not (d > 0.0).all():
-        raise SingularFimError(f"{what} is singular")
-    scale = np.sqrt(np.outer(d, d))  # so that 2 f scales it by 2 exactly
-    w, v = np.linalg.eigh(f / scale)
-    if w.min() <= w.max() * np.finfo(float).eps:
-        raise SingularFimError(f"{what} is singular")
-    inv = (v / w) @ v.T / scale
-    if shift is not None:
-        inv = congruence(inv, shift, back=True)
-    return inv, float(w.max() / w.min())
-
-
-def full_crb(info):
-    """Invert the full FIM through its centred form (_inverse).
-
     Returns (crb_matrix, CrbReport) in the raw parameters. A singular matrix
     raises SingularFimError; a scaled condition number above 1e12 is
     reported as status 'ill-conditioned' with the entries left in place but
     unreliable.
     """
-    crb, cond = _inverse(info.centred, info.shift, "information matrix")
+    d = np.diag(info.centred)
+    if not (d > 0.0).all():
+        raise SingularFimError("information matrix is singular")
+    scale = np.sqrt(np.outer(d, d))  # so that 2 F' scales it by 2 exactly
+    w, v = np.linalg.eigh(info.centred / scale)
+    if w.min() <= w.max() * np.finfo(float).eps:
+        raise SingularFimError("information matrix is singular")
+    crb = (v / w) @ v.T / scale
+    if info.shift is not None:
+        crb = congruence(crb, info.shift, back=True)
+    cond = float(w.max() / w.min())
     status = "ok" if cond <= CONDITION_LIMIT else "ill-conditioned"
     targets = tuple(_bounds_from_diag(np.diag(crb), q, info.q_count) for q in range(info.q_count))
     return crb, CrbReport(targets=targets, condition_number=cond, status=status)
@@ -174,20 +167,10 @@ def full_crb(info):
 def schur_target_report(info, q):
     """Bounds of target q with every other parameter treated as nuisance.
 
-    Inverts the Schur complement F_ss - F_sn F_nn^-1 F_ns of the centred
-    matrix over the target's six rows s, which equals that target's 6x6
-    block of the full inverse; both inverses are _inverse's.
+    Target q's slice of full_crb's report, with its condition number and status.
     """
-    f = info.centred
-    sel = np.asarray(target_indices(q, info.q_count))
-    nui = np.setdiff1d(np.arange(f.shape[0]), sel)
-    schur = f[np.ix_(sel, sel)]
-    if nui.size:
-        f_sn = f[np.ix_(sel, nui)]
-        schur = schur - f_sn @ _inverse(f[np.ix_(nui, nui)], None, "nuisance block")[0] @ f_sn.T
-    shift = None if info.shift is None else info.shift[q:q + 1]
-    sub, _ = _inverse(schur, shift, "conditioned information block")
-    return CrbReport(targets=(_bounds_from_diag(np.diag(sub), 0, 1),))
+    report = full_crb(info)[1]
+    return dataclasses.replace(report, targets=report.targets[q:q + 1])
 
 
 def own_bounds(scene, own, c):

@@ -9,13 +9,14 @@ uses. The finite differences read steering values alone
 (`steering.steering_values`), never the analytic derivative factors: the
 shifted copies of every listed target, for every check of a call, go into
 one validated Scene, evaluated in one broadcast call per array side.
-`fd_steering_rows` evaluates one side when the scene's rx is its tx array
-object, as in each scene of verify's steering battery. Every other oracle
-evaluates both sides, and no oracle reads Scene.monostatic, the equality test
-on which the analytic path shares. So the fim-fd-*, closed-form-diagonal and
-Monte Carlo scenes, which hold two equal array objects, compare that shared
-path with two unshared evaluations. Intended for desk scale scenes; the
-finite-difference and Monte Carlo paths materialize (M, N_r, N_t) stacks.
+`fd_steering_rows` differences the one side that its caller names; verify's
+steering battery builds each scene on one array object and names "tx". Every
+other oracle evaluates both sides, and no oracle reads Scene.monostatic, the
+equality test on which the analytic path shares. So the fim-fd-*,
+closed-form-diagonal and Monte Carlo scenes, which hold two equal array
+objects, compare that shared path with two unshared evaluations. Intended
+for desk scale scenes; the finite-difference and Monte Carlo paths
+materialize (M, N_r, N_t) stacks.
 `run_battery` is the list of checks that `nfcrb verify` prints, one
 `make_report` per check.
 """
@@ -84,16 +85,14 @@ def _shifted_copies(scene, qs, moves):
         for t in (scene.targets[q] for q in qs) for kind, d in moves))
 
 
-def fd_steering_rows(scene, qs, checks, m_values):
-    """Fourth-order finite differences of both sides' steering vectors.
+def fd_steering_rows(scene, side, qs, checks, m_values):
+    """Fourth-order finite differences of one side's steering vectors.
 
-    qs is a list of target indices and checks a sequence of (kind, step)
-    pairs; a step of None means DEFAULT_STEPS[kind]. Returns one {'tx', 'rx'}
-    dict of (len(qs), len(checks), len(m_values), N) arrays. One scene holds
-    the four shifted copies of every listed target and check, evaluated in
-    one steering_values call per side. The scene's rx array may be its tx
-    array object: that side is then evaluated once, and 'rx' is the 'tx'
-    array. The Richardson combination
+    side is "tx" or "rx", as in steering_values, qs a list of target indices
+    and checks a sequence of (kind, step) pairs; a step of None means
+    DEFAULT_STEPS[kind]. Returns one (len(qs), len(checks), len(m_values), N)
+    array. One scene holds the four shifted copies of every listed target and
+    check, evaluated in one steering_values call. The Richardson combination
     (4 D(h) - D(2h)) / 3 of the central differences D(h) and D(2h) cancels
     their h^2 truncation term, so the step can sit far above the
     carrier-phase roundoff.
@@ -105,16 +104,12 @@ def fd_steering_rows(scene, qs, checks, m_values):
     shifted = _shifted_copies(scene, qs, [(kind, d) for kind, h in checks
                                           for d in (h, -h, 2.0 * h, -2.0 * h)])
     steps = np.array([h for _, h in checks])[:, None, None]  # (check, 1, 1)
-    rows = {}
-    for side in ("tx",) if scene.rx is scene.tx else ("tx", "rx"):
-        a = steering_values(shifted, side, m_values)
-        # (target, check, shift, row, N): the shifts are +h, -h, +2h, -2h
-        a = a.reshape(len(qs), len(checks), 4, *a.shape[1:])
-        d_h = (a[:, :, 0] - a[:, :, 1]) / (2.0 * steps)
-        d_2h = (a[:, :, 2] - a[:, :, 3]) / (4.0 * steps)
-        rows[side] = (4.0 * d_h - d_2h) / 3.0
-    rows.setdefault("rx", rows["tx"])
-    return rows
+    a = steering_values(shifted, side, m_values)
+    # (target, check, shift, row, N): the shifts are +h, -h, +2h, -2h
+    a = a.reshape(len(qs), len(checks), 4, *a.shape[1:])
+    d_h = (a[:, :, 0] - a[:, :, 1]) / (2.0 * steps)
+    d_2h = (a[:, :, 2] - a[:, :, 3]) / (4.0 * steps)
+    return (4.0 * d_h - d_2h) / 3.0
 
 
 def _target_channels(scene):
@@ -235,7 +230,7 @@ def monte_carlo_isotropic(scene, draws=1000, seed=0):
                        steps=(draws, seed), rel_err=err)
 
 
-def _verify_steering(seed, battery, skew):
+def _verify_steering(seed, battery):
     # scene i is drawn from its own generator; scenes of one (N, M) shape share
     # their arrays and rows, so each shape group is one scene of its targets
     groups = {}
@@ -269,10 +264,9 @@ def _verify_steering(seed, battery, skew):
         picked = np.array([[True, True]] * 2 + [[True, False], [False, True]] * 2)
         qs = list(range(len(members)))
         # one array serves both sides, so the Tx rows stand for both
-        ref = fd_steering_rows(scene, qs, checks, rows)["tx"]  # (target, check, row, N)
+        ref = fd_steering_rows(scene, "tx", qs, checks, rows)  # (target, check, row, N)
         stack = steering_stack(scene, "tx", qs, m_values=rows)
-        ana = np.stack([stack[KEYS.index("d_" + kind)] for kind, _ in checks],
-                       axis=1) * (1.0 + skew)
+        ana = np.stack([stack[KEYS.index("d_" + kind)] for kind, _ in checks], axis=1)
         errs = (np.linalg.norm(ana - ref, axis=-1) / np.linalg.norm(ref, axis=-1))[:, picked]
         worst = np.max(errs, axis=1)  # per target
         for (i, _), w in zip(members, worst.tolist()):
@@ -367,7 +361,7 @@ def _verify_expansions():
 
 def run_battery(seed, battery):
     """Every check of `nfcrb verify`, in report order; battery randomized steering scenes."""
-    reports = _verify_steering(seed, battery, 0.0)
+    reports = _verify_steering(seed, battery)
     canonical = _canonical_scene()
     info = fim(canonical)
     reports += _verify_fim(canonical, info)

@@ -81,6 +81,11 @@ class Scene:
         if self.snapshots < 1 or int(self.snapshots) != self.snapshots:
             raise ValueError(f"snapshots must be a positive integer, got {self.snapshots!r}")
         object.__setattr__(self, "snapshots", int(self.snapshots))  # numpy sizes arrays by it
+        # crb and approx square the slow time: T^2 M^3 bounds T^2 sum_m m^2
+        cpi = self.t_sym_s * self.snapshots
+        if not math.isfinite(cpi * cpi * self.snapshots):
+            raise ValueError(f"the CPI of {self.snapshots} snapshots of {self.t_sym_s!r} s "
+                             "is too long: its slow-time moments overflow")
         if self.power_w <= 0 or self.noise_var_w <= 0:
             raise ValueError("power_w and noise_var_w must be positive")
         # every FIM entry is scaled by this ratio: inf gives NaN entries, 0 a zero FIM

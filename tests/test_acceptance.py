@@ -37,7 +37,7 @@ def _default_arrays_scene(r, angle_deg, v=(1.0, 4.0), n=256, snapshots=256):
 
 def test_criterion_01_steering_derivatives_match_finite_differences():
     start = time.monotonic()
-    reports = _verify_steering(seed=0, battery=20, skew=0.0)
+    reports = _verify_steering(seed=0, battery=20)
     elapsed = time.monotonic() - start
     assert len(reports) == 20
     assert all(r.passed for r in reports)

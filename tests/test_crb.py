@@ -88,6 +88,25 @@ def test_conditional_equals_full_inverse_subblock_physical():
     assert np.abs((schur_diag(info, 0) - np.diag(crb)) / np.diag(crb)).max() < 1e-6
 
 
+def criterion_10_scene():
+    return make_scene(targets=[target_at(100.0, 20.0),
+                               target_at(150.0, -45.0, v=(4.0, 3.0), alpha=(0.8, -0.2)),
+                               target_at(50.0, -5.0, v=(10.0, 6.0))],
+                      tx=ula(256, 0.01, -2.0), rx=ula(256, 0.01, 2.0))
+
+
+@pytest.mark.parametrize("build", [criterion_10_scene, many_target_scene],
+                         ids=["criterion-10", "q8"])
+def test_schur_report_is_full_crbs_target_bit_for_bit(build):
+    info = fim(build())
+    _, full = full_crb(info)
+    for q in range(info.q_count):
+        report = schur_target_report(info, q)
+        assert report.targets == (full.targets[q],)
+        assert report.condition_number == full.condition_number
+        assert report.status == full.status
+
+
 def test_conditional_block_diagonal_shortcut():
     # the two targets' blocks do not couple, so target 0's Schur complement
     # is its own 6x6 block; the alternating layout puts that block on the
@@ -121,7 +140,7 @@ def test_singular_nuisance_block_raises():
                             target_at(150.0, -40.0, alpha=(0.0, 0.0))],
                    tx=ula(16, 0.01), rx=ula(16, 0.01), snapshots=8)
     info = fim(s)
-    with pytest.raises(SingularFimError, match="nuisance block is singular"):
+    with pytest.raises(SingularFimError, match="information matrix is singular"):
         schur_target_report(info, 0)
 
 

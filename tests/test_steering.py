@@ -107,7 +107,7 @@ def test_derivatives_match_finite_differences(kind):
         stack = steering_stack(s, side, 0)
         for m in (2, 8, 16):
             ana = stack[KEYS.index("d_" + kind)][m - 1]
-            ref = fd_steering_rows(s, [0], [(kind, None)], [m])[side][0, 0][0]
+            ref = fd_steering_rows(s, side, [0], [(kind, None)], [m])[0, 0][0]
             err = np.linalg.norm(ana - ref) / np.linalg.norm(ref)
             assert err < 1e-6, (side, m, kind, err)
 
@@ -115,7 +115,7 @@ def test_derivatives_match_finite_differences(kind):
 def test_fd_rejects_underflowing_step():
     s = small_scene()
     with pytest.raises(ValueError):
-        fd_steering_rows(s, [0], [("x", 1e-22)], [1])["tx"][0, 0][0]
+        fd_steering_rows(s, "tx", [0], [("x", 1e-22)], [1])
 
 
 @st.composite
