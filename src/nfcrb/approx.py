@@ -113,12 +113,6 @@ def _side_terms(geom, target, variant):
     return _Side(r, s, c, delta, 1.0 + delta, b_x, b_y, d_nf_x, d_nf_y)
 
 
-def _sides(scene, target, variant):
-    """The Tx and Rx expansion factors; a monostatic scene expands one side for both."""
-    tx = _side_terms(scene.tx, target, variant)
-    return tx, (tx if scene.monostatic else _side_terms(scene.rx, target, variant))
-
-
 def _angle_factor(tx, rx, axis):
     """phi of the x or y bound: (u_tx + u_rx)^2, u = sin resp. cos, plus eps terms.
 
@@ -151,9 +145,7 @@ def correction_terms(scene, q):
     They are set to inf when the ff factor vanishes (the x factor does at
     broadside in a monostatic layout).
     """
-    t = scene.targets[q]
-    tx, rx = _sides(scene, t, "nf")
-    tx0, rx0 = _sides(scene, t, "ff")
+    (tx, rx), (tx0, rx0) = (_expansion(scene, q, variant)() for variant in ("nf", "ff"))
     phi = [_angle_factor(tx, rx, axis) for axis in "xy"]
     den = [_angle_factor(tx0, rx0, axis) for axis in "xy"]
     psi = [p / d if d >= DENOM_FLOOR else math.inf for p, d in zip(phi, den)]
@@ -162,9 +154,10 @@ def correction_terms(scene, q):
 
 
 def _expansion(scene, q, variant):
-    """_sides of target q at one variant, as a call that expands on its first success."""
+    """Target q's per_side _side_terms at one variant: a call that expands on its first success."""
     _check_variant(variant, "use the crb module for exact bounds")
-    return functools.cache(lambda: _sides(scene, scene.targets[q], variant))
+    return functools.cache(lambda: scene.per_side(
+        lambda side: _side_terms(scene.side(side), scene.targets[q], variant)))
 
 
 def _closed_form(scene, q, sides, bound):

@@ -206,12 +206,12 @@ def _region(scene, q):
     Below about 0.1 lambda of aperture the reactive boundary lies beyond the
     Fraunhofer one; the target is then reactive, not also fraunhofer.
     """
-    nearest = len(REGIONS) - 1
-    for geom in (scene.tx,) if scene.monostatic else (scene.tx, scene.rx):
+    def nearest(geom):
         r, _ = polar_of(scene.targets[q], geom)
         reactive, fraunhofer = geom.region_boundaries(scene.wavelength_m)
-        nearest = min(nearest, 0 if r < reactive else 1 if r < fraunhofer else 2)
-    return REGIONS[nearest]
+        return 0 if r < reactive else 1 if r < fraunhofer else 2
+
+    return REGIONS[min(scene.per_side(lambda side: nearest(scene.side(side))))]
 
 
 def _bound_cells(scene, q, bounds, variants, closed):
@@ -339,8 +339,8 @@ def _point_scene(spec, base, value):
     range and angle move the first target about the origin.
     """
     if spec.variable == "antennas":
-        tx = ula(int(value), base.tx.spacing, base.tx.centroid_x)
-        rx = tx if base.monostatic else ula(int(value), base.rx.spacing, base.rx.centroid_x)
+        tx, rx = base.per_side(lambda side: ula(int(value), base.side(side).spacing,
+                                                base.side(side).centroid_x))
         return dataclasses.replace(base, tx=tx, rx=rx)
     if spec.variable == "snapshots":
         return dataclasses.replace(base, snapshots=int(value))

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .scene import BLOCKS, target_indices
-from .steering import element_factors
+from .steering import element_factors, past_float_range
 
 CONDITION_LIMIT = 1e12
 
@@ -66,16 +66,17 @@ def _element_moments(factors, t_bar):
     """
     g, _, _, alpha, beta = (x[..., 0, :] for x in factors)  # g (Q, N), alpha, beta (4, Q, N)
     big_g = (g ** 2).sum(-1)
-    root_w = g / np.sqrt(big_g)[:, None]
-    w = (root_w ** 2).astype(complex)[..., None]  # (Q, N, 1): one gemv per target
-    a_mean, b_mean = (np.matmul(x.transpose(1, 0, 2), w)[..., 0] for x in (alpha, beta))
-    # a broadcast complex difference takes a numpy buffer of its size: both
-    # are formed before b_c t_bar, and u_c + b_c t_bar rounds either way alike
-    u_c = alpha - a_mean.T[..., None]
-    b_c = beta - b_mean.T[..., None]
-    u_c += b_c * t_bar
-    u_c *= root_w
-    b_c *= root_w
+    with past_float_range(0.0 in big_g.tolist()):  # G underflows to 0: its moments are nan
+        root_w = g / np.sqrt(big_g)[:, None]
+        w = (root_w ** 2).astype(complex)[..., None]  # (Q, N, 1): one gemv per target
+        a_mean, b_mean = (np.matmul(x.transpose(1, 0, 2), w)[..., 0] for x in (alpha, beta))
+        # a broadcast complex difference takes a numpy buffer of its size: both
+        # are formed before b_c t_bar, and u_c + b_c t_bar rounds either way alike
+        u_c = alpha - a_mean.T[..., None]
+        b_c = beta - b_mean.T[..., None]
+        u_c += b_c * t_bar
+        u_c *= root_w
+        b_c *= root_w
     # Re(conj(x_p) x_p') from the real and imaginary parts, against a copy:
     # numpy multiplies a buffer by its own transpose in the slower BLAS syrk
     rows = (x.view(float).transpose(1, 0, 2) for x in (u_c, b_c))
@@ -152,6 +153,8 @@ def full_crb(info):
     if not (d > 0.0).all():
         raise SingularFimError("information matrix is singular")
     scale = np.sqrt(np.outer(d, d))  # so that 2 F' scales it by 2 exactly
+    if not scale.all():  # some d_i d_j underflows to 0
+        raise SingularFimError("information matrix is singular")
     w, v = np.linalg.eigh(info.centred / scale)
     if w.min() <= w.max() * np.finfo(float).eps:
         raise SingularFimError("information matrix is singular")
@@ -175,8 +178,8 @@ def schur_target_report(info, q):
 
 def own_bounds(scene, own, c):
     """1 / diag(T^T F' T) of one target's own_information block and C_q; inf where it is 0."""
-    # the own block has no kinematic-reflectivity part
-    scale, refl = 2.0 * scene.power_w / scene.noise_var_w, own[4, 4]
+    # the own block has no kinematic-reflectivity part; a float's 1 / d overflows quietly
+    scale, refl = 2.0 * scene.power_w / scene.noise_var_w, float(own[4, 4])
     diag = [*(scale * (own.diagonal()[:4] + refl * (c * c).sum(0))).tolist(), scale * refl]
     return TargetBounds(*(1.0 / d if d > 0.0 else math.inf for d in diag + diag[-1:]))
 
@@ -189,8 +192,7 @@ def closed_form_single(scene, q):
     and no steering stack; a monostatic scene sums one side for both.
     """
     t = scene.targets[q]
-    tx = [x[..., None, None, :] for x in element_factors(scene, scene.tx, t)]
-    rx = tx if scene.monostatic else [x[..., None, None, :]
-                                      for x in element_factors(scene, scene.rx, t)]
+    tx, rx = scene.per_side(lambda side: [x[..., None, None, :]
+                                          for x in element_factors(scene, scene.side(side), t)])
     own, c, _ = own_information(scene, tx, rx, [t.rcs])
     return CrbReport(targets=(own_bounds(scene, own[0], c[0]),))

@@ -21,8 +21,8 @@ is computed once in that order and mirrored, so permuting the targets
 permutes the matrix. Each side's Grams are formed CHUNK_BYTES of fields at a
 time and only their pair blocks are kept: memory grows with Q^2 M, not with
 M Q N, and the bits do not depend on the chunk size. A monostatic scene
-(Scene.monostatic) forms one side's Grams and reads them for both sides; a
-one-target scene forms none.
+forms one side's factors (Scene.per_side) and Grams and reads them for both
+sides; a one-target scene forms no Gram.
 
 A side of more than one chunk, in a process that may run on more than one
 CPU, forms its chunks in two lanes, the calling thread and one worker thread
@@ -94,7 +94,7 @@ _TERM_KEYS = np.array([[[KEYS.index(term[1 + side]) for term in (terms * 2)[:2]]
 
 def _chunk_rows(scene, side, q_count):
     """Snapshot rows per chunk of one side and the complex length of one field of them."""
-    field_row = q_count * (scene.tx if side == "tx" else scene.rx).count
+    field_row = q_count * scene.side(side).count
     rows = min(scene.snapshots, max(1, CHUNK_BYTES // (16 * len(KEYS) * field_row)))
     return rows, rows * field_row
 
@@ -215,8 +215,7 @@ def fim(scene):
         # written only once the fields are formed
         lanes = [(buf[:(k + 1) * field], buf[k * field:2 * k * field], buf[2 * k * field:])
                  for buf in work[len(work) - chunk:].reshape(lane_count, -1)]
-    rx = side_factors(scene, "rx", order.tolist())
-    tx = rx if scene.monostatic else side_factors(scene, "tx", order.tolist())
+    tx, rx = scene.per_side(lambda side: side_factors(scene, side, order.tolist()))
     # every target's own block, C_q and per-side shifts, in canonical order
     own, c, shifts = own_information(scene, tx, rx, rcs)
     f = np.zeros((b, q_count, b, q_count))

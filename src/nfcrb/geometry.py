@@ -1,5 +1,6 @@
 """Antenna array geometry: centered uniform linear arrays and field-region boundaries."""
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -67,7 +68,10 @@ class ArrayGeometry:
         d = self.aperture()
         if d == 0.0:
             return 0.0, 0.0
-        return 0.62 * np.sqrt(d ** 3 / wavelength), 2.0 * d ** 2 / wavelength
+        try:
+            return 0.62 * np.sqrt(d ** 3 / wavelength), 2.0 * d ** 2 / wavelength
+        except OverflowError:  # d^3 beyond the float range: the ratio first
+            return 0.62 * d * math.sqrt(d / wavelength), 2.0 * d * (d / wavelength)
 
 
 def ula(count, spacing, centroid_x=0.0):

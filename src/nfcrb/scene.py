@@ -153,12 +153,23 @@ class Scene:
         True for one ArrayGeometry object on both sides, or for two with equal
         spacing and centroid_x and bit-identical positions (-0.0 and 0.0
         differ). Every per-side quantity is a deterministic function of these,
-        so sharing the Tx result with Rx leaves every bit unchanged.
+        so sharing the Rx result with Tx leaves every bit unchanged.
         """
         tx, rx = self.tx, self.rx
         return tx is rx or (tx.spacing == rx.spacing and tx.centroid_x == rx.centroid_x
                             and tx.positions.shape == rx.positions.shape
                             and tx.positions.tobytes() == rx.positions.tobytes())
+
+    def side(self, name):
+        """The ArrayGeometry of side name, 'tx' or 'rx'."""
+        if name not in ("tx", "rx"):
+            raise ValueError(f"side must be 'tx' or 'rx', got {name!r}")
+        return self.tx if name == "tx" else self.rx
+
+    def per_side(self, evaluate):
+        """(Tx value, Rx value) of evaluate(side name): Rx first, and Rx's for Tx if monostatic."""
+        rx = evaluate("rx")
+        return (rx if self.monostatic else evaluate("tx")), rx
 
 
 def make_scene(targets=None, tx=None, rx=None, carrier_hz=15.0e9, t_sym_s=1e-4,

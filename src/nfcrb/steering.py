@@ -23,6 +23,7 @@ _phasors, a few exp calls per element path instead of one per snapshot; fim
 forms each side's table once and reads it for every chunk.
 """
 
+import contextlib
 import math
 from collections import namedtuple
 
@@ -46,28 +47,27 @@ def _columns(targets):
     return _Columns(*np.array([(t.x, t.y, t.vx, t.vy) for t in targets]).T[:, :, None, None])
 
 
-def _side_geometry(scene, side):
-    if side == "tx":
-        return scene.tx
-    if side == "rx":
-        return scene.rx
-    raise ValueError(f"side must be 'tx' or 'rx', got {side!r}")
-
-
 def _paths(scene, geom, x, y, vx, vy):
-    """Offsets dx, dy, range r, radial speed u and gain g of every element path.
+    """Offsets dx, dy, range r, radial speed u and gain g of every element path, and far.
 
     The target state x, y, vx, vy is scalar or an array broadcast against the
-    element axis, which is last.
+    element axis, which is last. far: some range is past 1e154 m, where r^2 overflows.
     """
     dx = x - geom.positions[:, 0]
     dy = y - geom.positions[:, 1]
     r = np.hypot(dx, dy)
     if r.min() <= 0.0:
         raise DegenerateGeometryError("target coincides with an array element")
-    u = (vx * dx + vy * dy) / r
-    g = scene.wavelength_m / (4.0 * np.pi * r)
-    return dx, dy, r, u, g
+    far = r.max() > 1e154
+    with past_float_range(far):  # 4 pi r overflows past 1.4e307 m: g reads 0
+        u = (vx * dx + vy * dy) / r
+        g = scene.wavelength_m / (4.0 * np.pi * r)
+    return dx, dy, r, u, g, far
+
+
+def past_float_range(past):
+    """An errstate letting overflow, division by zero and nan through if past, else none."""
+    return np.errstate(all="ignore") if past else contextlib.nullcontext()
 
 
 def _phasors(scene, g, r, u, m_values=None, out=None):
@@ -153,20 +153,21 @@ def element_factors(scene, geom, target):
     KEYS[1:] order, so that the entry a_n = g exp(j k (u t - r)) has
     d a_n / dp = (alpha[p] + beta[p] t) a_n.
     """
-    dx, dy, r, u, g = _paths(scene, geom, target.x, target.y, target.vx, target.vy)
+    dx, dy, r, u, g, far = _paths(scene, geom, target.x, target.y, target.vx, target.vy)
     jk = 2j * np.pi * scene.carrier_hz / scene.lightspeed
     # alpha_p = d(ln g - j k r)/dp and beta_p = j k du/dp; du/dx = dy v_tan / r^2
     # and du/dy = -dx v_tan / r^2 with v_tan the tangential speed seen from
     # element n, while du/dvx = dx / r and du/dvy = dy / r
-    v_tan = (target.vx * dy - target.vy * dx) / r
-
     def factors(key):  # the (alpha_p, beta_p) row pair of field key
         along, across, turn = (dx, dy, jk) if key.endswith("x") else (dy, dx, -jk)
         if key.startswith("d_v"):
             return np.zeros_like(r), jk * along / r
-        return -jk * along / r - along / r ** 2, turn * across * v_tan / r ** 2
+        return -jk * along / r - along / r2, turn * across * v_tan / r2
 
-    alpha, beta = (np.array(rows, dtype=complex) for rows in zip(*map(factors, KEYS[1:])))
+    with past_float_range(far):  # r^2 and k r overflow: those factors read 0, inf or nan
+        v_tan = (target.vx * dy - target.vy * dx) / r
+        r2 = r ** 2
+        alpha, beta = (np.array(rows, dtype=complex) for rows in zip(*map(factors, KEYS[1:])))
     return g, r, u, alpha, beta
 
 
@@ -174,7 +175,7 @@ def side_factors(scene, side, q):
     """element_factors of target q on one side, with a target axis if q is a list or tuple."""
     target = (_columns([scene.targets[j] for j in q]) if isinstance(q, (list, tuple))
               else scene.targets[q])
-    return element_factors(scene, _side_geometry(scene, side), target)
+    return element_factors(scene, scene.side(side), target)
 
 
 def steering_stack(scene, side, q, m_values=None):
@@ -223,7 +224,7 @@ def steering_values(scene, side, m_values=None):
     steering_stack(scene, side, q, m_values)[0] bit for bit; no derivative is
     formed.
     """
-    _, _, r, u, g = _paths(scene, _side_geometry(scene, side), *_columns(scene.targets))
+    _, _, r, u, g, _ = _paths(scene, scene.side(side), *_columns(scene.targets))
     return _entries(scene, g, r, u, m_values)
 
 

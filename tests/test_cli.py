@@ -326,13 +326,12 @@ EXTREME_BASE = "snapshots = 8\ntx.count = 8\ntarget.0.range = 100\ntarget.0.angl
     ("", ["sweep", "--var", "power", "--grid", "1e-320,1"], 0),
 ], ids=["tiny-wavelength", "long-symbol", "far-tx", "far-range-sweep", "range-product-sweep",
         "subnormal-power-sweep"])
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_extreme_configs_end_without_a_traceback(tmp_path, capsys, extra, argv, code):
-    # an exception escaping main fails this test. lambda^4, r^2 (at 1e155 m and
-    # beyond), (r_tx r_rx)^2 (at 1e100 m) and the closed forms' denominators
-    # leave the float range, so those cells read inf, as the exact ones do; a
-    # CPI whose slow-time moments overflow is an error. numpy warns of the
-    # element factors' own overflow on the way
+    # an exception escaping main, numpy's RuntimeWarning among them, fails this
+    # test. lambda^4, r^2 (at 1e155 m and beyond), (r_tx r_rx)^2 (at 1e100 m)
+    # and the closed forms' denominators leave the float range, so those cells
+    # read inf, as the exact ones do; a CPI whose slow-time moments overflow
+    # is an error
     path = write_cfg(tmp_path, EXTREME_BASE + extra)
     assert main([argv[0], path, *argv[1:]]) == code
     captured = capsys.readouterr()
@@ -356,6 +355,25 @@ def test_extreme_configs_end_without_a_traceback(tmp_path, capsys, extra, argv, 
             assert [row[_column(bound, v)] for v in VARIANTS] == ["inf"] * 3
             assert [row[_column(bound, f"relerr_{v}")] for v in ("ff", "nf")] == ["", ""]
             assert row.get(_column(bound, "marginal"), "") == ""
+
+
+def test_underflowing_jacobi_scale_is_a_singular_report(tmp_path, capsys):
+    # one-element sides see a target's location only through its Doppler, so
+    # the second target's x and y information, at 1e-100 m/s, reads about
+    # 1e-205: their product underflows the Jacobi scale to 0, which full_crb
+    # reports as singular instead of dividing by it
+    path = write_cfg(tmp_path, "tx.count = 1\nrx.count = 1\nsnapshots = 2\n" + "".join(
+        f"target.{q}.x = 0.08726203218641757\ntarget.{q}.y = 4.999238475781956\n{v}\n"
+        for q, v in enumerate(("target.0.vy = 1", "target.1.vx = 1e-100"))))
+    assert main(["eval", path]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    lines = parse_kv_lines(captured.out)
+    assert "# status=singular" in captured.out.splitlines()
+    for q in range(2):
+        for bound in BOUNDS:
+            assert lines[f"target.{q}.{bound}.marginal"] is None
+            assert all(math.isfinite(lines[f"target.{q}.{bound}.{v}"]) for v in VARIANTS)
 
 
 def test_overflowing_element_spacing_is_an_error_without_warnings(tmp_path, capsys):

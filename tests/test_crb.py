@@ -17,8 +17,8 @@ from nfcrb.cli import BOUNDS, _bound_cells
 from nfcrb.crb import own_bounds, own_information
 from nfcrb.steering import side_factors
 
-from util import (canonical_scene, many_target_scene, shared_and_unshared, sharing_scenes,
-                  stack_closed_form, target_at)
+from util import (canonical_scene, many_target_scene, rotate_scene, shared_and_unshared,
+                  sharing_scenes, stack_closed_form, target_at)
 
 
 def near_scene(v=(3.0, -2.0)):
@@ -182,6 +182,55 @@ def test_status_and_bounds_do_not_depend_on_units():
     assert in_mm.condition_number == pytest.approx(in_m.condition_number, rel=1e-9)
     assert in_mm.targets[0].crb_x / 1e6 == pytest.approx(in_m.targets[0].crb_x, rel=1e-9)
     assert in_m.targets[0].crb_x == pytest.approx(23.285443523, rel=1e-9)
+
+
+@st.composite
+def rigid_motion_cases(draw):
+    """Q = 1-3 lit targets at 5-400 m on N = 1-32 elements a side over M = 1-40, and an angle."""
+    def reflectivity():
+        magnitude, phase = draw(st.floats(0.1, 1.0)), draw(st.floats(-math.pi, math.pi))
+        return magnitude * math.cos(phase), magnitude * math.sin(phase)
+
+    targets = [target_at(draw(st.floats(5.0, 400.0)), draw(st.floats(-60.0, 60.0)),
+                         v=(draw(st.floats(-5.0, 5.0)), draw(st.floats(-5.0, 5.0))),
+                         alpha=reflectivity())
+               for _ in range(draw(st.integers(1, 3)))]
+    tx = ula(draw(st.integers(1, 32)), 0.01)
+    rx = tx if draw(st.booleans()) else ula(draw(st.integers(1, 32)), 0.01, 0.5)
+    scene = make_scene(targets=targets, tx=tx, rx=rx, snapshots=draw(st.integers(1, 40)))
+    return scene, draw(st.floats(-180.0, 180.0))
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(rigid_motion_cases())
+def test_full_crb_follows_a_rigid_rotation(case):
+    # rotating arrays, positions and velocities about the origin by R maps each
+    # target's location and velocity blocks to R C R^T and keeps its
+    # reflectivity bounds. The inverse is good to cond eps, cond the larger
+    # scaled condition number. The rotation re-rounds every element range, and
+    # a target's kinematic information is the spread of its element factors
+    # over the aperture D, down to (D / r)^2 of their size for a far target
+    # near broadside: the Fisher entries are good to eps (r / D)^2 there
+    scene, deg = case
+    rotated = rotate_scene(scene, deg)
+    try:
+        (c0, r0), (c1, r1) = (full_crb(fim(s)) for s in (scene, rotated))
+    except SingularFimError:
+        return
+    aperture = max(scene.tx.aperture(), scene.rx.aperture())
+    spread = max(math.hypot(t.x, t.y) for t in scene.targets) / aperture if aperture else math.inf
+    tol = (100.0 * max(r0.condition_number, r1.condition_number) * np.finfo(float).eps
+           * max(1.0, spread ** 2))
+    th = math.radians(deg)
+    rot = np.array([[math.cos(th), -math.sin(th)], [math.sin(th), math.cos(th)]])
+    q_count = scene.q_count
+    for q in range(q_count):
+        for block in (0, 2):  # x, y and vx, vy
+            rows = np.ix_(*[[block * q_count + q, (block + 1) * q_count + q]] * 2)
+            want = rot @ c0[rows] @ rot.T
+            assert np.abs(c1[rows] - want).max() <= tol * np.abs(want).max()
+        for row in (4 * q_count + q, 5 * q_count + q):
+            assert c1[row, row] == pytest.approx(c0[row, row], rel=tol)
 
 
 def test_eval_size_scene_inverts_with_marginals_above_exact():

@@ -61,6 +61,14 @@ def test_region_boundaries_frozen_values():
     assert reactive < fraunhofer
 
 
+def test_region_boundaries_past_the_float_range_of_d_cubed():
+    # D = 7e103 m: D^3 overflows, so both boundaries take D / lambda first
+    d = 7e103
+    reactive, fraunhofer = ula(8, 1e103).region_boundaries(0.02)
+    assert reactive == pytest.approx(0.62 * d * math.sqrt(d / 0.02), rel=1e-12)
+    assert fraunhofer == pytest.approx(2.0 * d * d / 0.02, rel=1e-12)
+
+
 def test_region_boundaries_point_array_collapse():
     assert ula(1, 0.01).region_boundaries(0.02) == (0.0, 0.0)
 

@@ -209,6 +209,28 @@ def test_monostatic_is_computed_once_and_patchable(monkeypatch):
     assert s.monostatic is False
 
 
+def test_side_names_the_tx_or_rx_array():
+    s = make_scene(tx=ula(8, 0.01), rx=ula(9, 0.01))
+    assert s.side("tx") is s.tx and s.side("rx") is s.rx
+    with pytest.raises(ValueError, match=r"^side must be 'tx' or 'rx', got 'sum'$"):
+        s.side("sum")
+
+
+@pytest.mark.parametrize("rx, calls", [(ula(8, 0.01), ["rx"]), (ula(8, 0.01, 0.5), ["rx", "tx"])],
+                         ids=["monostatic", "bistatic"])
+def test_per_side_evaluates_rx_and_then_tx_only_if_bistatic(rx, calls):
+    s = make_scene(tx=ula(8, 0.01), rx=rx)
+    seen = []
+
+    def evaluate(side):
+        seen.append(side)
+        return object()
+
+    tx_value, rx_value = s.per_side(evaluate)
+    assert seen == calls
+    assert (tx_value is rx_value) == s.monostatic
+
+
 # the per-target validation loop Scene ran before it checked all targets at once
 
 
