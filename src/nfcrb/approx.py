@@ -131,7 +131,7 @@ def gain(geom, target, variant):
     (N^2 - 1) d^2 (4 sin^2 theta - 1) / (12 r^2) for nf. A non-positive
     1 + delta raises ApproximationDomainError.
 
-    The exact sum is oracle.brute_gain(geom, target, "g").
+    The exact sum is oracle.brute_gain(geom, target).
     """
     _check_variant(variant, "use oracle.brute_gain for the exact element sum")
     side = _side_terms(geom, target, variant)

@@ -16,13 +16,14 @@ each target's reflectivity absorbs its weighted-mean derivative factor
 O(N) element moments. Cross-target blocks come from one complex Gram per
 snapshot and side over every target's derivative fields, formed by
 steering._stack from side_factors shifted to centre each target and from
-the side's one phasor table (steering._phasors), rows field-major in a canonical target order (sorted by fields); each pair block
-is computed once in that order and mirrored, so permuting the targets
-permutes the matrix. Each side's Grams are formed CHUNK_BYTES of fields at a
-time and only their pair blocks are kept: memory grows with Q^2 M, not with
-M Q N, and the bits do not depend on the chunk size. A monostatic scene
-forms one side's factors (Scene.per_side) and Grams and reads them for both
-sides; a one-target scene forms no Gram.
+the side's one phasor table (steering._phasors), rows field-major in a
+canonical target order (sorted by fields); each pair block is computed once
+in that order and mirrored, so permuting the targets permutes the matrix.
+Each side's Grams are formed CHUNK_BYTES of fields at a time and only their
+pair blocks are kept: memory grows with Q^2 M, not with M Q N, and the bits
+do not depend on the chunk size. A monostatic scene forms one side's factors
+(Scene.per_side) and Grams and reads them for both sides; a one-target scene
+forms no Gram.
 
 A side of more than one chunk, in a process that may run on more than one
 CPU, forms its chunks in two lanes, the calling thread and one worker thread
@@ -38,7 +39,7 @@ import numpy as np
 from . import steering
 from .crb import congruence, own_information
 from .scene import BLOCKS
-from .steering import KEYS, LOW_ROWS, side_factors
+from .steering import KEYS, side_factors
 
 # bytes of one side's complex steering fields formed at a time; a snapshot
 # row larger than this is one chunk of its own
@@ -127,14 +128,14 @@ def _side_grams(scene, factors, rows, p1, p2, pairs, table, lanes):
     starts = range(0, scene.snapshots, rows)
     count = min(len(lanes), len(starts))
     failed = []  # an error of either lane; the other stops before its next chunk
-    phasors = steering._phasors(scene, *factors[:3], out=table)
+    table = steering._phasors(scene, *factors[:3], out=table)
 
     def run(lane, slot, conj, gram):
         for start in starts[lane::count]:
             if failed:
                 return
             s = slice(start, min(start + rows, scene.snapshots))
-            fields = steering._stack(scene, *factors, range(start + 1, s.stop + 1), slot, phasors)
+            fields = steering._stack(scene, *factors, range(start + 1, s.stop + 1), slot, table)
             c, n = fields.shape[2:]
             fields_h = np.conjugate(fields, out=conj[:fields.size].reshape(fields.shape))
             # one complex product per snapshot over field-major (k, Q) rows, on views
@@ -193,10 +194,8 @@ def fim(scene):
         gram = max(rows_tx, rows_rx) * (k * q_count) ** 2
         # a second lane, for a worker thread to form every other chunk on
         lane_count = 2 if min(rows_tx, rows_rx) < scene.snapshots and _cpu_count() > 1 else 1
-        # the phasor table of one side at a time (steering._phasors), at
-        # most M / LOW_ROWS + 1 high rows and LOW_ROWS z^l rows
-        table = (q_count * max(scene.tx.count, scene.rx.count)
-                 * (scene.snapshots // LOW_ROWS + 1 + LOW_ROWS))
+        # the phasor table of one side at a time (steering._phasors)
+        table = q_count * max(scene.tx.count, scene.rx.count) * sum(steering._table_rows(scene))
         # the pair blocks of both sides, the tables and each lane's chunk
         # buffers (fields, conjugate fields, Gram) in one allocation, the
         # call's first: as its largest block it lifts glibc's heap trim

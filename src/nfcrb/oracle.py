@@ -173,10 +173,8 @@ def fd_fim(scene, steps=None):
     return FisherInfo(centred=f)
 
 
-def brute_gain(geom, target, kind):
-    """Exact element sum g = sum 1/r_n^2 behind the gain expansion; kind must be "g"."""
-    if kind != "g":
-        raise ValueError(f"kind must be 'g', got {kind!r}")
+def brute_gain(geom, target):
+    """Exact element sum g = sum 1/r_n^2 behind the gain expansion."""
     r2 = (target.x - geom.positions[:, 0]) ** 2 + (target.y - geom.positions[:, 1]) ** 2
     if r2.min() <= 0.0:
         raise ValueError("target coincides with an array element")
@@ -320,7 +318,7 @@ def _verify_consistency(scene, info):
     # the per-side gain G of the closed form against the brute-force element sum
     t = scene.targets[0]
     g_side = _element_moments(side_factors(scene, "tx", [0]), 0.0)[0][0]
-    g_ref = (scene.wavelength_m ** 2 / (16 * math.pi ** 2)) * brute_gain(scene.tx, t, "g")
+    g_ref = (scene.wavelength_m ** 2 / (16 * math.pi ** 2)) * brute_gain(scene.tx, t)
     reports.append(make_report("gain-identity", g_side, g_ref, 1e-12))
 
     double = dataclasses.replace(scene, power_w=2 * scene.power_w)
@@ -338,7 +336,7 @@ def _verify_expansions():
     residual = []
     for r in grid:
         t = Target(x=r * math.sin(th), y=r * math.cos(th))
-        exact = brute_gain(geom, t, "g")
+        exact = brute_gain(geom, t)
         nf = gain(geom, t, "nf")
         residual.append(abs(nf - exact) / exact)
     slope = np.polyfit(np.log(grid), np.log(residual), 1)[0]

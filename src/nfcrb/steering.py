@@ -19,8 +19,10 @@ cross-target blocks. steering_values evaluates the entries alone, for
 every target of a scene in one broadcast. All of them read the element paths
 from _paths and the entries from _entries, so the model is written once.
 _entries forms each entry as the product of two rows of the phasor table of
-_phasors, a few exp calls per element path instead of one per snapshot; fim
-forms each side's table once and reads it for every chunk.
+_phasors, a few exp calls per element path instead of one per snapshot. The
+table has one layout, which _table_rows states: a function of the side
+alone, whatever snapshots a call asks for. fim forms each side's table once
+and reads it for every chunk.
 """
 
 import contextlib
@@ -51,18 +53,24 @@ def _paths(scene, geom, x, y, vx, vy):
     """Offsets dx, dy, range r, radial speed u and gain g of every element path, and far.
 
     The target state x, y, vx, vy is scalar or an array broadcast against the
-    element axis, which is last. far: some range is past 1e154 m, where r^2 overflows.
+    element axis, which is last. far: _far of r.
     """
     dx = x - geom.positions[:, 0]
     dy = y - geom.positions[:, 1]
     r = np.hypot(dx, dy)
     if r.min() <= 0.0:
         raise DegenerateGeometryError("target coincides with an array element")
-    far = r.max() > 1e154
+    far = _far(scene, r)
     with past_float_range(far):  # 4 pi r overflows past 1.4e307 m: g reads 0
         u = (vx * dx + vy * dy) / r
         g = scene.wavelength_m / (4.0 * np.pi * r)
     return dx, dy, r, u, g, far
+
+
+def _far(scene, r):
+    """Whether a range of r leaves the float range: past 1e154 m (r^2 overflows) or in k r."""
+    top = float(r.max())
+    return top > 1e154 or not math.isfinite(2.0 * math.pi / scene.wavelength_m * top)
 
 
 def past_float_range(past):
@@ -70,66 +78,57 @@ def past_float_range(past):
     return np.errstate(all="ignore") if past else contextlib.nullcontext()
 
 
-def _phasors(scene, g, r, u, m_values=None, out=None):
-    """The phasor table of the entries at slow-time indices m_values, 1..M by default.
+def _table_rows(scene):
+    """The phasor table's high and z^l row counts: ceil(M / LOW_ROWS) and min(LOW_ROWS, M)."""
+    return -(-scene.snapshots // LOW_ROWS), min(LOW_ROWS, scene.snapshots)
+
+
+def _phasors(scene, g, r, u, out=None):
+    """The phasor table of one side's entries at slow-time indices 1..M.
 
     Snapshot m = LOW_ROWS h + l, with l in 1..LOW_ROWS, has the entry
     g exp(j k (u LOW_ROWS h T - r)) z^l, z = exp(j k u T): the entry at slow
-    time LOW_ROWS h T, a high row, advanced by l snapshots. The high rows
-    and z take one exp; then z^l = z^(l - b) z^b, b the largest power of two
-    below l, is one product over the rows of every l in (b, 2b]. So each row
-    is one fixed chain of products, with the same bits whichever other rows
-    a call needs, and a side costs 2 + M / LOW_ROWS exp calls per element
-    path. m_values are ints. Returns the (rows, Q or 1, N) table, high rows
-    first, and dicts of the row of each h and of each z^l, for the h and l of
-    m_values and the l their chains pass through. out, if given, is a flat
-    complex buffer that takes the table.
+    time LOW_ROWS h T, a high row, advanced by l snapshots. The table holds
+    the high rows h, then the rows z^l, in the counts of _table_rows. The
+    high rows and z take one exp; then z^(b+1..2b) = z^(1..b) z^b, for each
+    power of two b below the z^l count, is one product. So each row is one
+    fixed chain of products, and a side costs 2 + M / LOW_ROWS exp calls per
+    element path. Returns the (rows, Q or 1, N) table; out, if given, is a
+    flat complex buffer that takes it.
     """
-    ms = range(1, scene.snapshots + 1) if m_values is None else m_values
-    hs = sorted({(m - 1) // LOW_ROWS for m in ms})
-    need = {(m - 1) % LOW_ROWS + 1 for m in ms}
-    powers = [1 << i for i in range((max(need, default=1) - 1).bit_length())]
-    ls = {1, *powers}
-    for v in need:
-        while v not in ls:
-            ls.add(v)
-            v -= 1 << ((v - 1).bit_length() - 1)
-    ls = sorted(ls)
-    h_row, l_row = ({v: i for i, v in enumerate(keys, start)}
-                    for keys, start in ((hs, 0), (ls, len(hs))))
+    high, low = _table_rows(scene)
     # every path of the side in one (Q or 1, N) row
     g, r, u = (x.reshape(-1, x.shape[-1]) for x in (g, r, u))
-    shape = (len(hs) + len(ls),) + r.shape
+    shape = (high + low,) + r.shape
     table = (np.empty(shape, dtype=complex) if out is None
              else out[:math.prod(shape)].reshape(shape))
-    # the high rows' paths u t - r, then z's u T
-    t = scene.t_sym_s
-    path = np.multiply(u, np.array([LOW_ROWS * h * t for h in hs] + [t])[:, None, None])
-    np.subtract(path[:-1], r, out=path[:-1])
-    e = table[:len(hs) + 1]
-    np.exp(np.multiply(2j * np.pi * scene.carrier_hz / scene.lightspeed, path, out=e), out=e)
-    np.multiply(g, table[:len(hs)], out=table[:len(hs)])
-    for b in powers:
-        first, last = l_row[b] + 1, l_row.get(2 * b, len(table) - 1)
-        prefix = [l_row[v - b] for v in ls[first - len(hs):last + 1 - len(hs)]]
-        x = (table[prefix[0]:prefix[-1] + 1] if prefix[-1] - prefix[0] == last - first
-             else table[prefix])
-        # z^b as a (1, Q or 1, N) block: numpy multiplies size-one operands
-        # broadcast from fewer axes in a loop that rounds unlike its vector one
-        np.multiply(x, table[l_row[b], None], out=table[first:last + 1])
-    return table, h_row, l_row
+    # the high rows' paths u t - r at their slow times t, then z's u T
+    times = [LOW_ROWS * h * scene.t_sym_s for h in range(high)] + [scene.t_sym_s]
+    with past_float_range(_far(scene, r)):  # k r overflows: entries read nan
+        path = np.multiply(u, np.array(times)[:, None, None])
+        np.subtract(path[:-1], r, out=path[:-1])
+        e = table[:high + 1]
+        np.exp(np.multiply(2j * np.pi * scene.carrier_hz / scene.lightspeed, path, out=e), out=e)
+        np.multiply(g, table[:high], out=table[:high])
+        z = table[high:]  # z^l in row l - 1
+        for b in (1 << i for i in range((low - 1).bit_length())):
+            # z^b as a (1, Q or 1, N) block: numpy multiplies size-one operands
+            # broadcast from fewer axes in a loop that rounds unlike its vector one
+            np.multiply(z[:min(b, low - b)], z[b - 1, None], out=z[b:2 * b])
+    return table
 
 
-def _entries(scene, g, r, u, m_values, out=None, phasors=None):
+def _entries(scene, g, r, u, m_values, out=None, table=None):
     """Steering entries a = g exp(j k (u m T - r)) at slow-time indices m_values, 1..M by default.
 
-    Entry m is the product of its high row and its z^l row of _phasors'
-    table, which phasors holds if given, with rows for every m of m_values.
-    Each run of consecutive m in one high row is one product, into out if
-    given, seen snapshot-major.
+    Entry m = LOW_ROWS h + l is the product of high row h and row z^l of
+    _phasors' table, which table holds if given. Each run of consecutive m
+    in one high row is one product, into out if given, seen snapshot-major.
     """
     ms = range(1, scene.snapshots + 1) if m_values is None else np.asarray(m_values).tolist()
-    table, h_row, l_row = phasors or _phasors(scene, g, r, u, ms)
+    if table is None:
+        table = _phasors(scene, g, r, u)
+    high = _table_rows(scene)[0]
     if out is None:
         out = np.empty(r.shape[:-2] + (len(ms), r.shape[-1]), dtype=complex)
     a = out.reshape((-1,) + out.shape[-2:]).swapaxes(0, 1)  # (M, Q or 1, N)
@@ -138,8 +137,7 @@ def _entries(scene, g, r, u, m_values, out=None, phasors=None):
         # a run ends before a gap or at the last snapshot of a high row
         if i + 1 == len(ms) or ms[i + 1] != m + 1 or m % LOW_ROWS == 0:
             h, l = divmod(ms[start] - 1, LOW_ROWS)
-            low = l_row[l + 1]
-            np.multiply(table[h_row[h], None], table[low:low + i + 1 - start],
+            np.multiply(table[h, None], table[high + l:high + l + i + 1 - start],
                         out=a[start:i + 1])
             start = i + 1
     return out
@@ -190,7 +188,7 @@ def steering_stack(scene, side, q, m_values=None):
     return _stack(scene, *side_factors(scene, side, q), m_values)
 
 
-def _stack(scene, g, r, u, alpha, beta, m_values, out=None, phasors=None):
+def _stack(scene, g, r, u, alpha, beta, m_values, out=None, table=None):
     """One complex (5, [Q,] M, N) array of the entries a and their derivatives (alpha + beta t) a.
 
     t and alpha enter as complex, so every product runs numpy's plain complex
@@ -198,8 +196,7 @@ def _stack(scene, g, r, u, alpha, beta, m_values, out=None, phasors=None):
     alpha + beta t is formed in a scratch field, so each product writes apart
     from its inputs, as into a new array, and keeps that array's loop and
     bits. out, if given, is a flat complex buffer that takes the fields and
-    then the scratch; phasors, if given, are _phasors' table and rows for
-    every m of m_values.
+    then the scratch; table, if given, is the side's _phasors table.
     """
     if m_values is None:
         m_values = np.arange(1, scene.snapshots + 1)
@@ -209,7 +206,7 @@ def _stack(scene, g, r, u, alpha, beta, m_values, out=None, phasors=None):
         out = np.empty((count + 1) * size, dtype=complex)
     fields = out[:count * size].reshape((count,) + shape)
     scratch = out[count * size:(count + 1) * size].reshape(shape)
-    a = _entries(scene, g, r, u, m_values, out=fields[0], phasors=phasors)
+    a = _entries(scene, g, r, u, m_values, out=fields[0], table=table)
     t = (np.asarray(m_values, dtype=float)[:, None] * scene.t_sym_s).astype(complex)
     for field, alpha_p, beta_p in zip(fields[1:], alpha, beta):
         np.add(alpha_p, np.multiply(beta_p, t, out=scratch), out=scratch)

@@ -84,7 +84,7 @@ def test_criterion_05_gain_expansion_error_decays_fourth_order():
     residuals = []
     for r in RANGE_GRID:
         t = target_at(r, 20.0)
-        truth = brute_gain(geom, t, "g")
+        truth = brute_gain(geom, t)
         err_ff = abs(gain(geom, t, "ff") - truth) / truth
         err_nf = abs(gain(geom, t, "nf") - truth) / truth
         assert err_nf < err_ff

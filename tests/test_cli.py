@@ -315,24 +315,31 @@ def test_unrepresentable_power_over_noise_is_an_error_without_warnings(tmp_path,
 
 
 EXTREME_BASE = "snapshots = 8\ntx.count = 8\ntarget.0.range = 100\ntarget.0.angle_deg = 20\n"
+# k r past the float range: a 1e300 Hz carrier and a target at 1e20 m
+HIGH_CARRIER_BASE = ("snapshots = 8\ntx.count = 8\ncarrier_hz = 1e300\ntarget.0.range = 1e20\n"
+                     "target.0.angle_deg = 20\n")
 
 
-@pytest.mark.parametrize("extra, argv, code", [
-    ("carrier_hz = 1e300\n", ["eval"], 0),
-    ("t_sym_s = 1e300\n", ["eval"], 1),
-    ("tx.centroid_x = 1e308\n", ["eval"], 0),
-    ("", ["sweep", "--var", "range", "--grid", "1e155,1e160"], 0),
-    ("", ["sweep", "--var", "range", "--grid", "1e100,1e101"], 0),
-    ("", ["sweep", "--var", "power", "--grid", "1e-320,1"], 0),
+@pytest.mark.parametrize("text, argv, code", [
+    (EXTREME_BASE + "carrier_hz = 1e300\n", ["eval"], 0),
+    (EXTREME_BASE + "t_sym_s = 1e300\n", ["eval"], 1),
+    (EXTREME_BASE + "tx.centroid_x = 1e308\n", ["eval"], 0),
+    (EXTREME_BASE, ["sweep", "--var", "range", "--grid", "1e155,1e160"], 0),
+    (EXTREME_BASE, ["sweep", "--var", "range", "--grid", "1e100,1e101"], 0),
+    (EXTREME_BASE, ["sweep", "--var", "power", "--grid", "1e-320,1"], 0),
+    (HIGH_CARRIER_BASE, ["eval"], 0),
+    (HIGH_CARRIER_BASE + "target.1.range = 2e20\ntarget.1.angle_deg = -30\n", ["eval"], 0),
+    (HIGH_CARRIER_BASE, ["sweep", "--var", "range", "--grid", "1e10,1e20"], 0),
 ], ids=["tiny-wavelength", "long-symbol", "far-tx", "far-range-sweep", "range-product-sweep",
-        "subnormal-power-sweep"])
-def test_extreme_configs_end_without_a_traceback(tmp_path, capsys, extra, argv, code):
+        "subnormal-power-sweep", "high-carrier", "high-carrier-two-targets",
+        "high-carrier-range-sweep"])
+def test_extreme_configs_end_without_a_traceback(tmp_path, capsys, text, argv, code):
     # an exception escaping main, numpy's RuntimeWarning among them, fails this
-    # test. lambda^4, r^2 (at 1e155 m and beyond), (r_tx r_rx)^2 (at 1e100 m)
-    # and the closed forms' denominators leave the float range, so those cells
-    # read inf, as the exact ones do; a CPI whose slow-time moments overflow
-    # is an error
-    path = write_cfg(tmp_path, EXTREME_BASE + extra)
+    # test. lambda^4, r^2 (at 1e155 m and beyond), (r_tx r_rx)^2 (at 1e100 m),
+    # k r (at a 1e300 Hz carrier and 1e20 m) and the closed forms'
+    # denominators leave the float range, so those cells read inf, as the
+    # exact ones do; a CPI whose slow-time moments overflow is an error
+    path = write_cfg(tmp_path, text)
     assert main([argv[0], path, *argv[1:]]) == code
     captured = capsys.readouterr()
     if code:

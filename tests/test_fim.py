@@ -146,8 +146,8 @@ def test_reflectivity_block_is_scaled_identity():
     s = small_scene(n=8, m=4)
     f = fim(s).matrix
     scale = s.wavelength_m ** 2 / (16.0 * math.pi ** 2)
-    big_g_tx = scale * brute_gain(s.tx, s.targets[0], "g")
-    big_g_rx = scale * brute_gain(s.rx, s.targets[0], "g")
+    big_g_tx = scale * brute_gain(s.tx, s.targets[0])
+    big_g_rx = scale * brute_gain(s.rx, s.targets[0])
     expected = 2.0 * s.power_w * s.snapshots / s.noise_var_w * big_g_tx * big_g_rx
     i_re, i_im = 4, 5  # rcs_re and rcs_im rows of a single-target layout
     np.testing.assert_allclose(f[i_re, i_re], expected, rtol=1e-12)
@@ -300,10 +300,10 @@ def test_fim_builds_one_stack_per_target_and_distinct_side(monkeypatch, rx_centr
         made.append((side, q, factors(scene, side, q)))
         return made[-1][2]
 
-    def counted(scene, g, r, u, alpha, beta, m_values, out=None, phasors=None):
+    def counted(scene, g, r, u, alpha, beta, m_values, out=None, table=None):
         # the side and targets whose element factors the chunk is formed from
         side, q = next((side, q) for side, q, of in made if of[1] is r)
-        fields = stack(scene, g, r, u, alpha, beta, m_values, out, phasors)
+        fields = stack(scene, g, r, u, alpha, beta, m_values, out, table)
         assert fields.shape[1:3] == (len(q), len(m_values))
         built.extend([(side, t, m - 1) for t in q for m in m_values])
         return fields
@@ -431,9 +431,9 @@ def test_an_error_on_either_thread_leaves_no_thread_behind(monkeypatch, where):
             raise RuntimeError("third chunk")
         return stack(*args)
 
-    def third_flat(scene, g, r, u, alpha, beta, m_values, out=None, phasors=None):
+    def third_flat(scene, g, r, u, alpha, beta, m_values, out=None, table=None):
         # the caller cannot unpack a chunk without its N axis
-        fields = stack(scene, g, r, u, alpha, beta, m_values, out, phasors)
+        fields = stack(scene, g, r, u, alpha, beta, m_values, out, table)
         return fields[..., 0] if m_values[0] > 1 else fields
 
     monkeypatch.setattr(steering, "_stack", third_fails if where == "worker" else third_flat)
@@ -572,7 +572,7 @@ def test_multi_target_fim_matches_full_trace_contraction(scene):
     assert scaled_err.max() <= 1e-12
 
 
-@pytest.mark.parametrize("m", [LOW_ROWS - 1, LOW_ROWS, LOW_ROWS + 1, 2 * LOW_ROWS + 5])
+@pytest.mark.parametrize("m", [1, 3, LOW_ROWS - 1, LOW_ROWS, LOW_ROWS + 1, 2 * LOW_ROWS + 5])
 @pytest.mark.parametrize("rx_centroid", [0.0, 0.5], ids=["monostatic", "bistatic"])
 def test_fim_across_phasor_rows_is_bit_identical_for_every_chunk_size(m, rx_centroid):
     # chunks of every row count from 1 to m, so that chunks start and end

@@ -507,17 +507,11 @@ def test_fd_fim_error_is_second_order_in_step():
 def test_brute_gain_hand_sums():
     geom = ula(3, 1.0)  # elements at x = -1, 0, 1
     t = Target(x=0.0, y=10.0, vx=0.0, vy=0.0, rcs_re=1.0, rcs_im=0.0)
-    assert brute_gain(geom, t, "g") == pytest.approx(2.0 / 101.0 + 1.0 / 100.0, rel=1e-15)
-
-
-def test_brute_gain_rejects_unknown_kind():
-    for kind in ("gdot_z", "gdot_x", "cross_y"):
-        with pytest.raises(ValueError, match="kind"):
-            brute_gain(ula(3, 1.0), target_at(10.0, 0.0), kind)
+    assert brute_gain(geom, t) == pytest.approx(2.0 / 101.0 + 1.0 / 100.0, rel=1e-15)
 
 
 def test_brute_gain_rejects_on_element_target():
     t = Target(x=1.0, y=0.0, vx=0.0, vy=0.0, rcs_re=1.0, rcs_im=0.0)
     with pytest.raises(ValueError, match="coincides"):
-        brute_gain(ula(3, 1.0), t, "g")
+        brute_gain(ula(3, 1.0), t)
 

@@ -221,7 +221,7 @@ def block_scene(m):
     return make_scene(targets=targets, tx=ula(5, 0.01), rx=ula(3, 0.3, 0.5), snapshots=m)
 
 
-@pytest.mark.parametrize("m", [LOW_ROWS - 1, LOW_ROWS, LOW_ROWS + 1, 2 * LOW_ROWS + 5])
+@pytest.mark.parametrize("m", [1, 3, LOW_ROWS - 1, LOW_ROWS, LOW_ROWS + 1, 2 * LOW_ROWS + 5])
 def test_stacks_across_phasor_rows_are_bit_identical(m):
     # the hypothesis scenes above stay within one high row of the phasor table
     scene, qs = block_scene(m), [2, 0, 1, 0]
