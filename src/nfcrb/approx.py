@@ -10,7 +10,8 @@ flow through the same expressions.
 Divergent denominators (broadside angle factors, zero reflectivity) and
 bounds past the float range return float('inf'); a correction factor driven
 negative means the target is far too close to the array for the expansion,
-which raises instead of returning a negative variance.
+which raises instead of returning a negative variance, as does an aperture
+over range or a bound (inf over inf) that the float range cannot hold.
 """
 
 import functools
@@ -103,7 +104,10 @@ def _side_terms(geom, target, variant):
         eps = 0.0 if variant == "ff" else ((geom.count ** 2 - 1) * geom.spacing ** 2
                                            / (12.0 * r ** 2))
     except OverflowError:  # d^2 or r^2 beyond the float range: their ratio first
-        eps = (geom.count ** 2 - 1) * (geom.spacing / r) ** 2 / 12.0
+        try:
+            eps = (geom.count ** 2 - 1) * (geom.spacing / r) ** 2 / 12.0
+        except OverflowError:  # and so is d / r: no expansion holds
+            raise ApproximationDomainError("aperture over range is past the float range") from None
     delta = eps * (4.0 * s2 - 1.0)
     b_x = s2 + eps * (12.0 * s2 ** 2 - 10.0 * s2 + 1.0)
     b_y = c2 + eps * c2 * (12.0 * s2 - 2.0)
@@ -167,7 +171,10 @@ def _closed_form(scene, q, sides, bound):
     the angle factor itself, not the ff factor times psi, so a broadside
     far-field divergence does not poison a finite nf value with inf * 0.
     """
-    alpha2 = abs(scene.targets[q].rcs) ** 2
+    try:
+        alpha2 = abs(scene.targets[q].rcs) ** 2
+    except OverflowError:  # |rcs| past 1.3e154
+        alpha2 = math.inf
     if alpha2 == 0.0 and bound != "rcs":
         return math.inf
     tx, rx = sides()
@@ -186,15 +193,19 @@ def _closed_form(scene, q, sides, bound):
         # (r_tx r_rx)^2 overflows, or the denominator underflows to 0: past the float range
         base = math.inf
     if bound == "rcs":
-        return base / (_positive(tx.a) * _positive(rx.a))
-    phi = _angle_factor(tx, rx, _axis(bound[-1]))
-    if abs(phi) < DENOM_FLOOR:
-        return math.inf
-    if phi < 0.0:
-        raise ApproximationDomainError(
-            "second-order correction drove the bound negative; the target is "
-            "inside the expansion's validity range")
-    return base / phi
+        value = base / (_positive(tx.a) * _positive(rx.a))
+    else:
+        phi = _angle_factor(tx, rx, _axis(bound[-1]))
+        if abs(phi) < DENOM_FLOOR:
+            return math.inf
+        if phi < 0.0:
+            raise ApproximationDomainError(
+                "second-order correction drove the bound negative; the target is "
+                "inside the expansion's validity range")
+        value = base / phi
+    if math.isnan(value):  # inf / inf: eps or the base past the float range
+        raise ApproximationDomainError("the closed form is past the float range")
+    return value
 
 
 def _axis(axis):

@@ -22,7 +22,7 @@ from .crb import SingularFimError, closed_form_single, full_crb, own_bounds
 from .fim import fim
 from .geometry import ula
 from .oracle import run_battery
-from .scene import LIGHTSPEED, Target, dbm_to_watts, make_scene, polar_of
+from .scene import LIGHTSPEED, MIN_ELEMENT_CLEARANCE, Target, dbm_to_watts, make_scene, polar_of
 
 BOUNDS = ("rcs", "vx", "vy", "x", "y")
 REGIONS = ("reactive", "fresnel", "fraunhofer")
@@ -200,6 +200,39 @@ def _fmt(value):
     return repr(float(value))
 
 
+def past_float_range(scene):
+    """Whether evaluating scene may leave the float range, from O(Q) scene scalars.
+
+    Per target and side, r and n are the farthest and nearest element ranges
+    (the centroid range plus or minus the aperture, n at least the clearance)
+    and x = (k + 1/n)(1 + v/n)(1 + M T) bounds |alpha| + |beta| t. Each term is
+    the log10 of r^2, of 1 / g^2 = (2 k r)^2, lest G = sum g^2 underflow, of
+    v r and k r v, of x^2 (with r^2 it bounds the phase k v M T), of (|rcs| x)^2,
+    of a Fisher entry |rcs|^2 M N_t N_r g_t^2 g_r^2 x_t^2 x_r^2 (|rcs| and x at
+    least 1) and of its square times SNR^2, as the Jacobi scale forms it.
+    render_eval and _sweep_row silence numpy's warnings on such a scene only.
+    """
+    lg = math.log10  # of positive values; a speed or |rcs| of 0 reads -inf
+    k, cpi = 2.0 * math.pi / scene.wavelength_m, scene.snapshots * scene.t_sym_s
+    lk, counts = lg(k), lg(scene.snapshots * scene.tx.count * scene.rx.count)
+    snr = lg(2.0 * scene.power_w / scene.noise_var_w)
+    terms = []
+    for t in scene.targets:
+        speed, rcs = math.hypot(t.vx, t.vy), math.hypot(t.rcs_re, t.rcs_im)
+        v = lg(speed) if speed else -math.inf
+        rcs = lg(rcs) if rcs else -math.inf
+        entry = counts + 2.0 * max(rcs, 0.0)
+        for geom in (scene.tx, scene.rx):
+            r, aperture = polar_of(t, geom)[0], geom.aperture()
+            far, near = lg(r + aperture), max(r - aperture, MIN_ELEMENT_CLEARANCE)
+            x = max(lg((k + 1.0 / near) * (1.0 + speed / near) * (1.0 + cpi)), 0.0)
+            terms += [2.0 * far, 2.0 * (lg(2.0) + lk + far), v + far + max(lk, 0.0), 2.0 * x,
+                      2.0 * (rcs + x)]
+            entry += 2.0 * (x - lg(2.0 * k * near))
+        terms += [entry, 2.0 * (entry + snr)]
+    return any(term > 300.0 for term in terms)  # 1e300: room for sums and constants
+
+
 def _region(scene, q):
     """The nearest of REGIONS that target q lies in over both arrays.
 
@@ -265,31 +298,32 @@ def render_eval(scene):
     status=singular with the marginal cells left empty; the closed-form
     exact (crb.own_bounds of the FIM's own blocks), ff and nf columns are always rendered.
     """
-    info = fim(scene)
-    try:
-        _, report = full_crb(info)
-        condition, status = report.condition_number, report.status
-    except SingularFimError:
-        report, condition, status = None, None, "singular"
-    lines = [f"# nfcrb eval v{__version__}",
-             f"# targets={scene.q_count} snapshots={scene.snapshots} "
-             f"tx={scene.tx.count} rx={scene.rx.count}",
-             f"# condition_number={_fmt(condition)}",
-             f"# status={status}"]
-    fields = ("exact", "marginal", "ff", "nf", "relerr_ff", "relerr_nf")
-    rows = []
-    for q in range(scene.q_count):
-        closed = own_bounds(scene, info.own[q], info.shift[q])
-        cells = {"target": q, **_bound_cells(scene, q, BOUNDS, VARIANTS, closed)}
-        if report is not None:
-            cells.update((f"{b}_marginal", report.targets[q].by_name(b)) for b in BOUNDS)
-        cells = {key: _fmt(cell) for key, cell in cells.items()}
-        rows.append(cells)
-        lines.append(f"target.{q}.region={cells['region']}")
-        lines += [f"target.{q}.{bound}.{f}={cells.get(_column(bound, f), '')}"
-                  for bound in BOUNDS for f in fields]
-    return "\n".join(lines) + "\n", _csv([f"# nfcrb eval v{__version__}"],
-                                        ["target"] + cell_columns(BOUNDS, VARIANTS), rows)
+    with np.errstate(all="ignore" if past_float_range(scene) else None):
+        info = fim(scene)
+        try:
+            _, report = full_crb(info)
+            condition, status = report.condition_number, report.status
+        except SingularFimError:
+            report, condition, status = None, None, "singular"
+        lines = [f"# nfcrb eval v{__version__}",
+                 f"# targets={scene.q_count} snapshots={scene.snapshots} "
+                 f"tx={scene.tx.count} rx={scene.rx.count}",
+                 f"# condition_number={_fmt(condition)}",
+                 f"# status={status}"]
+        fields = ("exact", "marginal", "ff", "nf", "relerr_ff", "relerr_nf")
+        rows = []
+        for q in range(scene.q_count):
+            closed = own_bounds(scene, info.own[q], info.shift[q])
+            cells = {"target": q, **_bound_cells(scene, q, BOUNDS, VARIANTS, closed)}
+            if report is not None:
+                cells.update((f"{b}_marginal", report.targets[q].by_name(b)) for b in BOUNDS)
+            cells = {key: _fmt(cell) for key, cell in cells.items()}
+            rows.append(cells)
+            lines.append(f"target.{q}.region={cells['region']}")
+            lines += [f"target.{q}.{bound}.{f}={cells.get(_column(bound, f), '')}"
+                      for bound in BOUNDS for f in fields]
+        return "\n".join(lines) + "\n", _csv([f"# nfcrb eval v{__version__}"],
+                                            ["target"] + cell_columns(BOUNDS, VARIANTS), rows)
 
 
 # ---------------------------------------------------------------------------
@@ -362,8 +396,9 @@ def _sweep_row(spec, base, value):
     row = {column: int(value) if unit == "count" else value}
     try:
         scene = _point_scene(spec, base, value)
-        closed = closed_form_single(scene, 0).targets[0]
-        row.update(_bound_cells(scene, 0, spec.bounds, spec.variants, closed), error="")
+        with np.errstate(all="ignore" if past_float_range(scene) else None):
+            closed = closed_form_single(scene, 0).targets[0]
+            row.update(_bound_cells(scene, 0, spec.bounds, spec.variants, closed), error="")
     except ValueError as e:
         # a failed point leaves its bound cells empty and its flags at 0
         row.update(dict.fromkeys(REGION_FLAGS, False), error=str(e).replace(",", ";"))

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .scene import BLOCKS, target_indices
-from .steering import element_factors, past_float_range
+from .steering import element_factors
 
 CONDITION_LIMIT = 1e12
 
@@ -66,17 +66,16 @@ def _element_moments(factors, t_bar):
     """
     g, _, _, alpha, beta = (x[..., 0, :] for x in factors)  # g (Q, N), alpha, beta (4, Q, N)
     big_g = (g ** 2).sum(-1)
-    with past_float_range(0.0 in big_g.tolist()):  # G underflows to 0: its moments are nan
-        root_w = g / np.sqrt(big_g)[:, None]
-        w = (root_w ** 2).astype(complex)[..., None]  # (Q, N, 1): one gemv per target
-        a_mean, b_mean = (np.matmul(x.transpose(1, 0, 2), w)[..., 0] for x in (alpha, beta))
-        # a broadcast complex difference takes a numpy buffer of its size: both
-        # are formed before b_c t_bar, and u_c + b_c t_bar rounds either way alike
-        u_c = alpha - a_mean.T[..., None]
-        b_c = beta - b_mean.T[..., None]
-        u_c += b_c * t_bar
-        u_c *= root_w
-        b_c *= root_w
+    root_w = g / np.sqrt(big_g)[:, None]
+    w = (root_w ** 2).astype(complex)[..., None]  # (Q, N, 1): one gemv per target
+    a_mean, b_mean = (np.matmul(x.transpose(1, 0, 2), w)[..., 0] for x in (alpha, beta))
+    # a broadcast complex difference takes a numpy buffer of its size: both
+    # are formed before b_c t_bar, and u_c + b_c t_bar rounds either way alike
+    u_c = alpha - a_mean.T[..., None]
+    b_c = beta - b_mean.T[..., None]
+    u_c += b_c * t_bar
+    u_c *= root_w
+    b_c *= root_w
     # Re(conj(x_p) x_p') from the real and imaginary parts, against a copy:
     # numpy multiplies a buffer by its own transpose in the slower BLAS syrk
     rows = (x.view(float).transpose(1, 0, 2) for x in (u_c, b_c))
@@ -107,8 +106,9 @@ def own_information(scene, tx, rx, rcs):
         moments, moments if rx is tx else _element_moments(rx, t_bar))
     b = b_t + b_r
     kin = m * (cu_t + cu_r) + var * (cb_t + cb_r + (b.conj()[:, :, None] * b[:, None]).real)
-    # |rcs|^2 by Python's float power, which may round unlike numpy's square
-    weight = np.array([0.5 * abs(z) ** 2 for z in rcs]) * g_t * g_r
+    # |rcs|^2 by numpy's scalar power: it rounds as Python's float power does,
+    # unlike numpy's square, and overflows to inf as numpy does
+    weight = np.array([0.5 * abs(np.complex128(z)) ** 2 for z in rcs]) * g_t * g_r
     own = np.zeros((len(weight),) + (len(BLOCKS),) * 2)
     own[:, :4, :4] = (kin + kin.transpose(0, 2, 1)) * weight[:, None, None]
     own[:, 4, 4] = own[:, 5, 5] = m * g_t * g_r
@@ -143,14 +143,15 @@ def full_crb(info):
 
     F' is Jacobi-scaled to a unit diagonal before its eigendecomposition, so
     neither the condition number nor the singularity test (a zero diagonal
-    entry, or an eigenvalue at most eps times the largest) depends on units.
+    entry, an entry that is not finite, or an eigenvalue at most eps times the
+    largest) depends on units.
     Returns (crb_matrix, CrbReport) in the raw parameters. A singular matrix
     raises SingularFimError; a scaled condition number above 1e12 is
     reported as status 'ill-conditioned' with the entries left in place but
     unreliable.
     """
     d = np.diag(info.centred)
-    if not (d > 0.0).all():
+    if not (d > 0.0).all() or not np.isfinite(info.centred).all():  # eigh takes neither
         raise SingularFimError("information matrix is singular")
     scale = np.sqrt(np.outer(d, d))  # so that 2 F' scales it by 2 exactly
     if not scale.all():  # some d_i d_j underflows to 0

@@ -25,7 +25,6 @@ alone, whatever snapshots a call asks for. fim forms each side's table once
 and reads it for every chunk.
 """
 
-import contextlib
 import math
 from collections import namedtuple
 
@@ -50,32 +49,19 @@ def _columns(targets):
 
 
 def _paths(scene, geom, x, y, vx, vy):
-    """Offsets dx, dy, range r, radial speed u and gain g of every element path, and far.
+    """Offsets dx, dy, range r, radial speed u and gain g of every element path.
 
     The target state x, y, vx, vy is scalar or an array broadcast against the
-    element axis, which is last. far: _far of r.
+    element axis, which is last.
     """
     dx = x - geom.positions[:, 0]
     dy = y - geom.positions[:, 1]
     r = np.hypot(dx, dy)
     if r.min() <= 0.0:
         raise DegenerateGeometryError("target coincides with an array element")
-    far = _far(scene, r)
-    with past_float_range(far):  # 4 pi r overflows past 1.4e307 m: g reads 0
-        u = (vx * dx + vy * dy) / r
-        g = scene.wavelength_m / (4.0 * np.pi * r)
-    return dx, dy, r, u, g, far
-
-
-def _far(scene, r):
-    """Whether a range of r leaves the float range: past 1e154 m (r^2 overflows) or in k r."""
-    top = float(r.max())
-    return top > 1e154 or not math.isfinite(2.0 * math.pi / scene.wavelength_m * top)
-
-
-def past_float_range(past):
-    """An errstate letting overflow, division by zero and nan through if past, else none."""
-    return np.errstate(all="ignore") if past else contextlib.nullcontext()
+    u = (vx * dx + vy * dy) / r
+    g = scene.wavelength_m / (4.0 * np.pi * r)
+    return dx, dy, r, u, g
 
 
 def _table_rows(scene):
@@ -104,17 +90,16 @@ def _phasors(scene, g, r, u, out=None):
              else out[:math.prod(shape)].reshape(shape))
     # the high rows' paths u t - r at their slow times t, then z's u T
     times = [LOW_ROWS * h * scene.t_sym_s for h in range(high)] + [scene.t_sym_s]
-    with past_float_range(_far(scene, r)):  # k r overflows: entries read nan
-        path = np.multiply(u, np.array(times)[:, None, None])
-        np.subtract(path[:-1], r, out=path[:-1])
-        e = table[:high + 1]
-        np.exp(np.multiply(2j * np.pi * scene.carrier_hz / scene.lightspeed, path, out=e), out=e)
-        np.multiply(g, table[:high], out=table[:high])
-        z = table[high:]  # z^l in row l - 1
-        for b in (1 << i for i in range((low - 1).bit_length())):
-            # z^b as a (1, Q or 1, N) block: numpy multiplies size-one operands
-            # broadcast from fewer axes in a loop that rounds unlike its vector one
-            np.multiply(z[:min(b, low - b)], z[b - 1, None], out=z[b:2 * b])
+    path = np.multiply(u, np.array(times)[:, None, None])
+    np.subtract(path[:-1], r, out=path[:-1])
+    e = table[:high + 1]
+    np.exp(np.multiply(2j * np.pi * scene.carrier_hz / scene.lightspeed, path, out=e), out=e)
+    np.multiply(g, table[:high], out=table[:high])
+    z = table[high:]  # z^l in row l - 1
+    for b in (1 << i for i in range((low - 1).bit_length())):
+        # z^b as a (1, Q or 1, N) block: numpy multiplies size-one operands
+        # broadcast from fewer axes in a loop that rounds unlike its vector one
+        np.multiply(z[:min(b, low - b)], z[b - 1, None], out=z[b:2 * b])
     return table
 
 
@@ -151,7 +136,7 @@ def element_factors(scene, geom, target):
     KEYS[1:] order, so that the entry a_n = g exp(j k (u t - r)) has
     d a_n / dp = (alpha[p] + beta[p] t) a_n.
     """
-    dx, dy, r, u, g, far = _paths(scene, geom, target.x, target.y, target.vx, target.vy)
+    dx, dy, r, u, g = _paths(scene, geom, target.x, target.y, target.vx, target.vy)
     jk = 2j * np.pi * scene.carrier_hz / scene.lightspeed
     # alpha_p = d(ln g - j k r)/dp and beta_p = j k du/dp; du/dx = dy v_tan / r^2
     # and du/dy = -dx v_tan / r^2 with v_tan the tangential speed seen from
@@ -162,10 +147,9 @@ def element_factors(scene, geom, target):
             return np.zeros_like(r), jk * along / r
         return -jk * along / r - along / r2, turn * across * v_tan / r2
 
-    with past_float_range(far):  # r^2 and k r overflow: those factors read 0, inf or nan
-        v_tan = (target.vx * dy - target.vy * dx) / r
-        r2 = r ** 2
-        alpha, beta = (np.array(rows, dtype=complex) for rows in zip(*map(factors, KEYS[1:])))
+    v_tan = (target.vx * dy - target.vy * dx) / r
+    r2 = r ** 2
+    alpha, beta = (np.array(rows, dtype=complex) for rows in zip(*map(factors, KEYS[1:])))
     return g, r, u, alpha, beta
 
 
@@ -221,7 +205,7 @@ def steering_values(scene, side, m_values=None):
     steering_stack(scene, side, q, m_values)[0] bit for bit; no derivative is
     formed.
     """
-    _, _, r, u, g, _ = _paths(scene, scene.side(side), *_columns(scene.targets))
+    _, _, r, u, g = _paths(scene, scene.side(side), *_columns(scene.targets))
     return _entries(scene, g, r, u, m_values)
 
 

@@ -1,5 +1,6 @@
 """Config parsing, eval/sweep rendering, verify battery, and exit codes."""
 
+import contextlib
 import dataclasses
 import io
 import math
@@ -12,15 +13,16 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import nfcrb
 from nfcrb import ArrayGeometry, Target, cli, closed_form_single, dbm_to_watts, make_scene, ula
 from nfcrb.approx import VARIANTS
 from nfcrb.cli import (BOUNDS, Config, ConfigError, SweepSpec, _bound_cells, _column,
-                       build_scene, main, parse_config, render_eval, run_sweep, run_verify,
-                       sweep_columns)
+                       build_scene, main, parse_config, past_float_range, render_eval, run_sweep,
+                       run_verify, sweep_columns)
+from nfcrb.fim import fim
 from nfcrb.oracle import _verify_steering, fd_fim
 from nfcrb.steering import KEYS
 
@@ -320,25 +322,53 @@ HIGH_CARRIER_BASE = ("snapshots = 8\ntx.count = 8\ncarrier_hz = 1e300\ntarget.0.
                      "target.0.angle_deg = 20\n")
 
 
-@pytest.mark.parametrize("text, argv, code", [
-    (EXTREME_BASE + "carrier_hz = 1e300\n", ["eval"], 0),
-    (EXTREME_BASE + "t_sym_s = 1e300\n", ["eval"], 1),
-    (EXTREME_BASE + "tx.centroid_x = 1e308\n", ["eval"], 0),
-    (EXTREME_BASE, ["sweep", "--var", "range", "--grid", "1e155,1e160"], 0),
-    (EXTREME_BASE, ["sweep", "--var", "range", "--grid", "1e100,1e101"], 0),
-    (EXTREME_BASE, ["sweep", "--var", "power", "--grid", "1e-320,1"], 0),
-    (HIGH_CARRIER_BASE, ["eval"], 0),
-    (HIGH_CARRIER_BASE + "target.1.range = 2e20\ntarget.1.angle_deg = -30\n", ["eval"], 0),
-    (HIGH_CARRIER_BASE, ["sweep", "--var", "range", "--grid", "1e10,1e20"], 0),
+# EXTREME_BASE with its target at the range formatted in
+FAR_BASE = "snapshots = 8\ntx.count = 8\ntarget.0.range = {!r}\ntarget.0.angle_deg = 20\n"
+# two moving targets whose slow-time phase k v M T overflows, though k r does not
+SLOW_PHASE = (EXTREME_BASE + "carrier_hz = 1e300\nt_sym_s = 1e100\ntarget.0.vx = 3\n"
+              "target.1.range = 150\ntarget.1.angle_deg = -30\ntarget.1.vy = 2\n")
+
+
+@pytest.mark.parametrize("text, argv, code, all_inf", [
+    (EXTREME_BASE + "carrier_hz = 1e300\n", ["eval"], 0, True),
+    (EXTREME_BASE + "t_sym_s = 1e300\n", ["eval"], 1, True),
+    (EXTREME_BASE + "tx.centroid_x = 1e308\n", ["eval"], 0, True),
+    (EXTREME_BASE, ["sweep", "--var", "range", "--grid", "1e155,1e160"], 0, True),
+    (EXTREME_BASE, ["sweep", "--var", "range", "--grid", "1e100,1e101"], 0, True),
+    (EXTREME_BASE, ["sweep", "--var", "power", "--grid", "1e-320,1"], 0, True),
+    (HIGH_CARRIER_BASE, ["eval"], 0, True),
+    (HIGH_CARRIER_BASE + "target.1.range = 2e20\ntarget.1.angle_deg = -30\n", ["eval"], 0, True),
+    (HIGH_CARRIER_BASE, ["sweep", "--var", "range", "--grid", "1e10,1e20"], 0, True),
+    (SLOW_PHASE, ["eval"], 0, True),
+    (EXTREME_BASE + "carrier_hz = 1e162\n", ["eval"], 0, False),
+    (EXTREME_BASE + "target.0.vx = 1e300\n", ["eval"], 0, False),
+    (EXTREME_BASE + "noise_w = 1e-300\n", ["eval"], 0, False),
+    (EXTREME_BASE + "target.0.rcs_re = 1e160\n", ["eval"], 0, False),
+    (EXTREME_BASE + "target.0.rcs_re = 1e160\n", ["sweep", "--var", "range", "--grid",
+                                                    "100,200"], 0, False),
+    (EXTREME_BASE + "carrier_hz = 1e-200\n", ["eval"], 0, False),
+    (FAR_BASE.format(1e120) + "target.0.vx = 1e200\n", ["eval"], 0, True),
+    (FAR_BASE.format(1e70) + "target.0.rcs_re = 1e200\n", ["eval"], 0, False),
+    (EXTREME_BASE + "rx.count = 8\ntx.spacing_m = 0.01\nrx.spacing_m = 0.01\n"
+     "carrier_hz = 1e-92\npower_w = 1e-297\n", ["eval"], 0, False),
+    (FAR_BASE.format(1e40) + "carrier_hz = 4.8e47\nt_sym_s = 1.25e51\npower_w = 1e-200\n"
+     "target.0.vx = 1e102\ntarget.0.rcs_re = 0\n", ["eval"], 0, True),
 ], ids=["tiny-wavelength", "long-symbol", "far-tx", "far-range-sweep", "range-product-sweep",
         "subnormal-power-sweep", "high-carrier", "high-carrier-two-targets",
-        "high-carrier-range-sweep"])
-def test_extreme_configs_end_without_a_traceback(tmp_path, capsys, text, argv, code):
+        "high-carrier-range-sweep", "slow-time-phase", "gain-underflow", "fast-target",
+        "tiny-noise", "huge-rcs", "huge-rcs-sweep", "huge-wavelength", "fast-far-target",
+        "far-huge-rcs", "huge-gain-tiny-power", "huge-slow-time-factor"])
+def test_extreme_configs_end_without_a_traceback(tmp_path, capsys, text, argv, code, all_inf):
     # an exception escaping main, numpy's RuntimeWarning among them, fails this
     # test. lambda^4, r^2 (at 1e155 m and beyond), (r_tx r_rx)^2 (at 1e100 m),
-    # k r (at a 1e300 Hz carrier and 1e20 m) and the closed forms'
-    # denominators leave the float range, so those cells read inf, as the
-    # exact ones do; a CPI whose slow-time moments overflow is an error
+    # k r (at a 1e300 Hz carrier and 1e20 m), k v M T (at a 1e100 s symbol)
+    # and the closed forms' denominators leave the float range, so those cells
+    # read inf, as the exact ones do; a CPI whose slow-time moments overflow is
+    # an error. Past the float range in G = sum g^2 (a 1e162 Hz carrier), v r,
+    # the SNR, |rcs|^2 (which reads inf, so the kinematic cells read 0), the
+    # nf expansion's aperture over range (a 1e-200 Hz carrier) or the gains
+    # (a 1e-92 Hz carrier on 1 cm spacing) no cell reads nan, and F' is singular;
+    # so too where beta t passes 1e150 on a dark target, and its square overflows
     path = write_cfg(tmp_path, text)
     assert main([argv[0], path, *argv[1:]]) == code
     captured = capsys.readouterr()
@@ -358,10 +388,94 @@ def test_extreme_configs_end_without_a_traceback(tmp_path, capsys, text, argv, c
         assert [row["error"] for row in cells] == ["", ""]
         cells = cells[:1] if argv[2] == "power" else cells  # power 1 is an ordinary point
     for row in cells:
+        assert "nan" not in row.values()
         for bound in BOUNDS:
-            assert [row[_column(bound, v)] for v in VARIANTS] == ["inf"] * 3
-            assert [row[_column(bound, f"relerr_{v}")] for v in ("ff", "nf")] == ["", ""]
             assert row.get(_column(bound, "marginal"), "") == ""
+            if all_inf:
+                assert [row[_column(bound, v)] for v in VARIANTS] == ["inf"] * 3
+                assert [row[_column(bound, f"relerr_{v}")] for v in ("ff", "nf")] == ["", ""]
+
+
+@st.composite
+def float_range_configs(draw):
+    """Config text and command of a scene with 1e+-300 scales, on 1-2 targets and 1-8 elements.
+
+    Range is 5-500 m or a log-uniform scale; carrier, symbol time, power,
+    noise, spacing, centroid, speed and reflectivity keep their defaults or
+    take one. The command is eval, or a sweep of one variable over two points.
+    """
+    def scale(signed=False):
+        value = 10.0 ** draw(st.floats(-300.0, 300.0))
+        return -value if signed and draw(st.booleans()) else value
+
+    lines = [f"{key} = {draw(st.integers(1, 8))}" for key in ("snapshots", "tx.count", "rx.count")]
+    keys = ["carrier_hz", "t_sym_s", "power_w", "noise_w", "tx.spacing_m", "rx.spacing_m"]
+    lines += [f"{key} = {scale()!r}" for key in keys if draw(st.booleans())]
+    lines += [f"{side}.centroid_x = {scale(True)!r}" for side in ("tx", "rx")
+              if draw(st.booleans())]
+    for q in range(draw(st.integers(1, 2))):
+        r = scale() if draw(st.booleans()) else draw(st.floats(5.0, 500.0))
+        angle = draw(st.floats(-80.0, 80.0))
+        lines += [f"target.{q}.range = {r!r}", f"target.{q}.angle_deg = {angle!r}"]
+        lines += [f"target.{q}.{key} = {scale(True)!r}" for key in ("vx", "vy", "rcs_re", "rcs_im")
+                  if draw(st.booleans())]
+    var = draw(st.sampled_from([None, *cli.SWEEP_VARS]))
+    if var is None:
+        return lines, ["eval"]
+    if var in ("range", "power"):
+        grid = sorted({scale(), scale()})
+    elif var == "angle":
+        grid = sorted({draw(st.floats(-80.0, 80.0)), draw(st.floats(-80.0, 80.0))})
+    else:
+        grid = sorted({draw(st.integers(1, 8)), draw(st.integers(1, 8))})
+    return lines, ["sweep", "--var", var, "--grid", ",".join(map(repr, grid))]
+
+
+@settings(derandomize=True, max_examples=500, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(float_range_configs())
+def test_configs_past_the_float_range_end_in_cells_or_a_one_line_error(tmp_path, case):
+    # numpy's RuntimeWarning is an error here, so a warning or any other
+    # exception escaping main fails; a config that passes validation prints
+    # its cells, none of them nan, and any other ends in one error line
+    lines, argv = case
+    path = write_cfg(tmp_path, "\n".join(lines) + "\n")
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # the small-displacement warning
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([argv[0], path, *argv[1:]])
+    if code == 1:
+        assert out.getvalue() == ""
+        assert re.fullmatch(r"nfcrb: (config )?error: [^\n]+\n", err.getvalue())
+    else:
+        assert code == 0
+        assert "nan" not in re.split(r"[=,\n]", out.getvalue())
+
+
+def test_float_range_guard_is_off_for_ordinary_scenes():
+    # render_eval and _sweep_row silence numpy only past the float range, so
+    # on these scenes a numpy warning still reaches a caller that asked for it
+    configs = [_permutation_cfg(targets) for targets, _ in permutation_configs()]
+    scenes = [make_scene()] + [build_scene(parse_config(text)) for text in configs]
+    base = build_scene(parse_config("snapshots = 256\ntarget.0.range = 60\n"
+                                    "target.0.angle_deg = 60\ntarget.0.vx = 5\n"))
+    spec = SweepSpec(variable="antennas", grid=(16, 2048), config=Config())
+    scenes += [cli._point_scene(spec, base, n) for n in spec.grid]
+    assert not any(map(past_float_range, scenes))
+
+
+def test_numpy_warnings_reach_the_caller_unless_past_the_float_range(tmp_path, monkeypatch):
+    def warning_fim(scene):
+        np.float64(1e308) * np.float64(10.0)  # numpy: overflow encountered in scalar multiply
+        return fim(scene)
+
+    monkeypatch.setattr(cli, "fim", warning_fim)
+    with pytest.raises(RuntimeWarning, match="overflow"):
+        render_eval(make_scene())
+    far = build_scene(parse_config(EXTREME_BASE + "carrier_hz = 1e162\n"))
+    assert past_float_range(far)
+    assert "# status=singular" in render_eval(far)[0].splitlines()
 
 
 def test_underflowing_jacobi_scale_is_a_singular_report(tmp_path, capsys):
