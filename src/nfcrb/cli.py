@@ -209,7 +209,8 @@ def past_float_range(scene):
     the log10 of r^2, of 1 / g^2 = (2 k r)^2, lest G = sum g^2 underflow, of
     v r and k r v, of x^2 (with r^2 it bounds the phase k v M T), of (|rcs| x)^2,
     of a Fisher entry |rcs|^2 M N_t N_r g_t^2 g_r^2 x_t^2 x_r^2 (|rcs| and x at
-    least 1) and of its square times SNR^2, as the Jacobi scale forms it.
+    least 1) and of its square times SNR^2, a margin of 1e150 on the scaled
+    entries that the bounds add and multiply (full_crb no longer squares one).
     render_eval and _sweep_row silence numpy's warnings on such a scene only.
     """
     lg = math.log10  # of positive values; a speed or |rcs| of 0 reads -inf

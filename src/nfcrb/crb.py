@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .scene import BLOCKS, target_indices
-from .steering import element_factors
+from .steering import side_factors
 
 CONDITION_LIMIT = 1e12
 
@@ -144,7 +144,10 @@ def full_crb(info):
     F' is Jacobi-scaled to a unit diagonal before its eigendecomposition, so
     neither the condition number nor the singularity test (a zero diagonal
     entry, an entry that is not finite, or an eigenvalue at most eps times the
-    largest) depends on units.
+    largest) depends on units. The scale sqrt(d_i d_j) is formed from d 2^-e,
+    e the middle binary exponent of the diagonal d, and scaled back by 2^e:
+    both scalings are exact, and d_i d_j stays in the float range where diag
+    F' passes 1e154, as it does at a high SNR.
     Returns (crb_matrix, CrbReport) in the raw parameters. A singular matrix
     raises SingularFimError; a scaled condition number above 1e12 is
     reported as status 'ill-conditioned' with the entries left in place but
@@ -153,7 +156,9 @@ def full_crb(info):
     d = np.diag(info.centred)
     if not (d > 0.0).all() or not np.isfinite(info.centred).all():  # eigh takes neither
         raise SingularFimError("information matrix is singular")
-    scale = np.sqrt(np.outer(d, d))  # so that 2 F' scales it by 2 exactly
+    # so that 2 F' scales it by 2 exactly, and 2^n F' by 2^n
+    e = (np.frexp(d.min())[1] + np.frexp(d.max())[1]) // 2
+    scale = np.ldexp(np.sqrt(np.outer(np.ldexp(d, -e), np.ldexp(d, -e))), e)
     if not scale.all():  # some d_i d_j underflows to 0
         raise SingularFimError("information matrix is singular")
     w, v = np.linalg.eigh(info.centred / scale)
@@ -188,12 +193,10 @@ def own_bounds(scene, own, c):
 def closed_form_single(scene, q):
     """Single-target bounds with all other parameters of the target known.
 
-    own_bounds of target q's own_information, its element factors given a
-    one-target axis, with the bits of fim's own blocks: O(N) element moments
-    and no steering stack; a monostatic scene sums one side for both.
+    own_bounds of target q's own_information from its side_factors with a
+    one-target axis, bit for bit fim's own block: O(N) element moments and
+    no steering stack; a monostatic scene sums one side for both.
     """
-    t = scene.targets[q]
-    tx, rx = scene.per_side(lambda side: [x[..., None, None, :]
-                                          for x in element_factors(scene, scene.side(side), t)])
-    own, c, _ = own_information(scene, tx, rx, [t.rcs])
+    tx, rx = scene.per_side(lambda side: side_factors(scene, side, [q]))
+    own, c, _ = own_information(scene, tx, rx, [scene.targets[q].rcs])
     return CrbReport(targets=(own_bounds(scene, own[0], c[0]),))

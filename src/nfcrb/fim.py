@@ -210,9 +210,9 @@ def fim(scene):
         pairs_rx, pairs_tx = (work[i * size:(i + 1) * size].reshape(len(p1), scene.snapshots, -1)
                               for i in (0, 1))
         table = work[len(work) - chunk - table:len(work) - chunk]
-        # _stack's scratch field lies over the conjugate fields, which are
-        # written only once the fields are formed
-        lanes = [(buf[:(k + 1) * field], buf[k * field:2 * k * field], buf[2 * k * field:])
+        # _stack's four scratch fields lie over the conjugate fields, which
+        # are written only once the fields are formed
+        lanes = [(buf[:(2 * k - 1) * field], buf[k * field:2 * k * field], buf[2 * k * field:])
                  for buf in work[len(work) - chunk:].reshape(lane_count, -1)]
     tx, rx = scene.per_side(lambda side: side_factors(scene, side, order.tolist()))
     # every target's own block, C_q and per-side shifts, in canonical order

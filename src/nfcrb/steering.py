@@ -140,16 +140,13 @@ def element_factors(scene, geom, target):
     jk = 2j * np.pi * scene.carrier_hz / scene.lightspeed
     # alpha_p = d(ln g - j k r)/dp and beta_p = j k du/dp; du/dx = dy v_tan / r^2
     # and du/dy = -dx v_tan / r^2 with v_tan the tangential speed seen from
-    # element n, while du/dvx = dx / r and du/dvy = dy / r
-    def factors(key):  # the (alpha_p, beta_p) row pair of field key
-        along, across, turn = (dx, dy, jk) if key.endswith("x") else (dy, dx, -jk)
-        if key.startswith("d_v"):
-            return np.zeros_like(r), jk * along / r
-        return -jk * along / r - along / r2, turn * across * v_tan / r2
-
-    v_tan = (target.vx * dy - target.vy * dx) / r
-    r2 = r ** 2
-    alpha, beta = (np.array(rows, dtype=complex) for rows in zip(*map(factors, KEYS[1:])))
+    # element n, while du/dvx = dx / r and du/dvy = dy / r; turn is +-jk, as
+    # jk (-dx) would give some zeros the other sign
+    along, across = np.array([dx, dy]), np.array([dy, dx])
+    turn = np.array([jk, -jk]).reshape((2,) + (1,) * r.ndim)
+    v_tan, r2 = (target.vx * dy - target.vy * dx) / r, r ** 2
+    alpha = np.concatenate([-jk * along / r - along / r2, np.zeros_like(along)])
+    beta = np.concatenate([turn * across * v_tan / r2, jk * along / r])
     return g, r, u, alpha, beta
 
 
@@ -177,24 +174,25 @@ def _stack(scene, g, r, u, alpha, beta, m_values, out=None, table=None):
 
     t and alpha enter as complex, so every product runs numpy's plain complex
     loop, not a buffered cast per product; the values and bits are the same.
-    alpha + beta t is formed in a scratch field, so each product writes apart
-    from its inputs, as into a new array, and keeps that array's loop and
-    bits. out, if given, is a flat complex buffer that takes the fields and
-    then the scratch; table, if given, is the side's _phasors table.
+    Three whole-array operations, beta t, + alpha and x a, form the four
+    derivative fields through a four-field scratch, so each product writes
+    apart from its inputs, as into a new array, and keeps that array's loop
+    and bits. out, if given, is a flat complex buffer that takes the fields
+    and then the scratch; table, if given, is the side's _phasors table.
     """
     if m_values is None:
         m_values = np.arange(1, scene.snapshots + 1)
     shape = r.shape[:-2] + (len(m_values), r.shape[-1])  # ([Q,] M, N) from r's ([Q, 1,] N)
     size, count = len(m_values) * r.size, 1 + len(alpha)
     if out is None:
-        out = np.empty((count + 1) * size, dtype=complex)
+        out = np.empty((2 * count - 1) * size, dtype=complex)
     fields = out[:count * size].reshape((count,) + shape)
-    scratch = out[count * size:(count + 1) * size].reshape(shape)
+    scratch = out[count * size:(2 * count - 1) * size].reshape(fields[1:].shape)
     a = _entries(scene, g, r, u, m_values, out=fields[0], table=table)
     t = (np.asarray(m_values, dtype=float)[:, None] * scene.t_sym_s).astype(complex)
-    for field, alpha_p, beta_p in zip(fields[1:], alpha, beta):
-        np.add(alpha_p, np.multiply(beta_p, t, out=scratch), out=scratch)
-        np.multiply(scratch, a, out=field)
+    alpha, beta = (x.reshape((count - 1,) + shape[:-2] + (1, -1)) for x in (alpha, beta))
+    np.add(alpha, np.multiply(beta, t, out=scratch), out=scratch)
+    np.multiply(scratch, a, out=fields[1:])
     return fields
 
 

@@ -283,6 +283,22 @@ def test_bounds_scale_with_noise_over_power():
     np.testing.assert_allclose(crb_boost, 0.5 * crb_base, rtol=1e-10)
 
 
+def test_high_snr_bounds_scale_by_exact_powers_of_two():
+    # past diag F' = 1e154 the Jacobi scale's d_i d_j would overflow: scaling
+    # the noise by 2^-500 or 2^-800 scales every bound by exactly that power
+    # and leaves the condition number and status as they are
+    def solve(exponent):
+        info = fim(make_scene(tx=ula(8, 0.01), snapshots=8, noise_var_w=2.0 ** -exponent))
+        return info.centred.diagonal().max(), *full_crb(info)
+
+    _, base, base_report = solve(100)
+    for exponent in (600, 900):
+        top, crb, report = solve(exponent)
+        assert top > 1e160
+        assert (report.condition_number, report.status) == (base_report.condition_number, "ok")
+        assert (crb.diagonal() == base.diagonal() * 2.0 ** (100 - exponent)).all()
+
+
 @st.composite
 def closed_form_scenes(draw):
     """Single-target scenes over array layouts, sizes and target states."""
@@ -338,8 +354,7 @@ def test_closed_form_and_stacks_read_one_factor_table(monkeypatch):
 
     scene = canonical_scene()
     before = closed_form_single(scene, 0).targets[0].crb_x
-    for name in ("nfcrb.steering", "nfcrb.crb"):
-        monkeypatch.setattr(sys.modules[name], "element_factors", scaled)
+    monkeypatch.setattr(sys.modules["nfcrb.steering"], "element_factors", scaled)
     b = closed_form_single(scene, 0).targets[0]
     moments = (b.crb_x, b.crb_y, b.crb_vx, b.crb_vy, b.crb_alpha_r, b.crb_alpha_i)
     for got, want in zip(moments, stack_closed_form(scene, 0)):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -8,7 +9,9 @@ from hypothesis import strategies as st
 from nfcrb import (ArrayGeometry, Target, doppler_shift, make_scene, pathloss,
                    steering_stack, ula)
 from nfcrb.oracle import fd_steering_rows
-from nfcrb.steering import KEYS, LOW_ROWS, _stack, side_factors, steering_values
+from nfcrb import steering
+from nfcrb.steering import (KEYS, LOW_ROWS, _stack, element_factors, side_factors,
+                            steering_values)
 
 from util import canonical_scene, many_target_scene, small_scene, target_at
 
@@ -192,7 +195,8 @@ def test_snapshot_chunks_written_into_slots_join_into_the_stack_bit_for_bit(case
     # slot from one set of element factors, as fim forms them
     scene, qs, _ = case
     for side, geom in (("tx", scene.tx), ("rx", scene.rx)):
-        slots = np.full((2, (len(KEYS) + 1) * len(qs) * rows * geom.count), np.nan, dtype=complex)
+        slots = np.full((2, (2 * len(KEYS) - 1) * len(qs) * rows * geom.count), np.nan,
+                        dtype=complex)
         factors = side_factors(scene, side, list(qs))
         starts = range(0, scene.snapshots, rows)
         lanes = [iter(starts[i::2]) for i in range(len(slots))]
@@ -204,6 +208,75 @@ def test_snapshot_chunks_written_into_slots_join_into_the_stack_bit_for_bit(case
             chunks.append(fields.copy())
         assert [next(lane, None) for lane in lanes] == [None, None]
         assert (np.concatenate(chunks, axis=2) == steering_stack(scene, side, list(qs))).all()
+
+
+def closure_factors(scene, geom, target):
+    """element_factors as a per-row closure restacked by np.array, the form it replaced."""
+    dx, dy, r, u, g = steering._paths(scene, geom, target.x, target.y, target.vx, target.vy)
+    jk = 2j * np.pi * scene.carrier_hz / scene.lightspeed
+
+    def factors(key):  # the (alpha_p, beta_p) row pair of field key
+        along, across, turn = (dx, dy, jk) if key.endswith("x") else (dy, dx, -jk)
+        if key.startswith("d_v"):
+            return np.zeros_like(r), jk * along / r
+        return -jk * along / r - along / r2, turn * across * v_tan / r2
+
+    v_tan = (target.vx * dy - target.vy * dx) / r
+    r2 = r ** 2
+    alpha, beta = (np.array(rows, dtype=complex) for rows in zip(*map(factors, KEYS[1:])))
+    return g, r, u, alpha, beta
+
+
+def loop_stack(scene, g, r, u, alpha, beta, m_values):
+    """_stack as one scratch field and a loop over the derivative fields, the form it replaced."""
+    if m_values is None:
+        m_values = np.arange(1, scene.snapshots + 1)
+    shape = r.shape[:-2] + (len(m_values), r.shape[-1])
+    fields = np.empty((len(KEYS),) + shape, dtype=complex)
+    scratch = np.empty(shape, dtype=complex)
+    a = steering._entries(scene, g, r, u, m_values, out=fields[0])
+    t = (np.asarray(m_values, dtype=float)[:, None] * scene.t_sym_s).astype(complex)
+    for field, alpha_p, beta_p in zip(fields[1:], alpha, beta):
+        np.add(alpha_p, np.multiply(beta_p, t, out=scratch), out=scratch)
+        np.multiply(scratch, a, out=field)
+    return fields
+
+
+def assert_same_bytes(got, want):
+    for x, y in zip(got, want, strict=True):
+        assert (x.dtype, x.shape) == (y.dtype, y.shape)
+        assert x.tobytes() == y.tobytes()
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(stack_cases(), st.data())
+def test_element_factors_equal_the_per_row_closure_bit_for_bit(case, data):
+    # zero offsets and signed zero velocities make zeros whose sign a
+    # reordered product, jk (-dx) for -jk dx, would flip
+    scene, qs, _ = case
+    signed = st.sampled_from([0.0, -0.0, 2.5, -11.0])
+    targets = [dataclasses.replace(t, x=data.draw(st.sampled_from([t.x, 0.0, -0.0])),
+                                   vx=data.draw(signed), vy=data.draw(signed))
+               for t in scene.targets]
+    scene = make_scene(targets=targets, tx=scene.tx, rx=scene.rx, snapshots=scene.snapshots)
+    for side in ("tx", "rx"):
+        geom = scene.side(side)
+        for target in [*targets, steering._columns([targets[q] for q in qs])]:
+            assert_same_bytes(element_factors(scene, geom, target),
+                              closure_factors(scene, geom, target))
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(stack_cases(), st.data())
+def test_stack_fields_equal_the_per_field_loop_bit_for_bit(case, data):
+    scene, qs, m_values = case
+    start = data.draw(st.integers(1, scene.snapshots))
+    subsets = [None, range(start, scene.snapshots + 1), np.arange(1, start + 1), m_values]
+    for side in ("tx", "rx"):
+        for q in [*qs, list(qs)]:  # without and with a target axis
+            factors = side_factors(scene, side, q)
+            for ms in subsets:
+                assert_same_bytes([_stack(scene, *factors, ms)], [loop_stack(scene, *factors, ms)])
 
 
 @pytest.mark.parametrize("rows", [1, 13])
