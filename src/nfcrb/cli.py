@@ -207,10 +207,10 @@ def past_float_range(scene):
     (the centroid range plus or minus the aperture, n at least the clearance)
     and x = (k + 1/n)(1 + v/n)(1 + M T) bounds |alpha| + |beta| t. Each term is
     the log10 of r^2, of 1 / g^2 = (2 k r)^2, lest G = sum g^2 underflow, of
-    v r and k r v, of x^2 (with r^2 it bounds the phase k v M T), of (|rcs| x)^2,
-    of a Fisher entry |rcs|^2 M N_t N_r g_t^2 g_r^2 x_t^2 x_r^2 (|rcs| and x at
-    least 1) and of its square times SNR^2, a margin of 1e150 on the scaled
-    entries that the bounds add and multiply (full_crb no longer squares one).
+    v r and k r v, of x^2 (with r^2 it bounds the phase k v M T), of (|rcs| x)^2
+    and of a Fisher entry SNR |rcs|^2 M N_t N_r g_t^2 g_r^2 x_t^2 x_r^2 (SNR,
+    |rcs| and x at least 1). full_crb tests its Jacobi scale and its inverse
+    against the float range itself, so no term bounds them.
     render_eval and _sweep_row silence numpy's warnings on such a scene only.
     """
     lg = math.log10  # of positive values; a speed or |rcs| of 0 reads -inf
@@ -230,7 +230,7 @@ def past_float_range(scene):
             terms += [2.0 * far, 2.0 * (lg(2.0) + lk + far), v + far + max(lk, 0.0), 2.0 * x,
                       2.0 * (rcs + x)]
             entry += 2.0 * (x - lg(2.0 * k * near))
-        terms += [entry, 2.0 * (entry + snr)]
+        terms.append(entry + max(snr, 0.0))
     return any(term > 300.0 for term in terms)  # 1e300: room for sums and constants
 
 

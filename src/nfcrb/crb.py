@@ -149,24 +149,29 @@ def full_crb(info):
     both scalings are exact, and d_i d_j stays in the float range where diag
     F' passes 1e154, as it does at a high SNR.
     Returns (crb_matrix, CrbReport) in the raw parameters. A singular matrix
-    raises SingularFimError; a scaled condition number above 1e12 is
-    reported as status 'ill-conditioned' with the entries left in place but
-    unreliable.
+    raises SingularFimError, as does one whose diagonal spans more than the
+    float range (some scaled d_i d_j under- or overflows) or whose raw
+    inverse leaves it (diag F' near 1e-300); numpy does not warn of either.
+    A scaled condition number above 1e12 is reported as status
+    'ill-conditioned' with the entries left in place but unreliable.
     """
     d = np.diag(info.centred)
     if not (d > 0.0).all() or not np.isfinite(info.centred).all():  # eigh takes neither
         raise SingularFimError("information matrix is singular")
     # so that 2 F' scales it by 2 exactly, and 2^n F' by 2^n
     e = (np.frexp(d.min())[1] + np.frexp(d.max())[1]) // 2
-    scale = np.ldexp(np.sqrt(np.outer(np.ldexp(d, -e), np.ldexp(d, -e))), e)
-    if not scale.all():  # some d_i d_j underflows to 0
-        raise SingularFimError("information matrix is singular")
-    w, v = np.linalg.eigh(info.centred / scale)
-    if w.min() <= w.max() * np.finfo(float).eps:
-        raise SingularFimError("information matrix is singular")
-    crb = (v / w) @ v.T / scale
-    if info.shift is not None:
-        crb = congruence(crb, info.shift, back=True)
+    with np.errstate(over="ignore", invalid="ignore"):  # the float range is tested below
+        scale = np.ldexp(np.sqrt(np.outer(np.ldexp(d, -e), np.ldexp(d, -e))), e)
+        if not 0.0 < scale.min() <= scale.max() < np.inf:  # some d_i d_j under- or overflows
+            raise SingularFimError("information matrix is singular")
+        w, v = np.linalg.eigh(info.centred / scale)
+        if w.min() <= w.max() * np.finfo(float).eps:
+            raise SingularFimError("information matrix is singular")
+        crb = (v / w) @ v.T / scale  # inf past the float range, and T's zeros turn it NaN
+        if info.shift is not None:
+            crb = congruence(crb, info.shift, back=True)
+    if not np.isfinite(crb).all():
+        raise SingularFimError("the inverse of the information matrix leaves the float range")
     cond = float(w.max() / w.min())
     status = "ok" if cond <= CONDITION_LIMIT else "ill-conditioned"
     targets = tuple(_bounds_from_diag(np.diag(crb), q, info.q_count) for q in range(info.q_count))

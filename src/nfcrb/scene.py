@@ -95,41 +95,24 @@ class Scene:
         if len(self.targets) < 1:
             raise ValueError("scene needs at least one target")
 
-        # every target against the elements and the centroid of each side in
-        # one broadcast; an equal Rx layout gives the same ranges as Tx
+        # per side, every target's closest element range in one broadcast; element
+        # positions are finite (ArrayGeometry rejects others), so no range is NaN
         xy = np.array(fields, dtype=float).reshape(-1, len(BLOCKS))
         sides = (self.tx,) if self.monostatic else (self.tx, self.rx)
-        points, starts, n = [], [], 0  # per side, the elements, then the centroid
-        for geom in sides:
-            centroid = (geom.centroid_x, 0.0) if geom.centroid_x is not None else geom.centroid
-            points += [geom.positions, [centroid]]
-            starts += [n, n + geom.count]
-            n += geom.count + 1
-        points = np.concatenate(points)
-        ranges = np.hypot(xy[:, :1] - points[:, 0], xy[:, 1:2] - points[:, 1])
-        # near[q] is, per side, target q's closest element range and then its
-        # centroid range: the order in which the checks below report. Element
-        # positions are finite (ArrayGeometry rejects others), so no range is NaN
-        near = np.minimum.reduceat(ranges, starts, axis=1).tolist()
-        # polar_of's math.hypot may round a centroid range one ulp off np.hypot,
-        # so a margin beyond the clearance is flagged and the exact tests decide
-        flagged = MIN_ELEMENT_CLEARANCE * (1.0 + 1e-9)
-        if any(r <= flagged for row in near for r in row):
-            for q, row in enumerate(near):
-                for col, r in enumerate(row):
-                    if col % 2 == 0 and r <= MIN_ELEMENT_CLEARANCE:
-                        raise DegenerateGeometryError(
-                            f"target {q} is within {MIN_ELEMENT_CLEARANCE} m of an array element"
-                        )
-                    if col % 2 and r <= flagged:
-                        # ranges and angles are measured from the centroid, which an
-                        # even-count array leaves free of elements: polar_of raises there
-                        polar_of(self.targets[q], sides[col // 2])
+        near = [np.hypot(xy[:, :1] - geom.positions[:, 0],
+                         xy[:, 1:2] - geom.positions[:, 1]).min(1).tolist() for geom in sides]
+        for q, t in enumerate(self.targets):
+            for geom, ranges in zip(sides, near):
+                if ranges[q] <= MIN_ELEMENT_CLEARANCE:
+                    raise DegenerateGeometryError(
+                        f"target {q} is within {MIN_ELEMENT_CLEARANCE} m of an array element"
+                    )
+                polar_of(t, geom)  # raises at the centroid, where an even count has no element
         # small-displacement assumption: each target's CPI-long travel must stay
         # far below its own closest element range or the static-phase model drifts
-        for q, (t, row) in enumerate(zip(self.targets, near)):
+        for q, (t, *ranges) in enumerate(zip(self.targets, *near)):
             travel = math.hypot(t.vx, t.vy) * self.snapshots * self.t_sym_s
-            min_range = min(row[::2])
+            min_range = min(ranges)
             if travel / min_range > 1e-2:
                 warnings.warn(
                     f"target {q} moves {travel:.3g} m over the CPI at minimum range "

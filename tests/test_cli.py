@@ -353,11 +353,17 @@ SLOW_PHASE = (EXTREME_BASE + "carrier_hz = 1e300\nt_sym_s = 1e100\ntarget.0.vx =
      "carrier_hz = 1e-92\npower_w = 1e-297\n", ["eval"], 0, "singular"),
     (FAR_BASE.format(1e40) + "carrier_hz = 4.8e47\nt_sym_s = 1.25e51\npower_w = 1e-200\n"
      "target.0.vx = 1e102\ntarget.0.rcs_re = 0\n", ["eval"], 0, "inf"),
+    (EXTREME_BASE + "rx.centroid_x = 1e150\n", ["eval"], 0, "singular"),
+    ("snapshots = 1\ntx.count = 3\nrx.count = 1\nrx.centroid_x = 1e145\ntarget.0.range = 5\n"
+     "target.0.angle_deg = 0\n", ["eval"], 0, "singular"),
+    ("snapshots = 2\ntx.count = 2\nrx.count = 1\nt_sym_s = 1e38\ntx.spacing_m = 1e-116\n"
+     "target.0.range = 5\ntarget.0.angle_deg = 0\n", ["eval"], 0, "singular"),
 ], ids=["tiny-wavelength", "long-symbol", "far-tx", "far-range-sweep", "range-product-sweep",
         "subnormal-power-sweep", "high-carrier", "high-carrier-two-targets",
         "high-carrier-range-sweep", "slow-time-phase", "gain-underflow", "fast-target",
         "tiny-noise", "huge-rcs", "huge-rcs-sweep", "huge-wavelength", "fast-far-target",
-        "far-huge-rcs", "huge-gain-tiny-power", "huge-slow-time-factor"])
+        "far-huge-rcs", "huge-gain-tiny-power", "huge-slow-time-factor", "far-rx-inverse",
+        "far-rx-one-snapshot", "wide-diagonal"])
 def test_extreme_configs_end_without_a_traceback(tmp_path, capsys, text, argv, code, expect):
     # an exception escaping main, numpy's RuntimeWarning among them, fails this
     # test. lambda^4, r^2 (at 1e155 m and beyond), (r_tx r_rx)^2 (at 1e100 m),
@@ -370,7 +376,11 @@ def test_extreme_configs_end_without_a_traceback(tmp_path, capsys, text, argv, c
     # 1e-92 Hz carrier on 1 cm spacing) no cell reads nan, and F' is singular;
     # so too where beta t passes 1e150 on a dark target, and its square
     # overflows. At 1e-300 W of noise diag F' passes 1e154, and the scene
-    # inverts: the Jacobi scale keeps d_i d_j in range
+    # inverts: the Jacobi scale keeps d_i d_j in range. With the Rx array at
+    # 1e145-1e150 m diag F' falls to 1e-300 or below, and an inverse past the
+    # float range (which T's zeros would turn into nan) is singular; so is an
+    # F' whose diagonal spans more than the float range (1e-229 to 1e81 at a
+    # 1e38 s symbol on 1e-116 m spacing), where the Jacobi scale overflows
     path = write_cfg(tmp_path, text)
     assert main([argv[0], path, *argv[1:]]) == code
     captured = capsys.readouterr()

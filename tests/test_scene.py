@@ -231,7 +231,7 @@ def test_per_side_evaluates_rx_and_then_tx_only_if_bistatic(rx, calls):
     assert (tx_value is rx_value) == s.monostatic
 
 
-# the per-target validation loop Scene ran before it checked all targets at once
+# the reference for Scene validation: each target in turn, each side, an element before a centroid
 
 
 def _loop_validation(targets, tx, rx, snapshots, t_sym_s):
