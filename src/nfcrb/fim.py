@@ -19,15 +19,17 @@ steering._stack from side_factors shifted to centre each target and from
 the side's one phasor table (steering._phasors), rows field-major in a
 canonical target order (sorted by fields); each pair block is computed once
 in that order and mirrored, so permuting the targets permutes the matrix.
-Each side's Grams are formed CHUNK_BYTES of fields at a time and only their
-pair blocks are kept: memory grows with Q^2 M, not with M Q N, and the bits
-do not depend on the chunk size. A monostatic scene forms one side's factors
-(Scene.per_side) and Grams and reads them for both sides; a one-target scene
-forms no Gram.
+The Grams are formed in blocks of steering.LOW_ROWS snapshots, each
+CHUNK_BYTES of fields at a time, and a block's pair blocks are kept only
+until the block is whole: then its snapshots are contracted into the 81
+products that the Fisher blocks read (_PRODUCTS), so memory does not grow
+with M, and the bits do not depend on the chunk size. A monostatic scene
+forms one side's factors (Scene.per_side) and Grams and reads them for both
+sides; a one-target scene forms no Gram.
 
-A side of more than one chunk, in a process that may run on more than one
-CPU, forms its chunks in two lanes, the calling thread and one worker thread
-(_side_grams); the bits do not depend on it.
+A scene of more than one block, in a process that may run on more than one
+CPU, forms its blocks in two lanes, the calling thread and one worker thread
+(_block_products); the bits do not depend on it.
 """
 
 import dataclasses
@@ -39,7 +41,7 @@ import numpy as np
 from . import steering
 from .crb import congruence, own_information
 from .scene import BLOCKS
-from .steering import KEYS, side_factors
+from .steering import KEYS, LOW_ROWS, side_factors
 
 # bytes of one side's complex steering fields formed at a time; a snapshot
 # row larger than this is one chunk of its own
@@ -86,17 +88,27 @@ def derivative_terms(kind, alpha):
     return ((alpha, key, "a"), (alpha, "a", key))
 
 
-# the rx and tx key indices of every derivative_terms product, (side, kind,
-# term); a one-term kind repeats its term, whose second coefficient is 0
-_TERM_KEYS = np.array([[[KEYS.index(term[1 + side]) for term in (terms * 2)[:2]]
-                        for terms in (derivative_terms(kind, 1.0) for kind in BLOCKS)]
-                       for side in (0, 1)])
+# the (rx key, tx key) indices of every derivative_terms product, (kind, term,
+# side); a one-term kind repeats its term, whose second coefficient is 0
+_TERM_KEYS = np.array([[[KEYS.index(key) for key in term[1:]] for term in (terms * 2)[:2]]
+                       for terms in (derivative_terms(kind, 1.0) for kind in BLOCKS)])
+# its nine distinct key pairs, and the index of each (kind, term) among them
+_PAIRS, _PAIR_OF = np.unique(_TERM_KEYS.reshape(-1, 2), axis=0, return_inverse=True)
+_PAIR_OF = _PAIR_OF.reshape(_TERM_KEYS.shape[:2])
+# the flat (rx key pair, tx key pair) index of the products the Fisher blocks
+# read: product len(_PAIRS) i + j is sum_m G_rx[r_i, r_j] G_tx[t_i, t_j] of
+# key pairs i = (r_i, t_i) and j = (r_j, t_j)
+_PRODUCTS = np.ravel_multi_index(tuple((len(KEYS) * key[:, None] + key).ravel()
+                                       for key in _PAIRS.T), (len(KEYS) ** 2,) * 2)
 
 
 def _chunk_rows(scene, side, q_count):
-    """Snapshot rows per chunk of one side and the complex length of one field of them."""
+    """Snapshot rows per chunk of one side, a divisor of LOW_ROWS, and the complex
+    length of one field of them."""
     field_row = q_count * scene.side(side).count
-    rows = min(scene.snapshots, max(1, CHUNK_BYTES // (16 * len(KEYS) * field_row)))
+    fit = max(1, CHUNK_BYTES // (16 * len(KEYS) * field_row))
+    rows = min(scene.snapshots, max(r for r in range(1, min(fit, LOW_ROWS) + 1)
+                                    if LOW_ROWS % r == 0))
     return rows, rows * field_row
 
 
@@ -107,43 +119,62 @@ def _cpu_count():
     return os.cpu_count() or 1
 
 
-def _side_grams(scene, factors, rows, p1, p2, pairs, table, lanes):
-    """Pair blocks p1 < p2 of one side's cross-target Gram, into pairs, (pairs, M, 25).
+def _block_products(scene, sides, p1, p2, sums, lanes):
+    """The _PRODUCTS of the cross-target Grams' pair blocks p1 < p2, summed into sums.
 
-    factors are the side's (g, r, u, alpha, beta) for every target in
-    canonical order. Snapshot Grams are independent, so they are formed rows
-    snapshots at a time, by _stack from factors and the side's phasor table,
-    which the calling thread forms in the flat complex buffer table before
-    any chunk; the (M, 5Q, 5Q) Gram is never held whole, and a chunk's
-    entries take no exp. lanes holds one (slot, conj, gram) triple of flat
-    complex buffers per lane: a chunk's fields are formed in slot,
-    conjugated once into conj and multiplied into gram. With more than one
-    chunk and lane, the calling thread forms chunks 0, 2, 4, ... and a
-    worker thread chunks 1, 3, 5, ..., each whole and into its own snapshot
-    columns; each chunk runs the same operations either way, so the bits do
-    not depend on it. An error on either lane stops the other before its
-    next chunk and re-raises here, once the worker is joined.
+    sides holds the (factors, rows, table) of Rx, then of Tx unless the
+    scene is monostatic, whose one side's Grams stand for both: the side's
+    (g, r, u, alpha, beta) for every target in canonical order, the snapshot
+    rows of one chunk, a divisor of LOW_ROWS, and a flat complex buffer that
+    takes its phasor table, which the calling thread forms before any chunk.
+    Snapshot Grams are independent, so a block of LOW_ROWS snapshots is
+    formed rows snapshots at a time, by _stack from factors and the table;
+    the (M, 5Q, 5Q) Gram is never held whole, and a chunk's entries take no
+    exp. lanes holds one (slot, conj, gram, pairs) set of flat complex
+    buffers per lane: a chunk's fields are formed in slot, conjugated once
+    into conj and multiplied into gram, and their pair blocks are gathered
+    into the block's (2, pairs, LOW_ROWS, 25) Rx and Tx rows in pairs. Once
+    the block is whole, one batched product over its snapshots, into slot,
+    contracts them into the (pairs, 81) _PRODUCTS, which are added to
+    sums[b % 2] of block b. With more than one block and lane, the calling
+    thread forms blocks 0, 2, 4, ... and a worker thread blocks 1, 3, 5, ...,
+    each whole; every block runs the same operations either way and each
+    sum takes its blocks in order, so the bits do not depend on it, nor on
+    the chunk rows. An error on either lane stops the other before its next
+    chunk and re-raises here, once the worker is joined.
     """
-    q_count, k = len(factors[1]), len(KEYS)
-    starts = range(0, scene.snapshots, rows)
-    count = min(len(lanes), len(starts))
+    q_count, k = len(sides[0][0][1]), len(KEYS)  # r of the Rx factors is (Q, 1, N)
+    blocks = range(0, scene.snapshots, LOW_ROWS)
+    count = min(len(lanes), len(blocks))
     failed = []  # an error of either lane; the other stops before its next chunk
-    table = steering._phasors(scene, *factors[:3], out=table)
+    sides = [(factors, rows, steering._phasors(scene, *factors[:3], out=table))
+             for factors, rows, table in sides]
 
-    def run(lane, slot, conj, gram):
-        for start in starts[lane::count]:
-            if failed:
-                return
-            s = slice(start, min(start + rows, scene.snapshots))
-            fields = steering._stack(scene, *factors, range(start + 1, s.stop + 1), slot, table)
-            c, n = fields.shape[2:]
-            fields_h = np.conjugate(fields, out=conj[:fields.size].reshape(fields.shape))
-            # one complex product per snapshot over field-major (k, Q) rows, on views
-            g = np.matmul(fields_h.transpose(2, 0, 1, 3).reshape(c, k * q_count, n),
-                          fields.transpose(2, 3, 0, 1).reshape(c, n, k * q_count),
-                          out=gram[:c * (k * q_count) ** 2].reshape(c, k * q_count, -1))
-            pairs[:, s] = g.reshape(c, k, q_count, k, q_count)[:, :, p1, :, p2].reshape(
-                len(p1), c, k * k)
+    def run(lane, slot, conj, gram, pairs):
+        # a monostatic scene's one Gram fills both sides' rows: numpy
+        # multiplies a buffer by its own transpose through BLAS syrk, which
+        # rounds unlike gemm
+        rows_of = [pairs] if len(sides) == 1 else list(pairs)
+        for start in blocks[lane::count]:
+            stop = min(start + LOW_ROWS, scene.snapshots)
+            for (factors, rows, table), side_rows in zip(sides, rows_of):
+                for first in range(start, stop, rows):
+                    if failed:
+                        return
+                    m = range(first + 1, min(first + rows, stop) + 1)
+                    fields = steering._stack(scene, *factors, m, slot, table)
+                    c, n = fields.shape[2:]
+                    fields_h = np.conjugate(fields, out=conj[:fields.size].reshape(fields.shape))
+                    # one complex product per snapshot over field-major (k, Q) rows, on views
+                    g = np.matmul(fields_h.transpose(2, 0, 1, 3).reshape(c, k * q_count, n),
+                                  fields.transpose(2, 3, 0, 1).reshape(c, n, k * q_count),
+                                  out=gram[:c * (k * q_count) ** 2].reshape(c, k * q_count, -1))
+                    side_rows[..., first - start:first - start + c, :] = g.reshape(
+                        c, k, q_count, k, q_count)[:, :, p1, :, p2].reshape(len(p1), c, k * k)
+            rx, tx = pairs[:, :, :stop - start]
+            w = np.matmul(rx.transpose(0, 2, 1), tx,
+                          out=slot[:len(p1) * k ** 4].reshape(len(p1), k * k, k * k))
+            sums[start // LOW_ROWS % 2] += w.reshape(len(p1), -1)[:, _PRODUCTS]
 
     if count == 1:
         run(0, *lanes[0])
@@ -188,32 +219,33 @@ def fim(scene):
     rcs = np.array([scene.targets[q].rcs for q in order])
     p1, p2 = np.triu_indices(q_count, 1)
     if q_count > 1:
-        (rows_tx, field_tx), (rows_rx, field_rx) = (_chunk_rows(scene, side, q_count)
-                                                    for side in ("tx", "rx"))
-        field = max(field_tx, field_rx)
-        gram = max(rows_tx, rows_rx) * (k * q_count) ** 2
-        # a second lane, for a worker thread to form every other chunk on
-        lane_count = 2 if min(rows_tx, rows_rx) < scene.snapshots and _cpu_count() > 1 else 1
-        # the phasor table of one side at a time (steering._phasors)
-        table = q_count * max(scene.tx.count, scene.rx.count) * sum(steering._table_rows(scene))
-        # the pair blocks of both sides, the tables and each lane's chunk
-        # buffers (fields, conjugate fields, Gram) in one allocation, the
-        # call's first: as its largest block it lifts glibc's heap trim
-        # threshold, so the heap is not faulted in again on every call, the
-        # worker makes no chunk array in an arena of its own, and later small
-        # blocks do not split the region the next call reuses. Tx's copy of a
-        # monostatic scene's pair blocks is made after the loop, over the
-        # tables and chunk buffers
-        size, chunk = len(p1) * scene.snapshots * k * k, lane_count * (2 * k * field + gram)
-        work = np.empty(size + max(size, table + chunk) if scene.monostatic
-                        else 2 * size + table + chunk, dtype=complex)
-        pairs_rx, pairs_tx = (work[i * size:(i + 1) * size].reshape(len(p1), scene.snapshots, -1)
-                              for i in (0, 1))
-        table = work[len(work) - chunk - table:len(work) - chunk]
+        sides = ("rx",) if scene.monostatic else ("rx", "tx")
+        rows, fields = zip(*(_chunk_rows(scene, side, q_count) for side in sides))
+        # a second lane, for a worker thread to form every other block on
+        lane_count = 2 if scene.snapshots > LOW_ROWS and _cpu_count() > 1 else 1
+        # the phasor table of each side whose Grams are formed (steering._phasors)
+        tables = [q_count * scene.side(side).count * sum(steering._table_rows(scene))
+                  for side in sides]
+        # each lane's chunk buffers (fields, conjugate fields, Gram), which
+        # hold a block's product too, then its block of Rx and Tx pair rows
+        field = max(fields)
+        chunk = max(2 * k * field + max(rows) * (k * q_count) ** 2, len(p1) * k ** 4)
+        lane = chunk + 2 * len(p1) * min(LOW_ROWS, scene.snapshots) * k * k
+        # the two sums of block products, the tables and the lanes' buffers in
+        # one allocation, the call's first: as its largest block it lifts
+        # glibc's heap trim threshold, so the heap is not faulted in again on
+        # every call, the worker makes no chunk array in an arena of its own,
+        # and later small blocks do not split the region the next call reuses
+        size = 2 * len(p1) * len(_PRODUCTS)
+        work = np.empty(size + sum(tables) + lane_count * lane, dtype=complex)
+        sums = work[:size].reshape(2, len(p1), -1)
+        sums[...] = 0.0
+        tables = np.split(work[size:size + sum(tables)], np.cumsum(tables)[:-1])
         # _stack's four scratch fields lie over the conjugate fields, which
         # are written only once the fields are formed
-        lanes = [(buf[:(2 * k - 1) * field], buf[k * field:2 * k * field], buf[2 * k * field:])
-                 for buf in work[len(work) - chunk:].reshape(lane_count, -1)]
+        lanes = [(buf[:chunk], buf[k * field:2 * k * field], buf[2 * k * field:chunk],
+                  buf[chunk:].reshape(2, len(p1), -1, k * k))
+                 for buf in work[len(work) - lane_count * lane:].reshape(lane_count, -1)]
     tx, rx = scene.per_side(lambda side: side_factors(scene, side, order.tolist()))
     # every target's own block, C_q and per-side shifts, in canonical order
     own, c, shifts = own_information(scene, tx, rx, rcs)
@@ -223,24 +255,17 @@ def fim(scene):
         # each side's factors, shifted to centre every target
         tx, rx = ((g, r, u, alpha - da.T[..., None, None], beta - db.T[..., None, None])
                   for (g, r, u, alpha, beta), (da, db) in zip((tx, rx), shifts))
-        _side_grams(scene, rx, rows_rx, p1, p2, pairs_rx, table, lanes)
-        if scene.monostatic:
-            # Tx gets its own copy: numpy multiplies a buffer by its own
-            # transpose through BLAS syrk, which rounds unlike gemm
-            pairs_tx[...] = pairs_rx
-        else:
-            _side_grams(scene, tx, rows_tx, p1, p2, pairs_tx, table, lanes)
+        _block_products(scene, list(zip((rx, tx), rows, tables)), p1, p2, sums, lanes)
         # the coefficients of derivative_terms per target in canonical order,
-        # (Q, kind, term), in the slots of _TERM_KEYS
+        # (Q, kind, term), in the slots of _PAIR_OF
         coef = np.zeros((q_count, b, 2), dtype=complex)
         for kind_index, kind in enumerate(BLOCKS):
             for t, (coefficient, _, _) in enumerate(derivative_terms(kind, rcs)):
                 coef[:, kind_index, t] = coefficient
-        # pair blocks p1 < p2: w[pair, (r1, r2), (t1, t2)] = sum_m rx[r1, r2] tx[t1, t2]
-        w = pairs_rx.transpose(0, 2, 1) @ pairs_tx
-        rx_idx, tx_idx = (k * key[:, :, None, None] + key for key in _TERM_KEYS)
-        blocks = np.einsum("pit,pitju,pju->pij", coef[p1].conj(), w[:, rx_idx, tx_idx],
-                           coef[p2]).real
+        # pair blocks p1 < p2: w[pair, i, j] = sum_m rx[r_i, r_j] tx[t_i, t_j]
+        w = (sums[0] + sums[1]).reshape(len(p1), len(_PAIRS), -1)
+        blocks = np.einsum("pit,pitju,pju->pij", coef[p1].conj(),
+                           w[:, _PAIR_OF[:, :, None, None], _PAIR_OF], coef[p2]).real
         f[:, order[p1], :, order[p2]] = blocks
         f[:, order[p2], :, order[p1]] = blocks.transpose(0, 2, 1)
     f = f.reshape(b * q_count, -1) * (2.0 * scene.power_w / scene.noise_var_w)

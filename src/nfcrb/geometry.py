@@ -1,7 +1,7 @@
 """Antenna array geometry: centered uniform linear arrays and field-region boundaries."""
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -20,11 +20,18 @@ class ArrayGeometry:
     centroid_x : float or None
         Phase-center x coordinate for arrays built on the x-axis. None for
         free-form layouts (the centroid is then the mean element position).
+
+    Attributes
+    ----------
+    centre : tuple of float
+        Phase centre (x, y), formed once: (centroid_x, 0.0), or the mean
+        element position when centroid_x is None.
     """
 
     positions: np.ndarray
     spacing: float | None = None
     centroid_x: float | None = None
+    centre: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         pos = np.atleast_2d(np.asarray(self.positions, dtype=float))
@@ -35,15 +42,12 @@ class ArrayGeometry:
         if not np.isfinite(pos).all():
             raise ValueError("element positions must be finite")
         object.__setattr__(self, "positions", pos)
+        centre = pos.mean(axis=0) if self.centroid_x is None else (self.centroid_x, 0.0)
+        object.__setattr__(self, "centre", tuple(map(float, centre)))
 
     @property
     def count(self):
         return self.positions.shape[0]
-
-    @property
-    def centroid(self):
-        """Mean element position, shape (2,)."""
-        return self.positions.mean(axis=0)
 
     def aperture(self):
         """Array aperture D in meters.

@@ -190,10 +190,7 @@ def polar_of(target, geom):
     The angle is measured from the array normal (y-axis for x-axis ULAs), so
     x = centroid_x + r*sin(theta) and y = r*cos(theta).
     """
-    if geom.centroid_x is not None:
-        cx, cy = geom.centroid_x, 0.0
-    else:
-        cx, cy = geom.centroid
+    cx, cy = geom.centre
     dx, dy = target.x - cx, target.y - cy
     r = math.hypot(dx, dy)
     if r <= MIN_ELEMENT_CLEARANCE:

@@ -310,7 +310,7 @@ def test_fim_builds_one_stack_per_target_and_distinct_side(monkeypatch, rx_centr
 
     monkeypatch.setattr(module, "side_factors", recorded)
     monkeypatch.setattr(steering, "_stack", counted)
-    # three snapshot rows per chunk: chunks of 3 and 1 rows
+    # a request of three snapshot rows per chunk: chunks of 2 rows
     monkeypatch.setattr(module, "CHUNK_BYTES", 3 * 8 * len(KEYS) * 3 * 2 * 8)
     scene = make_scene(targets=[target_at(100.0, 20.0), target_at(150.0, -45.0),
                                 target_at(80.0, 5.0)],
@@ -328,9 +328,12 @@ def fim_bytes(scene, chunk_bytes):
 
 
 def assert_chunking_keeps_bits(scene):
-    # one snapshot row per chunk, the default chunks, and all rows in one chunk
+    # one snapshot row per chunk, requests of 3 and 43 rows of Tx fields
+    # (chunks of 2 and 16 rows), the default chunks, and one chunk per block
     one_chunk = fim_bytes(scene, 1 << 62)
-    assert fim_bytes(scene, 1) == one_chunk
+    row = 16 * len(KEYS) * scene.q_count * scene.tx.count
+    for chunk_bytes in (1, 3 * row, 43 * row):
+        assert fim_bytes(scene, chunk_bytes) == one_chunk
     assert fim(scene).matrix.tobytes() == one_chunk
 
 
@@ -342,6 +345,13 @@ def test_eval_size_fim_is_bit_identical_for_every_chunk_size(rx_centroid):
     # ufunc, which changes the rounding of a complex product, so the steering
     # expressions must not depend on it
     scene = many_target_scene()
+    assert_chunking_keeps_bits(dataclasses.replace(scene, rx=ula(128, 0.01, rx_centroid)))
+
+
+@pytest.mark.parametrize("rx_centroid", [0.0, 0.5], ids=["monostatic", "bistatic"])
+def test_a_partial_last_block_is_bit_identical_for_every_chunk_size(rx_centroid):
+    # 100 snapshots are six blocks of 16 and one of 4
+    scene = many_target_scene(m=100)
     assert_chunking_keeps_bits(dataclasses.replace(scene, rx=ula(128, 0.01, rx_centroid)))
 
 
@@ -378,25 +388,42 @@ def lanes_fim(monkeypatch, scene):
                          ids=["monostatic", "bistatic", "bistatic-unequal-counts",
                               "one-row-chunks"])
 def test_worker_thread_keeps_the_inline_bits(monkeypatch, rx, chunk_bytes):
-    # with 96 Rx elements the Tx side forms 12-row chunks and the Rx side 17-row ones
+    # with 96 Rx elements the Tx side forms 8-row chunks and the Rx side 16-row ones
     scene = dataclasses.replace(many_target_scene(), rx=rx)
     if chunk_bytes is not None:
         monkeypatch.setattr(sys.modules["nfcrb.fim"], "CHUNK_BYTES", chunk_bytes)
     inline, (overlapped, on_caller) = lanes_fim(monkeypatch, scene)
-    # both lanes form chunks
-    assert any(on_caller) and not all(on_caller)
+    # each lane forms four of the eight blocks, whole
+    assert on_caller.count(True) == on_caller.count(False) > 0
     assert overlapped == inline
 
 
 @pytest.mark.parametrize("rx_centroid, sides", [(0.0, 1), (0.5, 2)],
                          ids=["monostatic", "bistatic"])
 def test_an_odd_chunk_count_keeps_the_inline_bits(monkeypatch, rx_centroid, sides):
-    # 43 of the 128 snapshot rows per chunk: chunks of 43, 43 and 42 rows, two
-    # formed on the calling thread and one on the worker
+    # a request of 43 of the 128 snapshot rows per chunk: one 16-row chunk per
+    # block, four blocks formed on the calling thread and four on the worker
     scene = dataclasses.replace(many_target_scene(), rx=ula(128, 0.01, rx_centroid))
     monkeypatch.setattr(sys.modules["nfcrb.fim"], "CHUNK_BYTES", 43 * 16 * len(KEYS) * 8 * 128)
     inline, (overlapped, on_caller) = lanes_fim(monkeypatch, scene)
-    assert sorted(on_caller) == [False] * sides + [True] * 2 * sides
+    assert sorted(on_caller) == [False] * 4 * sides + [True] * 4 * sides
+    assert overlapped == inline
+
+
+@pytest.mark.parametrize("rows", [3, 43])
+@pytest.mark.parametrize("rx_centroid, sides", [(0.0, 1), (0.5, 2)],
+                         ids=["monostatic", "bistatic"])
+def test_a_partial_last_block_keeps_the_inline_bits(monkeypatch, rx_centroid, sides, rows):
+    # 100 snapshots are six blocks of 16 and one of 4, and requests of 3 and 43
+    # rows make chunks of 2 and 16 rows: the calling thread forms blocks 0, 2,
+    # 4 and 6, the worker blocks 1, 3 and 5, each whole
+    scene = dataclasses.replace(many_target_scene(m=100), rx=ula(128, 0.01, rx_centroid))
+    monkeypatch.setattr(sys.modules["nfcrb.fim"], "CHUNK_BYTES", rows * 16 * len(KEYS) * 8 * 128)
+    chunk_rows = 2 if rows == 3 else LOW_ROWS
+    chunks = [-(-min(LOW_ROWS, 100 - start) // chunk_rows) for start in range(0, 100, LOW_ROWS)]
+    inline, (overlapped, on_caller) = lanes_fim(monkeypatch, scene)
+    assert on_caller.count(True) == sides * sum(chunks[0::2])
+    assert on_caller.count(False) == sides * sum(chunks[1::2])
     assert overlapped == inline
 
 
@@ -485,11 +512,12 @@ def test_worker_thread_runs_under_the_callers_errstate(monkeypatch):
     assert on_worker and all(invalid == "raise" for invalid in on_worker)
 
 
-@pytest.mark.parametrize("rx, threads", [(ula(8, 0.01), 0), (ula(8, 0.01, 0.5), 0),
-                                         (ula(2048, 0.01, 0.5), 1)],
-                         ids=["monostatic", "bistatic", "bistatic-one-chunk-tx"])
-def test_one_chunk_sides_start_no_thread(monkeypatch, rx, threads):
-    # 8 snapshots of two targets are one chunk on 8 elements, three on 2048
+@pytest.mark.parametrize("rx, m, threads", [(ula(8, 0.01), 8, 0), (ula(8, 0.01, 0.5), 8, 0),
+                                            (ula(2048, 0.01, 0.5), 8, 0), (ula(8, 0.01), 32, 1)],
+                         ids=["monostatic", "bistatic", "bistatic-one-chunk-tx", "two-blocks"])
+def test_one_chunk_sides_start_no_thread(monkeypatch, rx, m, threads):
+    # 8 snapshots of two targets are one chunk on 8 elements and four on 2048,
+    # but one block, which the calling thread forms; 32 snapshots are two
     started = []
 
     class Counted(threading.Thread):
@@ -499,20 +527,31 @@ def test_one_chunk_sides_start_no_thread(monkeypatch, rx, threads):
 
     monkeypatch.setattr(sys.modules["nfcrb.fim"], "_cpu_count", lambda: 2)
     monkeypatch.setattr(threading, "Thread", Counted)
-    fim(dataclasses.replace(two_target_scene(), rx=rx))
+    fim(dataclasses.replace(two_target_scene(m=m), rx=rx))
     assert len(started) == threads
+
+
+def traced_peak(scene):
+    """The tracemalloc peak of one fim(scene) call, in bytes."""
+    tracemalloc.start()
+    try:
+        fim(scene)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def test_fim_peak_memory_is_bounded():
     # the whole (5, Q, M, N) complex fields of one side would take 160 MiB here
-    scene = many_target_scene(q=8, n=1024, m=256)
-    tracemalloc.start()
-    try:
-        fim(scene)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 32 * 2 ** 20
+    assert traced_peak(many_target_scene(q=8, n=1024, m=256)) < 32 * 2 ** 20
+
+
+def test_fim_peak_memory_does_not_grow_with_the_snapshots():
+    # pair rows of every snapshot would take 120 pairs * 1024 * 25 complex
+    # values, 49 MB, at M = 1024; only the phasor table's high rows grow with M
+    peaks = [traced_peak(many_target_scene(q=16, n=16, m=m)) for m in (256, 1024)]
+    assert peaks[1] < 20 * 2 ** 20
+    assert peaks[1] - peaks[0] < 2 ** 20
 
 
 @pytest.mark.skipif(sys.platform != "linux" or platform.libc_ver()[0] != "glibc",

@@ -12,7 +12,7 @@ def test_ula_positions_centered_on_centroid():
     assert geom.count == 4
     np.testing.assert_allclose(geom.positions[:, 0], [1.25, 1.75, 2.25, 2.75])
     np.testing.assert_allclose(geom.positions[:, 1], 0.0)
-    np.testing.assert_allclose(geom.centroid, [2.0, 0.0])
+    np.testing.assert_allclose(geom.centre, [2.0, 0.0])
 
 
 def test_ula_single_element_sits_at_centroid():
@@ -87,4 +87,4 @@ def test_array_geometry_validates_shape():
 
 def test_free_form_centroid_is_mean():
     geom = ArrayGeometry([[0.0, 0.0], [2.0, 2.0]])
-    np.testing.assert_allclose(geom.centroid, [1.0, 1.0])
+    np.testing.assert_allclose(geom.centre, [1.0, 1.0])

@@ -247,7 +247,10 @@ def _loop_validation(targets, tx, rx, snapshots, t_sym_s):
                 raise DegenerateGeometryError(
                     f"target {q} is within {MIN_ELEMENT_CLEARANCE} m of an array element"
                 )
-            polar_of(t, geom)
+            cx, cy = ((geom.centroid_x, 0.0) if geom.centroid_x is not None
+                      else geom.positions.mean(axis=0))
+            if math.hypot(t.x - cx, t.y - cy) <= MIN_ELEMENT_CLEARANCE:
+                raise DegenerateGeometryError("target sits at the array centroid")
             min_ranges[q] = min(min_ranges[q], float(d.min()))
     for q, t in enumerate(targets):
         travel = math.hypot(t.vx, t.vy) * snapshots * t_sym_s
@@ -291,7 +294,7 @@ def validation_cases(draw):
         elif spot == "element":
             cx, cy = geom.positions[draw(st.integers(0, geom.count - 1))]
         else:
-            cx, cy = (geom.centroid_x, 0.0) if geom.centroid_x is not None else geom.centroid
+            cx, cy = geom.centre
         dist = draw(st.sampled_from([0.0, 5e-7, 2e-6, MIN_ELEMENT_CLEARANCE]))
         if dist == MIN_ELEMENT_CLEARANCE:
             dist += draw(st.integers(-3, 3)) * math.ulp(MIN_ELEMENT_CLEARANCE)
