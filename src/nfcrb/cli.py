@@ -297,7 +297,7 @@ def render_eval(scene):
 
     A FIM that cannot be inverted at working precision is reported as
     status=singular with the marginal cells left empty; the closed-form
-    exact (crb.own_bounds of the FIM's own blocks), ff and nf columns are always rendered.
+    exact (crb.own_bounds of each target's own block of F'), ff and nf columns are always rendered.
     """
     with np.errstate(all="ignore" if past_float_range(scene) else None):
         info = fim(scene)
@@ -314,7 +314,7 @@ def render_eval(scene):
         fields = ("exact", "marginal", "ff", "nf", "relerr_ff", "relerr_nf")
         rows = []
         for q in range(scene.q_count):
-            closed = own_bounds(scene, info.own[q], info.shift[q])
+            closed = own_bounds(info.centred[q::scene.q_count, q::scene.q_count], info.shift[q])
             cells = {"target": q, **_bound_cells(scene, q, BOUNDS, VARIANTS, closed)}
             if report is not None:
                 cells.update((f"{b}_marginal", report.targets[q].by_name(b)) for b in BOUNDS)

@@ -93,10 +93,11 @@ def own_information(scene, tx, rx, rcs):
     [Re, Im](rcs hbar) in T), leaves the kinematic block |rcs|^2 G_t G_r (S0
     (c_u,t + c_u,r) + V (c_beta,t + c_beta,r + Re conj(b) b^T)), b = betabar_t
     + betabar_r, S0 = M, V = sum_m (t_m - tbar)^2, the reflectivity block S0
-    G_t G_r I_2 and zeros between. Returns own (Q, 6, 6) and c (Q, 2, 4),
-    both without 2 P / sigma^2, and per side the (Q, 4) shifts (alpha_mean +
-    b tbar / 2, beta_mean - b / 2) that centre h_p, each target's bit for bit
-    as in its own one-target call.
+    G_t G_r I_2 and zeros between, each times 2 P / sigma^2 as its last
+    product: target q's block of fim's F' bit for bit. Returns own (Q, 6, 6),
+    c (Q, 2, 4) and per side the (Q, 4) shifts (alpha_mean + b tbar / 2,
+    beta_mean - b / 2) that centre h_p, each target's bit for bit as in its
+    own one-target call.
     """
     m = scene.snapshots
     t_bar = scene.t_sym_s * (m + 1) / 2.0
@@ -112,6 +113,7 @@ def own_information(scene, tx, rx, rcs):
     own = np.zeros((len(weight),) + (len(BLOCKS),) * 2)
     own[:, :4, :4] = (kin + kin.transpose(0, 2, 1)) * weight[:, None, None]
     own[:, 4, 4] = own[:, 5, 5] = m * g_t * g_r
+    own *= 2.0 * scene.power_w / scene.noise_var_w
     # each rcs a size-one operand against its target's row, as a scalar is
     c = np.array(rcs, dtype=complex)[:, None] * (a_t + a_r + b * t_bar)
     return own, np.array([c.real, c.imag]).swapaxes(0, 1), [
@@ -187,11 +189,11 @@ def schur_target_report(info, q):
     return dataclasses.replace(report, targets=report.targets[q:q + 1])
 
 
-def own_bounds(scene, own, c):
-    """1 / diag(T^T F' T) of one target's own_information block and C_q; inf where it is 0."""
+def own_bounds(own, c):
+    """1 / diag(T^T F'_qq T) of one target's own block of F' and its C_q; inf where it is 0."""
     # the own block has no kinematic-reflectivity part; a float's 1 / d overflows quietly
-    scale, refl = 2.0 * scene.power_w / scene.noise_var_w, float(own[4, 4])
-    diag = [*(scale * (own.diagonal()[:4] + refl * (c * c).sum(0))).tolist(), scale * refl]
+    refl = float(own[4, 4])
+    diag = [*(own.diagonal()[:4] + refl * (c * c).sum(0)).tolist(), refl]
     return TargetBounds(*(1.0 / d if d > 0.0 else math.inf for d in diag + diag[-1:]))
 
 
@@ -204,4 +206,4 @@ def closed_form_single(scene, q):
     """
     tx, rx = scene.per_side(lambda side: side_factors(scene, side, [q]))
     own, c, _ = own_information(scene, tx, rx, [scene.targets[q].rcs])
-    return CrbReport(targets=(own_bounds(scene, own[0], c[0]),))
+    return CrbReport(targets=(own_bounds(own[0], c[0]),))

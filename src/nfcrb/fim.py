@@ -10,26 +10,30 @@ entry collapses to products of length-N inner products:
 
 and no N_r x N_t matrix is ever materialized during assembly.
 
-fim assembles F', the information of a centred parametrisation in which
-each target's reflectivity absorbs its weighted-mean derivative factor
+fim assembles F', the information of a centred parametrisation in which each
+target's reflectivity absorbs its weighted-mean derivative factor
 (crb.own_information); FisherInfo.matrix is T^T F' T. Own 6x6 blocks come from
-O(N) element moments. Cross-target blocks come from one complex Gram per
-snapshot and side over every target's derivative fields, formed by
-steering._stack from side_factors shifted to centre each target and from
-the side's one phasor table (steering._phasors), rows field-major in a
-canonical target order (sorted by fields); each pair block is computed once
-in that order and mirrored, so permuting the targets permutes the matrix.
-The Grams are formed in blocks of steering.LOW_ROWS snapshots, each
-CHUNK_BYTES of fields at a time, and a block's pair blocks are kept only
-until the block is whole: then its snapshots are contracted into the 81
-products that the Fisher blocks read (_PRODUCTS), so memory does not grow
-with M, and the bits do not depend on the chunk size. A monostatic scene
-forms one side's factors (Scene.per_side) and Grams and reads them for both
-sides; a one-target scene forms no Gram.
+O(N) element moments, as crb.own_information returns them, 2 P / sigma^2
+included; fim applies that scale only to its cross-target blocks, so target
+q's own block F'[q::Q, q::Q] is the one every bound of target q reads.
+Cross-target blocks come from one complex Gram per snapshot and side over
+every target's derivative fields, formed by steering._stack from side_factors
+shifted to centre each target and from the side's one phasor table
+(steering._phasors), rows field-major in a canonical target order (sorted by
+fields); each pair block is computed once in that order and mirrored, so
+permuting the targets permutes the matrix. The Grams are formed in blocks of
+steering.LOW_ROWS snapshots, in chunks of one row count per scene
+(_chunk_rows), and a block's pair blocks are kept only until the block is
+whole: then its snapshots are contracted into the 81 products that the Fisher
+blocks read (_PRODUCTS), so memory does not grow with M, and the bits do not
+depend on the chunk size. A monostatic scene forms one side's factors
+(Scene.per_side) and Grams and reads them for both sides; a one-target scene
+forms no Gram.
 
 A scene of more than one block, in a process that may run on more than one
-CPU, forms its blocks in two lanes, the calling thread and one worker thread
-(_block_products); the bits do not depend on it.
+CPU, forms its blocks in two lanes, the calling thread and one worker thread;
+one block, or one CPU, takes one lane, the calling thread (_block_products).
+The bits do not depend on it.
 """
 
 import dataclasses
@@ -50,16 +54,14 @@ CHUNK_BYTES = 1 << 20
 
 @dataclasses.dataclass(frozen=True)
 class FisherInfo:
-    """Real symmetric 6Q x 6Q centred information F', with fim's C_q and own blocks.
+    """Real symmetric 6Q x 6Q centred information F', with fim's C_q.
 
-    shift holds the (Q, 2, 4) C_q, None for T = I, and own the (Q, 6, 6)
-    own blocks of crb.own_information, which crb.own_bounds reads, in scene
-    order and without 2 P / sigma^2. The bounds read these alone.
+    shift holds the (Q, 2, 4) C_q in scene order, None for T = I. The bounds
+    read these alone: target q's own block is centred[q::Q, q::Q].
     """
 
     centred: np.ndarray
     shift: np.ndarray | None = None
-    own: np.ndarray | None = None
 
     @property
     def matrix(self):
@@ -102,14 +104,13 @@ _PRODUCTS = np.ravel_multi_index(tuple((len(KEYS) * key[:, None] + key).ravel()
                                        for key in _PAIRS.T), (len(KEYS) ** 2,) * 2)
 
 
-def _chunk_rows(scene, side, q_count):
-    """Snapshot rows per chunk of one side, a divisor of LOW_ROWS, and the complex
-    length of one field of them."""
-    field_row = q_count * scene.side(side).count
-    fit = max(1, CHUNK_BYTES // (16 * len(KEYS) * field_row))
-    rows = min(scene.snapshots, max(r for r in range(1, min(fit, LOW_ROWS) + 1)
-                                    if LOW_ROWS % r == 0))
-    return rows, rows * field_row
+def _chunk_rows(scene, q_count):
+    """Snapshot rows per chunk of both sides: the largest power of two up to
+    LOW_ROWS whose fields of the larger side fit CHUNK_BYTES (one row at
+    least), and M if fewer."""
+    row = 16 * len(KEYS) * q_count * max(scene.tx.count, scene.rx.count)
+    fit = max(1, CHUNK_BYTES // row)
+    return min(scene.snapshots, LOW_ROWS, 1 << (fit.bit_length() - 1))
 
 
 def _cpu_count():
@@ -119,45 +120,43 @@ def _cpu_count():
     return os.cpu_count() or 1
 
 
-def _block_products(scene, sides, p1, p2, sums, lanes):
+def _block_products(scene, sides, rows, p1, p2, sums, lanes):
     """The _PRODUCTS of the cross-target Grams' pair blocks p1 < p2, summed into sums.
 
-    sides holds the (factors, rows, table) of Rx, then of Tx unless the
-    scene is monostatic, whose one side's Grams stand for both: the side's
-    (g, r, u, alpha, beta) for every target in canonical order, the snapshot
-    rows of one chunk, a divisor of LOW_ROWS, and a flat complex buffer that
-    takes its phasor table, which the calling thread forms before any chunk.
-    Snapshot Grams are independent, so a block of LOW_ROWS snapshots is
-    formed rows snapshots at a time, by _stack from factors and the table;
-    the (M, 5Q, 5Q) Gram is never held whole, and a chunk's entries take no
-    exp. lanes holds one (slot, conj, gram, pairs) set of flat complex
+    sides holds the (factors, table) of Rx, then of Tx unless the scene is
+    monostatic, whose one side's Grams stand for both: the side's (g, r, u,
+    alpha, beta) for every target in canonical order and a flat complex buffer
+    that takes its phasor table, which the calling thread forms before any
+    chunk. Snapshot Grams are independent, so a block of LOW_ROWS snapshots is
+    formed rows (_chunk_rows) snapshots at a time, by _stack from factors and
+    the table; the (M, 5Q, 5Q) Gram is never held whole, and a chunk's entries
+    take no exp. lanes holds one (slot, conj, gram, pairs) set of flat complex
     buffers per lane: a chunk's fields are formed in slot, conjugated once
     into conj and multiplied into gram, and their pair blocks are gathered
     into the block's (2, pairs, LOW_ROWS, 25) Rx and Tx rows in pairs. Once
     the block is whole, one batched product over its snapshots, into slot,
     contracts them into the (pairs, 81) _PRODUCTS, which are added to
-    sums[b % 2] of block b. With more than one block and lane, the calling
-    thread forms blocks 0, 2, 4, ... and a worker thread blocks 1, 3, 5, ...,
-    each whole; every block runs the same operations either way and each
-    sum takes its blocks in order, so the bits do not depend on it, nor on
-    the chunk rows. An error on either lane stops the other before its next
-    chunk and re-raises here, once the worker is joined.
+    sums[b % 2] of block b. Lane i of L forms blocks i, i + L, i + 2 L, ...,
+    each whole: lane 0 on the calling thread, every other lane on a worker
+    thread of its own. Every block runs the same operations either way and
+    each sum takes its blocks in order, so the bits do not depend on the
+    lanes, nor on the chunk rows. An error on any lane stops the others before
+    their next chunk and re-raises here, once the workers are joined.
     """
     q_count, k = len(sides[0][0][1]), len(KEYS)  # r of the Rx factors is (Q, 1, N)
     blocks = range(0, scene.snapshots, LOW_ROWS)
-    count = min(len(lanes), len(blocks))
-    failed = []  # an error of either lane; the other stops before its next chunk
-    sides = [(factors, rows, steering._phasors(scene, *factors[:3], out=table))
-             for factors, rows, table in sides]
+    failed = []  # an error of any lane; the others stop before their next chunk
+    sides = [(factors, steering._phasors(scene, *factors[:3], out=table))
+             for factors, table in sides]
 
     def run(lane, slot, conj, gram, pairs):
         # a monostatic scene's one Gram fills both sides' rows: numpy
         # multiplies a buffer by its own transpose through BLAS syrk, which
         # rounds unlike gemm
         rows_of = [pairs] if len(sides) == 1 else list(pairs)
-        for start in blocks[lane::count]:
+        for start in blocks[lane::len(lanes)]:
             stop = min(start + LOW_ROWS, scene.snapshots)
-            for (factors, rows, table), side_rows in zip(sides, rows_of):
+            for (factors, table), side_rows in zip(sides, rows_of):
                 for first in range(start, stop, rows):
                     if failed:
                         return
@@ -176,26 +175,20 @@ def _block_products(scene, sides, p1, p2, sums, lanes):
                           out=slot[:len(p1) * k ** 4].reshape(len(p1), k * k, k * k))
             sums[start // LOW_ROWS % 2] += w.reshape(len(p1), -1)[:, _PRODUCTS]
 
-    if count == 1:
-        run(0, *lanes[0])
-        return
     err = np.geterr()
 
-    def work():  # under the caller's errstate, which numpy 1 keeps per thread
+    def work(lane):  # under the caller's errstate, which numpy 1 keeps per thread
         try:
             with np.errstate(**err):
-                run(1, *lanes[1])
+                run(lane, *lanes[lane])
         except BaseException as error:  # re-raised on the calling thread
             failed.append(error)
 
-    thread = threading.Thread(target=work)
-    thread.start()
-    try:
-        run(0, *lanes[0])
-    except BaseException as error:
-        failed.append(error)
-        raise
-    finally:
+    threads = [threading.Thread(target=work, args=(lane,)) for lane in range(1, len(lanes))]
+    for thread in threads:
+        thread.start()
+    work(0)
+    for thread in threads:
         thread.join()
     if failed:
         raise failed[0]
@@ -212,7 +205,7 @@ def fim(scene):
     -------
     FisherInfo
         Rows ordered [x_1..x_Q, y.., vx.., vy.., rcs_re.., rcs_im..]: the
-        centred F', the C_q and the own blocks of each target.
+        centred F' and the C_q of each target.
     """
     q_count, k, b = scene.q_count, len(KEYS), len(BLOCKS)
     order = np.array(sorted(range(q_count), key=lambda q: [*vars(scene.targets[q]).values()]))
@@ -220,7 +213,8 @@ def fim(scene):
     p1, p2 = np.triu_indices(q_count, 1)
     if q_count > 1:
         sides = ("rx",) if scene.monostatic else ("rx", "tx")
-        rows, fields = zip(*(_chunk_rows(scene, side, q_count) for side in sides))
+        rows = _chunk_rows(scene, q_count)
+        field = rows * q_count * max(scene.tx.count, scene.rx.count)
         # a second lane, for a worker thread to form every other block on
         lane_count = 2 if scene.snapshots > LOW_ROWS and _cpu_count() > 1 else 1
         # the phasor table of each side whose Grams are formed (steering._phasors)
@@ -228,8 +222,7 @@ def fim(scene):
                   for side in sides]
         # each lane's chunk buffers (fields, conjugate fields, Gram), which
         # hold a block's product too, then its block of Rx and Tx pair rows
-        field = max(fields)
-        chunk = max(2 * k * field + max(rows) * (k * q_count) ** 2, len(p1) * k ** 4)
+        chunk = max(2 * k * field + rows * (k * q_count) ** 2, len(p1) * k ** 4)
         lane = chunk + 2 * len(p1) * min(LOW_ROWS, scene.snapshots) * k * k
         # the two sums of block products, the tables and the lanes' buffers in
         # one allocation, the call's first: as its largest block it lifts
@@ -255,7 +248,7 @@ def fim(scene):
         # each side's factors, shifted to centre every target
         tx, rx = ((g, r, u, alpha - da.T[..., None, None], beta - db.T[..., None, None])
                   for (g, r, u, alpha, beta), (da, db) in zip((tx, rx), shifts))
-        _block_products(scene, list(zip((rx, tx), rows, tables)), p1, p2, sums, lanes)
+        _block_products(scene, list(zip((rx, tx), tables)), rows, p1, p2, sums, lanes)
         # the coefficients of derivative_terms per target in canonical order,
         # (Q, kind, term), in the slots of _PAIR_OF
         coef = np.zeros((q_count, b, 2), dtype=complex)
@@ -266,8 +259,8 @@ def fim(scene):
         w = (sums[0] + sums[1]).reshape(len(p1), len(_PAIRS), -1)
         blocks = np.einsum("pit,pitju,pju->pij", coef[p1].conj(),
                            w[:, _PAIR_OF[:, :, None, None], _PAIR_OF], coef[p2]).real
+        blocks *= 2.0 * scene.power_w / scene.noise_var_w
         f[:, order[p1], :, order[p2]] = blocks
         f[:, order[p2], :, order[p1]] = blocks.transpose(0, 2, 1)
-    f = f.reshape(b * q_count, -1) * (2.0 * scene.power_w / scene.noise_var_w)
-    own, shift = (x[np.argsort(order)] for x in (own, c))  # in the scene's target order
-    return FisherInfo(centred=f, shift=shift, own=own)
+    # the C_q in the scene's target order
+    return FisherInfo(centred=f.reshape(b * q_count, -1), shift=c[np.argsort(order)])

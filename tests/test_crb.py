@@ -403,8 +403,8 @@ def test_own_information_over_targets_equals_its_one_target_calls_bit_for_bit(rx
         assert c[q].tobytes() == c_q[0].tobytes()
         for side, side_q in zip(shifts, shifts_q):
             assert [x[q].tobytes() for x in side] == [x[0].tobytes() for x in side_q]
-        assert repr(own_bounds(scene, own[q], c[q])) == repr(closed_form_single(scene, q).targets[0])
-    dark = own_bounds(scene, own[1], c[1])
+        assert repr(own_bounds(own[q], c[q])) == repr(closed_form_single(scene, q).targets[0])
+    dark = own_bounds(own[1], c[1])
     assert [dark.crb_x, dark.crb_y, dark.crb_vx, dark.crb_vy] == [math.inf] * 4
     assert math.isfinite(dark.crb_alpha)
 

@@ -21,9 +21,10 @@ from hypothesis import strategies as st
 import nfcrb
 from nfcrb import (BLOCKS, brute_gain, fd_fim, fim, make_scene, monte_carlo_isotropic,
                    target_indices, ula)
+from nfcrb.crb import own_information
 from nfcrb.fim import derivative_terms
 from nfcrb.oracle import _channel_derivatives
-from nfcrb.steering import KEYS, LOW_ROWS, steering_stack
+from nfcrb.steering import KEYS, LOW_ROWS, side_factors, steering_stack
 
 from util import (canonical_scene, explicit_fim, many_target_scene, rotate_scene,
                   shared_and_unshared, sharing_scenes, small_scene, target_at)
@@ -33,6 +34,18 @@ def two_target_scene(n=8, m=8):
     return make_scene(targets=[target_at(100.0, 20.0),
                                target_at(150.0, -45.0, v=(4.0, 3.0), alpha=(0.8, -0.2))],
                       tx=ula(n, 0.01), rx=ula(n, 0.01), snapshots=m)
+
+
+def bistatic_scene(m=128):
+    """many_target_scene(m=m) with the Rx centroid moved."""
+    return dataclasses.replace(many_target_scene(m=m), rx=ula(128, 0.01, 0.5))
+
+
+def unequal_counts_scene(m=128):
+    """many_target_scene(m=m) with 512 Tx and 32 Rx elements, the Rx centroid
+    moved: per side, the Tx fields would fit 2 snapshot rows in CHUNK_BYTES
+    and the Rx fields 16."""
+    return dataclasses.replace(many_target_scene(m=m), tx=ula(512, 0.01), rx=ula(32, 0.01, 0.5))
 
 
 def rel_fro(a, b):
@@ -214,6 +227,18 @@ def test_own_blocks_match_the_single_target_reference(build):
         assert err.max() <= 1e-12
 
 
+@pytest.mark.parametrize("build", [many_target_scene, unequal_counts_scene, canonical_scene],
+                         ids=["monostatic", "bistatic", "one-target"])
+def test_fim_own_blocks_are_own_information_bit_for_bit(build):
+    # every bound of target q reads F'[q::Q, q::Q], so fim scales no own block again
+    scene = build()
+    f = fim(scene).centred
+    for q in range(scene.q_count):
+        tx, rx = scene.per_side(lambda side: side_factors(scene, side, [q]))
+        own = own_information(scene, tx, rx, [scene.targets[q].rcs])[0][0]
+        assert f[q::scene.q_count, q::scene.q_count].tobytes() == own.tobytes()
+
+
 def test_one_target_fim_builds_no_steering_fields(monkeypatch):
     # its only block is its own, which fim reads from element moments
     def refuse(*args, **kwargs):
@@ -329,7 +354,8 @@ def fim_bytes(scene, chunk_bytes):
 
 def assert_chunking_keeps_bits(scene):
     # one snapshot row per chunk, requests of 3 and 43 rows of Tx fields
-    # (chunks of 2 and 16 rows), the default chunks, and one chunk per block
+    # (chunks of 2 and 16 rows where Tx is the larger side), the default
+    # chunks, and one chunk per block
     one_chunk = fim_bytes(scene, 1 << 62)
     row = 16 * len(KEYS) * scene.q_count * scene.tx.count
     for chunk_bytes in (1, 3 * row, 43 * row):
@@ -337,22 +363,25 @@ def assert_chunking_keeps_bits(scene):
     assert fim(scene).matrix.tobytes() == one_chunk
 
 
-@pytest.mark.parametrize("rx_centroid", [0.0, 0.5], ids=["monostatic", "bistatic"])
-def test_eval_size_fim_is_bit_identical_for_every_chunk_size(rx_centroid):
+eval_size_scenes = pytest.mark.parametrize(
+    "build", [many_target_scene, bistatic_scene, unequal_counts_scene],
+    ids=["monostatic", "bistatic", "bistatic-unequal-counts"])
+
+
+@eval_size_scenes
+def test_eval_size_fim_is_bit_identical_for_every_chunk_size(build):
     # one chunk of all 8 targets holds (8, 128, 128) complex temporaries, above
     # numpy's 256 KiB threshold for reusing a temporary in place; one-row
     # chunks hold 16 KiB ones. Elision swaps the operands of a commutative
     # ufunc, which changes the rounding of a complex product, so the steering
     # expressions must not depend on it
-    scene = many_target_scene()
-    assert_chunking_keeps_bits(dataclasses.replace(scene, rx=ula(128, 0.01, rx_centroid)))
+    assert_chunking_keeps_bits(build())
 
 
-@pytest.mark.parametrize("rx_centroid", [0.0, 0.5], ids=["monostatic", "bistatic"])
-def test_a_partial_last_block_is_bit_identical_for_every_chunk_size(rx_centroid):
+@eval_size_scenes
+def test_a_partial_last_block_is_bit_identical_for_every_chunk_size(build):
     # 100 snapshots are six blocks of 16 and one of 4
-    scene = many_target_scene(m=100)
-    assert_chunking_keeps_bits(dataclasses.replace(scene, rx=ula(128, 0.01, rx_centroid)))
+    assert_chunking_keeps_bits(build(m=100))
 
 
 def recorded_fim(monkeypatch, scene, cpus):
@@ -383,13 +412,18 @@ def lanes_fim(monkeypatch, scene):
         sys.setswitchinterval(interval)
 
 
-@pytest.mark.parametrize("rx, chunk_bytes", [(ula(128, 0.01), None), (ula(128, 0.01, 0.5), None),
-                                              (ula(96, 0.01, 0.5), None), (ula(128, 0.01), 1)],
+@pytest.mark.parametrize("tx, rx, chunk_bytes",
+                         [(ula(128, 0.01), ula(128, 0.01), None),
+                          (ula(128, 0.01), ula(128, 0.01, 0.5), None),
+                          (ula(128, 0.01), ula(96, 0.01, 0.5), None),
+                          (ula(512, 0.01), ula(32, 0.01, 0.5), None),
+                          (ula(128, 0.01), ula(128, 0.01), 1)],
                          ids=["monostatic", "bistatic", "bistatic-unequal-counts",
-                              "one-row-chunks"])
-def test_worker_thread_keeps_the_inline_bits(monkeypatch, rx, chunk_bytes):
-    # with 96 Rx elements the Tx side forms 8-row chunks and the Rx side 16-row ones
-    scene = dataclasses.replace(many_target_scene(), rx=rx)
+                              "bistatic-512-32", "one-row-chunks"])
+def test_worker_thread_keeps_the_inline_bits(monkeypatch, tx, rx, chunk_bytes):
+    # both sides form chunks of the rows the larger side's fields fit: 8 rows
+    # with 128 Tx and 96 Rx elements, 2 rows with 512 Tx and 32 Rx elements
+    scene = dataclasses.replace(many_target_scene(), tx=tx, rx=rx)
     if chunk_bytes is not None:
         monkeypatch.setattr(sys.modules["nfcrb.fim"], "CHUNK_BYTES", chunk_bytes)
     inline, (overlapped, on_caller) = lanes_fim(monkeypatch, scene)
@@ -411,14 +445,18 @@ def test_an_odd_chunk_count_keeps_the_inline_bits(monkeypatch, rx_centroid, side
 
 
 @pytest.mark.parametrize("rows", [3, 43])
-@pytest.mark.parametrize("rx_centroid, sides", [(0.0, 1), (0.5, 2)],
-                         ids=["monostatic", "bistatic"])
-def test_a_partial_last_block_keeps_the_inline_bits(monkeypatch, rx_centroid, sides, rows):
+@pytest.mark.parametrize("tx, rx, sides", [(ula(128, 0.01), ula(128, 0.01), 1),
+                                           (ula(128, 0.01), ula(128, 0.01, 0.5), 2),
+                                           (ula(512, 0.01), ula(32, 0.01, 0.5), 2)],
+                         ids=["monostatic", "bistatic", "bistatic-512-32"])
+def test_a_partial_last_block_keeps_the_inline_bits(monkeypatch, tx, rx, sides, rows):
     # 100 snapshots are six blocks of 16 and one of 4, and requests of 3 and 43
-    # rows make chunks of 2 and 16 rows: the calling thread forms blocks 0, 2,
-    # 4 and 6, the worker blocks 1, 3 and 5, each whole
-    scene = dataclasses.replace(many_target_scene(m=100), rx=ula(128, 0.01, rx_centroid))
-    monkeypatch.setattr(sys.modules["nfcrb.fim"], "CHUNK_BYTES", rows * 16 * len(KEYS) * 8 * 128)
+    # rows of Tx fields make chunks of 2 and 16 rows on both sides: the
+    # calling thread forms blocks 0, 2, 4 and 6, the worker blocks 1, 3 and
+    # 5, each whole
+    scene = dataclasses.replace(many_target_scene(m=100), tx=tx, rx=rx)
+    monkeypatch.setattr(sys.modules["nfcrb.fim"], "CHUNK_BYTES",
+                        rows * 16 * len(KEYS) * 8 * tx.count)
     chunk_rows = 2 if rows == 3 else LOW_ROWS
     chunks = [-(-min(LOW_ROWS, 100 - start) // chunk_rows) for start in range(0, 100, LOW_ROWS)]
     inline, (overlapped, on_caller) = lanes_fim(monkeypatch, scene)
@@ -516,8 +554,9 @@ def test_worker_thread_runs_under_the_callers_errstate(monkeypatch):
                                             (ula(2048, 0.01, 0.5), 8, 0), (ula(8, 0.01), 32, 1)],
                          ids=["monostatic", "bistatic", "bistatic-one-chunk-tx", "two-blocks"])
 def test_one_chunk_sides_start_no_thread(monkeypatch, rx, m, threads):
-    # 8 snapshots of two targets are one chunk on 8 elements and four on 2048,
-    # but one block, which the calling thread forms; 32 snapshots are two
+    # 8 snapshots of two targets are one chunk on 8 elements and four a side
+    # with 2048 Rx elements, but one block, which the calling thread forms;
+    # 32 snapshots are two
     started = []
 
     class Counted(threading.Thread):

@@ -5,7 +5,11 @@ the steering entries, the per-element derivative factors of ln a_n, the
 raw (uncentred) element moments of one target, or a brute sum over
 (n_r, n_t, m) for several targets; the matrix is inverted in mpmath. These checks stay out of
 `nfcrb verify`, whose battery items would each pay tens of ms for them.
+The brute sum also takes the exact trajectory, which the model's
+slow-time expansion approximates, to show where that expansion holds.
 """
+
+import math
 
 import mpmath
 import numpy as np
@@ -100,35 +104,63 @@ def _mp_single_target_fim(scene):
     return f
 
 
-def _mp_brute_fim(scene):
+def _mp_linear_entries(scene, geom, t, times):
+    """Per snapshot and element of one side: the model's entry a = g exp(j k (u t
+    - r)) and its d ln a / d(x, y, vx, vy) = alpha + beta t."""
+    k = 2 * mpmath.pi * mpmath.mpf(scene.carrier_hz) / mpmath.mpf(scene.lightspeed)
+    elements = _mp_elements(scene, geom, t)
+    return [[(g * mpmath.expj(k * (u * tm - r)), [a + b * tm for a, b in zip(alpha, beta)])
+             for g, r, u, alpha, beta in elements] for tm in times]
+
+
+def _mp_exact_entries(scene, geom, t, times):
+    """Per snapshot and element of one side: the exact-trajectory entry a =
+    g(rho) exp(-j k rho), rho = |p - v t - e|, and its d ln a / d(x, y, vx, vy).
+
+    _mp_elements' conventions followed through the CPI: at t = 0 the entry
+    and its derivatives are the model's, which keeps g, u and the direction
+    of t = 0. With w = p - v t - e, d ln a / dp = -(1 / rho + j k) w / rho
+    and d ln a / dv = -t d ln a / dp.
+    """
+    k = 2 * mpmath.pi * mpmath.mpf(scene.carrier_hz) / mpmath.mpf(scene.lightspeed)
+    lam = mpmath.mpf(scene.lightspeed) / mpmath.mpf(scene.carrier_hz)
+    x, y, vx, vy = (mpmath.mpf(v) for v in (t.x, t.y, t.vx, t.vy))
+    rows = []
+    for tm in times:
+        row = []
+        for ex, ey in geom.positions.tolist():
+            dx, dy = x - vx * tm - mpmath.mpf(ex), y - vy * tm - mpmath.mpf(ey)
+            rho = mpmath.sqrt(dx * dx + dy * dy)
+            c = -(1 / rho + 1j * k) / rho
+            row.append((lam / (4 * mpmath.pi * rho) * mpmath.expj(-k * rho),
+                        [c * dx, c * dy, -tm * c * dx, -tm * c * dy]))
+        rows.append(row)
+    return rows
+
+
+def _mp_brute_fim(scene, entries=_mp_linear_entries):
     """Raw 6Q x 6Q information as a brute sum over (n_r, n_t, m) of conj(D_i) D_j.
 
     D_i is the channel entry's derivative: rcs h_p a_r a_t for a kinematic
-    parameter, a_r a_t and j a_r a_t for the reflectivity.
+    parameter, a_r a_t and j a_r a_t for the reflectivity, with each side's
+    entries a and h = d ln a from entries (the model's by default).
     """
     mpmath.mp.dps = DIGITS
-    k = 2 * mpmath.pi * mpmath.mpf(scene.carrier_hz) / mpmath.mpf(scene.lightspeed)
     times = [mpmath.mpf(scene.t_sym_s) * m for m in range(1, scene.snapshots + 1)]
-    # per side, target and element: the entry over time and the factors
-    sides = []
-    for geom in (scene.tx, scene.rx):
-        per_target = []
-        for t in scene.targets:
-            per_target.append([([g * mpmath.expj(k * (u * tm - r)) for tm in times], alpha, beta)
-                               for g, r, u, alpha, beta in _mp_elements(scene, geom, t)])
-        sides.append(per_target)
+    # per side and target: the entries over (m, n)
+    sides = [[entries(scene, geom, t, times) for t in scene.targets]
+             for geom in (scene.tx, scene.rx)]
     derivs = []  # D_i over (m, n_r, n_t), in BLOCKS-major parameter order
     for kind in range(len(BLOCKS)):
         for q, t in enumerate(scene.targets):
             rcs = mpmath.mpc(t.rcs_re, t.rcs_im)
             d = []
-            for mi, tm in enumerate(times):
-                for a_r, al_r, be_r in sides[1][q]:
-                    for a_t, al_t, be_t in sides[0][q]:
-                        base = a_r[mi] * a_t[mi]
+            for tx_row, rx_row in zip(sides[0][q], sides[1][q]):
+                for a_r, h_r in rx_row:
+                    for a_t, h_t in tx_row:
+                        base = a_r * a_t
                         if kind < 4:
-                            h = al_r[kind] + al_t[kind] + (be_r[kind] + be_t[kind]) * tm
-                            d.append(rcs * h * base)
+                            d.append(rcs * (h_r[kind] + h_t[kind]) * base)
                         else:
                             d.append(base if kind == 4 else 1j * base)
             derivs.append(d)
@@ -207,3 +239,32 @@ def test_steering_entries_match_40_digit_references():
                 err = abs(mpmath.mpc(values[q, m - 1, n]) - want) / abs(want)
                 worst = max(worst, float(err))
     assert worst <= 1e-10
+
+
+def _exact_over_linear(range_m, travel_over_aperture):
+    """Exact-trajectory over linear-model marginals of x, y, vx and vy.
+
+    One target at 20 deg moving at (4, -3) m/s, seen by a monostatic
+    8-element ULA at 1 cm over 32 snapshots, with the symbol time set so
+    that the CPI travel |v| M T is the given fraction of the aperture (N -
+    1) d.
+    """
+    n, spacing, m, v = 8, 0.01, 32, (4.0, -3.0)
+    t_sym_s = travel_over_aperture * (n - 1) * spacing / (math.hypot(*v) * m)
+    scene = make_scene(targets=[target_at(range_m, 20.0, v=v)], tx=ula(n, spacing),
+                       rx=ula(n, spacing), snapshots=m, t_sym_s=t_sym_s)
+    exact = mpmath.inverse(_mp_brute_fim(scene, _mp_exact_entries))
+    crb, _ = full_crb(fim(scene))
+    return np.array([float(exact[i, i]) / crb[i, i] for i in range(4)])
+
+
+def test_exact_trajectory_meets_the_linear_model_as_the_travel_vanishes():
+    assert np.abs(_exact_over_linear(50.0, 0.04) - 1.0).max() < 5e-3
+
+
+def test_exact_trajectory_ratio_depends_on_travel_over_aperture_not_range():
+    # over 0.3 of the aperture the parallax the linear model drops tightens
+    # the velocity bounds by a tenth, at 50 m and at 200 m alike
+    near, far = _exact_over_linear(50.0, 0.3), _exact_over_linear(200.0, 0.3)
+    assert near[2:].max() < 0.95
+    assert np.abs(near - far).max() < 3e-3
