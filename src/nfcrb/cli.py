@@ -22,7 +22,8 @@ from .crb import SingularFimError, closed_form_single, full_crb, own_bounds
 from .fim import fim
 from .geometry import ula
 from .oracle import run_battery
-from .scene import LIGHTSPEED, MIN_ELEMENT_CLEARANCE, Target, dbm_to_watts, make_scene, polar_of
+from .scene import (BLOCKS, LIGHTSPEED, MIN_ELEMENT_CLEARANCE, Target, dbm_to_watts, make_scene,
+                    polar_of)
 
 BOUNDS = ("rcs", "vx", "vy", "x", "y")
 REGIONS = ("reactive", "fresnel", "fraunhofer")
@@ -49,7 +50,7 @@ class Config:
     """The values a config text sets, as {key: number}, plus its non-blank lines.
 
     Target keys are stored as target.{int}.{name}, so target.00.x and
-    target.0.x name the same value; build_scene fills every default.
+    target.0.x name the same value; build_scene, make_scene and Target fill every default.
     """
 
     values: dict = field(default_factory=dict)
@@ -60,7 +61,7 @@ _INT_KEYS = {"snapshots", "tx.count", "rx.count"}
 _KEYS = {"carrier_hz", "t_sym_s", "snapshots", "power_w", "noise_dbm", "noise_w",
          *(f"{side}.{name}" for side in ("tx", "rx")
            for name in ("count", "spacing_over_lambda", "spacing_m", "centroid_x"))}
-_TARGET_FIELDS = ("x", "y", "vx", "vy", "rcs_re", "rcs_im", "range", "angle_deg")
+_TARGET_FIELDS = (*BLOCKS, "range", "angle_deg")
 # keys that give the same quantity in other units; a config sets at most one
 _RIVALS = {"noise_dbm": "noise_w", "noise_w": "noise_dbm",
            "spacing_m": "spacing_over_lambda", "spacing_over_lambda": "spacing_m"}
@@ -155,33 +156,31 @@ def _position(values, idx):
 
 
 def build_scene(cfg):
-    """Materialize the Scene a Config describes (defaults filled)."""
+    """The Scene a Config describes; make_scene and Target fill what the config leaves unset."""
     v = cfg.values
     carrier = v.get("carrier_hz", 15.0e9)
     if carrier <= 0:
         raise ConfigError(f"carrier_hz must be positive, got {carrier!r}")
     lam = LIGHTSPEED / carrier
 
+    # carrier and arrays are filled here: make_scene takes whole arrays, spacing needs lambda
     def side(name):
         spacing = v.get(f"{name}.spacing_m",
                         v.get(f"{name}.spacing_over_lambda", 0.5) * lam)
         return ula(v.get(f"{name}.count", 256), spacing, v.get(f"{name}.centroid_x", 0.0))
 
-    try:
-        noise = v["noise_w"] if "noise_w" in v else dbm_to_watts(v.get("noise_dbm", -114.0))
+    try:  # noise_w and noise_dbm are rivals: a config sets at most one
+        noise = dbm_to_watts(v["noise_dbm"]) if "noise_dbm" in v else v.get("noise_w")
     except OverflowError:
         raise ConfigError(f"noise_dbm is too large, got {v['noise_dbm']!r}") from None
+    scalars = {key: v[key] for key in ("t_sym_s", "snapshots", "power_w") if key in v}
     targets = []
     for idx in sorted({int(key.split(".")[1]) for key in v if key.startswith("target.")}):
-        x, y = _position(v, idx)
-        targets.append(Target(x=x, y=y, vx=v.get(f"target.{idx}.vx", 0.0),
-                              vy=v.get(f"target.{idx}.vy", 0.0),
-                              rcs_re=v.get(f"target.{idx}.rcs_re", 1.0),
-                              rcs_im=v.get(f"target.{idx}.rcs_im", 0.0)))
+        prefix = f"target.{idx}."
+        fields = {name: v[prefix + name] for name in BLOCKS[2:] if prefix + name in v}
+        targets.append(Target(*_position(v, idx), **fields))
     return make_scene(targets=targets or None, tx=side("tx"), rx=side("rx"),
-                      carrier_hz=carrier, t_sym_s=v.get("t_sym_s", 1e-4),
-                      snapshots=v.get("snapshots", 256), power_w=v.get("power_w", 0.1),
-                      noise_var_w=noise)
+                      carrier_hz=carrier, noise_var_w=noise, **scalars)
 
 
 # ---------------------------------------------------------------------------

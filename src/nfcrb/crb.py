@@ -50,11 +50,6 @@ class CrbReport:
     status: str = "ok"
 
 
-def _bounds_from_diag(diag, q, q_count):
-    # TargetBounds fields follow BLOCKS order, as target_indices does
-    return TargetBounds(*(diag[i] for i in target_indices(q, q_count)))
-
-
 def _element_moments(factors, t_bar):
     """g^2-weighted element moments of one side's side_factors (g, r, u, alpha, beta), per target.
 
@@ -94,7 +89,7 @@ def own_information(scene, tx, rx, rcs):
     (c_u,t + c_u,r) + V (c_beta,t + c_beta,r + Re conj(b) b^T)), b = betabar_t
     + betabar_r, S0 = M, V = sum_m (t_m - tbar)^2, the reflectivity block S0
     G_t G_r I_2 and zeros between, each times 2 P / sigma^2 as its last
-    product: target q's block of fim's F' bit for bit. Returns own (Q, 6, 6),
+    factor: target q's block of fim's F' bit for bit. Returns own (Q, 6, 6),
     c (Q, 2, 4) and per side the (Q, 4) shifts (alpha_mean + b tbar / 2,
     beta_mean - b / 2) that centre h_p, each target's bit for bit as in its
     own one-target call.
@@ -107,13 +102,18 @@ def own_information(scene, tx, rx, rcs):
         moments, moments if rx is tx else _element_moments(rx, t_bar))
     b = b_t + b_r
     kin = m * (cu_t + cu_r) + var * (cb_t + cb_r + (b.conj()[:, :, None] * b[:, None]).real)
+    # G_t, G_r and the SNR as mantissas, their exponents applied last: a power of
+    # two scales exactly, so the bits are the direct product's where it stays in range
+    (g_t, e_t), (g_r, e_r) = np.frexp(g_t), np.frexp(g_r)
+    snr, e_snr = math.frexp(2.0 * scene.power_w / scene.noise_var_w)
     # |rcs|^2 by numpy's scalar power: it rounds as Python's float power does,
     # unlike numpy's square, and overflows to inf as numpy does
     weight = np.array([0.5 * abs(np.complex128(z)) ** 2 for z in rcs]) * g_t * g_r
     own = np.zeros((len(weight),) + (len(BLOCKS),) * 2)
     own[:, :4, :4] = (kin + kin.transpose(0, 2, 1)) * weight[:, None, None]
     own[:, 4, 4] = own[:, 5, 5] = m * g_t * g_r
-    own *= 2.0 * scene.power_w / scene.noise_var_w
+    own *= snr
+    np.ldexp(own, (e_t + e_r + e_snr)[:, None, None], out=own)
     # each rcs a size-one operand against its target's row, as a scalar is
     c = np.array(rcs, dtype=complex)[:, None] * (a_t + a_r + b * t_bar)
     return own, np.array([c.real, c.imag]).swapaxes(0, 1), [
@@ -176,7 +176,9 @@ def full_crb(info):
         raise SingularFimError("the inverse of the information matrix leaves the float range")
     cond = float(w.max() / w.min())
     status = "ok" if cond <= CONDITION_LIMIT else "ill-conditioned"
-    targets = tuple(_bounds_from_diag(np.diag(crb), q, info.q_count) for q in range(info.q_count))
+    # TargetBounds fields follow BLOCKS order, as target_indices does
+    targets = tuple(TargetBounds(*np.diag(crb)[target_indices(q, info.q_count)])
+                    for q in range(info.q_count))
     return crb, CrbReport(targets=targets, condition_number=cond, status=status)
 
 

@@ -124,6 +124,8 @@ def _target_channels(scene):
         yield np.einsum("mr,mt->mrt", a_r[q], a_t[q]) * t.rcs
 
 
+# a function, not inlined in fd_fim: its return frees plus and minus before
+# the next shifted channel is formed, where the loop's would outlive the iteration
 def _channel_derivative(base, q, moved, h):
     """(A(theta + h) - A(theta - h)) / 2h for one parameter of target q.
 

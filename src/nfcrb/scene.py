@@ -166,10 +166,8 @@ def make_scene(targets=None, tx=None, rx=None, carrier_hz=15.0e9, t_sym_s=1e-4,
     """
     if noise_var_w is None:
         noise_var_w = dbm_to_watts(-114.0)
-    if tx is None:
-        tx = ula(256, lightspeed / carrier_hz / 2.0)
-    if rx is None:
-        rx = ula(256, lightspeed / carrier_hz / 2.0)
+    tx, rx = (ula(256, lightspeed / carrier_hz / 2.0) if side is None else side
+              for side in (tx, rx))
     if targets is None:
         r, theta = 100.0, math.radians(20.0)
         targets = [Target(x=r * math.sin(theta), y=r * math.cos(theta),

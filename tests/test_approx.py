@@ -187,6 +187,12 @@ def test_exact_variant_reserved_for_crb_module():
         crb_velocity_approx(s, 0, "x", "exact")
 
 
+@pytest.mark.parametrize("bound", [crb_velocity_approx, crb_location_approx])
+def test_closed_forms_reject_an_axis_other_than_x_or_y(bound):
+    with pytest.raises(ValueError, match="^axis must be 'x' or 'y', got 'z'$"):
+        bound(scene_at(100.0, 20.0), 0, "z", "ff")
+
+
 def test_reactive_region_target_out_of_domain():
     # 25.6 m aperture at 5 m range: the expansion has no business there
     s = scene_at(5.0, 0.0, spacing=0.1, v=(0.0, 0.0))

@@ -17,9 +17,10 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import nfcrb
-from nfcrb import ArrayGeometry, Target, cli, closed_form_single, dbm_to_watts, make_scene, ula
+from nfcrb import (ArrayGeometry, Scene, Target, cli, closed_form_single, dbm_to_watts, make_scene,
+                   ula)
 from nfcrb.approx import VARIANTS
-from nfcrb.cli import (BOUNDS, Config, ConfigError, SweepSpec, _bound_cells, _column,
+from nfcrb.cli import (BOUNDS, SWEEP_VARS, Config, ConfigError, SweepSpec, _bound_cells, _column,
                        build_scene, main, parse_config, past_float_range, render_eval, run_sweep,
                        run_verify, sweep_columns)
 from nfcrb.fim import fim
@@ -101,6 +102,15 @@ def test_parse_config_spacing_units_conflict():
 def test_parse_config_position_systems_conflict():
     with pytest.raises(ConfigError, match="polar"):
         parse_config("target.0.x = 10\ntarget.0.range = 100\n")
+    with pytest.raises(ConfigError,
+                       match="^line 2: cartesian target.0 keys conflict with polar ones$"):
+        parse_config("target.0.range = 100\ntarget.0.x = 10\n")
+
+
+@pytest.mark.parametrize("key", ["target.0.z", "target.0.x.y"])
+def test_parse_config_rejects_target_keys_not_of_the_form_target_n_field(key):
+    with pytest.raises(ConfigError, match=f"^line 1: unknown key '{re.escape(key)}'$"):
+        parse_config(f"{key} = 1\n")
 
 
 def test_parse_config_incomplete_position_reports_first_target_line():
@@ -109,6 +119,8 @@ def test_parse_config_incomplete_position_reports_first_target_line():
         parse_config(text)
     with pytest.raises(ConfigError, match="needs both range and angle"):
         parse_config("target.0.range = 50\n")
+    with pytest.raises(ConfigError, match="^line 1: target.0 needs both x and y$"):
+        parse_config("target.0.x = 10\n")
 
 
 def test_parse_config_rejects_fractional_integers():
@@ -161,6 +173,20 @@ def test_eval_rejects_gapped_and_malformed_target_indices(tmp_path, capsys):
 
 
 # scene construction
+
+
+def test_empty_config_builds_exactly_make_scene():
+    # build_scene leaves every default to make_scene and Target but the
+    # carrier and the arrays, which it fills itself
+    built, default = build_scene(parse_config("")), make_scene()
+    scalars = [f.name for f in dataclasses.fields(Scene) if f.name not in ("tx", "rx", "targets")]
+    assert [repr(getattr(built, name)) for name in scalars] == [
+        repr(getattr(default, name)) for name in scalars]
+    for side in ("tx", "rx"):
+        ours, theirs = built.side(side), default.side(side)
+        assert ours.positions.tobytes() == theirs.positions.tobytes()
+        assert repr((ours.spacing, ours.centroid_x)) == repr((theirs.spacing, theirs.centroid_x))
+    assert repr(built.targets) == repr(default.targets)
 
 
 def test_build_scene_defaults():
@@ -350,7 +376,7 @@ SLOW_PHASE = (EXTREME_BASE + "carrier_hz = 1e300\nt_sym_s = 1e100\ntarget.0.vx =
     (FAR_BASE.format(1e120) + "target.0.vx = 1e200\n", ["eval"], 0, "inf"),
     (FAR_BASE.format(1e70) + "target.0.rcs_re = 1e200\n", ["eval"], 0, "singular"),
     (EXTREME_BASE + "rx.count = 8\ntx.spacing_m = 0.01\nrx.spacing_m = 0.01\n"
-     "carrier_hz = 1e-92\npower_w = 1e-297\n", ["eval"], 0, "singular"),
+     "carrier_hz = 1e-92\npower_w = 1e-297\n", ["eval"], 0, "ok"),
     (FAR_BASE.format(1e40) + "carrier_hz = 4.8e47\nt_sym_s = 1.25e51\npower_w = 1e-200\n"
      "target.0.vx = 1e102\ntarget.0.rcs_re = 0\n", ["eval"], 0, "inf"),
     (EXTREME_BASE + "rx.centroid_x = 1e150\n", ["eval"], 0, "singular"),
@@ -358,28 +384,36 @@ SLOW_PHASE = (EXTREME_BASE + "carrier_hz = 1e300\nt_sym_s = 1e100\ntarget.0.vx =
      "target.0.angle_deg = 0\n", ["eval"], 0, "singular"),
     ("snapshots = 2\ntx.count = 2\nrx.count = 1\nt_sym_s = 1e38\ntx.spacing_m = 1e-116\n"
      "target.0.range = 5\ntarget.0.angle_deg = 0\n", ["eval"], 0, "singular"),
+    ("snapshots = 1\ntx.count = 1\nrx.count = 1\npower_w = 1e230\nrx.centroid_x = 1000\n"
+     "target.0.range = 6\ntarget.0.angle_deg = 0\ntarget.0.rcs_im = 1e32\n", ["eval"], 0,
+     "singular-exact"),
 ], ids=["tiny-wavelength", "long-symbol", "far-tx", "far-range-sweep", "range-product-sweep",
         "subnormal-power-sweep", "high-carrier", "high-carrier-two-targets",
         "high-carrier-range-sweep", "slow-time-phase", "gain-underflow", "fast-target",
         "tiny-noise", "huge-rcs", "huge-rcs-sweep", "huge-wavelength", "fast-far-target",
         "far-huge-rcs", "huge-gain-tiny-power", "huge-slow-time-factor", "far-rx-inverse",
-        "far-rx-one-snapshot", "wide-diagonal"])
+        "far-rx-one-snapshot", "wide-diagonal", "huge-power-huge-rcs"])
 def test_extreme_configs_end_without_a_traceback(tmp_path, capsys, text, argv, code, expect):
     # an exception escaping main, numpy's RuntimeWarning among them, fails this
     # test. lambda^4, r^2 (at 1e155 m and beyond), (r_tx r_rx)^2 (at 1e100 m),
-    # k r (at a 1e300 Hz carrier and 1e20 m), k v M T (at a 1e100 s symbol)
-    # and the closed forms' denominators leave the float range, so those cells
-    # read inf, as the exact ones do; a CPI whose slow-time moments overflow is
-    # an error. Past the float range in G = sum g^2 (a 1e162 Hz carrier), v r,
-    # |rcs|^2 (which reads inf, so the kinematic cells read 0), the nf
-    # expansion's aperture over range (a 1e-200 Hz carrier) or the gains (a
-    # 1e-92 Hz carrier on 1 cm spacing) no cell reads nan, and F' is singular;
-    # so too where beta t passes 1e150 on a dark target, and its square
-    # overflows. At 1e-300 W of noise diag F' passes 1e154, and the scene
-    # inverts: the Jacobi scale keeps d_i d_j in range. With the Rx array at
-    # 1e145-1e150 m diag F' falls to 1e-300 or below, and an inverse past the
-    # float range (which T's zeros would turn into nan) is singular; so is an
-    # F' whose diagonal spans more than the float range (1e-229 to 1e81 at a
+    # k r (at a 1e300 Hz carrier and 1e20 m), k v M T (at a 1e100 s symbol) and
+    # the closed forms' denominators leave the float range, so those cells read
+    # inf, as the exact ones do; a CPI whose slow-time moments overflow is an
+    # error. Past the float range in G = sum g^2 (a 1e162 Hz carrier), v r,
+    # |rcs|^2 (which reads inf, so the kinematic cells read 0) or the nf
+    # expansion's aperture over range (a 1e-200 Hz carrier) no cell reads nan,
+    # and F' is singular; so too where beta t passes 1e150 on a dark target,
+    # and its square overflows. G_t G_r passes the float range at a 1e-92 Hz
+    # carrier on 1 cm spacing, but 2 P / sigma^2 brings it back at 1e-297 W:
+    # the own blocks' scale is formed from mantissas, and the scene inverts. At
+    # 1e230 W and |rcs| = 1e32, on one element a side with the Rx 1 km away,
+    # SNR |rcs|^2 alone passes the float range and G_t G_r brings the product
+    # back: F' is singular, its exact cells finite and positive, as they are
+    # wherever it inverts. At 1e-300 W of noise diag F' passes 1e154, and the
+    # scene inverts: the Jacobi scale keeps d_i d_j in range. With the Rx array
+    # at 1e145-1e150 m diag F' falls to 1e-300 or below, and an inverse past
+    # the float range (which T's zeros would turn into nan) is singular; so is
+    # an F' whose diagonal spans more than the float range (1e-229 to 1e81 at a
     # 1e38 s symbol on 1e-116 m spacing), where the Jacobi scale overflows
     path = write_cfg(tmp_path, text)
     assert main([argv[0], path, *argv[1:]]) == code
@@ -407,6 +441,8 @@ def test_extreme_configs_end_without_a_traceback(tmp_path, capsys, text, argv, c
                 assert 0.0 < float(marginal) < math.inf
             else:
                 assert marginal == ""
+            if expect in ("ok", "singular-exact"):
+                assert 0.0 < float(row[_column(bound, "exact")]) < math.inf
             if expect == "inf":
                 assert [row[_column(bound, v)] for v in VARIANTS] == ["inf"] * 3
                 assert [row[_column(bound, f"relerr_{v}")] for v in ("ff", "nf")] == ["", ""]
@@ -583,6 +619,12 @@ def test_one_parser_serves_every_call_alike(tmp_path, capsys, monkeypatch):
 
 
 # sweep
+
+
+def test_sweep_spec_rejects_an_unknown_variable():
+    message = f"variable must be one of {tuple(SWEEP_VARS)}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        SweepSpec(variable="carrier", grid=(1.0,), config=Config())
 
 
 def test_sweep_csv_schema():

@@ -384,6 +384,14 @@ def test_a_partial_last_block_is_bit_identical_for_every_chunk_size(build):
     assert_chunking_keeps_bits(build(m=100))
 
 
+@pytest.mark.parametrize("count, expect", [(3, 3), (None, 1)])
+def test_cpu_count_without_an_affinity_call_is_the_cpu_count(monkeypatch, count, expect):
+    # platforms without os.sched_getaffinity (macOS, Windows) read os.cpu_count
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: count)
+    assert sys.modules["nfcrb.fim"]._cpu_count() == expect
+
+
 def recorded_fim(monkeypatch, scene, cpus):
     """fim(scene).matrix bytes with cpus CPUs to run on, and per chunk whether
     its fields were formed on the calling thread."""

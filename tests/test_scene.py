@@ -110,6 +110,11 @@ def test_integral_float_snapshots_are_stored_as_an_int():
     assert fim(s).matrix.tobytes() == fim(make_scene(snapshots=8, **arrays)).matrix.tobytes()
 
 
+def test_scene_without_targets_is_rejected():
+    with pytest.raises(ValueError, match="^scene needs at least one target$"):
+        make_scene(targets=[])
+
+
 def test_target_on_element_is_degenerate():
     geom = ula(4, 0.01)
     on_top = Target(x=float(geom.positions[0, 0]), y=0.0)

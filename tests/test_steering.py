@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nfcrb import (ArrayGeometry, Target, doppler_shift, make_scene, pathloss,
-                   steering_stack, ula)
+from nfcrb import (ArrayGeometry, DegenerateGeometryError, Target, doppler_shift, make_scene,
+                   pathloss, steering_stack, ula)
 from nfcrb.oracle import fd_steering_rows
 from nfcrb import steering
 from nfcrb.steering import (KEYS, LOW_ROWS, _stack, element_factors, side_factors,
@@ -39,6 +39,23 @@ def test_entry_magnitude_equals_pathloss_everywhere():
         np.testing.assert_allclose(np.abs(stack[0]),
                                    np.broadcast_to(per_element, stack[0].shape),
                                    rtol=1e-13)
+
+
+def test_element_factors_of_a_target_on_an_element_are_degenerate():
+    # Scene validation keeps targets off the elements; element_factors takes
+    # any target, so it checks its own ranges
+    s = small_scene()
+    on_top = Target(x=float(s.tx.positions[3, 0]), y=0.0)
+    with pytest.raises(DegenerateGeometryError, match="coincides with an array element"):
+        element_factors(s, s.tx, on_top)
+
+
+def test_pathloss_and_doppler_reject_a_zero_distance():
+    with pytest.raises(DegenerateGeometryError, match="zero propagation distance"):
+        pathloss((1.0, 2.0), (1.0, 2.0), 0.02)
+    for tx, rx in (((1.0, 2.0), (0.0, 0.0)), ((0.0, 0.0), (1.0, 2.0))):
+        with pytest.raises(DegenerateGeometryError, match="zero propagation distance"):
+            doppler_shift(Target(x=1.0, y=2.0, vx=1.0), tx, rx, 15.0e9, 3.0e8)
 
 
 def test_static_target_steering_identical_across_snapshots():
