@@ -101,13 +101,9 @@ def _side_terms(geom, target, variant):
     s2 = s ** 2
     c2 = c ** 2
     try:
-        eps = 0.0 if variant == "ff" else ((geom.count ** 2 - 1) * geom.spacing ** 2
-                                           / (12.0 * r ** 2))
-    except OverflowError:  # d^2 or r^2 beyond the float range: their ratio first
-        try:
-            eps = (geom.count ** 2 - 1) * (geom.spacing / r) ** 2 / 12.0
-        except OverflowError:  # and so is d / r: no expansion holds
-            raise ApproximationDomainError("aperture over range is past the float range") from None
+        eps = 0.0 if variant == "ff" else (geom.count ** 2 - 1) * (geom.spacing / r) ** 2 / 12.0
+    except OverflowError:  # (d / r)^2 beyond the float range: no expansion holds
+        raise ApproximationDomainError("aperture over range is past the float range") from None
     delta = eps * (4.0 * s2 - 1.0)
     b_x = s2 + eps * (12.0 * s2 ** 2 - 10.0 * s2 + 1.0)
     b_y = c2 + eps * c2 * (12.0 * s2 - 2.0)

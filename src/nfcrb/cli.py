@@ -150,6 +150,8 @@ def _position(values, idx):
     if r is not None or angle is not None:
         if r is None or angle is None:
             raise ConfigError(f"target.{idx} needs both range and angle_deg")
+        if r <= 0.0:
+            raise ConfigError(f"target.{idx}.range must be positive, got {r!r}")
         th = math.radians(angle)
         return r * math.sin(th), r * math.cos(th)
     raise ConfigError(f"target.{idx} needs a position (x/y or range/angle_deg)")
@@ -223,7 +225,7 @@ def past_float_range(scene):
         rcs = lg(rcs) if rcs else -math.inf
         entry = counts + 2.0 * max(rcs, 0.0)
         for geom in (scene.tx, scene.rx):
-            r, aperture = polar_of(t, geom)[0], geom.aperture()
+            r, aperture = polar_of(t, geom)[0], geom.aperture
             far, near = lg(r + aperture), max(r - aperture, MIN_ELEMENT_CLEARANCE)
             x = max(lg((k + 1.0 / near) * (1.0 + speed / near) * (1.0 + cpi)), 0.0)
             terms += [2.0 * far, 2.0 * (lg(2.0) + lk + far), v + far + max(lk, 0.0), 2.0 * x,

@@ -185,10 +185,10 @@ def full_crb(info):
 def schur_target_report(info, q):
     """Bounds of target q with every other parameter treated as nuisance.
 
-    Target q's slice of full_crb's report, with its condition number and status.
+    Target q of full_crb's report (q = -1 the last), with its condition number and status.
     """
     report = full_crb(info)[1]
-    return dataclasses.replace(report, targets=report.targets[q:q + 1])
+    return dataclasses.replace(report, targets=(report.targets[q],))
 
 
 def own_bounds(own, c):

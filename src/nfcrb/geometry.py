@@ -1,5 +1,6 @@
 """Antenna array geometry: centered uniform linear arrays and field-region boundaries."""
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -26,6 +27,9 @@ class ArrayGeometry:
     centre : tuple of float
         Phase centre (x, y), formed once: (centroid_x, 0.0), or the mean
         element position when centroid_x is None.
+    aperture : float
+        Aperture D in meters, formed on first read: (count - 1) * spacing for
+        uniform arrays, otherwise the largest pairwise element separation.
     """
 
     positions: np.ndarray
@@ -49,33 +53,26 @@ class ArrayGeometry:
     def count(self):
         return self.positions.shape[0]
 
+    @functools.cached_property
     def aperture(self):
-        """Array aperture D in meters.
-
-        (count - 1) * spacing for uniform arrays, otherwise the largest
-        pairwise element separation.
-        """
         if self.spacing is not None:
             return (self.count - 1) * self.spacing
-        # free layout: max pairwise distance, N is small enough for O(N^2)
-        diff = self.positions[:, None, :] - self.positions[None, :, :]
-        return float(np.sqrt((diff ** 2).sum(-1)).max())
+        # one element's row of separations at a time: no (N, N) table
+        pos = self.positions
+        return float(max(np.sqrt(((pos[i:] - pos[i]) ** 2).sum(-1)).max()
+                         for i in range(self.count)))
 
     def region_boundaries(self, wavelength):
         """Reactive and Fraunhofer boundary ranges (meters) for this aperture.
 
-        Returns (0.62*sqrt(D^3/wavelength), 2*D^2/wavelength); both are 0 for
-        a single-element array.
+        Returns (0.62*D*sqrt(D/wavelength), 2*D*(D/wavelength)), D/wavelength
+        formed first so that no power of D leaves the float range; both are 0
+        for a single-element array.
         """
         if wavelength <= 0:
             raise ValueError("wavelength must be positive")
-        d = self.aperture()
-        if d == 0.0:
-            return 0.0, 0.0
-        try:
-            return 0.62 * np.sqrt(d ** 3 / wavelength), 2.0 * d ** 2 / wavelength
-        except OverflowError:  # d^3 beyond the float range: the ratio first
-            return 0.62 * d * math.sqrt(d / wavelength), 2.0 * d * (d / wavelength)
+        d = self.aperture
+        return 0.62 * d * math.sqrt(d / wavelength), 2.0 * d * (d / wavelength)
 
 
 def ula(count, spacing, centroid_x=0.0):

@@ -231,6 +231,19 @@ def test_non_positive_carrier_is_a_config_error(tmp_path, capsys, argv, carrier)
                             f"got {float(carrier)!r}\n")
 
 
+@pytest.mark.parametrize("rng", ["-100", "0"])
+def test_non_positive_target_range_is_a_config_error(tmp_path, capsys, rng):
+    # a negative range would mirror the target through the array centroid, as
+    # a negative range grid would; the error names the target's first line
+    path = write_cfg(tmp_path, "# polar target\ntx.count = 16\nrx.count = 16\n"
+                     f"target.0.range = {rng}\ntarget.0.angle_deg = 20\n")
+    assert main(["eval", path]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("nfcrb: config error: line 4: target.0.range must be positive, "
+                            f"got {float(rng)!r}\n")
+
+
 def test_build_scene_spacing_and_noise_overrides():
     s = build_scene(parse_config("tx.spacing_over_lambda = 0.25\n"
                                  "rx.spacing_m = 0.03\nnoise_w = 2e-15\n"))

@@ -107,6 +107,14 @@ def test_schur_report_is_full_crbs_target_bit_for_bit(build):
         assert report.status == full.status
 
 
+def test_schur_report_indexes_its_target():
+    # -1 reads the last target, as closed_form_single does; past Q is an error
+    info = fim(criterion_10_scene())
+    assert schur_target_report(info, -1).targets == (full_crb(info)[1].targets[-1],)
+    with pytest.raises(IndexError):
+        schur_target_report(info, info.q_count)
+
+
 def test_conditional_block_diagonal_shortcut():
     # the two targets' blocks do not couple, so target 0's Schur complement
     # is its own 6x6 block; the alternating layout puts that block on the
@@ -217,7 +225,7 @@ def test_full_crb_follows_a_rigid_rotation(case):
         (c0, r0), (c1, r1) = (full_crb(fim(s)) for s in (scene, rotated))
     except SingularFimError:
         return
-    aperture = max(scene.tx.aperture(), scene.rx.aperture())
+    aperture = max(scene.tx.aperture, scene.rx.aperture)
     spread = max(math.hypot(t.x, t.y) for t in scene.targets) / aperture if aperture else math.inf
     tol = (100.0 * max(r0.condition_number, r1.condition_number) * np.finfo(float).eps
            * max(1.0, spread ** 2))

@@ -1,8 +1,11 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from nfcrb import ArrayGeometry, ula
 
@@ -18,7 +21,7 @@ def test_ula_positions_centered_on_centroid():
 def test_ula_single_element_sits_at_centroid():
     geom = ula(1, 0.01, centroid_x=-3.0)
     np.testing.assert_allclose(geom.positions, [[-3.0, 0.0]])
-    assert geom.aperture() == 0.0
+    assert geom.aperture == 0.0
 
 
 @pytest.mark.parametrize("count,spacing", [(0, 0.01), (-2, 0.01), (3, 0.0), (3, -1.0)])
@@ -48,9 +51,32 @@ def test_non_finite_element_positions_rejected(build):
 
 
 def test_aperture_is_span_of_elements():
-    assert ula(256, 0.01).aperture() == pytest.approx(2.55)
+    assert ula(256, 0.01).aperture == pytest.approx(2.55)
     free = ArrayGeometry([[0.0, 0.0], [3.0, 4.0], [1.0, 0.0]])
-    assert free.aperture() == pytest.approx(5.0)
+    assert free.aperture == pytest.approx(5.0)
+
+
+@given(st.lists(st.tuples(*[st.floats(-1e150, 1e150)] * 2), min_size=1, max_size=40))
+def test_free_form_aperture_is_the_separation_table_maximum_bit_for_bit(points):
+    # the row-at-a-time maximum takes the same per-pair operations as the
+    # whole (N, N, 2) table; |x| <= 1e150 keeps every squared separation finite
+    pos = np.array(points, dtype=float)
+    diff = pos[:, None, :] - pos[None, :, :]
+    assert ArrayGeometry(pos).aperture == float(np.sqrt((diff ** 2).sum(-1)).max())
+
+
+def test_free_form_aperture_is_formed_once_without_a_separation_table():
+    # an (N, N, 2) table at N = 2048 takes 64 MiB, one row of separations 32 KiB
+    geom = ArrayGeometry(np.random.default_rng(0).uniform(-10.0, 10.0, (2048, 2)))
+    tracemalloc.start()
+    try:
+        d = geom.aperture
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
+    assert geom.__dict__["aperture"] is d
+    assert geom.aperture is d
 
 
 def test_region_boundaries_frozen_values():

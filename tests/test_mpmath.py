@@ -15,7 +15,8 @@ import mpmath
 import numpy as np
 import pytest
 
-from nfcrb import BLOCKS, fim, full_crb, make_scene, ula
+from nfcrb import BLOCKS, Target, fim, full_crb, make_scene, ula
+from nfcrb.approx import _side_terms
 from nfcrb.oracle import _canonical_scene, _two_target_scene
 from nfcrb.steering import steering_values
 
@@ -268,3 +269,34 @@ def test_exact_trajectory_ratio_depends_on_travel_over_aperture_not_range():
     near, far = _exact_over_linear(50.0, 0.3), _exact_over_linear(200.0, 0.3)
     assert near[2:].max() < 0.95
     assert np.abs(near - far).max() < 3e-3
+
+
+def _within_ulps(value, reference, ulps=4):
+    """Whether a float lies within ulps units in the last place of a finite mpmath value."""
+    return abs(mpmath.mpf(value) - reference) <= ulps * math.ulp(float(reference))
+
+
+@pytest.mark.parametrize("wavelength", [1e-6, 1e-3, 0.02, 1.0, 1e3])
+def test_region_boundaries_match_40_digit_references(wavelength):
+    # D from 1e-3 to 1e150 crosses 5.6e102, where D^3 leaves the float range
+    mpmath.mp.dps = DIGITS
+    lam = mpmath.mpf(wavelength)
+    for d in np.logspace(-3.0, 150.0, 52).tolist():
+        reactive, fraunhofer = ula(2, d).region_boundaries(wavelength)
+        big_d = mpmath.mpf(d)
+        for value, reference in ((reactive, mpmath.mpf(0.62) * mpmath.sqrt(big_d ** 3 / lam)),
+                                 (fraunhofer, 2 * big_d ** 2 / lam)):
+            if math.isfinite(value):
+                assert _within_ulps(value, reference), (d, wavelength)
+
+
+@pytest.mark.parametrize("count", [2, 3, 256, 2048])
+def test_side_terms_eps_matches_40_digit_references(count):
+    # at broadside delta = eps (4 sin^2 - 1) = -eps; d = 1e200 at r = 1e201
+    # overflows d^2 and r^2 but not their ratio
+    mpmath.mp.dps = DIGITS
+    for d, r in [(1e-9, 1e-3), (0.01, 100.0), (0.01, 3.0), (1.0, 1e6), (1e100, 1e103),
+                 (1e200, 1e201), (1e-120, 1e-5), (0.5, 1e150)]:
+        eps = -_side_terms(ula(count, d), Target(0.0, r), "nf").delta
+        reference = (count ** 2 - 1) * (mpmath.mpf(d) / mpmath.mpf(r)) ** 2 / 12
+        assert _within_ulps(eps, reference), (count, d, r)
