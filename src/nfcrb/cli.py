@@ -133,28 +133,26 @@ def parse_config(text):
         if idx != q:
             raise ConfigError(f"target.{idx} without target.{q}: target indices run "
                               "0..Q-1", target_lines[idx])
-        try:
-            _position(values, idx)
-        except ConfigError as e:
-            raise ConfigError(str(e), target_lines[idx]) from None
+        _target(values, idx, target_lines[idx])
     return Config(values=values, raw=tuple(raw))
 
 
-def _position(values, idx):
-    x, y, r, angle = (values.get(f"target.{idx}.{name}")
-                      for name in ("x", "y", "range", "angle_deg"))
+def _target(values, idx, line=None):
+    """The Target that values give target idx; a ConfigError names line if one is given."""
+    prefix = f"target.{idx}."
+    x, y, r, angle = (values.get(prefix + name) for name in ("x", "y", "range", "angle_deg"))
+    fields = {name: values[prefix + name] for name in BLOCKS[2:] if prefix + name in values}
     if x is not None or y is not None:
         if x is None or y is None:
-            raise ConfigError(f"target.{idx} needs both x and y")
-        return x, y
+            raise ConfigError(f"target.{idx} needs both x and y", line)
+        return Target(x, y, **fields)
     if r is not None or angle is not None:
         if r is None or angle is None:
-            raise ConfigError(f"target.{idx} needs both range and angle_deg")
+            raise ConfigError(f"target.{idx} needs both range and angle_deg", line)
         if r <= 0.0:
-            raise ConfigError(f"target.{idx}.range must be positive, got {r!r}")
-        th = math.radians(angle)
-        return r * math.sin(th), r * math.cos(th)
-    raise ConfigError(f"target.{idx} needs a position (x/y or range/angle_deg)")
+            raise ConfigError(f"target.{idx}.range must be positive, got {r!r}", line)
+        return Target.at(r, math.radians(angle), **fields)
+    raise ConfigError(f"target.{idx} needs a position (x/y or range/angle_deg)", line)
 
 
 def build_scene(cfg):
@@ -176,11 +174,8 @@ def build_scene(cfg):
     except OverflowError:
         raise ConfigError(f"noise_dbm is too large, got {v['noise_dbm']!r}") from None
     scalars = {key: v[key] for key in ("t_sym_s", "snapshots", "power_w") if key in v}
-    targets = []
-    for idx in sorted({int(key.split(".")[1]) for key in v if key.startswith("target.")}):
-        prefix = f"target.{idx}."
-        fields = {name: v[prefix + name] for name in BLOCKS[2:] if prefix + name in v}
-        targets.append(Target(*_position(v, idx), **fields))
+    indices = sorted({int(key.split(".")[1]) for key in v if key.startswith("target.")})
+    targets = [_target(v, idx) for idx in indices]
     return make_scene(targets=targets or None, tx=side("tx"), rx=side("rx"),
                       carrier_hz=carrier, noise_var_w=noise, **scalars)
 
@@ -388,7 +383,7 @@ def _point_scene(spec, base, value):
         r = value
     else:
         th = math.radians(value)
-    moved = dataclasses.replace(t, x=r * math.sin(th), y=r * math.cos(th))
+    moved = Target.at(r, th, **{name: getattr(t, name) for name in BLOCKS[2:]})
     return dataclasses.replace(base, targets=(moved, *base.targets[1:]))
 
 
@@ -401,7 +396,7 @@ def _sweep_row(spec, base, value):
         with np.errstate(all="ignore" if past_float_range(scene) else None):
             closed = closed_form_single(scene, 0).targets[0]
             row.update(_bound_cells(scene, 0, spec.bounds, spec.variants, closed), error="")
-    except ValueError as e:
+    except (MemoryError, ValueError) as e:
         # a failed point leaves its bound cells empty and its flags at 0
         row.update(dict.fromkeys(REGION_FLAGS, False), error=str(e).replace(",", ";"))
     return {key: _fmt(cell) for key, cell in row.items()}
@@ -483,7 +478,7 @@ def _build_parser():
 
 
 def _cmd_eval(args):
-    cfg = parse_config(Path(args.config).read_text(encoding="utf-8"))
+    cfg = parse_config(Path(args.config).read_text(encoding="utf-8-sig"))
     text, csv = render_eval(build_scene(cfg))
     sys.stdout.write(text)
     if args.out:
@@ -499,7 +494,7 @@ def _parse_grid(text):
 
 
 def _cmd_sweep(args):
-    cfg = parse_config(Path(args.config).read_text(encoding="utf-8"))
+    cfg = parse_config(Path(args.config).read_text(encoding="utf-8-sig"))
     try:
         spec = SweepSpec(variable=args.var, grid=_parse_grid(args.grid), config=cfg,
                          bounds=tuple(b for b in args.bounds.split(",") if b),
@@ -553,6 +548,6 @@ def main(argv=None):
     except ConfigError as e:
         sys.stderr.write(f"nfcrb: config error: {e}\n")
         return 1
-    except (OSError, ValueError) as e:
+    except (MemoryError, OSError, ValueError) as e:
         sys.stderr.write(f"nfcrb: error: {e}\n")
         return 1

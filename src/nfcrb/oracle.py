@@ -241,8 +241,8 @@ def _verify_steering(seed, battery):
         r = float(rng.uniform(10.0, 500.0))
         th = math.radians(float(rng.uniform(-60.0, 60.0)))
         vx, vy = (float(v) for v in rng.uniform(-20.0, 20.0, 2))
-        target = Target(x=r * math.sin(th), y=r * math.cos(th), vx=vx, vy=vy,
-                        rcs_re=float(rng.normal()), rcs_im=float(rng.normal()))
+        target = Target.at(r, th, vx=vx, vy=vy, rcs_re=float(rng.normal()),
+                           rcs_im=float(rng.normal()))
         groups.setdefault((n, m_total), []).append((i, target))
     reports = [None] * battery
     for (n, m_total), members in groups.items():
@@ -280,10 +280,8 @@ def _canonical_scene():
 
 
 def _two_target_scene():
-    t0 = Target(x=100 * math.sin(math.radians(20)), y=100 * math.cos(math.radians(20)),
-                vx=1.0, vy=4.0, rcs_re=1.0, rcs_im=0.1)
-    t1 = Target(x=150 * math.sin(math.radians(-45)), y=150 * math.cos(math.radians(-45)),
-                vx=4.0, vy=3.0, rcs_re=0.8, rcs_im=-0.2)
+    t0 = Target.at(100, math.radians(20), vx=1.0, vy=4.0, rcs_re=1.0, rcs_im=0.1)
+    t1 = Target.at(150, math.radians(-45), vx=4.0, vy=3.0, rcs_re=0.8, rcs_im=-0.2)
     return make_scene(targets=[t0, t1], tx=ula(8, 0.01), rx=ula(8, 0.01), snapshots=8)
 
 
@@ -334,10 +332,9 @@ def _verify_expansions():
     lam = 0.02
     geom = ula(256, lam / 2)
     grid = [50.0, 100.0, 200.0, 400.0, 800.0, 1600.0]
-    th = math.radians(20.0)
     residual = []
     for r in grid:
-        t = Target(x=r * math.sin(th), y=r * math.cos(th))
+        t = Target.at(r, math.radians(20.0))
         exact = brute_gain(geom, t)
         nf = gain(geom, t, "nf")
         residual.append(abs(nf - exact) / exact)
@@ -348,10 +345,8 @@ def _verify_expansions():
     _, fraunhofer = scene.tx.region_boundaries(scene.wavelength_m)
     deviations = []
     for deg in (-60, -40, -20, 20, 40, 60):
-        th = math.radians(deg)
-        r = 10.0 * fraunhofer
-        t = Target(x=r * math.sin(th), y=r * math.cos(th), vx=1.0, vy=4.0,
-                   rcs_re=1.0, rcs_im=0.1)
+        t = Target.at(10.0 * fraunhofer, math.radians(deg), vx=1.0, vy=4.0,
+                      rcs_re=1.0, rcs_im=0.1)
         c = correction_terms(dataclasses.replace(scene, targets=[t]), 0)
         deviations += [abs(c.psi_x - 1.0), abs(c.psi_y - 1.0)]
     worst = np.max(deviations)

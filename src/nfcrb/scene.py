@@ -38,6 +38,11 @@ class Target:
     rcs_re: float = 1.0
     rcs_im: float = 0.0
 
+    @classmethod
+    def at(cls, range_m, theta, **fields):
+        """The target at range_m and angle theta (radians): polar_of's inverse about the origin."""
+        return cls(range_m * math.sin(theta), range_m * math.cos(theta), **fields)
+
     @property
     def rcs(self):
         return complex(self.rcs_re, self.rcs_im)
@@ -84,7 +89,7 @@ class Scene:
         # crb and approx square the slow time: T^2 M^3 bounds T^2 sum_m m^2
         cpi = self.t_sym_s * self.snapshots
         if not math.isfinite(cpi * cpi * self.snapshots):
-            raise ValueError(f"the CPI of {self.snapshots} snapshots of {self.t_sym_s!r} s "
+            raise ValueError(f"the CPI of {self.snapshots:.6g} snapshots of {self.t_sym_s!r} s "
                              "is too long: its slow-time moments overflow")
         if self.power_w <= 0 or self.noise_var_w <= 0:
             raise ValueError("power_w and noise_var_w must be positive")
@@ -169,9 +174,7 @@ def make_scene(targets=None, tx=None, rx=None, carrier_hz=15.0e9, t_sym_s=1e-4,
     tx, rx = (ula(256, lightspeed / carrier_hz / 2.0) if side is None else side
               for side in (tx, rx))
     if targets is None:
-        r, theta = 100.0, math.radians(20.0)
-        targets = [Target(x=r * math.sin(theta), y=r * math.cos(theta),
-                          vx=1.0, vy=4.0, rcs_re=1.0, rcs_im=0.1)]
+        targets = [Target.at(100.0, math.radians(20.0), vx=1.0, vy=4.0, rcs_re=1.0, rcs_im=0.1)]
     return Scene(carrier_hz=carrier_hz, t_sym_s=t_sym_s, snapshots=snapshots,
                  power_w=power_w, noise_var_w=noise_var_w, tx=tx, rx=rx,
                  targets=tuple(targets), lightspeed=lightspeed)

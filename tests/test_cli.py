@@ -20,9 +20,9 @@ import nfcrb
 from nfcrb import (ArrayGeometry, Scene, Target, cli, closed_form_single, dbm_to_watts, make_scene,
                    ula)
 from nfcrb.approx import VARIANTS
-from nfcrb.cli import (BOUNDS, SWEEP_VARS, Config, ConfigError, SweepSpec, _bound_cells, _column,
-                       build_scene, main, parse_config, past_float_range, render_eval, run_sweep,
-                       run_verify, sweep_columns)
+from nfcrb.cli import (BOUNDS, REGION_FLAGS, SWEEP_VARS, Config, ConfigError, SweepSpec,
+                       _bound_cells, _column, _point_scene, build_scene, main, parse_config,
+                       past_float_range, render_eval, run_sweep, run_verify, sweep_columns)
 from nfcrb.fim import fim
 from nfcrb.oracle import _verify_steering, fd_fim
 from nfcrb.steering import KEYS
@@ -323,6 +323,19 @@ def test_region_flags_agree_with_the_region_line(tmp_path, capsys):
                                                     for r in regions]
 
 
+def test_a_config_with_a_byte_order_mark_reads_like_one_without(tmp_path, capsys):
+    outputs = []
+    for name, text in (("plain.cfg", DEFAULT_CFG), ("bom.cfg", "\ufeff" + DEFAULT_CFG)):
+        path = write_cfg(tmp_path, text, name)
+        assert main(["eval", path, "--out", str(tmp_path / "eval.csv")]) == 0
+        eval_text = capsys.readouterr().out
+        assert main(["sweep", path, "--var", "range", "--grid", "50,100"]) == 0
+        outputs.append((eval_text, (tmp_path / "eval.csv").read_text(encoding="utf-8"),
+                        capsys.readouterr().out))
+    assert outputs[0] == outputs[1]
+    assert "# cfg: carrier_hz = 15e9" in outputs[1][2].splitlines()
+
+
 def test_eval_missing_file_exits_one(capsys):
     assert main(["eval", "/nonexistent/scene.cfg"]) == 1
     assert "nfcrb: error" in capsys.readouterr().err
@@ -582,6 +595,39 @@ def test_sweep_row_with_unrepresentable_power_over_noise_is_an_error_row(tmp_pat
     assert bound_cols and all(rows[1][c] == "" for c in bound_cols)
 
 
+# each size asks for more than 2**47 bytes, the x86-64 user address space, so
+# the allocation fails at once whatever the overcommit policy
+@pytest.mark.parametrize("text", [
+    EXTREME_BASE + "rx.count = 1e16\n",
+    EXTREME_BASE.replace("snapshots = 8", "snapshots = 1e16")
+    + "target.1.range = 150\ntarget.1.angle_deg = -30\n",
+], ids=["rx-count", "two-target-snapshots"])
+def test_unallocatable_arrays_end_eval_in_one_error_line(tmp_path, capsys, text):
+    assert main(["eval", write_cfg(tmp_path, text)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("nfcrb: error: ") and captured.err.count("\n") == 1
+
+
+def test_unallocatable_sweep_point_is_an_error_row(tmp_path, capsys):
+    path = write_cfg(tmp_path, EXTREME_BASE)
+    assert main(["sweep", path, "--var", "antennas", "--grid", "16,1e16"]) == 0
+    _, header, rows = parse_csv(capsys.readouterr().out)
+    assert rows[0]["error"] == "" and rows[0]["rcs_exact"] != ""
+    assert rows[1]["antennas"] == "10000000000000000"
+    assert rows[1]["error"] != "" and "," not in rows[1]["error"]
+    assert [rows[1][flag] for flag in REGION_FLAGS] == ["0"] * 3
+    bound_cols = [c for c in header if c.startswith(BOUNDS) or c.startswith("relerr_")]
+    assert all(rows[1][c] == "" for c in bound_cols)
+
+
+def test_too_long_cpi_error_is_one_short_line(tmp_path, capsys):
+    path = write_cfg(tmp_path, EXTREME_BASE.replace("snapshots = 8", "snapshots = 1e300"))
+    assert main(["eval", path]) == 1
+    assert capsys.readouterr().err == ("nfcrb: error: the CPI of 1e+300 snapshots of 0.0001 s "
+                                       "is too long: its slow-time moments overflow\n")
+
+
 @pytest.mark.parametrize("text, argv", [
     ("snapshots = inf\n", ["eval"]),
     ("target.0.x = nan\ntarget.0.y = 100\n", ["eval"]),
@@ -671,6 +717,22 @@ def test_sweep_single_point_matches_eval():
     for bound in ("rcs", "vx", "x"):
         assert float(rows[0][f"{bound}_exact"]) == report[f"target.0.{bound}.exact"]
         assert float(rows[0][f"{bound}_nf"]) == report[f"target.0.{bound}.nf"]
+
+
+@pytest.mark.parametrize("var, grid", [("range", (10.0, 55.5, 400.0)),
+                                       ("angle", (-70.0, 0.0, 33.3))])
+def test_sweeps_move_a_cartesian_first_target_about_the_origin(var, grid):
+    cfg = parse_config("snapshots = 8\ntx.count = 8\ntarget.0.x = 30\ntarget.0.y = 80\n"
+                       "target.0.vx = 1\ntarget.0.rcs_im = -0.5\n"
+                       "target.1.range = 90\ntarget.1.angle_deg = -40\n")
+    base = build_scene(cfg)
+    spec = SweepSpec(variable=var, grid=grid, config=cfg)
+    t = base.targets[0]
+    r0, th0 = math.hypot(t.x, t.y), math.atan2(t.x, t.y)
+    for value in grid:
+        r, th = (value, th0) if var == "range" else (r0, math.radians(value))
+        want = dataclasses.replace(t, x=r * math.sin(th), y=r * math.cos(th))
+        assert repr(_point_scene(spec, base, value).targets) == repr((want, base.targets[1]))
 
 
 def exact_cell_scenes():

@@ -340,3 +340,32 @@ def test_scene_is_immutable():
     s = make_scene()
     with pytest.raises(Exception):
         s.power_w = 1.0
+
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(finite, finite, st.dictionaries(st.sampled_from(BLOCKS[2:]), finite))
+def test_target_at_places_by_range_and_broadside_angle(r, theta, fields):
+    want = Target(r * math.sin(theta), r * math.cos(theta), **fields)
+    assert repr(Target.at(r, theta, **fields)) == repr(want)
+
+
+# below |theta| = 1e-300, r*sin(theta) can be subnormal and keep fewer bits than theta
+angles = st.one_of(st.just(0.0), st.floats(1e-300, math.pi, exclude_max=True),
+                   st.floats(-math.pi, -1e-300, exclude_min=True))
+
+
+@settings(derandomize=True, max_examples=500, deadline=None)
+@given(st.floats(1e-3, 1e300, exclude_min=True), angles)
+def test_polar_of_inverts_target_at_about_the_origin(r, theta):
+    back_r, back_theta = polar_of(Target.at(r, theta), ula(1, 1.0))
+    assert abs(back_r - r) <= 4 * math.ulp(r)
+    assert abs(back_theta - theta) <= 4 * math.ulp(theta)
+
+
+def test_default_target_is_the_reference_target():
+    want = Target(x=100 * math.sin(math.radians(20.0)), y=100 * math.cos(math.radians(20.0)),
+                  vx=1.0, vy=4.0, rcs_re=1.0, rcs_im=0.1)
+    assert repr(make_scene().targets) == repr((want,))
