@@ -480,9 +480,9 @@ def _build_parser():
 def _cmd_eval(args):
     cfg = parse_config(Path(args.config).read_text(encoding="utf-8-sig"))
     text, csv = render_eval(build_scene(cfg))
-    sys.stdout.write(text)
-    if args.out:
+    if args.out:  # first, so that an --out that cannot be written leaves stdout empty
         Path(args.out).write_text(csv, encoding="utf-8")
+    sys.stdout.write(text)
     return 0
 
 
@@ -519,15 +519,15 @@ def _cmd_verify(args):
 
 
 def _attach_grid(argv):
-    """Join `--grid -60,-30,0` into `--grid=-60,-30,0`.
+    """Join `--grid -60,-30,0` or `--grid -inf` into `--grid=-60,-30,0`, `--grid=-inf`.
 
-    argparse reads a separate word that starts with a minus sign as an
-    option unless it is one plain number, so a negative grid would be left
-    without its value.
+    argparse reads a separate word that starts with one minus sign as an
+    option unless it is one plain number, so a grid such as -inf or -nan,1
+    would be left without its value; a word that starts `--` stays an option.
     """
     argv = list(argv)
     for i, word in enumerate(argv[:-1]):
-        if word == "--grid" and re.match(r"-\.?\d", argv[i + 1]):
+        if word == "--grid" and re.match(r"-[^-]", argv[i + 1]):
             argv[i:i + 2] = [f"--grid={argv[i + 1]}"]
             break
     return argv

@@ -26,9 +26,10 @@ steering.LOW_ROWS snapshots, in chunks of one row count per scene
 (_chunk_rows), and a block's pair blocks are kept only until the block is
 whole: then its snapshots are contracted into the 81 products that the Fisher
 blocks read (_PRODUCTS), so memory does not grow with M, and the bits do not
-depend on the chunk size. A monostatic scene forms one side's factors
-(Scene.per_side) and Grams and reads them for both sides; a one-target scene
-forms no Gram.
+depend on the chunk size. _block_products holds the sums, tables and chunk
+buffers in one workspace of its own, allocated after the own blocks. A
+monostatic scene forms one side's factors (Scene.per_side) and Grams and reads
+them for both sides; a one-target scene forms no Gram.
 
 A scene of more than one block, in a process that may run on more than one
 CPU, forms its blocks in two lanes, the calling thread and one worker thread;
@@ -120,34 +121,58 @@ def _cpu_count():
     return os.cpu_count() or 1
 
 
-def _block_products(scene, sides, rows, p1, p2, sums, lanes):
-    """The _PRODUCTS of the cross-target Grams' pair blocks p1 < p2, summed into sums.
+def _block_products(scene, sides, p1, p2):
+    """The summed (pairs, 81) _PRODUCTS of the cross-target Grams' pair blocks p1 < p2.
 
-    sides holds the (factors, table) of Rx, then of Tx unless the scene is
-    monostatic, whose one side's Grams stand for both: the side's (g, r, u,
-    alpha, beta) for every target in canonical order and a flat complex buffer
-    that takes its phasor table, which the calling thread forms before any
-    chunk. Snapshot Grams are independent, so a block of LOW_ROWS snapshots is
-    formed rows (_chunk_rows) snapshots at a time, by _stack from factors and
-    the table; the (M, 5Q, 5Q) Gram is never held whole, and a chunk's entries
-    take no exp. lanes holds one (slot, conj, gram, pairs) set of flat complex
-    buffers per lane: a chunk's fields are formed in slot, conjugated once
-    into conj and multiplied into gram, and their pair blocks are gathered
-    into the block's (2, pairs, LOW_ROWS, 25) Rx and Tx rows in pairs. Once
-    the block is whole, one batched product over its snapshots, into slot,
-    contracts them into the (pairs, 81) _PRODUCTS, which are added to
-    sums[b % 2] of block b. Lane i of L forms blocks i, i + L, i + 2 L, ...,
-    each whole: lane 0 on the calling thread, every other lane on a worker
-    thread of its own. Every block runs the same operations either way and
-    each sum takes its blocks in order, so the bits do not depend on the
-    lanes, nor on the chunk rows. An error on any lane stops the others before
-    their next chunk and re-raises here, once the workers are joined.
+    sides holds the factors of Rx, then of Tx unless the scene is monostatic,
+    whose one side's Grams stand for both: the side's (g, r, u, alpha, beta)
+    for every target in canonical order. The function forms its own one
+    workspace: the two sums, each side's phasor table, which the calling
+    thread forms before any chunk, and the lanes' buffers. Snapshot Grams are
+    independent, so a block of LOW_ROWS snapshots is formed rows (_chunk_rows)
+    snapshots at a time, by _stack from factors and the table; the (M, 5Q, 5Q)
+    Gram is never held whole, and a chunk's entries take no exp. In a lane's
+    (slot, conj, gram, pairs) buffers a chunk's fields are formed in slot,
+    conjugated once into conj and multiplied into gram, and their pair blocks
+    are gathered into the block's (2, pairs, LOW_ROWS, 25) Rx and Tx rows in
+    pairs. Once the block is whole, one batched product over its snapshots,
+    into slot, contracts them into the _PRODUCTS, added to sum b % 2 of block
+    b. Lane i of L forms blocks i, i + L, i + 2 L, ..., each whole: lane 0 on
+    the calling thread, every other lane on a worker thread of its own. Every
+    block runs the same operations either way and each sum takes its blocks in
+    order, so the bits do not depend on the lanes, nor on the chunk rows. An
+    error on any lane stops the others before their next chunk and re-raises
+    here, once the workers are joined.
     """
-    q_count, k = len(sides[0][0][1]), len(KEYS)  # r of the Rx factors is (Q, 1, N)
+    q_count, k = len(sides[0][1]), len(KEYS)  # r of the Rx factors is (Q, 1, N)
+    rows = _chunk_rows(scene, q_count)
+    field = rows * q_count * max(scene.tx.count, scene.rx.count)
+    # a second lane, for a worker thread to form every other block on
+    lane_count = 2 if scene.snapshots > LOW_ROWS and _cpu_count() > 1 else 1
+    # each lane's chunk buffers (fields, conjugate fields, Gram), which hold a
+    # block's product too, then its block of Rx and Tx pair rows
+    chunk = max(2 * k * field + rows * (k * q_count) ** 2, len(p1) * k ** 4)
+    lane = chunk + 2 * len(p1) * min(LOW_ROWS, scene.snapshots) * k * k
+    # each side's phasor table (steering._phasors), Q N of its factors
+    tables = [sum(steering._table_rows(scene)) * factors[1].size for factors in sides]
+    # the two sums of block products, the tables and the lanes' buffers in
+    # one allocation: as the largest block it lifts glibc's heap trim
+    # threshold, so the heap is not faulted in again on every call, and the
+    # worker makes no chunk array in an arena of its own
+    size = 2 * len(p1) * len(_PRODUCTS)
+    work = np.empty(size + sum(tables) + lane_count * lane, dtype=complex)
+    sums = work[:size].reshape(2, len(p1), -1)
+    sums[...] = 0.0
+    tables = np.split(work[size:size + sum(tables)], np.cumsum(tables)[:-1])
+    # _stack's four scratch fields lie over the conjugate fields, which are
+    # written only once the fields are formed
+    lanes = [(buf[:chunk], buf[k * field:2 * k * field], buf[2 * k * field:chunk],
+              buf[chunk:].reshape(2, len(p1), -1, k * k))
+             for buf in work[len(work) - lane_count * lane:].reshape(lane_count, -1)]
     blocks = range(0, scene.snapshots, LOW_ROWS)
     failed = []  # an error of any lane; the others stop before their next chunk
     sides = [(factors, steering._phasors(scene, *factors[:3], out=table))
-             for factors, table in sides]
+             for factors, table in zip(sides, tables)]
 
     def run(lane, slot, conj, gram, pairs):
         # a monostatic scene's one Gram fills both sides' rows: numpy
@@ -192,6 +217,7 @@ def _block_products(scene, sides, rows, p1, p2, sums, lanes):
         thread.join()
     if failed:
         raise failed[0]
+    return sums[0] + sums[1]
 
 
 def fim(scene):
@@ -207,38 +233,9 @@ def fim(scene):
         Rows ordered [x_1..x_Q, y.., vx.., vy.., rcs_re.., rcs_im..]: the
         centred F' and the C_q of each target.
     """
-    q_count, k, b = scene.q_count, len(KEYS), len(BLOCKS)
+    q_count, b = scene.q_count, len(BLOCKS)
     order = np.array(sorted(range(q_count), key=lambda q: [*vars(scene.targets[q]).values()]))
     rcs = np.array([scene.targets[q].rcs for q in order])
-    p1, p2 = np.triu_indices(q_count, 1)
-    if q_count > 1:
-        sides = ("rx",) if scene.monostatic else ("rx", "tx")
-        rows = _chunk_rows(scene, q_count)
-        field = rows * q_count * max(scene.tx.count, scene.rx.count)
-        # a second lane, for a worker thread to form every other block on
-        lane_count = 2 if scene.snapshots > LOW_ROWS and _cpu_count() > 1 else 1
-        # the phasor table of each side whose Grams are formed (steering._phasors)
-        tables = [q_count * scene.side(side).count * sum(steering._table_rows(scene))
-                  for side in sides]
-        # each lane's chunk buffers (fields, conjugate fields, Gram), which
-        # hold a block's product too, then its block of Rx and Tx pair rows
-        chunk = max(2 * k * field + rows * (k * q_count) ** 2, len(p1) * k ** 4)
-        lane = chunk + 2 * len(p1) * min(LOW_ROWS, scene.snapshots) * k * k
-        # the two sums of block products, the tables and the lanes' buffers in
-        # one allocation, the call's first: as its largest block it lifts
-        # glibc's heap trim threshold, so the heap is not faulted in again on
-        # every call, the worker makes no chunk array in an arena of its own,
-        # and later small blocks do not split the region the next call reuses
-        size = 2 * len(p1) * len(_PRODUCTS)
-        work = np.empty(size + sum(tables) + lane_count * lane, dtype=complex)
-        sums = work[:size].reshape(2, len(p1), -1)
-        sums[...] = 0.0
-        tables = np.split(work[size:size + sum(tables)], np.cumsum(tables)[:-1])
-        # _stack's four scratch fields lie over the conjugate fields, which
-        # are written only once the fields are formed
-        lanes = [(buf[:chunk], buf[k * field:2 * k * field], buf[2 * k * field:chunk],
-                  buf[chunk:].reshape(2, len(p1), -1, k * k))
-                 for buf in work[len(work) - lane_count * lane:].reshape(lane_count, -1)]
     tx, rx = scene.per_side(lambda side: side_factors(scene, side, order.tolist()))
     # every target's own block, C_q and per-side shifts, in canonical order
     own, c, shifts = own_information(scene, tx, rx, rcs)
@@ -248,7 +245,8 @@ def fim(scene):
         # each side's factors, shifted to centre every target
         tx, rx = ((g, r, u, alpha - da.T[..., None, None], beta - db.T[..., None, None])
                   for (g, r, u, alpha, beta), (da, db) in zip((tx, rx), shifts))
-        _block_products(scene, list(zip((rx, tx), tables)), rows, p1, p2, sums, lanes)
+        p1, p2 = np.triu_indices(q_count, 1)
+        w = _block_products(scene, [rx] if scene.monostatic else [rx, tx], p1, p2)
         # the coefficients of derivative_terms per target in canonical order,
         # (Q, kind, term), in the slots of _PAIR_OF
         coef = np.zeros((q_count, b, 2), dtype=complex)
@@ -256,7 +254,7 @@ def fim(scene):
             for t, (coefficient, _, _) in enumerate(derivative_terms(kind, rcs)):
                 coef[:, kind_index, t] = coefficient
         # pair blocks p1 < p2: w[pair, i, j] = sum_m rx[r_i, r_j] tx[t_i, t_j]
-        w = (sums[0] + sums[1]).reshape(len(p1), len(_PAIRS), -1)
+        w = w.reshape(len(p1), len(_PAIRS), -1)
         blocks = np.einsum("pit,pitju,pju->pij", coef[p1].conj(),
                            w[:, _PAIR_OF[:, :, None, None], _PAIR_OF], coef[p2]).real
         blocks *= 2.0 * scene.power_w / scene.noise_var_w

@@ -308,6 +308,16 @@ def test_eval_out_csv(tmp_path, capsys):
     assert compared == 2 * 5 * 5
 
 
+@pytest.mark.parametrize("out", [".", "missing/bounds.csv"], ids=["directory", "no-parent"])
+def test_eval_out_that_cannot_be_written_prints_no_report(tmp_path, capsys, out):
+    path = write_cfg(tmp_path, DEFAULT_CFG)
+    assert main(["eval", path, "--out", str(tmp_path / out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("nfcrb: error: ")
+    assert captured.err.count("\n") == 1
+
+
 def test_region_flags_agree_with_the_region_line(tmp_path, capsys):
     # a 0.05-wavelength aperture puts the reactive boundary (1.39e-4 m) beyond
     # the Fraunhofer one (1.0e-4 m); a target between them is reactive only
@@ -1071,6 +1081,17 @@ def test_negative_grid_reads_alike_attached_or_separate(tmp_path, capsys):
     assert outputs[0].err == ""
     _, header, rows = parse_csv(outputs[0].out)
     assert [float(row[header[0]]) for row in rows] == [-60.0, -30.0, 0.0]
+
+
+@pytest.mark.parametrize("value", ["-inf", "-nan,1"])
+def test_non_finite_grid_reads_alike_attached_or_separate(tmp_path, capsys, value):
+    # a word such as -inf is no plain number, yet it is the grid, not an option
+    path = write_cfg(tmp_path, DEFAULT_CFG)
+    for grid in ([f"--grid={value}"], ["--grid", value]):
+        assert main(["sweep", path, "--var", "angle", *grid]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"nfcrb: config error: bad grid value in {value!r}\n"
 
 
 def test_sweep_grid_must_be_monotone(tmp_path, capsys):

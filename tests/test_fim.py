@@ -345,6 +345,28 @@ def test_fim_builds_one_stack_per_target_and_distinct_side(monkeypatch, rx_centr
                                       for m in range(4)])
 
 
+@pytest.mark.parametrize("rx, tables", [
+    (None, 0), ("same", 1), (ula(8, 0.01), 1), (ula(8, 0.01, 0.5), 2)],
+    ids=["one-target", "one-array-object", "equal-arrays", "bistatic"])
+def test_fim_forms_one_phasor_table_per_distinct_side(monkeypatch, rx, tables):
+    # a monostatic scene's Rx table stands for both sides; one target forms none
+    steering = sys.modules["nfcrb.steering"]
+    phasors, formed = steering._phasors, []
+
+    def counted(scene, g, r, u, out=None):
+        formed.append(r.shape)
+        return phasors(scene, g, r, u, out)
+
+    monkeypatch.setattr(steering, "_phasors", counted)
+    scene = two_target_scene(m=40)
+    if rx is None:
+        scene = dataclasses.replace(scene, targets=scene.targets[:1])
+    else:
+        scene = dataclasses.replace(scene, rx=scene.tx if rx == "same" else rx)
+    assert np.all(np.isfinite(fim(scene).centred))
+    assert formed == [(scene.q_count, 1, 8)] * tables
+
+
 def fim_bytes(scene, chunk_bytes):
     """fim(scene).matrix bytes with CHUNK_BYTES set to chunk_bytes."""
     with pytest.MonkeyPatch.context() as patch:
