@@ -23,6 +23,7 @@ materialize (M, N_r, N_t) stacks.
 
 import dataclasses
 import math
+import random
 from dataclasses import dataclass
 
 import numpy as np
@@ -202,6 +203,31 @@ def _channel_derivatives(scene):
     return derivs
 
 
+def _generator(seed):
+    """Python's Mersenne Twister, seeded by a non-negative integer.
+
+    verify draws from Python's random, which numpy imports anyway, so it never
+    loads numpy.random. A negative seed is an error: Random would seed -s as s.
+    """
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
+    return random.Random(seed)
+
+
+def _isotropic_symbols(power, shape, seed):
+    """i.i.d. CN(0, power) symbols of shape (draws, N_t, M), by Box-Muller.
+
+    Each draw takes 32-bit words k from one seeded generator, those of its
+    magnitudes and then those of its phases, as u = (k + 1/2) 2^-32 in
+    (0, 1): |x|^2 = -power ln u_1 is exponential with mean power, and the
+    phase 2 pi u_2 is uniform.
+    """
+    words = (shape[0], 2, *shape[1:])
+    k = np.frombuffer(_generator(seed).randbytes(4 * math.prod(words)), dtype="<u4")
+    u = (k.reshape(words) + 0.5) * 2.0 ** -32
+    return np.sqrt(-power * np.log(u[:, 0])) * np.exp(2j * math.pi * u[:, 1])
+
+
 def monte_carlo_isotropic(scene, draws=1000, seed=0):
     """Mean explicit-symbol FIM over random draws against the ideal FIM.
 
@@ -214,11 +240,8 @@ def monte_carlo_isotropic(scene, draws=1000, seed=0):
     """
     if draws < 1000:
         raise ValueError("draws must be at least 1000 for a meaningful average")
-    rng = np.random.default_rng(seed)
     reference = fim(scene).matrix
-    # per draw, the real then the imaginary parts of an (N_t, M) symbol matrix
-    z = rng.standard_normal((draws, 2, scene.tx.count, scene.snapshots))
-    x = math.sqrt(scene.power_w / 2.0) * (z[:, 0] + 1j * z[:, 1])
+    x = _isotropic_symbols(scene.power_w, (draws, scene.tx.count, scene.snapshots), seed)
     cov = np.einsum("dtm,dsm->mts", x, x.conj()) / draws
     d = _channel_derivatives(scene)
     mean = (2.0 / scene.noise_var_w
@@ -235,14 +258,14 @@ def _verify_steering(seed, battery):
     # their arrays and rows, so each shape group is one scene of its targets
     groups = {}
     for i in range(battery):
-        rng = np.random.default_rng(100003 * (seed + 1) + i)
-        n = int(rng.choice([4, 32]))
-        m_total = int(rng.choice([4, 16]))
-        r = float(rng.uniform(10.0, 500.0))
-        th = math.radians(float(rng.uniform(-60.0, 60.0)))
-        vx, vy = (float(v) for v in rng.uniform(-20.0, 20.0, 2))
-        target = Target.at(r, th, vx=vx, vy=vy, rcs_re=float(rng.normal()),
-                           rcs_im=float(rng.normal()))
+        rng = _generator(100003 * (seed + 1) + i)
+        n = rng.choice((4, 32))
+        m_total = rng.choice((4, 16))
+        r = rng.uniform(10.0, 500.0)
+        th = math.radians(rng.uniform(-60.0, 60.0))
+        vx, vy = rng.uniform(-20.0, 20.0), rng.uniform(-20.0, 20.0)
+        target = Target.at(r, th, vx=vx, vy=vy, rcs_re=rng.gauss(0.0, 1.0),
+                           rcs_im=rng.gauss(0.0, 1.0))
         groups.setdefault((n, m_total), []).append((i, target))
     reports = [None] * battery
     for (n, m_total), members in groups.items():
@@ -304,7 +327,9 @@ def _verify_consistency(scene, info):
     sym = np.linalg.norm(f - f.T, "fro") / np.linalg.norm(f, "fro")
     reports.append(make_report("fim-symmetry", sym, 0.0, 1e-10, rel_err=sym))
     w = np.linalg.eigvalsh(f)
-    negativity = max(0.0, float(-(w.min()) / np.linalg.norm(f, 2)))
+    # congruence makes f exactly symmetric, so its largest |eigenvalue| is
+    # its spectral norm
+    negativity = max(0.0, float(-(w.min()) / np.abs(w).max()))
     reports.append(make_report("fim-psd", negativity, 0.0, 1e-8, rel_err=negativity))
 
     # the closed form against the full-trace diagonal of materialized derivative

@@ -5,6 +5,7 @@ import hashlib
 import math
 import os
 import platform
+import random
 import resource
 import subprocess
 import sys
@@ -23,7 +24,7 @@ from nfcrb import (BLOCKS, brute_gain, fd_fim, fim, make_scene, monte_carlo_isot
                    target_indices, ula)
 from nfcrb.crb import own_information
 from nfcrb.fim import derivative_terms
-from nfcrb.oracle import _channel_derivatives
+from nfcrb.oracle import _channel_derivatives, _isotropic_symbols
 from nfcrb.steering import KEYS, LOW_ROWS, side_factors, steering_stack
 
 from util import (canonical_scene, explicit_fim, many_target_scene, rotate_scene,
@@ -108,17 +109,46 @@ def test_monte_carlo_average_converges_to_isotropic():
                        tx=ula(1, 0.01), rx=ula(4, 0.01), snapshots=8),
 ], ids=["verify-scene", "q2", "single-tx"])
 def test_monte_carlo_oracle_is_mean_of_per_draw_fims(builder):
-    # the same seeded draws, one (N_t, M) matrix at a time, real part first
+    # the same seeded draws, one (N_t, M) matrix at a time: Box-Muller from
+    # its magnitude words, then its phase words
     s = builder()
     draws, seed = 1000, 7
-    rng = np.random.default_rng(seed)
+    rng = random.Random(seed)
     shape = (s.tx.count, s.snapshots)
-    scale = math.sqrt(s.power_w / 2.0)
-    x = [scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+
+    def uniforms():  # (k + 1/2) 2^-32 of one (N_t, M) matrix of 32-bit words
+        return (np.array([rng.getrandbits(32) for _ in range(math.prod(shape))])
+                .reshape(shape) + 0.5) * 2.0 ** -32
+
+    x = [np.sqrt(-s.power_w * np.log(uniforms())) * np.exp(2j * math.pi * uniforms())
          for _ in range(draws)]
     mean = explicit_fim(s, np.array(x)).mean(axis=0)
     report = monte_carlo_isotropic(s, draws=draws, seed=seed)
     assert report.oracle == pytest.approx(np.linalg.norm(mean, "fro"), rel=1e-12)
+
+
+def test_isotropic_symbols_have_the_moments_of_cn_0_p():
+    # one 1000 x 4 x 8 draw, as verify's Monte Carlo check makes; each sample
+    # moment within 5 sigma: E x = 0 (sigma^2 = P / n), E|x|^2 = P (|x|^2 / P
+    # is exponential, sigma^2 = 1 / n) and E x^2 = 0 (E|x|^4 = 2 P^2)
+    power = 0.3
+    x = _isotropic_symbols(power, (1000, 4, 8), 0)
+    n = x.size
+    assert x.shape == (1000, 4, 8) and x.dtype == complex
+    assert abs(x.mean()) <= 5.0 * math.sqrt(power / n)
+    assert abs((abs(x) ** 2).mean() / power - 1.0) <= 5.0 / math.sqrt(n)
+    assert abs((x * x).mean()) / power <= 5.0 * math.sqrt(2.0 / n)
+
+
+def test_isotropic_symbols_follow_their_seed():
+    a = _isotropic_symbols(1.0, (1000, 4, 8), 0)
+    assert a.tobytes() == _isotropic_symbols(1.0, (1000, 4, 8), 0).tobytes()
+    assert not np.isin(a, _isotropic_symbols(1.0, (1000, 4, 8), 1)).any()
+    # Python's Random would seed -1 as 1; a negative seed is an error
+    with pytest.raises(ValueError, match="non-negative"):
+        _isotropic_symbols(1.0, (1000, 4, 8), -1)
+    with pytest.raises(ValueError, match="non-negative"):
+        monte_carlo_isotropic(small_scene(), draws=1000, seed=-1)
 
 
 def test_monte_carlo_rejects_small_sample():

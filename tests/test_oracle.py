@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import platform
+import random
 import resource
 import sys
 import warnings
@@ -169,15 +170,15 @@ def _per_check_verify_steering(seed, battery):
     """The steering battery before one call per scene: a call and a norm per check and side."""
     reports = []
     for i in range(battery):
-        rng = np.random.default_rng(100003 * (seed + 1) + i)
-        n = int(rng.choice([4, 32]))
-        m_total = int(rng.choice([4, 16]))
-        r = float(rng.uniform(10.0, 500.0))
-        th = math.radians(float(rng.uniform(-60.0, 60.0)))
-        vx, vy = (float(v) for v in rng.uniform(-20.0, 20.0, 2))
+        rng = random.Random(100003 * (seed + 1) + i)
+        n = rng.choice((4, 32))
+        m_total = rng.choice((4, 16))
+        r = rng.uniform(10.0, 500.0)
+        th = math.radians(rng.uniform(-60.0, 60.0))
+        vx, vy = rng.uniform(-20.0, 20.0), rng.uniform(-20.0, 20.0)
         scene = make_scene(
             targets=[Target(x=r * math.sin(th), y=r * math.cos(th), vx=vx, vy=vy,
-                            rcs_re=float(rng.normal()), rcs_im=float(rng.normal()))],
+                            rcs_re=rng.gauss(0.0, 1.0), rcs_im=rng.gauss(0.0, 1.0))],
             tx=ula(n, 0.01), rx=ula(n, 0.01), snapshots=m_total)
         rows = [1, m_total]
         k = 2.0 * math.pi * scene.carrier_hz / scene.lightspeed
@@ -234,10 +235,14 @@ def test_fd_rows_of_a_target_list_equal_one_call_per_target_bit_for_bit(case, pi
                 assert (many[j, c] == one[0, c]).all()
 
 
-@pytest.mark.parametrize("seed", [47, 62, 77, 82, 101, 300495, 808278])
+@pytest.mark.parametrize("seed", [4, 18, 47, 137, 178, 276, 287, 62, 77, 82, 101, 300495,
+                                  808278])
 def test_steering_battery_passes_at_formerly_failing_seeds(seed):
-    # seeds that failed steering-fd-* under an earlier finite-difference step
-    # choice (the first at 47); a step change must not bring them back
+    # 4 to 287 are the first seeds from 0 whose battery holds a scene at
+    # |theta| <= 0.15 deg and fails steering-fd-* under the superseded
+    # fixed-step central difference (1e-6 m in x and y, 5e-3 m/s in vx and
+    # vy); a step change must not bring them back. 62 to 808278 were picked
+    # so under the battery's earlier numpy draws and stay as plain batteries
     assert all(r.passed for r in _verify_steering(seed, 20))
 
 
