@@ -7,8 +7,10 @@ of random symbols for the isotropic-transmission idealization, contracted
 against full channel-derivative stacks instead of the Gram products `fim`
 uses. The finite differences read steering values alone
 (`steering.steering_values`), never the analytic derivative factors: the
-shifted copies of every listed target, for every check of a call, go into
-one validated Scene, evaluated in one broadcast call per array side.
+shifted states of every listed target, for every check of a call, are the
+rows of one (K, 6) array in BLOCKS order, evaluated in one broadcast call
+per array side. No shifted Target or Scene is built; each state passes
+Scene's own per-target rules (`scene.check_states`) on both arrays.
 `fd_steering_rows` differences the one side that its caller names; verify's
 steering battery builds each scene on one array object and names "tx". Every
 other oracle evaluates both sides, and no oracle reads Scene.monostatic, the
@@ -32,7 +34,7 @@ from .approx import correction_terms, gain
 from .crb import _element_moments, closed_form_single
 from .fim import FisherInfo, derivative_terms, fim
 from .geometry import ula
-from .scene import BLOCKS, Target, make_scene, target_indices
+from .scene import BLOCKS, Target, check_states, make_scene, states_of, target_indices
 from .steering import KEYS, side_factors, steering_stack, steering_values
 
 REL_ERR_FLOOR = 1e-30
@@ -75,15 +77,31 @@ def _check_step(step, value):
         raise ValueError(f"finite-difference step {step} underflows at value {value}")
 
 
-def _shifted_copies(scene, qs, moves):
-    """A scene of copies of the targets qs, one per target and (kind, offset) move.
+def _moved_states(scene, qs, moves):
+    """The (K, 6) states, in BLOCKS order, of the targets qs under each (kind, offset) move.
 
-    The copies run target by target, each target's moves in order. Scene
-    validates every shifted copy as it would a target of its own.
+    The rows run target by target, each target's moves in order; a row is
+    the target's fields with offset added to field kind. Every row must pass
+    Scene's per-target rules on both arrays, as a target of its own would.
     """
-    return dataclasses.replace(scene, targets=tuple(
-        Target(**{**vars(t), kind: getattr(t, kind) + d})
-        for t in (scene.targets[q] for q in qs) for kind, d in moves))
+    rows = states_of([scene.targets[q] for q in qs])
+    states = np.repeat(rows, len(moves), axis=0)
+    by_move = states.reshape(len(rows), len(moves), len(BLOCKS))  # a view of states
+    fields = [BLOCKS.index(kind) for kind, _ in moves]
+    with np.errstate(over="ignore"):  # a field moved past the float range fails check_states
+        by_move[:, np.arange(len(moves)), fields] += [d for _, d in moves]
+    check_states(states, (scene.tx, scene.rx))
+    return states
+
+
+def _divide(x, h):
+    """x / h for complex x and real h, through x's real view.
+
+    numpy divides a complex by a real as a product with its reciprocal, so
+    every entry is equal, the sign of an exact zero aside; h is a scalar or
+    an array that broadcasts against x's real view.
+    """
+    return (x.view(float) * (1.0 / h)).view(complex)
 
 
 def fd_steering_rows(scene, side, qs, checks, m_values):
@@ -92,37 +110,40 @@ def fd_steering_rows(scene, side, qs, checks, m_values):
     side is "tx" or "rx", as in steering_values, qs a list of target indices
     and checks a sequence of (kind, step) pairs; a step of None means
     DEFAULT_STEPS[kind]. Returns one (len(qs), len(checks), len(m_values), N)
-    array. One scene holds the four shifted copies of every listed target and
-    check, evaluated in one steering_values call. The Richardson combination
-    (4 D(h) - D(2h)) / 3 of the central differences D(h) and D(2h) cancels
-    their h^2 truncation term, so the step can sit far above the
-    carrier-phase roundoff.
+    array. One (K, 6) state array holds the four shifted states of every
+    listed target and check, evaluated in one steering_values call. The
+    Richardson combination (4 D(h) - D(2h)) / 3 of the central differences
+    D(h) and D(2h) cancels their h^2 truncation term, so the step can sit
+    far above the carrier-phase roundoff.
     """
     checks = [(kind, DEFAULT_STEPS[kind] if step is None else step) for kind, step in checks]
     for j in qs:
         for kind, h in checks:
             _check_step(h, getattr(scene.targets[j], kind))
-    shifted = _shifted_copies(scene, qs, [(kind, d) for kind, h in checks
-                                          for d in (h, -h, 2.0 * h, -2.0 * h)])
+    states = _moved_states(scene, qs, [(kind, d) for kind, h in checks
+                                       for d in (h, -h, 2.0 * h, -2.0 * h)])
     steps = np.array([h for _, h in checks])[:, None, None]  # (check, 1, 1)
-    a = steering_values(shifted, side, m_values)
+    a = steering_values(scene, side, m_values, states=states)
     # (target, check, shift, row, N): the shifts are +h, -h, +2h, -2h
     a = a.reshape(len(qs), len(checks), 4, *a.shape[1:])
-    d_h = (a[:, :, 0] - a[:, :, 1]) / (2.0 * steps)
-    d_2h = (a[:, :, 2] - a[:, :, 3]) / (4.0 * steps)
+    d_h = _divide(a[:, :, 0] - a[:, :, 1], 2.0 * steps)
+    d_2h = _divide(a[:, :, 2] - a[:, :, 3], 4.0 * steps)
     return (4.0 * d_h - d_2h) / 3.0
 
 
-def _target_channels(scene):
+def _target_channels(scene, states=None):
     """Yield each target's channel rcs_q a_r a_t^T for every snapshot, (M, N_r, N_t).
 
+    states, if given, is a (K, 6) state array in BLOCKS order that stands
+    for the scene's targets; each channel reads its rcs from its own row.
     The reflectivity is the right operand: numpy reuses a large temporary in
     place as the left one, and a complex product rounds by operand order.
     """
-    a_t = steering_values(scene, "tx")
-    a_r = steering_values(scene, "rx")
-    for q, t in enumerate(scene.targets):
-        yield np.einsum("mr,mt->mrt", a_r[q], a_t[q]) * t.rcs
+    states = states_of(scene.targets) if states is None else states
+    a_t = steering_values(scene, "tx", states=states)
+    a_r = steering_values(scene, "rx", states=states)
+    for a_r_k, a_t_k, (re, im) in zip(a_r, a_t, states[:, 4:].tolist()):
+        yield np.einsum("mr,mt->mrt", a_r_k, a_t_k) * complex(re, im)
 
 
 # a function, not inlined in fd_fim: its return frees plus and minus before
@@ -136,7 +157,7 @@ def _channel_derivative(base, q, moved, h):
     held at a time. The target channels are summed in target order.
     """
     plus, minus = (sum(base[:q] + [next(moved)] + base[q + 1:]) for _ in range(2))
-    return (plus - minus) / (2.0 * h)
+    return _divide(plus - minus, 2.0 * h)
 
 
 def fd_fim(scene, steps=None):
@@ -145,18 +166,18 @@ def fd_fim(scene, steps=None):
     Only the derivative source differs from the analytic path: each channel
     derivative stack is (A(theta + h) - A(theta - h)) / 2h, and the full
     trace 2 P / sigma^2 Re tr(D_i^H D_j) summed over snapshots follows. The
-    shifted copies of every target and parameter are one Scene, evaluated in
-    one steering_values call per side. A shifted channel replaces the one
-    target channel that moves and reuses the others.
+    shifted states of every target and parameter are one (12 Q, 6) array,
+    evaluated in one steering_values call per side. A shifted channel
+    replaces the one target channel that moves and reuses the others.
     """
     steps = {**DEFAULT_STEPS, **(steps or {})}
     for t in scene.targets:
         for kind in BLOCKS:
             _check_step(steps[kind], getattr(t, kind))
+    states = _moved_states(scene, range(scene.q_count),
+                           [(kind, d) for kind in BLOCKS for d in (steps[kind], -steps[kind])])
     base = list(_target_channels(scene))
-    moved = _target_channels(_shifted_copies(
-        scene, range(scene.q_count), [(kind, d) for kind in BLOCKS
-                                      for d in (steps[kind], -steps[kind])]))
+    moved = _target_channels(scene, states)
     # one array, not a list of stacks, so glibc does not trim and re-fault the heap
     derivs = np.empty((6 * scene.q_count, scene.snapshots, scene.rx.count, scene.tx.count),
                       dtype=complex)
@@ -242,7 +263,8 @@ def monte_carlo_isotropic(scene, draws=1000, seed=0):
         raise ValueError("draws must be at least 1000 for a meaningful average")
     reference = fim(scene).matrix
     x = _isotropic_symbols(scene.power_w, (draws, scene.tx.count, scene.snapshots), seed)
-    cov = np.einsum("dtm,dsm->mts", x, x.conj()) / draws
+    per_snapshot = x.transpose(2, 1, 0)  # (M, N_t, draws)
+    cov = np.matmul(per_snapshot, per_snapshot.conj().swapaxes(1, 2)) / draws
     d = _channel_derivatives(scene)
     mean = (2.0 / scene.noise_var_w
             * np.einsum("imrt,jmrs,mst->ij", d.conj(), d, cov).real)

@@ -72,11 +72,6 @@ class Scene:
                    self.noise_var_w, self.lightspeed)
         if not all(map(math.isfinite, scalars)):
             raise ValueError("scene scalars must be finite")
-        fields = [getattr(t, name) for t in self.targets for name in BLOCKS]
-        if not all(map(math.isfinite, fields)):
-            q = next(q for q, t in enumerate(self.targets)
-                     if not all(math.isfinite(getattr(t, name)) for name in BLOCKS))
-            raise ValueError(f"target {q} has a non-finite field")
         if self.carrier_hz <= 0 or self.t_sym_s <= 0:
             raise ValueError("carrier_hz and t_sym_s must be positive")
         if self.lightspeed <= 0:
@@ -100,24 +95,13 @@ class Scene:
         if len(self.targets) < 1:
             raise ValueError("scene needs at least one target")
 
-        # per side, every target's closest element range in one broadcast; element
-        # positions are finite (ArrayGeometry rejects others), so no range is NaN
-        xy = np.array(fields, dtype=float).reshape(-1, len(BLOCKS))
+        # every target's closest element range; one layout is checked once
         sides = (self.tx,) if self.monostatic else (self.tx, self.rx)
-        near = [np.hypot(xy[:, :1] - geom.positions[:, 0],
-                         xy[:, 1:2] - geom.positions[:, 1]).min(1).tolist() for geom in sides]
-        for q, t in enumerate(self.targets):
-            for geom, ranges in zip(sides, near):
-                if ranges[q] <= MIN_ELEMENT_CLEARANCE:
-                    raise DegenerateGeometryError(
-                        f"target {q} is within {MIN_ELEMENT_CLEARANCE} m of an array element"
-                    )
-                polar_of(t, geom)  # raises at the centroid, where an even count has no element
+        near = check_states(states_of(self.targets), sides).tolist()
         # small-displacement assumption: each target's CPI-long travel must stay
         # far below its own closest element range or the static-phase model drifts
-        for q, (t, *ranges) in enumerate(zip(self.targets, *near)):
+        for q, (t, min_range) in enumerate(zip(self.targets, near)):
             travel = math.hypot(t.vx, t.vy) * self.snapshots * self.t_sym_s
-            min_range = min(ranges)
             if travel / min_range > 1e-2:
                 warnings.warn(
                     f"target {q} moves {travel:.3g} m over the CPI at minimum range "
@@ -185,14 +169,56 @@ def target_indices(q, q_count):
     return [b * q_count + q for b in range(len(BLOCKS))]
 
 
+def states_of(targets):
+    """The fields of targets as one (Q, 6) float array, a row per target in BLOCKS order."""
+    return np.array([[getattr(t, name) for name in BLOCKS] for t in targets],
+                    dtype=float).reshape(-1, len(BLOCKS))
+
+
+def check_states(states, sides):
+    """Scene's per-target rules on target states, rows of a (K, 6) array in BLOCKS order.
+
+    Every field must be finite (ValueError), and every state must sit beyond
+    MIN_ELEMENT_CLEARANCE of each element and of the centroid of each array
+    in sides (DegenerateGeometryError). The first state that breaks a rule
+    is named; within a state, the arrays go in order, an element before a
+    centroid. Returns every state's closest element range over all sides, (K,).
+    """
+    if not np.isfinite(states).all():
+        k = int(np.isfinite(states).all(axis=1).argmin())
+        raise ValueError(f"target {k} has a non-finite field")
+    # every element of every side, then each side's centroid, in one broadcast;
+    # element positions are finite (ArrayGeometry rejects others), so no range is NaN
+    points = np.concatenate([geom.positions for geom in sides] + [[g.centre for g in sides]])
+    ranges = np.hypot(states[:, :1] - points[:, 0], states[:, 1:2] - points[:, 1])
+    near = ranges[:, :-len(sides)].min(axis=1)
+    # np.hypot can round one ulp apart from polar_of's math.hypot, so each
+    # state within twice the clearance of a point is settled one by one below
+    if ranges.min() > 2.0 * MIN_ELEMENT_CLEARANCE:
+        return near
+    for k, (x, y) in enumerate(states[:, :2].tolist()):
+        for geom in sides:
+            if np.hypot(x - geom.positions[:, 0], y - geom.positions[:, 1]).min() \
+                    <= MIN_ELEMENT_CLEARANCE:
+                raise DegenerateGeometryError(
+                    f"target {k} is within {MIN_ELEMENT_CLEARANCE} m of an array element")
+            _polar(x, y, geom)
+    return near
+
+
 def polar_of(target, geom):
     """Range and broadside angle of a target relative to an array's centroid.
 
     The angle is measured from the array normal (y-axis for x-axis ULAs), so
     x = centroid_x + r*sin(theta) and y = r*cos(theta).
     """
+    return _polar(target.x, target.y, geom)
+
+
+def _polar(x, y, geom):
+    """polar_of of the point (x, y)."""
     cx, cy = geom.centre
-    dx, dy = target.x - cx, target.y - cy
+    dx, dy = x - cx, y - cy
     r = math.hypot(dx, dy)
     if r <= MIN_ELEMENT_CLEARANCE:
         raise DegenerateGeometryError("target sits at the array centroid")

@@ -16,7 +16,9 @@ a list of targets in one broadcast: each target field enters as a (Q, 1, 1)
 column against the (M, N) snapshot grid; fim forms it a few snapshot rows at
 a time by _stack, from side_factors shifted to centre each target, for its
 cross-target blocks. steering_values evaluates the entries alone, for
-every target of a scene in one broadcast. All of them read the element paths
+every target of a scene in one broadcast, or for the rows of a (K, 6) array
+of target states in BLOCKS order, which the oracle's finite differences
+pass in place of shifted targets. All of them read the element paths
 from _paths and the entries from _entries, so the model is written once.
 _entries forms each entry as the product of two rows of the phasor table of
 _phasors, a few exp calls per element path instead of one per snapshot. The
@@ -196,14 +198,19 @@ def _stack(scene, g, r, u, alpha, beta, m_values, out=None, table=None):
     return fields
 
 
-def steering_values(scene, side, m_values=None):
+def steering_values(scene, side, m_values=None, states=None):
     """Steering vectors alone of every target on one side, in one broadcast.
 
     Returns a (Q, len(m_values), N) complex array whose slice q equals
     steering_stack(scene, side, q, m_values)[0] bit for bit; no derivative is
-    formed.
+    formed. states, if given, is a (K, 6) float array of target states in
+    BLOCKS order, evaluated in place of the scene's targets: the array is
+    then (K, len(m_values), N), and row k equals that of a scene whose
+    targets hold state k. The caller validates the states
+    (scene.check_states); rcs_re and rcs_im are not read.
     """
-    _, _, r, u, g = _paths(scene, scene.side(side), *_columns(scene.targets))
+    columns = _columns(scene.targets) if states is None else states[:, :4].T[:, :, None, None]
+    _, _, r, u, g = _paths(scene, scene.side(side), *columns)
     return _entries(scene, g, r, u, m_values)
 
 

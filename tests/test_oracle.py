@@ -13,10 +13,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nfcrb import (BLOCKS, ArrayGeometry, Scene, Target, brute_gain, fd_fim, fim, make_scene,
-                   steering_stack, ula)
+from nfcrb import (BLOCKS, ArrayGeometry, DegenerateGeometryError, Scene, Target, brute_gain,
+                   fd_fim, fim, make_scene, steering_stack, ula)
 from nfcrb.fim import derivative_terms
-from nfcrb.oracle import (DEFAULT_STEPS, _channel_derivatives, _target_channels,
+from nfcrb.oracle import (DEFAULT_STEPS, _channel_derivatives, _target_channels, _two_target_scene,
                           _verify_consistency, _verify_expansions, _verify_steering,
                           fd_steering_rows, make_report, relative_difference, run_battery)
 from nfcrb.steering import KEYS, steering_values
@@ -77,6 +77,50 @@ def test_fd_step_underflow_rejected_at_every_listed_target():
     fd_steering_rows(s, "tx", [0], [("x", 1e-10)], [1])
     with pytest.raises(ValueError, match="underflows at value 100000.0"):
         fd_steering_rows(s, "tx", [0, 1], [("x", 1e-10)], [1])
+
+
+# each shifted state passes Scene's own rules, as a target of its own did: a
+# -1e-6 m step (state 1) brings a target 1.5e-6 m from an element or a
+# centroid within the 1e-6 m clearance, and a +1e306 m step (state 0) moves
+# x = 1.79e308 m past the float range
+SHIFTS_PAST_SCENE_RULES = [
+    (Target(x=0.005 + 1.5e-6, y=0.0), "x", 1e-6, DegenerateGeometryError,
+     "^target 1 is within 1e-06 m of an array element$"),
+    (Target(x=0.0, y=1.5e-6), "y", 1e-6, DegenerateGeometryError,
+     "^target sits at the array centroid$"),
+    (Target(x=1.79e308, y=1.0), "x", 1e306, ValueError, "^target 0 has a non-finite field$"),
+]
+
+
+@pytest.mark.parametrize("target, kind, step, error, message", SHIFTS_PAST_SCENE_RULES,
+                         ids=["element", "centroid", "float-range"])
+def test_fd_shifts_keep_scene_rules(target, kind, step, error, message):
+    s = make_scene(targets=[target], tx=ula(4, 0.01), rx=ula(4, 0.01), snapshots=4)
+    with pytest.raises(error, match=message):
+        fd_steering_rows(s, "tx", [0], [(kind, step)], [1])
+    # fd_fim's states run x then y, each +h then -h, and the x moves of the
+    # centroid case pass; the unshifted channels of a target at 1.79e308 m overflow
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(error, match=message):
+        fd_fim(s, steps={kind: step})
+
+
+def test_finite_differences_construct_no_target(monkeypatch):
+    # the shifted states are rows of one array: the steering battery builds
+    # only the targets it draws, and fd_fim none
+    two = _two_target_scene()
+    built = []
+    init = Target.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(args or kwargs)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Target, "__init__", counted)
+    _verify_steering(0, 20)
+    assert len(built) == 20
+    built.clear()
+    fd_fim(two)
+    assert built == []
 
 
 # the finite-difference route before steering_values: one perturbed scene per
