@@ -26,6 +26,8 @@ from .scene import (BLOCKS, LIGHTSPEED, MIN_ELEMENT_CLEARANCE, Target, dbm_to_wa
                     polar_of)
 
 BOUNDS = ("rcs", "vx", "vy", "x", "y")
+# the cells of each bound, in eval's text order; _bound_cells fills each from its source
+FIELDS = ("exact", "marginal", "ff", "nf", "relerr_ff", "relerr_nf")
 REGIONS = ("reactive", "fresnel", "fraunhofer")
 REGION_FLAGS = tuple(f"in_{region}" for region in REGIONS)
 # each swept variable's CSV column and unit; a count unit means an integer grid
@@ -244,24 +246,23 @@ def _region(scene, q):
     return REGIONS[min(scene.per_side(lambda side: nearest(scene.side(side))))]
 
 
-def _bound_cells(scene, q, bounds, variants, closed):
-    """The cell record of one target, keyed by cell_columns(bounds, variants) and "region".
+def _bound_cells(scene, q, bounds, variants, closed, marginal=None):
+    """The cell record of one target: "region", its flags and _column(bound, f) for FIELDS.
 
-    closed, the target's TargetBounds, gives its exact cells. The eval report,
-    the eval CSV and every sweep row lay out this dict.
+    closed gives the exact cells and marginal the marginal ones (None: a singular F'), each
+    a TargetBounds. The eval report, the eval CSV and every sweep row lay out this dict.
     """
     region = _region(scene, q)
     cells = {"region": region, **{f"in_{r}": r == region for r in REGIONS}}
     approx = {v: approx_bounds(scene, q, v, bounds) for v in variants if v != "exact"}
     for bound in bounds:
         exact = closed.by_name(bound)
-        if "exact" in variants:
-            cells[f"{bound}_exact"] = exact
+        source = {"exact": exact, "marginal": marginal.by_name(bound) if marginal else None}
         for variant, values in approx.items():
-            value = values[bound]
+            value = source[variant] = values[bound]
             usable = value is not None and math.isfinite(exact) and exact != 0.0
-            cells[f"{bound}_{variant}"] = value
-            cells[f"relerr_{bound}_{variant}"] = relative_error(value, exact) if usable else None
+            source[f"relerr_{variant}"] = relative_error(value, exact) if usable else None
+        cells.update((_column(bound, f), source.get(f)) for f in FIELDS)
     return cells
 
 
@@ -272,8 +273,8 @@ def _column(bound, field):
 
 
 def cell_columns(bounds, variants):
-    """Column names of a cell table, in output order."""
-    fields = [*variants, *(f"relerr_{v}" for v in ("ff", "nf") if v in variants)]
+    """Column names of a cell table: per bound the variants, then their relerr_* as in FIELDS."""
+    fields = [*variants, *(f for f in FIELDS if f.partition("relerr_")[2] in variants)]
     return [_column(bound, f) for bound in bounds for f in fields] + list(REGION_FLAGS)
 
 
@@ -307,18 +308,16 @@ def render_eval(scene):
                  f"tx={scene.tx.count} rx={scene.rx.count}",
                  f"# condition_number={_fmt(condition)}",
                  f"# status={status}"]
-        fields = ("exact", "marginal", "ff", "nf", "relerr_ff", "relerr_nf")
         rows = []
         for q in range(scene.q_count):
             closed = own_bounds(info.centred[q::scene.q_count, q::scene.q_count], info.shift[q])
-            cells = {"target": q, **_bound_cells(scene, q, BOUNDS, VARIANTS, closed)}
-            if report is not None:
-                cells.update((f"{b}_marginal", report.targets[q].by_name(b)) for b in BOUNDS)
+            marginal = None if report is None else report.targets[q]
+            cells = {"target": q, **_bound_cells(scene, q, BOUNDS, VARIANTS, closed, marginal)}
             cells = {key: _fmt(cell) for key, cell in cells.items()}
             rows.append(cells)
             lines.append(f"target.{q}.region={cells['region']}")
-            lines += [f"target.{q}.{bound}.{f}={cells.get(_column(bound, f), '')}"
-                      for bound in BOUNDS for f in fields]
+            lines += [f"target.{q}.{bound}.{f}={cells[_column(bound, f)]}"
+                      for bound in BOUNDS for f in FIELDS]
         return "\n".join(lines) + "\n", _csv([f"# nfcrb eval v{__version__}"],
                                             ["target"] + cell_columns(BOUNDS, VARIANTS), rows)
 

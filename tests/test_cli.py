@@ -20,7 +20,7 @@ import nfcrb
 from nfcrb import (ArrayGeometry, Scene, Target, cli, closed_form_single, dbm_to_watts, make_scene,
                    ula)
 from nfcrb.approx import VARIANTS
-from nfcrb.cli import (BOUNDS, REGION_FLAGS, SWEEP_VARS, Config, ConfigError, SweepSpec,
+from nfcrb.cli import (BOUNDS, FIELDS, REGION_FLAGS, SWEEP_VARS, Config, ConfigError, SweepSpec,
                        _bound_cells, _column, _point_scene, build_scene, main, parse_config,
                        past_float_range, render_eval, run_sweep, run_verify, sweep_columns)
 from nfcrb.fim import fim
@@ -1112,10 +1112,13 @@ def test_sweep_antennas_grid_must_be_integral(tmp_path, capsys):
     ("variants", "ff,ff", "variants must be a non-empty list without repeats"),
     ("bounds", "", "bounds must be a non-empty list without repeats"),
     ("variants", "", "variants must be a non-empty list without repeats"),
+    ("variants", "marginal", "unknown variants"),
+    ("variants", "relerr_ff", "unknown variants"),
 ], ids=["unknown-bound", "repeated-bounds", "repeated-variants", "empty-bounds",
-        "empty-variants"])
+        "empty-variants", "marginal-variant", "relerr-variant"])
 def test_sweep_unknown_bound_rejected(tmp_path, capsys, option, value, message):
-    # a repeated or empty list would write duplicate or no bound columns
+    # a repeated or empty list would write duplicate or no bound columns; sweep
+    # builds no FIM, so it has no marginal cells, and relerr follows its variant
     values = tuple(v for v in value.split(",") if v)
     with pytest.raises(ValueError, match=message):
         SweepSpec(variable="range", grid=(100.0,), config=Config(), **{option: values})
@@ -1123,6 +1126,26 @@ def test_sweep_unknown_bound_rejected(tmp_path, capsys, option, value, message):
     assert main(["sweep", path, "--var", "range", "--grid", "10", f"--{option}", value]) == 1
     out, err = capsys.readouterr()
     assert out == "" and f"config error: {message}" in err
+
+
+@pytest.mark.parametrize("flags, columns", [
+    (["--bounds", "y,rcs", "--variants", "nf,exact"],
+     ["y_nf", "y_exact", "relerr_y_nf", "rcs_nf", "rcs_exact", "relerr_rcs_nf"]),
+    (["--variants", "nf,ff"],
+     [column for bound in BOUNDS for column in
+      (f"{bound}_nf", f"{bound}_ff", f"relerr_{bound}_ff", f"relerr_{bound}_nf")]),
+], ids=["y-rcs-nf-exact", "nf-ff"])
+def test_sweep_columns_follow_the_flags(tmp_path, capsys, flags, columns):
+    # bounds and variants keep the order of the flags, the relerr columns
+    # always ff before nf; each cell reads as in the default layout
+    path = write_cfg(tmp_path, DEFAULT_CFG)
+    argv = ["sweep", path, "--var", "range", "--grid", "50,100,400"]
+    assert main(argv) == 0
+    _, _, default = parse_csv(capsys.readouterr().out)
+    assert main([*argv, *flags]) == 0
+    _, header, rows = parse_csv(capsys.readouterr().out)
+    assert header == ["range_m", *columns, *REGION_FLAGS, "error"]
+    assert rows == [{key: row[key] for key in header} for row in default]
 
 
 def test_sweep_unknown_variable_rejected(tmp_path, capsys):
@@ -1150,12 +1173,17 @@ def test_sweep_empty_grid_rejected(tmp_path, capsys):
     assert "empty" in capsys.readouterr().err
 
 
+# target 1 on target 0: coincident targets cannot be told apart, so F' is singular
+COINCIDENT_CFG = (DEFAULT_CFG + "target.1.range = 100\ntarget.1.angle_deg = 20\n"
+                  "target.1.vx = 1\ntarget.1.vy = 4\ntarget.1.rcs_re = 1\ntarget.1.rcs_im = 0.1\n")
+# two distinct targets at full aperture invert, scaled condition number 4.7e5
+TWO_TARGET_CFG = (DEFAULT_CFG + "target.1.range = 150\ntarget.1.angle_deg = -45\n"
+                  "target.1.vx = 4\ntarget.1.vy = 3\n")
+
+
 def test_eval_renders_every_target_when_marginal_unavailable(tmp_path, capsys):
-    # coincident targets cannot be told apart, so their information matrix
-    # is singular; the report must still carry the per-target closed forms
-    path = write_cfg(tmp_path, DEFAULT_CFG + "target.1.range = 100\n"
-                     "target.1.angle_deg = 20\ntarget.1.vx = 1\ntarget.1.vy = 4\n"
-                     "target.1.rcs_re = 1\ntarget.1.rcs_im = 0.1\n")
+    # the singular report must still carry the per-target closed forms
+    path = write_cfg(tmp_path, COINCIDENT_CFG)
     assert main(["eval", path]) == 0
     out = capsys.readouterr().out
     assert "# status=singular" in out
@@ -1165,9 +1193,7 @@ def test_eval_renders_every_target_when_marginal_unavailable(tmp_path, capsys):
     assert kv["target.1.rcs.marginal"] is None
     assert kv["target.1.region"] == "fresnel"
 
-    # two distinct targets at full aperture invert, scaled condition number 4.7e5
-    path = write_cfg(tmp_path, DEFAULT_CFG + "target.1.range = 150\n"
-                     "target.1.angle_deg = -45\ntarget.1.vx = 4\ntarget.1.vy = 3\n", "two.cfg")
+    path = write_cfg(tmp_path, TWO_TARGET_CFG, "two.cfg")
     assert main(["eval", path]) == 0
     out = capsys.readouterr().out
     assert "# status=ok" in out
@@ -1175,6 +1201,21 @@ def test_eval_renders_every_target_when_marginal_unavailable(tmp_path, capsys):
     for q in (0, 1):
         for bound in BOUNDS:
             assert kv[f"target.{q}.{bound}.marginal"] >= kv[f"target.{q}.{bound}.exact"]
+
+
+@pytest.mark.parametrize("text, status", [(TWO_TARGET_CFG, "ok"),
+                                          (COINCIDENT_CFG, "singular")],
+                         ids=["two-targets", "coincident"])
+def test_eval_text_lines_follow_fields(tmp_path, capsys, text, status):
+    # per target the region line, then every bound's cells in FIELDS order;
+    # test_readme pins FIELDS to the README's list
+    assert main(["eval", write_cfg(tmp_path, text)]) == 0
+    out = capsys.readouterr().out
+    assert f"# status={status}" in out.splitlines()
+    keys = [key for key in parse_kv_lines(out) if key.startswith("target.")]
+    assert keys == [key for q in range(2) for key in
+                    [f"target.{q}.region", *(f"target.{q}.{bound}.{field}"
+                                             for bound in BOUNDS for field in FIELDS)]]
 
 
 # verify
