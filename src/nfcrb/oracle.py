@@ -241,12 +241,20 @@ def _isotropic_symbols(power, shape, seed):
     Each draw takes 32-bit words k from one seeded generator, those of its
     magnitudes and then those of its phases, as u = (k + 1/2) 2^-32 in
     (0, 1): |x|^2 = -power ln u_1 is exponential with mean power, and the
-    phase 2 pi u_2 is uniform.
+    phase 2 pi u_2 is uniform. e^(2 pi j u_2) is the product of four 256-entry
+    tables T_i[b_i] = e^(2 pi j b_i 2^(8i - 32)) over k's little-endian bytes
+    b_i, 1/2 in T_0: the same words, within about 1e-15 of the direct exp.
     """
     words = (shape[0], 2, *shape[1:])
-    k = np.frombuffer(_generator(seed).randbytes(4 * math.prod(words)), dtype="<u4")
-    u = (k.reshape(words) + 0.5) * 2.0 ** -32
-    return np.sqrt(-power * np.log(u[:, 0])) * np.exp(2j * math.pi * u[:, 1])
+    raw = _generator(seed).randbytes(4 * math.prod(words))
+    u = np.frombuffer(raw, dtype="<u4").reshape(words)[:, 0] + 0.5
+    np.log(np.multiply(u, 2.0 ** -32, out=u), out=u)
+    x = np.sqrt(np.multiply(u, -power, out=u), out=u).astype(complex)
+    octets = np.frombuffer(raw, dtype=np.uint8).reshape(*words, 4)[:, 1]
+    for i in range(4):
+        table = np.exp(2j * math.pi * 2.0 ** (8 * i - 32) * (np.arange(256) + (i == 0) / 2))
+        x *= table.take(octets[..., i])
+    return x
 
 
 def monte_carlo_isotropic(scene, draws=1000, seed=0):

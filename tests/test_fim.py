@@ -11,8 +11,10 @@ import subprocess
 import sys
 import threading
 import tracemalloc
+import types
 from collections import Counter
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -149,6 +151,42 @@ def test_isotropic_symbols_follow_their_seed():
         _isotropic_symbols(1.0, (1000, 4, 8), -1)
     with pytest.raises(ValueError, match="non-negative"):
         monte_carlo_isotropic(small_scene(), draws=1000, seed=-1)
+
+
+# the magnitude word nearest 2^32 / e: sqrt(-ln u) is 1 within 1e-10
+UNIT_MAGNITUDE_WORD = 1580030168
+PHASE_TOL = 2e-15
+
+
+def phase_errors(k):
+    """|x - r e^(2 pi j (k + 1/2) 2^-32)| / r of _isotropic_symbols' symbol x for
+    each 32-bit phase word k, with r = sqrt(-ln u) of the one magnitude word.
+
+    The generator is replaced by one whose bytes are one draw's magnitude
+    words and then the words k, in the (draws, 2, N_t, M) layout with
+    draws = M = 1 and N_t = k.size; the reference is the direct exp of each
+    whole word.
+    """
+    k = np.asarray(k, dtype=np.uint64)
+    raw = np.stack([np.full(k.size, UNIT_MAGNITUDE_WORD), k]).astype("<u4").tobytes()
+    words = types.SimpleNamespace(randbytes=lambda n: raw)
+    with mock.patch.object(nfcrb.oracle, "_generator", lambda seed: words):
+        x = _isotropic_symbols(1.0, (1, k.size, 1), 0).ravel()
+    r = math.sqrt(-math.log((UNIT_MAGNITUDE_WORD + 0.5) * 2.0 ** -32))
+    return np.abs(x - r * np.exp(2j * np.pi * (k + 0.5) * 2.0 ** -32)) / r
+
+
+def test_isotropic_phases_match_the_direct_exp():
+    # each byte position of the phase word runs through 0..255 with the other
+    # three bytes random, then k = 0 and k = 2^32 - 1; the byte tables' product
+    # must equal e^(2 pi j (k + 1/2) 2^-32) formed from the whole word
+    rng = np.random.default_rng(5)
+    k = rng.integers(0, 2 ** 32, (4, 256), dtype=np.uint64)
+    for p in range(4):
+        k[p] = k[p] & ~np.uint64(255 << 8 * p) | np.arange(256, dtype=np.uint64) << 8 * p
+        assert (k[p] >> np.uint64(8 * p) & np.uint64(255) == np.arange(256)).all()
+    err = phase_errors(np.append(k.ravel(), [0, 2 ** 32 - 1]))
+    assert err.size == 1026 and err.max() <= PHASE_TOL
 
 
 def test_monte_carlo_rejects_small_sample():
