@@ -16,11 +16,11 @@ target's reflectivity absorbs its weighted-mean derivative factor
 O(N) element moments, as crb.own_information returns them, 2 P / sigma^2
 included; fim applies that scale only to its cross-target blocks, so target
 q's own block F'[q::Q, q::Q] is the one every bound of target q reads.
-Cross-target blocks come from one complex Gram per snapshot and side over
-every target's derivative fields, formed by steering._stack from side_factors
-shifted to centre each target and from the side's one phasor table
-(steering._phasors), rows field-major in a canonical target order (sorted by
-fields); each pair block is computed once in that order and mirrored, so
+Cross-target blocks come from one complex Gram per snapshot and side over every
+target's derivative fields, formed by steering._stack from side_factors shifted
+to centre each target and from the side's one phasor table (steering._phasors),
+rows field-major in a canonical target order, the rows of Scene.states sorted
+with x first; each pair block is computed once in that order and mirrored, so
 permuting the targets permutes the matrix. The Grams are formed in blocks of
 steering.LOW_ROWS snapshots, in chunks of one row count per scene
 (_chunk_rows), and a block's pair blocks are kept only until the block is
@@ -234,8 +234,9 @@ def fim(scene):
         centred F' and the C_q of each target.
     """
     q_count, b = scene.q_count, len(BLOCKS)
-    order = np.array(sorted(range(q_count), key=lambda q: [*vars(scene.targets[q]).values()]))
-    rcs = np.array([scene.targets[q].rcs for q in order])
+    # canonical order: the rows as sorted() orders their lists, x first (lexsort is stable)
+    order = np.lexsort(scene.states.T[::-1])
+    rcs = scene.states[order, 4:].view(complex)[:, 0]
     tx, rx = scene.per_side(lambda side: side_factors(scene, side, order.tolist()))
     # every target's own block, C_q and per-side shifts, in canonical order
     own, c, shifts = own_information(scene, tx, rx, rcs)

@@ -8,9 +8,10 @@ against full channel-derivative stacks instead of the Gram products `fim`
 uses. The finite differences read steering values alone
 (`steering.steering_values`), never the analytic derivative factors: the
 shifted states of every listed target, for every check of a call, are the
-rows of one (K, 6) array in BLOCKS order, evaluated in one broadcast call
-per array side. No shifted Target or Scene is built; each state passes
-Scene's own per-target rules (`scene.check_states`) on both arrays.
+rows of one (K, 6) array in BLOCKS order, moved copies of `Scene.states`
+rows, evaluated in one broadcast call per array side. No shifted Target or
+Scene is built; each state passes Scene's own per-target rules
+(`scene.check_states`) on both arrays.
 `fd_steering_rows` differences the one side that its caller names; verify's
 steering battery builds each scene on one array object and names "tx". Every
 other oracle evaluates both sides, and no oracle reads Scene.monostatic, the
@@ -34,7 +35,7 @@ from .approx import correction_terms, gain
 from .crb import _element_moments, closed_form_single
 from .fim import FisherInfo, derivative_terms, fim
 from .geometry import ula
-from .scene import BLOCKS, Target, check_states, make_scene, states_of, target_indices
+from .scene import BLOCKS, Target, check_states, make_scene, target_indices
 from .steering import KEYS, side_factors, steering_stack, steering_values
 
 REL_ERR_FLOOR = 1e-30
@@ -84,7 +85,7 @@ def _moved_states(scene, qs, moves):
     the target's fields with offset added to field kind. Every row must pass
     Scene's per-target rules on both arrays, as a target of its own would.
     """
-    rows = states_of([scene.targets[q] for q in qs])
+    rows = scene.states[list(qs)]
     states = np.repeat(rows, len(moves), axis=0)
     by_move = states.reshape(len(rows), len(moves), len(BLOCKS))  # a view of states
     fields = [BLOCKS.index(kind) for kind, _ in moves]
@@ -134,12 +135,12 @@ def fd_steering_rows(scene, side, qs, checks, m_values):
 def _target_channels(scene, states=None):
     """Yield each target's channel rcs_q a_r a_t^T for every snapshot, (M, N_r, N_t).
 
-    states, if given, is a (K, 6) state array in BLOCKS order that stands
-    for the scene's targets; each channel reads its rcs from its own row.
+    states is a (K, 6) state array in BLOCKS order, scene.states unless
+    given; each channel reads its rcs from its own row.
     The reflectivity is the right operand: numpy reuses a large temporary in
     place as the left one, and a complex product rounds by operand order.
     """
-    states = states_of(scene.targets) if states is None else states
+    states = scene.states if states is None else states
     a_t = steering_values(scene, "tx", states=states)
     a_r = steering_values(scene, "rx", states=states)
     for a_r_k, a_t_k, (re, im) in zip(a_r, a_t, states[:, 4:].tolist()):

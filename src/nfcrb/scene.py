@@ -97,7 +97,7 @@ class Scene:
 
         # every target's closest element range; one layout is checked once
         sides = (self.tx,) if self.monostatic else (self.tx, self.rx)
-        near = check_states(states_of(self.targets), sides).tolist()
+        near = check_states(self.states, sides).tolist()
         # small-displacement assumption: each target's CPI-long travel must stay
         # far below its own closest element range or the static-phase model drifts
         for q, (t, min_range) in enumerate(zip(self.targets, near)):
@@ -117,6 +117,13 @@ class Scene:
     @property
     def q_count(self):
         return len(self.targets)
+
+    @functools.cached_property
+    def states(self):
+        """The one array form of the targets: read-only (Q, 6) rows of their BLOCKS fields."""
+        states = np.array([[getattr(t, name) for name in BLOCKS] for t in self.targets], float)
+        states.flags.writeable = False
+        return states
 
     @functools.cached_property
     def monostatic(self):
@@ -167,12 +174,6 @@ def make_scene(targets=None, tx=None, rx=None, carrier_hz=15.0e9, t_sym_s=1e-4,
 def target_indices(q, q_count):
     """The six parameter rows belonging to target q, in BLOCKS order."""
     return [b * q_count + q for b in range(len(BLOCKS))]
-
-
-def states_of(targets):
-    """The fields of targets as one (Q, 6) float array, a row per target in BLOCKS order."""
-    return np.array([[getattr(t, name) for name in BLOCKS] for t in targets],
-                    dtype=float).reshape(-1, len(BLOCKS))
 
 
 def check_states(states, sides):

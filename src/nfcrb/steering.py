@@ -15,10 +15,11 @@ steering_stack returns it for one target or, with a leading target axis, for
 a list of targets in one broadcast: each target field enters as a (Q, 1, 1)
 column against the (M, N) snapshot grid; fim forms it a few snapshot rows at
 a time by _stack, from side_factors shifted to centre each target, for its
-cross-target blocks. steering_values evaluates the entries alone, for
-every target of a scene in one broadcast, or for the rows of a (K, 6) array
-of target states in BLOCKS order, which the oracle's finite differences
-pass in place of shifted targets. All of them read the element paths
+cross-target blocks; a list of targets enters as the columns of its rows of
+Scene.states, the one array form of the targets. steering_values evaluates
+the entries alone, in one broadcast over the rows of a (K, 6) state array in
+BLOCKS order: Scene.states, or the shifted states that the oracle's finite
+differences pass in its place. All of them read the element paths
 from _paths and the entries from _entries, so the model is written once.
 _entries forms each entry as the product of two rows of the phasor table of
 _phasors, a few exp calls per element path instead of one per snapshot. The
@@ -41,13 +42,8 @@ LOW_ROWS = 16
 # derivatives with respect to the target location x/y and velocity vx/vy
 KEYS = ("a", "d_x", "d_y", "d_vx", "d_vy")
 
-# target states as (Q, 1, 1) columns; element_factors reads them like a Target
+# rows of Scene.states as (Q, 1, 1) columns; element_factors reads them like a Target
 _Columns = namedtuple("_Columns", "x y vx vy")
-
-
-def _columns(targets):
-    """Each target field of targets as a (Q, 1, 1) column against the (M, N) snapshot grid."""
-    return _Columns(*np.array([(t.x, t.y, t.vx, t.vy) for t in targets]).T[:, :, None, None])
 
 
 def _paths(scene, geom, x, y, vx, vy):
@@ -154,8 +150,8 @@ def element_factors(scene, geom, target):
 
 def side_factors(scene, side, q):
     """element_factors of target q on one side, with a target axis if q is a list or tuple."""
-    target = (_columns([scene.targets[j] for j in q]) if isinstance(q, (list, tuple))
-              else scene.targets[q])
+    target = (_Columns(*scene.states[list(q), :4].T[:, :, None, None])
+              if isinstance(q, (list, tuple)) else scene.targets[q])
     return element_factors(scene, scene.side(side), target)
 
 
@@ -199,18 +195,16 @@ def _stack(scene, g, r, u, alpha, beta, m_values, out=None, table=None):
 
 
 def steering_values(scene, side, m_values=None, states=None):
-    """Steering vectors alone of every target on one side, in one broadcast.
+    """Steering vectors alone of the rows of a (K, 6) state array on one side, in one broadcast.
 
-    Returns a (Q, len(m_values), N) complex array whose slice q equals
-    steering_stack(scene, side, q, m_values)[0] bit for bit; no derivative is
-    formed. states, if given, is a (K, 6) float array of target states in
-    BLOCKS order, evaluated in place of the scene's targets: the array is
-    then (K, len(m_values), N), and row k equals that of a scene whose
-    targets hold state k. The caller validates the states
-    (scene.check_states); rcs_re and rcs_im are not read.
+    states holds target states in BLOCKS order, scene.states unless given.
+    Returns a (K, len(m_values), N) complex array whose row k equals
+    steering_stack(scene, side, k, m_values)[0] bit for bit, for a scene whose
+    target k holds state k; no derivative is formed. The caller validates
+    states it passes (scene.check_states); rcs_re and rcs_im are not read.
     """
-    columns = _columns(scene.targets) if states is None else states[:, :4].T[:, :, None, None]
-    _, _, r, u, g = _paths(scene, scene.side(side), *columns)
+    states = scene.states if states is None else states
+    _, _, r, u, g = _paths(scene, scene.side(side), *states[:, :4].T[:, :, None, None])
     return _entries(scene, g, r, u, m_values)
 
 

@@ -44,6 +44,13 @@ target.0.rcs_im = 0.1
 """
 
 
+def child_env(**overrides):
+    """This process's environment with the package's src first on PYTHONPATH, for a child."""
+    src = str(Path(nfcrb.__file__).resolve().parents[1])
+    return {**os.environ, **overrides,
+            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
 def write_cfg(tmp_path, text, name="scene.cfg"):
     p = tmp_path / name
     p.write_text(text, encoding="utf-8")
@@ -405,6 +412,7 @@ SLOW_PHASE = (EXTREME_BASE + "carrier_hz = 1e300\nt_sym_s = 1e100\ntarget.0.vx =
     (EXTREME_BASE + "carrier_hz = 1e162\n", ["eval"], 0, "singular"),
     (EXTREME_BASE + "target.0.vx = 1e300\n", ["eval"], 0, "singular"),
     (EXTREME_BASE + "noise_w = 1e-300\n", ["eval"], 0, "ok"),
+    (EXTREME_BASE + "noise_w = 1e-200\n", ["eval"], 0, "ok"),
     (EXTREME_BASE + "target.0.rcs_re = 1e160\n", ["eval"], 0, "singular"),
     (EXTREME_BASE + "target.0.rcs_re = 1e160\n", ["sweep", "--var", "range", "--grid",
                                                     "100,200"], 0, "singular"),
@@ -426,9 +434,9 @@ SLOW_PHASE = (EXTREME_BASE + "carrier_hz = 1e300\nt_sym_s = 1e100\ntarget.0.vx =
 ], ids=["tiny-wavelength", "long-symbol", "far-tx", "far-range-sweep", "range-product-sweep",
         "subnormal-power-sweep", "high-carrier", "high-carrier-two-targets",
         "high-carrier-range-sweep", "slow-time-phase", "gain-underflow", "fast-target",
-        "tiny-noise", "huge-rcs", "huge-rcs-sweep", "huge-wavelength", "fast-far-target",
-        "far-huge-rcs", "huge-gain-tiny-power", "huge-slow-time-factor", "far-rx-inverse",
-        "far-rx-one-snapshot", "wide-diagonal", "huge-power-huge-rcs"])
+        "tiny-noise", "small-noise", "huge-rcs", "huge-rcs-sweep", "huge-wavelength",
+        "fast-far-target", "far-huge-rcs", "huge-gain-tiny-power", "huge-slow-time-factor",
+        "far-rx-inverse", "far-rx-one-snapshot", "wide-diagonal", "huge-power-huge-rcs"])
 def test_extreme_configs_end_without_a_traceback(tmp_path, capsys, text, argv, code, expect):
     # an exception escaping main, numpy's RuntimeWarning among them, fails this
     # test. lambda^4, r^2 (at 1e155 m and beyond), (r_tx r_rx)^2 (at 1e100 m),
@@ -445,8 +453,8 @@ def test_extreme_configs_end_without_a_traceback(tmp_path, capsys, text, argv, c
     # 1e230 W and |rcs| = 1e32, on one element a side with the Rx 1 km away,
     # SNR |rcs|^2 alone passes the float range and G_t G_r brings the product
     # back: F' is singular, its exact cells finite and positive, as they are
-    # wherever it inverts. At 1e-300 W of noise diag F' passes 1e154, and the
-    # scene inverts: the Jacobi scale keeps d_i d_j in range. With the Rx array
+    # wherever it inverts. At 1e-300 and 1e-200 W of noise diag F' passes 1e154,
+    # and the scene inverts: the Jacobi scale keeps d_i d_j in range. With the Rx array
     # at 1e145-1e150 m diag F' falls to 1e-300 or below, and an inverse past
     # the float range (which T's zeros would turn into nan) is singular; so is
     # an F' whose diagonal spans more than the float range (1e-229 to 1e81 at a
@@ -482,6 +490,18 @@ def test_extreme_configs_end_without_a_traceback(tmp_path, capsys, text, argv, c
             if expect == "inf":
                 assert [row[_column(bound, v)] for v in VARIANTS] == ["inf"] * 3
                 assert [row[_column(bound, f"relerr_{v}")] for v in ("ff", "nf")] == ["", ""]
+
+
+@pytest.mark.parametrize("text, code", [(SLOW_PHASE, 0), (EXTREME_BASE + "t_sym_s = 1e300\n", 1)],
+                         ids=["slow-time-phase", "long-symbol"])
+def test_extreme_configs_end_without_a_traceback_as_a_command(tmp_path, text, code):
+    # a fresh interpreter with numpy's RuntimeWarning an error from its start,
+    # as a user runs it: the exit code and stderr are the process's own
+    proc = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-m", "nfcrb", "eval",
+                           write_cfg(tmp_path, text)], env=child_env(), capture_output=True,
+                          timeout=120)
+    assert proc.returncode == code, proc.stderr.decode()
+    assert b"Traceback" not in proc.stderr
 
 
 @st.composite
@@ -1318,15 +1338,12 @@ def test_verify_loads_no_numpy_random():
     # verify draws its scenes and symbols from Python's random, which numpy
     # imports anyway; importing numpy.random would add some 4.7 MiB to the
     # process. A fresh child process, so no other test has loaded it
-    src = str(Path(nfcrb.__file__).resolve().parents[1])
-    env = {**os.environ,
-           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     child = ("import contextlib, io, sys\n"
              "import nfcrb.cli\n"
              "with contextlib.redirect_stdout(io.StringIO()):\n"
              "    code = nfcrb.cli.main(['verify', '--seed', '0'])\n"
              "print(code, 'numpy.random' in sys.modules)\n")
-    proc = subprocess.run([sys.executable, "-c", child], env=env, capture_output=True,
+    proc = subprocess.run([sys.executable, "-c", child], env=child_env(), capture_output=True,
                           timeout=120)
     assert proc.returncode == 0, proc.stderr.decode()
     assert proc.stdout.split() == [b"0", b"False"]
@@ -1341,13 +1358,11 @@ def test_reports_identical_across_blas_thread_counts(tmp_path):
     # the bistatic copy runs the Tx Gram a monostatic scene shares with Rx
     text = Path(path).read_text(encoding="utf-8")
     bistatic = write_cfg(tmp_path, text + "rx.centroid_x = 0.5\n", "bistatic.cfg")
-    src = str(Path(nfcrb.__file__).resolve().parents[1])
-    pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     for argv in (["eval", path], ["eval", bistatic], ["verify", "--seed", "0", "--battery", "4"]):
         outputs = []
         for threads in ("1", "2"):
-            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": pythonpath}
-            proc = subprocess.run([sys.executable, "-m", "nfcrb", *argv], env=env,
+            proc = subprocess.run([sys.executable, "-m", "nfcrb", *argv],
+                                  env=child_env(OPENBLAS_NUM_THREADS=threads),
                                   capture_output=True, timeout=120)
             assert proc.returncode == 0, proc.stderr.decode()
             outputs.append(proc.stdout)

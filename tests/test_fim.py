@@ -22,7 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import nfcrb
-from nfcrb import (BLOCKS, brute_gain, fd_fim, fim, make_scene, monte_carlo_isotropic,
+from nfcrb import (BLOCKS, Target, brute_gain, fd_fim, fim, make_scene, monte_carlo_isotropic,
                    target_indices, ula)
 from nfcrb.crb import own_information
 from nfcrb.fim import derivative_terms
@@ -328,6 +328,29 @@ def test_target_order_permutes_blocks():
     for q in (0, 1):
         perm[target_indices(q, 2)] = target_indices(1 - q, 2)
     np.testing.assert_array_equal(g, f[np.ix_(perm, perm)])
+
+
+@pytest.mark.parametrize("targets", [
+    # x ties between 0.0 and -0.0, y breaks the tie against the input order
+    [Target(x=0.0, y=60.0), Target(x=-0.0, y=50.0), Target(x=-5.0, y=70.0)],
+    # x and y tie, the velocities and reflectivities break the ties
+    [Target(x=1.0, y=50.0, vx=2.0), Target(x=1.0, y=50.0, vx=-1.0),
+     Target(x=1.0, y=50.0, vx=-1.0, vy=0.0, rcs_re=0.5), Target(x=-1.0, y=50.0)],
+    # rows equal but for the sign of a zero keep their input order
+    [Target(x=0.0, y=50.0, vx=-0.0), Target(x=-0.0, y=50.0, vx=0.0), Target(x=0.0, y=45.0)],
+], ids=["signed-zero-x", "x-and-y", "signed-zero-rows"])
+def test_canonical_order_sorts_the_state_rows_as_lists(monkeypatch, targets):
+    module = sys.modules["nfcrb.fim"]  # the package's fim() shadows the module name
+    factors, orders = module.side_factors, []
+
+    def recorded(scene, side, q):
+        orders.append(q)
+        return factors(scene, side, q)
+
+    monkeypatch.setattr(module, "side_factors", recorded)
+    scene = make_scene(targets=targets, tx=ula(8, 0.01), rx=ula(8, 0.01), snapshots=4)
+    fim(scene)
+    assert orders == [sorted(range(scene.q_count), key=lambda q: scene.states[q].tolist())]
 
 
 def permuted(scene, order):

@@ -214,6 +214,23 @@ def test_monostatic_is_computed_once_and_patchable(monkeypatch):
     assert s.monostatic is False
 
 
+def test_states_hold_each_targets_blocks_fields_bit_for_bit():
+    targets = [Target(x=-0.0, y=50.0, vx=0.0, vy=-0.0, rcs_re=-0.0, rcs_im=0.5),
+               Target(x=3.25, y=40.0, vx=-2.0, vy=0.0, rcs_re=1.5, rcs_im=-0.0)]
+    s = make_scene(targets=targets, tx=ula(8, 0.01), rx=ula(8, 0.01), snapshots=4)
+    assert (s.states.shape, s.states.dtype) == ((2, 6), np.float64)
+    assert s.states[0].tobytes() == np.array([-0.0, 50.0, 0.0, -0.0, -0.0, 0.5]).tobytes()
+    for row, t in zip(s.states, targets):
+        for value, name in zip(row, BLOCKS):
+            assert value.tobytes() == np.float64(getattr(t, name)).tobytes()
+    assert s.states is s.states and "states" not in [f.name for f in dataclasses.fields(Scene)]
+    with pytest.raises(ValueError, match="read-only"):
+        s.states[0, 0] = 1.0
+    # a replaced scene forms the states of its own targets
+    swapped = dataclasses.replace(s, targets=targets[::-1])
+    assert swapped.states.tobytes() == s.states[::-1].tobytes()
+
+
 def test_side_names_the_tx_or_rx_array():
     s = make_scene(tx=ula(8, 0.01), rx=ula(9, 0.01))
     assert s.side("tx") is s.tx and s.side("rx") is s.rx

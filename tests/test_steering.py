@@ -278,7 +278,8 @@ def test_element_factors_equal_the_per_row_closure_bit_for_bit(case, data):
     scene = make_scene(targets=targets, tx=scene.tx, rx=scene.rx, snapshots=scene.snapshots)
     for side in ("tx", "rx"):
         geom = scene.side(side)
-        for target in [*targets, steering._columns([targets[q] for q in qs])]:
+        columns = steering._Columns(*scene.states[list(qs), :4].T[:, :, None, None])
+        for target in [*targets, columns]:
             assert_same_bytes(element_factors(scene, geom, target),
                               closure_factors(scene, geom, target))
 
