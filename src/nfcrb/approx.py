@@ -14,7 +14,6 @@ which raises instead of returning a negative variance, as does an aperture
 over range or a bound (inf over inf) that the float range cannot hold.
 """
 
-import functools
 import math
 from collections import namedtuple
 from dataclasses import dataclass
@@ -118,8 +117,10 @@ def _angle_factor(tx, rx, axis):
 
     Each eps term is exactly 0 at eps = 0, so ff is the plane-wave factor bitwise.
     """
-    (u_t, b_t, d_t), (u_r, b_r, d_r) = ((s.sin, s.b_x, s.d_nf_x) if axis == "x"
-                                        else (s.cos, s.b_y, s.d_nf_y) for s in (tx, rx))
+    if axis == "x":
+        u_t, b_t, d_t, u_r, b_r, d_r = tx.sin, tx.b_x, tx.d_nf_x, rx.sin, rx.b_x, rx.d_nf_x
+    else:
+        u_t, b_t, d_t, u_r, b_r, d_r = tx.cos, tx.b_y, tx.d_nf_y, rx.cos, rx.b_y, rx.d_nf_y
     return ((u_t + u_r) ** 2 + tx.delta * b_r + rx.delta * b_t + (b_t - u_t ** 2)
             + (b_r - u_r ** 2) + 2.0 * u_t * u_r * (d_t + d_r))
 
@@ -145,7 +146,7 @@ def correction_terms(scene, q):
     They are set to inf when the ff factor vanishes (the x factor does at
     broadside in a monostatic layout).
     """
-    (tx, rx), (tx0, rx0) = (_expansion(scene, q, variant)() for variant in ("nf", "ff"))
+    (tx, rx), (tx0, rx0) = (_expansion(scene, q, variant) for variant in ("nf", "ff"))
     phi = [_angle_factor(tx, rx, axis) for axis in "xy"]
     den = [_angle_factor(tx0, rx0, axis) for axis in "xy"]
     psi = [p / d if d >= DENOM_FLOOR else math.inf for p, d in zip(phi, den)]
@@ -154,54 +155,74 @@ def correction_terms(scene, q):
 
 
 def _expansion(scene, q, variant):
-    """Target q's per_side _side_terms at one variant: a call that expands on its first success."""
-    _check_variant(variant, "use the crb module for exact bounds")
-    return functools.cache(lambda: scene.per_side(
-        lambda side: _side_terms(scene.side(side), scene.targets[q], variant)))
+    """Target q's per_side _side_terms at one variant."""
+    target = scene.targets[q]
+    return scene.per_side(lambda side: _side_terms(scene.side(side), target, variant))
 
 
-def _closed_form(scene, q, sides, bound):
-    """Closed form of bound "rcs", "x", "y", "vx" or "vy" of target q; sides is an _expansion.
+# each bound's family, whose base it divides, and the axis of its angle factor
+_BOUND_PARTS = {"rcs": ("rcs", None), "x": ("", "x"), "y": ("", "y"), "vx": ("v", "x"),
+                "vy": ("v", "y")}
 
-    A kinematic bound is base / phi (inf, unexpanded, for a dark target), phi
-    the angle factor itself, not the ff factor times psi, so a broadside
-    far-field divergence does not poison a finite nf value with inf * 0.
+
+def _closed_form(scene, q, variant, bounds):
+    """{bound: closed form} of target q at one variant, for bounds of "rcs", "x", "y", "vx", "vy".
+
+    |rcs|^2, the expansion of both sides, the base of each family (rcs,
+    location, velocity) and the angle factor of each axis are formed once. A
+    bound the expansion cannot give is the ApproximationDomainError or
+    NotUlaError that says why. A kinematic bound is base / phi (inf,
+    unexpanded, for a dark target), phi the angle factor itself, not the ff
+    factor times psi, so a broadside far-field divergence does not poison a
+    finite nf value with inf * 0.
     """
+    _check_variant(variant, "use the crb module for exact bounds")
+    unknown = set(bounds) - _BOUND_PARTS.keys()
+    if unknown:
+        raise ValueError(f"unknown bounds {sorted(unknown)}")
     try:
         alpha2 = abs(scene.targets[q].rcs) ** 2
     except OverflowError:  # |rcs| past 1.3e154
         alpha2 = math.inf
-    if alpha2 == 0.0 and bound != "rcs":
-        return math.inf
-    tx, rx = sides()
     try:
-        if bound == "rcs":
-            base = (256.0 * scene.noise_var_w * math.pi ** 4 * (tx.r * rx.r) ** 2
-                    / (scene.power_w * scene.snapshots * scene.tx.count * scene.rx.count
-                       * scene.wavelength_m ** 4))
-        else:
-            slow_factor = (scene.t_sym_s ** 2 * slow_time_sum(scene.snapshots)
-                           if bound[0] == "v" else float(scene.snapshots))
-            base = (32.0 * math.pi ** 2 * scene.noise_var_w * (tx.r * rx.r) ** 2
-                    / (alpha2 * scene.power_w * scene.tx.count * scene.rx.count
-                       * slow_factor * scene.wavelength_m ** 2))
-    except (OverflowError, ZeroDivisionError):
-        # (r_tx r_rx)^2 overflows, or the denominator underflows to 0: past the float range
-        base = math.inf
-    if bound == "rcs":
-        value = base / (_positive(tx.a) * _positive(rx.a))
-    else:
-        phi = _angle_factor(tx, rx, _axis(bound[-1]))
-        if abs(phi) < DENOM_FLOOR:
-            return math.inf
-        if phi < 0.0:
-            raise ApproximationDomainError(
-                "second-order correction drove the bound negative; the target is "
-                "inside the expansion's validity range")
-        value = base / phi
-    if math.isnan(value):  # inf / inf: eps or the base past the float range
-        raise ApproximationDomainError("the closed form is past the float range")
-    return value
+        tx, rx = _expansion(scene, q, variant)
+    except (ApproximationDomainError, NotUlaError) as e:
+        return {b: math.inf if alpha2 == 0.0 and b != "rcs" else e for b in bounds}
+    m, n_t, n_r, lam = scene.snapshots, scene.tx.count, scene.rx.count, scene.wavelength_m
+    base = {}
+    for family in ("rcs", "", "v"):
+        try:
+            if family == "rcs":
+                base[family] = (256.0 * scene.noise_var_w * math.pi ** 4 * (tx.r * rx.r) ** 2
+                                / (scene.power_w * m * n_t * n_r * lam ** 4))
+            else:
+                slow_factor = scene.t_sym_s ** 2 * slow_time_sum(m) if family else float(m)
+                base[family] = (32.0 * math.pi ** 2 * scene.noise_var_w * (tx.r * rx.r) ** 2
+                                / (alpha2 * scene.power_w * n_t * n_r * slow_factor * lam ** 2))
+        except (OverflowError, ZeroDivisionError):
+            # (r_tx r_rx)^2 overflows, or the denominator underflows to 0: past the float range
+            base[family] = math.inf
+    phi = {"x": _angle_factor(tx, rx, "x"), "y": _angle_factor(tx, rx, "y")}
+    values = {}
+    for bound in bounds:
+        family, axis = _BOUND_PARTS[bound]
+        try:
+            if axis is None:
+                value = base[family] / (_positive(tx.a) * _positive(rx.a))
+            elif alpha2 == 0.0 or abs(phi[axis]) < DENOM_FLOOR:
+                value = math.inf
+            elif phi[axis] < 0.0:
+                raise ApproximationDomainError(
+                    "second-order correction drove the bound negative; the target is "
+                    "inside the expansion's validity range")
+            else:
+                value = base[family] / phi[axis]
+            if math.isnan(value):  # inf / inf: eps or the base past the float range
+                raise ApproximationDomainError("the closed form is past the float range")
+        except ApproximationDomainError as e:
+            value = e
+        values[bound] = value
+    return values
 
 
 def _axis(axis):
@@ -210,13 +231,21 @@ def _axis(axis):
     return axis
 
 
+def _one_bound(scene, q, variant, bound):
+    """The closed form of one bound; a bound the expansion cannot give raises why."""
+    value = _closed_form(scene, q, variant, (bound,))[bound]
+    if isinstance(value, ValueError):
+        raise value
+    return value
+
+
 def crb_rcs_approx(scene, q, variant):
     """Closed-form summed reflectivity bound (real plus imaginary part).
 
     256 sigma^2 pi^4 (r_tx r_rx)^2 / (P M N_t N_r lambda^4), divided by the
     gain factors (1 + delta_tx)(1 + delta_rx), which are 1 for ff.
     """
-    return _closed_form(scene, q, _expansion(scene, q, variant), "rcs")
+    return _one_bound(scene, q, variant, "rcs")
 
 
 def crb_velocity_approx(scene, q, axis, variant):
@@ -224,7 +253,7 @@ def crb_velocity_approx(scene, q, axis, variant):
 
     The slow-time accumulation contributes T_sym^2 * sum_m m^2.
     """
-    return _closed_form(scene, q, _expansion(scene, q, variant), "v" + _axis(axis))
+    return _one_bound(scene, q, variant, "v" + _axis(axis))
 
 
 def crb_location_approx(scene, q, axis, variant):
@@ -233,21 +262,17 @@ def crb_location_approx(scene, q, axis, variant):
     Identical to the velocity form except the slow-time accumulation is
     sum_m 1 = M (location derivatives carry no slow-time factor).
     """
-    return _closed_form(scene, q, _expansion(scene, q, variant), _axis(axis))
+    return _one_bound(scene, q, variant, _axis(axis))
 
 
 def approx_bounds(scene, q, variant, bounds):
-    """{bound: closed form} of target q at one variant, from one expansion of both sides.
+    """{bound: closed form} of target q at one variant, from one _closed_form call.
 
     A bound the expansion cannot give (too near the array, no ULA) is None.
     """
-    sides, values = _expansion(scene, q, variant), {}
-    for bound in bounds:
-        try:
-            values[bound] = _closed_form(scene, q, sides, bound)
-        except (ApproximationDomainError, NotUlaError):
-            values[bound] = None
-    return values
+    values = _closed_form(scene, q, variant, bounds)
+    return {bound: None if isinstance(value, ValueError) else value
+            for bound, value in values.items()}
 
 
 def relative_error(approx, truth):

@@ -11,6 +11,7 @@ import functools
 import math
 import re
 import sys
+import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -30,6 +31,9 @@ BOUNDS = ("rcs", "vx", "vy", "x", "y")
 FIELDS = ("exact", "marginal", "ff", "nf", "relerr_ff", "relerr_nf")
 REGIONS = ("reactive", "fresnel", "fraunhofer")
 REGION_FLAGS = tuple(f"in_{region}" for region in REGIONS)
+# grid points a sweep evaluates together, stage by stage (_sweep_rows): their
+# scenes are held at once, so their arrays bound the memory a sweep holds
+SWEEP_BLOCK = 16
 # each swept variable's CSV column and unit; a count unit means an integer grid
 SWEEP_VARS = {"range": ("range_m", "m"), "angle": ("angle_deg", "deg"),
               "antennas": ("antennas", "count"), "snapshots": ("snapshots", "count"),
@@ -166,10 +170,10 @@ def build_scene(cfg):
     lam = LIGHTSPEED / carrier
 
     # carrier and arrays are filled here: make_scene takes whole arrays, spacing needs lambda
-    def side(name):
+    def side(name):  # count, spacing and centroid
         spacing = v.get(f"{name}.spacing_m",
                         v.get(f"{name}.spacing_over_lambda", 0.5) * lam)
-        return ula(v.get(f"{name}.count", 256), spacing, v.get(f"{name}.centroid_x", 0.0))
+        return v.get(f"{name}.count", 256), spacing, v.get(f"{name}.centroid_x", 0.0)
 
     try:  # noise_w and noise_dbm are rivals: a config sets at most one
         noise = dbm_to_watts(v["noise_dbm"]) if "noise_dbm" in v else v.get("noise_w")
@@ -178,7 +182,11 @@ def build_scene(cfg):
     scalars = {key: v[key] for key in ("t_sym_s", "snapshots", "power_w") if key in v}
     indices = sorted({int(key.split(".")[1]) for key in v if key.startswith("target.")})
     targets = [_target(v, idx) for idx in indices]
-    return make_scene(targets=targets or None, tx=side("tx"), rx=side("rx"),
+    tx_side, rx_side = side("tx"), side("rx")
+    tx = ula(*tx_side)
+    # equal sides (repr tells -0.0 from 0.0) are one array, so the scene is monostatic at once
+    rx = tx if repr(rx_side) == repr(tx_side) else ula(*rx_side)
+    return make_scene(targets=targets or None, tx=tx, rx=rx,
                       carrier_hz=carrier, noise_var_w=noise, **scalars)
 
 
@@ -187,6 +195,8 @@ def build_scene(cfg):
 
 
 def _fmt(value):
+    if type(value) is float:  # most cells
+        return repr(value)
     if value is None:
         return ""
     if isinstance(value, str):
@@ -209,7 +219,7 @@ def past_float_range(scene):
     and of a Fisher entry SNR |rcs|^2 M N_t N_r g_t^2 g_r^2 x_t^2 x_r^2 (SNR,
     |rcs| and x at least 1). full_crb tests its Jacobi scale and its inverse
     against the float range itself, so no term bounds them.
-    render_eval and _sweep_row silence numpy's warnings on such a scene only.
+    render_eval and _point_stages silence numpy's warnings on such a scene only.
     """
     lg = math.log10  # of positive values; a speed or |rcs| of 0 reads -inf
     k, cpi = 2.0 * math.pi / scene.wavelength_m, scene.snapshots * scene.t_sym_s
@@ -246,30 +256,36 @@ def _region(scene, q):
     return REGIONS[min(scene.per_side(lambda side: nearest(scene.side(side))))]
 
 
-def _bound_cells(scene, q, bounds, variants, closed, marginal=None):
-    """The cell record of one target: "region", its flags and _column(bound, f) for FIELDS.
-
-    closed gives the exact cells and marginal the marginal ones (None: a singular F'), each
-    a TargetBounds. The eval report, the eval CSV and every sweep row lay out this dict.
-    """
-    region = _region(scene, q)
-    cells = {"region": region, **{f"in_{r}": r == region for r in REGIONS}}
-    approx = {v: approx_bounds(scene, q, v, bounds) for v in variants if v != "exact"}
-    for bound in bounds:
-        exact = closed.by_name(bound)
-        source = {"exact": exact, "marginal": marginal.by_name(bound) if marginal else None}
-        for variant, values in approx.items():
-            value = source[variant] = values[bound]
-            usable = value is not None and math.isfinite(exact) and exact != 0.0
-            source[f"relerr_{variant}"] = relative_error(value, exact) if usable else None
-        cells.update((_column(bound, f), source.get(f)) for f in FIELDS)
-    return cells
-
-
 def _column(bound, field):
     """Cell key of one field of a bound: rcs_exact, rcs_ff, relerr_rcs_ff, ..."""
     kind, _, variant = field.rpartition("_")
     return f"{kind}_{bound}_{variant}" if kind else f"{bound}_{field}"
+
+
+# every bound's cell keys in FIELDS order, and eval's text line of each: built once
+_CELLS = {bound: tuple(_column(bound, f) for f in FIELDS) for bound in BOUNDS}
+_LINES = tuple((f"{bound}.{f}=", key) for bound in BOUNDS for f, key in zip(FIELDS, _CELLS[bound]))
+
+
+def _bound_cells(scene, q, bounds, variants, closed, marginal=None):
+    """The cell record of one target: "region", its flags and the _CELLS of each bound.
+
+    closed gives the exact cells and marginal the marginal ones (None: a singular F'), each
+    a TargetBounds; approx_bounds gives the ff and nf cells, an absent variant None. The
+    eval report, the eval CSV and every sweep row lay out this dict.
+    """
+    region = _region(scene, q)
+    cells = {"region": region, **{flag: r == region for flag, r in zip(REGION_FLAGS, REGIONS)}}
+    ff, nf = (approx_bounds(scene, q, v, bounds) if v in variants else {} for v in ("ff", "nf"))
+    for bound in bounds:
+        exact, f, n = closed.by_name(bound), ff.get(bound), nf.get(bound)
+        usable = math.isfinite(exact) and exact != 0.0
+        # in FIELDS order: exact, marginal, ff, nf, relerr_ff, relerr_nf
+        cells.update(zip(_CELLS[bound], (
+            exact, None if marginal is None else marginal.by_name(bound), f, n,
+            relative_error(f, exact) if usable and f is not None else None,
+            relative_error(n, exact) if usable and n is not None else None)))
+    return cells
 
 
 def cell_columns(bounds, variants):
@@ -281,7 +297,7 @@ def cell_columns(bounds, variants):
 def _csv(meta, cols, rows):
     """CSV text: '#' meta lines, the header, a line per dict of cell strings ("" if absent)."""
     lines = [*meta, ",".join(cols)]
-    lines += [",".join(row.get(col, "") for col in cols) for row in rows]
+    lines += [",".join([row.get(col, "") for col in cols]) for row in rows]
     return "\n".join(lines) + "\n"
 
 
@@ -316,8 +332,7 @@ def render_eval(scene):
             cells = {key: _fmt(cell) for key, cell in cells.items()}
             rows.append(cells)
             lines.append(f"target.{q}.region={cells['region']}")
-            lines += [f"target.{q}.{bound}.{f}={cells[_column(bound, f)]}"
-                      for bound in BOUNDS for f in FIELDS]
+            lines += [f"target.{q}.{text}{cells[key]}" for text, key in _LINES]
         return "\n".join(lines) + "\n", _csv([f"# nfcrb eval v{__version__}"],
                                             ["target"] + cell_columns(BOUNDS, VARIANTS), rows)
 
@@ -386,19 +401,44 @@ def _point_scene(spec, base, value):
     return dataclasses.replace(base, targets=(moved, *base.targets[1:]))
 
 
-def _sweep_row(spec, base, value):
-    """Formatted cells of one grid point, keyed by sweep_columns(spec)."""
+def _point_stages(spec, base, value, row):
+    """Fill row with the cells of one grid point, pausing between stages.
+
+    The stages are the point's scene, its closed form and its cell record.
+    """
+    scene = _point_scene(spec, base, value)
+    past = past_float_range(scene)
+    yield
+    with np.errstate(all="ignore" if past else None):
+        closed = closed_form_single(scene, 0).targets[0]
+    yield
+    with np.errstate(all="ignore" if past else None):
+        row.update(_bound_cells(scene, 0, spec.bounds, spec.variants, closed), error="")
+
+
+def _sweep_rows(spec, base, values):
+    """Formatted cells of grid points, keyed by sweep_columns(spec).
+
+    The points go through _point_stages together, each stage over all of them
+    before the next, so each layer's code runs back to back instead of once
+    per point; the cells are those of one point at a time.
+    """
     column, unit = SWEEP_VARS[spec.variable]
-    row = {column: int(value) if unit == "count" else value}
-    try:
-        scene = _point_scene(spec, base, value)
-        with np.errstate(all="ignore" if past_float_range(scene) else None):
-            closed = closed_form_single(scene, 0).targets[0]
-            row.update(_bound_cells(scene, 0, spec.bounds, spec.variants, closed), error="")
-    except (MemoryError, ValueError) as e:
-        # a failed point leaves its bound cells empty and its flags at 0
-        row.update(dict.fromkeys(REGION_FLAGS, False), error=str(e).replace(",", ";"))
-    return {key: _fmt(cell) for key, cell in row.items()}
+    rows = [{column: int(value) if unit == "count" else value} for value in values]
+    pending = [(row, _point_stages(spec, base, value, row)) for row, value in zip(rows, values)]
+    while pending:
+        running = []
+        for row, stages in pending:
+            try:
+                next(stages)
+                running.append((row, stages))
+            except StopIteration:
+                pass
+            except (MemoryError, ValueError) as e:
+                # a failed point leaves its bound cells empty and its flags at 0
+                row.update(dict.fromkeys(REGION_FLAGS, False), error=str(e).replace(",", ";"))
+        pending = running
+    return [{key: _fmt(cell) for key, cell in row.items()} for row in rows]
 
 
 def sweep_columns(spec):
@@ -415,7 +455,9 @@ def run_sweep(spec):
     meta = [f"# nfcrb sweep v{__version__}",
             f"# variable={spec.variable} unit={SWEEP_VARS[spec.variable][1]}",
             "# seed=none", *(f"# cfg: {entry}" for entry in spec.config.raw)]
-    return _csv(meta, sweep_columns(spec), [_sweep_row(spec, base, v) for v in spec.grid])
+    rows = [row for start in range(0, len(spec.grid), SWEEP_BLOCK)
+            for row in _sweep_rows(spec, base, spec.grid[start:start + SWEEP_BLOCK])]
+    return _csv(meta, sweep_columns(spec), rows)
 
 
 # ---------------------------------------------------------------------------
@@ -532,7 +574,22 @@ def _attach_grid(argv):
     return argv
 
 
+def _warning_line(message, category, filename, lineno, file=None, line=None):
+    """warnings.showwarning while main runs: one line, without the source path and line."""
+    (sys.stderr if file is None else file).write(f"nfcrb: warning: {message}\n")
+
+
 def main(argv=None):
+    # each warning is one line: -W error still raises it, and a library caller
+    # of make_scene still receives the UserWarning
+    show, warnings.showwarning = warnings.showwarning, _warning_line
+    try:
+        return _main(argv)
+    finally:
+        warnings.showwarning = show
+
+
+def _main(argv):
     parser = _build_parser()
     try:
         args = parser.parse_args(_attach_grid(sys.argv[1:] if argv is None else argv))

@@ -38,9 +38,12 @@ class TargetBounds:
         return self.crb_alpha_r + self.crb_alpha_i
 
     def by_name(self, name):
-        return {"x": self.crb_x, "y": self.crb_y, "vx": self.crb_vx,
-                "vy": self.crb_vy, "alpha_r": self.crb_alpha_r,
-                "alpha_i": self.crb_alpha_i, "rcs": self.crb_alpha}[name]
+        return getattr(self, _BOUND_FIELDS[name])
+
+
+# the TargetBounds field or property of each bound name
+_BOUND_FIELDS = {"x": "crb_x", "y": "crb_y", "vx": "crb_vx", "vy": "crb_vy",
+                 "alpha_r": "crb_alpha_r", "alpha_i": "crb_alpha_i", "rcs": "crb_alpha"}
 
 
 @dataclass(frozen=True)
@@ -59,7 +62,7 @@ def _element_moments(factors, t_bar):
     x_p' of the centred rows of u = alpha + beta t_bar and of beta; raw
     moments would cancel digits.
     """
-    g, _, _, alpha, beta = (x[..., 0, :] for x in factors)  # g (Q, N), alpha, beta (4, Q, N)
+    g, alpha, beta = (factors[i][..., 0, :] for i in (0, 3, 4))  # g (Q, N), alpha, beta (4, Q, N)
     big_g = (g ** 2).sum(-1)
     root_w = g / np.sqrt(big_g)[:, None]
     w = (root_w ** 2).astype(complex)[..., None]  # (Q, N, 1): one gemv per target
@@ -77,7 +80,7 @@ def _element_moments(factors, t_bar):
     return (big_g, a_mean, b_mean, *(x @ x.copy().transpose(0, 2, 1) for x in rows))
 
 
-def own_information(scene, tx, rx, rcs):
+def own_information(scene, tx, rx, rcs, shifts=True):
     """Own 6x6 blocks of the centred information F' and C_q of every target, in O(N) each.
 
     tx and rx are the targets' side_factors (rx is tx when monostatic), rcs
@@ -92,7 +95,7 @@ def own_information(scene, tx, rx, rcs):
     factor: target q's block of fim's F' bit for bit. Returns own (Q, 6, 6),
     c (Q, 2, 4) and per side the (Q, 4) shifts (alpha_mean + b tbar / 2,
     beta_mean - b / 2) that centre h_p, each target's bit for bit as in its
-    own one-target call.
+    own one-target call; None in place of the shifts unless shifts.
     """
     m = scene.snapshots
     t_bar = scene.t_sym_s * (m + 1) / 2.0
@@ -104,7 +107,8 @@ def own_information(scene, tx, rx, rcs):
     kin = m * (cu_t + cu_r) + var * (cb_t + cb_r + (b.conj()[:, :, None] * b[:, None]).real)
     # G_t, G_r and the SNR as mantissas, their exponents applied last: a power of
     # two scales exactly, so the bits are the direct product's where it stays in range
-    (g_t, e_t), (g_r, e_r) = np.frexp(g_t), np.frexp(g_r)
+    mantissa = np.frexp(g_t)
+    (g_t, e_t), (g_r, e_r) = mantissa, mantissa if rx is tx else np.frexp(g_r)
     snr, e_snr = math.frexp(2.0 * scene.power_w / scene.noise_var_w)
     # |rcs|^2 by numpy's scalar power: it rounds as Python's float power does,
     # unlike numpy's square, and overflows to inf as numpy does
@@ -116,8 +120,11 @@ def own_information(scene, tx, rx, rcs):
     np.ldexp(own, (e_t + e_r + e_snr)[:, None, None], out=own)
     # each rcs a size-one operand against its target's row, as a scalar is
     c = np.array(rcs, dtype=complex)[:, None] * (a_t + a_r + b * t_bar)
-    return own, np.array([c.real, c.imag]).swapaxes(0, 1), [
-        (a + b * (t_bar / 2.0), b_s - b / 2.0) for a, b_s in ((a_t, b_t), (a_r, b_r))]
+    c = np.array([c.real, c.imag]).swapaxes(0, 1)
+    if not shifts:
+        return own, c, None
+    half_b, half_t = b / 2.0, b * (t_bar / 2.0)
+    return own, c, [(a + half_t, b_s - half_b) for a, b_s in ((a_t, b_t), (a_r, b_r))]
 
 
 def congruence(f, shift, back=False):
@@ -207,5 +214,5 @@ def closed_form_single(scene, q):
     no steering stack; a monostatic scene sums one side for both.
     """
     tx, rx = scene.per_side(lambda side: side_factors(scene, side, [q]))
-    own, c, _ = own_information(scene, tx, rx, [scene.targets[q].rcs])
+    own, c, _ = own_information(scene, tx, rx, [scene.targets[q].rcs], shifts=False)
     return CrbReport(targets=(own_bounds(own[0], c[0]),))

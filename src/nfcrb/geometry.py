@@ -94,6 +94,7 @@ def ula(count, spacing, centroid_x=0.0):
     # an overflowing layout is rejected by ArrayGeometry, not announced by numpy
     with np.errstate(over="ignore", invalid="ignore"):
         x = centroid_x + (n - (count + 1) / 2.0) * spacing
-    pos = np.column_stack([x, np.zeros(count)])
+    pos = np.zeros((count, 2))
+    pos[:, 0] = x
     return ArrayGeometry(pos, spacing=float(spacing), centroid_x=float(centroid_x))
 

@@ -143,8 +143,15 @@ def element_factors(scene, geom, target):
     along, across = np.array([dx, dy]), np.array([dy, dx])
     turn = np.array([jk, -jk]).reshape((2,) + (1,) * r.ndim)
     v_tan, r2 = (target.vx * dy - target.vy * dx) / r, r ** 2
-    alpha = np.concatenate([-jk * along / r - along / r2, np.zeros_like(along)])
-    beta = np.concatenate([turn * across * v_tan / r2, jk * along / r])
+    # alpha's and beta's rows in one array, each written by the operations of
+    # -jk along / r - along / r2, 0, turn across v_tan / r2 and jk along / r
+    alpha, beta = np.empty((2, 4) + r.shape, dtype=complex)
+    np.divide(np.multiply(-jk, along, out=alpha[:2]), r, out=alpha[:2])
+    np.subtract(alpha[:2], along / r2, out=alpha[:2])
+    alpha[2:] = 0.0
+    np.multiply(np.multiply(turn, across, out=beta[:2]), v_tan, out=beta[:2])
+    np.divide(beta[:2], r2, out=beta[:2])
+    np.divide(np.multiply(jk, along, out=beta[2:]), r, out=beta[2:])
     return g, r, u, alpha, beta
 
 

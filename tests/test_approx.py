@@ -4,13 +4,15 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from nfcrb import (ApproximationDomainError, ArrayGeometry, DegenerateGeometryError, Target,
-                   brute_gain, closed_form_single, correction_terms,
+from nfcrb import (ApproximationDomainError, ArrayGeometry, DegenerateGeometryError, NotUlaError,
+                   Target, brute_gain, closed_form_single, correction_terms,
                    crb_location_approx, crb_rcs_approx, crb_velocity_approx, gain,
                    make_scene, polar_of, relative_error, slow_time_sum, ula)
+from nfcrb.approx import approx_bounds
+from nfcrb.cli import BOUNDS
 
 from util import (plane_wave_angle_factor, plane_wave_bound, shared_and_unshared,
                   sharing_scenes, target_at)
@@ -284,6 +286,90 @@ def test_ff_is_the_plane_wave_formula(scene):
         phi = getattr(c, "phi_" + axis)
         _assert_same(getattr(c, "psi_" + axis), phi / den if den >= 1e-12 else math.inf, 1e-14)
     assert gain(scene.tx, t, "ff") == scene.tx.count / polar_of(t, scene.tx)[0] ** 2
+
+
+@st.composite
+def approx_cases(draw):
+    """One or two static targets, dark or lit, anywhere from inside the expansion's
+    domain limit out, on monostatic or bistatic ULAs or a free-form array."""
+    def array():
+        geom = ula(draw(st.integers(1, 256)), draw(st.sampled_from([0.005, 0.01, 0.1])),
+                   draw(st.floats(-1.0, 1.0)))
+        return ArrayGeometry(geom.positions) if draw(st.integers(0, 4)) == 0 else geom
+
+    tx = array()
+    rx = tx if draw(st.booleans()) else array()
+    cx = tx.centre[0]
+    rcs = st.sampled_from([0.0, 0.3, -1.0])
+    targets = []
+    for _ in range(draw(st.integers(1, 2))):
+        th = math.radians(draw(st.sampled_from([0.0, draw(st.floats(-85.0, 85.0))])))
+        r = 10.0 ** draw(st.floats(-0.3, 3.3))
+        targets.append(Target(x=cx + r * math.sin(th), y=r * math.cos(th),
+                              rcs_re=draw(rcs), rcs_im=draw(rcs), vx=0.0, vy=0.0))
+    try:
+        return make_scene(targets=targets, tx=tx, rx=rx, snapshots=draw(st.integers(1, 300)))
+    except DegenerateGeometryError:
+        assume(False)
+
+
+def _one_bound(bound, scene, q, variant):
+    """crb_rcs_approx, crb_location_approx or crb_velocity_approx of one bound; None where
+    it raises an ApproximationDomainError or a NotUlaError."""
+    try:
+        if bound == "rcs":
+            return crb_rcs_approx(scene, q, variant)
+        if bound.startswith("v"):
+            return crb_velocity_approx(scene, q, bound[1], variant)
+        return crb_location_approx(scene, q, bound, variant)
+    except (ApproximationDomainError, NotUlaError):
+        return None
+
+
+def approx_edge_scenes():
+    """Scenes that approx_cases can draw and tier-1 must reach, keyed by what each shows."""
+    still, mono = (0.0, 0.0), ula(64, 0.01)
+    free = ArrayGeometry(mono.positions)
+    return {"dark": make_scene(targets=[target_at(100.0, 20.0, v=still, alpha=still)],
+                               tx=mono, rx=mono, snapshots=8),
+            "monostatic-broadside": make_scene(targets=[target_at(100.0, 0.0, v=still)],
+                                               tx=mono, rx=mono, snapshots=8),
+            "free-form": make_scene(targets=[target_at(100.0, 20.0, v=still)], tx=free, rx=free,
+                                    snapshots=8),
+            "inside-domain-limit": scene_at(5.0, 0.0, spacing=0.1, v=still)}
+
+
+EDGE = approx_edge_scenes()
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(approx_cases())
+@example(EDGE["dark"])
+@example(EDGE["monostatic-broadside"])
+@example(EDGE["free-form"])
+@example(EDGE["inside-domain-limit"])
+def test_approx_bounds_equal_the_one_bound_closed_forms_bit_for_bit(scene):
+    # approx_bounds forms all five bounds from one _closed_form call and the
+    # crb_*_approx functions one bound each, so a formula written twice, or a
+    # bound that depends on which others are asked for, shows here
+    for q in range(scene.q_count):
+        for variant in ("ff", "nf"):
+            values = approx_bounds(scene, q, variant, BOUNDS)
+            assert list(values) == list(BOUNDS)
+            assert [repr(values[b]) for b in BOUNDS] == [
+                repr(_one_bound(b, scene, q, variant)) for b in BOUNDS]
+
+
+def test_approx_edge_scenes_read_as_their_keys_say():
+    for variant in ("ff", "nf"):
+        dark = approx_bounds(EDGE["dark"], 0, variant, BOUNDS)
+        assert [dark[b] for b in BOUNDS if b != "rcs"] == [math.inf] * 4
+        assert approx_bounds(EDGE["free-form"], 0, variant, BOUNDS) == dict.fromkeys(BOUNDS)
+    broadside = EDGE["monostatic-broadside"]
+    assert broadside.monostatic
+    assert approx_bounds(broadside, 0, "ff", BOUNDS)["x"] == math.inf
+    assert math.isfinite(approx_bounds(broadside, 0, "nf", BOUNDS)["x"])
+    assert None in approx_bounds(EDGE["inside-domain-limit"], 0, "nf", BOUNDS).values()
 
 
 def test_relative_error_semantics():

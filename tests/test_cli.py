@@ -562,7 +562,7 @@ def test_configs_past_the_float_range_end_in_cells_or_a_one_line_error(tmp_path,
 
 
 def test_float_range_guard_is_off_for_ordinary_scenes():
-    # render_eval and _sweep_row silence numpy only past the float range, so
+    # render_eval and _point_stages silence numpy only past the float range, so
     # on these scenes a numpy warning still reaches a caller that asked for it
     configs = [_permutation_cfg(targets) for targets, _ in permutation_configs()]
     scenes = [make_scene()] + [build_scene(parse_config(text)) for text in configs]
@@ -831,6 +831,62 @@ def test_eval_forms_each_targets_own_information_once(monkeypatch, key):
     assert info.matrix.tobytes() == congruence(info.centred, info.shift).tobytes()
     info = fd_fim(exact_cell_scenes()["bistatic-unequal"])  # T = I
     assert info.matrix is info.centred
+
+
+@pytest.mark.parametrize("rx", ["", "rx.centroid_x = 0.5\n"], ids=["monostatic", "bistatic"])
+def test_sweep_forms_each_points_own_information_once(monkeypatch, rx):
+    # per grid point of an antenna sweep: one own_information call (through
+    # closed_form_single), element factors and the closed forms' expansion
+    # once per distinct side, the latter per approximation variant, and one
+    # _fmt call per cell of the row; counts repeat exactly where timings do not
+    cfg = parse_config("snapshots = 16\ntarget.0.range = 100\ntarget.0.angle_deg = 20\n" + rx)
+    spec = SweepSpec(variable="antennas", grid=(16, 64, 256), config=cfg)
+    crb, steering = sys.modules["nfcrb.crb"], sys.modules["nfcrb.steering"]
+    approx = sys.modules["nfcrb.approx"]
+    calls = dict.fromkeys(("own_information", "element_factors", "_side_terms", "_fmt"), 0)
+    for module, name in ((crb, "own_information"), (steering, "element_factors"),
+                         (approx, "_side_terms"), (cli, "_fmt")):
+        def counted(*args, _name=name, _func=getattr(module, name), **kwargs):
+            calls[_name] += 1
+            return _func(*args, **kwargs)
+        monkeypatch.setattr(module, name, counted)
+    _, header, rows = parse_csv(run_sweep(spec))
+    sides = 1 if build_scene(cfg).monostatic else 2
+    assert [row["error"] for row in rows] == [""] * len(spec.grid)
+    # a row: its CSV cells, the region and a marginal cell per bound
+    assert len(header) + 1 + len(BOUNDS) == 36
+    per_point = {"own_information": 1, "element_factors": sides, "_side_terms": 2 * sides,
+                 "_fmt": 36}
+    assert calls == {key: n * len(spec.grid) for key, n in per_point.items()}
+
+
+def test_sweep_blocks_equal_one_point_at_a_time(monkeypatch):
+    # more points than a block, one that fails (power 0) among them: the points
+    # advance stage by stage together, and each row is the one it has alone
+    grid = (*(10.0 ** (k / 4.0) for k in range(11, -9, -1)), 0.0)
+    spec = SweepSpec(variable="power", grid=grid, config=parse_config(DEFAULT_CFG))
+    assert len(grid) > cli.SWEEP_BLOCK
+    together = run_sweep(spec)
+    assert parse_csv(together)[2][-1]["error"].startswith("power_w and noise_var_w")
+    monkeypatch.setattr(cli, "SWEEP_BLOCK", 1)
+    assert run_sweep(spec) == together
+
+
+@pytest.mark.parametrize("argv, lines", [
+    (["eval"], ["100"]),
+    (["sweep", "--var", "antennas", "--grid", "4,256"], ["100", "100", "99.6"]),
+], ids=["eval", "sweep"])
+def test_cli_prints_each_warning_on_one_line(tmp_path, capsys, argv, lines):
+    # a strained target's warning, the base scene's and then each point's: one
+    # line without a source path or line, whatever the Python version or checkout
+    path = write_cfg(tmp_path, "snapshots = 8\ntx.count = 8\nrx.count = 8\ntarget.0.range = 100\n"
+                               "target.0.angle_deg = 20\ntarget.0.vx = 1e6\n")
+    assert main([argv[0], path, *argv[1:]]) == 0
+    assert capsys.readouterr().err == "".join(
+        f"nfcrb: warning: target 0 moves 800 m over the CPI at minimum range {r} m; the "
+        "small-displacement model is strained\n" for r in lines)
+    with pytest.warns(UserWarning, match="small-displacement"):  # as a library call
+        build_scene(parse_config(Path(path).read_text()))
 
 
 @st.composite
