@@ -171,10 +171,11 @@ def _closed_form(scene, q, variant, bounds):
     |rcs|^2, the expansion of both sides, the base of each family (rcs,
     location, velocity) and the angle factor of each axis are formed once. A
     bound the expansion cannot give is the ApproximationDomainError or
-    NotUlaError that says why. A kinematic bound is base / phi (inf,
-    unexpanded, for a dark target), phi the angle factor itself, not the ff
-    factor times psi, so a broadside far-field divergence does not poison a
-    finite nf value with inf * 0.
+    NotUlaError that says why, without a traceback: one would hold this frame,
+    and with it the scene's arrays, in a reference cycle. A kinematic bound
+    is base / phi (inf, unexpanded, for a dark target), phi the angle factor
+    itself, not the ff factor times psi, so a broadside far-field divergence
+    does not poison a finite nf value with inf * 0.
     """
     _check_variant(variant, "use the crb module for exact bounds")
     unknown = set(bounds) - _BOUND_PARTS.keys()
@@ -187,6 +188,7 @@ def _closed_form(scene, q, variant, bounds):
     try:
         tx, rx = _expansion(scene, q, variant)
     except (ApproximationDomainError, NotUlaError) as e:
+        e = e.with_traceback(None)
         return {b: math.inf if alpha2 == 0.0 and b != "rcs" else e for b in bounds}
     m, n_t, n_r, lam = scene.snapshots, scene.tx.count, scene.rx.count, scene.wavelength_m
     base = {}
@@ -220,7 +222,7 @@ def _closed_form(scene, q, variant, bounds):
             if math.isnan(value):  # inf / inf: eps or the base past the float range
                 raise ApproximationDomainError("the closed form is past the float range")
         except ApproximationDomainError as e:
-            value = e
+            value = e.with_traceback(None)
         values[bound] = value
     return values
 
@@ -235,7 +237,10 @@ def _one_bound(scene, q, variant, bound):
     """The closed form of one bound; a bound the expansion cannot give raises why."""
     value = _closed_form(scene, q, variant, (bound,))[bound]
     if isinstance(value, ValueError):
-        raise value
+        try:
+            raise value
+        finally:
+            del value  # the traceback holds this frame: no cycle through its locals
     return value
 
 

@@ -31,9 +31,9 @@ BOUNDS = ("rcs", "vx", "vy", "x", "y")
 FIELDS = ("exact", "marginal", "ff", "nf", "relerr_ff", "relerr_nf")
 REGIONS = ("reactive", "fresnel", "fraunhofer")
 REGION_FLAGS = tuple(f"in_{region}" for region in REGIONS)
-# grid points a sweep evaluates together, stage by stage (_sweep_rows): their
-# scenes are held at once, so their arrays bound the memory a sweep holds
-SWEEP_BLOCK = 16
+# array elements the point scenes of one sweep block hold together (_blocks): a
+# point with more runs alone, so a block holds at most 256 KiB of positions
+SWEEP_BLOCK_ELEMENTS = 16384
 # each swept variable's CSV column and unit; a count unit means an integer grid
 SWEEP_VARS = {"range": ("range_m", "m"), "angle": ("angle_deg", "deg"),
               "antennas": ("antennas", "count"), "snapshots": ("snapshots", "count"),
@@ -170,10 +170,10 @@ def build_scene(cfg):
     lam = LIGHTSPEED / carrier
 
     # carrier and arrays are filled here: make_scene takes whole arrays, spacing needs lambda
-    def side(name):  # count, spacing and centroid
+    def side(name):
         spacing = v.get(f"{name}.spacing_m",
                         v.get(f"{name}.spacing_over_lambda", 0.5) * lam)
-        return v.get(f"{name}.count", 256), spacing, v.get(f"{name}.centroid_x", 0.0)
+        return ula(v.get(f"{name}.count", 256), spacing, v.get(f"{name}.centroid_x", 0.0))
 
     try:  # noise_w and noise_dbm are rivals: a config sets at most one
         noise = dbm_to_watts(v["noise_dbm"]) if "noise_dbm" in v else v.get("noise_w")
@@ -182,11 +182,7 @@ def build_scene(cfg):
     scalars = {key: v[key] for key in ("t_sym_s", "snapshots", "power_w") if key in v}
     indices = sorted({int(key.split(".")[1]) for key in v if key.startswith("target.")})
     targets = [_target(v, idx) for idx in indices]
-    tx_side, rx_side = side("tx"), side("rx")
-    tx = ula(*tx_side)
-    # equal sides (repr tells -0.0 from 0.0) are one array, so the scene is monostatic at once
-    rx = tx if repr(rx_side) == repr(tx_side) else ula(*rx_side)
-    return make_scene(targets=targets or None, tx=tx, rx=rx,
+    return make_scene(targets=targets or None, tx=side("tx"), rx=side("rx"),
                       carrier_hz=carrier, noise_var_w=noise, **scalars)
 
 
@@ -441,6 +437,25 @@ def _sweep_rows(spec, base, values):
     return [{key: _fmt(cell) for key, cell in row.items()} for row in rows]
 
 
+def _blocks(spec, base):
+    """spec.grid as consecutive blocks for _sweep_rows, each within SWEEP_BLOCK_ELEMENTS.
+
+    A point counts the elements of its scene's arrays, each distinct array
+    once: an antennas sweep sets them, the other sweeps share the base's.
+    """
+    sides = 1 if base.monostatic else 2
+    shared = base.rx.count + (0 if base.monostatic else base.tx.count)
+    block, held = [], 0
+    for value in spec.grid:
+        elements = sides * int(value) if spec.variable == "antennas" else shared
+        if block and held + elements > SWEEP_BLOCK_ELEMENTS:
+            yield block
+            block, held = [], 0
+        block.append(value)
+        held += elements
+    yield block
+
+
 def sweep_columns(spec):
     return ([SWEEP_VARS[spec.variable][0]] + cell_columns(spec.bounds, spec.variants)
             + ["error"])
@@ -455,8 +470,7 @@ def run_sweep(spec):
     meta = [f"# nfcrb sweep v{__version__}",
             f"# variable={spec.variable} unit={SWEEP_VARS[spec.variable][1]}",
             "# seed=none", *(f"# cfg: {entry}" for entry in spec.config.raw)]
-    rows = [row for start in range(0, len(spec.grid), SWEEP_BLOCK)
-            for row in _sweep_rows(spec, base, spec.grid[start:start + SWEEP_BLOCK])]
+    rows = [row for block in _blocks(spec, base) for row in _sweep_rows(spec, base, block)]
     return _csv(meta, sweep_columns(spec), rows)
 
 
@@ -574,19 +588,19 @@ def _attach_grid(argv):
     return argv
 
 
-def _warning_line(message, category, filename, lineno, file=None, line=None):
-    """warnings.showwarning while main runs: one line, without the source path and line."""
-    (sys.stderr if file is None else file).write(f"nfcrb: warning: {message}\n")
+def _warning_line(message, category, filename, lineno, line=None):
+    """warnings.formatwarning while main runs: one line, without the source path and line."""
+    return f"nfcrb: warning: {message}\n"
 
 
 def main(argv=None):
-    # each warning is one line: -W error still raises it, and a library caller
-    # of make_scene still receives the UserWarning
-    show, warnings.showwarning = warnings.showwarning, _warning_line
+    # each printed warning is one line; -W error still raises it, and a caller
+    # recording warnings (catch_warnings, pytest.warns) still receives it
+    form, warnings.formatwarning = warnings.formatwarning, _warning_line
     try:
         return _main(argv)
     finally:
-        warnings.showwarning = show
+        warnings.formatwarning = form
 
 
 def _main(argv):

@@ -1,5 +1,7 @@
 """Closed-form bound approximations, gain expansions, and correction terms."""
 
+import contextlib
+import gc
 import math
 
 import numpy as np
@@ -370,6 +372,23 @@ def test_approx_edge_scenes_read_as_their_keys_say():
     assert approx_bounds(broadside, 0, "ff", BOUNDS)["x"] == math.inf
     assert math.isfinite(approx_bounds(broadside, 0, "nf", BOUNDS)["x"])
     assert None in approx_bounds(EDGE["inside-domain-limit"], 0, "nf", BOUNDS).values()
+
+
+def test_bounds_the_expansion_cannot_give_leave_no_reference_cycles():
+    # _closed_form carries such a bound's error without its traceback, and
+    # _one_bound raises it without a cycle through its own frame, so a scene
+    # and its arrays are freed when the caller drops them, not when gc runs
+    gc.collect()
+    gc.disable()
+    try:
+        for scene in (EDGE["free-form"], EDGE["inside-domain-limit"]):
+            assert None in approx_bounds(scene, 0, "nf", BOUNDS).values()
+            for axis in ("x", "y"):
+                with contextlib.suppress(ApproximationDomainError, NotUlaError):
+                    crb_location_approx(scene, 0, axis, "nf")
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_relative_error_semantics():

@@ -8,6 +8,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -863,13 +864,39 @@ def test_sweep_forms_each_points_own_information_once(monkeypatch, rx):
 def test_sweep_blocks_equal_one_point_at_a_time(monkeypatch):
     # more points than a block, one that fails (power 0) among them: the points
     # advance stage by stage together, and each row is the one it has alone
-    grid = (*(10.0 ** (k / 4.0) for k in range(11, -9, -1)), 0.0)
+    grid = (*(10.0 ** (k / 16.0) for k in range(39, -41, -1)), 0.0)
     spec = SweepSpec(variable="power", grid=grid, config=parse_config(DEFAULT_CFG))
-    assert len(grid) > cli.SWEEP_BLOCK
+    assert len(list(cli._blocks(spec, build_scene(spec.config)))) > 1
     together = run_sweep(spec)
     assert parse_csv(together)[2][-1]["error"].startswith("power_w and noise_var_w")
-    monkeypatch.setattr(cli, "SWEEP_BLOCK", 1)
+    monkeypatch.setattr(cli, "SWEEP_BLOCK_ELEMENTS", 0)  # every point alone
     assert run_sweep(spec) == together
+
+
+def test_sweep_blocks_hold_their_element_budget(monkeypatch):
+    # an antennas sweep's blocks hold at most SWEEP_BLOCK_ELEMENTS elements of
+    # positions (16 B each) more than one point at a time; 16 points of 20,000
+    # elements, each alone, would hold 5 MB more if they were staged together
+    cfg = parse_config("snapshots = 16\ntarget.0.range = 100\ntarget.0.angle_deg = 20\n")
+    spec = SweepSpec(variable="antennas", config=cfg,
+                     grid=(*range(16, 1025, 16), *range(20000, 20016)))
+    assert [len(block) for block in cli._blocks(spec, build_scene(cfg))][-16:] == [1] * 16
+
+    def peak():
+        tracemalloc.start()
+        try:
+            text = run_sweep(spec)
+            return text, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    budget = cli.SWEEP_BLOCK_ELEMENTS
+    run_sweep(spec)  # first-call allocations outside the traced runs
+    together, held = peak()
+    monkeypatch.setattr(cli, "SWEEP_BLOCK_ELEMENTS", 0)
+    alone, held_alone = peak()
+    assert together == alone
+    assert held <= held_alone + 16 * budget + 64 * 1024
 
 
 @pytest.mark.parametrize("argv, lines", [
@@ -881,11 +908,18 @@ def test_cli_prints_each_warning_on_one_line(tmp_path, capsys, argv, lines):
     # line without a source path or line, whatever the Python version or checkout
     path = write_cfg(tmp_path, "snapshots = 8\ntx.count = 8\nrx.count = 8\ntarget.0.range = 100\n"
                                "target.0.angle_deg = 20\ntarget.0.vx = 1e6\n")
-    assert main([argv[0], path, *argv[1:]]) == 0
-    assert capsys.readouterr().err == "".join(
+    proc = subprocess.run([sys.executable, "-m", "nfcrb", argv[0], path, *argv[1:]],
+                          env=child_env(), capture_output=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert proc.stderr.decode() == "".join(
         f"nfcrb: warning: target 0 moves 800 m over the CPI at minimum range {r} m; the "
         "small-displacement model is strained\n" for r in lines)
-    with pytest.warns(UserWarning, match="small-displacement"):  # as a library call
+    # a caller that records warnings receives each one, from main as from make_scene
+    with pytest.warns(UserWarning, match="small-displacement") as caught:
+        assert main([argv[0], path, *argv[1:]]) == 0
+    assert len(caught) == len(lines)
+    assert capsys.readouterr().err == ""
+    with pytest.warns(UserWarning, match="small-displacement"):
         build_scene(parse_config(Path(path).read_text()))
 
 
