@@ -19,7 +19,7 @@ import numpy as np
 
 from . import __version__
 from .approx import VARIANTS, approx_bounds, relative_error
-from .crb import SingularFimError, closed_form_single, full_crb, own_bounds
+from .crb import SingularFimError, closed_forms, full_crb, own_bounds
 from .fim import fim
 from .geometry import ula
 from .oracle import run_battery
@@ -32,7 +32,11 @@ FIELDS = ("exact", "marginal", "ff", "nf", "relerr_ff", "relerr_nf")
 REGIONS = ("reactive", "fresnel", "fraunhofer")
 REGION_FLAGS = tuple(f"in_{region}" for region in REGIONS)
 # array elements the point scenes of one sweep block hold together (_blocks): a
-# point with more runs alone, so a block holds at most 256 KiB of positions
+# point with more runs alone. The block's closed-form pass holds its points'
+# element factors at once, about 230 B an element at its peak: in an antennas
+# block, whose smaller ULAs read the elements of the largest of their count
+# parity, about what its largest point holds alone; in a range or angle block,
+# each point's own, at most about 4 MiB more than one point at a time
 SWEEP_BLOCK_ELEMENTS = 16384
 # each swept variable's CSV column and unit; a count unit means an integer grid
 SWEEP_VARS = {"range": ("range_m", "m"), "angle": ("angle_deg", "deg"),
@@ -215,7 +219,7 @@ def past_float_range(scene):
     and of a Fisher entry SNR |rcs|^2 M N_t N_r g_t^2 g_r^2 x_t^2 x_r^2 (SNR,
     |rcs| and x at least 1). full_crb tests its Jacobi scale and its inverse
     against the float range itself, so no term bounds them.
-    render_eval and _point_stages silence numpy's warnings on such a scene only.
+    render_eval and _sweep_rows silence numpy's warnings on such a scene only.
     """
     lg = math.log10  # of positive values; a speed or |rcs| of 0 reads -inf
     k, cpi = 2.0 * math.pi / scene.wavelength_m, scene.snapshots * scene.t_sym_s
@@ -397,44 +401,52 @@ def _point_scene(spec, base, value):
     return dataclasses.replace(base, targets=(moved, *base.targets[1:]))
 
 
-def _point_stages(spec, base, value, row):
-    """Fill row with the cells of one grid point, pausing between stages.
-
-    The stages are the point's scene, its closed form and its cell record.
-    """
-    scene = _point_scene(spec, base, value)
-    past = past_float_range(scene)
-    yield
-    with np.errstate(all="ignore" if past else None):
-        closed = closed_form_single(scene, 0).targets[0]
-    yield
-    with np.errstate(all="ignore" if past else None):
-        row.update(_bound_cells(scene, 0, spec.bounds, spec.variants, closed), error="")
-
-
 def _sweep_rows(spec, base, values):
     """Formatted cells of grid points, keyed by sweep_columns(spec).
 
-    The points go through _point_stages together, each stage over all of them
-    before the next, so each layer's code runs back to back instead of once
-    per point; the cells are those of one point at a time.
+    The points go through three stages together, each stage over all of
+    them before the next: their scenes and past_float_range; one
+    crb.closed_forms pass over the points whose scene stands (those past the
+    float range in a pass of their own, with numpy's warnings off); then
+    each point's cell record. A point that fails a stage is an error row and
+    takes no later stage, and so is every point of a failed pass.
     """
     column, unit = SWEEP_VARS[spec.variable]
     rows = [{column: int(value) if unit == "count" else value} for value in values]
-    pending = [(row, _point_stages(spec, base, value, row)) for row, value in zip(rows, values)]
-    while pending:
-        running = []
-        for row, stages in pending:
+    points = []  # (row, scene, past_float_range) of each point whose scene stands
+    for row, value in zip(rows, values):
+        try:
+            scene = _point_scene(spec, base, value)
+            points.append((row, scene, past_float_range(scene)))
+        except (MemoryError, ValueError) as e:
+            _fail(row, e)
+    closed = {}  # id(row): target 0's closed-form bounds
+    for past in (False, True):
+        group = [(row, scene) for row, scene, point_past in points if point_past is past]
+        if not group:
+            continue
+        try:
+            with np.errstate(all="ignore" if past else None):
+                bounds = closed_forms([scene for _, scene in group])
+        except (MemoryError, ValueError) as e:
+            for row, _ in group:
+                _fail(row, e)
+            continue
+        closed.update(zip([id(row) for row, _ in group], bounds))
+    for row, scene, past in points:
+        if id(row) in closed:
             try:
-                next(stages)
-                running.append((row, stages))
-            except StopIteration:
-                pass
+                with np.errstate(all="ignore" if past else None):
+                    row.update(_bound_cells(scene, 0, spec.bounds, spec.variants,
+                                            closed[id(row)]), error="")
             except (MemoryError, ValueError) as e:
-                # a failed point leaves its bound cells empty and its flags at 0
-                row.update(dict.fromkeys(REGION_FLAGS, False), error=str(e).replace(",", ";"))
-        pending = running
+                _fail(row, e)
     return [{key: _fmt(cell) for key, cell in row.items()} for row in rows]
+
+
+def _fail(row, error):
+    """A failed point's row: its bound cells empty, its flags 0 and error in its error cell."""
+    row.update(dict.fromkeys(REGION_FLAGS, False), error=str(error).replace(",", ";"))
 
 
 def _blocks(spec, base):

@@ -44,6 +44,8 @@ KEYS = ("a", "d_x", "d_y", "d_vx", "d_vy")
 
 # rows of Scene.states as (Q, 1, 1) columns; element_factors reads them like a Target
 _Columns = namedtuple("_Columns", "x y vx vy")
+# the elements of several arrays in one (N, 2) table; element_factors reads it like an ArrayGeometry
+_Elements = namedtuple("_Elements", "positions")
 
 
 def _paths(scene, geom, x, y, vx, vy):
@@ -157,9 +159,39 @@ def element_factors(scene, geom, target):
 
 def side_factors(scene, side, q):
     """element_factors of target q on one side, with a target axis if q is a list or tuple."""
-    target = (_Columns(*scene.states[list(q), :4].T[:, :, None, None])
-              if isinstance(q, (list, tuple)) else scene.targets[q])
-    return element_factors(scene, scene.side(side), target)
+    if isinstance(q, (list, tuple)):
+        return block_factors(scene, [scene.side(side)], scene.states[list(q)])[0]
+    return element_factors(scene, scene.side(side), scene.targets[q])
+
+
+def block_factors(scene, arrays, states):
+    """element_factors of every row of a (T, 6) state array against the elements of every array.
+
+    One evaluation: the states on the target axis, the arrays' elements one
+    after another on the element axis, largest array first; an array whose
+    positions are the middle of a larger one's, as a smaller ULA of the same
+    spacing, centroid and count parity is, reads that array's elements.
+    Returns the factors and the index of each array's first element: entry
+    [..., t, :, start + i] is state t against element i of the array, bit
+    for bit as in side_factors of one target and that array, as each is a
+    function of its own state and element alone. scene gives the carrier
+    and propagation speed.
+    """
+    starts, held, count = [None] * len(arrays), [], 0
+    for i in sorted(range(len(arrays)), key=lambda i: -arrays[i].count):
+        geom = arrays[i]
+        for base, start in held:
+            k = (base.count - geom.count) // 2
+            if base.positions[k:k + geom.count].tobytes() == geom.positions.tobytes():
+                starts[i] = start + k
+                break
+        else:
+            starts[i], count = count, count + geom.count
+            held.append((geom, starts[i]))
+    elements = held[0][0] if len(held) == 1 else _Elements(
+        np.concatenate([geom.positions for geom, _ in held]))
+    columns = _Columns(*states[:, :4].T[:, :, None, None])
+    return element_factors(scene, elements, columns), starts
 
 
 def steering_stack(scene, side, q, m_values=None):

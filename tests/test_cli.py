@@ -790,7 +790,7 @@ def test_eval_exact_cells_equal_closed_form_single_bit_for_bit(key):
 @pytest.mark.parametrize("key", list(exact_cell_scenes()))
 def test_eval_forms_each_targets_own_information_once(monkeypatch, key):
     # one own_information call for all targets, element factors once per
-    # distinct side, no closed_form_single, no raw matrix T^T F' T (forward
+    # distinct side, no closed form, no raw matrix T^T F' T (forward
     # congruence) and one _fmt call per cell of each target's record
     scene = exact_cell_scenes()[key]
     crb, steering = sys.modules["nfcrb.crb"], sys.modules["nfcrb.steering"]
@@ -806,7 +806,7 @@ def test_eval_forms_each_targets_own_information_once(monkeypatch, key):
         return wrapper
 
     def refuse(*args):
-        raise AssertionError("closed_form_single called")
+        raise AssertionError("a closed form called")
 
     def counted_congruence(f, shift, back=False):
         calls["forward congruence"] += not back
@@ -818,8 +818,8 @@ def test_eval_forms_each_targets_own_information_once(monkeypatch, key):
         monkeypatch.setattr(module, "congruence", counted_congruence)
     monkeypatch.setattr(steering, "element_factors", counted("element_factors", element_factors))
     monkeypatch.setattr(cli, "_fmt", counted("_fmt", fmt))
-    for module in (crb, cli):
-        monkeypatch.setattr(module, "closed_form_single", refuse)
+    for module, name in ((crb, "closed_form_single"), (crb, "closed_forms"), (cli, "closed_forms")):
+        monkeypatch.setattr(module, name, refuse)
     text, csv = render_eval(scene)
     assert "# status=ok\n" in text  # so every record has its marginal cells
     # a record: the CSV row's cells, the region and a marginal cell per bound,
@@ -835,18 +835,22 @@ def test_eval_forms_each_targets_own_information_once(monkeypatch, key):
 
 
 @pytest.mark.parametrize("rx", ["", "rx.centroid_x = 0.5\n"], ids=["monostatic", "bistatic"])
-def test_sweep_forms_each_points_own_information_once(monkeypatch, rx):
-    # per grid point of an antenna sweep: one own_information call (through
-    # closed_form_single), element factors and the closed forms' expansion
-    # once per distinct side, the latter per approximation variant, and one
-    # _fmt call per cell of the row; counts repeat exactly where timings do not
+def test_sweep_forms_each_blocks_element_factors_once(monkeypatch, rx):
+    # an antenna sweep of two blocks, three points and one alone: per block
+    # one element_factors call per distinct side and one assembly of every
+    # point's own block (_own_blocks), and no own_information call; per
+    # point its element moments and the closed forms' expansion once per
+    # distinct side, the latter per approximation variant, and one _fmt call
+    # per cell of the row; counts repeat exactly where timings do not
     cfg = parse_config("snapshots = 16\ntarget.0.range = 100\ntarget.0.angle_deg = 20\n" + rx)
-    spec = SweepSpec(variable="antennas", grid=(16, 64, 256), config=cfg)
+    spec = SweepSpec(variable="antennas", grid=(16, 64, 256, cli.SWEEP_BLOCK_ELEMENTS), config=cfg)
+    assert [len(block) for block in cli._blocks(spec, build_scene(cfg))] == [3, 1]
     crb, steering = sys.modules["nfcrb.crb"], sys.modules["nfcrb.steering"]
     approx = sys.modules["nfcrb.approx"]
-    calls = dict.fromkeys(("own_information", "element_factors", "_side_terms", "_fmt"), 0)
-    for module, name in ((crb, "own_information"), (steering, "element_factors"),
-                         (approx, "_side_terms"), (cli, "_fmt")):
+    names = ((crb, "own_information"), (crb, "_own_blocks"), (crb, "_element_moments"),
+             (steering, "element_factors"), (approx, "_side_terms"), (cli, "_fmt"))
+    calls = dict.fromkeys((name for _, name in names), 0)
+    for module, name in names:
         def counted(*args, _name=name, _func=getattr(module, name), **kwargs):
             calls[_name] += 1
             return _func(*args, **kwargs)
@@ -856,27 +860,73 @@ def test_sweep_forms_each_points_own_information_once(monkeypatch, rx):
     assert [row["error"] for row in rows] == [""] * len(spec.grid)
     # a row: its CSV cells, the region and a marginal cell per bound
     assert len(header) + 1 + len(BOUNDS) == 36
-    per_point = {"own_information": 1, "element_factors": sides, "_side_terms": 2 * sides,
-                 "_fmt": 36}
-    assert calls == {key: n * len(spec.grid) for key, n in per_point.items()}
+    per_block = {"own_information": 0, "_own_blocks": 1, "element_factors": sides}
+    per_point = {"_element_moments": sides, "_side_terms": 2 * sides, "_fmt": 36}
+    assert calls == {**{key: 2 * n for key, n in per_block.items()},
+                     **{key: n * len(spec.grid) for key, n in per_point.items()}}
+
+
+# a sweep of each variable whose grid holds a point that fails, and for range
+# and power one past the float range, on a base of 7 Tx elements
+BLOCK_SWEEPS = {
+    "range": ((1e-7, 0.5, 10.0, 100.0, 1e200),
+              "target.0.range = 100\ntarget.0.angle_deg = 20\ntarget.0.vx = 0.01\n"),
+    "angle": ((-60.0, 0.0, 60.0, 90.0), "target.0.range = 0.01\ntarget.0.angle_deg = 20\n"),
+    "antennas": ((1, 3, 4, 5, 9), "target.0.x = 0.005\ntarget.0.y = 1e-7\n"),
+    "snapshots": ((1, 4, 16, 1e106), "target.0.range = 100\ntarget.0.angle_deg = 20\n"),
+    "power": ((1e293, 10.0, 0.1, 1e-3, 0.0), "target.0.range = 100\ntarget.0.angle_deg = 20\n"),
+}
 
 
 def test_sweep_blocks_equal_one_point_at_a_time(monkeypatch):
-    # more points than a block, one that fails (power 0) among them: the points
-    # advance stage by stage together, and each row is the one it has alone
-    grid = (*(10.0 ** (k / 16.0) for k in range(39, -41, -1)), 0.0)
-    spec = SweepSpec(variable="power", grid=grid, config=parse_config(DEFAULT_CFG))
-    assert len(list(cli._blocks(spec, build_scene(spec.config)))) > 1
-    together = run_sweep(spec)
-    assert parse_csv(together)[2][-1]["error"].startswith("power_w and noise_var_w")
-    monkeypatch.setattr(cli, "SWEEP_BLOCK_ELEMENTS", 0)  # every point alone
-    assert run_sweep(spec) == together
+    # every variable, on 7 Rx elements (monostatic) and on 5 moved 0.5 m
+    # (bistatic): the failing point sits in a block of several, the points
+    # past the float range take a pass of their own, and each row is the one
+    # its point gives alone; the power sweep of 81 points at 256 elements
+    # takes two blocks
+    cases = [(var, grid, "tx.count = 7\n" + text + rx) for var, (grid, text) in BLOCK_SWEEPS.items()
+             for rx in ("rx.count = 7\n", "rx.count = 5\nrx.centroid_x = 0.5\n")]
+    cases.append(("power", (*(10.0 ** (k / 16.0) for k in range(39, -41, -1)), 0.0), DEFAULT_CFG))
+    for var, grid, text in cases:
+        spec = SweepSpec(variable=var, grid=grid, config=parse_config(text))
+        blocks = list(cli._blocks(spec, build_scene(spec.config)))
+        together = run_sweep(spec)
+        failed = [row[SWEEP_VARS[var][0]] for row in parse_csv(together)[2] if row["error"]]
+        assert len(failed) == 1, (var, text)
+        assert any(len(block) > 1 and float(failed[0]) in block for block in blocks)
+        with monkeypatch.context() as patch:
+            patch.setattr(cli, "SWEEP_BLOCK_ELEMENTS", 0)  # every point alone
+            assert run_sweep(spec) == together, (var, text)
+    assert len(blocks) == 2
+
+
+def test_a_failed_closed_form_pass_fails_each_of_its_points(monkeypatch):
+    # the point past the float range takes a pass of its own; when that pass
+    # cannot allocate, its point is an error row and the other rows stand
+    spec = SweepSpec(variable="power", grid=(1e293, 10.0, 0.1), config=parse_config(
+        "tx.count = 7\nrx.count = 7\nsnapshots = 16\ntarget.0.range = 100\n"
+        "target.0.angle_deg = 20\n"))
+    alone = parse_csv(run_sweep(spec))[2]
+    closed_forms = cli.closed_forms
+
+    def short_of_memory(scenes, q=0):
+        if any(s.power_w > 1e200 for s in scenes):
+            raise MemoryError("Unable to allocate 1.5 GiB for an array with shape (2, 4, 1, 1, 1)")
+        return closed_forms(scenes, q)
+
+    monkeypatch.setattr(cli, "closed_forms", short_of_memory)
+    rows = parse_csv(run_sweep(spec))[2]
+    assert rows[0]["error"].startswith("Unable to allocate 1.5 GiB for an array with shape (2; 4")
+    assert [rows[0][flag] for flag in REGION_FLAGS] == ["0"] * 3 and rows[0]["x_exact"] == ""
+    assert rows[1:] == alone[1:]
 
 
 def test_sweep_blocks_hold_their_element_budget(monkeypatch):
-    # an antennas sweep's blocks hold at most SWEEP_BLOCK_ELEMENTS elements of
-    # positions (16 B each) more than one point at a time; 16 points of 20,000
-    # elements, each alone, would hold 5 MB more if they were staged together
+    # an antennas sweep's blocks keep its peak within SWEEP_BLOCK_ELEMENTS x
+    # 16 B (+64 KiB) of one point at a time: a block's smaller ULAs read the
+    # element factors of the largest of their count parity; 16 points of
+    # 20,000 elements, each alone, would hold 8 MB more if they were staged
+    # together (the factors of both parities' largest arrays at once)
     cfg = parse_config("snapshots = 16\ntarget.0.range = 100\ntarget.0.angle_deg = 20\n")
     spec = SweepSpec(variable="antennas", config=cfg,
                      grid=(*range(16, 1025, 16), *range(20000, 20016)))

@@ -10,6 +10,7 @@ from nfcrb import (ArrayGeometry, DegenerateGeometryError, Target, doppler_shift
                    pathloss, steering_stack, ula)
 from nfcrb.oracle import fd_steering_rows
 from nfcrb import steering
+from nfcrb.crb import _element_moments
 from nfcrb.steering import (KEYS, LOW_ROWS, _stack, element_factors, side_factors,
                             steering_values)
 
@@ -295,6 +296,67 @@ def test_stack_fields_equal_the_per_field_loop_bit_for_bit(case, data):
             factors = side_factors(scene, side, q)
             for ms in subsets:
                 assert_same_bytes([_stack(scene, *factors, ms)], [loop_stack(scene, *factors, ms)])
+
+
+@st.composite
+def block_factor_cases(draw):
+    """A scene's carrier and slow time, 1-5 arrays of 1-300 elements and 1-4 target states.
+
+    Half the time the arrays share one spacing and centroid, so the smaller
+    ones of a count parity lie in the middle of a larger one.
+    """
+    layout = (st.floats(1e-3, 0.5), st.sampled_from([0.0, -0.0, 0.5, -1.7]))
+    shared = [draw(x) for x in layout] if draw(st.booleans()) else None
+    arrays = [ula(n, *(shared or [draw(x) for x in layout]))
+              for n in draw(st.lists(st.integers(1, 300), min_size=1, max_size=5))]
+    if draw(st.booleans()):  # free-form arrays, off the x-axis
+        arrays = [ArrayGeometry(geom.positions + [0.0, draw(st.sampled_from([0.0, -0.2]))])
+                  for geom in arrays]
+    speed = st.sampled_from([0.0, -0.0]) | st.floats(-20.0, 20.0)
+    targets = [target_at(draw(st.floats(0.5, 1e4)), draw(st.floats(-80.0, 80.0)),
+                         v=(draw(speed), draw(speed)))
+               for _ in range(draw(st.integers(1, 4)))]
+    states = np.array([[t.x, t.y, t.vx, t.vy, t.rcs_re, t.rcs_im] for t in targets])
+    # the scene gives the carrier and slow time alone; its own target is the default
+    scene = make_scene(tx=arrays[0], rx=arrays[0], snapshots=draw(st.integers(1, 512)),
+                       carrier_hz=draw(st.sampled_from([2.4e9, 15e9, 77e9])))
+    return scene, arrays, states
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(block_factor_cases())
+def test_block_factors_and_their_moments_equal_per_array_bit_for_bit(case):
+    # one element_factors evaluation over concatenated arrays and stacked
+    # states, as a sweep block takes it: each (state, array) view holds the
+    # bits of its own one-target, one-array evaluation, and the element
+    # moments of a view those of a contiguous copy
+    scene, arrays, states = case
+    factors, starts = steering.block_factors(scene, arrays, states)
+    t_bar = scene.t_sym_s * (scene.snapshots + 1) / 2.0
+    for geom, start in zip(arrays, starts):
+        for t in range(len(states)):
+            view = tuple(x[..., t:t + 1, :, start:start + geom.count] for x in factors)
+            alone = element_factors(scene, geom, steering._Columns(
+                *states[t:t + 1, :4].T[:, :, None, None]))
+            assert_same_bytes(view, alone)
+            moments = _element_moments(view, t_bar)
+            assert_same_bytes(moments, _element_moments(tuple(x.copy() for x in view), t_bar))
+            assert_same_bytes(moments, _element_moments(alone, t_bar))
+
+
+def test_block_factors_read_a_smaller_ula_from_a_larger_one():
+    # the ULAs of one spacing and centroid: each count parity is one run of
+    # elements, the largest array's; a free-form copy, 0.2 m off the axis,
+    # and a moved centroid are runs of their own
+    scene = canonical_scene()
+    arrays = [ula(n, 0.01) for n in (16, 2048, 17, 33, 32)]
+    arrays += [ArrayGeometry(arrays[0].positions + [0.0, -0.2]), ula(16, 0.01, 0.5)]
+    factors, starts = steering.block_factors(scene, arrays, scene.states)
+    assert factors[0].shape[-1] == 2048 + 33 + 16 + 16
+    assert starts == [1016, 0, 2048 + 8, 2048, 1008, 2048 + 33, 2048 + 33 + 16]
+    for geom, start in zip(arrays, starts):
+        assert_same_bytes([x[..., start:start + geom.count] for x in factors],
+                          side_factors(dataclasses.replace(scene, tx=geom, rx=geom), "tx", [0]))
 
 
 @pytest.mark.parametrize("rows", [1, 13])
