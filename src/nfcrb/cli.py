@@ -32,12 +32,12 @@ FIELDS = ("exact", "marginal", "ff", "nf", "relerr_ff", "relerr_nf")
 REGIONS = ("reactive", "fresnel", "fraunhofer")
 REGION_FLAGS = tuple(f"in_{region}" for region in REGIONS)
 # array elements the point scenes of one sweep block hold together (_blocks): a
-# point with more runs alone. The block's closed-form pass holds its points'
-# element factors at once, about 230 B an element at its peak: in an antennas
-# block, whose smaller ULAs read the elements of the largest of their count
-# parity, about what its largest point holds alone; in a range or angle block,
-# each point's own, at most about 4 MiB more than one point at a time
+# point with more runs alone, so a block holds at most 256 KiB of positions
 SWEEP_BLOCK_ELEMENTS = 16384
+# element factors (one target state against one array element, about 230 B each
+# at the peak of crb.closed_forms) one closed-form pass of a block holds beyond
+# those of its largest point (_blocks), so at most about 240 KiB more
+SWEEP_BLOCK_PATHS = 1024
 # each swept variable's CSV column and unit; a count unit means an integer grid
 SWEEP_VARS = {"range": ("range_m", "m"), "angle": ("angle_deg", "deg"),
               "antennas": ("antennas", "count"), "snapshots": ("snapshots", "count"),
@@ -401,39 +401,36 @@ def _point_scene(spec, base, value):
     return dataclasses.replace(base, targets=(moved, *base.targets[1:]))
 
 
-def _sweep_rows(spec, base, values):
+def _sweep_rows(spec, base, passes):
     """Formatted cells of grid points, keyed by sweep_columns(spec).
 
-    The points go through three stages together, each stage over all of
-    them before the next: their scenes and past_float_range; one
-    crb.closed_forms pass over the points whose scene stands (those past the
-    float range in a pass of their own, with numpy's warnings off); then
-    each point's cell record. A point that fails a stage is an error row and
-    takes no later stage, and so is every point of a failed pass.
+    passes is one block of _blocks. Its points go through three stages
+    together, each stage over all of them before the next: their scenes and
+    past_float_range; a crb.closed_forms call per pass over its points whose
+    scene stands (those past the float range in a call of their own, with
+    numpy's warnings off); then each point's cell record. A point that fails
+    a stage is an error row and takes no later stage; the points of a failed
+    call are retried one at a time, so each row is the one its point gives
+    alone.
     """
     column, unit = SWEEP_VARS[spec.variable]
-    rows = [{column: int(value) if unit == "count" else value} for value in values]
-    points = []  # (row, scene, past_float_range) of each point whose scene stands
-    for row, value in zip(rows, values):
-        try:
-            scene = _point_scene(spec, base, value)
-            points.append((row, scene, past_float_range(scene)))
-        except (MemoryError, ValueError) as e:
-            _fail(row, e)
+    rows, points = [], []  # points: (row, scene, past_float_range) of each pass's standing points
+    for values in passes:
+        points.append([])
+        for value in values:
+            rows.append({column: int(value) if unit == "count" else value})
+            try:
+                scene = _point_scene(spec, base, value)
+                points[-1].append((rows[-1], scene, past_float_range(scene)))
+            except (MemoryError, ValueError) as e:
+                _fail(rows[-1], e)
     closed = {}  # id(row): target 0's closed-form bounds
-    for past in (False, True):
-        group = [(row, scene) for row, scene, point_past in points if point_past is past]
-        if not group:
-            continue
-        try:
+    for part in points:
+        for past in (False, True):
             with np.errstate(all="ignore" if past else None):
-                bounds = closed_forms([scene for _, scene in group])
-        except (MemoryError, ValueError) as e:
-            for row, _ in group:
-                _fail(row, e)
-            continue
-        closed.update(zip([id(row) for row, _ in group], bounds))
-    for row, scene, past in points:
+                closed.update(_closed_forms([(row, scene) for row, scene, point_past in part
+                                             if point_past is past]))
+    for row, scene, past in (point for part in points for point in part):
         if id(row) in closed:
             try:
                 with np.errstate(all="ignore" if past else None):
@@ -444,27 +441,55 @@ def _sweep_rows(spec, base, values):
     return [{key: _fmt(cell) for key, cell in row.items()} for row in rows]
 
 
+def _closed_forms(points):
+    """id(row): target 0's closed_forms bounds of (row, scene) points, in one call.
+
+    If the call fails, each point takes one of its own, and a point whose
+    own call fails is its error row.
+    """
+    try:
+        return dict(zip([id(row) for row, _ in points],
+                        closed_forms([scene for _, scene in points]) if points else ()))
+    except (MemoryError, ValueError) as e:
+        if len(points) == 1:
+            _fail(points[0][0], e)
+            return {}
+        return {key: bounds for point in points for key, bounds in _closed_forms([point]).items()}
+
+
 def _fail(row, error):
     """A failed point's row: its bound cells empty, its flags 0 and error in its error cell."""
     row.update(dict.fromkeys(REGION_FLAGS, False), error=str(error).replace(",", ";"))
 
 
 def _blocks(spec, base):
-    """spec.grid as consecutive blocks for _sweep_rows, each within SWEEP_BLOCK_ELEMENTS.
+    """spec.grid as consecutive blocks for _sweep_rows, each a list of closed-form passes.
 
     A point counts the elements of its scene's arrays, each distinct array
-    once: an antennas sweep sets them, the other sweeps share the base's.
+    once (an antennas sweep sets them, the other sweeps share the base's),
+    and a block's points hold at most SWEEP_BLOCK_ELEMENTS. In a pass, points
+    share element factors by group: an antennas point reads those of the
+    largest ULA of its count parity (steering.block_factors), a range or
+    angle point has its own target's, and power and snapshots points share
+    the base's; every group but the largest holds at most SWEEP_BLOCK_PATHS
+    together. A point past either budget starts the next block or pass.
     """
     sides = 1 if base.monostatic else 2
     shared = base.rx.count + (0 if base.monostatic else base.tx.count)
-    block, held = [], 0
+    block, held, factors = [[]], 0, {}  # factors: the pass's paths by group
     for value in spec.grid:
         elements = sides * int(value) if spec.variable == "antennas" else shared
-        if block and held + elements > SWEEP_BLOCK_ELEMENTS:
+        group = (int(value) % 2 if spec.variable == "antennas"
+                 else value if spec.variable in ("range", "angle") else None)
+        grown = {**factors, group: max(factors.get(group, 0), elements)}
+        if block[0] and held + elements > SWEEP_BLOCK_ELEMENTS:
             yield block
-            block, held = [], 0
-        block.append(value)
-        held += elements
+            block, held, grown = [[]], 0, {group: elements}
+        elif block[-1] and sum(grown.values()) - max(grown.values()) > SWEEP_BLOCK_PATHS:
+            block.append([])
+            grown = {group: elements}
+        block[-1].append(value)
+        held, factors = held + elements, grown
     yield block
 
 

@@ -81,10 +81,14 @@ def _element_moments(factors, t_bar):
 
 
 def _scalars(scene):
-    """M, the mean slow time T (M + 1) / 2, V = sum_m (t_m - tbar)^2 and the SNR 2 P / sigma^2."""
+    """M, the mean slow time T (M + 1) / 2, V = sum_m (t_m - tbar)^2 and the SNR 2 P / sigma^2.
+
+    Each is a float, formed from the integer M: numpy holds an integer of 2^64
+    or more as an object.
+    """
     m = scene.snapshots
-    return (m, scene.t_sym_s * (m + 1) / 2.0, scene.t_sym_s ** 2 * (m * (m * m - 1) / 12.0),
-            2.0 * scene.power_w / scene.noise_var_w)
+    return (float(m), scene.t_sym_s * (m + 1) / 2.0,
+            scene.t_sym_s ** 2 * (m * (m * m - 1) / 12.0), 2.0 * scene.power_w / scene.noise_var_w)
 
 
 def own_information(scene, tx, rx, rcs):

@@ -3,6 +3,7 @@
 import contextlib
 import dataclasses
 import io
+import itertools
 import math
 import os
 import re
@@ -836,15 +837,15 @@ def test_eval_forms_each_targets_own_information_once(monkeypatch, key):
 
 @pytest.mark.parametrize("rx", ["", "rx.centroid_x = 0.5\n"], ids=["monostatic", "bistatic"])
 def test_sweep_forms_each_blocks_element_factors_once(monkeypatch, rx):
-    # an antenna sweep of two blocks, three points and one alone: per block
-    # one element_factors call per distinct side and one assembly of every
+    # an antenna sweep of two blocks of one closed-form pass each, three
+    # points and one alone: per pass one element_factors call per distinct side and one assembly of every
     # point's own block (_own_blocks), and no own_information call; per
     # point its element moments and the closed forms' expansion once per
     # distinct side, the latter per approximation variant, and one _fmt call
     # per cell of the row; counts repeat exactly where timings do not
     cfg = parse_config("snapshots = 16\ntarget.0.range = 100\ntarget.0.angle_deg = 20\n" + rx)
     spec = SweepSpec(variable="antennas", grid=(16, 64, 256, cli.SWEEP_BLOCK_ELEMENTS), config=cfg)
-    assert [len(block) for block in cli._blocks(spec, build_scene(cfg))] == [3, 1]
+    assert list(cli._blocks(spec, build_scene(cfg))) == [[[16, 64, 256]], [[spec.grid[-1]]]]
     crb, steering = sys.modules["nfcrb.crb"], sys.modules["nfcrb.steering"]
     approx = sys.modules["nfcrb.approx"]
     names = ((crb, "own_information"), (crb, "_own_blocks"), (crb, "_element_moments"),
@@ -866,87 +867,135 @@ def test_sweep_forms_each_blocks_element_factors_once(monkeypatch, rx):
                      **{key: n * len(spec.grid) for key, n in per_point.items()}}
 
 
-# a sweep of each variable whose grid holds a point that fails, and for range
-# and power one past the float range, on a base of 7 Tx elements
+# a sweep of each variable whose grid holds a point that fails, with the
+# start of its error, and for range and power one past the float range, on a
+# base of 7 Tx elements; the snapshots sweep holds counts past 2^64
 BLOCK_SWEEPS = {
     "range": ((1e-7, 0.5, 10.0, 100.0, 1e200),
-              "target.0.range = 100\ntarget.0.angle_deg = 20\ntarget.0.vx = 0.01\n"),
-    "angle": ((-60.0, 0.0, 60.0, 90.0), "target.0.range = 0.01\ntarget.0.angle_deg = 20\n"),
-    "antennas": ((1, 3, 4, 5, 9), "target.0.x = 0.005\ntarget.0.y = 1e-7\n"),
-    "snapshots": ((1, 4, 16, 1e106), "target.0.range = 100\ntarget.0.angle_deg = 20\n"),
-    "power": ((1e293, 10.0, 0.1, 1e-3, 0.0), "target.0.range = 100\ntarget.0.angle_deg = 20\n"),
+              "target.0.range = 100\ntarget.0.angle_deg = 20\ntarget.0.vx = 0.01\n",
+              "target 0 is within 1e-06 m of an array element"),
+    "angle": ((-60.0, 0.0, 60.0, 90.0), "target.0.range = 0.01\ntarget.0.angle_deg = 20\n",
+              "target 0 is within 1e-06 m of an array element"),
+    "antennas": ((1, 3, 4, 5, 9), "target.0.x = 0.005\ntarget.0.y = 1e-7\n",
+                 "target 0 is within 1e-06 m of an array element"),
+    "snapshots": ((1, 4, 16, 2.0 ** 64, 1e20, 1e106),
+                  "target.0.range = 100\ntarget.0.angle_deg = 20\n",
+                  "the CPI of 1e+106 snapshots of 0.0001 s is too long"),
+    "power": ((1e293, 10.0, 0.1, 1e-3, 0.0), "target.0.range = 100\ntarget.0.angle_deg = 20\n",
+              "power_w and noise_var_w must be positive"),
 }
 
 
 def test_sweep_blocks_equal_one_point_at_a_time(monkeypatch):
     # every variable, on 7 Rx elements (monostatic) and on 5 moved 0.5 m
     # (bistatic): the failing point sits in a block of several, the points
-    # past the float range take a pass of their own, and each row is the one
-    # its point gives alone; the power sweep of 81 points at 256 elements
+    # past the float range take a closed-form call of their own, and each row
+    # is the one its point gives alone, with the default budgets and with 14
+    # factor paths a pass, which splits the range and angle blocks into
+    # passes of 1 to 3 points; the power sweep of 81 points at 256 elements
     # takes two blocks
-    cases = [(var, grid, "tx.count = 7\n" + text + rx) for var, (grid, text) in BLOCK_SWEEPS.items()
+    cases = [(var, grid, "tx.count = 7\n" + text + rx, error)
+             for var, (grid, text, error) in BLOCK_SWEEPS.items()
              for rx in ("rx.count = 7\n", "rx.count = 5\nrx.centroid_x = 0.5\n")]
-    cases.append(("power", (*(10.0 ** (k / 16.0) for k in range(39, -41, -1)), 0.0), DEFAULT_CFG))
-    for var, grid, text in cases:
+    cases.append(("power", (*(10.0 ** (k / 16.0) for k in range(39, -41, -1)), 0.0), DEFAULT_CFG,
+                  BLOCK_SWEEPS["power"][2]))
+    passes = set()
+    for (var, grid, text, error), paths in itertools.product(cases, (cli.SWEEP_BLOCK_PATHS, 14)):
+        monkeypatch.setattr(cli, "SWEEP_BLOCK_PATHS", paths)
         spec = SweepSpec(variable=var, grid=grid, config=parse_config(text))
         blocks = list(cli._blocks(spec, build_scene(spec.config)))
+        assert [v for block in blocks for part in block for v in part] == list(grid)
+        passes.update((var, len(block)) for block in blocks)
         together = run_sweep(spec)
-        failed = [row[SWEEP_VARS[var][0]] for row in parse_csv(together)[2] if row["error"]]
-        assert len(failed) == 1, (var, text)
-        assert any(len(block) > 1 and float(failed[0]) in block for block in blocks)
+        failed = [row for row in parse_csv(together)[2] if row["error"]]
+        assert [row["error"][:len(error)] for row in failed] == [error], (var, text)
+        value = float(failed[0][SWEEP_VARS[var][0]])
+        assert any(sum(map(len, block)) > 1 and any(value in part for part in block)
+                   for block in blocks)
         with monkeypatch.context() as patch:
             patch.setattr(cli, "SWEEP_BLOCK_ELEMENTS", 0)  # every point alone
             assert run_sweep(spec) == together, (var, text)
     assert len(blocks) == 2
+    assert {("range", 2), ("range", 3), ("angle", 2)} <= passes
 
 
-def test_a_failed_closed_form_pass_fails_each_of_its_points(monkeypatch):
-    # the point past the float range takes a pass of its own; when that pass
-    # cannot allocate, its point is an error row and the other rows stand
-    spec = SweepSpec(variable="power", grid=(1e293, 10.0, 0.1), config=parse_config(
+def test_a_failed_closed_form_call_retries_its_points_one_at_a_time(monkeypatch):
+    # a closed-form call of several points that cannot allocate is made again
+    # for each point alone: only the point whose own call fails is an error
+    # row, and the other rows are those of the sweep that never failed
+    spec = SweepSpec(variable="power", grid=(1e293, 10.0, 0.1, 1e-3), config=parse_config(
         "tx.count = 7\nrx.count = 7\nsnapshots = 16\ntarget.0.range = 100\n"
         "target.0.angle_deg = 20\n"))
     alone = parse_csv(run_sweep(spec))[2]
-    closed_forms = cli.closed_forms
+    closed_forms, calls = cli.closed_forms, []
 
     def short_of_memory(scenes, q=0):
-        if any(s.power_w > 1e200 for s in scenes):
+        calls.append([s.power_w for s in scenes])
+        if len(scenes) > 1 or scenes[0].power_w == 0.1:
             raise MemoryError("Unable to allocate 1.5 GiB for an array with shape (2, 4, 1, 1, 1)")
         return closed_forms(scenes, q)
 
     monkeypatch.setattr(cli, "closed_forms", short_of_memory)
     rows = parse_csv(run_sweep(spec))[2]
-    assert rows[0]["error"].startswith("Unable to allocate 1.5 GiB for an array with shape (2; 4")
-    assert [rows[0][flag] for flag in REGION_FLAGS] == ["0"] * 3 and rows[0]["x_exact"] == ""
-    assert rows[1:] == alone[1:]
+    # the point past the float range takes a call of its own
+    assert calls == [[10.0, 0.1, 1e-3], [10.0], [0.1], [1e-3], [1e293]]
+    assert rows[2]["error"].startswith("Unable to allocate 1.5 GiB for an array with shape (2; 4")
+    assert [rows[2][flag] for flag in REGION_FLAGS] == ["0"] * 3 and rows[2]["x_exact"] == ""
+    assert rows[:2] + rows[3:] == alone[:2] + alone[3:]
+
+
+def test_snapshot_counts_past_two_to_the_64_keep_their_bounds(tmp_path, capsys):
+    # numpy holds an integer of 2^64 or more as an object, which frexp refuses:
+    # M enters the closed forms as a float, and the cells are those the sweep
+    # and eval gave when M was multiplied in as an integer
+    path = write_cfg(tmp_path, EXTREME_BASE)
+    assert main(["sweep", path, "--var", "snapshots", "--grid", "8,18446744073709551616,1e20"]) == 0
+    rows = parse_csv(capsys.readouterr().out)[2]
+    assert [(row["error"], row["x_exact"], row["vx_exact"]) for row in rows] == [
+        ("", "0.0004100651543969997", "1608.0986463233376"),
+        ("", "1.7783741250313234e-22", "1.5678515548055818e-52"),
+        ("", "3.2805212351759974e-23", "9.841563715498826e-55")]
+    path = write_cfg(tmp_path, EXTREME_BASE.replace("snapshots = 8", "snapshots = 1e20"))
+    assert main(["eval", path]) == 0
+    assert "target.0.x.exact=3.2805212351759974e-23" in capsys.readouterr().out.splitlines()
 
 
 def test_sweep_blocks_hold_their_element_budget(monkeypatch):
-    # an antennas sweep's blocks keep its peak within SWEEP_BLOCK_ELEMENTS x
-    # 16 B (+64 KiB) of one point at a time: a block's smaller ULAs read the
+    # a sweep's blocks keep its peak within SWEEP_BLOCK_ELEMENTS x 16 B (+64
+    # KiB) of one point at a time. An antennas block's smaller ULAs read the
     # element factors of the largest of their count parity; 16 points of
     # 20,000 elements, each alone, would hold 8 MB more if they were staged
-    # together (the factors of both parities' largest arrays at once)
-    cfg = parse_config("snapshots = 16\ntarget.0.range = 100\ntarget.0.angle_deg = 20\n")
-    spec = SweepSpec(variable="antennas", config=cfg,
-                     grid=(*range(16, 1025, 16), *range(20000, 20016)))
-    assert [len(block) for block in cli._blocks(spec, build_scene(cfg))][-16:] == [1] * 16
-
-    def peak():
-        tracemalloc.start()
-        try:
-            text = run_sweep(spec)
-            return text, tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-
+    # together (the factors of both parities' largest arrays at once). Counts
+    # of both parities take a closed-form pass each once the smaller parity's
+    # factors pass SWEEP_BLOCK_PATHS (8,191 and 8,192 elements would hold 1.4
+    # MB more in one pass), as range points do, each with its own target's
+    # factors (64 points at 256 elements would hold 3.6 MB more)
+    base = "snapshots = 16\ntarget.0.range = 100\ntarget.0.angle_deg = 20\n"
+    # each sweep with the points of each pass in its last blocks
+    sweeps = [("antennas", (*range(16, 1025, 16), *range(20000, 20016)), [[1]] * 16),
+              ("antennas", (*range(1, 129), 8191, 8192), [[1, 1]]),
+              ("range", tuple(50.0 + 5.0 * k for k in range(64)), [[5] * 12 + [4]])]
     budget = cli.SWEEP_BLOCK_ELEMENTS
-    run_sweep(spec)  # first-call allocations outside the traced runs
-    together, held = peak()
-    monkeypatch.setattr(cli, "SWEEP_BLOCK_ELEMENTS", 0)
-    alone, held_alone = peak()
-    assert together == alone
-    assert held <= held_alone + 16 * budget + 64 * 1024
+    for variable, grid, last in sweeps:
+        spec = SweepSpec(variable=variable, config=parse_config(base), grid=grid)
+        blocks = [list(map(len, block)) for block in cli._blocks(spec, build_scene(spec.config))]
+        assert blocks[-len(last):] == last
+
+        def peak():
+            tracemalloc.start()
+            try:
+                text = run_sweep(spec)
+                return text, tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        run_sweep(spec)  # first-call allocations outside the traced runs
+        together, held = peak()
+        with monkeypatch.context() as patch:
+            patch.setattr(cli, "SWEEP_BLOCK_ELEMENTS", 0)
+            alone, held_alone = peak()
+        assert together == alone
+        assert held <= held_alone + 16 * budget + 64 * 1024, (variable, held - held_alone)
 
 
 @pytest.mark.parametrize("argv, lines", [
