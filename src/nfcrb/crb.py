@@ -84,11 +84,16 @@ def _scalars(scene):
     """M, the mean slow time T (M + 1) / 2, V = sum_m (t_m - tbar)^2 and the SNR 2 P / sigma^2.
 
     Each is a float, formed from the integer M: numpy holds an integer of 2^64
-    or more as an object.
+    or more as an object. Past M ~ 5.6e102 the integer M (M^2 - 1) leaves
+    the float range, though V need not: Scene bounds T^2 M^3. There
+    M^2 - 1 rounds to M^2, and V is (T M)^2 M / 12.
     """
     m = scene.snapshots
-    return (float(m), scene.t_sym_s * (m + 1) / 2.0,
-            scene.t_sym_s ** 2 * (m * (m * m - 1) / 12.0), 2.0 * scene.power_w / scene.noise_var_w)
+    try:
+        var = scene.t_sym_s ** 2 * (m * (m * m - 1) / 12.0)
+    except OverflowError:
+        var = (scene.t_sym_s * m) ** 2 * (m / 12.0)
+    return float(m), scene.t_sym_s * (m + 1) / 2.0, var, 2.0 * scene.power_w / scene.noise_var_w
 
 
 def own_information(scene, tx, rx, rcs):

@@ -28,6 +28,8 @@ import dataclasses
 import math
 import random
 from dataclasses import dataclass
+from functools import reduce
+from operator import add
 
 import numpy as np
 
@@ -147,29 +149,29 @@ def _target_channels(scene, states=None):
         yield np.einsum("mr,mt->mrt", a_r_k, a_t_k) * complex(re, im)
 
 
-# a function, not inlined in fd_fim: its return frees plus and minus before
-# the next shifted channel is formed, where the loop's would outlive the iteration
+# a function, not inlined in _fd_channel_derivatives: its return frees plus and
+# minus before the next shifted channel is formed, where the loop's would
+# outlive the iteration
 def _channel_derivative(base, q, moved, h):
     """(A(theta + h) - A(theta - h)) / 2h for one parameter of target q.
 
     moved yields target q's shifted channels at theta + h, then theta - h.
     Each replaces target q's channel in base, the unshifted target channels,
     and is summed before the next one is formed, so one shifted channel is
-    held at a time. The target channels are summed in target order.
+    held at a time. The target channels are summed in target order from the
+    first, not from 0, which would copy it.
     """
-    plus, minus = (sum(base[:q] + [next(moved)] + base[q + 1:]) for _ in range(2))
+    plus, minus = (reduce(add, base[:q] + [next(moved)] + base[q + 1:]) for _ in range(2))
     return _divide(plus - minus, 2.0 * h)
 
 
-def fd_fim(scene, steps=None):
-    """Isotropic Fisher information with mean derivatives from central differences.
+def _fd_channel_derivatives(scene, steps=None):
+    """Central-difference channel derivative stacks, one (6Q, M, N_r, N_t) array in BLOCKS order.
 
-    Only the derivative source differs from the analytic path: each channel
-    derivative stack is (A(theta + h) - A(theta - h)) / 2h, and the full
-    trace 2 P / sigma^2 Re tr(D_i^H D_j) summed over snapshots follows. The
-    shifted states of every target and parameter are one (12 Q, 6) array,
-    evaluated in one steering_values call per side. A shifted channel
-    replaces the one target channel that moves and reuses the others.
+    Each stack is (A(theta + h) - A(theta - h)) / 2h. The shifted states of
+    every target and parameter are one (12 Q, 6) array, evaluated in one
+    steering_values call per side. A shifted channel replaces the one target
+    channel that moves and reuses the others.
     """
     steps = {**DEFAULT_STEPS, **(steps or {})}
     for t in scene.targets:
@@ -182,20 +184,25 @@ def fd_fim(scene, steps=None):
     # one array, not a list of stacks, so glibc does not trim and re-fault the heap
     derivs = np.empty((6 * scene.q_count, scene.snapshots, scene.rx.count, scene.tx.count),
                       dtype=complex)
-    n_par = len(derivs)
     for q in range(scene.q_count):
         for i, kind in zip(target_indices(q, scene.q_count), BLOCKS):
             derivs[i] = _channel_derivative(base, q, moved, steps[kind])
+    return derivs
 
-    f = np.zeros((n_par, n_par))
-    for i in range(n_par):
-        conj_i = derivs[i].conj()
-        for j in range(i, n_par):
-            val = (2.0 * scene.power_w / scene.noise_var_w
-                   * np.einsum("mrt,mrt->", conj_i, derivs[j]).real)
-            f[i, j] = val
-            f[j, i] = val
-    return FisherInfo(centred=f)
+
+def fd_fim(scene, steps=None):
+    """Isotropic Fisher information with mean derivatives from central differences.
+
+    Only the derivative source differs from the analytic path: the channel
+    derivative stacks D are _fd_channel_derivatives, and the full trace
+    2 P / sigma^2 Re tr(D_i^H D_j) summed over snapshots follows. Re
+    tr(D_i^H D_j) is the dot product of the float views of D_i and D_j, so
+    the matrix is the real Gram V V^T of the stacks' float view V, which
+    numpy forms as one BLAS syrk: no conjugate copy, and exactly symmetric.
+    """
+    derivs = _fd_channel_derivatives(scene, steps)
+    v = derivs.reshape(len(derivs), -1).view(float)
+    return FisherInfo(centred=2.0 * scene.power_w / scene.noise_var_w * (v @ v.T))
 
 
 def brute_gain(geom, target):
@@ -275,8 +282,10 @@ def monte_carlo_isotropic(scene, draws=1000, seed=0):
     per_snapshot = x.transpose(2, 1, 0)  # (M, N_t, draws)
     cov = np.matmul(per_snapshot, per_snapshot.conj().swapaxes(1, 2)) / draws
     d = _channel_derivatives(scene)
-    mean = (2.0 / scene.noise_var_w
-            * np.einsum("imrt,jmrs,mst->ij", d.conj(), d, cov).real)
+    # Re tr(D_i^H D_j R_m) summed over m is the dot product of the float
+    # views of D_i and of D_j R_m, one matmul per snapshot
+    d_view, e_view = (x.reshape(len(d), -1).view(float) for x in (d, np.matmul(d, cov)))
+    mean = 2.0 / scene.noise_var_w * (d_view @ e_view.T)
     err = (np.linalg.norm(mean - reference, "fro")
            / max(np.linalg.norm(reference, "fro"), REL_ERR_FLOOR))
     return make_report("monte-carlo-isotropic", np.linalg.norm(reference, "fro"),

@@ -398,6 +398,8 @@ FAR_BASE = "snapshots = 8\ntx.count = 8\ntarget.0.range = {!r}\ntarget.0.angle_d
 # two moving targets whose slow-time phase k v M T overflows, though k r does not
 SLOW_PHASE = (EXTREME_BASE + "carrier_hz = 1e300\nt_sym_s = 1e100\ntarget.0.vx = 3\n"
               "target.1.range = 150\ntarget.1.angle_deg = -30\ntarget.1.vy = 2\n")
+# M (M^2 - 1) past the float range, though V = T^2 M (M^2 - 1) / 12 is not
+HUGE_M = EXTREME_BASE.replace("snapshots = 8", "snapshots = 1e103")
 
 
 @pytest.mark.parametrize("text, argv, code, expect", [
@@ -433,12 +435,15 @@ SLOW_PHASE = (EXTREME_BASE + "carrier_hz = 1e300\nt_sym_s = 1e100\ntarget.0.vx =
     ("snapshots = 1\ntx.count = 1\nrx.count = 1\npower_w = 1e230\nrx.centroid_x = 1000\n"
      "target.0.range = 6\ntarget.0.angle_deg = 0\ntarget.0.rcs_im = 1e32\n", ["eval"], 0,
      "singular-exact"),
+    (HUGE_M, ["eval"], 0, "ok"),
+    (EXTREME_BASE, ["sweep", "--var", "snapshots", "--grid", "16,1e103"], 0, "ok"),
 ], ids=["tiny-wavelength", "long-symbol", "far-tx", "far-range-sweep", "range-product-sweep",
         "subnormal-power-sweep", "high-carrier", "high-carrier-two-targets",
         "high-carrier-range-sweep", "slow-time-phase", "gain-underflow", "fast-target",
         "tiny-noise", "small-noise", "huge-rcs", "huge-rcs-sweep", "huge-wavelength",
         "fast-far-target", "far-huge-rcs", "huge-gain-tiny-power", "huge-slow-time-factor",
-        "far-rx-inverse", "far-rx-one-snapshot", "wide-diagonal", "huge-power-huge-rcs"])
+        "far-rx-inverse", "far-rx-one-snapshot", "wide-diagonal", "huge-power-huge-rcs",
+        "huge-snapshots", "huge-snapshots-sweep"])
 def test_extreme_configs_end_without_a_traceback(tmp_path, capsys, text, argv, code, expect):
     # an exception escaping main, numpy's RuntimeWarning among them, fails this
     # test. lambda^4, r^2 (at 1e155 m and beyond), (r_tx r_rx)^2 (at 1e100 m),
@@ -460,7 +465,9 @@ def test_extreme_configs_end_without_a_traceback(tmp_path, capsys, text, argv, c
     # at 1e145-1e150 m diag F' falls to 1e-300 or below, and an inverse past
     # the float range (which T's zeros would turn into nan) is singular; so is
     # an F' whose diagonal spans more than the float range (1e-229 to 1e81 at a
-    # 1e38 s symbol on 1e-116 m spacing), where the Jacobi scale overflows
+    # 1e38 s symbol on 1e-116 m spacing), where the Jacobi scale overflows. At
+    # 1e103 snapshots the integer M (M^2 - 1) leaves the float range but V does
+    # not, and the scene inverts
     path = write_cfg(tmp_path, text)
     assert main([argv[0], path, *argv[1:]]) == code
     captured = capsys.readouterr()
@@ -482,10 +489,10 @@ def test_extreme_configs_end_without_a_traceback(tmp_path, capsys, text, argv, c
     for row in cells:
         assert "nan" not in row.values()
         for bound in BOUNDS:
-            marginal = row.get(_column(bound, "marginal"), "")
-            if expect == "ok":
+            marginal = row.get(_column(bound, "marginal"), "")  # a sweep prints none
+            if expect == "ok" and argv[0] == "eval":
                 assert 0.0 < float(marginal) < math.inf
-            else:
+            elif expect != "ok":
                 assert marginal == ""
             if expect in ("ok", "singular-exact"):
                 assert 0.0 < float(row[_column(bound, "exact")]) < math.inf
@@ -494,14 +501,18 @@ def test_extreme_configs_end_without_a_traceback(tmp_path, capsys, text, argv, c
                 assert [row[_column(bound, f"relerr_{v}")] for v in ("ff", "nf")] == ["", ""]
 
 
-@pytest.mark.parametrize("text, code", [(SLOW_PHASE, 0), (EXTREME_BASE + "t_sym_s = 1e300\n", 1)],
-                         ids=["slow-time-phase", "long-symbol"])
-def test_extreme_configs_end_without_a_traceback_as_a_command(tmp_path, text, code):
+@pytest.mark.parametrize("text, argv, code", [
+    (SLOW_PHASE, ["eval"], 0),
+    (EXTREME_BASE + "t_sym_s = 1e300\n", ["eval"], 1),
+    (HUGE_M, ["eval"], 0),
+    (EXTREME_BASE, ["sweep", "--var", "snapshots", "--grid", "16,1e103"], 0),
+], ids=["slow-time-phase", "long-symbol", "huge-snapshots", "huge-snapshots-sweep"])
+def test_extreme_configs_end_without_a_traceback_as_a_command(tmp_path, text, argv, code):
     # a fresh interpreter with numpy's RuntimeWarning an error from its start,
     # as a user runs it: the exit code and stderr are the process's own
-    proc = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-m", "nfcrb", "eval",
-                           write_cfg(tmp_path, text)], env=child_env(), capture_output=True,
-                          timeout=120)
+    proc = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-m", "nfcrb", argv[0],
+                           write_cfg(tmp_path, text), *argv[1:]], env=child_env(),
+                          capture_output=True, timeout=120)
     assert proc.returncode == code, proc.stderr.decode()
     assert b"Traceback" not in proc.stderr
 
@@ -947,14 +958,18 @@ def test_a_failed_closed_form_call_retries_its_points_one_at_a_time(monkeypatch)
 def test_snapshot_counts_past_two_to_the_64_keep_their_bounds(tmp_path, capsys):
     # numpy holds an integer of 2^64 or more as an object, which frexp refuses:
     # M enters the closed forms as a float, and the cells are those the sweep
-    # and eval gave when M was multiplied in as an integer
+    # and eval gave when M was multiplied in as an integer. At 1e103 the
+    # integer M (M^2 - 1) leaves the float range; x and vx keep the 1/M and
+    # 1/M^3 laws from 1e20
     path = write_cfg(tmp_path, EXTREME_BASE)
-    assert main(["sweep", path, "--var", "snapshots", "--grid", "8,18446744073709551616,1e20"]) == 0
+    assert main(["sweep", path, "--var", "snapshots", "--grid",
+                 "8,18446744073709551616,1e20,1e103"]) == 0
     rows = parse_csv(capsys.readouterr().out)[2]
     assert [(row["error"], row["x_exact"], row["vx_exact"]) for row in rows] == [
         ("", "0.0004100651543969997", "1608.0986463233376"),
         ("", "1.7783741250313234e-22", "1.5678515548055818e-52"),
-        ("", "3.2805212351759974e-23", "9.841563715498826e-55")]
+        ("", "3.2805212351759974e-23", "9.841563715498826e-55"),
+        ("", "3.2805212351759973e-106", "9.841563715498826e-304")]
     path = write_cfg(tmp_path, EXTREME_BASE.replace("snapshots = 8", "snapshots = 1e20"))
     assert main(["eval", path]) == 0
     assert "target.0.x.exact=3.2805212351759974e-23" in capsys.readouterr().out.splitlines()

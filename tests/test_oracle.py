@@ -1,24 +1,31 @@
 """Independent numeric checks: finite differences, brute sums, report plumbing."""
 
 import dataclasses
+import hashlib
 import math
+import os
 import platform
 import random
 import resource
+import subprocess
 import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import nfcrb
 from nfcrb import (BLOCKS, ArrayGeometry, DegenerateGeometryError, Scene, Target, brute_gain,
                    fd_fim, fim, make_scene, steering_stack, ula)
 from nfcrb.fim import derivative_terms
-from nfcrb.oracle import (DEFAULT_STEPS, _channel_derivatives, _target_channels, _two_target_scene,
+from nfcrb.oracle import (DEFAULT_STEPS, _canonical_scene, _channel_derivatives,
+                          _fd_channel_derivatives, _target_channels, _two_target_scene,
                           _verify_consistency, _verify_expansions, _verify_steering,
-                          fd_steering_rows, make_report, relative_difference, run_battery)
+                          fd_steering_rows, make_report, monte_carlo_isotropic,
+                          relative_difference, run_battery)
 from nfcrb.steering import KEYS, steering_values
 
 from util import canonical_scene, many_target_scene, small_scene, target_at
@@ -163,13 +170,10 @@ def _stack_fd_fim(scene):
             plus = _stack_channel(_perturbed(scene, q, kind, +h))
             minus = _stack_channel(_perturbed(scene, q, kind, -h))
             derivs.append((plus - minus) / (2.0 * h))
-    n_par = len(derivs)
-    f = np.zeros((n_par, n_par))
-    for i in range(n_par):
-        for j in range(i, n_par):
-            f[i, j] = f[j, i] = (2.0 * scene.power_w / scene.noise_var_w
-                                 * np.einsum("mrt,mrt->", derivs[i].conj(), derivs[j]).real)
-    return f
+    # the per-step stacks through fd_fim's real Gram: the contraction itself
+    # is checked against the complex trace by test_fd_fim_is_the_real_gram_of_its_stacks
+    v = np.stack(derivs).reshape(len(derivs), -1).view(float)
+    return 2.0 * scene.power_w / scene.noise_var_w * (v @ v.T)
 
 
 @st.composite
@@ -208,6 +212,31 @@ def test_batched_fd_equals_the_per_step_stack_route_bit_for_bit(case):
             assert batched[side][0, c].shape == want[side].shape
             assert (batched[side][0, c] == want[side]).all()
     assert (fd_fim(scene).matrix == _stack_fd_fim(scene)).all()
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(fd_cases())
+@example((_canonical_scene(), 0, [1]))
+@example((_two_target_scene(), 0, [1]))
+def test_fd_fim_is_the_real_gram_of_its_stacks(case):
+    # fd_fim contracts its stacks as one real Gram; each entry must be the
+    # complex trace 2 P / sigma^2 Re tr(D_i^H D_j) of the same stacks, to
+    # rounding against the scale sqrt(F_ii F_jj), and the matrix exactly
+    # symmetric. The scale is formed from each stack's norm scaled by its
+    # largest entry, as F_ii may underflow where F_ij does not (rcs 1e-200);
+    # tiny covers products that underflow on either route
+    scene = case[0]
+    snr = 2.0 * scene.power_w / scene.noise_var_w
+    f = fd_fim(scene).matrix
+    d = _fd_channel_derivatives(scene).reshape(6 * scene.q_count, -1)
+    want = np.array([[snr * np.einsum("k,k->", d_i.conj(), d_j).real for d_j in d] for d_i in d])
+    v = d.view(float)
+    top = np.abs(v).max(axis=1, keepdims=True)
+    top[top == 0.0] = 1.0
+    norms = top[:, 0] * np.linalg.norm(v / top, axis=1)
+    tiny = snr * d.shape[1] * 2.0 ** -1073
+    assert (np.abs(f - want) <= 1e-13 * snr * np.outer(norms, norms) + tiny).all()
+    assert (f == f.T).all()
 
 
 def _per_check_verify_steering(seed, battery):
@@ -539,6 +568,33 @@ def test_verify_does_not_refault_its_heap_on_every_item():
         run_battery(0, 20)
         faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
     assert max(faults) < 64, faults
+
+
+def _oracle_digest():
+    """SHA-256 of fd_fim's matrix and the Monte Carlo report of a Q=4, N=32, M=16 scene."""
+    scene = many_target_scene(q=4, n=32, m=16)
+    digest = hashlib.sha256(fd_fim(scene).matrix.tobytes())
+    digest.update(repr(monte_carlo_isotropic(scene)).encode())
+    return digest.hexdigest()
+
+
+def test_oracle_bits_identical_across_blas_thread_counts():
+    # at verify's sizes OpenBLAS forms the oracles' real products on one
+    # thread; at this size it may split them (numpy 2.4's OpenBLAS splits the
+    # Monte Carlo product). The thread count is set on the child processes only
+    here = Path(__file__).resolve().parent
+    src = str(Path(nfcrb.__file__).resolve().parents[1])
+    pythonpath = os.pathsep.join(filter(None, [src, str(here), os.environ.get("PYTHONPATH")]))
+    child = "import test_oracle; print(test_oracle._oracle_digest())"
+    digests = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": pythonpath}
+        proc = subprocess.run([sys.executable, "-c", child], env=env, capture_output=True,
+                              timeout=120)
+        assert proc.returncode == 0, proc.stderr.decode()
+        digests.append(proc.stdout)
+    assert digests[0] == digests[1]
+    assert digests[0].decode().strip() == _oracle_digest()
 
 
 def test_fd_fim_error_is_second_order_in_step():
