@@ -23,8 +23,7 @@ from .crb import SingularFimError, closed_forms, full_crb, own_bounds
 from .fim import fim
 from .geometry import ula
 from .oracle import run_battery
-from .scene import (BLOCKS, LIGHTSPEED, MIN_ELEMENT_CLEARANCE, Target, dbm_to_watts, make_scene,
-                    polar_of)
+from .scene import BLOCKS, LIGHTSPEED, Target, dbm_to_watts, make_scene, polar_of
 
 BOUNDS = ("rcs", "vx", "vy", "x", "y")
 # the cells of each bound, in eval's text order; _bound_cells fills each from its source
@@ -42,6 +41,13 @@ SWEEP_BLOCK_PATHS = 1024
 SWEEP_VARS = {"range": ("range_m", "m"), "angle": ("angle_deg", "deg"),
               "antennas": ("antennas", "count"), "snapshots": ("snapshots", "count"),
               "power": ("power_w", "W")}
+# the SI envelope of the scenes eval and sweep evaluate: (low, high) of each
+# quantity's magnitude, speed and rcs a target's |v| and |rcs|. No step of a
+# scene inside it leaves the float range; check_envelope rejects one outside
+ENVELOPE = {"carrier_hz": (1e6, 1e13), "t_sym_s": (1e-12, 1.0), "snapshots": (1, 1e16),
+            "power_w": (1e-15, 1e9), "noise_w": (1e-30, 1e3), "count": (1, 1e6),
+            "spacing_m": (1e-6, 1e3), "centroid_x": (0.0, 1e7), "x": (0.0, 1e7),
+            "y": (0.0, 1e7), "speed": (0.0, 1e8), "rcs": (0.0, 1e6)}
 
 
 class ConfigError(ValueError):
@@ -186,8 +192,27 @@ def build_scene(cfg):
     scalars = {key: v[key] for key in ("t_sym_s", "snapshots", "power_w") if key in v}
     indices = sorted({int(key.split(".")[1]) for key in v if key.startswith("target.")})
     targets = [_target(v, idx) for idx in indices]
-    return make_scene(targets=targets or None, tx=side("tx"), rx=side("rx"),
-                      carrier_hz=carrier, noise_var_w=noise, **scalars)
+    scene = make_scene(targets=targets or None, tx=side("tx"), rx=side("rx"),
+                       carrier_hz=carrier, noise_var_w=noise, **scalars)
+    check_envelope(scene)
+    return scene
+
+
+def check_envelope(scene):
+    """Raise a ConfigError naming the first quantity of scene outside ENVELOPE."""
+    values = {"carrier_hz": scene.carrier_hz, "t_sym_s": scene.t_sym_s,
+              "snapshots": scene.snapshots, "power_w": scene.power_w, "noise_w": scene.noise_var_w}
+    for name, geom in (("tx", scene.tx), ("rx", scene.rx)):
+        values.update({f"{name}.count": geom.count, f"{name}.spacing_m": geom.spacing,
+                       f"{name}.centroid_x": geom.centroid_x})
+    for q, t in enumerate(scene.targets):
+        values.update({f"target.{q}.x": t.x, f"target.{q}.y": t.y,
+                       f"target.{q}.speed": math.hypot(t.vx, t.vy), f"target.{q}.rcs": abs(t.rcs)})
+    for name, value in values.items():
+        low, high = ENVELOPE[name.rpartition(".")[2]]
+        if not low <= abs(value) <= high:
+            bound = f"{low:g} <= {name} <= {high:g}" if low else f"|{name}| <= {high:g}"
+            raise ConfigError(f"{name} = {value:.6g} is outside the envelope {bound}")
 
 
 # ---------------------------------------------------------------------------
@@ -206,40 +231,6 @@ def _fmt(value):
     if isinstance(value, (int, np.integer)):
         return str(int(value))
     return repr(float(value))
-
-
-def past_float_range(scene):
-    """Whether evaluating scene may leave the float range, from O(Q) scene scalars.
-
-    Per target and side, r and n are the farthest and nearest element ranges
-    (the centroid range plus or minus the aperture, n at least the clearance)
-    and x = (k + 1/n)(1 + v/n)(1 + M T) bounds |alpha| + |beta| t. Each term is
-    the log10 of r^2, of 1 / g^2 = (2 k r)^2, lest G = sum g^2 underflow, of
-    v r and k r v, of x^2 (with r^2 it bounds the phase k v M T), of (|rcs| x)^2
-    and of a Fisher entry SNR |rcs|^2 M N_t N_r g_t^2 g_r^2 x_t^2 x_r^2 (SNR,
-    |rcs| and x at least 1). full_crb tests its Jacobi scale and its inverse
-    against the float range itself, so no term bounds them.
-    render_eval and _sweep_rows silence numpy's warnings on such a scene only.
-    """
-    lg = math.log10  # of positive values; a speed or |rcs| of 0 reads -inf
-    k, cpi = 2.0 * math.pi / scene.wavelength_m, scene.snapshots * scene.t_sym_s
-    lk, counts = lg(k), lg(scene.snapshots * scene.tx.count * scene.rx.count)
-    snr = lg(2.0 * scene.power_w / scene.noise_var_w)
-    terms = []
-    for t in scene.targets:
-        speed, rcs = math.hypot(t.vx, t.vy), math.hypot(t.rcs_re, t.rcs_im)
-        v = lg(speed) if speed else -math.inf
-        rcs = lg(rcs) if rcs else -math.inf
-        entry = counts + 2.0 * max(rcs, 0.0)
-        for geom in (scene.tx, scene.rx):
-            r, aperture = polar_of(t, geom)[0], geom.aperture
-            far, near = lg(r + aperture), max(r - aperture, MIN_ELEMENT_CLEARANCE)
-            x = max(lg((k + 1.0 / near) * (1.0 + speed / near) * (1.0 + cpi)), 0.0)
-            terms += [2.0 * far, 2.0 * (lg(2.0) + lk + far), v + far + max(lk, 0.0), 2.0 * x,
-                      2.0 * (rcs + x)]
-            entry += 2.0 * (x - lg(2.0 * k * near))
-        terms.append(entry + max(snr, 0.0))
-    return any(term > 300.0 for term in terms)  # 1e300: room for sums and constants
 
 
 def _region(scene, q):
@@ -312,29 +303,28 @@ def render_eval(scene):
     status=singular with the marginal cells left empty; the closed-form
     exact (crb.own_bounds of each target's own block of F'), ff and nf columns are always rendered.
     """
-    with np.errstate(all="ignore" if past_float_range(scene) else None):
-        info = fim(scene)
-        try:
-            _, report = full_crb(info)
-            condition, status = report.condition_number, report.status
-        except SingularFimError:
-            report, condition, status = None, None, "singular"
-        lines = [f"# nfcrb eval v{__version__}",
-                 f"# targets={scene.q_count} snapshots={scene.snapshots} "
-                 f"tx={scene.tx.count} rx={scene.rx.count}",
-                 f"# condition_number={_fmt(condition)}",
-                 f"# status={status}"]
-        rows = []
-        for q in range(scene.q_count):
-            closed = own_bounds(info.centred[q::scene.q_count, q::scene.q_count], info.shift[q])
-            marginal = None if report is None else report.targets[q]
-            cells = {"target": q, **_bound_cells(scene, q, BOUNDS, VARIANTS, closed, marginal)}
-            cells = {key: _fmt(cell) for key, cell in cells.items()}
-            rows.append(cells)
-            lines.append(f"target.{q}.region={cells['region']}")
-            lines += [f"target.{q}.{text}{cells[key]}" for text, key in _LINES]
-        return "\n".join(lines) + "\n", _csv([f"# nfcrb eval v{__version__}"],
-                                            ["target"] + cell_columns(BOUNDS, VARIANTS), rows)
+    info = fim(scene)
+    try:
+        _, report = full_crb(info)
+        condition, status = report.condition_number, report.status
+    except SingularFimError:
+        report, condition, status = None, None, "singular"
+    lines = [f"# nfcrb eval v{__version__}",
+             f"# targets={scene.q_count} snapshots={scene.snapshots} "
+             f"tx={scene.tx.count} rx={scene.rx.count}",
+             f"# condition_number={_fmt(condition)}",
+             f"# status={status}"]
+    rows = []
+    for q in range(scene.q_count):
+        closed = own_bounds(info.centred[q::scene.q_count, q::scene.q_count], info.shift[q])
+        marginal = None if report is None else report.targets[q]
+        cells = {"target": q, **_bound_cells(scene, q, BOUNDS, VARIANTS, closed, marginal)}
+        cells = {key: _fmt(cell) for key, cell in cells.items()}
+        rows.append(cells)
+        lines.append(f"target.{q}.region={cells['region']}")
+        lines += [f"target.{q}.{text}{cells[key]}" for text, key in _LINES]
+    return "\n".join(lines) + "\n", _csv([f"# nfcrb eval v{__version__}"],
+                                        ["target"] + cell_columns(BOUNDS, VARIANTS), rows)
 
 
 # ---------------------------------------------------------------------------
@@ -404,38 +394,32 @@ def _point_scene(spec, base, value):
 def _sweep_rows(spec, base, passes):
     """Formatted cells of grid points, keyed by sweep_columns(spec).
 
-    passes is one block of _blocks. Its points go through three stages
-    together, each stage over all of them before the next: their scenes and
-    past_float_range; a crb.closed_forms call per pass over its points whose
-    scene stands (those past the float range in a call of their own, with
-    numpy's warnings off); then each point's cell record. A point that fails
-    a stage is an error row and takes no later stage; the points of a failed
-    call are retried one at a time, so each row is the one its point gives
-    alone.
+    passes is one block of _blocks. Its points go through three stages, each
+    over all of them before the next: their scenes, each checked against
+    ENVELOPE; one crb.closed_forms call per pass over its standing points;
+    then each point's cell record. A point that fails a stage is an error row
+    and takes no later stage.
     """
     column, unit = SWEEP_VARS[spec.variable]
-    rows, points = [], []  # points: (row, scene, past_float_range) of each pass's standing points
+    rows, points = [], []  # points: (row, scene) of each pass's standing points
     for values in passes:
         points.append([])
         for value in values:
             rows.append({column: int(value) if unit == "count" else value})
             try:
                 scene = _point_scene(spec, base, value)
-                points[-1].append((rows[-1], scene, past_float_range(scene)))
+                check_envelope(scene)
+                points[-1].append((rows[-1], scene))
             except (MemoryError, ValueError) as e:
                 _fail(rows[-1], e)
     closed = {}  # id(row): target 0's closed-form bounds
     for part in points:
-        for past in (False, True):
-            with np.errstate(all="ignore" if past else None):
-                closed.update(_closed_forms([(row, scene) for row, scene, point_past in part
-                                             if point_past is past]))
-    for row, scene, past in (point for part in points for point in part):
+        closed.update(_closed_forms(part))
+    for row, scene in (point for part in points for point in part):
         if id(row) in closed:
             try:
-                with np.errstate(all="ignore" if past else None):
-                    row.update(_bound_cells(scene, 0, spec.bounds, spec.variants,
-                                            closed[id(row)]), error="")
+                row.update(_bound_cells(scene, 0, spec.bounds, spec.variants, closed[id(row)]),
+                           error="")
             except (MemoryError, ValueError) as e:
                 _fail(row, e)
     return [{key: _fmt(cell) for key, cell in row.items()} for row in rows]

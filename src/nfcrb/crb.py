@@ -84,15 +84,10 @@ def _scalars(scene):
     """M, the mean slow time T (M + 1) / 2, V = sum_m (t_m - tbar)^2 and the SNR 2 P / sigma^2.
 
     Each is a float, formed from the integer M: numpy holds an integer of 2^64
-    or more as an object. Past M ~ 5.6e102 the integer M (M^2 - 1) leaves
-    the float range, though V need not: Scene bounds T^2 M^3. There
-    M^2 - 1 rounds to M^2, and V is (T M)^2 M / 12.
+    or more as an object.
     """
     m = scene.snapshots
-    try:
-        var = scene.t_sym_s ** 2 * (m * (m * m - 1) / 12.0)
-    except OverflowError:
-        var = (scene.t_sym_s * m) ** 2 * (m / 12.0)
+    var = scene.t_sym_s ** 2 * (m * (m * m - 1) / 12.0)
     return float(m), scene.t_sym_s * (m + 1) / 2.0, var, 2.0 * scene.power_w / scene.noise_var_w
 
 
@@ -137,11 +132,6 @@ def _own_blocks(tx, rx, rcs, m, t_bar, var, snr):
     b = b_t + b_r
     kin = (m[:, None, None] * (cu_t + cu_r)
            + var[:, None, None] * (cb_t + cb_r + (b.conj()[:, :, None] * b[:, None]).real))
-    # G_t, G_r and the SNR as mantissas, their exponents applied last: a power of
-    # two scales exactly, so the bits are the direct product's where it stays in range
-    mantissa = np.frexp(g_t)
-    (g_t, e_t), (g_r, e_r) = mantissa, mantissa if rx is tx else np.frexp(g_r)
-    snr, e_snr = np.frexp(snr)
     # |rcs|^2 by numpy's scalar power: it rounds as Python's float power does,
     # unlike numpy's square, and overflows to inf as numpy does
     weight = np.array([0.5 * abs(np.complex128(z)) ** 2 for z in rcs]) * g_t * g_r
@@ -149,7 +139,6 @@ def _own_blocks(tx, rx, rcs, m, t_bar, var, snr):
     own[:, :4, :4] = (kin + kin.transpose(0, 2, 1)) * weight[:, None, None]
     own[:, 4, 4] = own[:, 5, 5] = m * g_t * g_r
     own *= snr[:, None, None]
-    np.ldexp(own, (e_t + e_r + e_snr)[:, None, None], out=own)
     # each rcs a size-one operand against its target's row, as a scalar is
     c = np.array(rcs, dtype=complex)[:, None] * (a_t + a_r + b * t_bar[:, None])
     return own, np.array([c.real, c.imag]).swapaxes(0, 1)

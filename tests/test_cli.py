@@ -2,6 +2,7 @@
 
 import contextlib
 import dataclasses
+import importlib.util
 import io
 import itertools
 import math
@@ -15,16 +16,17 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 import nfcrb
 from nfcrb import (ArrayGeometry, Scene, Target, cli, closed_form_single, dbm_to_watts, make_scene,
                    ula)
 from nfcrb.approx import VARIANTS
-from nfcrb.cli import (BOUNDS, FIELDS, REGION_FLAGS, SWEEP_VARS, Config, ConfigError, SweepSpec,
-                       _bound_cells, _column, _point_scene, build_scene, main, parse_config,
-                       past_float_range, render_eval, run_sweep, run_verify, sweep_columns)
+from nfcrb.cli import (BOUNDS, ENVELOPE, FIELDS, REGION_FLAGS, SWEEP_VARS, Config, ConfigError,
+                       SweepSpec, _bound_cells, _column, _point_scene, build_scene, check_envelope,
+                       main, parse_config, render_eval, run_sweep, run_verify, sweep_columns)
+from nfcrb.crb import closed_forms
 from nfcrb.fim import fim
 from nfcrb.oracle import _verify_steering, fd_fim
 from nfcrb.steering import KEYS
@@ -388,55 +390,79 @@ def test_unrepresentable_power_over_noise_is_an_error_without_warnings(tmp_path,
 
 
 EXTREME_BASE = "snapshots = 8\ntx.count = 8\ntarget.0.range = 100\ntarget.0.angle_deg = 20\n"
-# k r past the float range: a 1e300 Hz carrier and a target at 1e20 m
+# a 1e300 Hz carrier and a target at 1e20 m
 HIGH_CARRIER_BASE = ("snapshots = 8\ntx.count = 8\ncarrier_hz = 1e300\ntarget.0.range = 1e20\n"
                      "target.0.angle_deg = 20\n")
 
 
 # EXTREME_BASE with its target at the range formatted in
 FAR_BASE = "snapshots = 8\ntx.count = 8\ntarget.0.range = {!r}\ntarget.0.angle_deg = 20\n"
-# two moving targets whose slow-time phase k v M T overflows, though k r does not
+# two moving targets whose slow-time phase k v M T would overflow
 SLOW_PHASE = (EXTREME_BASE + "carrier_hz = 1e300\nt_sym_s = 1e100\ntarget.0.vx = 3\n"
               "target.1.range = 150\ntarget.1.angle_deg = -30\ntarget.1.vy = 2\n")
 # M (M^2 - 1) past the float range, though V = T^2 M (M^2 - 1) / 12 is not
 HUGE_M = EXTREME_BASE.replace("snapshots = 8", "snapshots = 1e103")
 
 
-@pytest.mark.parametrize("text, argv, code, expect", [
-    (EXTREME_BASE + "carrier_hz = 1e300\n", ["eval"], 0, "inf"),
-    (EXTREME_BASE + "t_sym_s = 1e300\n", ["eval"], 1, "inf"),
-    (EXTREME_BASE + "tx.centroid_x = 1e308\n", ["eval"], 0, "inf"),
-    (EXTREME_BASE, ["sweep", "--var", "range", "--grid", "1e155,1e160"], 0, "inf"),
-    (EXTREME_BASE, ["sweep", "--var", "range", "--grid", "1e100,1e101"], 0, "inf"),
-    (EXTREME_BASE, ["sweep", "--var", "power", "--grid", "1e-320,1"], 0, "inf"),
-    (HIGH_CARRIER_BASE, ["eval"], 0, "inf"),
-    (HIGH_CARRIER_BASE + "target.1.range = 2e20\ntarget.1.angle_deg = -30\n", ["eval"], 0, "inf"),
-    (HIGH_CARRIER_BASE, ["sweep", "--var", "range", "--grid", "1e10,1e20"], 0, "inf"),
-    (SLOW_PHASE, ["eval"], 0, "inf"),
-    (EXTREME_BASE + "carrier_hz = 1e162\n", ["eval"], 0, "singular"),
-    (EXTREME_BASE + "target.0.vx = 1e300\n", ["eval"], 0, "singular"),
-    (EXTREME_BASE + "noise_w = 1e-300\n", ["eval"], 0, "ok"),
-    (EXTREME_BASE + "noise_w = 1e-200\n", ["eval"], 0, "ok"),
-    (EXTREME_BASE + "target.0.rcs_re = 1e160\n", ["eval"], 0, "singular"),
+def outside(quantity):
+    """A regex of the message that names quantity outside cli.ENVELOPE."""
+    return rf"{re.escape(quantity)} = \S+ is outside the envelope [^\n]+"
+
+
+def config_error(quantity):
+    """A regex of the one stderr line of a command whose scene has quantity outside ENVELOPE."""
+    return "nfcrb: config error: " + outside(quantity)
+
+
+# each config took some step past the float range before the CLI checked its
+# scenes against ENVELOPE: lambda^4, r^2 and (r_tx r_rx)^2, k r, k v M T, G =
+# sum g^2, |rcs|^2, the Jacobi scale's d_i d_j, an inverse past it or M (M^2 -
+# 1). expect is the one stderr line of a command that exits 1 (an eval, or a
+# sweep whose base lies outside ENVELOPE), or each sweep row's error cell, ""
+# for an ordinary row. A CPI whose slow-time moments overflow is Scene's error,
+# which comes first
+@pytest.mark.parametrize("text, argv, expect", [
+    (EXTREME_BASE + "carrier_hz = 1e300\n", ["eval"], config_error("carrier_hz")),
+    (EXTREME_BASE + "t_sym_s = 1e300\n", ["eval"],
+     re.escape("nfcrb: error: the CPI of 8 snapshots of 1e+300 s is too long: its slow-time "
+               "moments overflow")),
+    (EXTREME_BASE + "tx.centroid_x = 1e308\n", ["eval"], config_error("tx.centroid_x")),
+    (EXTREME_BASE, ["sweep", "--var", "range", "--grid", "1e155,1e160"],
+     2 * [outside("target.0.x")]),
+    (EXTREME_BASE, ["sweep", "--var", "range", "--grid", "1e100,1e101"],
+     2 * [outside("target.0.x")]),
+    (EXTREME_BASE, ["sweep", "--var", "power", "--grid", "1e-320,1"], [outside("power_w"), ""]),
+    (HIGH_CARRIER_BASE, ["eval"], config_error("carrier_hz")),
+    (HIGH_CARRIER_BASE + "target.1.range = 2e20\ntarget.1.angle_deg = -30\n", ["eval"],
+     config_error("carrier_hz")),
+    (HIGH_CARRIER_BASE, ["sweep", "--var", "range", "--grid", "1e10,1e20"],
+     config_error("carrier_hz")),
+    (SLOW_PHASE, ["eval"], config_error("carrier_hz")),
+    (EXTREME_BASE + "carrier_hz = 1e162\n", ["eval"], config_error("carrier_hz")),
+    (EXTREME_BASE + "target.0.vx = 1e300\n", ["eval"], config_error("target.0.speed")),
+    (EXTREME_BASE + "noise_w = 1e-300\n", ["eval"], config_error("noise_w")),
+    (EXTREME_BASE + "noise_w = 1e-200\n", ["eval"], config_error("noise_w")),
+    (EXTREME_BASE + "target.0.rcs_re = 1e160\n", ["eval"], config_error("target.0.rcs")),
     (EXTREME_BASE + "target.0.rcs_re = 1e160\n", ["sweep", "--var", "range", "--grid",
-                                                    "100,200"], 0, "singular"),
-    (EXTREME_BASE + "carrier_hz = 1e-200\n", ["eval"], 0, "singular"),
-    (FAR_BASE.format(1e120) + "target.0.vx = 1e200\n", ["eval"], 0, "inf"),
-    (FAR_BASE.format(1e70) + "target.0.rcs_re = 1e200\n", ["eval"], 0, "singular"),
+                                                    "100,200"], config_error("target.0.rcs")),
+    (EXTREME_BASE + "carrier_hz = 1e-200\n", ["eval"], config_error("carrier_hz")),
+    (FAR_BASE.format(1e120) + "target.0.vx = 1e200\n", ["eval"], config_error("target.0.x")),
+    (FAR_BASE.format(1e70) + "target.0.rcs_re = 1e200\n", ["eval"], config_error("target.0.x")),
     (EXTREME_BASE + "rx.count = 8\ntx.spacing_m = 0.01\nrx.spacing_m = 0.01\n"
-     "carrier_hz = 1e-92\npower_w = 1e-297\n", ["eval"], 0, "ok"),
+     "carrier_hz = 1e-92\npower_w = 1e-297\n", ["eval"], config_error("carrier_hz")),
     (FAR_BASE.format(1e40) + "carrier_hz = 4.8e47\nt_sym_s = 1.25e51\npower_w = 1e-200\n"
-     "target.0.vx = 1e102\ntarget.0.rcs_re = 0\n", ["eval"], 0, "inf"),
-    (EXTREME_BASE + "rx.centroid_x = 1e150\n", ["eval"], 0, "singular"),
+     "target.0.vx = 1e102\ntarget.0.rcs_re = 0\n", ["eval"], config_error("carrier_hz")),
+    (EXTREME_BASE + "rx.centroid_x = 1e150\n", ["eval"], config_error("rx.centroid_x")),
     ("snapshots = 1\ntx.count = 3\nrx.count = 1\nrx.centroid_x = 1e145\ntarget.0.range = 5\n"
-     "target.0.angle_deg = 0\n", ["eval"], 0, "singular"),
+     "target.0.angle_deg = 0\n", ["eval"], config_error("rx.centroid_x")),
     ("snapshots = 2\ntx.count = 2\nrx.count = 1\nt_sym_s = 1e38\ntx.spacing_m = 1e-116\n"
-     "target.0.range = 5\ntarget.0.angle_deg = 0\n", ["eval"], 0, "singular"),
+     "target.0.range = 5\ntarget.0.angle_deg = 0\n", ["eval"], config_error("t_sym_s")),
     ("snapshots = 1\ntx.count = 1\nrx.count = 1\npower_w = 1e230\nrx.centroid_x = 1000\n"
-     "target.0.range = 6\ntarget.0.angle_deg = 0\ntarget.0.rcs_im = 1e32\n", ["eval"], 0,
-     "singular-exact"),
-    (HUGE_M, ["eval"], 0, "ok"),
-    (EXTREME_BASE, ["sweep", "--var", "snapshots", "--grid", "16,1e103"], 0, "ok"),
+     "target.0.range = 6\ntarget.0.angle_deg = 0\ntarget.0.rcs_im = 1e32\n", ["eval"],
+     config_error("power_w")),
+    (HUGE_M, ["eval"], config_error("snapshots")),
+    (EXTREME_BASE, ["sweep", "--var", "snapshots", "--grid", "16,1e103"],
+     ["", outside("snapshots")]),
 ], ids=["tiny-wavelength", "long-symbol", "far-tx", "far-range-sweep", "range-product-sweep",
         "subnormal-power-sweep", "high-carrier", "high-carrier-two-targets",
         "high-carrier-range-sweep", "slow-time-phase", "gain-underflow", "fast-target",
@@ -444,77 +470,44 @@ HUGE_M = EXTREME_BASE.replace("snapshots = 8", "snapshots = 1e103")
         "fast-far-target", "far-huge-rcs", "huge-gain-tiny-power", "huge-slow-time-factor",
         "far-rx-inverse", "far-rx-one-snapshot", "wide-diagonal", "huge-power-huge-rcs",
         "huge-snapshots", "huge-snapshots-sweep"])
-def test_extreme_configs_end_without_a_traceback(tmp_path, capsys, text, argv, code, expect):
-    # an exception escaping main, numpy's RuntimeWarning among them, fails this
-    # test. lambda^4, r^2 (at 1e155 m and beyond), (r_tx r_rx)^2 (at 1e100 m),
-    # k r (at a 1e300 Hz carrier and 1e20 m), k v M T (at a 1e100 s symbol) and
-    # the closed forms' denominators leave the float range, so those cells read
-    # inf, as the exact ones do; a CPI whose slow-time moments overflow is an
-    # error. Past the float range in G = sum g^2 (a 1e162 Hz carrier), v r,
-    # |rcs|^2 (which reads inf, so the kinematic cells read 0) or the nf
-    # expansion's aperture over range (a 1e-200 Hz carrier) no cell reads nan,
-    # and F' is singular; so too where beta t passes 1e150 on a dark target,
-    # and its square overflows. G_t G_r passes the float range at a 1e-92 Hz
-    # carrier on 1 cm spacing, but 2 P / sigma^2 brings it back at 1e-297 W:
-    # the own blocks' scale is formed from mantissas, and the scene inverts. At
-    # 1e230 W and |rcs| = 1e32, on one element a side with the Rx 1 km away,
-    # SNR |rcs|^2 alone passes the float range and G_t G_r brings the product
-    # back: F' is singular, its exact cells finite and positive, as they are
-    # wherever it inverts. At 1e-300 and 1e-200 W of noise diag F' passes 1e154,
-    # and the scene inverts: the Jacobi scale keeps d_i d_j in range. With the Rx array
-    # at 1e145-1e150 m diag F' falls to 1e-300 or below, and an inverse past
-    # the float range (which T's zeros would turn into nan) is singular; so is
-    # an F' whose diagonal spans more than the float range (1e-229 to 1e81 at a
-    # 1e38 s symbol on 1e-116 m spacing), where the Jacobi scale overflows. At
-    # 1e103 snapshots the integer M (M^2 - 1) leaves the float range but V does
-    # not, and the scene inverts
+def test_extreme_configs_end_without_a_traceback(tmp_path, capsys, text, argv, expect):
+    # an exception escaping main, numpy's RuntimeWarning among them, fails this test
     path = write_cfg(tmp_path, text)
-    assert main([argv[0], path, *argv[1:]]) == code
+    code = main([argv[0], path, *argv[1:]])
     captured = capsys.readouterr()
-    if code:
-        assert captured.out == ""
-        assert captured.err == ("nfcrb: error: the CPI of 8 snapshots of 1e+300 s is too "
-                                "long: its slow-time moments overflow\n")
+    if isinstance(expect, str):
+        assert (code, captured.out) == (1, "")
+        assert re.fullmatch(expect + "\n", captured.err), captured.err
         return
-    if argv[0] == "eval":
-        assert f"# status={'ok' if expect == 'ok' else 'singular'}" in captured.out.splitlines()
-        lines = dict(line.split("=", 1) for line in captured.out.splitlines()
-                     if line.startswith("target.0."))
-        cells = [{_column(bound, field): lines[f"target.0.{bound}.{field}"] for bound in BOUNDS
-                  for field in ("marginal", *VARIANTS, "relerr_ff", "relerr_nf")}]
-    else:
-        _, _, cells = parse_csv(captured.out)
-        assert [row["error"] for row in cells] == ["", ""]
-        cells = cells[:1] if argv[2] == "power" else cells  # power 1 is an ordinary point
-    for row in cells:
-        assert "nan" not in row.values()
-        for bound in BOUNDS:
-            marginal = row.get(_column(bound, "marginal"), "")  # a sweep prints none
-            if expect == "ok" and argv[0] == "eval":
-                assert 0.0 < float(marginal) < math.inf
-            elif expect != "ok":
-                assert marginal == ""
-            if expect in ("ok", "singular-exact"):
-                assert 0.0 < float(row[_column(bound, "exact")]) < math.inf
-            if expect == "inf":
-                assert [row[_column(bound, v)] for v in VARIANTS] == ["inf"] * 3
-                assert [row[_column(bound, f"relerr_{v}")] for v in ("ff", "nf")] == ["", ""]
+    assert code == 0 and captured.err == ""
+    _, header, rows = parse_csv(captured.out)
+    bound_cols = [c for c in header if c.startswith(BOUNDS) or c.startswith("relerr_")]
+    for row, error in zip(rows, expect, strict=True):
+        assert re.fullmatch(error, row["error"]), row["error"]
+        if error:
+            assert [row[c] for c in bound_cols + list(REGION_FLAGS)] == [""] * len(bound_cols) \
+                + ["0"] * 3
+        else:
+            assert "nan" not in row.values()
+            assert all(0.0 < float(row[_column(bound, "exact")]) < math.inf for bound in BOUNDS)
 
 
-@pytest.mark.parametrize("text, argv, code", [
-    (SLOW_PHASE, ["eval"], 0),
-    (EXTREME_BASE + "t_sym_s = 1e300\n", ["eval"], 1),
-    (HUGE_M, ["eval"], 0),
-    (EXTREME_BASE, ["sweep", "--var", "snapshots", "--grid", "16,1e103"], 0),
+@pytest.mark.parametrize("text, argv, code, err", [
+    (SLOW_PHASE, ["eval"], 1, config_error("carrier_hz") + "\n"),
+    (EXTREME_BASE + "t_sym_s = 1e300\n", ["eval"], 1, r"nfcrb: error: the CPI [^\n]+\n"),
+    (HUGE_M, ["eval"], 1, config_error("snapshots") + "\n"),
+    (EXTREME_BASE, ["sweep", "--var", "snapshots", "--grid", "16,1e103"], 0, ""),
 ], ids=["slow-time-phase", "long-symbol", "huge-snapshots", "huge-snapshots-sweep"])
-def test_extreme_configs_end_without_a_traceback_as_a_command(tmp_path, text, argv, code):
+def test_extreme_configs_end_without_a_traceback_as_a_command(tmp_path, text, argv, code, err):
     # a fresh interpreter with numpy's RuntimeWarning an error from its start,
     # as a user runs it: the exit code and stderr are the process's own
     proc = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-m", "nfcrb", argv[0],
                            write_cfg(tmp_path, text), *argv[1:]], env=child_env(),
                           capture_output=True, timeout=120)
     assert proc.returncode == code, proc.stderr.decode()
-    assert b"Traceback" not in proc.stderr
+    # after any small-displacement warning lines
+    assert re.fullmatch(r"(nfcrb: warning: [^\n]+\n)*" + err, proc.stderr.decode())
+    assert (proc.stdout == b"") == bool(code)
 
 
 @st.composite
@@ -574,29 +567,251 @@ def test_configs_past_the_float_range_end_in_cells_or_a_one_line_error(tmp_path,
         assert "nan" not in re.split(r"[=,\n]", out.getvalue())
 
 
-def test_float_range_guard_is_off_for_ordinary_scenes():
-    # render_eval and _point_stages silence numpy only past the float range, so
-    # on these scenes a numpy warning still reaches a caller that asked for it
+# the largest array count envelope_configs draws: the envelope's own edge, 1e6
+# elements, takes about 600 MB an eval (test_envelope_count_edge)
+FUZZ_COUNT = 64
+
+
+@st.composite
+def envelope_configs(draw):
+    """Config text and command of a scene inside cli.ENVELOPE, on 1-2 targets.
+
+    Each quantity sits at one of its edges or log-uniformly between them; a
+    signed one takes either sign, and 0 is its low edge. Array counts stop
+    at FUZZ_COUNT, and a two-target eval, the one command whose work grows
+    with the snapshots, at 64 snapshots. The command is eval, or a sweep of
+    one variable over two points inside the envelope.
+    """
+    def scale(key, signed=False, high=None):
+        low, high = ENVELOPE[key][0], high or ENVELOPE[key][1]
+        value = draw(st.one_of(st.sampled_from([low, high]), st.floats(
+            math.log10(low or 1e-6), math.log10(high)).map(lambda u: 10.0 ** u)))
+        value = min(max(value, low), high)
+        return -value if signed and draw(st.booleans()) else value
+
+    def count(key, high=None):
+        return int(round(scale(key, high=high)))
+
+    def polar(key):
+        # a magnitude at an angle whose (x, y) keeps hypot(x, y) within its edge
+        magnitude = scale(key)
+        phase = draw(st.one_of(st.sampled_from([0.0, 90.0, 180.0, -90.0]),
+                               st.floats(-180.0, 180.0)))
+        x, y = magnitude * math.cos(math.radians(phase)), magnitude * math.sin(math.radians(phase))
+        assume(math.hypot(x, y) <= ENVELOPE[key][1])
+        return x, y
+
+    targets = draw(st.integers(1, 2))
+    var = draw(st.sampled_from([None, *cli.SWEEP_VARS]))
+    small = targets > 1 and var is None
+    lines = [f"snapshots = {count('snapshots', 64 if small else None)}",
+             *(f"{side}.count = {count('count', FUZZ_COUNT)}" for side in ("tx", "rx")),
+             *(f"{key} = {scale(key)!r}"
+               for key in ("carrier_hz", "t_sym_s", "power_w", "noise_w")),
+             *(f"{side}.spacing_m = {scale('spacing_m')!r}" for side in ("tx", "rx")),
+             *(f"{side}.centroid_x = {scale('centroid_x', True)!r}" for side in ("tx", "rx"))]
+    for q in range(targets):
+        angle = draw(st.one_of(st.sampled_from([-90.0, 0.0, 90.0]), st.floats(-90.0, 90.0)))
+        vx, vy = polar("speed")
+        rcs_re, rcs_im = polar("rcs")
+        # an angle sweep moves target 0 at hypot(x, y), which can round past the edge
+        r = scale("x", high=1e7 * (1.0 - 1e-12) if var == "angle" and q == 0 else None)
+        lines += [f"target.{q}.{key} = {value!r}" for key, value in (
+            ("range", r), ("angle_deg", angle), ("vx", vx), ("vy", vy),
+            ("rcs_re", rcs_re), ("rcs_im", rcs_im))]
+    if var is None:
+        return lines, ["eval"]
+    if var == "angle":
+        grid = {draw(st.floats(-90.0, 90.0)) for _ in range(2)}
+    elif var in ("antennas", "snapshots"):
+        grid = {count(SWEEP_KEYS[var], FUZZ_COUNT if var == "antennas" else None) for _ in range(2)}
+    else:
+        grid = {scale(SWEEP_KEYS[var]) for _ in range(2)}
+    return lines, ["sweep", "--var", var, "--grid", ",".join(map(repr, sorted(grid)))]
+
+
+# the ENVELOPE key of each swept variable but angle
+SWEEP_KEYS = {"range": "x", "antennas": "count", "snapshots": "snapshots", "power": "power_w"}
+
+
+@settings(derandomize=True, max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(envelope_configs())
+def test_configs_inside_the_envelope_end_in_cells_or_one_other_error(tmp_path, case):
+    # numpy's RuntimeWarning is an error here, so a warning or any other
+    # exception escaping main fails; a config inside the envelope prints its
+    # cells, none of them nan, or ends in one error line, such as a target
+    # within the element clearance, and no message names the envelope
+    lines, argv = case
+    path = write_cfg(tmp_path, "\n".join(lines) + "\n")
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # the small-displacement warning
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([argv[0], path, *argv[1:]])
+    assert "envelope" not in out.getvalue() + err.getvalue()
+    if code == 1:
+        assert out.getvalue() == ""
+        assert re.fullmatch(r"nfcrb: (config )?error: [^\n]+\n", err.getvalue())
+    else:
+        assert code == 0 and err.getvalue() == ""
+        assert "nan" not in re.split(r"[=,\n]", out.getvalue())
+
+
+@pytest.mark.filterwarnings("ignore:target 0 moves")
+@pytest.mark.parametrize("edges", [
+    {"carrier_hz": 1e6, "t_sym_s": 1.0, "snapshots": 10 ** 16, "power_w": 1e9, "noise_w": 1e-30,
+     "spacing_m": 1e-6, "rx.centroid_x": 0.0, "target.0.range": 2e-6, "target.0.vx": 1e8,
+     "target.0.rcs_re": 1e6},
+    {"carrier_hz": 1e13, "t_sym_s": 1e-12, "snapshots": 1, "power_w": 1e-15, "noise_w": 1e3,
+     "spacing_m": 1e3, "rx.centroid_x": 1e7, "target.0.range": 1e7, "target.0.vx": 0.0,
+     "target.0.rcs_re": 1e-6},
+], ids=["strong", "weak"])
+def test_envelope_count_edge(tmp_path, capsys, edges):
+    # 1e6 elements a side, the edge that envelope_configs leaves out, with
+    # every other quantity at the edge that makes the information largest (the
+    # corner where a term-by-term bound of the Fisher entries peaks, near
+    # 1e253: a target 2e-6 m in front of a dense monostatic array) or
+    # smallest: each evaluates, numpy's RuntimeWarning an error, and no cell is nan
+    lines = [f"{side}.{key} = {value!r}" for side in ("tx", "rx") for key, value in
+             (("count", 10 ** 6), ("spacing_m", edges["spacing_m"]))]
+    lines += [f"{key} = {value!r}" for key, value in edges.items() if key != "spacing_m"]
+    assert main(["eval", write_cfg(tmp_path, "\n".join(lines + ["target.0.angle_deg = 0"]))]) == 0
+    out = capsys.readouterr().out
+    assert "nan" not in re.split(r"[=\n]", out)
+    assert f"# targets=1 snapshots={edges['snapshots']} tx=1000000 rx=1000000" in out
+
+
+# the configs the CI workflow's steps write, by file name, as its printf,
+# sed and echo lines make them
+TWO_CFG = ("tx.count = 128\nrx.count = 128\nsnapshots = 32\ntarget.0.range = 6\n"
+           "target.0.angle_deg = 20\ntarget.0.vx = 1\ntarget.0.vy = 4\ntarget.1.range = 9\n"
+           "target.1.angle_deg = -45\ntarget.1.vx = 4\ntarget.1.vy = 3\ntarget.1.rcs_re = 0.8\n"
+           "target.1.rcs_im = -0.2\n")
+APERTURE_CFG = ("snapshots = 256\ntarget.0.range = 327.440581\ntarget.0.angle_deg = 54.177419\n"
+                "target.0.vx = 3.453800\ntarget.0.vy = 0.785474\ntarget.0.rcs_re = 0.802850\n"
+                "target.0.rcs_im = -0.827292\n")
+CI_CONFIGS = {"failed": EXTREME_BASE, "two": TWO_CFG, "bistatic": TWO_CFG + "rx.centroid_x = 0.5\n",
+              "aperture": APERTURE_CFG, "aperture_bistatic": APERTURE_CFG + "rx.centroid_x = 0.5\n"}
+CI_CONFIGS.update({f"{cfg}_m512": CI_CONFIGS[cfg].replace("snapshots = 32", "snapshots = 512")
+                   for cfg in ("two", "bistatic")})
+CI_CONFIGS.update(
+    unequal_m512=CI_CONFIGS["bistatic_m512"].replace("rx.count = 128", "rx.count = 96"),
+    unequal_chunks=CI_CONFIGS["bistatic"].replace("tx.count = 128", "tx.count = 1024").replace(
+        "rx.count = 128", "rx.count = 64").replace("snapshots = 32", "snapshots = 64"),
+    bistatic_rx48=CI_CONFIGS["bistatic"].replace("rx.count = 128", "rx.count = 48"))
+# the CI workflow's sweeps: config, variable and grid
+CI_SWEEPS = [("aperture", "antennas", (16, 64, 256, 1024, 2048)),
+             ("aperture", "angle", (-60, -20, 0, 20, 60)),
+             ("aperture", "snapshots", (16, 64, 256, 1024)), ("aperture", "power", (1e-3, 0.1, 10)),
+             ("bistatic_rx48", "range", (10, 20, 40, 80, 160)),
+             ("aperture_bistatic", "antennas", (16, 64, 256, 1024, 2048, 4096, 8192)),
+             ("aperture", "antennas", (512, 1024, 2048, 4096, 8192, 16384)),
+             ("aperture", "range", tuple(range(50, 366, 5)))]
+
+
+def benchmark_workloads():
+    """perfbench/workloads.py, read as a module of its own: no benchmark runs."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def envelope_scene(name, value):
+    """A one-target scene on 4-element ULAs with the check_envelope quantity name set to value."""
+    arrays = {"tx": ula(4, 0.01), "rx": ula(4, 0.01)}
+    side, _, key = name.partition(".")
+    if side in arrays:
+        layout = {"count": 4, "spacing_m": 0.01, "centroid_x": 0.0, key: value}
+        arrays[side] = ula(layout["count"], layout["spacing_m"], layout["centroid_x"])
+        return make_scene(**arrays)
+    if side == "target":
+        fields = {"x": {"x": value}, "y": {"y": value}, "speed": {"vx": value},
+                  "rcs": {"rcs_re": value}}[key.rpartition(".")[2]]
+        return make_scene(targets=[Target(**{"x": 20.0, "y": 90.0, **fields})], **arrays)
+    return make_scene(**arrays, **{"noise_var_w" if name == "noise_w" else name: value})
+
+
+@pytest.mark.filterwarnings("ignore:target 0 moves")
+def test_check_envelope_takes_each_edge_and_names_the_first_quantity_past_it():
+    # each quantity at its low and high edge passes, and one just past either
+    # edge (a count or a snapshots count one past the high one; 0 is every
+    # other low edge, and a magnitude cannot pass it) is a ConfigError that names it
+    names = ["carrier_hz", "t_sym_s", "snapshots", "power_w", "noise_w",
+             *(f"{side}.{key}" for side in ("tx", "rx") for key in ("count", "spacing_m",
+                                                                     "centroid_x")),
+             *(f"target.0.{key}" for key in ("x", "y", "speed", "rcs"))]
+    assert {name.rpartition(".")[2] for name in names} == set(ENVELOPE)
+    for name in names:
+        low, high = ENVELOPE[name.rpartition(".")[2]]
+        whole = isinstance(low, int)
+        for edge in (low, high):
+            check_envelope(envelope_scene(name, int(edge) if whole else edge))
+        past = [int(high) + 1] if whole else [high * (1.0 + 1e-9)]
+        past += [low * (1.0 - 1e-9)] if low and not whole else []
+        for value in past:
+            with pytest.raises(ConfigError, match=rf"^{re.escape(name)} = \S+ is outside the "):
+                check_envelope(envelope_scene(name, value))
+    # the first quantity outside is named, in the order of names
+    scene = dataclasses.replace(envelope_scene("target.0.rcs", 1e7), carrier_hz=1e14)
+    with pytest.raises(ConfigError, match="^carrier_hz = 1e[+]14 is outside the envelope "
+                                          "1e[+]06 <= carrier_hz <= 1e[+]13$"):
+        check_envelope(scene)
+
+
+@pytest.mark.filterwarnings("ignore:target [0-9]+ moves")
+def test_ordinary_scenes_lie_inside_the_envelope():
+    # the default scene, the permutation configs, every scene of the
+    # benchmark's eval_multi and sweep_aperture workloads and every point of a
+    # sweep_aperture sweep, and the CI workflow's configs and sweep points
+    workloads = benchmark_workloads()
     configs = [_permutation_cfg(targets) for targets, _ in permutation_configs()]
+    configs += list(CI_CONFIGS.values())
+    configs += [workloads.scene_text(workload, i) for workload in ("eval_multi", "sweep_aperture")
+                for i in range(workloads.UNIVERSE[workload])]
     scenes = [make_scene()] + [build_scene(parse_config(text)) for text in configs]
-    base = build_scene(parse_config("snapshots = 256\ntarget.0.range = 60\n"
-                                    "target.0.angle_deg = 60\ntarget.0.vx = 5\n"))
-    spec = SweepSpec(variable="antennas", grid=(16, 2048), config=Config())
-    scenes += [cli._point_scene(spec, base, n) for n in spec.grid]
-    assert not any(map(past_float_range, scenes))
+    grid = tuple(map(int, workloads.SWEEP_GRID.split(",")))
+    sweeps = [(CI_CONFIGS[cfg], var, grid) for cfg, var, grid in CI_SWEEPS]
+    sweeps += [(workloads.scene_text("sweep_aperture", i), "antennas", grid)
+               for i in range(workloads.UNIVERSE["sweep_aperture"])]
+    for text, variable, grid in sweeps:
+        spec = SweepSpec(variable=variable, grid=grid, config=parse_config(text))
+        base = build_scene(spec.config)
+        scenes += [cli._point_scene(spec, base, value) for value in spec.grid]
+    assert len(scenes) == 1 + 20 + len(CI_CONFIGS) + 160 + 96 + 99 + 96 * 8
+    for scene in scenes:
+        check_envelope(scene)
 
 
-def test_numpy_warnings_reach_the_caller_unless_past_the_float_range(tmp_path, monkeypatch):
-    def warning_fim(scene):
+def test_numpy_warnings_reach_the_caller(monkeypatch):
+    # eval and sweep evaluate every scene under the caller's errstate and
+    # warning filters: a numpy warning inside fim (eval) or closed_forms
+    # (sweep) raises where the caller makes it an error, and is recorded
+    # where the caller records it
+    def overflow():
         np.float64(1e308) * np.float64(10.0)  # numpy: overflow encountered in scalar multiply
+
+    def warning_fim(scene):
+        overflow()
         return fim(scene)
 
+    def warning_closed_forms(scenes, q=0):
+        overflow()
+        return closed_forms(scenes, q)
+
+    spec = SweepSpec(variable="power", grid=(0.1, 1.0), config=parse_config(DEFAULT_CFG))
+    reports = render_eval(make_scene()), run_sweep(spec)
     monkeypatch.setattr(cli, "fim", warning_fim)
-    with pytest.raises(RuntimeWarning, match="overflow"):
-        render_eval(make_scene())
-    far = build_scene(parse_config(EXTREME_BASE + "carrier_hz = 1e162\n"))
-    assert past_float_range(far)
-    assert "# status=singular" in render_eval(far)[0].splitlines()
+    monkeypatch.setattr(cli, "closed_forms", warning_closed_forms)
+    for run in (lambda: render_eval(make_scene()), lambda: run_sweep(spec)):
+        with pytest.raises(RuntimeWarning, match="overflow"):
+            run()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert (render_eval(make_scene()), run_sweep(spec)) == reports
+    assert [str(w.message) for w in caught] == ["overflow encountered in scalar multiply"] * 2
 
 
 def test_underflowing_jacobi_scale_is_a_singular_report(tmp_path, capsys):
@@ -878,30 +1093,30 @@ def test_sweep_forms_each_blocks_element_factors_once(monkeypatch, rx):
                      **{key: n * len(spec.grid) for key, n in per_point.items()}}
 
 
-# a sweep of each variable whose grid holds a point that fails, with the
-# start of its error, and for range and power one past the float range, on a
-# base of 7 Tx elements; the snapshots sweep holds counts past 2^64
+# a sweep of each variable whose grid holds points that fail, with the start
+# of each error in grid order, on a base of 7 Tx elements; the range, power and
+# snapshots sweeps hold points outside ENVELOPE
 BLOCK_SWEEPS = {
     "range": ((1e-7, 0.5, 10.0, 100.0, 1e200),
               "target.0.range = 100\ntarget.0.angle_deg = 20\ntarget.0.vx = 0.01\n",
-              "target 0 is within 1e-06 m of an array element"),
+              ("target 0 is within 1e-06 m of an array element", "target.0.x = 3.4202e+199 is")),
     "angle": ((-60.0, 0.0, 60.0, 90.0), "target.0.range = 0.01\ntarget.0.angle_deg = 20\n",
-              "target 0 is within 1e-06 m of an array element"),
+              ("target 0 is within 1e-06 m of an array element",)),
     "antennas": ((1, 3, 4, 5, 9), "target.0.x = 0.005\ntarget.0.y = 1e-7\n",
-                 "target 0 is within 1e-06 m of an array element"),
+                 ("target 0 is within 1e-06 m of an array element",)),
     "snapshots": ((1, 4, 16, 2.0 ** 64, 1e20, 1e106),
                   "target.0.range = 100\ntarget.0.angle_deg = 20\n",
-                  "the CPI of 1e+106 snapshots of 0.0001 s is too long"),
+                  ("snapshots = 1.84467e+19 is", "snapshots = 1e+20 is",
+                   "the CPI of 1e+106 snapshots of 0.0001 s is too long")),
     "power": ((1e293, 10.0, 0.1, 1e-3, 0.0), "target.0.range = 100\ntarget.0.angle_deg = 20\n",
-              "power_w and noise_var_w must be positive"),
+              ("power_w = 1e+293 is", "power_w and noise_var_w must be positive")),
 }
 
 
 def test_sweep_blocks_equal_one_point_at_a_time(monkeypatch):
     # every variable, on 7 Rx elements (monostatic) and on 5 moved 0.5 m
-    # (bistatic): the failing point sits in a block of several, the points
-    # past the float range take a closed-form call of their own, and each row
-    # is the one its point gives alone, with the default budgets and with 14
+    # (bistatic): the first failing point sits in a block of several, and
+    # each row is the one its point gives alone, with the default budgets and with 14
     # factor paths a pass, which splits the range and angle blocks into
     # passes of 1 to 3 points; the power sweep of 81 points at 256 elements
     # takes two blocks
@@ -909,7 +1124,7 @@ def test_sweep_blocks_equal_one_point_at_a_time(monkeypatch):
              for var, (grid, text, error) in BLOCK_SWEEPS.items()
              for rx in ("rx.count = 7\n", "rx.count = 5\nrx.centroid_x = 0.5\n")]
     cases.append(("power", (*(10.0 ** (k / 16.0) for k in range(39, -41, -1)), 0.0), DEFAULT_CFG,
-                  BLOCK_SWEEPS["power"][2]))
+                  BLOCK_SWEEPS["power"][2][1:]))
     passes = set()
     for (var, grid, text, error), paths in itertools.product(cases, (cli.SWEEP_BLOCK_PATHS, 14)):
         monkeypatch.setattr(cli, "SWEEP_BLOCK_PATHS", paths)
@@ -919,7 +1134,8 @@ def test_sweep_blocks_equal_one_point_at_a_time(monkeypatch):
         passes.update((var, len(block)) for block in blocks)
         together = run_sweep(spec)
         failed = [row for row in parse_csv(together)[2] if row["error"]]
-        assert [row["error"][:len(error)] for row in failed] == [error], (var, text)
+        assert [row["error"][:len(e)] for row, e in zip(failed, error)] == list(error), (var, text)
+        assert len(failed) == len(error)
         value = float(failed[0][SWEEP_VARS[var][0]])
         assert any(sum(map(len, block)) > 1 and any(value in part for part in block)
                    for block in blocks)
@@ -948,31 +1164,24 @@ def test_a_failed_closed_form_call_retries_its_points_one_at_a_time(monkeypatch)
 
     monkeypatch.setattr(cli, "closed_forms", short_of_memory)
     rows = parse_csv(run_sweep(spec))[2]
-    # the point past the float range takes a call of its own
-    assert calls == [[10.0, 0.1, 1e-3], [10.0], [0.1], [1e-3], [1e293]]
+    # the point outside ENVELOPE is an error row before any call
+    assert calls == [[10.0, 0.1, 1e-3], [10.0], [0.1], [1e-3]]
     assert rows[2]["error"].startswith("Unable to allocate 1.5 GiB for an array with shape (2; 4")
     assert [rows[2][flag] for flag in REGION_FLAGS] == ["0"] * 3 and rows[2]["x_exact"] == ""
     assert rows[:2] + rows[3:] == alone[:2] + alone[3:]
 
 
-def test_snapshot_counts_past_two_to_the_64_keep_their_bounds(tmp_path, capsys):
-    # numpy holds an integer of 2^64 or more as an object, which frexp refuses:
-    # M enters the closed forms as a float, and the cells are those the sweep
-    # and eval gave when M was multiplied in as an integer. At 1e103 the
-    # integer M (M^2 - 1) leaves the float range; x and vx keep the 1/M and
-    # 1/M^3 laws from 1e20
-    path = write_cfg(tmp_path, EXTREME_BASE)
-    assert main(["sweep", path, "--var", "snapshots", "--grid",
-                 "8,18446744073709551616,1e20,1e103"]) == 0
-    rows = parse_csv(capsys.readouterr().out)[2]
-    assert [(row["error"], row["x_exact"], row["vx_exact"]) for row in rows] == [
-        ("", "0.0004100651543969997", "1608.0986463233376"),
-        ("", "1.7783741250313234e-22", "1.5678515548055818e-52"),
-        ("", "3.2805212351759974e-23", "9.841563715498826e-55"),
-        ("", "3.2805212351759973e-106", "9.841563715498826e-304")]
-    path = write_cfg(tmp_path, EXTREME_BASE.replace("snapshots = 8", "snapshots = 1e20"))
-    assert main(["eval", path]) == 0
-    assert "target.0.x.exact=3.2805212351759974e-23" in capsys.readouterr().out.splitlines()
+def test_snapshot_counts_past_two_to_the_64_keep_their_bounds():
+    # numpy holds an integer of 2^64 or more as an object: M enters the closed
+    # forms as a float, and the cells are those the sweep and eval gave when M
+    # was multiplied in as an integer; x and vx keep the 1/M and 1/M^3 laws
+    base = build_scene(parse_config(EXTREME_BASE))
+    cells = [closed_form_single(dataclasses.replace(base, snapshots=m), 0).targets[0]
+             for m in (8, 2 ** 64, 10 ** 20)]
+    assert [(repr(c.crb_x), repr(c.crb_vx)) for c in cells] == [
+        ("0.0004100651543969997", "1608.0986463233376"),
+        ("1.7783741250313234e-22", "1.5678515548055818e-52"),
+        ("3.2805212351759974e-23", "9.841563715498826e-55")]
 
 
 def test_sweep_blocks_hold_their_element_budget(monkeypatch):

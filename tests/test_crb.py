@@ -159,6 +159,23 @@ def test_dark_target_is_singular():
         full_crb(fim(s))
 
 
+@pytest.mark.parametrize("tx, rx, snapshots, r, angle", [
+    (ula(8, 0.01), ula(256, 0.01, 1e150), 8, 100.0, 20.0),
+    (ula(3, 0.01), ula(1, 0.01, 1e145), 1, 5.0, 0.0),
+], ids=["far-rx", "far-rx-one-snapshot"])
+def test_an_inverse_past_the_float_range_is_singular(tx, rx, snapshots, r, angle):
+    # with the Rx array 1e145-1e150 m away diag F' falls to 1e-289 or below:
+    # the scaled F' inverts, but its raw inverse (which T's zeros would turn
+    # into nan) leaves the float range, and full_crb reports it as singular;
+    # numpy's RuntimeWarning is an error here, so neither fim nor full_crb warns
+    target = target_at(r, angle, v=(0.0, 0.0), alpha=(1.0, 0.0))
+    info = fim(make_scene(targets=[target], tx=tx, rx=rx, snapshots=snapshots))
+    assert info.centred.diagonal().max() < 1e-288
+    with pytest.raises(SingularFimError, match="inverse of the information matrix leaves the "
+                                               "float range"):
+        full_crb(info)
+
+
 def test_default_scene_is_well_conditioned():
     # the raw matrix's condition number is 1.7e15 in metres and 2.1e10 in
     # millimetres; the centred, Jacobi-scaled one is 4.4e4 in either
