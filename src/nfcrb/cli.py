@@ -30,13 +30,11 @@ BOUNDS = ("rcs", "vx", "vy", "x", "y")
 FIELDS = ("exact", "marginal", "ff", "nf", "relerr_ff", "relerr_nf")
 REGIONS = ("reactive", "fresnel", "fraunhofer")
 REGION_FLAGS = tuple(f"in_{region}" for region in REGIONS)
-# array elements the point scenes of one sweep block hold together (_blocks): a
-# point with more runs alone, so a block holds at most 256 KiB of positions
-SWEEP_BLOCK_ELEMENTS = 16384
-# element factors (one target state against one array element, about 230 B each
-# at the peak of crb.closed_forms) one closed-form pass of a block holds beyond
-# those of its largest point (_blocks), so at most about 240 KiB more
-SWEEP_BLOCK_PATHS = 1024
+# bytes one closed-form pass of a sweep holds beyond one point alone (_passes):
+# 16 B per array element of its points' scenes, and about 230 B per element
+# factor (one target state against one element, at crb.closed_forms' peak) of
+# every factor group but its largest
+SWEEP_PASS_BYTES = 1 << 18
 # each swept variable's CSV column and unit; a count unit means an integer grid
 SWEEP_VARS = {"range": ("range_m", "m"), "angle": ("angle_deg", "deg"),
               "antennas": ("antennas", "count"), "snapshots": ("snapshots", "count"),
@@ -371,7 +369,8 @@ class SweepSpec:
 def _point_scene(spec, base, value):
     """The base scene with the swept quantity set to one grid value.
 
-    range and angle move the first target about the origin.
+    range and angle move the first target about the origin, from the range
+    and angle_deg the config states (as eval places it), else from its x and y.
     """
     if spec.variable == "antennas":
         tx, rx = base.per_side(lambda side: ula(int(value), base.side(side).spacing,
@@ -381,8 +380,11 @@ def _point_scene(spec, base, value):
         return dataclasses.replace(base, snapshots=int(value))
     if spec.variable == "power":
         return dataclasses.replace(base, power_w=value)
-    t = base.targets[0]
-    r, th = math.hypot(t.x, t.y), math.atan2(t.x, t.y)
+    t, stated = base.targets[0], spec.config.values
+    if "target.0.range" in stated:
+        r, th = stated["target.0.range"], math.radians(stated["target.0.angle_deg"])
+    else:
+        r, th = math.hypot(t.x, t.y), math.atan2(t.x, t.y)
     if spec.variable == "range":
         r = value
     else:
@@ -391,54 +393,46 @@ def _point_scene(spec, base, value):
     return dataclasses.replace(base, targets=(moved, *base.targets[1:]))
 
 
-def _sweep_rows(spec, base, passes):
-    """Formatted cells of grid points, keyed by sweep_columns(spec).
+def _sweep_rows(spec, base, values):
+    """Formatted cells of one pass of grid values, keyed by sweep_columns(spec).
 
-    passes is one block of _blocks. Its points go through three stages, each
-    over all of them before the next: their scenes, each checked against
-    ENVELOPE; one crb.closed_forms call per pass over its standing points;
-    then each point's cell record. A point that fails a stage is an error row
-    and takes no later stage.
+    The pass goes through three stages, each over all its points before the
+    next: their scenes, each checked against ENVELOPE; one crb.closed_forms
+    call over the standing points; then each point's cell record. A point
+    that fails a stage is an error row and takes no later stage.
     """
     column, unit = SWEEP_VARS[spec.variable]
-    rows, points = [], []  # points: (row, scene) of each pass's standing points
-    for values in passes:
-        points.append([])
-        for value in values:
-            rows.append({column: int(value) if unit == "count" else value})
+    rows, points = [], []  # points: (row, scene) of the standing points
+    for value in values:
+        rows.append({column: int(value) if unit == "count" else value})
+        try:
+            scene = _point_scene(spec, base, value)
+            check_envelope(scene)
+            points.append((rows[-1], scene))
+        except (MemoryError, ValueError) as e:
+            _fail(rows[-1], e)
+    for (row, scene), closed in zip(points, _closed_forms(points)):
+        if closed is not None:
             try:
-                scene = _point_scene(spec, base, value)
-                check_envelope(scene)
-                points[-1].append((rows[-1], scene))
-            except (MemoryError, ValueError) as e:
-                _fail(rows[-1], e)
-    closed = {}  # id(row): target 0's closed-form bounds
-    for part in points:
-        closed.update(_closed_forms(part))
-    for row, scene in (point for part in points for point in part):
-        if id(row) in closed:
-            try:
-                row.update(_bound_cells(scene, 0, spec.bounds, spec.variants, closed[id(row)]),
-                           error="")
+                row.update(_bound_cells(scene, 0, spec.bounds, spec.variants, closed), error="")
             except (MemoryError, ValueError) as e:
                 _fail(row, e)
     return [{key: _fmt(cell) for key, cell in row.items()} for row in rows]
 
 
 def _closed_forms(points):
-    """id(row): target 0's closed_forms bounds of (row, scene) points, in one call.
+    """Target 0's closed_forms bounds of (row, scene) points in one call, in their order.
 
     If the call fails, each point takes one of its own, and a point whose
-    own call fails is its error row.
+    own call fails is its error row and reads None.
     """
     try:
-        return dict(zip([id(row) for row, _ in points],
-                        closed_forms([scene for _, scene in points]) if points else ()))
+        return closed_forms([scene for _, scene in points]) if points else []
     except (MemoryError, ValueError) as e:
         if len(points) == 1:
             _fail(points[0][0], e)
-            return {}
-        return {key: bounds for point in points for key, bounds in _closed_forms([point]).items()}
+            return [None]
+        return [bounds for point in points for bounds in _closed_forms([point])]
 
 
 def _fail(row, error):
@@ -446,35 +440,33 @@ def _fail(row, error):
     row.update(dict.fromkeys(REGION_FLAGS, False), error=str(error).replace(",", ";"))
 
 
-def _blocks(spec, base):
-    """spec.grid as consecutive blocks for _sweep_rows, each a list of closed-form passes.
+def _passes(spec, base):
+    """spec.grid as runs of consecutive values, one closed-form pass each for _sweep_rows.
 
     A point counts the elements of its scene's arrays, each distinct array
-    once (an antennas sweep sets them, the other sweeps share the base's),
-    and a block's points hold at most SWEEP_BLOCK_ELEMENTS. In a pass, points
-    share element factors by group: an antennas point reads those of the
-    largest ULA of its count parity (steering.block_factors), a range or
+    once (an antennas sweep sets them, the other sweeps share the base's).
+    Points share element factors by group: an antennas point reads those of
+    the largest ULA of its count parity (steering.block_factors), a range or
     angle point has its own target's, and power and snapshots points share
-    the base's; every group but the largest holds at most SWEEP_BLOCK_PATHS
-    together. A point past either budget starts the next block or pass.
+    the base's. A point that would take its pass past SWEEP_PASS_BYTES, at
+    16 B per element held and 230 B per factor of every group but the
+    largest, starts the next pass; the first point of a pass always joins it.
     """
     sides = 1 if base.monostatic else 2
     shared = base.rx.count + (0 if base.monostatic else base.tx.count)
-    block, held, factors = [[]], 0, {}  # factors: the pass's paths by group
+    values, held, factors = [], 0, {}  # factors: the pass's paths by group
     for value in spec.grid:
         elements = sides * int(value) if spec.variable == "antennas" else shared
         group = (int(value) % 2 if spec.variable == "antennas"
                  else value if spec.variable in ("range", "angle") else None)
         grown = {**factors, group: max(factors.get(group, 0), elements)}
-        if block[0] and held + elements > SWEEP_BLOCK_ELEMENTS:
-            yield block
-            block, held, grown = [[]], 0, {group: elements}
-        elif block[-1] and sum(grown.values()) - max(grown.values()) > SWEEP_BLOCK_PATHS:
-            block.append([])
-            grown = {group: elements}
-        block[-1].append(value)
+        paths = sum(grown.values()) - max(grown.values())
+        if values and 16 * (held + elements) + 230 * paths > SWEEP_PASS_BYTES:
+            yield values
+            values, held, grown = [], 0, {group: elements}
+        values.append(value)
         held, factors = held + elements, grown
-    yield block
+    yield values
 
 
 def sweep_columns(spec):
@@ -491,7 +483,7 @@ def run_sweep(spec):
     meta = [f"# nfcrb sweep v{__version__}",
             f"# variable={spec.variable} unit={SWEEP_VARS[spec.variable][1]}",
             "# seed=none", *(f"# cfg: {entry}" for entry in spec.config.raw)]
-    rows = [row for block in _blocks(spec, base) for row in _sweep_rows(spec, base, block)]
+    rows = [row for values in _passes(spec, base) for row in _sweep_rows(spec, base, values)]
     return _csv(meta, sweep_columns(spec), rows)
 
 

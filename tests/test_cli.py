@@ -24,8 +24,9 @@ from nfcrb import (ArrayGeometry, Scene, Target, cli, closed_form_single, dbm_to
                    ula)
 from nfcrb.approx import VARIANTS
 from nfcrb.cli import (BOUNDS, ENVELOPE, FIELDS, REGION_FLAGS, SWEEP_VARS, Config, ConfigError,
-                       SweepSpec, _bound_cells, _column, _point_scene, build_scene, check_envelope,
-                       main, parse_config, render_eval, run_sweep, run_verify, sweep_columns)
+                       SweepSpec, _bound_cells, _column, _point_scene, build_scene, cell_columns,
+                       check_envelope, main, parse_config, render_eval, run_sweep, run_verify,
+                       sweep_columns)
 from nfcrb.crb import closed_forms
 from nfcrb.fim import fim
 from nfcrb.oracle import _verify_steering, fd_fim
@@ -614,8 +615,7 @@ def envelope_configs(draw):
         angle = draw(st.one_of(st.sampled_from([-90.0, 0.0, 90.0]), st.floats(-90.0, 90.0)))
         vx, vy = polar("speed")
         rcs_re, rcs_im = polar("rcs")
-        # an angle sweep moves target 0 at hypot(x, y), which can round past the edge
-        r = scale("x", high=1e7 * (1.0 - 1e-12) if var == "angle" and q == 0 else None)
+        r = scale("x")
         lines += [f"target.{q}.{key} = {value!r}" for key, value in (
             ("range", r), ("angle_deg", angle), ("vx", vx), ("vy", vy),
             ("rcs_re", rcs_re), ("rcs_im", rcs_im))]
@@ -993,6 +993,24 @@ def test_sweeps_move_a_cartesian_first_target_about_the_origin(var, grid):
         assert repr(_point_scene(spec, base, value).targets) == repr((want, base.targets[1]))
 
 
+
+@pytest.mark.parametrize("var, grid", [("angle", (0.0, 1.0, 2.0)), ("range", (1e6, 5e6, 1e7))])
+def test_sweeps_move_a_polar_first_target_at_its_stated_range_and_angle(var, grid):
+    # target 0 stated at 1e7 m, the envelope's edge, and 1 deg: hypot of its x
+    # and y reads 10000000.000000002, so an angle sweep that rotated there put
+    # the 0 deg point's y past the edge. Each row is the eval of the config
+    # with the swept value stated, bit for bit
+    stated = {"range": 1e7, "angle": 1.0}
+    text = "target.0.range = {range!r}\ntarget.0.angle_deg = {angle!r}\ntarget.0.vx = 2\n"
+    spec = SweepSpec(variable=var, grid=grid, config=parse_config(text.format(**stated)))
+    _, _, rows = parse_csv(run_sweep(spec))
+    assert [row["error"] for row in rows] == [""] * len(grid)
+    for row, value in zip(rows, grid):
+        _, csv = render_eval(build_scene(parse_config(text.format(**{**stated, var: value}))))
+        want = parse_csv(csv)[2][0]
+        columns = cell_columns(BOUNDS, VARIANTS)
+        assert [row[col] for col in columns] == [want[col] for col in columns]
+
 def exact_cell_scenes():
     """The eval-size Q=8 scene, and a 3-target bistatic scene of unequal counts."""
     bistatic = make_scene(targets=[target_at(100.0, 20.0), target_at(150.0, -45.0, v=(4.0, 3.0),
@@ -1062,16 +1080,16 @@ def test_eval_forms_each_targets_own_information_once(monkeypatch, key):
 
 
 @pytest.mark.parametrize("rx", ["", "rx.centroid_x = 0.5\n"], ids=["monostatic", "bistatic"])
-def test_sweep_forms_each_blocks_element_factors_once(monkeypatch, rx):
-    # an antenna sweep of two blocks of one closed-form pass each, three
-    # points and one alone: per pass one element_factors call per distinct side and one assembly of every
+def test_sweep_forms_each_passes_element_factors_once(monkeypatch, rx):
+    # an antenna sweep of two closed-form passes, three points and one
+    # alone: per pass one element_factors call per distinct side and one assembly of every
     # point's own block (_own_blocks), and no own_information call; per
     # point its element moments and the closed forms' expansion once per
     # distinct side, the latter per approximation variant, and one _fmt call
     # per cell of the row; counts repeat exactly where timings do not
     cfg = parse_config("snapshots = 16\ntarget.0.range = 100\ntarget.0.angle_deg = 20\n" + rx)
-    spec = SweepSpec(variable="antennas", grid=(16, 64, 256, cli.SWEEP_BLOCK_ELEMENTS), config=cfg)
-    assert list(cli._blocks(spec, build_scene(cfg))) == [[[16, 64, 256]], [[spec.grid[-1]]]]
+    spec = SweepSpec(variable="antennas", grid=(16, 64, 256, cli.SWEEP_PASS_BYTES // 16), config=cfg)
+    assert list(cli._passes(spec, build_scene(cfg))) == [[16, 64, 256], [spec.grid[-1]]]
     crb, steering = sys.modules["nfcrb.crb"], sys.modules["nfcrb.steering"]
     approx = sys.modules["nfcrb.approx"]
     names = ((crb, "own_information"), (crb, "_own_blocks"), (crb, "_element_moments"),
@@ -1087,9 +1105,9 @@ def test_sweep_forms_each_blocks_element_factors_once(monkeypatch, rx):
     assert [row["error"] for row in rows] == [""] * len(spec.grid)
     # a row: its CSV cells, the region and a marginal cell per bound
     assert len(header) + 1 + len(BOUNDS) == 36
-    per_block = {"own_information": 0, "_own_blocks": 1, "element_factors": sides}
+    per_pass = {"own_information": 0, "_own_blocks": 1, "element_factors": sides}
     per_point = {"_element_moments": sides, "_side_terms": 2 * sides, "_fmt": 36}
-    assert calls == {**{key: 2 * n for key, n in per_block.items()},
+    assert calls == {**{key: 2 * n for key, n in per_pass.items()},
                      **{key: n * len(spec.grid) for key, n in per_point.items()}}
 
 
@@ -1113,37 +1131,85 @@ BLOCK_SWEEPS = {
 }
 
 
-def test_sweep_blocks_equal_one_point_at_a_time(monkeypatch):
+def test_sweep_passes_equal_one_point_at_a_time(monkeypatch):
     # every variable, on 7 Rx elements (monostatic) and on 5 moved 0.5 m
-    # (bistatic): the first failing point sits in a block of several, and
-    # each row is the one its point gives alone, with the default budgets and with 14
-    # factor paths a pass, which splits the range and angle blocks into
-    # passes of 1 to 3 points; the power sweep of 81 points at 256 elements
-    # takes two blocks
+    # (bistatic): the first failing point sits in a pass of several at the
+    # default budget, and each row is the one its point gives alone, with the
+    # default budget and with 4,000 bytes a pass, which splits the range and
+    # angle sweeps into passes of 1 to 3 points; the power sweep of 81 points
+    # at 256 elements takes two passes
     cases = [(var, grid, "tx.count = 7\n" + text + rx, error)
              for var, (grid, text, error) in BLOCK_SWEEPS.items()
              for rx in ("rx.count = 7\n", "rx.count = 5\nrx.centroid_x = 0.5\n")]
     cases.append(("power", (*(10.0 ** (k / 16.0) for k in range(39, -41, -1)), 0.0), DEFAULT_CFG,
                   BLOCK_SWEEPS["power"][2][1:]))
-    passes = set()
-    for (var, grid, text, error), paths in itertools.product(cases, (cli.SWEEP_BLOCK_PATHS, 14)):
-        monkeypatch.setattr(cli, "SWEEP_BLOCK_PATHS", paths)
+    default, lengths = cli.SWEEP_PASS_BYTES, set()
+    for (var, grid, text, error), budget in itertools.product(cases, (default, 4000)):
+        monkeypatch.setattr(cli, "SWEEP_PASS_BYTES", budget)
         spec = SweepSpec(variable=var, grid=grid, config=parse_config(text))
-        blocks = list(cli._blocks(spec, build_scene(spec.config)))
-        assert [v for block in blocks for part in block for v in part] == list(grid)
-        passes.update((var, len(block)) for block in blocks)
+        passes = list(cli._passes(spec, build_scene(spec.config)))
+        assert [v for values in passes for v in values] == list(grid)
+        lengths.update((var, budget, len(values)) for values in passes)
         together = run_sweep(spec)
         failed = [row for row in parse_csv(together)[2] if row["error"]]
         assert [row["error"][:len(e)] for row, e in zip(failed, error)] == list(error), (var, text)
         assert len(failed) == len(error)
         value = float(failed[0][SWEEP_VARS[var][0]])
-        assert any(sum(map(len, block)) > 1 and any(value in part for part in block)
-                   for block in blocks)
+        assert budget != default or any(len(values) > 1 and value in values for values in passes)
         with monkeypatch.context() as patch:
-            patch.setattr(cli, "SWEEP_BLOCK_ELEMENTS", 0)  # every point alone
+            patch.setattr(cli, "SWEEP_PASS_BYTES", 0)  # every point alone
             assert run_sweep(spec) == together, (var, text)
-    assert len(blocks) == 2
-    assert {("range", 2), ("range", 3), ("angle", 2)} <= passes
+    assert {("power", default, 64), ("power", default, 17)} <= lengths
+    assert {("range", 4000, 2), ("range", 4000, 3), ("angle", 4000, 2)} <= lengths
+
+
+@st.composite
+def sweep_pass_cases(draw):
+    """Config text, variable and grid of a sweep of 2-8 points on 1-256 elements a side.
+
+    The arrays are monostatic or bistatic (Rx moved 0.5 m). Antennas grids
+    hold counts of both parities, some past 16,384; range and angle grids
+    hold points near the arrays and far from them, and target 0 sits near or
+    far; power and snapshots grids span many decades.
+    """
+    # the first choice of each is the one hypothesis tries most: the one that splits most
+    count = draw(st.sampled_from([256, 64, 7, 2, 1]))
+    rx = (f"rx.count = {draw(st.sampled_from([256, 64, 5, 1]))}\nrx.centroid_x = 0.5"
+          if draw(st.booleans()) else f"rx.count = {count}")
+    text = (f"snapshots = 16\ntx.count = {count}\n{rx}\n"
+            f"target.0.range = {10.0 ** draw(st.floats(-1.0, 5.0))!r}\n"
+            f"target.0.angle_deg = {draw(st.floats(-80.0, 80.0))!r}\ntarget.0.vx = 1\n")
+    variable = draw(st.sampled_from(["antennas", "range", "angle", "snapshots", "power"]))
+    value = {"antennas": st.one_of(st.integers(16385, 20000), st.integers(1, 600)),
+             "range": st.floats(-2.0, 7.0).map(lambda u: 10.0 ** u),
+             "angle": st.floats(-90.0, 90.0),
+             "snapshots": st.one_of(st.integers(1, 64), st.integers(1, 10 ** 12)),
+             "power": st.floats(-6.0, 3.0).map(lambda u: 10.0 ** u)}[variable]
+    grid = sorted(draw(st.sets(value, min_size=2, max_size=8)), reverse=draw(st.booleans()))
+    return text, variable, tuple(grid)
+
+
+@pytest.mark.filterwarnings("ignore:target [0-9]+ moves")
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(sweep_pass_cases())
+def test_sweep_bytes_do_not_depend_on_the_pass_split(case):
+    # every point alone (a budget of 0), the default budget, one pass of the
+    # whole grid (2^40 bytes) and each split that a budget of 4^2 to 4^12
+    # bytes makes write the same CSV bytes, and the passes concatenate back
+    # to the grid
+    text, variable, grid = case
+    spec = SweepSpec(variable=variable, grid=grid, config=parse_config(text))
+    base, reports = build_scene(spec.config), {}
+    for budget in (0, cli.SWEEP_PASS_BYTES, 2 ** 40, *(4 ** k for k in range(2, 13))):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(cli, "SWEEP_PASS_BYTES", budget)
+            passes = list(cli._passes(spec, base))
+            assert [v for values in passes for v in values] == list(spec.grid)
+            assert len(passes) == {0: len(grid), 2 ** 40: 1}.get(budget, len(passes))
+            split = tuple(map(len, passes))
+            if split not in reports:
+                reports[split] = run_sweep(spec)
+    assert len(set(reports.values())) == 1
 
 
 def test_a_failed_closed_form_call_retries_its_points_one_at_a_time(monkeypatch):
@@ -1184,26 +1250,26 @@ def test_snapshot_counts_past_two_to_the_64_keep_their_bounds():
         ("3.2805212351759974e-23", "9.841563715498826e-55")]
 
 
-def test_sweep_blocks_hold_their_element_budget(monkeypatch):
-    # a sweep's blocks keep its peak within SWEEP_BLOCK_ELEMENTS x 16 B (+64
-    # KiB) of one point at a time. An antennas block's smaller ULAs read the
-    # element factors of the largest of their count parity; 16 points of
-    # 20,000 elements, each alone, would hold 8 MB more if they were staged
-    # together (the factors of both parities' largest arrays at once). Counts
-    # of both parities take a closed-form pass each once the smaller parity's
-    # factors pass SWEEP_BLOCK_PATHS (8,191 and 8,192 elements would hold 1.4
-    # MB more in one pass), as range points do, each with its own target's
-    # factors (64 points at 256 elements would hold 3.6 MB more)
+def test_sweep_passes_hold_their_byte_budget(monkeypatch):
+    # a sweep's passes keep its peak within SWEEP_PASS_BYTES (+64 KiB) of one
+    # point at a time. An antennas pass's smaller ULAs read the element
+    # factors of the largest of their count parity; 16 points of 20,000
+    # elements, each alone, would hold 8 MB more if they were staged together
+    # (the factors of both parities' largest arrays at once). Counts of both
+    # parities part once the smaller parity's factors pass the budget (8,191
+    # and 8,192 elements would hold 1.4 MB more in one pass), as range points
+    # do, each with its own target's factors (64 points at 256 elements would
+    # hold 3.6 MB more), and power points share the base's
     base = "snapshots = 16\ntarget.0.range = 100\ntarget.0.angle_deg = 20\n"
-    # each sweep with the points of each pass in its last blocks
-    sweeps = [("antennas", (*range(16, 1025, 16), *range(20000, 20016)), [[1]] * 16),
-              ("antennas", (*range(1, 129), 8191, 8192), [[1, 1]]),
-              ("range", tuple(50.0 + 5.0 * k for k in range(64)), [[5] * 12 + [4]])]
-    budget = cli.SWEEP_BLOCK_ELEMENTS
+    # each sweep with the lengths of its last passes
+    sweeps = [("antennas", (*range(16, 1025, 16), *range(20000, 20016)), [1] * 16),
+              ("antennas", (*range(1, 129), 8191, 8192), [128, 1, 1]),
+              ("range", tuple(50.0 + 5.0 * k for k in range(64)), [5] * 12 + [4]),
+              ("power", (*(10.0 ** (k / 16.0) for k in range(39, -41, -1)), 0.0), [64, 17])]
     for variable, grid, last in sweeps:
         spec = SweepSpec(variable=variable, config=parse_config(base), grid=grid)
-        blocks = [list(map(len, block)) for block in cli._blocks(spec, build_scene(spec.config))]
-        assert blocks[-len(last):] == last
+        passes = list(map(len, cli._passes(spec, build_scene(spec.config))))
+        assert passes[-len(last):] == last
 
         def peak():
             tracemalloc.start()
@@ -1216,10 +1282,10 @@ def test_sweep_blocks_hold_their_element_budget(monkeypatch):
         run_sweep(spec)  # first-call allocations outside the traced runs
         together, held = peak()
         with monkeypatch.context() as patch:
-            patch.setattr(cli, "SWEEP_BLOCK_ELEMENTS", 0)
+            patch.setattr(cli, "SWEEP_PASS_BYTES", 0)
             alone, held_alone = peak()
         assert together == alone
-        assert held <= held_alone + 16 * budget + 64 * 1024, (variable, held - held_alone)
+        assert held <= held_alone + cli.SWEEP_PASS_BYTES + 64 * 1024, (variable, held - held_alone)
 
 
 @pytest.mark.parametrize("argv, lines", [
