@@ -11,7 +11,8 @@ shifted states of every listed target, for every check of a call, are the
 rows of one (K, 6) array in BLOCKS order, moved copies of `Scene.states`
 rows, evaluated in one broadcast call per array side. No shifted Target or
 Scene is built; each state passes Scene's own per-target rules
-(`scene.check_states`) on both arrays.
+(`scene.check_states`) on each distinct array object. Each snapshot's outer
+product a_r a_t^T is one batched matrix product (`_outer`).
 `fd_steering_rows` differences the one side that its caller names; verify's
 steering battery builds each scene on one array object and names "tx". Every
 other oracle evaluates both sides, and no oracle reads Scene.monostatic, the
@@ -134,6 +135,16 @@ def fd_steering_rows(scene, side, qs, checks, m_values):
     return (4.0 * d_h - d_2h) / 3.0
 
 
+def _outer(a_r, a_t):
+    """Each snapshot's outer product a_r a_t^T of (M, N_r) and (M, N_t) rows, (M, N_r, N_t).
+
+    One batched BLAS product of (M, N_r, 1) by (M, 1, N_t), faster than
+    einsum("mr,mt->mrt"): a sum of one term, so each entry is the einsum's
+    product a_r[m, r] a_t[m, t].
+    """
+    return np.matmul(a_r[:, :, None], a_t[:, None, :])
+
+
 def _target_channels(scene, states=None):
     """Yield each target's channel rcs_q a_r a_t^T for every snapshot, (M, N_r, N_t).
 
@@ -146,7 +157,7 @@ def _target_channels(scene, states=None):
     a_t = steering_values(scene, "tx", states=states)
     a_r = steering_values(scene, "rx", states=states)
     for a_r_k, a_t_k, (re, im) in zip(a_r, a_t, states[:, 4:].tolist()):
-        yield np.einsum("mr,mt->mrt", a_r_k, a_t_k) * complex(re, im)
+        yield _outer(a_r_k, a_t_k) * complex(re, im)
 
 
 # a function, not inlined in _fd_channel_derivatives: its return frees plus and
@@ -156,10 +167,11 @@ def _channel_derivative(base, q, moved, h):
     """(A(theta + h) - A(theta - h)) / 2h for one parameter of target q.
 
     moved yields target q's shifted channels at theta + h, then theta - h.
-    Each replaces target q's channel in base, the unshifted target channels,
-    and is summed before the next one is formed, so one shifted channel is
-    held at a time. The target channels are summed in target order from the
-    first, not from 0, which would copy it.
+    Each replaces target q's channel in base, the unshifted target channels
+    (None for a one-target scene, which sums none), and is summed before the
+    next one is formed, so one shifted channel is held at a time. The target
+    channels are summed in target order from the first, not from 0, which
+    would copy it.
     """
     plus, minus = (reduce(add, base[:q] + [next(moved)] + base[q + 1:]) for _ in range(2))
     return _divide(plus - minus, 2.0 * h)
@@ -171,7 +183,9 @@ def _fd_channel_derivatives(scene, steps=None):
     Each stack is (A(theta + h) - A(theta - h)) / 2h. The shifted states of
     every target and parameter are one (12 Q, 6) array, evaluated in one
     steering_values call per side. A shifted channel replaces the one target
-    channel that moves and reuses the others.
+    channel that moves and reuses the others: the unshifted channels are
+    formed only when there are others, so a one-target scene makes two
+    steering_values calls, one per side.
     """
     steps = {**DEFAULT_STEPS, **(steps or {})}
     for t in scene.targets:
@@ -179,7 +193,7 @@ def _fd_channel_derivatives(scene, steps=None):
             _check_step(steps[kind], getattr(t, kind))
     states = _moved_states(scene, range(scene.q_count),
                            [(kind, d) for kind in BLOCKS for d in (steps[kind], -steps[kind])])
-    base = list(_target_channels(scene))
+    base = list(_target_channels(scene)) if scene.q_count > 1 else [None]
     moved = _target_channels(scene, states)
     # one array, not a list of stacks, so glibc does not trim and re-fault the heap
     derivs = np.empty((6 * scene.q_count, scene.snapshots, scene.rx.count, scene.tx.count),
@@ -218,17 +232,18 @@ def _channel_derivatives(scene):
 
     Each stack is the sum of c * a_r a_t^T over the rank-1 terms of
     fim.derivative_terms, materialized here instead of reduced to Gram
-    products. c is the left operand: numpy reuses a large temporary in place
-    as the left one, and a complex product rounds by operand order.
+    products, and added from the first term, not from 0, which would copy
+    it. c is the left operand: numpy reuses a large temporary in place as
+    the left one, and a complex product rounds by operand order.
     """
     derivs = np.empty((6 * scene.q_count, scene.snapshots, scene.rx.count, scene.tx.count),
                       dtype=complex)
     for q in range(scene.q_count):
         tx, rx = steering_stack(scene, "tx", q), steering_stack(scene, "rx", q)
         for i, kind in zip(target_indices(q, scene.q_count), BLOCKS):
-            derivs[i] = sum(np.multiply(c, np.einsum("mr,mt->mrt", rx[KEYS.index(rk)],
-                                                     tx[KEYS.index(tk)]))
-                            for c, rk, tk in derivative_terms(kind, scene.targets[q].rcs))
+            derivs[i] = reduce(add, (np.multiply(c, _outer(rx[KEYS.index(rk)],
+                                                           tx[KEYS.index(tk)]))
+                                     for c, rk, tk in derivative_terms(kind, scene.targets[q].rcs)))
     return derivs
 
 
@@ -406,13 +421,14 @@ def _verify_expansions():
     slope = np.polyfit(np.log(grid), np.log(residual), 1)[0]
     reports.append(make_report("gain-expansion-order", float(slope), -4.0, 0.075))
 
-    scene = make_scene()
-    _, fraunhofer = scene.tx.region_boundaries(scene.wavelength_m)
+    # six far targets on one scene; make_scene's default arrays are geom
+    _, fraunhofer = geom.region_boundaries(lam)
+    far = make_scene(targets=[Target.at(10.0 * fraunhofer, math.radians(deg), vx=1.0, vy=4.0,
+                                        rcs_re=1.0, rcs_im=0.1)
+                              for deg in (-60, -40, -20, 20, 40, 60)])
     deviations = []
-    for deg in (-60, -40, -20, 20, 40, 60):
-        t = Target.at(10.0 * fraunhofer, math.radians(deg), vx=1.0, vy=4.0,
-                      rcs_re=1.0, rcs_im=0.1)
-        c = correction_terms(dataclasses.replace(scene, targets=[t]), 0)
+    for q in range(far.q_count):
+        c = correction_terms(far, q)
         deviations += [abs(c.psi_x - 1.0), abs(c.psi_y - 1.0)]
     worst = np.max(deviations)
     reports.append(make_report("psi-limit", worst, 0.0, 1e-3, rel_err=worst))

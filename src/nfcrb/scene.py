@@ -22,6 +22,9 @@ LIGHTSPEED = 3.0e8
 
 MIN_ELEMENT_CLEARANCE = 1e-6  # m, targets may not sit on array elements
 
+# the least integer that rounds past the largest float: float() of it raises
+FLOAT_INT_LIMIT = 2 ** 1024 - 2 ** 970
+
 
 class DegenerateGeometryError(ValueError):
     """Target coincides with an array element or sits at a zero-range point."""
@@ -81,9 +84,11 @@ class Scene:
         if self.snapshots < 1 or int(self.snapshots) != self.snapshots:
             raise ValueError(f"snapshots must be a positive integer, got {self.snapshots!r}")
         object.__setattr__(self, "snapshots", int(self.snapshots))  # numpy sizes arrays by it
-        # crb and approx square the slow time: T^2 M^3 bounds T^2 sum_m m^2
-        cpi = self.t_sym_s * self.snapshots
-        if not math.isfinite(cpi * cpi * self.snapshots):
+        # crb and approx square the slow time: T^2 M^3 bounds T^2 sum_m m^2, and
+        # crb forms V from the integer M (M^2 - 1), which must convert to a float
+        m = self.snapshots
+        cpi = self.t_sym_s * m
+        if not math.isfinite(cpi * cpi * m) or m * (m * m - 1) >= FLOAT_INT_LIMIT:
             raise ValueError(f"the CPI of {self.snapshots:.6g} snapshots of {self.t_sym_s!r} s "
                              "is too long: its slow-time moments overflow")
         if self.power_w <= 0 or self.noise_var_w <= 0:
@@ -183,8 +188,11 @@ def check_states(states, sides):
     MIN_ELEMENT_CLEARANCE of each element and of the centroid of each array
     in sides (DegenerateGeometryError). The first state that breaks a rule
     is named; within a state, the arrays go in order, an element before a
-    centroid. Returns every state's closest element range over all sides, (K,).
+    centroid. An array object listed twice is checked once: the test is
+    identity, not equality, so no caller learns whether two sides are one
+    layout. Returns every state's closest element range over all sides, (K,).
     """
+    sides = tuple({id(geom): geom for geom in sides}.values())
     if not np.isfinite(states).all():
         k = int(np.isfinite(states).all(axis=1).argmin())
         raise ValueError(f"target {k} has a non-finite field")

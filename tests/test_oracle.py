@@ -22,7 +22,7 @@ from nfcrb import (BLOCKS, ArrayGeometry, DegenerateGeometryError, Scene, Target
                    fd_fim, fim, make_scene, steering_stack, ula)
 from nfcrb.fim import derivative_terms
 from nfcrb.oracle import (DEFAULT_STEPS, _canonical_scene, _channel_derivatives,
-                          _fd_channel_derivatives, _target_channels, _two_target_scene,
+                          _fd_channel_derivatives, _outer, _target_channels, _two_target_scene,
                           _verify_consistency, _verify_expansions, _verify_steering,
                           fd_steering_rows, make_report, monte_carlo_isotropic,
                           relative_difference, run_battery)
@@ -355,6 +355,42 @@ def test_channel_derivatives_multiply_by_the_coefficient_in_one_operand_order(sc
     assert _channel_derivatives(scene).tobytes() == np.stack(want).tobytes()
 
 
+@pytest.mark.parametrize("scene", [_canonical_scene(), _two_target_scene(),
+                                   make_scene(tx=ula(4, 0.01), rx=ula(4, 0.01), snapshots=8)],
+                         ids=["canonical", "two-target", "monte-carlo"])
+def test_outer_product_is_the_einsum_bit_for_bit(scene):
+    # one batched matrix product of one term per entry: a BLAS that rounds
+    # such a product apart from the plain complex product fails here, not in
+    # the tests that pin the channel bytes downstream
+    for q in range(scene.q_count):
+        tx, rx = steering_stack(scene, "tx", q), steering_stack(scene, "rx", q)
+        for a_r in rx:
+            for a_t in tx:
+                want = np.einsum("mr,mt->mrt", a_r, a_t)
+                got = _outer(a_r, a_t)
+                assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("scene, calls", [(_canonical_scene(), ["tx", "rx"]),
+                                          (_two_target_scene(), ["tx", "rx"] * 2)],
+                         ids=["one-target", "two-target"])
+def test_fd_channel_derivatives_form_unshifted_channels_only_to_sum(monkeypatch, scene, calls):
+    # a one-target scene sums no unshifted channel with a shifted one: its
+    # shifted states take one steering_values call per side, and nothing else
+    oracle = sys.modules["nfcrb.oracle"]
+    seen = []
+
+    def counted(scene, side, *args, _original=oracle.steering_values, **kwargs):
+        seen.append(side)
+        return _original(scene, side, *args, **kwargs)
+
+    want = _fd_channel_derivatives(scene)
+    monkeypatch.setattr(oracle, "steering_values", counted)
+    got = _fd_channel_derivatives(scene)
+    assert seen == calls
+    assert got.tobytes() == want.tobytes()
+
+
 def test_fd_oracles_build_no_steering_stack(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("steering_stack called")
@@ -549,9 +585,25 @@ def test_psi_limit_check_fails_on_a_nan_factor(monkeypatch):
 
     monkeypatch.setattr(oracle, "correction_terms", nan_psi_y)
     reports = {r.name: r for r in _verify_expansions()}
-    assert len(calls) == 6
+    assert calls == list(range(6))
     assert math.isnan(reports["psi-limit"].rel_err)
     assert not reports["psi-limit"].passed
+
+
+def test_far_field_check_builds_one_scene(monkeypatch):
+    # the six far targets are one scene; every other Scene validation the
+    # expansions make would re-check a target against 256 elements a side
+    built = []
+    validate = Scene.__post_init__
+
+    def counted(self):
+        built.append(len(self.targets))
+        validate(self)
+
+    monkeypatch.setattr(Scene, "__post_init__", counted)
+    reports = {r.name: r for r in _verify_expansions()}
+    assert built == [6]
+    assert reports["psi-limit"].passed
 
 
 @pytest.mark.skipif(sys.platform != "linux" or platform.libc_ver()[0] != "glibc",

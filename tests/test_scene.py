@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 
 from nfcrb import (BLOCKS, ArrayGeometry, DegenerateGeometryError, Scene, Target,
                    dbm_to_watts, fim, make_scene, polar_of, target_indices, ula)
-from nfcrb.scene import MIN_ELEMENT_CLEARANCE
+from nfcrb.crb import closed_form_single
+from nfcrb.scene import FLOAT_INT_LIMIT, MIN_ELEMENT_CLEARANCE, check_states
 
 from util import target_at
 
@@ -108,6 +109,33 @@ def test_integral_float_snapshots_are_stored_as_an_int():
     s = make_scene(snapshots=8.0, **arrays)
     assert type(s.snapshots) is int
     assert fim(s).matrix.tobytes() == fim(make_scene(snapshots=8, **arrays)).matrix.tobytes()
+
+
+def _largest_snapshot_count():
+    """The largest M whose M (M^2 - 1) converts to a float, by bisection."""
+    low, high = 1, 10 ** 104
+    while high - low > 1:
+        mid = (low + high) // 2
+        low, high = (mid, high) if mid * (mid * mid - 1) < FLOAT_INT_LIMIT else (low, mid)
+    return low
+
+
+def test_scene_rejects_snapshots_whose_slow_time_moments_leave_the_float_range():
+    # T^2 M^3 = 1e109 is finite here, but crb forms V from the integer
+    # M (M^2 - 1), which past about 5.6e102 no float holds
+    arrays = {"tx": ula(4, 0.01), "rx": ula(4, 0.01), "t_sym_s": 1e-100}
+    with pytest.raises(ValueError, match=r"^the CPI of 1e\+103 snapshots of 1e-100 s is too "
+                                         r"long: its slow-time moments overflow$"):
+        make_scene(snapshots=1e103, **arrays)
+    m = _largest_snapshot_count()
+    assert 5.6e102 < m < 5.7e102 and float(m * (m * m - 1)) == 1.7976931348623157e308
+    with pytest.raises(ValueError, match="slow-time moments overflow"):
+        make_scene(snapshots=m + 1, **arrays)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # the target travels far over so long a CPI
+        scene = make_scene(snapshots=m, **arrays)
+    bounds = dataclasses.astuple(closed_form_single(scene, 0).targets[0])
+    assert all(0.0 < b < math.inf for b in bounds)
 
 
 def test_scene_without_targets_is_rejected():
@@ -351,6 +379,40 @@ def test_first_target_in_order_names_the_failure():
         make_scene(targets=targets, tx=geom, rx=geom)
     with pytest.raises(DegenerateGeometryError, match="target 0 is within"):
         make_scene(targets=targets[::-1], tx=geom, rx=geom)
+
+
+def test_check_states_checks_an_array_object_listed_twice_once():
+    # the test is identity: an equal but distinct array is still checked, and
+    # the result and the first error do not depend on the repeat
+    g = ula(4, 0.01)
+    states = make_scene(targets=[target_at(30.0, 10.0), target_at(80.0, -40.0)], tx=g,
+                        rx=g).states
+    near = check_states(states, (g,))
+    assert check_states(states, (g, g)).tobytes() == near.tobytes()
+    on_element, at_centroid = states.copy(), states.copy()
+    on_element[1, :2] = g.positions[2]
+    at_centroid[0, :2] = g.centre
+    for rows in (on_element, at_centroid):
+        with pytest.raises(ValueError) as once:
+            check_states(rows, (g,))
+        with pytest.raises(ValueError) as twice:
+            check_states(rows, (g, g))
+        assert (type(twice.value), str(twice.value)) == (type(once.value), str(once.value))
+
+    class Counted:
+        """g's centre and positions, counting the reads of its positions."""
+
+        centre, reads = g.centre, 0
+
+        @property
+        def positions(self):
+            self.reads += 1
+            return g.positions
+
+    shared, distinct = Counted(), Counted()
+    assert check_states(states, (shared, shared)).tobytes() == near.tobytes()
+    check_states(states, (distinct, Counted()))
+    assert (shared.reads, distinct.reads) == (1, 1)
 
 
 def test_scene_is_immutable():
